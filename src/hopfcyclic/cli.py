@@ -11,6 +11,7 @@ import json
 import sys
 
 from .fields import QQ, field_by_name
+from .linalg import Matrix
 from .hopf import (AlgebraData, HopfAlgebraData, ModuleAlgebra,
                    ModuleCoalgebra, ComoduleAlgebra, ComoduleCoalgebra,
                    ModComodule, EquivariantPairing, ModularPair,
@@ -217,7 +218,7 @@ def cmd_compare(args):
         degs = [n for n in sorted(mixed.B) if mixed.B[n].rows]
         deg = degs[1] if len(degs) > 1 else degs[0]
         mat = mixed.B[deg]
-        mat.entries[(0, 0)] = f.add(mat.entries.get((0, 0), f.zero), f.one)
+        mixed.B[deg] = mat + Matrix(f, mat.rows, mat.cols, {(0, 0): f.one})
         bad = mixed.violations()
         for line in bad:
             print("corrupted B detected: %s" % line)

@@ -16,8 +16,9 @@ the conventions being right silently.
 
 import warnings
 
-from .linalg import (Matrix, Subspace, ShapeMismatch, quotient_space,
-                     GradedOperatorSystem, operator_closure, vec_sub)
+from .linalg import (Matrix, Subspace, ShapeMismatch, SingularMatrix,
+                     quotient_space, GradedOperatorSystem, operator_closure,
+                     vec_sub, add_into)
 from .tensors import build_matrix, flatten, unflatten, prod
 from .hopf import HopfMismatch, CompatibilityFailure, check_sayd, check_comodule_coalgebra
 
@@ -87,7 +88,7 @@ class ParaCyclicModule:
         if n not in self._tau_inv:
             try:
                 self._tau_inv[n] = self.cyclic[n].inverse()
-            except Exception:
+            except SingularMatrix:
                 raise InvertibilityFailure("tau_%d is not invertible" % n)
         return self._tau_inv[n]
 
@@ -372,21 +373,27 @@ def cyc_coalgebra(c, N):
 
 
 def _fill_by_conjugation(x, d0, s0):
-    """Populate all faces/degeneracies from (d_0, s_0) and tau powers."""
-    if x.orientation == CHAIN:
-        for n, m in d0.items():
-            for j in range(n + 1):
-                x.faces[(n, j)] = x.tau_power(n - 1, j) * m * x.tau_power(n, -j)
-        for n, m in s0.items():
-            for j in range(n + 1):
-                x.degeneracies[(n, j)] = x.tau_power(n + 1, j) * m * x.tau_power(n, -j)
+    """Populate all faces/degeneracies from (d_0, s_0) and tau.
+
+    Chain: the j-th map is tau^j m tau^-j; cochain: tau^-j m tau^j.  Each
+    is the previous one conjugated once more, so no power is formed.
+    """
+    chain = x.orientation == CHAIN
+
+    def fill(out, maps, tgt, count):
+        for n, m in maps.items():
+            for j in range(count(n)):
+                if j:
+                    m = (x.tau(tgt(n)) * m * x.tau_inv(n) if chain
+                         else x.tau_inv(tgt(n)) * m * x.tau(n))
+                out[(n, j)] = m
+
+    if chain:
+        fill(x.faces, d0, lambda n: n - 1, lambda n: n + 1)
+        fill(x.degeneracies, s0, lambda n: n + 1, lambda n: n + 1)
     else:
-        for n, m in d0.items():
-            for j in range(n + 2):
-                x.faces[(n, j)] = x.tau_power(n + 1, -j) * m * x.tau_power(n, j)
-        for n, m in s0.items():
-            for i in range(n):
-                x.degeneracies[(n, i)] = x.tau_power(n - 1, -i) * m * x.tau_power(n, i)
+        fill(x.faces, d0, lambda n: n + 1, lambda n: n + 2)
+        fill(x.degeneracies, s0, lambda n: n - 1, lambda n: n)
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +596,10 @@ def compute_J(t, buffer=2, extra_powers=0):
             gens = []
             ident = Matrix.identity(f, dim_n)
             gens.append(mod.T(n) - ident)
+            powers = [mod.tau_power(n, i) for i in range(1, n + 2 + extra_powers)]
             for h in range(mod.hopf.dim):
                 lh = mod.act_h(n, h)
-                for i in range(1, n + 2 + extra_powers):
-                    ti = mod.tau_power(n, i)
+                for ti in powers:
                     gens.append(lh * ti - ti * lh)
             vecs = []
             for g in gens:
@@ -702,7 +709,7 @@ def _diagonal_coaction_matrix(field, hopf, coaction, dims):
     """
     k = len(dims)
     total = prod(dims)
-    mat = Matrix(field, hopf.dim * total, total)
+    ent = {}
     unit_items = tuple(hopf.unit().items())
     for col in range(total):
         t = unflatten(col, dims)
@@ -724,13 +731,8 @@ def _diagonal_coaction_matrix(field, hopf, coaction, dims):
                             nxt[key] = s
             part = nxt
         for (hk, tup), v in part.items():
-            row = hk * total + flatten(tup, dims)
-            s = field.add(mat.entries.get((row, col), field.zero), v)
-            if field.is_zero(s):
-                mat.entries.pop((row, col), None)
-            else:
-                mat.entries[(row, col)] = s
-    return mat
+            add_into(field, ent, (hk * total + flatten(tup, dims), col), v)
+    return Matrix(field, hopf.dim * total, total, ent)
 
 
 def _colinear_subspace(field, hopf, mod, base_coaction, dims):
@@ -743,23 +745,19 @@ def _colinear_subspace(field, hopf, mod, base_coaction, dims):
     dh = hopf.dim
     rho_x = _diagonal_coaction_matrix(field, hopf, base_coaction, dims)
     # operator Hom(X, M) -> Hom(X, H (x) M)
-    op = Matrix(field, dh * dm * total, dm * total)
     # term 1: f |-> rho_M o f
+    op = {}
     for mi in range(dm):
         for (h, mm), v in mod.coaction[mi].items():
             for x in range(total):
-                op.entries[((h * dm + mm) * total + x, mi * total + x)] = v
+                op[((h * dm + mm) * total + x, mi * total + x)] = v
     # term 2: f |-> (id_H (x) f) o rho_X, subtracted
     for (row, col), v in rho_x.entries.items():
         h, xx = divmod(row, total)
         for mi in range(dm):
-            key = ((h * dm + mi) * total + col, mi * total + xx)
-            s = field.sub(op.entries.get(key, field.zero), v)
-            if field.is_zero(s):
-                op.entries.pop(key, None)
-            else:
-                op.entries[key] = s
-    return op.kernel_basis()
+            add_into(field, op, ((h * dm + mi) * total + col, mi * total + xx),
+                     field.neg(v))
+    return Matrix(field, dh * dm * total, dm * total, op).kernel_basis()
 
 
 def _restrict(op, src_sub, tgt_sub, tag):
@@ -782,10 +780,8 @@ def _twisted_precompose(field, mod, g_blocks, src_total, tgt_total, antipode_vec
     dm = mod.dim
     out = Matrix(field, dm * tgt_total, dm * src_total)
     for h, g in g_blocks.items():
-        act_h = Matrix(field, dm, dm)
-        for mi in range(dm):
-            for mm, v in mod.action[(h, mi)].items():
-                act_h.entries[(mm, mi)] = v
+        act_h = Matrix(field, dm, dm, {(mm, mi): v for mi in range(dm)
+                                       for mm, v in mod.action[(h, mi)].items()})
         out = out + act_h.kron(g.transpose())
     return out
 
@@ -807,7 +803,7 @@ def _hom_module(field, hopf, mod, base, N, orientation, name, eq1_check):
         dims = [db] * (n + 1)
         total = amb_total[n]
         # tau: generalized twisted precomposition
-        g_blocks = {h: Matrix(field, total, total) for h in range(hopf.dim)}
+        g_blocks = {h: {} for h in range(hopf.dim)}
         for x in range(total):
             t = unflatten(x, dims)
             if orientation == COCHAIN:
@@ -816,23 +812,13 @@ def _hom_module(field, hopf, mod, base, N, orientation, name, eq1_check):
                     sh = hopf.apply_antipode({h0: field.one})
                     u = flatten((bb,) + t[:n], dims)
                     for h, w in sh.items():
-                        e = g_blocks[h]
-                        s = field.add(e.entries.get((u, x), field.zero),
-                                      field.mul(v, w))
-                        if field.is_zero(s):
-                            e.entries.pop((u, x), None)
-                        else:
-                            e.entries[(u, x)] = s
+                        add_into(field, g_blocks[h], (u, x), field.mul(v, w))
             else:
                 # (tau f)(z^0..z^n) = z^0_{[-1]} f(z^1..z^n, z^0_{[0]})
                 for (h, zz), v in base.coaction[t[0]].items():
-                    u = flatten(t[1:] + (zz,), dims)
-                    e = g_blocks[h]
-                    s = field.add(e.entries.get((u, x), field.zero), v)
-                    if field.is_zero(s):
-                        e.entries.pop((u, x), None)
-                    else:
-                        e.entries[(u, x)] = s
+                    add_into(field, g_blocks[h],
+                             (flatten(t[1:] + (zz,), dims), x), v)
+        g_blocks = {h: Matrix(field, total, total, e) for h, e in g_blocks.items()}
         taus_amb[n] = _twisted_precompose(field, mod, g_blocks, total, total)
 
         if orientation == COCHAIN and n + 1 <= N:

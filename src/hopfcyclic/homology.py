@@ -377,19 +377,20 @@ def _total_of_mixed(c):
     for n in comps:
         if n + 1 not in comps:
             continue
-        d = Matrix(c.field, dims[n + 1], dims[n])
+        d = {}
         for m in comps[n]:
             if m in c.b and m + 1 in offs[n + 1]:
                 _insert_block(d, c.b[m], offs[n + 1][m + 1], offs[n][m])
             if m in c.B and m - 1 in offs[n + 1]:
                 _insert_block(d, c.B[m], offs[n + 1][m - 1], offs[n][m])
-        diffs[n] = d
+        diffs[n] = Matrix(c.field, dims[n + 1], dims[n], d)
     return dims, diffs, comps, offs
 
 
-def _insert_block(m, block, row0, col0):
+def _insert_block(ent, block, row0, col0):
+    """Copy block's entries into the entry dict ent at offset (row0, col0)."""
     for (i, j), v in block.entries.items():
-        m.entries[(row0 + i, col0 + j)] = v
+        ent[(row0 + i, col0 + j)] = v
 
 
 def _total_of_bicomplex(c):
@@ -411,7 +412,7 @@ def _total_of_bicomplex(c):
     for n in degs:
         if n + 1 not in dims:
             continue
-        d = Matrix(f, dims[n + 1], dims[n])
+        d = {}
         for (p, q) in comps[n]:
             if (p, q) in c.horiz and (p + 1, q) in offs[n + 1]:
                 _insert_block(d, c.horiz[(p, q)], offs[n + 1][(p + 1, q)],
@@ -421,7 +422,7 @@ def _total_of_bicomplex(c):
                 if p % 2 == 1:
                     block = block.scale(f.neg(f.one))
                 _insert_block(d, block, offs[n + 1][(p, q + 1)], offs[n][(p, q)])
-        diffs[n] = d
+        diffs[n] = Matrix(f, dims[n + 1], dims[n], d)
     return dims, diffs, comps, offs
 
 
@@ -451,14 +452,20 @@ def _cohomology_at(field, dims, diffs, n):
     return dim_h, reps
 
 
-def cohomology(c, n, stable_range=None):
-    """Cohomology dimension and representatives of a model at degree n."""
+def _total(c):
+    """(dims, diffs) of the total complex of a mixed complex or bicomplex."""
     if isinstance(c, MixedComplex):
         dims, diffs, _, _ = _total_of_mixed(c)
     elif isinstance(c, Bicomplex):
         dims, diffs, _, _ = _total_of_bicomplex(c)
     else:
         raise TypeError("expected a MixedComplex or Bicomplex")
+    return dims, diffs
+
+
+def cohomology(c, n, stable_range=None):
+    """Cohomology dimension and representatives of a model at degree n."""
+    dims, diffs = _total(c)
     if stable_range is not None and n > stable_range:
         raise OutOfStableRange("degree %d beyond certified range %d"
                                % (n, stable_range))
@@ -481,9 +488,10 @@ def cohomology_table(x, model="mixed", nmax=None):
         c = cyclic_bicomplex(xc)
     else:
         raise ValueError("model must be 'mixed' or 'bicomplex'")
+    dims, diffs = _total(c)
     degrees = {}
     for n in range(nmax + 1):
-        degrees[n], _ = cohomology(c, n)
+        degrees[n], _ = _cohomology_at(c.field, dims, diffs, n)
     return CohomologyTable(model, degrees, stable, name=x.name)
 
 
@@ -507,14 +515,12 @@ def hochschild_table(x, nmax=None, normalized=False):
                 subs[n] = Subspace.from_vectors(
                     f, xc.spaces[n], [{i: f.one} for i in range(xc.spaces[n])])
                 continue
-            stacked = None
-            rows = sum(xc.degeneracies[(n, i)].rows for i in idxs)
-            stacked = Matrix(f, rows, xc.spaces[n])
+            stacked = {}
             r0 = 0
             for i in idxs:
                 _insert_block(stacked, xc.degeneracies[(n, i)], r0, 0)
                 r0 += xc.degeneracies[(n, i)].rows
-            subs[n] = stacked.kernel_basis()
+            subs[n] = Matrix(f, r0, xc.spaces[n], stacked).kernel_basis()
         dims = {n: subs[n].dim for n in subs}
         diffs = {}
         for n in sorted(xc.spaces):
@@ -594,7 +600,7 @@ def total_mixed(d):
     b, B = {}, {}
     for n in degs:
         if n + 1 in dims:
-            m = Matrix(f, dims[n + 1], dims[n])
+            m = {}
             for (p, q) in comps[n]:
                 if (p, q) in d.b1 and (p - 1, q) in offs[n + 1]:
                     _insert_block(m, d.b1[(p, q)], offs[n + 1][(p - 1, q)],
@@ -602,9 +608,9 @@ def total_mixed(d):
                 if (p, q) in d.b2 and (p, q + 1) in offs[n + 1]:
                     _insert_block(m, d.b2[(p, q)], offs[n + 1][(p, q + 1)],
                                   offs[n][(p, q)])
-            b[n] = m
+            b[n] = Matrix(f, dims[n + 1], dims[n], m)
         if n - 1 in dims:
-            m = Matrix(f, dims[n - 1], dims[n])
+            m = {}
             for (p, q) in comps[n]:
                 if (p, q) in d.B1 and (p + 1, q) in offs[n - 1]:
                     _insert_block(m, d.B1[(p, q)], offs[n - 1][(p + 1, q)],
@@ -612,7 +618,7 @@ def total_mixed(d):
                 if (p, q) in d.B2 and (p, q - 1) in offs[n - 1]:
                     _insert_block(m, d.B2[(p, q)], offs[n - 1][(p, q - 1)],
                                   offs[n][(p, q)])
-            B[n] = m
+            B[n] = Matrix(f, dims[n - 1], dims[n], m)
     # The pairwise graded-commutation identities were verified blockwise on
     # the double complex with truncation-aware boundary handling; the total
     # complex inherits them.  Re-checking per total degree would re-raise

@@ -11,7 +11,7 @@ on an object V map a V-index to {(h, v): scalar} inside H (x) V.
 """
 
 from .fields import QQ
-from .linalg import Matrix, Subspace, vec_add, vec_scale, ShapeMismatch
+from .linalg import Matrix, Subspace, vec_add, vec_scale, ShapeMismatch, add_into
 from .tensors import build_matrix
 
 
@@ -809,27 +809,22 @@ def convolution(f_mat, g_mat, coalg, alg):
         raise ShapeMismatch("convolution operand shape")
     if g_mat.cols != coalg.dim or g_mat.rows != alg.dim:
         raise ShapeMismatch("convolution operand shape")
-    out = Matrix(field, alg.dim, coalg.dim)
+    out = {}
     for c in range(coalg.dim):
         acc = {}
         for (c1, c2), v in coalg.comul[c].items():
             term = alg.multiply(f_mat.column(c1), g_mat.column(c2))
             acc = vec_add(field, acc, vec_scale(field, v, term))
         for i, x in acc.items():
-            out.entries[(i, c)] = x
-    return out
+            out[(i, c)] = x
+    return Matrix(field, alg.dim, coalg.dim, out)
 
 
 def convolution_unit(coalg, alg):
     field = alg.field
-    out = Matrix(field, alg.dim, coalg.dim)
-    for c in range(coalg.dim):
-        e = coalg.counit.get(c, field.zero)
-        for i, x in alg.unit.items():
-            v = field.mul(e, x)
-            if not field.is_zero(v):
-                out.entries[(i, c)] = v
-    return out
+    return Matrix(field, alg.dim, coalg.dim,
+                  {(i, c): field.mul(coalg.counit.get(c, field.zero), x)
+                   for c in range(coalg.dim) for i, x in alg.unit.items()})
 
 
 def crossed_product_algebra(ma, ca):
@@ -1164,11 +1159,9 @@ def balanced_tensor_modcomodule(m1, m2):
     dim, proj, sect = quotient_space(total, sub)
     action = {}
     for hh in range(h.dim):
-        amb = Matrix(f, total, total)
-        for i in range(m1.dim):
-            for p, x in m1.action[(hh, i)].items():
-                for j in range(dm2):
-                    amb.entries[(p * dm2 + j, i * dm2 + j)] = x
+        amb = Matrix(f, total, total, {
+            (p * dm2 + j, i * dm2 + j): x for i in range(m1.dim)
+            for p, x in m1.action[(hh, i)].items() for j in range(dm2)})
         for b in sub.basis:
             if not sub.contains(amb.apply(b)):
                 raise CompatibilityFailure(
@@ -1177,7 +1170,7 @@ def balanced_tensor_modcomodule(m1, m2):
         for col in range(dim):
             action[(hh, col)] = q.column(col)
     # product-leg coaction, built on the ambient space then pushed down
-    rho = Matrix(f, h.dim * dim, total)
+    rho = {}
     for i in range(m1.dim):
         for j in range(dm2):
             for (h1, p), x in m1.coaction[i].items():
@@ -1186,12 +1179,9 @@ def balanced_tensor_modcomodule(m1, m2):
                         down = proj.apply({p * dm2 + q: f.one})
                         coef = f.mul(f.mul(x, y), hv)
                         for r, w in down.items():
-                            key = (hk * dim + r, i * dm2 + j)
-                            s = f.add(rho.entries.get(key, f.zero), f.mul(coef, w))
-                            if f.is_zero(s):
-                                rho.entries.pop(key, None)
-                            else:
-                                rho.entries[key] = s
+                            add_into(f, rho, (hk * dim + r, i * dm2 + j),
+                                     f.mul(coef, w))
+    rho = Matrix(f, h.dim * dim, total, rho)
     for b in sub.basis:
         if rho.apply(b):
             raise CompatibilityFailure(

@@ -1,18 +1,32 @@
 """Exact sparse linear algebra over Q and F_p.
 
-Matrices are sparse maps (row, col) -> nonzero scalar.  Ranks over Q go
-through fraction-free Bareiss elimination on an integerized copy; over
-F_p plain Gaussian elimination is used.  Subspaces are kept as reduced
-echelon bases so membership tests and quotients are cheap.
+Matrices are sparse maps (row, col) -> nonzero scalar.  Every elimination
+(rank, kernel, inverse) goes through one routine, Matrix.rref: a sparse
+Gauss-Jordan on row dicts that pivots each column on the shortest row
+holding it, so fill-in stays low and no dense copy is ever made.  A
+matrix is read-only once applied: the first apply caches a column index
+and freezes the entries.  Subspaces are kept as reduced echelon bases so
+membership tests and quotients are cheap.
 """
 
-from fractions import Fraction
-
-from .fields import QQ, PrimeField
+from types import MappingProxyType
 
 
 class ShapeMismatch(Exception):
     pass
+
+
+class SingularMatrix(ValueError):
+    """Matrix.inverse was given a singular matrix."""
+
+
+def add_into(field, d, key, v):
+    """d[key] += v, dropping the key when the sum is zero."""
+    s = field.add(d.get(key, field.zero), v)
+    if field.is_zero(s):
+        d.pop(key, None)
+    else:
+        d[key] = s
 
 
 def vec_add(field, u, v):
@@ -35,19 +49,33 @@ def vec_sub(field, u, v):
 
 
 class Matrix:
-    """Sparse exact matrix.  Stored entries are nonzero."""
+    """Sparse exact matrix.  Stored entries are nonzero.
+
+    Build the entries dict first and pass it to the constructor.  The
+    first apply caches a column index and turns `entries` into a read-only
+    view, so a later write raises TypeError instead of going unseen by the
+    index.
+    """
 
     def __init__(self, field, rows, cols, entries=None):
         self.field = field
         self.rows = rows
         self.cols = cols
         self.entries = {}
+        self._by_col = None
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ShapeMismatch("entry (%d,%d) out of %dx%d" % (i, j, rows, cols))
                 if not field.is_zero(v):
                     self.entries[(i, j)] = v
+
+    @classmethod
+    def _owning(cls, field, rows, cols, entries):
+        """Matrix that keeps `entries` as is: in range and zero-free."""
+        m = cls(field, rows, cols)
+        m.entries = entries
+        return m
 
     @classmethod
     def identity(cls, field, n):
@@ -97,9 +125,7 @@ class Matrix:
                 ent.pop(k, None)
             else:
                 ent[k] = w
-        m = Matrix(f, self.rows, self.cols)
-        m.entries = ent
-        return m
+        return Matrix._owning(f, self.rows, self.cols, ent)
 
     def __sub__(self, other):
         return self + other.scale(self.field.neg(self.field.one))
@@ -108,9 +134,8 @@ class Matrix:
         f = self.field
         if f.is_zero(c):
             return Matrix(f, self.rows, self.cols)
-        m = Matrix(f, self.rows, self.cols)
-        m.entries = {k: f.mul(c, v) for k, v in self.entries.items()}
-        return m
+        return Matrix._owning(f, self.rows, self.cols,
+                              {k: f.mul(c, v) for k, v in self.entries.items()})
 
     def __mul__(self, other):
         """Matrix product self @ other."""
@@ -128,16 +153,17 @@ class Matrix:
                     ent.pop((i, j), None)
                 else:
                     ent[(i, j)] = x
-        m = Matrix(f, self.rows, other.cols)
-        m.entries = ent
-        return m
+        return Matrix._owning(f, self.rows, other.cols, ent)
 
     def apply(self, vec):
         """Apply to a dict-vector (length self.cols), returns dict-vector."""
         f = self.field
-        by_col = {}
-        for (i, j), v in self.entries.items():
-            by_col.setdefault(j, []).append((i, v))
+        by_col = self._by_col
+        if by_col is None:
+            by_col = self._by_col = {}
+            for (i, j), v in self.entries.items():
+                by_col.setdefault(j, []).append((i, v))
+            self.entries = MappingProxyType(self.entries)
         out = {}
         for j, x in vec.items():
             for i, v in by_col.get(j, ()):
@@ -149,92 +175,94 @@ class Matrix:
         return out
 
     def transpose(self):
-        m = Matrix(self.field, self.cols, self.rows)
-        m.entries = {(j, i): v for (i, j), v in self.entries.items()}
-        return m
+        return Matrix._owning(self.field, self.cols, self.rows,
+                              {(j, i): v for (i, j), v in self.entries.items()})
 
     def kron(self, other):
         """Kronecker product, row-major flattening (self slowest)."""
         f = self.field
-        m = Matrix(f, self.rows * other.rows, self.cols * other.cols)
-        for (i, j), v in self.entries.items():
-            for (k, l), w in other.entries.items():
-                m.entries[(i * other.rows + k, j * other.cols + l)] = f.mul(v, w)
-        return m
-
-    def dense(self):
-        f = self.field
-        rows = [[f.zero] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
+        return Matrix._owning(
+            f, self.rows * other.rows, self.cols * other.cols,
+            {(i * other.rows + k, j * other.cols + l): f.mul(v, w)
+             for (i, j), v in self.entries.items()
+             for (k, l), w in other.entries.items()})
 
     def rank(self):
-        if isinstance(self.field, PrimeField):
-            return _rank_mod_p(self.dense(), self.field.p)
-        return _rank_bareiss(self.dense())
+        return len(self.rref()[0])
 
     def rref(self):
-        """Reduced row echelon form; returns (pivot column list, dense rref rows)."""
+        """Reduced row echelon form as (pivot columns, sparse rows).
+
+        rows[k] is the dict of the row whose leading 1 is in column
+        pivots[k].  Columns are taken left to right; each is pivoted on
+        the shortest not-yet-pivot row holding it (Markowitz's fill-in
+        rule within one column) and then cleared from every other row.
+        The reduced form is unique, so the pivot choice moves only cost.
+        """
         f = self.field
-        rows = self.dense()
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            piv = None
-            for i in range(r, self.rows):
-                if not f.is_zero(rows[i][c]):
-                    piv = i
-                    break
-            if piv is None:
+        rows = {}
+        holders = {}        # column -> ids of rows with a nonzero there
+        for (i, j), v in self.entries.items():
+            rows.setdefault(i, {})[j] = v
+            holders.setdefault(j, set()).add(i)
+        pivots, pivot_rows = [], []
+        used = set()
+        for c in sorted(holders):
+            live = [i for i in holders[c] if i not in used]
+            if not live:
                 continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = f.inv(rows[r][c])
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
-            for i in range(self.rows):
-                if i != r and not f.is_zero(rows[i][c]):
-                    factor = rows[i][c]
-                    rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+            p = min(live, key=lambda i: (len(rows[i]), i))
+            inv = f.inv(rows[p][c])
+            prow = rows[p] = {j: f.mul(inv, x) for j, x in rows[p].items()}
+            for i in list(holders[c]):
+                if i == p:
+                    continue
+                row = rows[i]
+                factor = row[c]
+                for j, x in prow.items():
+                    y = row.get(j)
+                    if y is None:
+                        row[j] = f.neg(f.mul(factor, x))
+                        holders[j].add(i)
+                        continue
+                    y = f.sub(y, f.mul(factor, x))
+                    if f.is_zero(y):
+                        del row[j]
+                        holders[j].discard(i)
+                    else:
+                        row[j] = y
+            used.add(p)
             pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return pivots, rows
+            pivot_rows.append(p)
+        return pivots, [rows[p] for p in pivot_rows]
 
     def kernel_basis(self):
         """Kernel as a Subspace of the column space (ambient dim = cols)."""
         f = self.field
         pivots, rows = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for c in free:
-            vec = {c: f.one}
-            for r, pc in enumerate(pivots):
-                v = rows[r][c]
-                if not f.is_zero(v):
-                    vec[pc] = f.neg(v)
-            basis.append(vec)
-        return Subspace.from_vectors(f, self.cols, basis)
+        pivot_set = set(pivots)
+        basis = {c: {c: f.one} for c in range(self.cols) if c not in pivot_set}
+        for pc, row in zip(pivots, rows):
+            for c, v in row.items():
+                if c != pc:
+                    basis[c][pc] = f.neg(v)
+        return Subspace.from_vectors(f, self.cols, list(basis.values()))
 
     def inverse(self):
+        """Exact inverse; raises SingularMatrix when there is none."""
         if self.rows != self.cols:
             raise ShapeMismatch("inverse of non-square matrix")
         f = self.field
         n = self.rows
-        aug = Matrix(f, n, 2 * n)
-        aug.entries = dict(self.entries)
+        aug = dict(self.entries)
         for i in range(n):
-            aug.entries[(i, n + i)] = f.one
-        pivots, rows = aug.rref()
+            aug[(i, n + i)] = f.one
+        pivots, rows = Matrix._owning(f, n, 2 * n, aug).rref()
         if pivots[:n] != list(range(n)):
-            raise ValueError("matrix is singular")
-        inv = Matrix(f, n, n)
-        for i in range(n):
-            for j in range(n):
-                v = rows[i][n + j]
-                if not f.is_zero(v):
-                    inv.entries[(i, j)] = v
-        return inv
+            raise SingularMatrix("matrix is singular")
+        return Matrix._owning(f, n, n, {(i, j - n): v
+                                        for i, row in enumerate(rows)
+                                        for j, v in row.items() if j >= n})
 
     def pow_int(self, k):
         if self.rows != self.cols:
@@ -248,77 +276,6 @@ class Matrix:
             base = base * base
             k >>= 1
         return out
-
-
-def _rank_bareiss(rows):
-    """Fraction-free Bareiss rank of a dense matrix of Fractions."""
-    if not rows or not rows[0]:
-        return 0
-    # clear denominators row by row so all arithmetic is integer
-    m = []
-    for row in rows:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // _gcd(den, x.denominator)
-        m.append([int(x * den) if isinstance(x, Fraction) else int(x) * den for x in row])
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        rank += 1
-        if r == n_rows:
-            break
-    return rank
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _rank_mod_p(rows, p):
-    if not rows or not rows[0]:
-        return 0
-    m = [[x % p for x in row] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    r = 0
-    for c in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        for i in range(r + 1, n_rows):
-            if m[i][c]:
-                factor = m[i][c] * inv % p
-                m[i] = [(x - factor * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-        rank += 1
-        if r == n_rows:
-            break
-    return rank
 
 
 def rank(m):
@@ -415,17 +372,15 @@ def quotient_space(ambient_dim, sub):
     nonpivots = [i for i in range(ambient_dim) if i not in set(sub.pivots)]
     dim = len(nonpivots)
     pos = {i: q for q, i in enumerate(nonpivots)}
-    proj = Matrix(f, dim, ambient_dim)
     # projection of e_i: reduce e_i mod sub, read off non-pivot coords
+    proj = {}
     for i in range(ambient_dim):
         res = sub.reduce({i: f.one})
         for j, v in res.items():
             if j in pos:
-                proj.entries[(pos[j], i)] = v
-    sect = Matrix(f, ambient_dim, dim)
-    for q, i in enumerate(nonpivots):
-        sect.entries[(i, q)] = f.one
-    return dim, proj, sect
+                proj[(pos[j], i)] = v
+    sect = {(i, q): f.one for q, i in enumerate(nonpivots)}
+    return dim, Matrix(f, dim, ambient_dim, proj), Matrix(f, ambient_dim, dim, sect)
 
 
 class GradedOperatorSystem:

@@ -10,7 +10,7 @@ are realized by pulling evaluation covectors back along these morphisms.
 
 from itertools import product as iproduct
 
-from .linalg import Matrix, Subspace, ShapeMismatch
+from .linalg import Matrix, Subspace, ShapeMismatch, add_into
 from .tensors import flatten, unflatten, prod
 from .hopf import (ModuleCoalgebra, HopfMismatch, CompatibilityFailure,
                    check_equivariant, check_sayd, is_commutative,
@@ -92,14 +92,6 @@ def _vec_eq(field, u, v):
         if not field.is_zero(field.sub(u.get(k, field.zero), v.get(k, field.zero))):
             return False
     return True
-
-
-def _madd(field, mat, row, col, v):
-    s = field.add(mat.entries.get((row, col), field.zero), v)
-    if field.is_zero(s):
-        mat.entries.pop((row, col), None)
-    else:
-        mat.entries[(row, col)] = s
 
 
 def _tensor_step(field, terms, piece):
@@ -277,14 +269,10 @@ def cyclic_cocycles(module, p):
     b = hochschild_b(mod, p)
     lam = _lambda(mod, p)
     rows = b.rows if b is not None else 0
-    stack = Matrix(f, rows + d, d)
-    if b is not None:
-        for (i, j), v in b.entries.items():
-            stack.entries[(i, j)] = v
-    eye = Matrix.identity(f, d)
-    for (i, j), v in (eye - lam).entries.items():
-        stack.entries[(rows + i, j)] = v
-    sub = stack.kernel_basis()
+    stack = dict(b.entries) if b is not None else {}
+    for (i, j), v in (Matrix.identity(f, d) - lam).entries.items():
+        stack[(rows + i, j)] = v
+    sub = Matrix(f, rows + d, d, stack).kernel_basis()
     return [from_cyclic_cocycle(module, p, dict(v), check=False)
             for v in sub.basis]
 
@@ -357,13 +345,11 @@ def invariant_traces(complex_c):
     d0 = complex_c.spaces[0]
     d1 = complex_c.spaces[1]
     b1 = hochschild_b(complex_c, 1)
-    stack = Matrix(f, d1 + d0, d0)
-    for (i, j), v in b1.entries.items():
-        stack.entries[(j, i)] = v            # rows of b1^T
+    stack = {(j, i): v for (i, j), v in b1.entries.items()}   # rows of b1^T
     fix = complex_c.tau(0).transpose() - Matrix.identity(f, d0)
     for (i, j), v in fix.entries.items():
-        stack.entries[(d1 + i, j)] = v
-    sub = stack.kernel_basis()
+        stack[(d1 + i, j)] = v
+    sub = Matrix(f, d1 + d0, d0, stack).kernel_basis()
     return [InvariantTrace(complex_c, dict(v)) for v in sub.basis]
 
 
@@ -404,7 +390,7 @@ def alpha(pairing, m, N, x_mod=None, y_mod=None, level="C", buffer=2,
         cols = []
         for col in range(prod(src_dims)):
             avec = unflatten(col, src_dims)
-            big = Matrix(f, prod(ydims), prod(xdims))
+            big = {}
             for xcol in range(prod(xdims)):
                 t = unflatten(xcol, xdims)
                 terms = {(): f.one}
@@ -415,8 +401,8 @@ def alpha(pairing, m, N, x_mod=None, y_mod=None, level="C", buffer=2,
                         break
                     terms = _tensor_step(f, terms, piece)
                 for key, v in terms.items():
-                    _madd(f, big, flatten(key + (t[n + 1],), ydims), xcol, v)
-            down = py[n] * big
+                    add_into(f, big, (flatten(key + (t[n + 1],), ydims), xcol), v)
+            down = py[n] * Matrix(f, prod(ydims), prod(xdims), big)
             g = down * sx[n]
             if check and g * px[n] != down:
                 raise DescentFailure("alpha does not descend at degree %d" % n)
@@ -459,7 +445,7 @@ def beta(ma, ca, m, N, y_mod=None, buffer=2):
             tup = unflatten(col, [da * db] * (n + 1))
             avec = [t // db for t in tup]
             bvec = [t % db for t in tup]
-            big = Matrix(f, prod(ydims), dm * tb)
+            big = {}
             expans = [_iter_coaction(f, ca.coaction, bvec[i], n - i)
                       for i in range(n)]
             for combo in iproduct(*expans):
@@ -476,9 +462,9 @@ def beta(ma, ca, m, N, y_mod=None, buffer=2):
                     terms = _tensor_step(f, terms, ma.act(hv, {avec[j]: f.one}))
                 for key, v in terms.items():
                     for mi in range(dm):
-                        _madd(f, big, flatten(key + (mi,), ydims),
-                              mi * tb + xcol, v)
-            g = py[n] * big * sxm
+                        add_into(f, big, (flatten(key + (mi,), ydims),
+                                          mi * tb + xcol), v)
+            g = py[n] * Matrix(f, prod(ydims), dm * tb, big) * sxm
             cols.append(_flatten_hom(g, dim_x))
         maps[n] = Matrix.from_columns(f, dim_x * y_mod.spaces[n], cols)
     return ModuleMorphism(src, tgt, maps, name="beta")
@@ -525,7 +511,7 @@ def xi(zc, mc, m, N, y_mod=None, buffer=2, check=True):
             zvec = [t // dc for t in tup]
             cvec = [t % dc for t in tup]
             # form 1: slot i twisted by the legs of the strictly later factors
-            big1 = Matrix(f, prod(ydims), dm * tz)
+            big1 = {}
             expans = [_iter_coaction(f, zc.coaction, zvec[j], j)
                       for j in range(n + 1)]
             for combo in iproduct(*expans):
@@ -543,10 +529,10 @@ def xi(zc, mc, m, N, y_mod=None, buffer=2, check=True):
                     terms = _tensor_step(f, terms, mc.act(sh, {cvec[i]: f.one}))
                 for key, v in terms.items():
                     for mi in range(dm):
-                        _madd(f, big1, flatten(key + (mi,), ydims),
-                              mi * tz + xcol, v)
+                        add_into(f, big1, (flatten(key + (mi,), ydims),
+                                           mi * tz + xcol), v)
             # form 2: the last factor's single leg acts on the coefficients
-            big2 = Matrix(f, prod(ydims), dm * tz)
+            big2 = {}
             expans = [_iter_coaction(f, zc.coaction, zvec[j], j)
                       for j in range(n)]
             expans.append(_iter_coaction(f, zc.coaction, zvec[n], 2))
@@ -569,8 +555,9 @@ def xi(zc, mc, m, N, y_mod=None, buffer=2, check=True):
                 for key, v in terms.items():
                     for mi in range(dm):
                         for mk, w in m.action[(hn, mi)].items():
-                            _madd(f, big2, flatten(key + (mk,), ydims),
-                                  mi * tz + xcol, f.mul(v, w))
+                            add_into(f, big2, (flatten(key + (mk,), ydims),
+                                               mi * tz + xcol), f.mul(v, w))
+            big1, big2 = (Matrix(f, prod(ydims), dm * tz, e) for e in (big1, big2))
             g = py[n] * (big1 * sxm)
             if check and g != py[n] * (big2 * sxm):
                 raise AgreementFailure(
@@ -607,7 +594,7 @@ def star(zc, zc2, m, m2, N, check_hyp=True):
     for n in range(N + 1):
         tz, tz2 = dz ** (n + 1), dz2 ** (n + 1)
         tw = (dz * dz2) ** (n + 1)
-        big = Matrix(f, dmb * tw, (dm * tz) * (dm2 * tz2))
+        big = {}
         for x in range(tz):
             zt = unflatten(x, [dz] * (n + 1))
             for x2 in range(tz2):
@@ -616,8 +603,9 @@ def star(zc, zc2, m, m2, N, check_hyp=True):
                             [dz * dz2] * (n + 1))
                 for (row, colpair), val in pim.entries.items():
                     mi, mj = divmod(colpair, dm2)
-                    big.entries[(row * tw + w,
-                                 (mi * tz + x) * (dm2 * tz2) + (mj * tz2 + x2))] = val
+                    big[(row * tw + w,
+                         (mi * tz + x) * (dm2 * tz2) + (mj * tz2 + x2))] = val
+        big = Matrix(f, dmb * tw, (dm * tz) * (dm2 * tz2), big)
         full = big * subs_u[n].basis_matrix().kron(subs_v[n].basis_matrix())
         maps[n] = _restrict_columns(full, subs_t[n], "star at degree %d" % n)
     return ModuleMorphism(src, tgt, maps, name="star")
@@ -820,7 +808,7 @@ def diag_tensor_epi_check(ma, ma2, m, m2, N, buffer=2, drop_factor=False):
         dims12 = [da * da2] * (n + 1) + [dm * dm2]
         d1 = da ** (n + 1) * dm
         d2 = da2 ** (n + 1) * dm2
-        perm = Matrix(f, d1 * d2, prod(dims12))
+        perm = {}
         for col in range(prod(dims12)):
             t = unflatten(col, dims12)
             left = tuple(x // da2 for x in t[:-1]) + (t[-1] // dm2,)
@@ -830,8 +818,8 @@ def diag_tensor_epi_check(ma, ma2, m, m2, N, buffer=2, drop_factor=False):
                 right = tuple(x % da2 for x in t[:-1]) + (t[-1] % dm2,)
             row = (flatten(left, [da] * (n + 1) + [dm]) * d2
                    + flatten(right, [da2] * (n + 1) + [dm2]))
-            perm.entries[(row, col)] = f.one
-        down = p1[n].kron(p2[n]) * perm
+            perm[(row, col)] = f.one
+        down = p1[n].kron(p2[n]) * Matrix(f, d1 * d2, prod(dims12), perm)
         phi = down * s12[n]
         if phi * p12[n] != down:
             report["descends"] = False

@@ -5,7 +5,7 @@ index is row-major (first factor slowest).  Operators on tensor spaces
 are assembled basis element by basis element via build_matrix.
 """
 
-from .linalg import Matrix
+from .linalg import Matrix, add_into
 
 
 def flatten(idx, dims):
@@ -37,16 +37,12 @@ def build_matrix(field, src_dims, tgt_dims, image):
     """
     src_total = prod(src_dims)
     tgt_total = prod(tgt_dims)
-    m = Matrix(field, tgt_total, src_total)
+    ent = {}
     for col in range(src_total):
         t = unflatten(col, src_dims)
         for tt, v in image(t).items():
-            if not field.is_zero(v):
-                row = flatten(tt, tgt_dims)
-                m.entries[(row, col)] = field.add(m.entries.get((row, col), field.zero), v)
-                if field.is_zero(m.entries[(row, col)]):
-                    del m.entries[(row, col)]
-    return m
+            add_into(field, ent, (flatten(tt, tgt_dims), col), v)
+    return Matrix(field, tgt_total, src_total, ent)
 
 
 def tensor_vecs(field, u, v):

@@ -9,7 +9,8 @@ from hopfcyclic import (QQ, Matrix, check_axioms, constant_modules,
                         hopf_cyclic_comodule_coalgebra)
 from hopfcyclic.cyclic import (cover_coalgebra, cover_algebra, compute_J,
                                quotient_module, coinvariants, truncate,
-                               CHAIN, COCHAIN)
+                               CHAIN, COCHAIN, InvertibilityFailure,
+                               ParaCyclicModule)
 from hopfcyclic import fixtures as fx
 
 
@@ -152,3 +153,21 @@ def test_cover_algebra_orientation(kz2, pair_triv):
     assert t.orientation == CHAIN
     assert check_axioms(t) == []
     assert t.dims() == {n: 2 ** (n + 1) for n in range(4)}
+
+
+def _module_with_tau(tau):
+    return ParaCyclicModule(QQ, COCHAIN, {0: tau.rows}, {}, {}, {0: tau})
+
+
+def test_singular_tau_is_reported_as_not_invertible():
+    x = _module_with_tau(Matrix(QQ, 2, 2, {(0, 0): QQ.one, (0, 1): QQ.one}))
+    with pytest.raises(InvertibilityFailure):
+        x.tau_inv(0)
+
+
+def test_tau_inv_lets_other_errors_through(monkeypatch):
+    def broken(self):
+        raise TypeError("bug inside inverse")
+    monkeypatch.setattr(Matrix, "inverse", broken)
+    with pytest.raises(TypeError, match="bug inside inverse"):
+        _module_with_tau(Matrix.identity(QQ, 2)).tau_inv(0)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcyclic import QQ, GF, field_by_name, Matrix, Subspace, quotient_space
-from hopfcyclic.linalg import kernel_basis, vec_add, vec_scale, vec_sub
+from hopfcyclic.linalg import (SingularMatrix, kernel_basis, vec_add,
+                               vec_scale, vec_sub)
 
 
 def dense_rank_oracle(field, rows, cols, entries):
@@ -117,6 +118,51 @@ def test_matrix_product_associative(field, data):
     d = data.draw(st.integers(1, 4))
     m1, m2, m3 = draw_mat(a, b), draw_mat(b, c), draw_mat(c, d)
     assert (m1 * m2) * m3 == m1 * (m2 * m3)
+
+
+def sparse_matrix(data, field, rows, cols, fill_diagonal=False):
+    entries = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+        small_entries(field), max_size=rows * cols // 2))
+    if fill_diagonal:
+        for i in range(min(rows, cols)):
+            if field.is_zero(entries.get((i, i), field.zero)):
+                entries[(i, i)] = field.one
+    return Matrix(field, rows, cols, entries), entries
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sparse_elimination_engine(field, data):
+    """kernel_basis, rank and inverse share one elimination routine."""
+    rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    m, entries = sparse_matrix(data, field, rows, cols)
+    r = dense_rank_oracle(field, rows, cols, entries)
+    assert m.rank() == r
+    ker = m.kernel_basis()
+    assert ker.dim == cols - r
+    for v in ker.basis:
+        assert not m.apply(v)
+    n = data.draw(st.integers(1, 8))
+    a, entries = sparse_matrix(data, field, n, n,
+                               fill_diagonal=data.draw(st.booleans()))
+    if dense_rank_oracle(field, n, n, entries) < n:
+        with pytest.raises(SingularMatrix):
+            a.inverse()
+    else:
+        inv = a.inverse()
+        assert a * inv == Matrix.identity(field, n) == inv * a
+
+
+def test_entries_are_frozen_once_applied():
+    f = QQ
+    m = Matrix.identity(f, 2)
+    m.entries[(0, 1)] = f(3)              # still fresh: writes are allowed
+    assert m.apply({1: f.one}) == {0: f(3), 1: f.one}
+    with pytest.raises(TypeError):
+        m.entries[(1, 0)] = f.one
+    assert m.apply({0: f.one}) == {0: f.one}
 
 
 def test_matrix_inverse_and_powers():
