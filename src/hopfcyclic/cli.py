@@ -14,23 +14,26 @@ from .fields import QQ, field_by_name
 from .linalg import Matrix
 from .hopf import (AlgebraData, HopfAlgebraData, ModuleAlgebra,
                    ModuleCoalgebra, ComoduleAlgebra, ComoduleCoalgebra,
-                   ModComodule, EquivariantPairing, ModularPair,
+                   ModComodule, EquivariantPairing, ModularPair, HopfMismatch,
                    check_structure, modular_pair_module, trivial_modcomodule)
 from .cyclic import (check_axioms, cyc_algebra, cyc_coalgebra, cover_algebra,
                      cover_coalgebra, hopf_cyclic_complex,
                      hopf_cocyclic_comodule_algebra,
                      hopf_cyclic_comodule_coalgebra)
-from .homology import (mixed_of_cyclic, transpose_module, cohomology_table,
-                       compare_models, CHAIN)
+from .homology import (mixed_of_cyclic, cohomology_table, compare_models,
+                       _as_cochain)
 from .pairings import (alpha, beta, xi, star, invariant_traces,
                        cyclic_cocycles, cm_char_map, cup_with_trace,
                        crossed_cup_with_trace, crossed_cocup_with_invariant,
-                       coefficient_complex, diag_tensor_epi_check,
-                       AgreementFailure)
+                       diag_tensor_epi_check, AgreementFailure)
 from . import fixtures as fx
 from . import io as hio
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+
+
+class UsageError(Exception):
+    """The command line asks for something the inputs cannot give."""
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +130,7 @@ def _build_modules(obj, m, N, buffer):
     if isinstance(obj, AlgebraData):
         return [("Cyc(algebra)", cyc_algebra(obj, N))]
     if m is None:
-        raise SystemExit("this input kind needs --coefficients MODFILE")
+        raise UsageError("this input kind needs --coefficients MODFILE")
     if isinstance(obj, (ModuleAlgebra, ModuleCoalgebra)):
         build = (cover_algebra if isinstance(obj, ModuleAlgebra)
                  else cover_coalgebra)
@@ -139,14 +142,14 @@ def _build_modules(obj, m, N, buffer):
         return [("C(B,M) colinear", hopf_cocyclic_comodule_algebra(obj, m, N))]
     if isinstance(obj, ComoduleCoalgebra):
         return [("C(Z,M) colinear", hopf_cyclic_comodule_coalgebra(obj, m, N))]
-    raise SystemExit("cannot build complexes from kind %r" % type(obj).__name__)
+    raise UsageError("cannot build complexes from kind %r" % type(obj).__name__)
 
 
 def cmd_build(args):
     obj = _load(args.file)
     m = _load(args.coefficients) if args.coefficients else None
     if m is not None and not isinstance(m, ModComodule):
-        raise SystemExit("--coefficients must be a modcomodule file")
+        raise UsageError("--coefficients must be a modcomodule file")
     mods = _build_modules(obj, m, args.degree, args.buffer)
     details, ok = [], True
     for label, mod in mods:
@@ -166,64 +169,21 @@ def _main_module(obj, m, N, buffer):
         return cyc_algebra(obj.algebra, N)
     if isinstance(obj, AlgebraData):
         return cyc_algebra(obj, N)
-    if isinstance(obj, (ModuleAlgebra, ModuleCoalgebra)):
-        if m is None:
-            raise SystemExit("this input kind needs --coefficients MODFILE")
-        return hopf_cyclic_complex(obj, m, N, buffer=buffer)
+    if not isinstance(obj, (ModuleAlgebra, ModuleCoalgebra, ComoduleAlgebra,
+                            ComoduleCoalgebra)):
+        raise UsageError("cannot compute cohomology of kind %r"
+                         % type(obj).__name__)
+    if m is None:
+        raise UsageError("this input kind needs --coefficients MODFILE")
     if isinstance(obj, ComoduleAlgebra):
-        if m is None:
-            raise SystemExit("this input kind needs --coefficients MODFILE")
         return hopf_cocyclic_comodule_algebra(obj, m, N)
     if isinstance(obj, ComoduleCoalgebra):
-        if m is None:
-            raise SystemExit("this input kind needs --coefficients MODFILE")
         return hopf_cyclic_comodule_coalgebra(obj, m, N)
-    raise SystemExit("cannot compute cohomology of kind %r"
-                     % type(obj).__name__)
+    return hopf_cyclic_complex(obj, m, N, buffer=buffer)
 
 
-def cmd_cohomology(args):
-    obj = _load(args.file)
-    m = _load(args.coefficients) if args.coefficients else None
-    mod = _main_module(obj, m, args.degree, args.buffer)
-    if args.model == "both":
-        res = compare_models(mod)
-        print(res["bicomplex"].text())
-        print()
-        print(res["mixed"].text())
-        verdict = "agree" if res["agree"] else "DISAGREE"
-        print("\nmodels %s in the stable range (n <= %d)"
-              % (verdict, res["stable_range"]))
-        rep = {"ok": res["agree"],
-               "bicomplex": res["bicomplex"].as_dict(),
-               "mixed": res["mixed"].as_dict()}
-        return (EXIT_OK if res["agree"] else EXIT_FAIL), rep
-    table = cohomology_table(mod, args.model)
-    print(table.text())
-    return EXIT_OK, {"ok": True, "table": table.as_dict()}
-
-
-def cmd_compare(args):
-    obj = _load(args.file)
-    m = _load(args.coefficients) if args.coefficients else None
-    mod = _main_module(obj, m, args.degree, args.buffer)
-    if args.corrupt_b:
-        # negative-control hook: damage one B entry, then re-check the
-        # mixed-complex identities, which must name the failure
-        mixed = mixed_of_cyclic(mod if mod.orientation != CHAIN
-                                else transpose_module(mod))
-        f = mixed.field
-        # pick an interior degree: boundary-degree damage can fall outside
-        # every checkable identity square
-        degs = [n for n in sorted(mixed.B) if mixed.B[n].rows]
-        deg = degs[1] if len(degs) > 1 else degs[0]
-        mat = mixed.B[deg]
-        mixed.B[deg] = mat + Matrix(f, mat.rows, mat.cols, {(0, 0): f.one})
-        bad = mixed.violations()
-        for line in bad:
-            print("corrupted B detected: %s" % line)
-        ok = bool(bad)
-        return (EXIT_FAIL if ok else EXIT_OK), {"ok": False, "failures": bad}
+def _compare(mod):
+    """Print both models' tables and their verdict; (exit code, report)."""
     res = compare_models(mod)
     print(res["bicomplex"].text())
     print()
@@ -236,6 +196,40 @@ def cmd_compare(args):
     return (EXIT_OK if res["agree"] else EXIT_FAIL), rep
 
 
+def cmd_cohomology(args):
+    obj = _load(args.file)
+    m = _load(args.coefficients) if args.coefficients else None
+    mod = _main_module(obj, m, args.degree, args.buffer)
+    if args.model == "both":
+        return _compare(mod)
+    table = cohomology_table(mod, args.model)
+    print(table.text())
+    return EXIT_OK, {"ok": True, "table": table.as_dict()}
+
+
+def cmd_compare(args):
+    obj = _load(args.file)
+    m = _load(args.coefficients) if args.coefficients else None
+    mod = _main_module(obj, m, args.degree, args.buffer)
+    if args.corrupt_b:
+        # negative-control hook: damage one B entry, then re-check the
+        # mixed-complex identities, which must name the failure
+        mixed = mixed_of_cyclic(_as_cochain(mod))
+        f = mixed.field
+        # pick an interior degree: boundary-degree damage can fall outside
+        # every checkable identity square
+        degs = [n for n in sorted(mixed.B) if mixed.B[n].rows]
+        deg = degs[1] if len(degs) > 1 else degs[0]
+        mat = mixed.B[deg]
+        mixed.B[deg] = mat + Matrix(f, mat.rows, mat.cols, {(0, 0): f.one})
+        bad = mixed.violations()
+        for line in bad:
+            print("corrupted B detected: %s" % line)
+        ok = bool(bad)
+        return (EXIT_FAIL if ok else EXIT_OK), {"ok": False, "failures": bad}
+    return _compare(mod)
+
+
 def _class_rep(cls):
     return {str(k): {str(i): str(v) for i, v in sorted(comp.items())}
             for k, comp in sorted(cls.components.items()) if comp}
@@ -244,7 +238,7 @@ def _class_rep(cls):
 def cmd_char_map(args):
     pairing = _load(args.file)
     if not isinstance(pairing, EquivariantPairing):
-        raise SystemExit("char-map needs a pairing file")
+        raise UsageError("char-map needs a pairing file")
     if args.coefficients:
         m = _load(args.coefficients)
     else:
@@ -352,7 +346,7 @@ def cmd_pair(args):
         print("reshuffling map surjective in every checked degree")
         details = rep
     else:
-        raise SystemExit("unknown --via %r" % args.via)
+        raise UsageError("unknown --via %r" % args.via)
     return EXIT_OK, {"ok": True, "via": args.via, "details": details}
 
 
@@ -425,7 +419,7 @@ def build_parser():
     pr.add_argument("--drop-factor", action="store_true",
                     help="negative control for --via epi")
 
-    fxp = add("fixtures", help="write the shipped fixture library")
+    add("fixtures", help="write the shipped fixture library")
     return p
 
 
@@ -447,7 +441,7 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         code, report = COMMANDS[args.command](args)
-    except (hio.ParseError, hio.ValidationError) as e:
+    except (hio.ParseError, hio.ValidationError, UsageError, HopfMismatch) as e:
         print(str(e), file=sys.stderr)
         _emit({"ok": False, "error": str(e)}, args.output)
         return EXIT_USAGE

@@ -17,10 +17,10 @@ the conventions being right silently.
 import warnings
 
 from .linalg import (Matrix, Subspace, ShapeMismatch, SingularMatrix,
-                     quotient_space, GradedOperatorSystem, operator_closure,
-                     vec_sub, add_into)
+                     quotient_space, operator_closure, add_into)
 from .tensors import build_matrix, flatten, unflatten, prod
-from .hopf import HopfMismatch, CompatibilityFailure, check_sayd, check_comodule_coalgebra
+from .hopf import (ModuleCoalgebra, CompatibilityFailure, check_sayd,
+                   check_comodule_coalgebra, require_same_hopf)
 
 CHAIN = "chain"
 COCHAIN = "cochain"
@@ -154,11 +154,30 @@ class ModuleMorphism:
                 bad.append("cyclic %d" % n)
         return bad
 
-    def compose(self, other):
-        """self o other (other applied first)."""
-        maps = {n: self.maps[n] * other.maps[n]
-                for n in set(self.maps) & set(other.maps)}
-        return ModuleMorphism(other.source, self.target, maps)
+
+def transpose_module(x):
+    """Degreewise linear dual: transposes every structure matrix.
+
+    Exchanges the chain and cochain orientations with identical indexing.
+    """
+    orient = COCHAIN if x.orientation == CHAIN else CHAIN
+    faces = {}
+    degs = {}
+    if x.orientation == CHAIN:
+        # d_j: X_n -> X_{n-1} transposes to a coface X*_{n-1} -> X*_n
+        for (n, j), m in x.faces.items():
+            faces[(n - 1, j)] = m.transpose()
+        for (n, i), m in x.degeneracies.items():
+            degs[(n + 1, i)] = m.transpose()
+    else:
+        for (n, j), m in x.faces.items():
+            faces[(n + 1, j)] = m.transpose()
+        for (n, i), m in x.degeneracies.items():
+            degs[(n - 1, i)] = m.transpose()
+    taus = {n: m.transpose() for n, m in x.cyclic.items()}
+    return ParaCyclicModule(x.field, orient, dict(x.spaces), faces, degs, taus,
+                            name="dual*(%s)" % (x.name or "X"),
+                            meta={"kind": "transpose", "parent": x})
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +185,18 @@ class ModuleMorphism:
 
 
 def check_axioms(x):
-    """Every violated simplicial/para-cyclic identity, as strings."""
+    """Every violated simplicial/para-cyclic identity, as strings.
+
+    A chain module is checked through its degreewise dual: each chain
+    identity is the transpose of a cochain identity of transpose_module(x),
+    and its failures are reported as those, prefixed "dual: ".
+    """
+    if x.orientation == CHAIN:
+        return ["dual: " + b for b in _cochain_violations(transpose_module(x))]
+    return _cochain_violations(x)
+
+
+def _cochain_violations(x):
     f = x.field
     bad = []
     degs = sorted(x.spaces)
@@ -175,7 +205,7 @@ def check_axioms(x):
             x.tau_inv(n)
         except InvertibilityFailure:
             bad.append("InvertibilityFailure: tau_%d" % n)
-    if any(b.startswith("InvertibilityFailure") for b in bad):
+    if bad:
         return bad
 
     def face(n, j):
@@ -184,101 +214,53 @@ def check_axioms(x):
     def degen(n, i):
         return x.degeneracies[(n, i)]
 
-    if x.orientation == CHAIN:
-        for n in degs:
-            # d_i d_j = d_{j-1} d_i  (i < j)
-            if n >= 2:
+    for n in degs:
+        # d^j d^i = d^i d^{j-1}  (i < j), X_n -> X_{n+2}
+        if n + 2 <= x.N:
+            for j in range(n + 3):
+                for i in range(min(j, n + 2)):
+                    if face(n + 1, j) * face(n, i) != face(n + 1, i) * face(n, j - 1):
+                        bad.append("d^%d d^%d != d^%d d^%d at n=%d" % (j, i, i, j - 1, n))
+        # s^j s^i = s^i s^{j+1}  (i <= j), X_n -> X_{n-2}
+        if n >= 2:
+            for j in range(n - 1):
+                for i in range(j + 1):
+                    if degen(n - 1, j) * degen(n, i) != degen(n - 1, i) * degen(n, j + 1):
+                        bad.append("s^%d s^%d != s^%d s^%d at n=%d" % (j, i, i, j + 1, n))
+        # s^j d^i relations (both X_n -> X_n)
+        if n + 1 <= x.N:
+            ident = Matrix.identity(f, x.spaces[n])
+            for i in range(n + 2):
                 for j in range(n + 1):
-                    for i in range(j):
-                        if face(n - 1, i) * face(n, j) != face(n - 1, j - 1) * face(n, i):
-                            bad.append("d_%d d_%d != d_%d d_%d at n=%d" % (i, j, j - 1, i, n))
-            # s_i s_j = s_{j+1} s_i  (i <= j)
-            if n + 2 <= x.N:
-                for j in range(n + 1):
-                    for i in range(j + 1):
-                        if degen(n + 1, i) * degen(n, j) != degen(n + 1, j + 1) * degen(n, i):
-                            bad.append("s_%d s_%d != s_%d s_%d at n=%d" % (i, j, j + 1, i, n))
-            # d_i s_j relations (both sides X_n -> X_n)
-            if n + 1 <= x.N:
-                ident = Matrix.identity(f, x.spaces[n])
-                for j in range(n + 1):
-                    for i in range(n + 2):
-                        lhs = face(n + 1, i) * degen(n, j)
-                        if i == j or i == j + 1:
-                            if lhs != ident:
-                                bad.append("d_%d s_%d != id at n=%d" % (i, j, n))
-                        elif i < j:
-                            if n >= 1 and lhs != degen(n - 1, j - 1) * face(n, i):
-                                bad.append("d_%d s_%d != s_%d d_%d at n=%d" % (i, j, j - 1, i, n))
-                        else:
-                            if n >= 1 and lhs != degen(n - 1, j) * face(n, i - 1):
-                                bad.append("d_%d s_%d != s_%d d_%d at n=%d" % (i, j, j, i - 1, n))
-            # tau relations: d_i tau = tau d_{i-1} (i >= 1), same for s
-            if n >= 1:
-                for i in range(1, n + 1):
-                    if face(n, i) * x.tau(n) != x.tau(n - 1) * face(n, i - 1):
-                        bad.append("d_%d tau != tau d_%d at n=%d" % (i, i - 1, n))
-            if n + 1 <= x.N:
-                for i in range(1, n + 1):
-                    if degen(n, i) * x.tau(n) != x.tau(n + 1) * degen(n, i - 1):
-                        bad.append("s_%d tau != tau s_%d at n=%d" % (i, i - 1, n))
-            # the twist T = tau^{n+1} commutes with everything
-            T_n = x.T(n)
-            if n >= 1:
-                for j in range(n + 1):
-                    if face(n, j) * T_n != x.T(n - 1) * face(n, j):
-                        bad.append("T does not commute with d_%d at n=%d" % (j, n))
-            if n + 1 <= x.N:
-                for j in range(n + 1):
-                    if degen(n, j) * T_n != x.T(n + 1) * degen(n, j):
-                        bad.append("T does not commute with s_%d at n=%d" % (j, n))
-    else:
-        for n in degs:
-            # d^j d^i = d^i d^{j-1}  (i < j), X_n -> X_{n+2}
-            if n + 2 <= x.N:
-                for j in range(n + 3):
-                    for i in range(min(j, n + 2)):
-                        if face(n + 1, j) * face(n, i) != face(n + 1, i) * face(n, j - 1):
-                            bad.append("d^%d d^%d != d^%d d^%d at n=%d" % (j, i, i, j - 1, n))
-            # s^j s^i = s^i s^{j+1}  (i <= j), X_n -> X_{n-2}
-            if n >= 2:
-                for j in range(n - 1):
-                    for i in range(j + 1):
-                        if degen(n - 1, j) * degen(n, i) != degen(n - 1, i) * degen(n, j + 1):
-                            bad.append("s^%d s^%d != s^%d s^%d at n=%d" % (j, i, i, j + 1, n))
-            # s^j d^i relations (both X_n -> X_n)
-            if n + 1 <= x.N:
-                ident = Matrix.identity(f, x.spaces[n])
-                for i in range(n + 2):
-                    for j in range(n + 1):
-                        lhs = degen(n + 1, j) * face(n, i)
-                        if i == j or i == j + 1:
-                            if lhs != ident:
-                                bad.append("s^%d d^%d != id at n=%d" % (j, i, n))
-                        elif i < j:
-                            if n >= 1 and lhs != face(n - 1, i) * degen(n, j - 1):
-                                bad.append("s^%d d^%d != d^%d s^%d at n=%d" % (j, i, i, j - 1, n))
-                        else:
-                            if n >= 1 and lhs != face(n - 1, i - 1) * degen(n, j):
-                                bad.append("s^%d d^%d != d^%d s^%d at n=%d" % (j, i, i - 1, j, n))
-            # tau relations: tau d^{j+1} = d^j tau, tau s^{i+1} = s^i tau
-            if n + 1 <= x.N:
-                for j in range(n + 1):
-                    if x.tau(n + 1) * face(n, j + 1) != face(n, j) * x.tau(n):
-                        bad.append("tau d^%d != d^%d tau at n=%d" % (j + 1, j, n))
-            if n >= 1:
-                for i in range(n - 1):
-                    if x.tau(n - 1) * degen(n, i + 1) != degen(n, i) * x.tau(n):
-                        bad.append("tau s^%d != s^%d tau at n=%d" % (i + 1, i, n))
-            T_n = x.T(n)
-            if n + 1 <= x.N:
-                for j in range(n + 2):
-                    if face(n, j) * T_n != x.T(n + 1) * face(n, j):
-                        bad.append("T does not commute with d^%d at n=%d" % (j, n))
-            if n >= 1:
-                for i in range(n):
-                    if degen(n, i) * T_n != x.T(n - 1) * degen(n, i):
-                        bad.append("T does not commute with s^%d at n=%d" % (i, n))
+                    lhs = degen(n + 1, j) * face(n, i)
+                    if i == j or i == j + 1:
+                        if lhs != ident:
+                            bad.append("s^%d d^%d != id at n=%d" % (j, i, n))
+                    elif i < j:
+                        if n >= 1 and lhs != face(n - 1, i) * degen(n, j - 1):
+                            bad.append("s^%d d^%d != d^%d s^%d at n=%d" % (j, i, i, j - 1, n))
+                    else:
+                        if n >= 1 and lhs != face(n - 1, i - 1) * degen(n, j):
+                            bad.append("s^%d d^%d != d^%d s^%d at n=%d" % (j, i, i - 1, j, n))
+        # tau relations: tau d^{j+1} = d^j tau, tau s^{i+1} = s^i tau
+        if n + 1 <= x.N:
+            for j in range(n + 1):
+                if x.tau(n + 1) * face(n, j + 1) != face(n, j) * x.tau(n):
+                    bad.append("tau d^%d != d^%d tau at n=%d" % (j + 1, j, n))
+        if n >= 1:
+            for i in range(n - 1):
+                if x.tau(n - 1) * degen(n, i + 1) != degen(n, i) * x.tau(n):
+                    bad.append("tau s^%d != s^%d tau at n=%d" % (i + 1, i, n))
+        # the twist T = tau^{n+1} commutes with everything
+        T_n = x.T(n)
+        if n + 1 <= x.N:
+            for j in range(n + 2):
+                if face(n, j) * T_n != x.T(n + 1) * face(n, j):
+                    bad.append("T does not commute with d^%d at n=%d" % (j, n))
+        if n >= 1:
+            for i in range(n):
+                if degen(n, i) * T_n != x.T(n - 1) * degen(n, i):
+                    bad.append("T does not commute with s^%d at n=%d" % (i, n))
     return bad
 
 
@@ -425,19 +407,14 @@ def _diagonal_action(hopf, dims, factor_act, mod, m_dim):
                     nxt = {}
                     for key, v in terms.items():
                         for idx, w in piece.items():
-                            nxt[key + (idx,)] = f.add(nxt.get(key + (idx,), f.zero), f.mul(v, w))
+                            add_into(f, nxt, key + (idx,), f.mul(v, w))
                     terms = nxt
                 if not ok:
                     continue
                 mpart = mod.action[(hs[k], t[k])]
                 for key, v in terms.items():
                     for mi, w in mpart.items():
-                        kk = key + (mi,)
-                        s = f.add(total.get(kk, f.zero), f.mul(v, w))
-                        if f.is_zero(s):
-                            total.pop(kk, None)
-                        else:
-                            total[kk] = s
+                        add_into(f, total, key + (mi,), f.mul(v, w))
             return total
 
         out[h] = build_matrix(f, dims, dims, im)
@@ -446,8 +423,7 @@ def _diagonal_action(hopf, dims, factor_act, mod, m_dim):
 
 def cover_coalgebra(c, m, N):
     """Para-cocyclic cover T(C,M) = C^{(x)n+1} (x) M with diagonal H-action."""
-    if c.hopf.dim != m.hopf.dim or c.field != m.field:
-        raise HopfMismatch("coalgebra and coefficients over different Hopf algebras")
+    require_same_hopf(c.hopf, m.hopf, "coalgebra and coefficients")
     f = c.field
     hopf = c.hopf
     dc, dm = c.coalgebra.dim, m.dim
@@ -461,12 +437,7 @@ def cover_coalgebra(c, m, N):
             out = {}
             for (h, mm), v in m.coaction[t[n + 1]].items():
                 for cc, w in c.action[(h, t[0])].items():
-                    key = t[1:n + 1] + (cc, mm)
-                    s = f.add(out.get(key, f.zero), f.mul(v, w))
-                    if f.is_zero(s):
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    add_into(f, out, t[1:n + 1] + (cc, mm), f.mul(v, w))
             return out
 
         taus[n] = build_matrix(f, dims, dims, tau_im)
@@ -493,8 +464,7 @@ def cover_coalgebra(c, m, N):
 
 def cover_algebra(a, m, N):
     """Para-cyclic cover T(A,M) = A^{(x)n+1} (x) M with diagonal H-action."""
-    if a.hopf.dim != m.hopf.dim or a.field != m.field:
-        raise HopfMismatch("algebra and coefficients over different Hopf algebras")
+    require_same_hopf(a.hopf, m.hopf, "algebra and coefficients")
     f = a.field
     hopf = a.hopf
     da, dm = a.algebra.dim, m.dim
@@ -510,12 +480,7 @@ def cover_algebra(a, m, N):
                 sh = hopf.apply_antipode({h: f.one}, inverse=True)
                 acted = a.act(sh, {t[n]: f.one})
                 for b, w in acted.items():
-                    key = (b,) + t[:n] + (mm,)
-                    s = f.add(out.get(key, f.zero), f.mul(v, w))
-                    if f.is_zero(s):
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    add_into(f, out, (b,) + t[:n] + (mm,), f.mul(v, w))
             return out
 
         taus[n] = build_matrix(f, dims, dims, tau_im)
@@ -560,18 +525,19 @@ def truncate(x, N):
 
 
 def _structure_system(t):
-    """All structure operators of t (plus tau inverses and L_h) as a system."""
-    ops = GradedOperatorSystem(t.spaces)
+    """All structure operators of t (plus tau inverses and L_h) as
+    (source degree, target degree, matrix) triples."""
+    ops = []
     for (n, j), m in t.faces.items():
-        ops.add_operator(n, n - 1 if t.orientation == CHAIN else n + 1, m)
+        ops.append((n, n - 1 if t.orientation == CHAIN else n + 1, m))
     for (n, i), m in t.degeneracies.items():
-        ops.add_operator(n, n + 1 if t.orientation == CHAIN else n - 1, m)
+        ops.append((n, n + 1 if t.orientation == CHAIN else n - 1, m))
     for n in t.spaces:
-        ops.add_operator(n, n, t.tau(n))
-        ops.add_operator(n, n, t.tau_inv(n))
+        ops.append((n, n, t.tau(n)))
+        ops.append((n, n, t.tau_inv(n)))
     if t.h_action:
         for (n, h), m in t.h_action.items():
-            ops.add_operator(n, n, m)
+            ops.append((n, n, m))
     return ops
 
 
@@ -688,7 +654,6 @@ def hopf_cyclic_complex(c_or_a, m, N, buffer=2, cover=None):
     `buffer` extra degrees so that C is reliable in degrees 0..N.
     """
     if cover is None:
-        from .hopf import ModuleCoalgebra
         build = cover_coalgebra if isinstance(c_or_a, ModuleCoalgebra) else cover_algebra
         cover = build(c_or_a, m, N + buffer)
     j = compute_J(cover, buffer=buffer)
@@ -722,13 +687,8 @@ def _diagonal_coaction_matrix(field, hopf, coaction, dims):
             for (h, tup), v in part.items():
                 for (hh, xx), w in coaction[t[i]].items():
                     for hk, hw in hopf.multiply({h: field.one}, {hh: field.one}).items():
-                        key = (hk, tup + (xx,))
-                        s = field.add(nxt.get(key, field.zero),
-                                      field.mul(v, field.mul(w, hw)))
-                        if field.is_zero(s):
-                            nxt.pop(key, None)
-                        else:
-                            nxt[key] = s
+                        add_into(field, nxt, (hk, tup + (xx,)),
+                                 field.mul(v, field.mul(w, hw)))
             part = nxt
         for (hk, tup), v in part.items():
             add_into(field, ent, (hk * total + flatten(tup, dims), col), v)
@@ -772,7 +732,7 @@ def _restrict(op, src_sub, tgt_sub, tag):
     return Matrix.from_columns(field, tgt_sub.dim, cols)
 
 
-def _twisted_precompose(field, mod, g_blocks, src_total, tgt_total, antipode_vec=None):
+def _twisted_precompose(field, mod, g_blocks, src_total, tgt_total):
     """Operator on Hom spaces: f |-> (x |-> sum_h act(h, f(u_h(x)))).
 
     g_blocks: {h: Matrix src_total x tgt_total} with G(x) = sum_h h (x) u_h(x).
@@ -786,7 +746,7 @@ def _twisted_precompose(field, mod, g_blocks, src_total, tgt_total, antipode_vec
     return out
 
 
-def _hom_module(field, hopf, mod, base, N, orientation, name, eq1_check):
+def _hom_module(field, hopf, mod, base, N, orientation, name):
     """Shared construction for C(B,M) (cochain) and C(Z,M) (chain)."""
     db = base.coalgebra.dim if hasattr(base, "coalgebra") else base.algebra.dim
     dm = mod.dim
@@ -876,8 +836,7 @@ def hopf_cocyclic_comodule_algebra(b, m, N):
     if bad:
         raise NotSAYD("; ".join(bad))
     return _hom_module(b.field, b.hopf, m, b, N, COCHAIN,
-                       "C(%s,%s)" % (b.name or "B", m.name or "M"),
-                       eq1_check=False)
+                       "C(%s,%s)" % (b.name or "B", m.name or "M"))
 
 
 def hopf_cyclic_comodule_coalgebra(z, m, N):
@@ -886,8 +845,7 @@ def hopf_cyclic_comodule_coalgebra(z, m, N):
     if bad:
         raise CompatibilityFailure("; ".join(bad))
     return _hom_module(z.field, z.hopf, m, z, N, CHAIN,
-                       "C(%s,%s)" % (z.name or "Z", m.name or "M"),
-                       eq1_check=True)
+                       "C(%s,%s)" % (z.name or "Z", m.name or "M"))
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,6 @@ class RationalField(Field):
             raise ZeroDivisionError("inverse of zero")
         return 1 / x
 
-    def div(self, x, y):
-        return x / y
-
     def __repr__(self):
         return "QQ"
 
@@ -91,9 +88,6 @@ class PrimeField(Field):
         if x % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(x, -1, self.p)
-
-    def div(self, x, y):
-        return x * self.inv(y) % self.p
 
     def __repr__(self):
         return "GF(%d)" % self.p

@@ -9,7 +9,7 @@ from .fields import QQ
 from .hopf import (AlgebraData, CoalgebraData, HopfAlgebraData, ModuleAlgebra,
                    ModuleCoalgebra, ComoduleAlgebra, ComoduleCoalgebra,
                    ModComodule, ModularPair, EquivariantPairing,
-                   modular_pair_module, trivial_modcomodule)
+                   trivial_modcomodule)
 from .linalg import Matrix
 
 
@@ -101,16 +101,7 @@ def regular_comodule_algebra(hopf):
     return ComoduleAlgebra(hopf, hopf.algebra, coaction, name="B = H (Delta coaction)")
 
 
-def trivial_comodule_algebra(hopf, algebra):
-    f = hopf.field
-    coaction = {}
-    for b in range(algebra.dim):
-        coaction[b] = {(i, b): v for i, v in hopf.unit().items()}
-    return ComoduleAlgebra(hopf, algebra, coaction, name="trivial coaction")
-
-
 def trivial_comodule_coalgebra(hopf, coalgebra):
-    f = hopf.field
     coaction = {}
     for z in range(coalgebra.dim):
         coaction[z] = {(i, z): v for i, v in hopf.unit().items()}

@@ -11,7 +11,7 @@ for n <= N - 2 (one degree is consumed by each neighboring differential).
 """
 
 from .linalg import Matrix, Subspace, ShapeMismatch
-from .cyclic import ParaCyclicModule, ModuleMorphism, CHAIN, COCHAIN
+from .cyclic import CHAIN, COCHAIN, transpose_module
 
 
 class NotCyclic(Exception):
@@ -64,7 +64,6 @@ class MixedComplex:
             # single-term check is only meaningful when the partner term
             # vanishes for a genuine reason (degree below the bottom of
             # the grading), not because of truncation.
-            top = max(self.spaces)
             bot = min(self.spaces)
             term = Matrix.zero(self.field, self.spaces[n], self.spaces[n])
             have_bB = n in self.B and n - s in self.b and n - s in self.spaces
@@ -99,76 +98,32 @@ class Bicomplex:
                 raise IdentityFailure("; ".join(bad))
 
     def violations(self):
+        products = {}
+
+        def mul(a, b):
+            # columns often repeat (the cyclic bicomplex has period 2), so
+            # each pair of operand objects is multiplied once per call
+            key = (id(a), id(b))
+            if key not in products:
+                products[key] = a * b
+            return products[key]
+
         bad = []
         for (p, q) in self.spaces:
             if (p, q) in self.horiz and (p + 1, q) in self.horiz \
                     and (p + 2, q) in self.spaces:
-                if not (self.horiz[(p + 1, q)] * self.horiz[(p, q)]).is_zero():
+                if not mul(self.horiz[(p + 1, q)], self.horiz[(p, q)]).is_zero():
                     bad.append("horizontal d^2 != 0 at (%d,%d)" % (p, q))
             if (p, q) in self.vert and (p, q + 1) in self.vert \
                     and (p, q + 2) in self.spaces:
-                if not (self.vert[(p, q + 1)] * self.vert[(p, q)]).is_zero():
+                if not mul(self.vert[(p, q + 1)], self.vert[(p, q)]).is_zero():
                     bad.append("vertical d^2 != 0 at (%d,%d)" % (p, q))
             if (p, q) in self.horiz and (p, q) in self.vert \
                     and (p + 1, q + 1) in self.spaces:
-                anti = self.vert[(p + 1, q)] * self.horiz[(p, q)] \
-                    + self.horiz[(p, q + 1)] * self.vert[(p, q)]
+                anti = mul(self.vert[(p + 1, q)], self.horiz[(p, q)]) \
+                    + mul(self.horiz[(p, q + 1)], self.vert[(p, q)])
                 if not anti.is_zero():
                     bad.append("square does not anticommute at (%d,%d)" % (p, q))
-        return bad
-
-
-class MixedDoubleComplex:
-    """Bigraded space with two mixed-complex structures that anticommute."""
-
-    def __init__(self, field, spaces, b1, b2, B1, B2, name=None, check=True):
-        self.field = field
-        self.spaces = dict(spaces)     # (p, q) -> dim
-        # b1/B1 move p (with Koszul sign), b2/B2 move q
-        self.b1 = dict(b1)             # (p, q) -> Matrix to (p - 1, q)
-        self.b2 = dict(b2)             # (p, q) -> Matrix to (p, q + 1)
-        self.B1 = dict(B1)             # (p, q) -> Matrix to (p + 1, q)
-        self.B2 = dict(B2)             # (p, q) -> Matrix to (p, q - 1)
-        self.name = name
-        if check:
-            bad = self.violations()
-            if bad:
-                raise IdentityFailure("; ".join(bad))
-
-    def violations(self):
-        bad = []
-        fams = {"b1": (self.b1, (-1, 0)), "b2": (self.b2, (0, 1)),
-                "B1": (self.B1, (1, 0)), "B2": (self.B2, (0, -1))}
-        pmin = min(p for (p, _) in self.spaces)
-        pmax = max(p for (p, _) in self.spaces)
-        qmin = min(q for (_, q) in self.spaces)
-        qmax = max(q for (_, q) in self.spaces)
-        names = list(fams)
-        for i, na in enumerate(names):
-            fa, (da, ea) = fams[na]
-            for nb in names[i:]:
-                fb, (db, eb) = fams[nb]
-                for (p, q) in self.spaces:
-                    tgt = (p + da + db, q + ea + eb)
-                    if tgt not in self.spaces:
-                        continue
-                    term = Matrix.zero(self.field, self.spaces[tgt], self.spaces[(p, q)])
-                    paths = [((p + db, q + eb), fb, fa)]
-                    if na != nb:
-                        paths.append(((p + da, q + ea), fa, fb))
-                    have = 0
-                    truncated = False
-                    for mid, first, second in paths:
-                        if (p, q) in first and mid in second:
-                            term = term + second[mid] * first[(p, q)]
-                            have += 1
-                        elif mid[0] > pmax or mid[1] > qmax:
-                            # the missing path exits through the truncation
-                            # boundary; a single-term check is meaningless
-                            truncated = True
-                    if have and not truncated and not term.is_zero():
-                        bad.append("%s %s + %s %s != 0 at (%d,%d)"
-                                   % (na, nb, nb, na, p, q))
         return bad
 
 
@@ -200,31 +155,6 @@ class CohomologyTable:
 
 # ---------------------------------------------------------------------------
 # module-level helpers
-
-
-def transpose_module(x):
-    """Degreewise linear dual: transposes every structure matrix.
-
-    Exchanges the chain and cochain orientations with identical indexing.
-    """
-    orient = COCHAIN if x.orientation == CHAIN else CHAIN
-    faces = {}
-    degs = {}
-    if x.orientation == CHAIN:
-        # d_j: X_n -> X_{n-1} transposes to a coface X*_{n-1} -> X*_n
-        for (n, j), m in x.faces.items():
-            faces[(n - 1, j)] = m.transpose()
-        for (n, i), m in x.degeneracies.items():
-            degs[(n + 1, i)] = m.transpose()
-    else:
-        for (n, j), m in x.faces.items():
-            faces[(n + 1, j)] = m.transpose()
-        for (n, i), m in x.degeneracies.items():
-            degs[(n - 1, i)] = m.transpose()
-    taus = {n: m.transpose() for n, m in x.cyclic.items()}
-    return ParaCyclicModule(x.field, orient, dict(x.spaces), faces, degs, taus,
-                            name="dual*(%s)" % (x.name or "X"),
-                            meta={"kind": "transpose", "parent": x})
 
 
 def _lambda(x, n):
@@ -302,22 +232,6 @@ def mixed_of_cyclic(x):
                         name="mixed(%s)" % (x.name or "X"))
 
 
-def mixed_of_morphism(g):
-    """B_* is functorial: a morphism of cyclic modules commutes with b and B."""
-    src = mixed_of_cyclic(g.source)
-    tgt = mixed_of_cyclic(g.target)
-    bad = []
-    s = -1 if src.orientation == CHAIN else 1
-    for n in sorted(src.spaces):
-        if n in g.maps and n + s in g.maps and n in src.b:
-            if g.maps[n + s] * src.b[n] != tgt.b[n] * g.maps[n]:
-                bad.append("b at degree %d" % n)
-        if n in g.maps and n - s in g.maps and n in src.B:
-            if g.maps[n - s] * src.B[n] != tgt.B[n] * g.maps[n]:
-                bad.append("B at degree %d" % n)
-    return src, tgt, bad
-
-
 def cyclic_bicomplex(x):
     """Classical first-quadrant cyclic bicomplex of a cocyclic module.
 
@@ -337,54 +251,19 @@ def cyclic_bicomplex(x):
         lam = _lambda(x, q)
         one_minus = Matrix.identity(f, x.spaces[q]) - lam
         norm = _norm(x, q)
-        bq = hochschild_b(x, q) if q + 1 <= x.N else None
-        bpq = hochschild_b_prime(x, q) if q + 1 <= x.N else None
+        if q + 1 <= x.N:
+            bq = hochschild_b(x, q)
+            neg_bpq = hochschild_b_prime(x, q).scale(f.neg(f.one))
         for p in range(width):
             if p + 1 < width:
                 horiz[(p, q)] = one_minus if p % 2 == 0 else norm
             if q + 1 <= x.N:
-                if p % 2 == 0:
-                    vert[(p, q)] = bq
-                else:
-                    vert[(p, q)] = bpq.scale(f.neg(f.one))
+                vert[(p, q)] = bq if p % 2 == 0 else neg_bpq
     return Bicomplex(f, spaces, horiz, vert, name="CC(%s)" % (x.name or "X"))
 
 
 # ---------------------------------------------------------------------------
 # cohomology of total complexes
-
-
-def _total_of_mixed(c):
-    """Tot^n = (+)_i X_{n-2i} with differential b + B (cochain orientation)."""
-    if c.orientation != COCHAIN:
-        raise ShapeMismatch("total complex needs a cochain mixed complex")
-    degrees = sorted(c.spaces)
-    lo, hi = degrees[0], degrees[-1]
-    comps = {}
-    for n in range(lo, hi + 1):
-        comp = [m for m in range(n, lo - 1, -2) if m in c.spaces]
-        comps[n] = comp
-    dims = {n: sum(c.spaces[m] for m in comps[n]) for n in comps}
-    offs = {}
-    for n, comp in comps.items():
-        off = {}
-        run = 0
-        for m in comp:
-            off[m] = run
-            run += c.spaces[m]
-        offs[n] = off
-    diffs = {}
-    for n in comps:
-        if n + 1 not in comps:
-            continue
-        d = {}
-        for m in comps[n]:
-            if m in c.b and m + 1 in offs[n + 1]:
-                _insert_block(d, c.b[m], offs[n + 1][m + 1], offs[n][m])
-            if m in c.B and m - 1 in offs[n + 1]:
-                _insert_block(d, c.B[m], offs[n + 1][m - 1], offs[n][m])
-        diffs[n] = Matrix(c.field, dims[n + 1], dims[n], d)
-    return dims, diffs, comps, offs
 
 
 def _insert_block(ent, block, row0, col0):
@@ -393,35 +272,58 @@ def _insert_block(ent, block, row0, col0):
         ent[(row0 + i, col0 + j)] = v
 
 
-def _total_of_bicomplex(c):
-    """Tot^n = (+)_{p+q=n} with differential horiz + (-1)^p vert."""
+def _total(c):
+    """(dims, diffs, comps, offs) of the total complex of a model.
+
+    Mixed complex (cochain): Tot^n = (+)_i X_{n-2i} with differential b + B.
+    Bicomplex: Tot^n = (+)_{p+q=n} with differential horiz + (-1)^p vert.
+    comps[n] lists the blocks of Tot^n (keys of c.spaces) and
+    offs[n][block] the offset of each.
+    """
     f = c.field
-    keys = sorted(c.spaces)
-    degs = sorted({p + q for (p, q) in keys})
-    comps = {n: [(p, q) for (p, q) in keys if p + q == n] for n in degs}
-    dims = {n: sum(c.spaces[k] for k in comps[n]) for n in degs}
-    offs = {}
-    for n in degs:
-        off = {}
+    if isinstance(c, MixedComplex):
+        if c.orientation != COCHAIN:
+            raise ShapeMismatch("total complex needs a cochain mixed complex")
+        lo, hi = min(c.spaces), max(c.spaces)
+        comps = {n: [m for m in range(n, lo - 1, -2) if m in c.spaces]
+                 for n in range(lo, hi + 1)}
+
+        def blocks(m):
+            if m in c.b:
+                yield m + 1, c.b[m]
+            if m in c.B:
+                yield m - 1, c.B[m]
+    elif isinstance(c, Bicomplex):
+        comps = {}
+        for p, q in sorted(c.spaces, key=lambda k: (k[0] + k[1], k)):
+            comps.setdefault(p + q, []).append((p, q))
+
+        def blocks(k):
+            p, q = k
+            if k in c.horiz:
+                yield (p + 1, q), c.horiz[k]
+            if k in c.vert:
+                yield (p, q + 1), (c.vert[k] if p % 2 == 0
+                                   else c.vert[k].scale(f.neg(f.one)))
+    else:
+        raise TypeError("expected a MixedComplex or Bicomplex")
+    dims, offs = {}, {}
+    for n, comp in comps.items():
+        off = offs[n] = {}
         run = 0
-        for k in comps[n]:
+        for k in comp:
             off[k] = run
             run += c.spaces[k]
-        offs[n] = off
+        dims[n] = run
     diffs = {}
-    for n in degs:
-        if n + 1 not in dims:
+    for n in comps:
+        if n + 1 not in comps:
             continue
         d = {}
-        for (p, q) in comps[n]:
-            if (p, q) in c.horiz and (p + 1, q) in offs[n + 1]:
-                _insert_block(d, c.horiz[(p, q)], offs[n + 1][(p + 1, q)],
-                              offs[n][(p, q)])
-            if (p, q) in c.vert and (p, q + 1) in offs[n + 1]:
-                block = c.vert[(p, q)]
-                if p % 2 == 1:
-                    block = block.scale(f.neg(f.one))
-                _insert_block(d, block, offs[n + 1][(p, q + 1)], offs[n][(p, q)])
+        for k in comps[n]:
+            for tgt, block in blocks(k):
+                if tgt in offs[n + 1]:
+                    _insert_block(d, block, offs[n + 1][tgt], offs[n][k])
         diffs[n] = Matrix(f, dims[n + 1], dims[n], d)
     return dims, diffs, comps, offs
 
@@ -452,20 +354,9 @@ def _cohomology_at(field, dims, diffs, n):
     return dim_h, reps
 
 
-def _total(c):
-    """(dims, diffs) of the total complex of a mixed complex or bicomplex."""
-    if isinstance(c, MixedComplex):
-        dims, diffs, _, _ = _total_of_mixed(c)
-    elif isinstance(c, Bicomplex):
-        dims, diffs, _, _ = _total_of_bicomplex(c)
-    else:
-        raise TypeError("expected a MixedComplex or Bicomplex")
-    return dims, diffs
-
-
 def cohomology(c, n, stable_range=None):
     """Cohomology dimension and representatives of a model at degree n."""
-    dims, diffs = _total(c)
+    dims, diffs, _, _ = _total(c)
     if stable_range is not None and n > stable_range:
         raise OutOfStableRange("degree %d beyond certified range %d"
                                % (n, stable_range))
@@ -476,22 +367,27 @@ def _as_cochain(x):
     return transpose_module(x) if x.orientation == CHAIN else x
 
 
+def total_complex(x, model):
+    """(dims, diffs, comps, offs) of the total complex of a (co)cyclic module
+    in one model, 'mixed' or 'bicomplex'; a chain module is dualized first."""
+    x = _as_cochain(x)
+    if model == "mixed":
+        return _total(mixed_of_cyclic(x))
+    if model == "bicomplex":
+        return _total(cyclic_bicomplex(x))
+    raise ValueError("model must be 'mixed' or 'bicomplex'")
+
+
 def cohomology_table(x, model="mixed", nmax=None):
     """Cyclic cohomology dimensions of a (co)cyclic module, one model."""
     xc = _as_cochain(x)
     stable = xc.N - 2
     if nmax is None:
         nmax = stable
-    if model == "mixed":
-        c = mixed_of_cyclic(xc)
-    elif model == "bicomplex":
-        c = cyclic_bicomplex(xc)
-    else:
-        raise ValueError("model must be 'mixed' or 'bicomplex'")
-    dims, diffs = _total(c)
+    dims, diffs, _, _ = total_complex(xc, model)
     degrees = {}
     for n in range(nmax + 1):
-        degrees[n], _ = _cohomology_at(c.field, dims, diffs, n)
+        degrees[n], _ = _cohomology_at(xc.field, dims, diffs, n)
     return CohomologyTable(model, degrees, stable, name=x.name)
 
 
@@ -504,8 +400,8 @@ def hochschild_table(x, nmax=None, normalized=False):
         nmax = stable
     if not normalized:
         dims = dict(xc.spaces)
-        diffs = {n: hochschild_b(xc, n) for n in xc.spaces
-                 if n + 1 <= xc.N and hochschild_b(xc, n) is not None}
+        diffs = {n: b for n in xc.spaces
+                 if n + 1 <= xc.N and (b := hochschild_b(xc, n)) is not None}
     else:
         # normalized subcomplex: intersection of codegeneracy kernels
         subs = {}
@@ -541,106 +437,6 @@ def hochschild_table(x, nmax=None, normalized=False):
         degrees[n], _ = _cohomology_at(f, dims, diffs, n)
     return CohomologyTable("hochschild" + ("-normalized" if normalized else ""),
                            degrees, stable, name=x.name)
-
-
-# ---------------------------------------------------------------------------
-# Hom mixed double complexes
-
-
-def hom_mixed_double(x, y):
-    """Hom(X_p, Y_q) with the X-side differentials carrying Koszul signs.
-
-    Hom elements are matrices Y_q x X_p flattened row-major (Y slowest).
-    Both inputs must be cochain mixed complexes.
-    """
-    if x.orientation != COCHAIN or y.orientation != COCHAIN:
-        raise ShapeMismatch("hom_mixed_double expects cochain mixed complexes")
-    f = x.field
-    spaces = {(p, q): x.spaces[p] * y.spaces[q]
-              for p in x.spaces for q in y.spaces}
-    b1, b2, B1, B2 = {}, {}, {}, {}
-    for p in x.spaces:
-        idx = Matrix.identity(f, x.spaces[p])
-        for q in y.spaces:
-            # (df) = d_Y f - (-1)^{|f|} f d_X with |f| = q - p; the sign on
-            # the X-side differentials makes the identity map a 0-cocycle
-            sign = f.neg(f.one) if (p + q) % 2 == 0 else f.one
-            idy = Matrix.identity(f, y.spaces[q])
-            # b1: precompose with b_X, lowers p
-            if p - 1 in x.b and (p - 1, q) in spaces:
-                b1[(p, q)] = idy.kron(x.b[p - 1].transpose()).scale(sign)
-            # B1: precompose with B_X, raises p
-            if p + 1 in x.B and (p + 1, q) in spaces:
-                B1[(p, q)] = idy.kron(x.B[p + 1].transpose()).scale(sign)
-            # b2: postcompose with b_Y, raises q
-            if q in y.b and (p, q + 1) in spaces:
-                b2[(p, q)] = y.b[q].kron(idx)
-            # B2: postcompose with B_Y, lowers q
-            if q in y.B and (p, q - 1) in spaces:
-                B2[(p, q)] = y.B[q].kron(idx)
-    return MixedDoubleComplex(f, spaces, b1, b2, B1, B2,
-                              name="Hom(%s,%s)" % (x.name or "X", y.name or "Y"))
-
-
-def total_mixed(d):
-    """Total mixed complex of a mixed double complex: degree q - p."""
-    f = d.field
-    degs = sorted({q - p for (p, q) in d.spaces})
-    comps = {n: sorted((p, q) for (p, q) in d.spaces if q - p == n)
-             for n in degs}
-    dims = {n: sum(d.spaces[k] for k in comps[n]) for n in degs}
-    offs = {}
-    for n in degs:
-        off = {}
-        run = 0
-        for k in comps[n]:
-            off[k] = run
-            run += d.spaces[k]
-        offs[n] = off
-    b, B = {}, {}
-    for n in degs:
-        if n + 1 in dims:
-            m = {}
-            for (p, q) in comps[n]:
-                if (p, q) in d.b1 and (p - 1, q) in offs[n + 1]:
-                    _insert_block(m, d.b1[(p, q)], offs[n + 1][(p - 1, q)],
-                                  offs[n][(p, q)])
-                if (p, q) in d.b2 and (p, q + 1) in offs[n + 1]:
-                    _insert_block(m, d.b2[(p, q)], offs[n + 1][(p, q + 1)],
-                                  offs[n][(p, q)])
-            b[n] = Matrix(f, dims[n + 1], dims[n], m)
-        if n - 1 in dims:
-            m = {}
-            for (p, q) in comps[n]:
-                if (p, q) in d.B1 and (p + 1, q) in offs[n - 1]:
-                    _insert_block(m, d.B1[(p, q)], offs[n - 1][(p + 1, q)],
-                                  offs[n][(p, q)])
-                if (p, q) in d.B2 and (p, q - 1) in offs[n - 1]:
-                    _insert_block(m, d.B2[(p, q)], offs[n - 1][(p, q - 1)],
-                                  offs[n][(p, q)])
-            B[n] = Matrix(f, dims[n - 1], dims[n], m)
-    # The pairwise graded-commutation identities were verified blockwise on
-    # the double complex with truncation-aware boundary handling; the total
-    # complex inherits them.  Re-checking per total degree would re-raise
-    # spurious boundary defects because every total degree contains a
-    # component touching the truncation boundary, so re-check only the
-    # degrees all of whose neighboring components are interior.
-    tot = MixedComplex(f, COCHAIN, dims, b, B,
-                       name="Tot(%s)" % (d.name or "D"), check=False)
-    pmin = min(p for (p, _) in d.spaces)
-    pmax = max(p for (p, _) in d.spaces)
-    qmin = min(q for (_, q) in d.spaces)
-    qmax = max(q for (_, q) in d.spaces)
-    boundary_degs = set()
-    for (p, q) in d.spaces:
-        if p in (pmin, pmax) or q in (qmin, qmax):
-            for dn in (-1, 0, 1):
-                boundary_degs.add(q - p + dn)
-    bad = [v for v in tot.violations()
-           if int(v.rsplit(" ", 1)[1]) not in boundary_degs]
-    if bad:
-        raise IdentityFailure("; ".join(bad))
-    return tot
 
 
 def compare_models(x, nmax=None):

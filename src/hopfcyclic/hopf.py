@@ -10,8 +10,8 @@ a dict {(j, k): scalar} meaning Delta(e_i) = sum e_j (x) e_k.  Coactions
 on an object V map a V-index to {(h, v): scalar} inside H (x) V.
 """
 
-from .fields import QQ
-from .linalg import Matrix, Subspace, vec_add, vec_scale, ShapeMismatch, add_into
+from .linalg import (Matrix, Subspace, vec_add, vec_scale, ShapeMismatch, add_into,
+                     quotient_space)
 from .tensors import build_matrix
 
 
@@ -28,11 +28,49 @@ def _unit_vec(field, i):
 
 
 def _vec_eq(field, u, v):
-    keys = set(u) | set(v)
-    for k in keys:
+    for k in set(u) | set(v):
         if not field.is_zero(field.sub(u.get(k, field.zero), v.get(k, field.zero))):
             return False
     return True
+
+
+def _bilinear(field, table, u, v):
+    """sum x_i y_j table[(i, j)] for a table of vectors keyed by index pairs."""
+    out = {}
+    for i, x in u.items():
+        for j, y in v.items():
+            c = field.mul(x, y)
+            for k, z in table[(i, j)].items():
+                add_into(field, out, k, field.mul(c, z))
+    return out
+
+
+def _linear(field, table, u):
+    """sum x_i table[i] for a table of vectors keyed by one index."""
+    out = {}
+    for i, x in u.items():
+        for k, v in table[i].items():
+            add_into(field, out, k, field.mul(x, v))
+    return out
+
+
+def _table_eq(field, t, u):
+    return all(_vec_eq(field, t.get(k, {}), u.get(k, {})) for k in set(t) | set(u))
+
+
+def require_same_hopf(x, y, what):
+    """Raise HopfMismatch unless x and y have the same structure constants."""
+    if x is y:
+        return
+    f = x.field
+    same = (f == y.field and x.dim == y.dim
+            and _table_eq(f, x.algebra.mul, y.algebra.mul)
+            and _vec_eq(f, x.algebra.unit, y.algebra.unit)
+            and _table_eq(f, x.coalgebra.comul, y.coalgebra.comul)
+            and _vec_eq(f, x.coalgebra.counit, y.coalgebra.counit)
+            and x.antipode == y.antipode)
+    if not same:
+        raise HopfMismatch("%s across different Hopf algebras" % what)
 
 
 class AlgebraData:
@@ -44,29 +82,7 @@ class AlgebraData:
         self.labels = labels or ["e%d" % i for i in range(dim)]
 
     def multiply(self, u, v):
-        f = self.field
-        out = {}
-        for i, x in u.items():
-            for j, y in v.items():
-                c = f.mul(x, y)
-                for k, z in self.mul[(i, j)].items():
-                    w = f.add(out.get(k, f.zero), f.mul(c, z))
-                    if f.is_zero(w):
-                        out.pop(k, None)
-                    else:
-                        out[k] = w
-        return out
-
-    def multiply_all(self, vecs):
-        out = dict(self.unit)
-        for v in vecs:
-            out = self.multiply(out, v)
-        return out
-
-    def multiplication_matrix(self):
-        """A (x) A -> A as a matrix (pair index row-major)."""
-        return build_matrix(self.field, [self.dim, self.dim], [self.dim],
-                            lambda t: {(k,): v for k, v in self.mul[(t[0], t[1])].items()})
+        return _bilinear(self.field, self.mul, u, v)
 
 
 class CoalgebraData:
@@ -78,16 +94,7 @@ class CoalgebraData:
         self.labels = labels or ["e%d" % i for i in range(dim)]
 
     def comul_vec(self, u):
-        f = self.field
-        out = {}
-        for i, x in u.items():
-            for (j, k), v in self.comul[i].items():
-                w = f.add(out.get((j, k), f.zero), f.mul(x, v))
-                if f.is_zero(w):
-                    out.pop((j, k), None)
-                else:
-                    out[(j, k)] = w
-        return out
+        return _linear(self.field, self.comul, u)
 
     def counit_vec(self, u):
         f = self.field
@@ -105,12 +112,7 @@ class CoalgebraData:
             for key, x in cur.items():
                 last = key[-1]
                 for (j, k), v in self.comul[last].items():
-                    kk = key[:-1] + (j, k)
-                    w = f.add(nxt.get(kk, f.zero), f.mul(x, v))
-                    if f.is_zero(w):
-                        nxt.pop(kk, None)
-                    else:
-                        nxt[kk] = w
+                    add_into(f, nxt, key[:-1] + (j, k), f.mul(x, v))
             cur = nxt
         return cur
 
@@ -145,9 +147,6 @@ class HopfAlgebraData:
     def multiply(self, u, v):
         return self.algebra.multiply(u, v)
 
-    def is_trivial(self):
-        return self.dim == 1
-
 
 class ModuleAlgebra:
     """Unital algebra with a left H-action compatible with its product."""
@@ -160,18 +159,7 @@ class ModuleAlgebra:
         self.name = name
 
     def act(self, h_vec, a_vec):
-        f = self.field
-        out = {}
-        for h, x in h_vec.items():
-            for a, y in a_vec.items():
-                c = f.mul(x, y)
-                for b, z in self.action[(h, a)].items():
-                    w = f.add(out.get(b, f.zero), f.mul(c, z))
-                    if f.is_zero(w):
-                        out.pop(b, None)
-                    else:
-                        out[b] = w
-        return out
+        return _bilinear(self.field, self.action, h_vec, a_vec)
 
 
 class ModuleCoalgebra:
@@ -185,18 +173,7 @@ class ModuleCoalgebra:
         self.name = name
 
     def act(self, h_vec, c_vec):
-        f = self.field
-        out = {}
-        for h, x in h_vec.items():
-            for c, y in c_vec.items():
-                w = f.mul(x, y)
-                for d, z in self.action[(h, c)].items():
-                    t = f.add(out.get(d, f.zero), f.mul(w, z))
-                    if f.is_zero(t):
-                        out.pop(d, None)
-                    else:
-                        out[d] = t
-        return out
+        return _bilinear(self.field, self.action, h_vec, c_vec)
 
 
 class ComoduleAlgebra:
@@ -210,16 +187,7 @@ class ComoduleAlgebra:
         self.name = name
 
     def coact(self, b_vec):
-        f = self.field
-        out = {}
-        for b, x in b_vec.items():
-            for (h, bb), v in self.coaction[b].items():
-                w = f.add(out.get((h, bb), f.zero), f.mul(x, v))
-                if f.is_zero(w):
-                    out.pop((h, bb), None)
-                else:
-                    out[(h, bb)] = w
-        return out
+        return _linear(self.field, self.coaction, b_vec)
 
 
 class ComoduleCoalgebra:
@@ -233,38 +201,7 @@ class ComoduleCoalgebra:
         self.name = name
 
     def coact(self, z_vec):
-        f = self.field
-        out = {}
-        for z, x in z_vec.items():
-            for (h, zz), v in self.coaction[z].items():
-                w = f.add(out.get((h, zz), f.zero), f.mul(x, v))
-                if f.is_zero(w):
-                    out.pop((h, zz), None)
-                else:
-                    out[(h, zz)] = w
-        return out
-
-    def iterated_coaction(self, z_idx, times):
-        """Apply the coaction `times` times: {(h_1,...,h_times, z): scalar}.
-
-        Uses coassociativity reading: rho^(2) = (id (x) rho) o rho, so the
-        H-legs come out with h_1 = z_{[-times]}, ..., h_times = z_{[-1]}.
-        """
-        f = self.field
-        cur = {(z_idx,): f.one}
-        for _ in range(times):
-            nxt = {}
-            for key, x in cur.items():
-                hs, z = key[:-1], key[-1]
-                for (h, zz), v in self.coaction[z].items():
-                    kk = hs + (h, zz)
-                    w = f.add(nxt.get(kk, f.zero), f.mul(x, v))
-                    if f.is_zero(w):
-                        nxt.pop(kk, None)
-                    else:
-                        nxt[kk] = w
-            cur = nxt
-        return cur
+        return _linear(self.field, self.coaction, z_vec)
 
 
 class ModComodule:
@@ -279,30 +216,10 @@ class ModComodule:
         self.name = name
 
     def act(self, h_vec, m_vec):
-        f = self.field
-        out = {}
-        for h, x in h_vec.items():
-            for m, y in m_vec.items():
-                c = f.mul(x, y)
-                for mm, z in self.action[(h, m)].items():
-                    w = f.add(out.get(mm, f.zero), f.mul(c, z))
-                    if f.is_zero(w):
-                        out.pop(mm, None)
-                    else:
-                        out[mm] = w
-        return out
+        return _bilinear(self.field, self.action, h_vec, m_vec)
 
     def coact(self, m_vec):
-        f = self.field
-        out = {}
-        for m, x in m_vec.items():
-            for (h, mm), v in self.coaction[m].items():
-                w = f.add(out.get((h, mm), f.zero), f.mul(x, v))
-                if f.is_zero(w):
-                    out.pop((h, mm), None)
-                else:
-                    out[(h, mm)] = w
-        return out
+        return _linear(self.field, self.coaction, m_vec)
 
 
 class ModularPair:
@@ -323,8 +240,7 @@ class EquivariantPairing:
     """Pairing phi: C (x) A -> A between a module coalgebra and algebra."""
 
     def __init__(self, coalg, alg, phi, name=None):
-        if coalg.hopf is not alg.hopf and coalg.hopf.dim != alg.hopf.dim:
-            raise HopfMismatch("pairing across different Hopf algebras")
+        require_same_hopf(coalg.hopf, alg.hopf, "pairing")
         self.coalg = coalg
         self.alg = alg
         self.hopf = alg.hopf
@@ -333,18 +249,7 @@ class EquivariantPairing:
         self.name = name
 
     def pair(self, c_vec, a_vec):
-        f = self.field
-        out = {}
-        for c, x in c_vec.items():
-            for a, y in a_vec.items():
-                w = f.mul(x, y)
-                for b, z in self.phi[(c, a)].items():
-                    t = f.add(out.get(b, f.zero), f.mul(w, z))
-                    if f.is_zero(t):
-                        out.pop(b, None)
-                    else:
-                        out[b] = t
-        return out
+        return _bilinear(self.field, self.phi, c_vec, a_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -380,23 +285,18 @@ def check_coalgebra(c, tag="coalgebra"):
         left = {}
         for (j, k), v in c.comul_vec(ei).items():
             for (a, b), w in c.comul[j].items():
-                key = (a, b, k)
-                left[key] = f.add(left.get(key, f.zero), f.mul(v, w))
+                add_into(f, left, (a, b, k), f.mul(v, w))
         right = {}
         for (j, k), v in c.comul_vec(ei).items():
             for (a, b), w in c.comul[k].items():
-                key = (j, a, b)
-                right[key] = f.add(right.get(key, f.zero), f.mul(v, w))
-        if not _vec_eq(f, {k: v for k, v in left.items() if not f.is_zero(v)},
-                       {k: v for k, v in right.items() if not f.is_zero(v)}):
+                add_into(f, right, (j, a, b), f.mul(v, w))
+        if not _vec_eq(f, left, right):
             bad.append("%s: coassociativity fails at e%d" % (tag, i))
         lcounit = {}
         rcounit = {}
         for (j, k), v in c.comul_vec(ei).items():
-            lcounit[k] = f.add(lcounit.get(k, f.zero), f.mul(v, c.counit.get(j, f.zero)))
-            rcounit[j] = f.add(rcounit.get(j, f.zero), f.mul(v, c.counit.get(k, f.zero)))
-        lcounit = {k: v for k, v in lcounit.items() if not f.is_zero(v)}
-        rcounit = {k: v for k, v in rcounit.items() if not f.is_zero(v)}
+            add_into(f, lcounit, k, f.mul(v, c.counit.get(j, f.zero)))
+            add_into(f, rcounit, j, f.mul(v, c.counit.get(k, f.zero)))
         if not _vec_eq(f, lcounit, ei):
             bad.append("%s: left counit fails at e%d" % (tag, i))
         if not _vec_eq(f, rcounit, ei):
@@ -415,11 +315,7 @@ def _tensor2_mul(hopf, u2, v2):
             right = hopf.multiply(_unit_vec(f, b), _unit_vec(f, d))
             for i, xi in left.items():
                 for j, yj in right.items():
-                    w = f.add(out.get((i, j), f.zero), f.mul(coef, f.mul(xi, yj)))
-                    if f.is_zero(w):
-                        out.pop((i, j), None)
-                    else:
-                        out[(i, j)] = w
+                    add_into(f, out, (i, j), f.mul(coef, f.mul(xi, yj)))
     return out
 
 
@@ -498,23 +394,18 @@ def _check_coaction(hopf, dim, coact_one, tag):
         # counit leg
         cu = {}
         for (h, v), x in rho.items():
-            cu[v] = f.add(cu.get(v, f.zero), f.mul(x, hopf.coalgebra.counit.get(h, f.zero)))
-        cu = {k: v for k, v in cu.items() if not f.is_zero(v)}
+            add_into(f, cu, v, f.mul(x, hopf.coalgebra.counit.get(h, f.zero)))
         if not _vec_eq(f, cu, _unit_vec(f, m)):
             bad.append("%s: counit law fails at e%d" % (tag, m))
         # (Delta (x) id) rho = (id (x) rho) rho
         lhs = {}
         for (h, v), x in rho.items():
             for (a, b), w in hopf.coalgebra.comul[h].items():
-                key = (a, b, v)
-                lhs[key] = f.add(lhs.get(key, f.zero), f.mul(x, w))
+                add_into(f, lhs, (a, b, v), f.mul(x, w))
         rhs = {}
         for (h, v), x in rho.items():
             for (h2, v2), w in coact_one(v).items():
-                key = (h, h2, v2)
-                rhs[key] = f.add(rhs.get(key, f.zero), f.mul(x, w))
-        lhs = {k: v for k, v in lhs.items() if not f.is_zero(v)}
-        rhs = {k: v for k, v in rhs.items() if not f.is_zero(v)}
+                add_into(f, rhs, (h, h2, v2), f.mul(x, w))
         if not _vec_eq(f, lhs, rhs):
             bad.append("%s: coassociativity of coaction fails at e%d" % (tag, m))
     return bad
@@ -564,13 +455,8 @@ def check_module_coalgebra(mc):
                     t2 = mc.act(_unit_vec(f, k), _unit_vec(f, c2))
                     for x1, y1 in t1.items():
                         for x2, y2 in t2.items():
-                            key = (x1, x2)
-                            val = f.mul(f.mul(v, w), f.mul(y1, y2))
-                            r = f.add(rhs.get(key, f.zero), val)
-                            if f.is_zero(r):
-                                rhs.pop(key, None)
-                            else:
-                                rhs[key] = r
+                            add_into(f, rhs, (x1, x2),
+                                     f.mul(f.mul(v, w), f.mul(y1, y2)))
             if not _vec_eq(f, lhs, rhs):
                 bad.append("module coalgebra: Delta(hc) law fails at (h%d,e%d)" % (i, p))
             eps_l = c.counit_vec(acted)
@@ -599,13 +485,7 @@ def check_comodule_algebra(ca):
                     coef = f.mul(x, y)
                     for hk, hv in hh.items():
                         for bk, bv in bb.items():
-                            key = (hk, bk)
-                            val = f.mul(coef, f.mul(hv, bv))
-                            r = f.add(rhs.get(key, f.zero), val)
-                            if f.is_zero(r):
-                                rhs.pop(key, None)
-                            else:
-                                rhs[key] = r
+                            add_into(f, rhs, (hk, bk), f.mul(coef, f.mul(hv, bv)))
             if not _vec_eq(f, lhs, rhs):
                 bad.append("comodule algebra: coaction not multiplicative at (%d,%d)" % (p, q))
     # unit coinvariant
@@ -631,8 +511,7 @@ def check_comodule_coalgebra(cc):
         lhs = {}
         for (hh, z0), x in cc.coaction[z].items():
             for (u, v), w in c.comul[z0].items():
-                key = (hh, u, v)
-                lhs[key] = f.add(lhs.get(key, f.zero), f.mul(x, w))
+                add_into(f, lhs, (hh, u, v), f.mul(x, w))
         rhs = {}
         for (z1, z2), w in c.comul[z].items():
             for (h1, z10), x in cc.coaction[z1].items():
@@ -640,13 +519,7 @@ def check_comodule_coalgebra(cc):
                     hh = h.multiply(_unit_vec(f, h1), _unit_vec(f, h2))
                     coef = f.mul(w, f.mul(x, y))
                     for hk, hv in hh.items():
-                        key = (hk, z10, z20)
-                        r = f.add(rhs.get(key, f.zero), f.mul(coef, hv))
-                        if f.is_zero(r):
-                            rhs.pop(key, None)
-                        else:
-                            rhs[key] = r
-        lhs = {k: v for k, v in lhs.items() if not f.is_zero(v)}
+                        add_into(f, rhs, (hk, z10, z20), f.mul(coef, hv))
         if not _vec_eq(f, lhs, rhs):
             bad.append("comodule coalgebra: mixed compatibility fails at e%d" % z)
     return bad
@@ -764,12 +637,7 @@ def check_sayd(m):
                     coef = f.mul(v, x)
                     for hk, hx in hleft.items():
                         for mk, mx in macted.items():
-                            key = (hk, mk)
-                            r = f.add(rhs.get(key, f.zero), f.mul(coef, f.mul(hx, mx)))
-                            if f.is_zero(r):
-                                rhs.pop(key, None)
-                            else:
-                                rhs[key] = r
+                            add_into(f, rhs, (hk, mk), f.mul(coef, f.mul(hx, mx)))
             if not _vec_eq(f, lhs, rhs):
                 bad.append("sayd: AYD condition fails at (h%d,e%d)" % (hi, i))
     return bad
@@ -802,35 +670,9 @@ def trivial_modcomodule(hopf):
     return ModComodule(hopf, 1, action, coaction, name="k_triv")
 
 
-def convolution(f_mat, g_mat, coalg, alg):
-    """Convolution product on Hom(C, A) given as matrices A-dim x C-dim."""
-    field = alg.field
-    if f_mat.cols != coalg.dim or f_mat.rows != alg.dim:
-        raise ShapeMismatch("convolution operand shape")
-    if g_mat.cols != coalg.dim or g_mat.rows != alg.dim:
-        raise ShapeMismatch("convolution operand shape")
-    out = {}
-    for c in range(coalg.dim):
-        acc = {}
-        for (c1, c2), v in coalg.comul[c].items():
-            term = alg.multiply(f_mat.column(c1), g_mat.column(c2))
-            acc = vec_add(field, acc, vec_scale(field, v, term))
-        for i, x in acc.items():
-            out[(i, c)] = x
-    return Matrix(field, alg.dim, coalg.dim, out)
-
-
-def convolution_unit(coalg, alg):
-    field = alg.field
-    return Matrix(field, alg.dim, coalg.dim,
-                  {(i, c): field.mul(coalg.counit.get(c, field.zero), x)
-                   for c in range(coalg.dim) for i, x in alg.unit.items()})
-
-
 def crossed_product_algebra(ma, ca):
     """A x| B with product (a,b)(a',b') = (a (b(-1) a'), b(0) b')."""
-    if ma.hopf is not ca.hopf and ma.hopf.dim != ca.hopf.dim:
-        raise HopfMismatch("crossed product across different Hopf algebras")
+    require_same_hopf(ma.hopf, ca.hopf, "crossed product")
     f = ma.field
     A, B = ma.algebra, ca.algebra
     dim = A.dim * B.dim
@@ -846,12 +688,7 @@ def crossed_product_algebra(ma, ca):
                         right = B.multiply(_unit_vec(f, b0), _unit_vec(f, b2))
                         for i, xi in left.items():
                             for j, yj in right.items():
-                                k = i * B.dim + j
-                                w = f.add(out.get(k, f.zero), f.mul(x, f.mul(xi, yj)))
-                                if f.is_zero(w):
-                                    out.pop(k, None)
-                                else:
-                                    out[k] = w
+                                add_into(f, out, i * B.dim + j, f.mul(x, f.mul(xi, yj)))
                     mul[(a * B.dim + b, a2 * B.dim + b2)] = out
     unit = {}
     for i, x in A.unit.items():
@@ -863,8 +700,7 @@ def crossed_product_algebra(ma, ca):
 
 def crossed_product_coalgebra(zc, mc):
     """Z |x C with Delta(z,c) = (z1, z2[-1]c1) (x) (z2[0], c2)."""
-    if zc.hopf is not mc.hopf and zc.hopf.dim != mc.hopf.dim:
-        raise HopfMismatch("crossed product across different Hopf algebras")
+    require_same_hopf(zc.hopf, mc.hopf, "crossed product")
     bad = check_comodule_coalgebra(zc)
     if bad:
         raise CompatibilityFailure("; ".join(bad))
@@ -882,12 +718,8 @@ def crossed_product_coalgebra(zc, mc):
                         acted = mc.act(_unit_vec(f, hh), _unit_vec(f, c1))
                         coef = f.mul(w, f.mul(v, x))
                         for ck, cv in acted.items():
-                            key = (z1 * C.dim + ck, z20 * C.dim + c2)
-                            r = f.add(out.get(key, f.zero), f.mul(coef, cv))
-                            if f.is_zero(r):
-                                out.pop(key, None)
-                            else:
-                                out[key] = r
+                            add_into(f, out, (z1 * C.dim + ck, z20 * C.dim + c2),
+                                     f.mul(coef, cv))
             comul[z * C.dim + c] = out
             eps = f.mul(Z.counit.get(z, f.zero), C.counit.get(c, f.zero))
             if not f.is_zero(eps):
@@ -898,8 +730,7 @@ def crossed_product_coalgebra(zc, mc):
 
 def cotensor(m, m2):
     """M box^H M' inside M (x) M' as the kernel of the two coactions' difference."""
-    if m.hopf is not m2.hopf and m.hopf.dim != m2.hopf.dim:
-        raise HopfMismatch("cotensor across different Hopf algebras")
+    require_same_hopf(m.hopf, m2.hopf, "cotensor")
     f = m.field
     hd = m.hopf.dim
     # map M (x) M' -> H (x) M (x) M':  rho_M (x) id  minus  (flip to front) id (x) rho_M'
@@ -907,11 +738,10 @@ def cotensor(m, m2):
         i, j = t
         out = {}
         for (hh, mi), x in m.coaction[i].items():
-            out[(hh, mi, j)] = x
+            add_into(f, out, (hh, mi, j), x)
         for (hh, mj), x in m2.coaction[j].items():
-            key = (hh, i, mj)
-            out[key] = f.sub(out.get(key, f.zero), x)
-        return {k: v for k, v in out.items() if not f.is_zero(v)}
+            add_into(f, out, (hh, i, mj), f.neg(x))
+        return out
     mat = build_matrix(f, [m.dim, m2.dim], [hd, m.dim, m2.dim], image)
     return mat.kernel_basis()
 
@@ -971,12 +801,7 @@ def cotensor_is_submodule(m, m2):
                 u2 = m2.act(_unit_vec(f, h2), _unit_vec(f, t[1]))
                 for i, x in u1.items():
                     for j, y in u2.items():
-                        key = (i, j)
-                        r = f.add(out.get(key, f.zero), f.mul(v, f.mul(x, y)))
-                        if f.is_zero(r):
-                            out.pop(key, None)
-                        else:
-                            out[key] = r
+                        add_into(f, out, (i, j), f.mul(v, f.mul(x, y)))
             return out
         mat = build_matrix(f, dims, dims, image)
         for b in sub.basis:
@@ -1105,8 +930,7 @@ def tensor_modcomodule(m1, m2, hh=None):
 
 def tensor_comodule_coalgebra(z1, z2):
     """Z (x) Z' over the shared H, coacting by the product of the two legs."""
-    if z1.hopf is not z2.hopf and z1.hopf.dim != z2.hopf.dim:
-        raise HopfMismatch("tensor comodule coalgebra across different Hopf algebras")
+    require_same_hopf(z1.hopf, z2.hopf, "tensor comodule coalgebra")
     f = z1.field
     h = z1.hopf
     d2 = z2.coalgebra.dim
@@ -1118,12 +942,7 @@ def tensor_comodule_coalgebra(z1, z2):
             for (h1, p), x in z1.coaction[i].items():
                 for (h2, q), y in z2.coaction[j].items():
                     for hk, hv in h.multiply(_unit_vec(f, h1), _unit_vec(f, h2)).items():
-                        key = (hk, p * d2 + q)
-                        r = f.add(out.get(key, f.zero), f.mul(f.mul(x, y), hv))
-                        if f.is_zero(r):
-                            out.pop(key, None)
-                        else:
-                            out[key] = r
+                        add_into(f, out, (hk, p * d2 + q), f.mul(f.mul(x, y), hv))
             coaction[i * d2 + j] = out
     return ComoduleCoalgebra(h, co, coaction,
                              name="%s (x) %s" % (z1.name or "Z", z2.name or "Z'"))
@@ -1136,8 +955,7 @@ def balanced_tensor_modcomodule(m1, m2):
     the product of the two legs; both are verified to descend.  Returns
     (module, projection, section) so callers can map ambient tensors down.
     """
-    if m1.hopf is not m2.hopf and m1.hopf.dim != m2.hopf.dim:
-        raise HopfMismatch("balanced tensor across different Hopf algebras")
+    require_same_hopf(m1.hopf, m2.hopf, "balanced tensor")
     f = m1.field
     h = m1.hopf
     dm2 = m2.dim
@@ -1148,14 +966,11 @@ def balanced_tensor_modcomodule(m1, m2):
             for j in range(dm2):
                 vec = {}
                 for p, x in m1.action[(hh, i)].items():
-                    vec[p * dm2 + j] = f.add(vec.get(p * dm2 + j, f.zero), x)
+                    add_into(f, vec, p * dm2 + j, x)
                 for q, y in m2.action[(hh, j)].items():
-                    k = i * dm2 + q
-                    vec[k] = f.sub(vec.get(k, f.zero), y)
-                vec = {k: v for k, v in vec.items() if not f.is_zero(v)}
+                    add_into(f, vec, i * dm2 + q, f.neg(y))
                 if vec:
                     sub.add_vector(vec)
-    from .linalg import quotient_space
     dim, proj, sect = quotient_space(total, sub)
     action = {}
     for hh in range(h.dim):

@@ -383,27 +383,11 @@ def quotient_space(ambient_dim, sub):
     return dim, Matrix(f, dim, ambient_dim, proj), Matrix(f, ambient_dim, dim, sect)
 
 
-class GradedOperatorSystem:
-    """Finite family of spaces indexed by degree plus operators between them."""
-
-    def __init__(self, spaces, operators=()):
-        self.spaces = dict(spaces)                 # degree -> dimension
-        self.operators = []                        # (src_degree, tgt_degree, Matrix)
-        for src, tgt, m in operators:
-            self.add_operator(src, tgt, m)
-
-    def add_operator(self, src, tgt, m):
-        if src in self.spaces and m.cols != self.spaces[src]:
-            raise ShapeMismatch("operator source dim %d, space dim %d" % (m.cols, self.spaces[src]))
-        if tgt in self.spaces and m.rows != self.spaces[tgt]:
-            raise ShapeMismatch("operator target dim %d, space dim %d" % (m.rows, self.spaces[tgt]))
-        self.operators.append((src, tgt, m))
-
-
 def operator_closure(field, seeds, ops, max_degree, buffer=1):
     """Smallest graded subspace containing seeds, closed under the operators.
 
-    seeds: degree -> iterable of dict-vectors.  ops: GradedOperatorSystem.
+    seeds: degree -> iterable of dict-vectors.  ops: (source degree, target
+    degree, Matrix) triples; the matrix shapes give the space dimensions.
     Operators whose source or target exceed max_degree + buffer are ignored.
     Dimensions are finite and grow monotonely, so the loop terminates; the
     returned family is a fixpoint (one more full pass adds nothing).
@@ -411,7 +395,13 @@ def operator_closure(field, seeds, ops, max_degree, buffer=1):
     if buffer < 1:
         raise ValueError("buffer must be >= 1")
     top = max_degree + buffer
-    spaces = {n: Subspace(field, ops.spaces[n]) for n in ops.spaces if n <= top}
+    dims = {}
+    for src, tgt, m in ops:
+        for n, d in ((src, m.cols), (tgt, m.rows)):
+            if dims.setdefault(n, d) != d:
+                raise ShapeMismatch("operator dim %d, space %d has dim %d"
+                                    % (d, n, dims[n]))
+    spaces = {n: Subspace(field, d) for n, d in dims.items() if n <= top}
     queue = []
     for n, vecs in seeds.items():
         if n not in spaces:
@@ -420,7 +410,7 @@ def operator_closure(field, seeds, ops, max_degree, buffer=1):
             if spaces[n].add_vector(v):
                 queue.append((n, dict(v)))
     # worklist: whenever a space grows, push the new vector through all ops
-    active = [(src, tgt, m) for (src, tgt, m) in ops.operators
+    active = [(src, tgt, m) for (src, tgt, m) in ops
               if src <= top and tgt <= top and src in spaces and tgt in spaces]
     by_src = {}
     for src, tgt, m in active:

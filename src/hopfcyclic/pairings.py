@@ -10,24 +10,22 @@ are realized by pulling evaluation covectors back along these morphisms.
 
 from itertools import product as iproduct
 
-from .linalg import Matrix, Subspace, ShapeMismatch, add_into
+from .linalg import Matrix, ShapeMismatch, add_into
 from .tensors import flatten, unflatten, prod
-from .hopf import (ModuleCoalgebra, HopfMismatch, CompatibilityFailure,
-                   check_equivariant, check_sayd, is_commutative,
-                   is_symmetric_module, tensor_hopf, tensor_module_algebra,
-                   tensor_modcomodule, tensor_comodule_coalgebra,
-                   balanced_tensor_modcomodule, crossed_product_algebra,
-                   crossed_product_coalgebra)
-from .cyclic import (CHAIN, COCHAIN, ParaCyclicModule, ModuleMorphism,
+from .hopf import (ModuleCoalgebra, check_equivariant, check_sayd,
+                   is_commutative, is_symmetric_module, require_same_hopf,
+                   tensor_hopf, tensor_module_algebra, tensor_modcomodule,
+                   tensor_comodule_coalgebra, balanced_tensor_modcomodule,
+                   crossed_product_algebra, crossed_product_coalgebra, _vec_eq)
+from .cyclic import (CHAIN, COCHAIN, ModuleMorphism,
                      DescentFailure, NotSAYD, cyc_algebra, cyc_coalgebra,
                      cover_algebra, cover_coalgebra, compute_J,
                      quotient_module, coinvariants, truncate,
                      hopf_cocyclic_comodule_algebra,
                      hopf_cyclic_comodule_coalgebra,
                      diag_hom, diag_tensor)
-from .homology import (transpose_module, mixed_of_cyclic, cyclic_bicomplex,
-                       hochschild_b, _lambda, _total_of_mixed,
-                       _total_of_bicomplex)
+from .homology import (hochschild_b, total_complex, _as_cochain, _lambda,
+                       _cohomology_at)
 
 
 class NotEquivariant(Exception):
@@ -87,23 +85,12 @@ def coefficient_complex(c_or_a, m, N, level="C", buffer=2):
     return truncate(coinvariants(q), N)
 
 
-def _vec_eq(field, u, v):
-    for k in set(u) | set(v):
-        if not field.is_zero(field.sub(u.get(k, field.zero), v.get(k, field.zero))):
-            return False
-    return True
-
-
 def _tensor_step(field, terms, piece):
     """Extend {tuple: coeff} by one tensor slot drawn from dict-vector piece."""
     out = {}
     for key, v in terms.items():
         for idx, w in piece.items():
-            c = field.add(out.get(key + (idx,), field.zero), field.mul(v, w))
-            if field.is_zero(c):
-                out.pop(key + (idx,), None)
-            else:
-                out[key + (idx,)] = c
+            add_into(field, out, key + (idx,), field.mul(v, w))
     return out
 
 
@@ -118,12 +105,7 @@ def _iter_coaction(field, coaction, idx, times):
         nxt = {}
         for legs, i, c in cur:
             for (h, j), v in coaction[i].items():
-                key = (legs + (h,), j)
-                w = field.add(nxt.get(key, field.zero), field.mul(c, v))
-                if field.is_zero(w):
-                    nxt.pop(key, None)
-                else:
-                    nxt[key] = w
+                add_into(field, nxt, (legs + (h,), j), field.mul(c, v))
         cur = [(k[0], k[1], v) for k, v in nxt.items()]
     return cur
 
@@ -157,8 +139,7 @@ class CochainClass:
     """
 
     def __init__(self, module, degree, components, model="mixed", name=None):
-        if module.orientation == CHAIN:
-            module = transpose_module(module)
+        module = _as_cochain(module)
         if model not in ("mixed", "bicomplex"):
             raise ValueError("model must be 'mixed' or 'bicomplex'")
         self.module = module
@@ -170,10 +151,7 @@ class CochainClass:
 
     def _total_data(self):
         if self._totals is None:
-            if self.model == "mixed":
-                self._totals = _total_of_mixed(mixed_of_cyclic(self.module))
-            else:
-                self._totals = _total_of_bicomplex(cyclic_bicomplex(self.module))
+            self._totals = total_complex(self.module, self.model)
         return self._totals
 
     def total_vector(self):
@@ -208,14 +186,7 @@ class CochainClass:
         _, diffs, comps, offs = self._total_data()
         img = diffs[self.degree].apply(self.total_vector())
         deg = self.degree + 1
-        parts = {}
-        for key in comps[deg]:
-            off = offs[deg][key]
-            size = (self.module.spaces[key] if self.model == "mixed"
-                    else self.module.spaces[key[1]])
-            vec = {i - off: v for i, v in img.items() if off <= i < off + size}
-            if vec:
-                parts[key] = vec
+        parts = _components(self.module, self.model, comps, offs, deg, img)
         return CochainClass(self.module, deg, parts, model=self.model,
                             name="d(%s)" % (self.name or "class"))
 
@@ -237,6 +208,18 @@ class CochainClass:
                            other.components.get(key, {})):
                 return False
         return True
+
+
+def _components(module, model, comps, offs, deg, vec):
+    """A degree-deg total-complex vector split into its nonzero blocks."""
+    parts = {}
+    for key in comps[deg]:
+        off = offs[deg][key]
+        size = module.spaces[key if model == "mixed" else key[1]]
+        part = {i - off: v for i, v in vec.items() if off <= i < off + size}
+        if part:
+            parts[key] = part
+    return parts
 
 
 def from_cyclic_cocycle(module, p, vec, model="mixed", check=True, name=None):
@@ -263,7 +246,7 @@ def from_cyclic_cocycle(module, p, vec, model="mixed", check=True, name=None):
 
 def cyclic_cocycles(module, p):
     """Basis of single-degree cyclic cocycles: ker b intersect ker(1 - lambda)."""
-    mod = transpose_module(module) if module.orientation == CHAIN else module
+    mod = _as_cochain(module)
     f = mod.field
     d = mod.spaces[p]
     b = hochschild_b(mod, p)
@@ -279,24 +262,12 @@ def cyclic_cocycles(module, p):
 
 def classes_from_cohomology(module, p, model="mixed"):
     """Representative classes of the degree-p cohomology of a model."""
-    mod = transpose_module(module) if module.orientation == CHAIN else module
-    if model == "mixed":
-        dims, diffs, comps, offs = _total_of_mixed(mixed_of_cyclic(mod))
-    else:
-        dims, diffs, comps, offs = _total_of_bicomplex(cyclic_bicomplex(mod))
-    from .homology import _cohomology_at
+    mod = _as_cochain(module)
+    dims, diffs, comps, offs = total_complex(mod, model)
     _, reps = _cohomology_at(mod.field, dims, diffs, p)
-    out = []
-    for rep in reps:
-        parts = {}
-        for key in comps[p]:
-            off = offs[p][key]
-            size = mod.spaces[key] if model == "mixed" else mod.spaces[key[1]]
-            vec = {i - off: v for i, v in rep.items() if off <= i < off + size}
-            if vec:
-                parts[key] = vec
-        out.append(CochainClass(mod, p, parts, model=model))
-    return out
+    return [CochainClass(mod, p, _components(mod, model, comps, offs, p, rep),
+                         model=model)
+            for rep in reps]
 
 
 class InvariantTrace:
@@ -375,7 +346,7 @@ def alpha(pairing, m, N, x_mod=None, y_mod=None, level="C", buffer=2,
         y_mod = coefficient_complex(pairing.alg, m, N, level, buffer)
     f = pairing.field
     _, px, sx = _tower(x_mod)
-    _, py, sy = _tower(y_mod)
+    _, py, _ = _tower(y_mod)
     da = pairing.alg.algebra.dim
     dc = pairing.coalg.coalgebra.dim
     dm = m.dim
@@ -418,8 +389,7 @@ def beta(ma, ca, m, N, y_mod=None, buffer=2):
     accumulated coaction legs of b^0..b^{j-1} and feeds the coaction
     residues (and the untouched b^n) to the colinear map f.
     """
-    if ma.hopf is not ca.hopf and ma.hopf.dim != ca.hopf.dim:
-        raise HopfMismatch("crossed product across different Hopf algebras")
+    require_same_hopf(ma.hopf, ca.hopf, "crossed product")
     bad = check_sayd(m)
     if bad:
         raise NotSAYD("; ".join(bad))
@@ -483,8 +453,7 @@ def xi(zc, mc, m, N, y_mod=None, buffer=2, check=True):
     of the input and the coinvariance relations, so ambient agreement
     is not expected).
     """
-    if zc.hopf is not mc.hopf and zc.hopf.dim != mc.hopf.dim:
-        raise HopfMismatch("cocrossed product across different Hopf algebras")
+    require_same_hopf(zc.hopf, mc.hopf, "cocrossed product")
     bad = check_sayd(m)
     if bad:
         raise NotSAYD("; ".join(bad))
@@ -709,11 +678,7 @@ def crossed_cocup_with_invariant(cls, g0, xi_mor, check=True):
     for idx, v in flat.items():
         yi, xj = divmod(idx, dim_x)
         if xj in g:
-            w = f.add(out.get(yi, f.zero), f.mul(v, g[xj]))
-            if f.is_zero(w):
-                out.pop(yi, None)
-            else:
-                out[yi] = w
+            add_into(f, out, yi, f.mul(v, g[xj]))
     return from_cyclic_cocycle(y_mod, p, out, check=check,
                                name="cocup(%s)" % (cls.name or "class"))
 

@@ -44,23 +44,3 @@ def build_matrix(field, src_dims, tgt_dims, image):
             add_into(field, ent, (flatten(tt, tgt_dims), col), v)
     return Matrix(field, tgt_total, src_total, ent)
 
-
-def tensor_vecs(field, u, v):
-    """Tensor product of two multi-index keyed dict-vectors."""
-    out = {}
-    for ku, xu in u.items():
-        if not isinstance(ku, tuple):
-            ku = (ku,)
-        for kv, xv in v.items():
-            if not isinstance(kv, tuple):
-                kv = (kv,)
-            out[ku + kv] = field.mul(xu, xv)
-    return out
-
-
-def as_tuple_keys(vec):
-    return {k if isinstance(k, tuple) else (k,): v for k, v in vec.items()}
-
-
-def flatten_vec(vec, dims):
-    return {flatten(k, dims): v for k, v in as_tuple_keys(vec).items()}

@@ -123,3 +123,22 @@ def test_fixture_library_is_reproducible(lib, tmp_path):
 def test_sequential_flag_is_accepted(lib):
     assert main(["check", str(lib / "hopf-kz2.json"),
                  "--sequential"]) == EXIT_OK
+
+
+def test_build_without_coefficients_is_usage_error(lib):
+    assert main(["build", str(lib / "module-algebra-dual-numbers.json")]) \
+        == EXIT_USAGE
+
+
+def test_compare_across_hopf_algebras_is_usage_error(lib, tmp_path):
+    from hopfcyclic import QQ, trivial_modcomodule
+    from hopfcyclic import fixtures as fx
+    from hopfcyclic.io import save
+    kz3 = tmp_path / "modcomodule-trivial-kz3.json"
+    save(trivial_modcomodule(fx.group_algebra(QQ, 3)), str(kz3))
+    report = tmp_path / "report.json"
+    assert main(["compare", str(lib / "module-coalgebra-kz2-regular.json"),
+                 "--coefficients", str(kz3),
+                 "--output", str(report)]) == EXIT_USAGE
+    rep = json.loads(report.read_text())
+    assert rep["ok"] is False and "Hopf" in rep["error"]

@@ -1,5 +1,7 @@
 """Simplicial/cyclic axioms and the equivariant quotient tower."""
 
+import re
+
 import pytest
 
 from hopfcyclic import (QQ, Matrix, check_axioms, constant_modules,
@@ -171,3 +173,27 @@ def test_tau_inv_lets_other_errors_through(monkeypatch):
     monkeypatch.setattr(Matrix, "inverse", broken)
     with pytest.raises(TypeError, match="bug inside inverse"):
         _module_with_tau(Matrix.identity(QQ, 2)).tau_inv(0)
+
+
+def _corrupt_face(x, key):
+    """x with one face changed by E_00: the identities through it break."""
+    m = x.faces[key]
+    x.faces[key] = m + Matrix(x.field, m.rows, m.cols, {(0, 0): x.field.one})
+    return x
+
+
+def test_check_axioms_names_a_broken_chain_face():
+    x = _corrupt_face(cyc_algebra(fx.dual_numbers_algebra(), 4), (2, 1))
+    report = check_axioms(x)
+    assert report
+    assert any(re.search(r"\bd[_^]\d+ d[_^]\d+ !=", line) for line in report)
+
+
+def test_check_axioms_names_every_identity_a_cochain_face_breaks(kz2):
+    x = _corrupt_face(cyc_coalgebra(kz2.coalgebra, 3), (1, 1))
+    assert check_axioms(x) == [
+        "d^1 d^0 != d^0 d^0 at n=0", "d^2 d^1 != d^1 d^1 at n=0",
+        "d^2 d^0 != d^0 d^1 at n=1", "d^3 d^1 != d^1 d^2 at n=1",
+        "s^0 d^1 != id at n=1", "s^1 d^1 != id at n=1",
+        "tau d^1 != d^0 tau at n=1", "tau d^2 != d^1 tau at n=1",
+        "s^2 d^1 != d^1 s^1 at n=2", "s^0 d^2 != d^1 s^0 at n=2"]

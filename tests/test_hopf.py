@@ -170,3 +170,11 @@ def test_modular_pair_module_is_one_dimensional(kz2, pair_g):
     assert pair_g.dim == 1
     assert check_structure(pair_g) == []
     assert trivial_modcomodule(kz2).dim == 1
+
+
+def test_inputs_over_different_hopf_algebras_of_equal_dimension_are_rejected():
+    from hopfcyclic import HopfMismatch, hopf_cyclic_complex
+    mc = fx.regular_module_coalgebra(fx.group_algebra(QQ, 4))
+    m = trivial_modcomodule(fx.sweedler_hopf(QQ))
+    with pytest.raises(HopfMismatch):
+        hopf_cyclic_complex(mc, m, 2)

@@ -1,0 +1,69 @@
+"""Every function, class and method in the package has a user.
+
+A definition counts as used when its name appears as a `Name` or an
+`Attribute` somewhere in src, tests, demos or bench, outside the
+definition's own body.  Dunders and the names `hopfcyclic/__init__.py`
+exports are exempt.  Standard library only.
+"""
+
+import ast
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "hopfcyclic")
+SEARCHED = [os.path.join(ROOT, d) for d in ("src", "tests", "demos", "bench")]
+
+
+def _python_files(top):
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames[:] = [d for d in dirnames if not d.startswith(".")
+                       and d != "__pycache__"]
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                yield os.path.join(dirpath, name)
+
+
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _uses(tree):
+    """(name, line) for every Name and Attribute in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def _definitions(tree):
+    """(name, first line, last line) of every def and class in tree."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in ast.walk(tree):
+        if isinstance(node, kinds):
+            yield node.name, node.lineno, node.end_lineno
+
+
+def _exported():
+    tree = _parse(os.path.join(PACKAGE, "__init__.py"))
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_every_definition_has_a_user():
+    uses = {}        # name -> [(path, line)]
+    for top in SEARCHED:
+        for path in _python_files(top):
+            for name, line in _uses(_parse(path)):
+                uses.setdefault(name, []).append((path, line))
+    exempt = _exported()
+    dead = []
+    for path in _python_files(PACKAGE):
+        for name, first, last in _definitions(_parse(path)):
+            if name in exempt or (name.startswith("__") and name.endswith("__")):
+                continue
+            if not any(p != path or not first <= line <= last
+                       for p, line in uses.get(name, ())):
+                dead.append("%s:%d %s" % (os.path.relpath(path, ROOT), first, name))
+    assert dead == [], "nothing calls: " + ", ".join(dead)
