@@ -182,9 +182,17 @@ def _main_module(obj, m, N, buffer):
     return hopf_cyclic_complex(obj, m, N, buffer=buffer)
 
 
+def _require_stable(stable_range):
+    """A table with no degree in its stable range certifies nothing."""
+    if stable_range < 0:
+        raise UsageError("--degree is too small: no cohomology degree is in "
+                         "the stable range (n <= %d)" % stable_range)
+
+
 def _compare(mod):
     """Print both models' tables and their verdict; (exit code, report)."""
     res = compare_models(mod)
+    _require_stable(res["stable_range"])
     print(res["bicomplex"].text())
     print()
     print(res["mixed"].text())
@@ -203,6 +211,7 @@ def cmd_cohomology(args):
     if args.model == "both":
         return _compare(mod)
     table = cohomology_table(mod, args.model)
+    _require_stable(table.stable_range)
     print(table.text())
     return EXIT_OK, {"ok": True, "table": table.as_dict()}
 

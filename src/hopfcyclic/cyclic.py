@@ -599,7 +599,8 @@ def _descend(t, sub, keep_h=True, name=None):
             if proj[tgt].apply(m.apply(b)):
                 raise DescentFailure("%s does not preserve the subspace "
                                      "(degree %d)" % (tag, src))
-        return proj[tgt] * m * sect[src]
+        # m * sect only picks columns of m, so form it before the projection
+        return proj[tgt] * (m * sect[src])
 
     faces = {}
     degs = {}

@@ -99,6 +99,7 @@ class Bicomplex:
 
     def violations(self):
         products = {}
+        sums = {}
 
         def mul(a, b):
             # columns often repeat (the cyclic bicomplex has period 2), so
@@ -107,6 +108,13 @@ class Bicomplex:
             if key not in products:
                 products[key] = a * b
             return products[key]
+
+        def anticommutator(v1, h0, h1, v0):
+            # v1 h0 + h1 v0, formed once per quadruple of operand objects
+            key = (id(v1), id(h0), id(h1), id(v0))
+            if key not in sums:
+                sums[key] = mul(v1, h0) + mul(h1, v0)
+            return sums[key]
 
         bad = []
         for (p, q) in self.spaces:
@@ -120,8 +128,8 @@ class Bicomplex:
                     bad.append("vertical d^2 != 0 at (%d,%d)" % (p, q))
             if (p, q) in self.horiz and (p, q) in self.vert \
                     and (p + 1, q + 1) in self.spaces:
-                anti = mul(self.vert[(p + 1, q)], self.horiz[(p, q)]) \
-                    + mul(self.horiz[(p, q + 1)], self.vert[(p, q)])
+                anti = anticommutator(self.vert[(p + 1, q)], self.horiz[(p, q)],
+                                      self.horiz[(p, q + 1)], self.vert[(p, q)])
                 if not anti.is_zero():
                     bad.append("square does not anticommute at (%d,%d)" % (p, q))
         return bad

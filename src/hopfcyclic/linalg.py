@@ -5,10 +5,13 @@ Matrices are sparse maps (row, col) -> nonzero scalar.  Every elimination
 Gauss-Jordan on row dicts that pivots each column on the shortest row
 holding it, so fill-in stays low and no dense copy is ever made.  A
 matrix is read-only once applied: the first apply caches a column index
-and freezes the entries.  Subspaces are kept as reduced echelon bases so
-membership tests and quotients are cheap.
+and freezes the entries.  Subspaces are kept as fully reduced echelon
+bases: each basis vector is 1 at its pivot and 0 at every other pivot, so
+reducing a vector is one pass over the pivots in its support, and a
+quotient projection is read off the basis without reducing anything.
 """
 
+from bisect import bisect_left
 from types import MappingProxyType
 
 
@@ -287,10 +290,11 @@ def kernel_basis(m):
 
 
 class Subspace:
-    """Subspace of k^n kept as a reduced echelon basis.
+    """Subspace of k^n kept as a fully reduced echelon basis.
 
-    Basis vectors are dict-vectors; pivot columns strictly increase and
-    each pivot entry is 1 with zeros above and below.
+    Basis vectors are dict-vectors; pivot columns strictly increase, each
+    basis vector b_p is 1 at its own pivot p, 0 at every other pivot, and
+    has no entry left of p.  `_by_pivot` maps p to b_p.
     """
 
     def __init__(self, field, ambient_dim):
@@ -298,6 +302,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = []      # list of dict-vectors
         self.pivots = []     # pivot index per basis vector, sorted
+        self._by_pivot = {}  # pivot -> basis vector
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
@@ -311,14 +316,25 @@ class Subspace:
         return len(self.basis)
 
     def reduce(self, vec):
-        """Residual of vec modulo the subspace."""
+        """Residual of vec modulo the subspace.
+
+        The basis is fully reduced, so the residual is vec - sum vec[p] b_p
+        over the pivots p in the support of vec, built in one pass.
+        """
         f = self.field
-        v = dict(vec)
-        for piv, b in zip(self.pivots, self.basis):
-            c = v.get(piv)
-            if c is not None and not f.is_zero(c):
-                v = vec_sub(f, v, vec_scale(f, c, b))
-        return v
+        by_pivot = self._by_pivot
+        out = dict(vec)
+        for p, c in vec.items():
+            b = by_pivot.get(p)
+            if b is None or f.is_zero(c):
+                continue
+            for j, x in b.items():
+                y = f.sub(out.get(j, f.zero), f.mul(c, x))
+                if f.is_zero(y):
+                    out.pop(j, None)
+                else:
+                    out[j] = y
+        return out
 
     def contains(self, vec):
         return not self.reduce(vec)
@@ -331,22 +347,25 @@ class Subspace:
             return False
         piv = min(v)
         v = vec_scale(f, f.inv(v[piv]), v)
-        # clear the new pivot from existing basis vectors
-        for i, b in enumerate(self.basis):
+        pos = bisect_left(self.pivots, piv)
+        # clear the new pivot from the basis vectors that can hold it: those
+        # with an earlier pivot
+        for i in range(pos):
+            b = self.basis[i]
             c = b.get(piv)
             if c is not None and not f.is_zero(c):
-                self.basis[i] = vec_sub(f, b, vec_scale(f, c, v))
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < piv:
-            pos += 1
+                b = self.basis[i] = vec_sub(f, b, vec_scale(f, c, v))
+                self._by_pivot[self.pivots[i]] = b
         self.pivots.insert(pos, piv)
         self.basis.insert(pos, v)
+        self._by_pivot[piv] = v
         return True
 
     def copy(self):
         s = Subspace(self.field, self.ambient_dim)
         s.basis = [dict(b) for b in self.basis]
         s.pivots = list(self.pivots)
+        s._by_pivot = dict(zip(s.pivots, s.basis))
         return s
 
     def basis_matrix(self):
@@ -363,22 +382,27 @@ def quotient_space(ambient_dim, sub):
 
     Returns (dim, projection, section) with projection*section = id on the
     quotient and kernel(projection) = sub.  Quotient coordinates are the
-    non-pivot coordinates of the ambient space.
+    non-pivot coordinates of the ambient space.  The projection is read off
+    the reduced basis: a non-pivot e_i maps to its own coordinate and a
+    pivot e_p to -b_p restricted to the non-pivots.
     """
     if sub.ambient_dim != ambient_dim:
         raise ShapeMismatch("subspace of dim-%d space inside dim-%d quotient"
                             % (sub.ambient_dim, ambient_dim))
     f = sub.field
-    nonpivots = [i for i in range(ambient_dim) if i not in set(sub.pivots)]
+    by_pivot = sub._by_pivot
+    nonpivots = [i for i in range(ambient_dim) if i not in by_pivot]
     dim = len(nonpivots)
     pos = {i: q for q, i in enumerate(nonpivots)}
-    # projection of e_i: reduce e_i mod sub, read off non-pivot coords
     proj = {}
     for i in range(ambient_dim):
-        res = sub.reduce({i: f.one})
-        for j, v in res.items():
-            if j in pos:
-                proj[(pos[j], i)] = v
+        b = by_pivot.get(i)
+        if b is None:
+            proj[(pos[i], i)] = f.one
+            continue
+        for j, v in b.items():
+            if j != i:
+                proj[(pos[j], i)] = f.neg(v)
     sect = {(i, q): f.one for q, i in enumerate(nonpivots)}
     return dim, Matrix(f, dim, ambient_dim, proj), Matrix(f, ambient_dim, dim, sect)
 

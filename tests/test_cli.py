@@ -142,3 +142,18 @@ def test_compare_across_hopf_algebras_is_usage_error(lib, tmp_path):
                  "--output", str(report)]) == EXIT_USAGE
     rep = json.loads(report.read_text())
     assert rep["ok"] is False and "Hopf" in rep["error"]
+
+
+@pytest.mark.parametrize("argv", [["cohomology"],
+                                  ["cohomology", "--model", "both"],
+                                  ["compare"]],
+                         ids=["cohomology", "cohomology-both", "compare"])
+def test_empty_stable_range_is_usage_error(lib, tmp_path, argv, capsys):
+    # --degree 1 leaves the stable range n <= -1: an empty table certifies
+    # nothing, so it is refused instead of printed with exit 0
+    report = tmp_path / "report.json"
+    assert main(argv[:1] + [str(lib / "hopf-kz2.json")] + argv[1:]
+                + ["--degree", "1", "--output", str(report)]) == EXIT_USAGE
+    assert "agree" not in capsys.readouterr().out
+    rep = json.loads(report.read_text())
+    assert rep["ok"] is False and "stable range" in rep["error"]

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from hopfcyclic import QQ, GF, field_by_name, Matrix, Subspace, quotient_space
 from hopfcyclic.linalg import (SingularMatrix, kernel_basis, vec_add,
@@ -209,3 +209,106 @@ def test_vector_helpers():
     assert vec_add(f, u, v) == {1: f(3)}
     assert vec_sub(f, u, u) == {}
     assert vec_scale(f, f.zero, v) == {}
+
+
+def reference_reduce(sub, vec):
+    """Residual by walking every basis vector in pivot order, rebuilding
+    the vector at each hit: the earlier Subspace.reduce."""
+    f = sub.field
+    v = dict(vec)
+    for piv, b in zip(sub.pivots, sub.basis):
+        c = v.get(piv)
+        if c is not None and not f.is_zero(c):
+            v = vec_sub(f, v, vec_scale(f, c, b))
+    return v
+
+
+def reference_projection(sub):
+    """Projection onto the non-pivot coordinates by reducing every unit
+    vector: the earlier quotient_space."""
+    f = sub.field
+    n = sub.ambient_dim
+    nonpivots = [i for i in range(n) if i not in set(sub.pivots)]
+    pos = {i: q for q, i in enumerate(nonpivots)}
+    proj = {}
+    for i in range(n):
+        for j, v in reference_reduce(sub, {i: f.one}).items():
+            if j in pos:
+                proj[(pos[j], i)] = v
+    return Matrix(f, len(nonpivots), n, proj)
+
+
+def vectors_rank(field, n, vectors):
+    entries = {(k, i): x for k, v in enumerate(vectors) for i, x in v.items()}
+    return dense_rank_oracle(field, len(vectors), n, entries) if vectors else 0
+
+
+def assert_reduced_echelon(sub):
+    f = sub.field
+    assert len(sub.basis) == len(sub.pivots) == sub.dim
+    assert all(p < q for p, q in zip(sub.pivots, sub.pivots[1:]))
+    for p, b in zip(sub.pivots, sub.basis):
+        assert min(b) == p and b[p] == f.one
+        assert not any(q in b for q in sub.pivots if q != p)
+        assert not any(f.is_zero(x) for x in b.values())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+# no explain phase: on a failure it replays this many-draw example for
+# minutes before reporting it
+@settings(max_examples=40, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(data=st.data())
+def test_subspace_against_walk_every_basis_reference(field, data):
+    """One-pass reduce and the basis-read projection match the earlier
+    walk-every-basis code, and the basis stays fully reduced."""
+    n = data.draw(st.integers(1, 8))
+
+    def draw_vector():
+        if added and data.draw(st.booleans()):
+            # a combination of vectors already added: never grows the span
+            v = {}
+            for u in added:
+                v = vec_add(field, v, vec_scale(field, data.draw(
+                    small_entries(field)), u))
+            return v
+        v = data.draw(st.dictionaries(st.integers(0, n - 1),
+                                      small_entries(field), max_size=n))
+        return {i: x for i, x in v.items() if not field.is_zero(x)}
+
+    sub = Subspace(field, n)
+    added = []
+    for _ in range(data.draw(st.integers(0, 10))):
+        v = draw_vector()
+        before = vectors_rank(field, n, added)
+        added.append(v)
+        assert sub.add_vector(v) == (vectors_rank(field, n, added) > before)
+        assert_reduced_echelon(sub)
+    assert sub.dim == vectors_rank(field, n, added)
+
+    for _ in range(4):
+        v = draw_vector()
+        assert sub.reduce(v) == reference_reduce(sub, v)
+        assert sub.contains(v) == \
+            (vectors_rank(field, n, added + [v]) == sub.dim)
+
+    dim, proj, sect = quotient_space(n, sub)
+    assert dim == n - sub.dim
+    assert proj == reference_projection(sub)
+    assert proj * sect == Matrix.identity(field, dim)
+    for b in sub.basis:
+        assert not proj.apply(b)
+
+    # a copy grows on its own, and the original stays as it was
+    pivots, basis = list(sub.pivots), [dict(b) for b in sub.basis]
+    twin = sub.copy()
+    assert twin == sub
+    free = [i for i in range(n) if not sub.contains({i: field.one})]
+    if free:
+        e = {free[-1]: field.one}
+        assert twin.add_vector(e)
+        assert_reduced_echelon(twin)
+        assert twin.contains(e) and not sub.contains(e)
+        assert twin.dim == sub.dim + 1
+    assert sub.pivots == pivots and sub.basis == basis
+    assert_reduced_echelon(sub)
