@@ -21,6 +21,7 @@ from .cyclic import (ParaCyclicModule, ModuleMorphism, check_axioms,
                      cyc_coalgebra, cover_algebra, cover_coalgebra,
                      compute_J, quotient_module, coinvariants, truncate,
                      hopf_cyclic_complex, hopf_cocyclic_comodule_algebra,
+                     hopf_cyclic_complex as coefficient_complex,
                      hopf_cyclic_comodule_coalgebra, cyclic_dual,
                      diag_hom, diag_tensor, NotSAYD, DescentFailure)
 from .homology import (mixed_of_cyclic, cyclic_bicomplex, cohomology,
@@ -32,7 +33,7 @@ from .pairings import (CochainClass, InvariantTrace, invariant_traces,
                        pullback, pushforward, cup_with_trace,
                        crossed_cup_with_trace, crossed_cocup_with_invariant,
                        cm_char_map, evaluation_covector,
-                       diag_tensor_epi_check, coefficient_complex,
+                       diag_tensor_epi_check,
                        NotEquivariant, NotCocycle, AgreementFailure,
                        HypothesisFailure)
 from . import fixtures

@@ -99,7 +99,7 @@ def cmd_check(args):
     details, ok = [], True
     for path in paths:
         try:
-            objs.append((path, hio.parse_input(path, validate=False)))
+            objs.append((path, _load(path, args, validate=False)))
         except hio.ParseError as e:
             print("%-44s PARSE ERROR: %s" % (path, e))
             return EXIT_USAGE, {"ok": False, "error": str(e)}
@@ -116,8 +116,13 @@ def cmd_check(args):
     return (EXIT_OK if ok else EXIT_FAIL), {"ok": ok, "checks": details}
 
 
-def _load(path):
-    return hio.parse_input(path)
+def _load(path, args, validate=True):
+    """An input file; a --field given on the command line must be its field."""
+    obj = hio.parse_input(path, validate=validate)
+    if args.field is not None and obj.field != args.field_obj:
+        raise UsageError("%s is over %r, but --field %s was given"
+                         % (path, obj.field, args.field))
+    return obj
 
 
 def _build_modules(obj, m, N, buffer):
@@ -146,8 +151,8 @@ def _build_modules(obj, m, N, buffer):
 
 
 def cmd_build(args):
-    obj = _load(args.file)
-    m = _load(args.coefficients) if args.coefficients else None
+    obj = _load(args.file, args)
+    m = _load(args.coefficients, args) if args.coefficients else None
     if m is not None and not isinstance(m, ModComodule):
         raise UsageError("--coefficients must be a modcomodule file")
     mods = _build_modules(obj, m, args.degree, args.buffer)
@@ -205,8 +210,8 @@ def _compare(mod):
 
 
 def cmd_cohomology(args):
-    obj = _load(args.file)
-    m = _load(args.coefficients) if args.coefficients else None
+    obj = _load(args.file, args)
+    m = _load(args.coefficients, args) if args.coefficients else None
     mod = _main_module(obj, m, args.degree, args.buffer)
     if args.model == "both":
         return _compare(mod)
@@ -217,8 +222,8 @@ def cmd_cohomology(args):
 
 
 def cmd_compare(args):
-    obj = _load(args.file)
-    m = _load(args.coefficients) if args.coefficients else None
+    obj = _load(args.file, args)
+    m = _load(args.coefficients, args) if args.coefficients else None
     mod = _main_module(obj, m, args.degree, args.buffer)
     if args.corrupt_b:
         # negative-control hook: damage one B entry, then re-check the
@@ -245,11 +250,11 @@ def _class_rep(cls):
 
 
 def cmd_char_map(args):
-    pairing = _load(args.file)
+    pairing = _load(args.file, args)
     if not isinstance(pairing, EquivariantPairing):
         raise UsageError("char-map needs a pairing file")
     if args.coefficients:
-        m = _load(args.coefficients)
+        m = _load(args.coefficients, args)
     else:
         m = modular_pair_module(pairing.hopf,
                                 fx.trivial_modular_pair(pairing.hopf))
@@ -379,8 +384,9 @@ def cmd_fixtures(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default="Q",
-                        help="ground field: Q or a prime (default Q)")
+    common.add_argument("--field",
+                        help="ground field: Q or a prime (default Q); an "
+                             "input file must be over this field")
     common.add_argument("--degree", type=int, default=4,
                         help="truncation N, or class degree for char-map")
     common.add_argument("--buffer", type=int, default=2,
@@ -444,7 +450,7 @@ def main(argv=None):
         print("--degree must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     try:
-        args.field_obj = field_by_name(args.field)
+        args.field_obj = QQ if args.field is None else field_by_name(args.field)
     except (ValueError, KeyError):
         print("unknown field %r" % args.field, file=sys.stderr)
         return EXIT_USAGE

@@ -18,7 +18,7 @@ import warnings
 
 from .linalg import (Matrix, Subspace, ShapeMismatch, SingularMatrix,
                      quotient_space, operator_closure, add_into)
-from .tensors import build_matrix, flatten, unflatten, prod
+from .tensors import build_matrix, flatten, unflatten, prod, tensor_step
 from .hopf import (ModuleCoalgebra, CompatibilityFailure, check_sayd,
                    check_comodule_coalgebra, require_same_hopf)
 
@@ -69,6 +69,14 @@ class ParaCyclicModule:
 
     def dim(self, n):
         return self.spaces[n]
+
+    @property
+    def step(self):
+        """Degree shift of a face: -1 for chain, +1 for cochain.
+
+        A degeneracy shifts the degree by -step.
+        """
+        return -1 if self.orientation == CHAIN else 1
 
     def face_indices(self, n):
         """Valid face indices with source degree n (empty if out of range)."""
@@ -138,17 +146,12 @@ class ModuleMorphism:
         degs = sorted(set(self.maps) & set(x.spaces) & set(y.spaces))
         for n in degs:
             fn = self.maps[n]
-            for j in x.face_indices(n):
-                m = n - 1 if x.orientation == CHAIN else n + 1
-                if m not in self.maps:
-                    continue
-                if self.maps[m] * x.faces[(n, j)] != y.faces[(n, j)] * fn:
+            up, down = self.maps.get(n + x.step), self.maps.get(n - x.step)
+            for j in x.face_indices(n) if up is not None else ():
+                if up * x.faces[(n, j)] != y.faces[(n, j)] * fn:
                     bad.append("face (%d,%d)" % (n, j))
-            for i in x.degeneracy_indices(n):
-                m = n + 1 if x.orientation == CHAIN else n - 1
-                if m not in self.maps:
-                    continue
-                if self.maps[m] * x.degeneracies[(n, i)] != y.degeneracies[(n, i)] * fn:
+            for i in x.degeneracy_indices(n) if down is not None else ():
+                if down * x.degeneracies[(n, i)] != y.degeneracies[(n, i)] * fn:
                     bad.append("degeneracy (%d,%d)" % (n, i))
             if fn * x.cyclic[n] != y.cyclic[n] * fn:
                 bad.append("cyclic %d" % n)
@@ -161,19 +164,10 @@ def transpose_module(x):
     Exchanges the chain and cochain orientations with identical indexing.
     """
     orient = COCHAIN if x.orientation == CHAIN else CHAIN
-    faces = {}
-    degs = {}
-    if x.orientation == CHAIN:
-        # d_j: X_n -> X_{n-1} transposes to a coface X*_{n-1} -> X*_n
-        for (n, j), m in x.faces.items():
-            faces[(n - 1, j)] = m.transpose()
-        for (n, i), m in x.degeneracies.items():
-            degs[(n + 1, i)] = m.transpose()
-    else:
-        for (n, j), m in x.faces.items():
-            faces[(n + 1, j)] = m.transpose()
-        for (n, i), m in x.degeneracies.items():
-            degs[(n - 1, i)] = m.transpose()
+    # d_j: X_n -> X_{n+step} transposes to a map X*_{n+step} -> X*_n
+    faces = {(n + x.step, j): m.transpose() for (n, j), m in x.faces.items()}
+    degs = {(n - x.step, i): m.transpose()
+            for (n, i), m in x.degeneracies.items()}
     taus = {n: m.transpose() for n, m in x.cyclic.items()}
     return ParaCyclicModule(x.field, orient, dict(x.spaces), faces, degs, taus,
                             name="dual*(%s)" % (x.name or "X"),
@@ -284,40 +278,59 @@ def constant_modules(field, N):
     return k_co, k_cy
 
 
+def _mul_at(alg, j):
+    """Basis-tuple map multiplying slots j and j+1 of a tensor power of alg."""
+    def im(t):
+        return {t[:j] + (k,) + t[j + 2:]: v
+                for k, v in alg.mul[(t[j], t[j + 1])].items()}
+    return im
+
+
+def _unit_after(alg, j):
+    """Basis-tuple map inserting the unit of alg after slot j."""
+    def im(t):
+        return {t[:j + 1] + (u,) + t[j + 1:]: c for u, c in alg.unit.items()}
+    return im
+
+
+def _comul_first(co):
+    """Basis-tuple map comultiplying slot 0 of a tensor power of co."""
+    def im(t):
+        return {(j, k) + t[1:]: v for (j, k), v in co.comul[t[0]].items()}
+    return im
+
+
+def _counit_second(co):
+    """Basis-tuple map applying the counit of co to slot 1."""
+    f = co.field
+
+    def im(t):
+        e = co.counit.get(t[1], f.zero)
+        return {} if f.is_zero(e) else {(t[0],) + t[2:]: e}
+    return im
+
+
 def cyc_algebra(a, N):
     """Classical cyclic module of a unital associative algebra."""
     f = a.field
     d = a.dim
     spaces = {n: d ** (n + 1) for n in range(N + 1)}
-    faces = {}
-    degeneracies = {}
-    taus = {}
-    for n in range(N + 1):
-        dims = [d] * (n + 1)
 
-        def rot(t):
-            return {(t[n],) + t[:n]: f.one}
+    def rot(t):
+        return {t[-1:] + t[:-1]: f.one}
 
-        taus[n] = build_matrix(f, dims, dims, rot)
-        if n >= 1:
-            tgt = [d] * n
-            for j in range(n + 1):
-                if j < n:
-                    def im(t, j=j):
-                        return {t[:j] + (k,) + t[j + 2:]: v
-                                for k, v in a.mul[(t[j], t[j + 1])].items()}
-                else:
-                    def im(t, j=j):
-                        return {(k,) + t[1:n]: v
-                                for k, v in a.mul[(t[n], t[0])].items()}
-                faces[(n, j)] = build_matrix(f, dims, tgt, im)
-        if n + 1 <= N:
-            tgt = [d] * (n + 2)
-            for j in range(n + 1):
-                def im(t, j=j):
-                    return {t[:j + 1] + (u,) + t[j + 1:]: c
-                            for u, c in a.unit.items()}
-                degeneracies[(n, j)] = build_matrix(f, dims, tgt, im)
+    def wrap(t):
+        # the last face multiplies the last slot into the first
+        return {(k,) + t[1:-1]: v for k, v in a.mul[(t[-1], t[0])].items()}
+
+    def slot_map(n, m, im):
+        return build_matrix(f, [d] * (n + 1), [d] * (m + 1), im)
+
+    taus = {n: slot_map(n, n, rot) for n in spaces}
+    faces = {(n, j): slot_map(n, n - 1, _mul_at(a, j) if j < n else wrap)
+             for n in range(1, N + 1) for j in range(n + 1)}
+    degeneracies = {(n, j): slot_map(n, n + 1, _unit_after(a, j))
+                    for n in range(N) for j in range(n + 1)}
     return ParaCyclicModule(f, CHAIN, spaces, faces, degeneracies, taus,
                             name="Cyc(%s)" % getattr(a, "labels", ["A"])[0],
                             meta={"kind": "cyc_algebra", "factor_dim": d})
@@ -328,25 +341,16 @@ def cyc_coalgebra(c, N):
     f = c.field
     d = c.dim
     spaces = {n: d ** (n + 1) for n in range(N + 1)}
-    taus = {}
-    d0 = {}
-    s0 = {}
-    for n in range(N + 1):
-        dims = [d] * (n + 1)
 
-        def rot(t):
-            return {t[1:] + (t[0],): f.one}
+    def rot(t):
+        return {t[1:] + (t[0],): f.one}
 
-        taus[n] = build_matrix(f, dims, dims, rot)
-        if n + 1 <= N:
-            def im(t):
-                return {(j, k) + t[1:]: v for (j, k), v in c.comul[t[0]].items()}
-            d0[n] = build_matrix(f, dims, [d] * (n + 2), im)
-        if n >= 1:
-            def im(t):
-                e = c.counit.get(t[1], f.zero)
-                return {} if f.is_zero(e) else {(t[0],) + t[2:]: e}
-            s0[n] = build_matrix(f, dims, [d] * n, im)
+    def slot_map(n, m, im):
+        return build_matrix(f, [d] * (n + 1), [d] * (m + 1), im)
+
+    taus = {n: slot_map(n, n, rot) for n in spaces}
+    d0 = {n: slot_map(n, n + 1, _comul_first(c)) for n in range(N)}
+    s0 = {n: slot_map(n, n - 1, _counit_second(c)) for n in range(1, N + 1)}
     x = ParaCyclicModule(f, COCHAIN, spaces, {}, {}, taus,
                          name="Cyc(coalgebra)",
                          meta={"kind": "cyc_coalgebra", "factor_dim": d})
@@ -361,31 +365,26 @@ def _fill_by_conjugation(x, d0, s0):
     is the previous one conjugated once more, so no power is formed.
     """
     chain = x.orientation == CHAIN
-
-    def fill(out, maps, tgt, count):
+    for out, maps, indices, shift in (
+            (x.faces, d0, x.face_indices, x.step),
+            (x.degeneracies, s0, x.degeneracy_indices, -x.step)):
         for n, m in maps.items():
-            for j in range(count(n)):
+            tgt = n + shift
+            for j in indices(n):
                 if j:
-                    m = (x.tau(tgt(n)) * m * x.tau_inv(n) if chain
-                         else x.tau_inv(tgt(n)) * m * x.tau(n))
+                    m = (x.tau(tgt) * m * x.tau_inv(n) if chain
+                         else x.tau_inv(tgt) * m * x.tau(n))
                 out[(n, j)] = m
-
-    if chain:
-        fill(x.faces, d0, lambda n: n - 1, lambda n: n + 1)
-        fill(x.degeneracies, s0, lambda n: n + 1, lambda n: n + 1)
-    else:
-        fill(x.faces, d0, lambda n: n + 1, lambda n: n + 2)
-        fill(x.degeneracies, s0, lambda n: n - 1, lambda n: n)
 
 
 # ---------------------------------------------------------------------------
 # cover complexes with coefficients
 
 
-def _diagonal_action(hopf, dims, factor_act, mod, m_dim):
+def _diagonal_action(hopf, dims, action, mod):
     """Matrices of the diagonal H-action on X^{(x)k} (x) M per basis element.
 
-    factor_act(h_idx, x_idx) -> dict for the X factors; mod acts on the last
+    action[(h_idx, x_idx)] is a dict for the X factors; mod acts on the last
     slot.  Returns {h_basis_index: Matrix}.
     """
     f = hopf.field
@@ -398,111 +397,81 @@ def _diagonal_action(hopf, dims, factor_act, mod, m_dim):
             total = {}
             for hs, coef in parts.items():
                 terms = {(): coef}
-                ok = True
-                for i in range(k):
-                    piece = factor_act(hs[i], t[i])
-                    if not piece:
-                        ok = False
-                        break
-                    nxt = {}
-                    for key, v in terms.items():
-                        for idx, w in piece.items():
-                            add_into(f, nxt, key + (idx,), f.mul(v, w))
-                    terms = nxt
-                if not ok:
-                    continue
-                mpart = mod.action[(hs[k], t[k])]
+                for i in range(k + 1):
+                    act = action if i < k else mod.action
+                    terms = tensor_step(f, terms, act[(hs[i], t[i])])
                 for key, v in terms.items():
-                    for mi, w in mpart.items():
-                        add_into(f, total, key + (mi,), f.mul(v, w))
+                    add_into(f, total, key, v)
             return total
 
         out[h] = build_matrix(f, dims, dims, im)
     return out
 
 
+def _cover(x, base, m, N, orientation, tau_im, d0_im, s0_im):
+    """Para-(co)cyclic cover X^{(x)n+1} (x) M with diagonal H-action.
+
+    x is a module algebra (chain) or module coalgebra (cochain) over the
+    (co)algebra base.  tau_im, d0_im and s0_im give tau, d_0 and s_0 on
+    basis tuples; the other faces and degeneracies come by conjugation.
+    """
+    what = "algebra" if orientation == CHAIN else "coalgebra"
+    require_same_hopf(x.hopf, m.hopf, what + " and coefficients")
+    f = x.field
+    hopf = x.hopf
+    dx, dm = base.dim, m.dim
+    spaces = {n: dx ** (n + 1) * dm for n in range(N + 1)}
+
+    def dims(n):
+        return [dx] * (n + 1) + [dm]
+
+    taus = {n: build_matrix(f, dims(n), dims(n), tau_im) for n in spaces}
+    h_action = {(n, h): mat for n in spaces
+                for h, mat in _diagonal_action(hopf, dims(n), x.action, m).items()}
+    t = ParaCyclicModule(f, orientation, spaces, {}, {}, taus, h_action=h_action,
+                         hopf=hopf, name="T(%s,%s)" % (x.name or what[0].upper(),
+                                                       m.name or "M"),
+                         meta={"kind": "cover_" + what, "factor_dim": dx,
+                               "m_dim": dm, "mod": m})
+    d0 = {n: build_matrix(f, dims(n), dims(n + t.step), d0_im)
+          for n in spaces if t.face_indices(n)}
+    s0 = {n: build_matrix(f, dims(n), dims(n - t.step), s0_im)
+          for n in spaces if t.degeneracy_indices(n)}
+    _fill_by_conjugation(t, d0, s0)
+    return t
+
+
 def cover_coalgebra(c, m, N):
     """Para-cocyclic cover T(C,M) = C^{(x)n+1} (x) M with diagonal H-action."""
-    require_same_hopf(c.hopf, m.hopf, "coalgebra and coefficients")
     f = c.field
-    hopf = c.hopf
-    dc, dm = c.coalgebra.dim, m.dim
-    spaces = {n: dc ** (n + 1) * dm for n in range(N + 1)}
-    taus, d0, s0 = {}, {}, {}
-    h_action = {}
-    for n in range(N + 1):
-        dims = [dc] * (n + 1) + [dm]
 
-        def tau_im(t):
-            out = {}
-            for (h, mm), v in m.coaction[t[n + 1]].items():
-                for cc, w in c.action[(h, t[0])].items():
-                    add_into(f, out, t[1:n + 1] + (cc, mm), f.mul(v, w))
-            return out
+    def tau_im(t):
+        out = {}
+        for (h, mm), v in m.coaction[t[-1]].items():
+            for cc, w in c.action[(h, t[0])].items():
+                add_into(f, out, t[1:-1] + (cc, mm), f.mul(v, w))
+        return out
 
-        taus[n] = build_matrix(f, dims, dims, tau_im)
-        if n + 1 <= N:
-            def im(t):
-                return {(j, k) + t[1:]: v
-                        for (j, k), v in c.coalgebra.comul[t[0]].items()}
-            d0[n] = build_matrix(f, dims, [dc] * (n + 2) + [dm], im)
-        if n >= 1:
-            def im(t):
-                e = c.coalgebra.counit.get(t[1], f.zero)
-                return {} if f.is_zero(e) else {(t[0],) + t[2:]: e}
-            s0[n] = build_matrix(f, dims, [dc] * n + [dm], im)
-        acts = _diagonal_action(hopf, dims, lambda h, i: c.action[(h, i)], m, dm)
-        for h, mat in acts.items():
-            h_action[(n, h)] = mat
-    x = ParaCyclicModule(f, COCHAIN, spaces, {}, {}, taus, h_action=h_action,
-                         hopf=hopf, name="T(%s,%s)" % (c.name or "C", m.name or "M"),
-                         meta={"kind": "cover_coalgebra", "factor_dim": dc,
-                               "m_dim": dm, "coalg": c, "mod": m})
-    _fill_by_conjugation(x, d0, s0)
-    return x
+    co = c.coalgebra
+    return _cover(c, co, m, N, COCHAIN, tau_im, _comul_first(co),
+                  _counit_second(co))
 
 
 def cover_algebra(a, m, N):
     """Para-cyclic cover T(A,M) = A^{(x)n+1} (x) M with diagonal H-action."""
-    require_same_hopf(a.hopf, m.hopf, "algebra and coefficients")
     f = a.field
-    hopf = a.hopf
-    da, dm = a.algebra.dim, m.dim
-    spaces = {n: da ** (n + 1) * dm for n in range(N + 1)}
-    taus, d0, s0 = {}, {}, {}
-    h_action = {}
-    for n in range(N + 1):
-        dims = [da] * (n + 1) + [dm]
 
-        def tau_im(t):
-            out = {}
-            for (h, mm), v in m.coaction[t[n + 1]].items():
-                sh = hopf.apply_antipode({h: f.one}, inverse=True)
-                acted = a.act(sh, {t[n]: f.one})
-                for b, w in acted.items():
-                    add_into(f, out, (b,) + t[:n] + (mm,), f.mul(v, w))
-            return out
+    def tau_im(t):
+        out = {}
+        for (h, mm), v in m.coaction[t[-1]].items():
+            sh = a.hopf.apply_antipode({h: f.one}, inverse=True)
+            for b, w in a.act(sh, {t[-2]: f.one}).items():
+                add_into(f, out, (b,) + t[:-2] + (mm,), f.mul(v, w))
+        return out
 
-        taus[n] = build_matrix(f, dims, dims, tau_im)
-        if n >= 1:
-            def im(t):
-                return {(k,) + t[2:]: v
-                        for k, v in a.algebra.mul[(t[0], t[1])].items()}
-            d0[n] = build_matrix(f, dims, [da] * n + [dm], im)
-        if n + 1 <= N:
-            def im(t):
-                return {(t[0],) + (u,) + t[1:]: cu
-                        for u, cu in a.algebra.unit.items()}
-            s0[n] = build_matrix(f, dims, [da] * (n + 2) + [dm], im)
-        acts = _diagonal_action(hopf, dims, lambda h, i: a.action[(h, i)], m, dm)
-        for h, mat in acts.items():
-            h_action[(n, h)] = mat
-    x = ParaCyclicModule(f, CHAIN, spaces, {}, {}, taus, h_action=h_action,
-                         hopf=hopf, name="T(%s,%s)" % (a.name or "A", m.name or "M"),
-                         meta={"kind": "cover_algebra", "factor_dim": da,
-                               "m_dim": dm, "alg": a, "mod": m})
-    _fill_by_conjugation(x, d0, s0)
-    return x
+    alg = a.algebra
+    return _cover(a, alg, m, N, CHAIN, tau_im, _mul_at(alg, 0),
+                  _unit_after(alg, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +482,9 @@ def truncate(x, N):
     """Restriction of a module to degrees 0..N."""
     spaces = {n: d for n, d in x.spaces.items() if n <= N}
     faces = {(n, j): m for (n, j), m in x.faces.items()
-             if n <= N and (n - 1 if x.orientation == CHAIN else n + 1) <= N}
+             if n <= N and n + x.step <= N}
     degs = {(n, i): m for (n, i), m in x.degeneracies.items()
-            if n <= N and (n + 1 if x.orientation == CHAIN else n - 1) <= N}
+            if n <= N and n - x.step <= N}
     taus = {n: m for n, m in x.cyclic.items() if n <= N}
     ha = None
     if x.h_action:
@@ -529,9 +498,9 @@ def _structure_system(t):
     (source degree, target degree, matrix) triples."""
     ops = []
     for (n, j), m in t.faces.items():
-        ops.append((n, n - 1 if t.orientation == CHAIN else n + 1, m))
+        ops.append((n, n + t.step, m))
     for (n, i), m in t.degeneracies.items():
-        ops.append((n, n + 1 if t.orientation == CHAIN else n - 1, m))
+        ops.append((n, n - t.step, m))
     for n in t.spaces:
         ops.append((n, n, t.tau(n)))
         ops.append((n, n, t.tau_inv(n)))
@@ -602,14 +571,10 @@ def _descend(t, sub, keep_h=True, name=None):
         # m * sect only picks columns of m, so form it before the projection
         return proj[tgt] * (m * sect[src])
 
-    faces = {}
-    degs = {}
-    for (n, j), m in t.faces.items():
-        tgt = n - 1 if t.orientation == CHAIN else n + 1
-        faces[(n, j)] = induce(m, n, tgt, "face (%d,%d)" % (n, j))
-    for (n, i), m in t.degeneracies.items():
-        tgt = n + 1 if t.orientation == CHAIN else n - 1
-        degs[(n, i)] = induce(m, n, tgt, "degeneracy (%d,%d)" % (n, i))
+    faces = {(n, j): induce(m, n, n + t.step, "face (%d,%d)" % (n, j))
+             for (n, j), m in t.faces.items()}
+    degs = {(n, i): induce(m, n, n - t.step, "degeneracy (%d,%d)" % (n, i))
+            for (n, i), m in t.degeneracies.items()}
     taus = {n: induce(t.tau(n), n, n, "tau_%d" % n) for n in t.spaces}
     ha = None
     if keep_h and t.h_action:
@@ -648,19 +613,20 @@ def coinvariants(q):
     return out
 
 
-def hopf_cyclic_complex(c_or_a, m, N, buffer=2, cover=None):
-    """Full pipeline T -> Q = T/J -> C = k (x)_H Q for a cover complex.
+def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
+    """The T, Q = T/J or C = k (x)_H Q stage of the pipeline, up to degree N.
 
-    c_or_a is a ModuleCoalgebra or ModuleAlgebra; the cover is built with
-    `buffer` extra degrees so that C is reliable in degrees 0..N.
+    c_or_a is a ModuleCoalgebra or ModuleAlgebra.  For Q and C the cover is
+    built with `buffer` extra degrees so that they are reliable in 0..N.
     """
-    if cover is None:
-        build = cover_coalgebra if isinstance(c_or_a, ModuleCoalgebra) else cover_algebra
-        cover = build(c_or_a, m, N + buffer)
-    j = compute_J(cover, buffer=buffer)
-    q = quotient_module(cover, j)
-    c = coinvariants(q)
-    return truncate(c, N)
+    build = cover_coalgebra if isinstance(c_or_a, ModuleCoalgebra) else cover_algebra
+    if level == "T":
+        return build(c_or_a, m, N)
+    if level not in ("Q", "C"):
+        raise ValueError("level must be T, Q or C")
+    t = build(c_or_a, m, N + buffer)
+    q = quotient_module(t, compute_J(t, buffer=buffer))
+    return truncate(q if level == "Q" else coinvariants(q), N)
 
 
 # ---------------------------------------------------------------------------
@@ -721,16 +687,12 @@ def _colinear_subspace(field, hopf, mod, base_coaction, dims):
     return Matrix(field, dh * dm * total, dm * total, op).kernel_basis()
 
 
-def _restrict(op, src_sub, tgt_sub, tag):
-    """Restriction of an ambient operator to reduced-echelon subspaces."""
-    field = src_sub.field
-    cols = []
-    for b in src_sub.basis:
-        w = op.apply(b)
-        if not tgt_sub.contains(w):
-            raise DescentFailure("%s leaves the colinear subspace" % tag)
-        cols.append({i: w[p] for i, p in enumerate(tgt_sub.pivots) if p in w})
-    return Matrix.from_columns(field, tgt_sub.dim, cols)
+def _restrict(images, sub, tag):
+    """Coordinates of each image vector inside a colinear subspace, as columns."""
+    cols = [sub.coordinates(w) for w in images]
+    if any(c is None for c in cols):
+        raise DescentFailure("%s leaves the colinear subspace" % tag)
+    return Matrix.from_columns(sub.field, sub.dim, cols)
 
 
 def _twisted_precompose(field, mod, g_blocks, src_total, tgt_total):
@@ -748,85 +710,60 @@ def _twisted_precompose(field, mod, g_blocks, src_total, tgt_total):
 
 
 def _hom_module(field, hopf, mod, base, N, orientation, name):
-    """Shared construction for C(B,M) (cochain) and C(Z,M) (chain)."""
-    db = base.coalgebra.dim if hasattr(base, "coalgebra") else base.algebra.dim
-    dm = mod.dim
-    subs = {}
-    amb_total = {}
-    for n in range(N + 1):
-        dims = [db] * (n + 1)
-        subs[n] = _colinear_subspace(field, hopf, mod, base.coaction, dims)
-        amb_total[n] = prod(dims)
+    """Shared construction for C(B,M) (cochain) and C(Z,M) (chain).
 
-    ident_m = Matrix.identity(field, dm)
-    taus_amb, d0_amb, s0_amb = {}, {}, {}
+    tau is a twisted rotation and d_0, s_0 precompose with a slot map of
+    the base; each is restricted to the colinear maps, then conjugated.
+    """
+    if orientation == COCHAIN:
+        # (tau f)(b^0..b^n) = S(b^n_{(-1)}) f(b^n_{(0)}, b^0..b^{n-1})
+        def twist(t):
+            for (h0, bb), v in base.coaction[t[-1]].items():
+                for h, w in hopf.apply_antipode({h0: field.one}).items():
+                    yield h, (bb,) + t[:-1], field.mul(v, w)
+        # d_0 f = f o (multiply slots 0,1), s_0 f = f o (insert 1_B in slot 1)
+        slots = base.algebra
+        d0_pre, s0_pre = _mul_at(slots, 0), _unit_after(slots, 0)
+    else:
+        # (tau f)(z^0..z^n) = z^0_{[-1]} f(z^1..z^n, z^0_{[0]})
+        def twist(t):
+            for (h, zz), v in base.coaction[t[0]].items():
+                yield h, t[1:] + (zz,), v
+        # d_0 f = f o (comultiply slot 0), s_0 f = f o (counit on slot 1)
+        slots = base.coalgebra
+        d0_pre, s0_pre = _comul_first(slots), _counit_second(slots)
+    db, dm = slots.dim, mod.dim
+    subs = {n: _colinear_subspace(field, hopf, mod, base.coaction, [db] * (n + 1))
+            for n in range(N + 1)}
+
+    def restrict(op, n, tgt, tag):
+        return _restrict([op.apply(b) for b in subs[n].basis], subs[tgt], tag)
+
+    def precompose(n, tgt, im, tag):
+        # f |-> f o p with p: B^{(x)tgt+1} -> B^{(x)n+1} read off im
+        p = build_matrix(field, [db] * (tgt + 1), [db] * (n + 1), im)
+        return restrict(Matrix.identity(field, dm).kron(p.transpose()), n, tgt, tag)
+
+    taus = {}
     for n in range(N + 1):
         dims = [db] * (n + 1)
-        total = amb_total[n]
-        # tau: generalized twisted precomposition
+        total = prod(dims)
         g_blocks = {h: {} for h in range(hopf.dim)}
         for x in range(total):
-            t = unflatten(x, dims)
-            if orientation == COCHAIN:
-                # (tau f)(b^0..b^n) = S(b^n_{(-1)}) f(b^n_{(0)}, b^0..b^{n-1})
-                for (h0, bb), v in base.coaction[t[n]].items():
-                    sh = hopf.apply_antipode({h0: field.one})
-                    u = flatten((bb,) + t[:n], dims)
-                    for h, w in sh.items():
-                        add_into(field, g_blocks[h], (u, x), field.mul(v, w))
-            else:
-                # (tau f)(z^0..z^n) = z^0_{[-1]} f(z^1..z^n, z^0_{[0]})
-                for (h, zz), v in base.coaction[t[0]].items():
-                    add_into(field, g_blocks[h],
-                             (flatten(t[1:] + (zz,), dims), x), v)
+            for h, t, v in twist(unflatten(x, dims)):
+                add_into(field, g_blocks[h], (flatten(t, dims), x), v)
         g_blocks = {h: Matrix(field, total, total, e) for h, e in g_blocks.items()}
-        taus_amb[n] = _twisted_precompose(field, mod, g_blocks, total, total)
-
-        if orientation == COCHAIN and n + 1 <= N:
-            # d_0 f = f o (multiply slots 0,1): precompose B^{n+2} -> B^{n+1}
-            def im(t):
-                return {(k,) + t[2:]: v
-                        for k, v in base.algebra.mul[(t[0], t[1])].items()}
-            p = build_matrix(field, [db] * (n + 2), dims, im)
-            d0_amb[n] = ident_m.kron(p.transpose())
-        if orientation == COCHAIN and n >= 1:
-            # s_0 f = f o (insert 1_B in slot 1): precompose B^{n} -> B^{n+1}
-            def im(t):
-                return {(t[0],) + (u,) + t[1:]: cu
-                        for u, cu in base.algebra.unit.items()}
-            p = build_matrix(field, [db] * n, dims, im)
-            s0_amb[n] = ident_m.kron(p.transpose())
-        if orientation == CHAIN and n >= 1:
-            # d_0 f = f o (comultiply slot 0): precompose Z^{n} -> Z^{n+1}
-            def im(t):
-                return {(j, k) + t[1:]: v
-                        for (j, k), v in base.coalgebra.comul[t[0]].items()}
-            p = build_matrix(field, [db] * n, dims, im)
-            d0_amb[n] = ident_m.kron(p.transpose())
-        if orientation == CHAIN and n + 1 <= N:
-            # s_0 f = f o (counit on slot 1): precompose Z^{n+2} -> Z^{n+1}
-            def im(t):
-                e = base.coalgebra.counit.get(t[1], field.zero)
-                return {} if field.is_zero(e) else {(t[0],) + t[2:]: e}
-            p = build_matrix(field, [db] * (n + 2), dims, im)
-            s0_amb[n] = ident_m.kron(p.transpose())
-
-    # restrict the ambient generators to the colinear subspaces, then conjugate
-    taus = {n: _restrict(taus_amb[n], subs[n], subs[n], "tau_%d" % n)
-            for n in range(N + 1)}
-    spaces = {n: subs[n].dim for n in range(N + 1)}
-    d0, s0 = {}, {}
-    for n, m in d0_amb.items():
-        tgt = n + 1 if orientation == COCHAIN else n - 1
-        d0[n] = _restrict(m, subs[n], subs[tgt], "d_0 at %d" % n)
-    for n, m in s0_amb.items():
-        tgt = n - 1 if orientation == COCHAIN else n + 1
-        s0[n] = _restrict(m, subs[n], subs[tgt], "s_0 at %d" % n)
-    x = ParaCyclicModule(field, orientation, spaces, {}, {}, taus,
-                         hopf=hopf, name=name,
+        taus[n] = restrict(_twisted_precompose(field, mod, g_blocks, total, total),
+                           n, n, "tau_%d" % n)
+    x = ParaCyclicModule(field, orientation, {n: subs[n].dim for n in subs}, {},
+                         {}, taus, hopf=hopf, name=name,
                          meta={"kind": "colinear_hom", "sub": subs,
                                "factor_dim": db, "mod": mod, "base": base,
                                "m_dim": dm})
+    d0 = {n: precompose(n, n + x.step, d0_pre, "d_0 at %d" % n)
+          for n in subs if x.face_indices(n)}
+    s0 = {n: precompose(n, n - x.step, s0_pre, "s_0 at %d" % n)
+          for n in subs if x.degeneracy_indices(n)}
     _fill_by_conjugation(x, d0, s0)
     return x
 
@@ -907,27 +844,14 @@ def diag_hom(x, y, N=None):
     if N is None:
         N = min(x.N, y.N)
     spaces = {n: x.spaces[n] * y.spaces[n] for n in range(N + 1)}
-    faces, degs, taus = {}, {}, {}
-    out_orient = y.orientation
-    for n in range(N + 1):
-        taus[n] = y.tau(n).kron(x.tau(n).transpose())
-        if out_orient == CHAIN:
-            if n >= 1:
-                for j in range(n + 1):
-                    faces[(n, j)] = y.faces[(n, j)].kron(x.faces[(n - 1, j)].transpose())
-            if n + 1 <= N:
-                for j in range(n + 1):
-                    degs[(n, j)] = y.degeneracies[(n, j)].kron(
-                        x.degeneracies[(n + 1, j)].transpose())
-        else:
-            if n + 1 <= N:
-                for j in range(n + 2):
-                    faces[(n, j)] = y.faces[(n, j)].kron(x.faces[(n + 1, j)].transpose())
-            if n >= 1:
-                for i in range(n):
-                    degs[(n, i)] = y.degeneracies[(n, i)].kron(
-                        x.degeneracies[(n - 1, i)].transpose())
-    return ParaCyclicModule(f, out_orient, spaces, faces, degs, taus,
+    s = y.step
+    # x runs the other way: its map pairing with y's lands where y's starts
+    faces = {(n, j): m.kron(x.faces[(n + s, j)].transpose())
+             for (n, j), m in y.faces.items() if n <= N and n + s <= N}
+    degs = {(n, i): m.kron(x.degeneracies[(n - s, i)].transpose())
+            for (n, i), m in y.degeneracies.items() if n <= N and n - s <= N}
+    taus = {n: y.tau(n).kron(x.tau(n).transpose()) for n in range(N + 1)}
+    return ParaCyclicModule(f, y.orientation, spaces, faces, degs, taus,
                             name="diagHom(%s,%s)" % (x.name or "X", y.name or "Y"),
                             meta={"kind": "diag_hom", "x": x, "y": y})
 
@@ -943,15 +867,11 @@ def diag_tensor(u, v):
     degs = {}
     taus = {n: u.tau(n).kron(v.tau(n)) for n in range(N + 1)}
     for (n, j), m in u.faces.items():
-        if (n, j) in v.faces and n <= N:
-            tgt = n - 1 if u.orientation == CHAIN else n + 1
-            if 0 <= tgt <= N:
-                faces[(n, j)] = m.kron(v.faces[(n, j)])
+        if (n, j) in v.faces and n <= N and 0 <= n + u.step <= N:
+            faces[(n, j)] = m.kron(v.faces[(n, j)])
     for (n, i), m in u.degeneracies.items():
-        if (n, i) in v.degeneracies and n <= N:
-            tgt = n + 1 if u.orientation == CHAIN else n - 1
-            if 0 <= tgt <= N:
-                degs[(n, i)] = m.kron(v.degeneracies[(n, i)])
+        if (n, i) in v.degeneracies and n <= N and 0 <= n - u.step <= N:
+            degs[(n, i)] = m.kron(v.degeneracies[(n, i)])
     ha = None
     hopf = None
     if u.h_action and v.h_action:

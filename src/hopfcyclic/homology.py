@@ -180,12 +180,9 @@ def _norm(x, n):
     return out
 
 
-def hochschild_b(x, n):
-    """Alternating face sum at degree n (all faces, wrap-around included)."""
+def _alternating_faces(x, n, idxs):
+    """sum_j (-1)^j d_j over the face indices idxs at degree n; None if none."""
     f = x.field
-    idxs = list(x.face_indices(n))
-    if not idxs:
-        return None
     out = None
     for j in idxs:
         term = x.faces[(n, j)] if j % 2 == 0 else x.faces[(n, j)].scale(f.neg(f.one))
@@ -193,17 +190,14 @@ def hochschild_b(x, n):
     return out
 
 
+def hochschild_b(x, n):
+    """Alternating face sum at degree n (all faces, wrap-around included)."""
+    return _alternating_faces(x, n, x.face_indices(n))
+
+
 def hochschild_b_prime(x, n):
     """Alternating face sum omitting the last (wrap-around) face."""
-    f = x.field
-    idxs = list(x.face_indices(n))
-    if len(idxs) <= 1:
-        return None
-    out = None
-    for j in idxs[:-1]:
-        term = x.faces[(n, j)] if j % 2 == 0 else x.faces[(n, j)].scale(f.neg(f.one))
-        out = term if out is None else out + term
-    return out
+    return _alternating_faces(x, n, x.face_indices(n)[:-1])
 
 
 def mixed_of_cyclic(x):
@@ -431,14 +425,10 @@ def hochschild_table(x, nmax=None, normalized=False):
             if n + 1 > xc.N:
                 continue
             b = hochschild_b(xc, n)
-            cols = []
-            for v in subs[n].basis:
-                w = b.apply(v)
-                if not subs[n + 1].contains(w):
-                    raise IdentityFailure("b does not preserve the normalized "
-                                          "subcomplex at degree %d" % n)
-                cols.append({i: w[p] for i, p in enumerate(subs[n + 1].pivots)
-                             if p in w})
+            cols = [subs[n + 1].coordinates(b.apply(v)) for v in subs[n].basis]
+            if any(c is None for c in cols):
+                raise IdentityFailure("b does not preserve the normalized "
+                                      "subcomplex at degree %d" % n)
             diffs[n] = Matrix.from_columns(f, subs[n + 1].dim, cols)
     degrees = {}
     for n in range(nmax + 1):

@@ -10,13 +10,14 @@ a prime), basis labels, and sparse tensors stored as entry lists
 
 import json
 from fractions import Fraction
+from itertools import product
 
 from .fields import QQ, GF
 from .hopf import (AlgebraData, CoalgebraData, HopfAlgebraData,
                    ModuleAlgebra, ModuleCoalgebra, ComoduleAlgebra,
                    ComoduleCoalgebra, ModComodule, EquivariantPairing,
-                   check_structure)
-from .linalg import Matrix
+                   HopfMismatch, check_structure)
+from .linalg import Matrix, SingularMatrix
 
 
 class ParseError(Exception):
@@ -36,12 +37,19 @@ def _field_tag(field):
     return "Q" if field is QQ or getattr(field, "p", None) is None else field.p
 
 
-def _field_from_tag(tag):
+def _field_from_tag(tag, what):
     if tag == "Q":
         return QQ
-    if isinstance(tag, int) and tag >= 2:
-        return GF(tag)
-    raise ParseError("field must be \"Q\" or a prime, got %r" % (tag,))
+    try:
+        if _is_int(tag):
+            return GF(tag)
+    except ValueError:
+        pass
+    raise ParseError("%s: field must be \"Q\" or a prime, got %r" % (what, tag))
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _num_den(field, v):
@@ -78,34 +86,48 @@ def _entries_from_keyed(field, mapping, outer_arity):
     return sorted(rows)
 
 
-def _vec_from_entries(field, rows, what):
+def _read_rows(field, rows, bounds, what):
+    """{index tuple: value} from entry rows [i_1, ..., i_k, num, den].
+
+    bounds[t] is the size of the basis index t ranges over (None: any
+    index >= 0).  A malformed row raises ParseError naming it.
+    """
+    if not isinstance(rows, list):
+        raise ParseError("%s: expected a list of entries, got %r" % (what, rows))
     out = {}
     for row in rows:
-        if len(row) != 3:
-            raise ParseError("%s entry %r: expected [index, num, den]" % (what, row))
-        out[int(row[0])] = _value(field, row[1], row[2])
+        if not isinstance(row, list) or len(row) != len(bounds) + 2:
+            raise ParseError("%s entry %r: expected %d indices, a numerator "
+                             "and a denominator" % (what, row, len(bounds)))
+        *idx, num, den = row
+        if not all(_is_int(i) and 0 <= i and (b is None or i < b)
+                   for i, b in zip(idx, bounds)):
+            raise ParseError("%s entry %r: indices must be integers in %s"
+                             % (what, row, bounds))
+        if not (_is_int(num) and _is_int(den)) or den == 0:
+            raise ParseError("%s entry %r: numerator and denominator must be "
+                             "integers, the denominator nonzero" % (what, row))
+        out[tuple(idx)] = _value(field, num, den)
     return out
 
 
-def _keyed_from_entries(field, rows, outer_arity, inner_arity, what):
-    out = {}
-    want = outer_arity + inner_arity + 2
-    for row in rows:
-        if len(row) != want:
-            raise ParseError("%s entry %r: expected %d fields" % (what, row, want))
-        ok = tuple(int(x) for x in row[:outer_arity])
-        ik = tuple(int(x) for x in row[outer_arity:outer_arity + inner_arity])
-        v = _value(field, row[-2], row[-1])
-        key = ok[0] if outer_arity == 1 else ok
-        ikey = ik[0] if inner_arity == 1 else ik
-        out.setdefault(key, {})[ikey] = v
+def _vector(field, rows, dim, what):
+    return {i: v for (i,), v in _read_rows(field, rows, [dim], what).items()}
+
+
+def _keyed(field, rows, outer, inner, what):
+    """{outer key: {inner key: value}} with every outer key present.
+
+    A key with a single index is a bare int, otherwise a tuple.
+    """
+    def key(idx):
+        return idx[0] if len(idx) == 1 else idx
+
+    k = len(outer)
+    out = {key(o): {} for o in product(*map(range, outer))}
+    for idx, v in _read_rows(field, rows, outer + inner, what).items():
+        out[key(idx[:k])][key(idx[k:])] = v
     return out
-
-
-def _fill_missing(mapping, keys):
-    for k in keys:
-        mapping.setdefault(k, {})
-    return mapping
 
 
 # ---------------------------------------------------------------------------
@@ -227,45 +249,37 @@ def _basis(doc, what):
 def _parse_algebra(field, doc, what):
     labels = _basis(doc, what)
     dim = len(labels)
-    mul = _keyed_from_entries(field, _need(doc, "mul", what), 2, 1, what + ".mul")
-    _fill_missing(mul, [(i, j) for i in range(dim) for j in range(dim)])
-    unit = _vec_from_entries(field, _need(doc, "unit", what), what + ".unit")
+    mul = _keyed(field, _need(doc, "mul", what), [dim, dim], [dim], what + ".mul")
+    unit = _vector(field, _need(doc, "unit", what), dim, what + ".unit")
     return AlgebraData(field, dim, mul, unit, labels=labels)
 
 
 def _parse_coalgebra(field, doc, what):
     labels = _basis(doc, what)
     dim = len(labels)
-    comul = _keyed_from_entries(field, _need(doc, "comul", what), 1, 2,
-                                what + ".comul")
-    _fill_missing(comul, range(dim))
-    counit = _vec_from_entries(field, _need(doc, "counit", what),
-                               what + ".counit")
+    comul = _keyed(field, _need(doc, "comul", what), [dim], [dim, dim],
+                   what + ".comul")
+    counit = _vector(field, _need(doc, "counit", what), dim, what + ".counit")
     return CoalgebraData(field, dim, comul, counit, labels=labels)
 
 
-def _parse_matrix(field, rows, dim, what):
-    entries = {}
-    for row in rows:
-        if len(row) != 4:
-            raise ParseError("%s entry %r: expected [row, col, num, den]"
-                             % (what, row))
-        entries[(int(row[0]), int(row[1]))] = _value(field, row[2], row[3])
-    return Matrix(field, dim, dim, entries)
-
-
 def _parse_action(field, doc, hopf_dim, dim, what):
-    act = _keyed_from_entries(field, _need(doc, "action", what), 2, 1,
-                              what + ".action")
-    _fill_missing(act, [(h, x) for h in range(hopf_dim) for x in range(dim)])
-    return act
+    return _keyed(field, _need(doc, "action", what), [hopf_dim, dim], [dim],
+                  what + ".action")
 
 
-def _parse_coaction(field, doc, dim, what):
-    coact = _keyed_from_entries(field, _need(doc, "coaction", what), 1, 2,
-                                what + ".coaction")
-    _fill_missing(coact, range(dim))
-    return coact
+def _parse_coaction(field, doc, hopf_dim, dim, what):
+    return _keyed(field, _need(doc, "coaction", what), [dim], [hopf_dim, dim],
+                  what + ".coaction")
+
+
+def _nested(doc, key, field, what):
+    """The sub-document doc[key], which must be over the enclosing field."""
+    obj = parse_document(_need(doc, key, what), what + "." + key)
+    if obj.field != field:
+        raise ParseError("%s.%s: field %r differs from the enclosing %r"
+                         % (what, key, obj.field, field))
+    return obj
 
 
 def parse_document(doc, what="input"):
@@ -275,42 +289,48 @@ def parse_document(doc, what="input"):
     if kind not in KINDS:
         raise ParseError("%s: unknown kind %r (expected one of %s)"
                          % (what, kind, ", ".join(KINDS)))
-    field = _field_from_tag(_need(doc, "field", what))
+    field = _field_from_tag(_need(doc, "field", what), what)
     name = doc.get("name") or None
     if kind == "trace":
-        return TraceVector(field, _vec_from_entries(
-            field, _need(doc, "entries", what), what + ".entries"), name=name)
+        return TraceVector(field, _vector(
+            field, _need(doc, "entries", what), None, what + ".entries"),
+            name=name)
     if kind == "pairing":
-        mc = parse_document(_need(doc, "coalgebra_side", what),
-                            what + ".coalgebra_side")
-        ma = parse_document(_need(doc, "algebra_side", what),
-                            what + ".algebra_side")
+        mc = _nested(doc, "coalgebra_side", field, what)
+        ma = _nested(doc, "algebra_side", field, what)
         if not isinstance(mc, ModuleCoalgebra) or not isinstance(ma, ModuleAlgebra):
             raise ParseError("%s: pairing sides must be a module-coalgebra "
                              "and a module-algebra" % what)
-        phi = _keyed_from_entries(field, _need(doc, "phi", what), 2, 1,
-                                  what + ".phi")
-        _fill_missing(phi, [(c, a) for c in range(mc.coalgebra.dim)
-                            for a in range(ma.algebra.dim)])
-        return EquivariantPairing(mc, ma, phi, name=name)
+        dc, da = mc.coalgebra.dim, ma.algebra.dim
+        phi = _keyed(field, _need(doc, "phi", what), [dc, da], [da], what + ".phi")
+        try:
+            return EquivariantPairing(mc, ma, phi, name=name)
+        except HopfMismatch as e:
+            raise ValidationError("%s: %s" % (what, e))
     if kind == "algebra":
         return _parse_algebra(field, doc, what)
     if kind == "hopf":
         alg = _parse_algebra(field, doc, what)
         co = _parse_coalgebra(field, doc, what)
-        s = _parse_matrix(field, _need(doc, "antipode", what), alg.dim,
-                          what + ".antipode")
-        return HopfAlgebraData(alg, co, s, name=name)
-    hopf = parse_document(_need(doc, "hopf", what), what + ".hopf")
+        s = _read_rows(field, _need(doc, "antipode", what), [alg.dim, alg.dim],
+                       what + ".antipode")
+        try:
+            return HopfAlgebraData(alg, co, Matrix(field, alg.dim, alg.dim, s),
+                                   name=name)
+        except SingularMatrix:
+            raise ValidationError("%s: the antipode is not invertible" % what)
+    hopf = _nested(doc, "hopf", field, what)
     if not isinstance(hopf, HopfAlgebraData):
         raise ParseError("%s.hopf: expected kind \"hopf\"" % what)
     if kind == "modcomodule":
-        dim = int(_need(doc, "dim", what))
-        if dim < 1:
-            raise ParseError("%s: dim must be positive" % what)
+        dim = _need(doc, "dim", what)
+        if not _is_int(dim) or dim < 1:
+            raise ParseError("%s: dim must be a positive integer, got %r"
+                             % (what, dim))
         return ModComodule(hopf, dim,
                            _parse_action(field, doc, hopf.dim, dim, what),
-                           _parse_coaction(field, doc, dim, what), name=name)
+                           _parse_coaction(field, doc, hopf.dim, dim, what),
+                           name=name)
     if kind == "module-algebra":
         alg = _parse_algebra(field, doc, what)
         return ModuleAlgebra(hopf, alg,
@@ -324,11 +344,12 @@ def parse_document(doc, what="input"):
     if kind == "comodule-algebra":
         alg = _parse_algebra(field, doc, what)
         return ComoduleAlgebra(hopf, alg,
-                               _parse_coaction(field, doc, alg.dim, what),
+                               _parse_coaction(field, doc, hopf.dim, alg.dim,
+                                               what),
                                name=name)
     co = _parse_coalgebra(field, doc, what)
     return ComoduleCoalgebra(hopf, co,
-                             _parse_coaction(field, doc, co.dim, what),
+                             _parse_coaction(field, doc, hopf.dim, co.dim, what),
                              name=name)
 
 

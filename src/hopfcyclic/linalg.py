@@ -339,6 +339,13 @@ class Subspace:
     def contains(self, vec):
         return not self.reduce(vec)
 
+    def coordinates(self, vec):
+        """Coordinates of vec in the basis (b_p is 1 at p and 0 at the
+        other pivots, so they are vec's pivot entries), or None if outside."""
+        if self.reduce(vec):
+            return None
+        return {i: vec[p] for i, p in enumerate(self.pivots) if p in vec}
+
     def add_vector(self, vec):
         """Insert vec if independent; returns True when the subspace grew."""
         f = self.field

@@ -11,16 +11,15 @@ are realized by pulling evaluation covectors back along these morphisms.
 from itertools import product as iproduct
 
 from .linalg import Matrix, ShapeMismatch, add_into
-from .tensors import flatten, unflatten, prod
-from .hopf import (ModuleCoalgebra, check_equivariant, check_sayd,
+from .tensors import flatten, unflatten, prod, tensor_step
+from .hopf import (check_equivariant, check_sayd,
                    is_commutative, is_symmetric_module, require_same_hopf,
                    tensor_hopf, tensor_module_algebra, tensor_modcomodule,
                    tensor_comodule_coalgebra, balanced_tensor_modcomodule,
                    crossed_product_algebra, crossed_product_coalgebra, _vec_eq)
 from .cyclic import (CHAIN, COCHAIN, ModuleMorphism,
                      DescentFailure, NotSAYD, cyc_algebra, cyc_coalgebra,
-                     cover_algebra, cover_coalgebra, compute_J,
-                     quotient_module, coinvariants, truncate,
+                     hopf_cyclic_complex, _restrict,
                      hopf_cocyclic_comodule_algebra,
                      hopf_cyclic_comodule_coalgebra,
                      diag_hom, diag_tensor)
@@ -44,12 +43,8 @@ class HypothesisFailure(Exception):
     pass
 
 
-class MorphismFailure(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
-# quotient towers and coefficient complexes
+# quotient towers
 
 
 def _tower(x):
@@ -71,29 +66,6 @@ def _tower(x):
     return cur, proj, sect
 
 
-def coefficient_complex(c_or_a, m, N, level="C", buffer=2):
-    """T, Q or C stage of the Hopf-cyclic pipeline, truncated to degree N."""
-    build = cover_coalgebra if isinstance(c_or_a, ModuleCoalgebra) else cover_algebra
-    if level == "T":
-        return build(c_or_a, m, N)
-    t = build(c_or_a, m, N + buffer)
-    q = quotient_module(t, compute_J(t, buffer=buffer))
-    if level == "Q":
-        return truncate(q, N)
-    if level != "C":
-        raise ValueError("level must be T, Q or C")
-    return truncate(coinvariants(q), N)
-
-
-def _tensor_step(field, terms, piece):
-    """Extend {tuple: coeff} by one tensor slot drawn from dict-vector piece."""
-    out = {}
-    for key, v in terms.items():
-        for idx, w in piece.items():
-            add_into(field, out, key + (idx,), field.mul(v, w))
-    return out
-
-
 def _iter_coaction(field, coaction, idx, times):
     """Expand an iterated coaction: list of (legs_tuple, residue_index, coeff).
 
@@ -113,16 +85,6 @@ def _iter_coaction(field, coaction, idx, times):
 def _flatten_hom(mat, dim_x):
     """Row-major flattening of a Hom-space matrix to a diag_hom vector."""
     return {yi * dim_x + xj: v for (yi, xj), v in mat.entries.items()}
-
-
-def _restrict_columns(mat, tgt_sub, tag):
-    """Coordinates of each column of mat inside a reduced-echelon subspace."""
-    cols = []
-    for w in mat.columns():
-        if not tgt_sub.contains(w):
-            raise MorphismFailure("%s leaves the colinear subspace" % tag)
-        cols.append({i: w[p] for i, p in enumerate(tgt_sub.pivots) if p in w})
-    return Matrix.from_columns(tgt_sub.field, tgt_sub.dim, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +303,11 @@ def alpha(pairing, m, N, x_mod=None, y_mod=None, level="C", buffer=2,
     if bad:
         raise NotEquivariant("; ".join(bad))
     if x_mod is None:
-        x_mod = coefficient_complex(pairing.coalg, m, N, level, buffer)
+        x_mod = hopf_cyclic_complex(pairing.coalg, m, N, buffer=buffer,
+                                    level=level)
     if y_mod is None:
-        y_mod = coefficient_complex(pairing.alg, m, N, level, buffer)
+        y_mod = hopf_cyclic_complex(pairing.alg, m, N, buffer=buffer,
+                                    level=level)
     f = pairing.field
     _, px, sx = _tower(x_mod)
     _, py, _ = _tower(y_mod)
@@ -370,7 +334,7 @@ def alpha(pairing, m, N, x_mod=None, y_mod=None, level="C", buffer=2,
                     if not piece:
                         terms = {}
                         break
-                    terms = _tensor_step(f, terms, piece)
+                    terms = tensor_step(f, terms, piece)
                 for key, v in terms.items():
                     add_into(f, big, (flatten(key + (t[n + 1],), ydims), xcol), v)
             down = py[n] * Matrix(f, prod(ydims), prod(xdims), big)
@@ -397,7 +361,7 @@ def beta(ma, ca, m, N, y_mod=None, buffer=2):
     hopf = ma.hopf
     x_mod = hopf_cocyclic_comodule_algebra(ca, m, N)
     if y_mod is None:
-        y_mod = coefficient_complex(ma, m, N, "C", buffer)
+        y_mod = hopf_cyclic_complex(ma, m, N, buffer=buffer)
     _, py, _ = _tower(y_mod)
     da, db, dm = ma.algebra.dim, ca.algebra.dim, m.dim
     src = cyc_algebra(crossed_product_algebra(ma, ca), N)
@@ -429,7 +393,7 @@ def beta(ma, ca, m, N, y_mod=None, buffer=2):
                     hv = hopf.unit()
                     for i in range(j):
                         hv = hopf.multiply(hv, {combo[i][0][j - i - 1]: f.one})
-                    terms = _tensor_step(f, terms, ma.act(hv, {avec[j]: f.one}))
+                    terms = tensor_step(f, terms, ma.act(hv, {avec[j]: f.one}))
                 for key, v in terms.items():
                     for mi in range(dm):
                         add_into(f, big, (flatten(key + (mi,), ydims),
@@ -461,7 +425,7 @@ def xi(zc, mc, m, N, y_mod=None, buffer=2, check=True):
     hopf = zc.hopf
     x_mod = hopf_cyclic_comodule_coalgebra(zc, m, N)
     if y_mod is None:
-        y_mod = coefficient_complex(mc, m, N, "C", buffer)
+        y_mod = hopf_cyclic_complex(mc, m, N, buffer=buffer)
     _, py, _ = _tower(y_mod)
     dz, dc, dm = zc.coalgebra.dim, mc.coalgebra.dim, m.dim
     src = cyc_coalgebra(crossed_product_coalgebra(zc, mc), N)
@@ -495,7 +459,7 @@ def xi(zc, mc, m, N, y_mod=None, buffer=2, check=True):
                     for j in range(i + 1, n + 1):
                         hv = hopf.multiply(hv, {combo[j][0][j - i - 1]: f.one})
                     sh = hopf.apply_antipode(hv, inverse=True)
-                    terms = _tensor_step(f, terms, mc.act(sh, {cvec[i]: f.one}))
+                    terms = tensor_step(f, terms, mc.act(sh, {cvec[i]: f.one}))
                 for key, v in terms.items():
                     for mi in range(dm):
                         add_into(f, big1, (flatten(key + (mi,), ydims),
@@ -517,8 +481,8 @@ def xi(zc, mc, m, N, y_mod=None, buffer=2, check=True):
                     for j in range(i + 1, n):
                         hv = hopf.multiply(hv, {combo[j][0][j - i - 1]: f.one})
                     sh = hopf.apply_antipode(hv, inverse=True)
-                    terms = _tensor_step(f, terms, mc.act(sh, {cvec[i]: f.one}))
-                terms = _tensor_step(
+                    terms = tensor_step(f, terms, mc.act(sh, {cvec[i]: f.one}))
+                terms = tensor_step(
                     f, terms, mc.act({combo[n][0][0]: f.one}, {cvec[n]: f.one}))
                 hn = combo[n][0][1]
                 for key, v in terms.items():
@@ -576,7 +540,7 @@ def star(zc, zc2, m, m2, N, check_hyp=True):
                          (mi * tz + x) * (dm2 * tz2) + (mj * tz2 + x2))] = val
         big = Matrix(f, dmb * tw, (dm * tz) * (dm2 * tz2), big)
         full = big * subs_u[n].basis_matrix().kron(subs_v[n].basis_matrix())
-        maps[n] = _restrict_columns(full, subs_t[n], "star at degree %d" % n)
+        maps[n] = _restrict(full.columns(), subs_t[n], "star at degree %d" % n)
     return ModuleMorphism(src, tgt, maps, name="star")
 
 
@@ -755,13 +719,8 @@ def diag_tensor_epi_check(ma, ma2, m, m2, N, buffer=2, drop_factor=False):
     hh = tensor_hopf(ma.hopf, ma2.hopf)
     mat = tensor_module_algebra(ma, ma2, hh)
     mmt = tensor_modcomodule(m, m2, hh)
-    top = N + buffer
-    cover12 = cover_algebra(mat, mmt, top)
-    q12 = quotient_module(cover12, compute_J(cover12, buffer=buffer))
-    cover1 = cover_algebra(ma, m, top)
-    q1 = quotient_module(cover1, compute_J(cover1, buffer=buffer))
-    cover2 = cover_algebra(ma2, m2, top)
-    q2 = quotient_module(cover2, compute_J(cover2, buffer=buffer))
+    q12, q1, q2 = (hopf_cyclic_complex(a, c, N, buffer=buffer, level="Q")
+                   for a, c in ((mat, mmt), (ma, m), (ma2, m2)))
     _, p12, s12 = _tower(q12)
     _, p1, _ = _tower(q1)
     _, p2, _ = _tower(q2)

@@ -30,6 +30,15 @@ def prod(dims):
     return out
 
 
+def tensor_step(field, terms, piece):
+    """Extend {tuple: coeff} by one tensor slot drawn from dict-vector piece."""
+    out = {}
+    for key, v in terms.items():
+        for idx, w in piece.items():
+            add_into(field, out, key + (idx,), field.mul(v, w))
+    return out
+
+
 def build_matrix(field, src_dims, tgt_dims, image):
     """Matrix of the linear map sending basis multi-index t to image(t).
 

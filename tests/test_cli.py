@@ -157,3 +157,18 @@ def test_empty_stable_range_is_usage_error(lib, tmp_path, argv, capsys):
     assert "agree" not in capsys.readouterr().out
     rep = json.loads(report.read_text())
     assert rep["ok"] is False and "stable range" in rep["error"]
+
+
+def test_field_must_match_a_file_input(lib, tmp_path, capsys):
+    # --field used to be ignored for files: the table came out over Q
+    report = tmp_path / "report.json"
+    assert main(["cohomology", str(lib / "hopf-kz2.json"), "--field", "7",
+                 "--output", str(report)]) == EXIT_USAGE
+    assert "degree" not in capsys.readouterr().out
+    rep = json.loads(report.read_text())
+    assert rep["ok"] is False and "--field 7" in rep["error"]
+    gf7 = tmp_path / "gf7"
+    assert main(["fixtures", "--field", "7", "--output", str(gf7)]) == EXIT_OK
+    assert main(["cohomology", str(gf7 / "hopf-kz2.json"), "--field", "7",
+                 "--degree", "3"]) == EXIT_OK
+    assert main(["check", str(lib / "hopf-kz2.json"), "--field", "Q"]) == EXIT_OK

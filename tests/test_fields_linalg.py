@@ -312,3 +312,13 @@ def test_subspace_against_walk_every_basis_reference(field, data):
         assert twin.dim == sub.dim + 1
     assert sub.pivots == pivots and sub.basis == basis
     assert_reduced_echelon(sub)
+
+
+def test_subspace_coordinates_read_the_pivots_or_refuse_outsiders():
+    f = QQ
+    s = Subspace.from_vectors(f, 3, [{0: f(1), 1: f(2)}, {2: f(1)}])
+    v = {0: f(3), 1: f(6), 2: f(-1)}           # 3 basis[0] - basis[1]
+    assert s.coordinates(v) == {0: f(3), 1: f(-1)}
+    assert vec_sub(f, s.basis_matrix().apply(s.coordinates(v)), v) == {}
+    assert s.coordinates({1: f(1)}) is None
+    assert s.coordinates({}) == {}

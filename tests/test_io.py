@@ -1,8 +1,10 @@
 """Serialization: canonical documents, byte-exact round trips, diagnostics."""
 
 import json
+import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcyclic import QQ, GF
 from hopfcyclic.io import (serialize, save, parse_string, parse_input,
@@ -102,3 +104,98 @@ def test_nested_hopf_documents_embed(tmp_path):
 def test_missing_file_is_a_parse_error(tmp_path):
     with pytest.raises(ParseError):
         parse_input(tmp_path / "nope.json")
+
+
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "fixtures")
+
+
+def _fixture_doc(name):
+    with open(os.path.join(FIXTURES, name)) as fh:
+        return json.load(fh)
+
+
+MALFORMED = [
+    # (fixture, key, replacement, reason)
+    ("hopf-kz2.json", "unit", [[0, 1, 0]], "zero denominator"),
+    ("hopf-kz2.json", "unit", [["0", 1, 1]], "string index"),
+    ("hopf-kz2.json", "field", 4, "non-prime field"),
+    ("hopf-kz2.json", "unit", 5, "entries not a list"),
+    ("hopf-kz2.json", "unit", [[0, 1.5, 1]], "float numerator"),
+    ("hopf-kz2.json", "unit", [[2, 1, 1]], "unit index out of range"),
+    ("hopf-kz2.json", "unit", [[True, 1, 1]], "bool index"),
+    ("hopf-kz2.json", "unit", [[0, 1]], "short row"),
+    ("hopf-kz2.json", "antipode", [[0, 5, 1, 1]], "antipode out of range"),
+    ("hopf-kz2.json", "mul", [[5, 0, 0, 1, 1]], "mul index out of range"),
+    ("modcomodule-trivial-kz2.json", "dim", "two", "dim not an integer"),
+]
+
+
+@pytest.mark.parametrize("name,key,value,reason", MALFORMED,
+                         ids=[case[3] for case in MALFORMED])
+def test_malformed_entries_are_parse_errors(name, key, value, reason):
+    doc = _fixture_doc(name)
+    doc[key] = value
+    with pytest.raises(ParseError) as err:
+        parse_string(json.dumps(doc), what="doc")
+    assert str(err.value).startswith("doc")
+
+
+def test_nested_document_over_another_field_is_a_parse_error():
+    doc = _fixture_doc("module-algebra-dual-numbers.json")
+    doc["hopf"]["field"] = 7
+    with pytest.raises(ParseError) as err:
+        parse_string(json.dumps(doc), what="doc")
+    assert str(err.value).startswith("doc.hopf")
+
+
+def test_malformed_entry_is_a_usage_error_on_the_command_line(tmp_path):
+    from hopfcyclic.cli import main, EXIT_USAGE
+    doc = _fixture_doc("hopf-kz2.json")
+    doc["unit"] = [[0, 1, 0]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    assert main(["check", str(bad), "--output", str(report)]) == EXIT_USAGE
+    rep = json.loads(report.read_text())
+    assert rep["ok"] is False and "denominator" in rep["error"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-2, 2)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+def _paths(node, prefix=()):
+    """Every (container, key) position inside a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(os.listdir(FIXTURES))), data=st.data())
+def test_mutated_documents_raise_only_parse_or_validation_errors(name, data):
+    doc = _fixture_doc(name)
+    paths = list(_paths(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(paths))
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans()) and isinstance(parent, dict):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(JSON_VALUES)
+        except (KeyError, IndexError, TypeError):
+            continue    # an earlier mutation removed or replaced this path
+    try:
+        parse_string(json.dumps(doc))
+    except (ParseError, ValidationError):
+        pass

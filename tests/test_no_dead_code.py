@@ -1,9 +1,12 @@
-"""Every function, class and method in the package has a user.
+"""Every function, class, method and import in the package has a user.
 
 A definition counts as used when its name appears as a `Name` or an
 `Attribute` somewhere in src, tests, demos or bench, outside the
 definition's own body.  Dunders and the names `hopfcyclic/__init__.py`
-exports are exempt.  Standard library only.
+exports are exempt.  A name imported into a package module must appear
+as a `Name` in that module, or as an `Attribute` anywhere searched (a
+re-export such as `fixtures.trivial_modcomodule`); `__init__.py` is
+exempt.  Standard library only.
 """
 
 import ast
@@ -67,3 +70,26 @@ def test_every_definition_has_a_user():
                        for p, line in uses.get(name, ())):
                 dead.append("%s:%d %s" % (os.path.relpath(path, ROOT), first, name))
     assert dead == [], "nothing calls: " + ", ".join(dead)
+
+
+def test_every_import_is_used():
+    attributes = set()
+    for top in SEARCHED:
+        for path in _python_files(top):
+            attributes.update(node.attr for node in ast.walk(_parse(path))
+                              if isinstance(node, ast.Attribute))
+    unused = []
+    for path in _python_files(PACKAGE):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        tree = _parse(path)
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in names and name not in attributes:
+                    unused.append("%s:%d %s" % (os.path.relpath(path, ROOT),
+                                                node.lineno, name))
+    assert unused == [], "imported but unused: " + ", ".join(unused)
