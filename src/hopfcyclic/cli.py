@@ -292,7 +292,19 @@ def _scenario_modules(field):
     return h, m
 
 
+# the --degree values a pair scenario honours: trace-cup takes its class
+# degree as min(--degree, 2) and crossed, cocrossed and star run at
+# truncation 2; epi checks degrees 0..--degree (default 2)
+PAIR_DEGREES = {"trace-cup": (1, 2), "crossed": (2,), "cocrossed": (2,),
+                "star": (2,)}
+
+
 def cmd_pair(args):
+    honoured = PAIR_DEGREES.get(args.via)
+    if args.degree_given and honoured and args.degree not in honoured:
+        raise UsageError("pair --via %s runs at --degree %s only, not %d"
+                         % (args.via, " or ".join(map(str, honoured)),
+                            args.degree))
     field = args.field_obj
     h, m = _scenario_modules(field)
     details = {}
@@ -348,7 +360,8 @@ def cmd_pair(args):
     elif args.via == "epi":
         ma = fx.dual_numbers_module_algebra(h)
         tm = trivial_modcomodule(h)
-        rep = diag_tensor_epi_check(ma, ma, tm, tm, 2, buffer=args.buffer,
+        n = args.degree if args.degree_given else 2
+        rep = diag_tensor_epi_check(ma, ma, tm, tm, n, buffer=args.buffer,
                                     drop_factor=args.drop_factor)
         for n, row in sorted(rep["degrees"].items()):
             print("degree %d: rank %d of %d" % (n, row["rank"],
@@ -387,8 +400,9 @@ def build_parser():
     common.add_argument("--field",
                         help="ground field: Q or a prime (default Q); an "
                              "input file must be over this field")
-    common.add_argument("--degree", type=int, default=4,
-                        help="truncation N, or class degree for char-map")
+    common.add_argument("--degree", type=int,
+                        help="truncation N, or class degree for char-map "
+                             "(default 4)")
     common.add_argument("--buffer", type=int, default=2,
                         help="extra degrees for saturation (default 2)")
     common.add_argument("--model", choices=["bicomplex", "mixed", "both"],
@@ -446,13 +460,16 @@ COMMANDS = {"check": cmd_check, "build": cmd_build,
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    args.degree_given = args.degree is not None
+    if not args.degree_given:
+        args.degree = 4
     if args.degree < 1:
         print("--degree must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     try:
         args.field_obj = QQ if args.field is None else field_by_name(args.field)
-    except (ValueError, KeyError):
-        print("unknown field %r" % args.field, file=sys.stderr)
+    except ValueError as e:
+        print("unknown field %r: %s" % (args.field, e), file=sys.stderr)
         return EXIT_USAGE
     try:
         code, report = COMMANDS[args.command](args)

@@ -20,7 +20,8 @@ from .linalg import (Matrix, Subspace, ShapeMismatch, SingularMatrix,
                      quotient_space, operator_closure, add_into)
 from .tensors import build_matrix, flatten, unflatten, prod, tensor_step
 from .hopf import (ModuleCoalgebra, CompatibilityFailure, check_sayd,
-                   check_comodule_coalgebra, require_same_hopf)
+                   check_comodule_coalgebra, require_same_hopf,
+                   algebra_generators)
 
 CHAIN = "chain"
 COCHAIN = "cochain"
@@ -493,26 +494,25 @@ def truncate(x, N):
                             h_action=ha, hopf=x.hopf, name=x.name, meta=x.meta)
 
 
-def _structure_system(t):
-    """All structure operators of t (plus tau inverses and L_h) as
-    (source degree, target degree, matrix) triples."""
-    ops = []
-    for (n, j), m in t.faces.items():
-        ops.append((n, n + t.step, m))
-    for (n, i), m in t.degeneracies.items():
-        ops.append((n, n - t.step, m))
-    for n in t.spaces:
-        ops.append((n, n, t.tau(n)))
-        ops.append((n, n, t.tau_inv(n)))
-    if t.h_action:
-        for (n, h), m in t.h_action.items():
-            ops.append((n, n, m))
-    return ops
+def compute_J(t, buffer=2):
+    """The saturation ideal J of a para-(co)cyclic cover t with an H-action.
 
+    By definition J is the closure of the columns of T - id and of every
+    [L_h, tau^i] (h in a basis of H, i = 1..n+1) under the faces, the
+    degeneracies, tau, tau^-1 and every L_h.  Here the closure starts from
+    T - id and [L_g, tau] only, for g in algebra_generators(H), and closes
+    under the faces, the degeneracies, tau and the L_g.  That is the same
+    J, and reduced echelon bases are unique, so it is the same basis:
 
-def compute_J(t, buffer=2, extra_powers=0):
-    """The saturation ideal J: closure of the [L_h, tau^i] and tau^{n+1}-id
-    images under all structure operators, tau inverses, and the H-action.
+      i = 1 suffices: [L, tau^i] = [L, tau] tau^{i-1} + tau [L, tau^{i-1}];
+      generators suffice: [L_gh, tau] = L_g [L_h, tau] + [L_g, tau] L_h;
+      no tau^-1: tau is injective and J finite-dimensional, so tau(J) = J.
+
+    The second line needs L_gh = L_g L_h on the cover, so it is certified
+    instead: every column of [L_h, tau], for every basis h, must lie in J,
+    or AssertionError is raised as for a violated closure fixpoint.  The
+    first line then gives every [L_h, tau^i]; _descend checks that every
+    L_h and tau preserve J.
 
     The result covers every stored degree; degrees above t.N - buffer are
     truncation-affected.  Stability in the certified range is checked by
@@ -522,29 +522,31 @@ def compute_J(t, buffer=2, extra_powers=0):
     if not t.h_action:
         raise ValueError("compute_J needs a module with an H-action")
     f = t.field
+    gens = algebra_generators(t.hopf)
+
+    def commutator_columns(mod, n, h):
+        lh, tau = mod.act_h(n, h), mod.tau(n)
+        return [c for c in (lh * tau - tau * lh).columns() if c]
 
     def closure(mod):
-        ops = _structure_system(mod)
+        ops = [(n, n + mod.step, m) for (n, _), m in mod.faces.items()]
+        ops += [(n, n - mod.step, m) for (n, _), m in mod.degeneracies.items()]
+        ops += [(n, n, mod.tau(n)) for n in mod.spaces]
+        ops += [(n, n, mod.act_h(n, g)) for n in mod.spaces for g in gens]
         seeds = {}
-        for n in sorted(mod.spaces):
-            dim_n = mod.spaces[n]
-            gens = []
-            ident = Matrix.identity(f, dim_n)
-            gens.append(mod.T(n) - ident)
-            powers = [mod.tau_power(n, i) for i in range(1, n + 2 + extra_powers)]
-            for h in range(mod.hopf.dim):
-                lh = mod.act_h(n, h)
-                for ti in powers:
-                    gens.append(lh * ti - ti * lh)
-            vecs = []
+        for n, dim_n in mod.spaces.items():
+            twist = mod.T(n) - Matrix.identity(f, dim_n)
+            seeds[n] = [c for c in twist.columns() if c]
             for g in gens:
-                for col in g.columns():
-                    if col:
-                        vecs.append(col)
-            seeds[n] = vecs
+                seeds[n] += commutator_columns(mod, n, g)
         return operator_closure(f, seeds, ops, max_degree=mod.N, buffer=1)
 
     full = closure(t)
+    for n in t.spaces:
+        for h in range(t.hopf.dim):
+            if not all(full[n].contains(c) for c in commutator_columns(t, n, h)):
+                raise AssertionError("seed [L_%d, tau] leaves J at degree %d"
+                                     % (h, n))
     if t.N >= 1 and buffer >= 1:
         shrunk = closure(truncate(t, t.N - 1))
         for n in range(0, max(t.N - buffer, 0) + 1):

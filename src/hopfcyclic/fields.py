@@ -55,9 +55,41 @@ class RationalField(Field):
         return hash("QQ")
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly
+# below MR_BOUND (Sorenson & Webster, Math. Comp. 86, 2017).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(p):
+    """Deterministic primality test for 0 <= p < MR_BOUND."""
+    if p >= MR_BOUND:
+        raise ValueError("modulus %d is too large to certify as prime "
+                         "(the limit is %d)" % (p, MR_BOUND))
+    if p < 2:
+        return False
+    for a in MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField(Field):
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError("modulus %r is not prime" % (p,))
         self.p = p
         self.name = str(p)

@@ -11,7 +11,7 @@ on an object V map a V-index to {(h, v): scalar} inside H (x) V.
 """
 
 from .linalg import (Matrix, Subspace, vec_add, vec_scale, ShapeMismatch, add_into,
-                     quotient_space)
+                     quotient_space, operator_closure)
 from .tensors import build_matrix
 
 
@@ -744,6 +744,30 @@ def cotensor(m, m2):
         return out
     mat = build_matrix(f, [m.dim, m2.dim], [hd, m.dim, m2.dim], image)
     return mat.kernel_basis()
+
+
+def algebra_generators(hopf):
+    """Basis indices that generate H as a unital algebra, picked greedily.
+
+    A basis element joins when it lies outside the subalgebra that the
+    earlier ones generate: the closure of the unit under their left
+    multiplications.  Raises unless the generated subalgebra is all of H.
+    """
+    f, d = hopf.field, hopf.dim
+    unit = hopf.unit()
+    gens, ops = [], []
+    sub = Subspace.from_vectors(f, d, [unit])
+    for h in range(d):
+        if sub.contains({h: f.one}):
+            continue
+        gens.append(h)
+        ops.append((0, 0, Matrix(f, d, d, {(k, j): v for j in range(d) for k, v
+                                           in hopf.algebra.mul[(h, j)].items()})))
+        sub = operator_closure(f, {0: [unit]}, ops, max_degree=0)[0]
+    if sub.dim != d:
+        raise CompatibilityFailure("the generators %s span a subalgebra of "
+                                   "dimension %d < %d" % (gens, sub.dim, d))
+    return gens
 
 
 def is_cocommutative(hopf):

@@ -40,12 +40,14 @@ def _field_tag(field):
 def _field_from_tag(tag, what):
     if tag == "Q":
         return QQ
-    try:
-        if _is_int(tag):
+    why = ""
+    if _is_int(tag):
+        try:
             return GF(tag)
-    except ValueError:
-        pass
-    raise ParseError("%s: field must be \"Q\" or a prime, got %r" % (what, tag))
+        except ValueError as e:
+            why = " (%s)" % e
+    raise ParseError("%s: field must be \"Q\" or a prime, got %r%s"
+                     % (what, tag, why))
 
 
 def _is_int(x):

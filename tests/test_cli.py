@@ -172,3 +172,24 @@ def test_field_must_match_a_file_input(lib, tmp_path, capsys):
     assert main(["cohomology", str(gf7 / "hopf-kz2.json"), "--field", "7",
                  "--degree", "3"]) == EXIT_OK
     assert main(["check", str(lib / "hopf-kz2.json"), "--field", "Q"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("via,degree", [("trace-cup", 3), ("crossed", 5),
+                                        ("cocrossed", 1), ("star", 3)])
+def test_pair_refuses_a_degree_it_cannot_honour(via, degree, tmp_path, capsys):
+    # these scenarios run at fixed degrees: any other --degree is refused
+    report = tmp_path / "report.json"
+    assert main(["pair", "--via", via, "--degree", str(degree),
+                 "--output", str(report)]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    rep = json.loads(report.read_text())
+    assert rep["ok"] is False
+    assert "--degree" in rep["error"] and "not %d" % degree in rep["error"]
+
+
+def test_pair_epi_checks_the_degrees_asked_for(tmp_path):
+    report = tmp_path / "report.json"
+    assert main(["pair", "--via", "epi", "--degree", "1",
+                 "--output", str(report)]) == EXIT_OK
+    rep = json.loads(report.read_text())
+    assert sorted(rep["details"]["degrees"]) == ["0", "1"]

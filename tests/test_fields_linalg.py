@@ -1,11 +1,13 @@
 """Exact field arithmetic and sparse linear algebra against dense oracles."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from hopfcyclic import QQ, GF, field_by_name, Matrix, Subspace, quotient_space
+from hopfcyclic.fields import MR_BOUND, is_prime
 from hopfcyclic.linalg import (SingularMatrix, kernel_basis, vec_add,
                                vec_scale, vec_sub)
 
@@ -65,6 +67,26 @@ def test_field_by_name_round_trip():
     assert field_by_name("7").p == 7
     with pytest.raises(ValueError):
         GF(6)
+
+
+def test_large_primes_are_certified_quickly():
+    # a field tag is outside input: a 20-digit prime must not stall parsing
+    start = time.perf_counter()
+    assert GF(10**19 + 51).p == 10**19 + 51
+    assert GF(10**14 + 31).p == 10**14 + 31
+    assert GF(MR_BOUND - 168).p == MR_BOUND - 168  # the largest prime below
+    assert time.perf_counter() - start < 0.05
+    for composite in (561, 3215031751, (10**9 + 7) * (10**9 + 9)):
+        with pytest.raises(ValueError, match="not prime"):
+            GF(composite)
+    with pytest.raises(ValueError, match="too large"):
+        GF(MR_BOUND)
+
+
+def test_primality_matches_trial_division_below_ten_thousand():
+    assert [p for p in range(10000) if is_prime(p)] == \
+        [p for p in range(2, 10000)
+         if all(p % q for q in range(2, int(p ** 0.5) + 1))]
 
 
 def test_prime_field_division():

@@ -12,6 +12,7 @@ from hopfcyclic.io import (serialize, save, parse_string, parse_input,
                            ValidationError)
 from hopfcyclic.cli import fixture_library
 from hopfcyclic import fixtures as fx
+from hopfcyclic.fields import MR_BOUND
 
 
 def test_round_trip_is_byte_identical_for_every_fixture():
@@ -147,6 +148,26 @@ def test_nested_document_over_another_field_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         parse_string(json.dumps(doc), what="doc")
     assert str(err.value).startswith("doc.hopf")
+
+
+@pytest.mark.parametrize("tag,reason", [(561, "not prime"),
+                                        (3215031751, "not prime"),
+                                        (MR_BOUND, "too large"),
+                                        (10**30 + 57, "too large")])
+def test_unusable_prime_field_tag_is_a_parse_error(tag, reason):
+    doc = _fixture_doc("hopf-kz2.json")
+    doc["field"] = tag
+    with pytest.raises(ParseError, match=reason):
+        parse_string(json.dumps(doc), what="doc")
+
+
+def test_large_prime_field_tag_is_read(tmp_path):
+    from hopfcyclic.cli import main, EXIT_OK, EXIT_USAGE
+    path = tmp_path / "hopf.json"
+    save(fx.group_algebra(GF(10**19 + 51), 2), str(path))
+    assert parse_input(str(path)).field == GF(10**19 + 51)
+    assert main(["check", str(path), "--field", str(10**19 + 51)]) == EXIT_OK
+    assert main(["check", str(path), "--field", str(MR_BOUND)]) == EXIT_USAGE
 
 
 def test_malformed_entry_is_a_usage_error_on_the_command_line(tmp_path):
