@@ -300,6 +300,11 @@ PAIR_DEGREES = {"trace-cup": (1, 2), "crossed": (2,), "cocrossed": (2,),
 
 
 def cmd_pair(args):
+    if args.via == "star" and args.buffer_given:
+        raise UsageError("pair --via star does not use --buffer")
+    if args.drop_factor and args.via != "epi":
+        raise UsageError("--drop-factor is the negative control of --via epi "
+                         "only")
     honoured = PAIR_DEGREES.get(args.via)
     if args.degree_given and honoured and args.degree not in honoured:
         raise UsageError("pair --via %s runs at --degree %s only, not %d"
@@ -400,49 +405,51 @@ def build_parser():
     common.add_argument("--field",
                         help="ground field: Q or a prime (default Q); an "
                              "input file must be over this field")
-    common.add_argument("--degree", type=int,
-                        help="truncation N, or class degree for char-map "
-                             "(default 4)")
-    common.add_argument("--buffer", type=int, default=2,
-                        help="extra degrees for saturation (default 2)")
-    common.add_argument("--model", choices=["bicomplex", "mixed", "both"],
-                        default="both")
     common.add_argument("--sequential", action="store_true",
                         help="force deterministic sequential evaluation "
                              "(always on)")
     common.add_argument("--output", help="write a JSON report to this path")
+    # only the commands that build complexes read these two
+    complexes = argparse.ArgumentParser(add_help=False)
+    complexes.add_argument("--degree", type=int,
+                           help="truncation N, or class degree for char-map "
+                                "(default 4)")
+    complexes.add_argument("--buffer", type=int,
+                           help="extra degrees for saturation (default 2)")
     p = argparse.ArgumentParser(
         prog="hopfcyclic",
         description="exact cyclic and Hopf-cyclic cohomology engine")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, *parents, **kw):
+        return sub.add_parser(name, parents=[common, *parents], **kw)
 
     c = add("check", help="validate structure files or fixtures")
     c.add_argument("files", nargs="*")
     c.add_argument("--fixtures", action="store_true",
                    help="check the shipped fixture library")
 
-    b = add("build", help="construct complexes and check axioms")
+    b = add("build", complexes, help="construct complexes and check axioms")
     b.add_argument("file")
     b.add_argument("--coefficients", help="modcomodule file")
 
-    co = add("cohomology", help="cyclic cohomology table")
+    co = add("cohomology", complexes, help="cyclic cohomology table")
     co.add_argument("file")
     co.add_argument("--coefficients")
+    co.add_argument("--model", choices=["bicomplex", "mixed", "both"],
+                    default="both")
 
-    cm = add("compare", help="bicomplex vs (b,B) model comparison")
+    cm = add("compare", complexes, help="bicomplex vs (b,B) model comparison")
     cm.add_argument("file")
     cm.add_argument("--coefficients")
     cm.add_argument("--corrupt-b", action="store_true",
                     help="negative control: damage B and require detection")
 
-    ch = add("char-map", help="characteristic map, both routes")
+    ch = add("char-map", complexes, help="characteristic map, both routes")
     ch.add_argument("file", help="pairing file")
     ch.add_argument("--coefficients", help="modcomodule file (default k_(1,eps))")
 
-    pr = add("pair", help="run a pairing scenario on the fixtures")
+    pr = add("pair", complexes, help="run a pairing scenario on the fixtures")
     pr.add_argument("--via", required=True,
                     choices=["trace-cup", "crossed", "cocrossed", "star", "epi"])
     pr.add_argument("--drop-factor", action="store_true",
@@ -460,12 +467,14 @@ COMMANDS = {"check": cmd_check, "build": cmd_build,
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    args.degree_given = args.degree is not None
-    if not args.degree_given:
-        args.degree = 4
-    if args.degree < 1:
-        print("--degree must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+    if "degree" in args:
+        args.degree_given = args.degree is not None
+        args.buffer_given = args.buffer is not None
+        args.degree = 4 if args.degree is None else args.degree
+        args.buffer = 2 if args.buffer is None else args.buffer
+        if args.degree < 1:
+            print("--degree must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
     try:
         args.field_obj = QQ if args.field is None else field_by_name(args.field)
     except ValueError as e:

@@ -189,11 +189,9 @@ def counit_pairing(mc, ma):
 
 
 def group_likes(hopf):
-    """All group-like elements among +/- sums of basis vectors is wrong in
-    general; here we enumerate group-likes of the form sum c_i e_i by
-    solving Delta(s) = s (x) s on the finitely many idempotent-supported
-    candidates: for our desk fixtures, basis elements suffice, so we test
-    each basis vector and the unit."""
+    """The basis vectors e_i that are group-like: Delta(e_i) = e_i (x) e_i
+    and eps(e_i) = 1.  Only basis vectors are tried, so a group-like
+    element that is not a basis vector is not found."""
     f = hopf.field
     found = []
     cands = [{i: f.one} for i in range(hopf.dim)]
@@ -209,36 +207,19 @@ def group_likes(hopf):
 
 
 def characters(hopf):
-    """All algebra maps H -> k, found by exhaustive linear-system search
-    over the finitely many multiplicative constraints (desk-scale dims)."""
-    f = hopf.field
-    # A character is determined by its values on basis elements; solve the
-    # quadratic system by brute force over candidate value tuples drawn
-    # from eigenvalue-style candidates.  For our fixtures entries of the
-    # multiplication table are 0, +/-1, so candidate values in {-1,0,1}
-    # suffice for F_p too via the subfield embedding.
+    """The characters (algebra maps H -> k) whose values on the basis all
+    lie in {-1, 0, 1}, found by trying every such tuple of values.
+
+    A tuple delta is kept when delta u = 1 and delta m = delta (x) delta.
+    A character taking another value, such as g -> 2 on kZ/3 over GF(7),
+    is not found.
+    """
     from itertools import product as iproduct
-    cands = [f.neg(f.one), f.zero, f.one]
+    f, d = hopf.field, hopf.dim
+    m, u = hopf.algebra.matrices()
     out = []
-    for values in iproduct(cands, repeat=hopf.dim):
-        delta = {i: v for i, v in enumerate(values) if not f.is_zero(v)}
-        def dval(vec):
-            s = f.zero
-            for i, x in vec.items():
-                s = f.add(s, f.mul(x, delta.get(i, f.zero)))
-            return s
-        if not f.is_zero(f.sub(dval(hopf.unit()), f.one)):
-            continue
-        ok = True
-        for i in range(hopf.dim):
-            for j in range(hopf.dim):
-                prod = hopf.multiply({i: f.one}, {j: f.one})
-                if not f.is_zero(f.sub(dval(prod),
-                                       f.mul(delta.get(i, f.zero), delta.get(j, f.zero)))):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(delta)
+    for values in iproduct([f.neg(f.one), f.zero, f.one], repeat=d):
+        delta = Matrix(f, 1, d, {(0, i): v for i, v in enumerate(values)})
+        if delta * u == Matrix.identity(f, 1) and delta * m == delta.kron(delta):
+            out.append({i: v for i, v in enumerate(values) if not f.is_zero(v)})
     return out

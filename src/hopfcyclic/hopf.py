@@ -1,18 +1,27 @@
 """Finite-dimensional Hopf algebras and their actors, as structure constants.
 
-Every structure is a bundle of dense structure-constant tensors over an
-exact field.  Axioms are never assumed: check_structure evaluates each
-defining identity on all basis tuples and returns the list of failures.
+Every structure is a bundle of sparse structure-constant tables over an
+exact field.  Axioms are never assumed.  Each structure map (m, u, Delta,
+eps, S, an action, a coaction, a pairing) is read as a Matrix, and each
+defining identity, a commutative diagram, is one exact Matrix equation
+lhs == rhs between composites built with products and Kronecker
+products.  check_structure reports every basis tuple at which the two
+sides differ.  The tensor and crossed-product constructions are built
+from the same matrices and read back into tables.
 
 Conventions.  A vector is a dict {basis index: scalar}.  Multiplication
 tables map (i, j) to the vector e_i * e_j.  Comultiplications map i to
 a dict {(j, k): scalar} meaning Delta(e_i) = sum e_j (x) e_k.  Coactions
-on an object V map a V-index to {(h, v): scalar} inside H (x) V.
+on an object V map a V-index to {(h, v): scalar} inside H (x) V.  Tensor
+spaces are flattened row-major, as in tensors.flatten.
 """
 
-from .linalg import (Matrix, Subspace, vec_add, vec_scale, ShapeMismatch, add_into,
+from .linalg import (Matrix, Subspace, ShapeMismatch, add_into,
                      quotient_space, operator_closure)
-from .tensors import build_matrix
+from .tensors import unflatten, prod, permute, table_matrix, matrix_table
+
+# slot order (0, 2, 1, 3): (a (x) b) (x) (c (x) d) -> a (x) c (x) b (x) d
+MIDDLE = (0, 2, 1, 3)
 
 
 class HopfMismatch(Exception):
@@ -21,10 +30,6 @@ class HopfMismatch(Exception):
 
 class CompatibilityFailure(Exception):
     pass
-
-
-def _unit_vec(field, i):
-    return {i: field.one}
 
 
 def _vec_eq(field, u, v):
@@ -54,20 +59,56 @@ def _linear(field, table, u):
     return out
 
 
-def _table_eq(field, t, u):
-    return all(_vec_eq(field, t.get(k, {}), u.get(k, {})) for k in set(t) | set(u))
+def _eye(field, *dims):
+    """The identity of V_1 (x) ... (x) V_k."""
+    return Matrix.identity(field, prod(dims))
+
+
+def _kron(*mats):
+    out = mats[0]
+    for m in mats[1:]:
+        out = out.kron(m)
+    return out
+
+
+def _vec(mat):
+    """A one-row or one-column matrix as a dict-vector."""
+    return {i + j: v for (i, j), v in sorted(mat.entries.items())}
+
+
+def _action(x, dim):
+    """The action H (x) V -> V of x, V of dimension dim."""
+    return table_matrix(x.field, x.action, [x.hopf.dim, dim], [dim])
+
+
+def _coaction(x, dim):
+    """The coaction V -> H (x) V of x, V of dimension dim."""
+    return table_matrix(x.field, x.coaction, [dim], [x.hopf.dim, dim])
+
+
+def _diagonal(dl, act1, act2):
+    """x (x) v (x) w -> x1.v (x) x2.w for Delta(x) = x1 (x) x2 and actions
+    act_i: X (x) V_i -> V_i."""
+    dx, d1, d2 = dl.cols, act1.rows, act2.rows
+    split = permute(dl.kron(_eye(dl.field, d1, d2)), [dx, dx, d1, d2], MIDDLE)
+    return act1.kron(act2) * split
+
+
+def _codiagonal(m, rho1, rho2):
+    """v (x) w -> v(-1)w(-1) (x) v(0) (x) w(0) for coactions rho_i: V_i -> H (x) V_i
+    and the product m of H."""
+    dh, d1, d2 = m.rows, rho1.cols, rho2.cols
+    legs = permute(rho1.kron(rho2), [dh, d1, dh, d2], MIDDLE)
+    return m.kron(_eye(m.field, d1, d2)) * legs
 
 
 def require_same_hopf(x, y, what):
     """Raise HopfMismatch unless x and y have the same structure constants."""
     if x is y:
         return
-    f = x.field
-    same = (f == y.field and x.dim == y.dim
-            and _table_eq(f, x.algebra.mul, y.algebra.mul)
-            and _vec_eq(f, x.algebra.unit, y.algebra.unit)
-            and _table_eq(f, x.coalgebra.comul, y.coalgebra.comul)
-            and _vec_eq(f, x.coalgebra.counit, y.coalgebra.counit)
+    same = (x.field == y.field and x.dim == y.dim
+            and x.algebra.matrices() == y.algebra.matrices()
+            and x.coalgebra.matrices() == y.coalgebra.matrices()
             and x.antipode == y.antipode)
     if not same:
         raise HopfMismatch("%s across different Hopf algebras" % what)
@@ -83,6 +124,12 @@ class AlgebraData:
 
     def multiply(self, u, v):
         return _bilinear(self.field, self.mul, u, v)
+
+    def matrices(self):
+        """(m, u): the product A (x) A -> A and the unit k -> A."""
+        d = self.dim
+        return (table_matrix(self.field, self.mul, [d, d], [d]),
+                table_matrix(self.field, {0: self.unit}, [1], [d]))
 
 
 class CoalgebraData:
@@ -115,6 +162,13 @@ class CoalgebraData:
                     add_into(f, nxt, key[:-1] + (j, k), f.mul(x, v))
             cur = nxt
         return cur
+
+    def matrices(self):
+        """(Delta, eps): the coproduct C -> C (x) C and the counit C -> k."""
+        d = self.dim
+        counit = {i: {0: x} for i, x in self.counit.items()}
+        return (table_matrix(self.field, self.comul, [d], [d, d]),
+                table_matrix(self.field, counit, [d], [1]))
 
 
 class HopfAlgebraData:
@@ -186,9 +240,6 @@ class ComoduleAlgebra:
         self.coaction = coaction
         self.name = name
 
-    def coact(self, b_vec):
-        return _linear(self.field, self.coaction, b_vec)
-
 
 class ComoduleCoalgebra:
     """Coalgebra with a left H-coaction satisfying the mixed compatibility."""
@@ -199,9 +250,6 @@ class ComoduleCoalgebra:
         self.coalgebra = coalgebra
         self.coaction = coaction
         self.name = name
-
-    def coact(self, z_vec):
-        return _linear(self.field, self.coaction, z_vec)
 
 
 class ModComodule:
@@ -215,12 +263,6 @@ class ModComodule:
         self.coaction = coaction
         self.name = name
 
-    def act(self, h_vec, m_vec):
-        return _bilinear(self.field, self.action, h_vec, m_vec)
-
-    def coact(self, m_vec):
-        return _linear(self.field, self.coaction, m_vec)
-
 
 class ModularPair:
     """Group-like sigma and character delta of a Hopf algebra."""
@@ -228,12 +270,6 @@ class ModularPair:
     def __init__(self, sigma, delta):
         self.sigma = dict(sigma)   # vector in H
         self.delta = dict(delta)   # covector on H
-
-    def delta_of(self, field, h_vec):
-        out = field.zero
-        for h, x in h_vec.items():
-            out = field.add(out, field.mul(x, self.delta.get(h, field.zero)))
-        return out
 
 
 class EquivariantPairing:
@@ -248,399 +284,207 @@ class EquivariantPairing:
         self.phi = phi
         self.name = name
 
-    def pair(self, c_vec, a_vec):
-        return _bilinear(self.field, self.phi, c_vec, a_vec)
-
 
 # ---------------------------------------------------------------------------
-# axiom checkers
+# axiom checkers: each identity is an equation between Matrix composites
 
 
-def check_algebra(a, tag="algebra"):
-    f = a.field
-    bad = []
-    for i in range(a.dim):
-        ei = _unit_vec(f, i)
-        if not _vec_eq(f, a.multiply(ei, a.unit), ei):
-            bad.append("%s: e%d * 1 != e%d" % (tag, i, i))
-        if not _vec_eq(f, a.multiply(a.unit, ei), ei):
-            bad.append("%s: 1 * e%d != e%d" % (tag, i, i))
-        for j in range(a.dim):
-            ej = _unit_vec(f, j)
-            for k in range(a.dim):
-                ek = _unit_vec(f, k)
-                lhs = a.multiply(a.multiply(ei, ej), ek)
-                rhs = a.multiply(ei, a.multiply(ej, ek))
-                if not _vec_eq(f, lhs, rhs):
-                    bad.append("%s: associativity fails at (%d,%d,%d)" % (tag, i, j, k))
-    return bad
-
-
-def check_coalgebra(c, tag="coalgebra"):
-    f = c.field
-    bad = []
-    for i in range(c.dim):
-        ei = _unit_vec(f, i)
-        # coassociativity via the two readings of the 3-fold coproduct
-        left = {}
-        for (j, k), v in c.comul_vec(ei).items():
-            for (a, b), w in c.comul[j].items():
-                add_into(f, left, (a, b, k), f.mul(v, w))
-        right = {}
-        for (j, k), v in c.comul_vec(ei).items():
-            for (a, b), w in c.comul[k].items():
-                add_into(f, right, (j, a, b), f.mul(v, w))
-        if not _vec_eq(f, left, right):
-            bad.append("%s: coassociativity fails at e%d" % (tag, i))
-        lcounit = {}
-        rcounit = {}
-        for (j, k), v in c.comul_vec(ei).items():
-            add_into(f, lcounit, k, f.mul(v, c.counit.get(j, f.zero)))
-            add_into(f, rcounit, j, f.mul(v, c.counit.get(k, f.zero)))
-        if not _vec_eq(f, lcounit, ei):
-            bad.append("%s: left counit fails at e%d" % (tag, i))
-        if not _vec_eq(f, rcounit, ei):
-            bad.append("%s: right counit fails at e%d" % (tag, i))
-    return bad
-
-
-def _tensor2_mul(hopf, u2, v2):
-    """Multiply two elements of H (x) H given as {(i,j): scalar}."""
-    f = hopf.field
-    out = {}
-    for (a, b), x in u2.items():
-        for (c, d), y in v2.items():
-            coef = f.mul(x, y)
-            left = hopf.multiply(_unit_vec(f, a), _unit_vec(f, c))
-            right = hopf.multiply(_unit_vec(f, b), _unit_vec(f, d))
-            for i, xi in left.items():
-                for j, yj in right.items():
-                    add_into(f, out, (i, j), f.mul(coef, f.mul(xi, yj)))
+def _fails(dims, *identities):
+    """msg.format(*t) for each identity (lhs, rhs, msg) and each basis tuple
+    t of the source V_1 (x) ... (x) V_k (dimensions dims) at which the maps
+    lhs and rhs differ; identity by identity, tuples in increasing order."""
+    out = []
+    for lhs, rhs, msg in identities:
+        if lhs.entries != rhs.entries:
+            cols = sorted({c for _, c in (lhs - rhs).entries})
+            out += [msg.format(*unflatten(c, dims)) for c in cols]
     return out
 
 
+def check_algebra(a, tag="algebra"):
+    d = a.dim
+    m, u = a.matrices()
+    i = _eye(a.field, d)
+    return (_fails([d], (m * i.kron(u), i, tag + ": e{0} * 1 != e{0}"),
+                   (m * u.kron(i), i, tag + ": 1 * e{0} != e{0}"))
+            + _fails([d] * 3, (m * m.kron(i), m * i.kron(m),
+                               tag + ": associativity fails at ({0},{1},{2})")))
+
+
+def check_coalgebra(c, tag="coalgebra"):
+    d = c.dim
+    dl, e = c.matrices()
+    i = _eye(c.field, d)
+    return _fails([d], (dl.kron(i) * dl, i.kron(dl) * dl,
+                        tag + ": coassociativity fails at e{0}"),
+                  (e.kron(i) * dl, i, tag + ": left counit fails at e{0}"),
+                  (i.kron(e) * dl, i, tag + ": right counit fails at e{0}"))
+
+
 def check_hopf(h):
-    f = h.field
-    bad = []
-    bad += check_algebra(h.algebra, "hopf algebra part")
-    bad += check_coalgebra(h.coalgebra, "hopf coalgebra part")
-    co = h.coalgebra
-    # Delta and epsilon are algebra maps; Delta(1) = 1 (x) 1, eps(1) = 1
-    unit2 = {}
-    for i, x in h.unit().items():
-        for j, y in h.unit().items():
-            unit2[(i, j)] = f.mul(x, y)
-    if not _vec_eq(f, co.comul_vec(h.unit()), unit2):
-        bad.append("bialgebra: Delta(1) != 1 (x) 1")
-    if not f.is_zero(f.sub(co.counit_vec(h.unit()), f.one)):
-        bad.append("bialgebra: eps(1) != 1")
-    for i in range(h.dim):
-        for j in range(h.dim):
-            prod = h.multiply(_unit_vec(f, i), _unit_vec(f, j))
-            lhs = co.comul_vec(prod)
-            rhs = _tensor2_mul(h, co.comul[i], co.comul[j])
-            if not _vec_eq(f, lhs, rhs):
-                bad.append("bialgebra: Delta not multiplicative at (%d,%d)" % (i, j))
-            eps_prod = co.counit_vec(prod)
-            eps_sep = f.mul(co.counit.get(i, f.zero), co.counit.get(j, f.zero))
-            if not f.is_zero(f.sub(eps_prod, eps_sep)):
-                bad.append("bialgebra: eps not multiplicative at (%d,%d)" % (i, j))
-    # antipode axioms
-    for i in range(h.dim):
-        ei = _unit_vec(f, i)
-        left = {}
-        right = {}
-        for (j, k), v in co.comul_vec(ei).items():
-            sj = h.apply_antipode(_unit_vec(f, j))
-            sk = h.apply_antipode(_unit_vec(f, k))
-            left = vec_add(f, left, vec_scale(f, v, h.multiply(sj, _unit_vec(f, k))))
-            right = vec_add(f, right, vec_scale(f, v, h.multiply(_unit_vec(f, j), sk)))
-        target = vec_scale(f, co.counit.get(i, f.zero), h.unit())
-        if not _vec_eq(f, left, target):
-            bad.append("antipode: S(h1)h2 != eps(h)1 at e%d" % i)
-        if not _vec_eq(f, right, target):
-            bad.append("antipode: h1S(h2) != eps(h)1 at e%d" % i)
-    if h.antipode * h.antipode_inv != Matrix.identity(f, h.dim):
+    f, d = h.field, h.dim
+    m, u = h.algebra.matrices()
+    dl, e = h.coalgebra.matrices()
+    i, s = _eye(f, d), h.antipode
+    bad = (check_algebra(h.algebra, "hopf algebra part")
+           + check_coalgebra(h.coalgebra, "hopf coalgebra part")
+           + _fails([1], (dl * u, u.kron(u), "bialgebra: Delta(1) != 1 (x) 1"),
+                    (e * u, _eye(f, 1), "bialgebra: eps(1) != 1"))
+           + _fails([d, d], (dl * m, m.kron(m) * permute(dl.kron(dl), [d] * 4, MIDDLE),
+                             "bialgebra: Delta not multiplicative at ({0},{1})"),
+                    (e * m, e.kron(e),
+                     "bialgebra: eps not multiplicative at ({0},{1})"))
+           + _fails([d], (m * s.kron(i) * dl, u * e,
+                          "antipode: S(h1)h2 != eps(h)1 at e{0}"),
+                    (m * i.kron(s) * dl, u * e,
+                     "antipode: h1S(h2) != eps(h)1 at e{0}")))
+    if s * h.antipode_inv != i:
         bad.append("antipode: S o S^-1 != id")
-    if h.antipode_inv * h.antipode != Matrix.identity(f, h.dim):
+    if h.antipode_inv * s != i:
         bad.append("antipode: S^-1 o S != id")
     return bad
 
 
-def _check_action(hopf, dim, act, tag):
-    """act(h_vec, v_vec); checks 1.v = v and (gh).v = g.(h.v)."""
-    f = hopf.field
-    bad = []
-    for m in range(dim):
-        em = _unit_vec(f, m)
-        if not _vec_eq(f, act(hopf.unit(), em), em):
-            bad.append("%s: unit does not act as identity at e%d" % (tag, m))
-        for g in range(hopf.dim):
-            for h in range(hopf.dim):
-                gh = hopf.multiply(_unit_vec(f, g), _unit_vec(f, h))
-                lhs = act(gh, em)
-                rhs = act(_unit_vec(f, g), act(_unit_vec(f, h), em))
-                if not _vec_eq(f, lhs, rhs):
-                    bad.append("%s: action not associative at (h%d,h%d,e%d)" % (tag, g, h, m))
-    return bad
+def _action_fails(hopf, dim, act, tag):
+    """1.v = v and (gh).v = g.(h.v) for an action act: H (x) V -> V."""
+    m, u = hopf.algebra.matrices()
+    i = _eye(hopf.field, dim)
+    return (_fails([dim], (act * u.kron(i), i,
+                           tag + ": unit does not act as identity at e{0}"))
+            + _fails([hopf.dim, hopf.dim, dim],
+                     (act * m.kron(i), act * _eye(hopf.field, hopf.dim).kron(act),
+                      tag + ": action not associative at (h{0},h{1},e{2})")))
 
 
-def _check_coaction(hopf, dim, coact_one, tag):
-    """coact_one(idx) -> {(h, v): scalar}; checks counit and coassociativity."""
-    f = hopf.field
-    bad = []
-    for m in range(dim):
-        rho = coact_one(m)
-        # counit leg
-        cu = {}
-        for (h, v), x in rho.items():
-            add_into(f, cu, v, f.mul(x, hopf.coalgebra.counit.get(h, f.zero)))
-        if not _vec_eq(f, cu, _unit_vec(f, m)):
-            bad.append("%s: counit law fails at e%d" % (tag, m))
-        # (Delta (x) id) rho = (id (x) rho) rho
-        lhs = {}
-        for (h, v), x in rho.items():
-            for (a, b), w in hopf.coalgebra.comul[h].items():
-                add_into(f, lhs, (a, b, v), f.mul(x, w))
-        rhs = {}
-        for (h, v), x in rho.items():
-            for (h2, v2), w in coact_one(v).items():
-                add_into(f, rhs, (h, h2, v2), f.mul(x, w))
-        if not _vec_eq(f, lhs, rhs):
-            bad.append("%s: coassociativity of coaction fails at e%d" % (tag, m))
-    return bad
+def _coaction_fails(hopf, dim, rho, tag):
+    """The counit law and coassociativity of a coaction rho: V -> H (x) V."""
+    dl, e = hopf.coalgebra.matrices()
+    i = _eye(hopf.field, dim)
+    return _fails([dim], (e.kron(i) * rho, i, tag + ": counit law fails at e{0}"),
+                  (dl.kron(i) * rho, _eye(hopf.field, hopf.dim).kron(rho) * rho,
+                   tag + ": coassociativity of coaction fails at e{0}"))
 
 
 def check_module_algebra(ma):
-    f = ma.field
-    h = ma.hopf
-    a = ma.algebra
-    bad = check_algebra(a, "module algebra base")
-    bad += _check_action(h, a.dim, ma.act, "module algebra action")
-    for i in range(h.dim):
-        hi = _unit_vec(f, i)
-        target = vec_scale(f, h.counit(hi), a.unit)
-        if not _vec_eq(f, ma.act(hi, a.unit), target):
-            bad.append("module algebra: h(1_A) != eps(h)1_A at h%d" % i)
-        for p in range(a.dim):
-            for q in range(a.dim):
-                prod = a.multiply(_unit_vec(f, p), _unit_vec(f, q))
-                lhs = ma.act(hi, prod)
-                rhs = {}
-                for (j, k), v in h.sweedler(hi, 2).items():
-                    term = a.multiply(ma.act(_unit_vec(f, j), _unit_vec(f, p)),
-                                      ma.act(_unit_vec(f, k), _unit_vec(f, q)))
-                    rhs = vec_add(f, rhs, vec_scale(f, v, term))
-                if not _vec_eq(f, lhs, rhs):
-                    bad.append("module algebra: h(ab) law fails at (h%d,e%d,e%d)" % (i, p, q))
-    return bad
+    h, a = ma.hopf, ma.algebra
+    dh, da, ih = h.dim, a.dim, _eye(h.field, h.dim)
+    act, (m, u), (dl, e) = _action(ma, da), a.matrices(), h.coalgebra.matrices()
+    return (check_algebra(a, "module algebra base")
+            + _action_fails(h, da, act, "module algebra action")
+            + _fails([dh], (act * ih.kron(u), u * e,
+                            "module algebra: h(1_A) != eps(h)1_A at h{0}"))
+            + _fails([dh, da, da], (act * ih.kron(m), m * _diagonal(dl, act, act),
+                                    "module algebra: h(ab) law fails at (h{0},e{1},e{2})")))
 
 
 def check_module_coalgebra(mc):
-    f = mc.field
-    h = mc.hopf
-    c = mc.coalgebra
-    bad = check_coalgebra(c, "module coalgebra base")
-    bad += _check_action(h, c.dim, mc.act, "module coalgebra action")
-    for i in range(h.dim):
-        hi = _unit_vec(f, i)
-        for p in range(c.dim):
-            cp = _unit_vec(f, p)
-            acted = mc.act(hi, cp)
-            lhs = c.comul_vec(acted)
-            rhs = {}
-            for (j, k), v in h.sweedler(hi, 2).items():
-                for (c1, c2), w in c.comul_vec(cp).items():
-                    t1 = mc.act(_unit_vec(f, j), _unit_vec(f, c1))
-                    t2 = mc.act(_unit_vec(f, k), _unit_vec(f, c2))
-                    for x1, y1 in t1.items():
-                        for x2, y2 in t2.items():
-                            add_into(f, rhs, (x1, x2),
-                                     f.mul(f.mul(v, w), f.mul(y1, y2)))
-            if not _vec_eq(f, lhs, rhs):
-                bad.append("module coalgebra: Delta(hc) law fails at (h%d,e%d)" % (i, p))
-            eps_l = c.counit_vec(acted)
-            eps_r = f.mul(h.counit(hi), c.counit_vec(cp))
-            if not f.is_zero(f.sub(eps_l, eps_r)):
-                bad.append("module coalgebra: eps(hc) law fails at (h%d,e%d)" % (i, p))
-    return bad
+    h, c = mc.hopf, mc.coalgebra
+    dh, dc, ih = h.dim, c.dim, _eye(h.field, h.dim)
+    act, (dl, e), (dlh, eh) = _action(mc, dc), c.matrices(), h.coalgebra.matrices()
+    return (check_coalgebra(c, "module coalgebra base")
+            + _action_fails(h, dc, act, "module coalgebra action")
+            + _fails([dh, dc], (dl * act, _diagonal(dlh, act, act) * ih.kron(dl),
+                                "module coalgebra: Delta(hc) law fails at (h{0},e{1})"),
+                     (e * act, eh.kron(e),
+                      "module coalgebra: eps(hc) law fails at (h{0},e{1})")))
 
 
 def check_comodule_algebra(ca):
-    f = ca.field
-    h = ca.hopf
-    a = ca.algebra
-    bad = check_algebra(a, "comodule algebra base")
-    bad += _check_coaction(h, a.dim, lambda m: ca.coaction[m], "comodule algebra coaction")
-    # multiplicative
-    for p in range(a.dim):
-        for q in range(a.dim):
-            prod = a.multiply(_unit_vec(f, p), _unit_vec(f, q))
-            lhs = ca.coact(prod)
-            rhs = {}
-            for (h1, b1), x in ca.coaction[p].items():
-                for (h2, b2), y in ca.coaction[q].items():
-                    hh = h.multiply(_unit_vec(f, h1), _unit_vec(f, h2))
-                    bb = a.multiply(_unit_vec(f, b1), _unit_vec(f, b2))
-                    coef = f.mul(x, y)
-                    for hk, hv in hh.items():
-                        for bk, bv in bb.items():
-                            add_into(f, rhs, (hk, bk), f.mul(coef, f.mul(hv, bv)))
-            if not _vec_eq(f, lhs, rhs):
-                bad.append("comodule algebra: coaction not multiplicative at (%d,%d)" % (p, q))
-    # unit coinvariant
-    unit_img = ca.coact(a.unit)
-    expect = {}
-    for i, x in h.unit().items():
-        for j, y in a.unit.items():
-            expect[(i, j)] = f.mul(x, y)
-    if not _vec_eq(f, unit_img, expect):
-        bad.append("comodule algebra: unit not coinvariant")
-    return bad
+    h, a = ca.hopf, ca.algebra
+    da, ih = a.dim, _eye(h.field, h.dim)
+    rho, (m, u), (mh, uh) = _coaction(ca, da), a.matrices(), h.algebra.matrices()
+    return (check_algebra(a, "comodule algebra base")
+            + _coaction_fails(h, da, rho, "comodule algebra coaction")
+            + _fails([da, da], (rho * m, ih.kron(m) * _codiagonal(mh, rho, rho),
+                                "comodule algebra: coaction not multiplicative at "
+                                "({0},{1})"))
+            + _fails([1], (rho * u, uh.kron(u), "comodule algebra: unit not coinvariant")))
 
 
 def check_comodule_coalgebra(cc):
-    f = cc.field
-    h = cc.hopf
-    c = cc.coalgebra
-    bad = check_coalgebra(c, "comodule coalgebra base")
-    bad += _check_coaction(h, c.dim, lambda m: cc.coaction[m], "comodule coalgebra coaction")
     # mixed compatibility: z[-1] (x) z[0](1) (x) z[0](2)
     #   = z(1)[-1] z(2)[-1] (x) z(1)[0] (x) z(2)[0]
-    for z in range(c.dim):
-        lhs = {}
-        for (hh, z0), x in cc.coaction[z].items():
-            for (u, v), w in c.comul[z0].items():
-                add_into(f, lhs, (hh, u, v), f.mul(x, w))
-        rhs = {}
-        for (z1, z2), w in c.comul[z].items():
-            for (h1, z10), x in cc.coaction[z1].items():
-                for (h2, z20), y in cc.coaction[z2].items():
-                    hh = h.multiply(_unit_vec(f, h1), _unit_vec(f, h2))
-                    coef = f.mul(w, f.mul(x, y))
-                    for hk, hv in hh.items():
-                        add_into(f, rhs, (hk, z10, z20), f.mul(coef, hv))
-        if not _vec_eq(f, lhs, rhs):
-            bad.append("comodule coalgebra: mixed compatibility fails at e%d" % z)
-    return bad
+    h, c = cc.hopf, cc.coalgebra
+    dz, ih = c.dim, _eye(h.field, h.dim)
+    rho, (dl, _), (mh, _) = _coaction(cc, dz), c.matrices(), h.algebra.matrices()
+    return (check_coalgebra(c, "comodule coalgebra base")
+            + _coaction_fails(h, dz, rho, "comodule coalgebra coaction")
+            + _fails([dz], (ih.kron(dl) * rho, _codiagonal(mh, rho, rho) * dl,
+                            "comodule coalgebra: mixed compatibility fails at e{0}")))
 
 
 def check_modcomodule(m):
     h = m.hopf
-    bad = _check_action(h, m.dim, m.act, "module/comodule action")
-    bad += _check_coaction(h, m.dim, lambda i: m.coaction[i], "module/comodule coaction")
-    return bad
+    return (_action_fails(h, m.dim, _action(m, m.dim), "module/comodule action")
+            + _coaction_fails(h, m.dim, _coaction(m, m.dim), "module/comodule coaction"))
 
 
 def check_modular_pair(hopf, pair):
-    f = hopf.field
-    bad = []
-    sig2 = {}
-    for i, x in pair.sigma.items():
-        for j, y in pair.sigma.items():
-            sig2[(i, j)] = f.mul(x, y)
-    if not _vec_eq(f, hopf.coalgebra.comul_vec(pair.sigma), sig2):
-        bad.append("modular pair: sigma not group-like")
-    if not f.is_zero(f.sub(hopf.counit(pair.sigma), f.one)):
-        bad.append("modular pair: eps(sigma) != 1")
-    if not f.is_zero(f.sub(pair.delta_of(f, hopf.unit()), f.one)):
-        bad.append("modular pair: delta(1) != 1")
-    for i in range(hopf.dim):
-        for j in range(hopf.dim):
-            prod = hopf.multiply(_unit_vec(f, i), _unit_vec(f, j))
-            lhs = pair.delta_of(f, prod)
-            rhs = f.mul(pair.delta.get(i, f.zero), pair.delta.get(j, f.zero))
-            if not f.is_zero(f.sub(lhs, rhs)):
-                bad.append("modular pair: delta not multiplicative at (%d,%d)" % (i, j))
-    return bad
+    f, d = hopf.field, hopf.dim
+    sigma = table_matrix(f, {0: pair.sigma}, [1], [d])
+    delta = table_matrix(f, {i: {0: x} for i, x in pair.delta.items()}, [d], [1])
+    (m, u), (dl, e) = hopf.algebra.matrices(), hopf.coalgebra.matrices()
+    one = _eye(f, 1)
+    return (_fails([1], (dl * sigma, sigma.kron(sigma), "modular pair: sigma not group-like"),
+                   (e * sigma, one, "modular pair: eps(sigma) != 1"),
+                   (delta * u, one, "modular pair: delta(1) != 1"))
+            + _fails([d, d], (delta * m, delta.kron(delta),
+                              "modular pair: delta not multiplicative at ({0},{1})")))
 
 
 def check_equivariant(p):
-    f = p.field
-    h = p.hopf
-    a = p.alg.algebra
-    c = p.coalg.coalgebra
-    bad = []
-    for ci in range(c.dim):
-        cv = _unit_vec(f, ci)
-        # phi(c, 1) = eps(c) 1
-        target = vec_scale(f, c.counit.get(ci, f.zero), a.unit)
-        if not _vec_eq(f, p.pair(cv, a.unit), target):
-            bad.append("pairing: phi(c,1) != eps(c)1 at c%d" % ci)
-        for a1 in range(a.dim):
-            for a2 in range(a.dim):
-                prod = a.multiply(_unit_vec(f, a1), _unit_vec(f, a2))
-                lhs = p.pair(cv, prod)
-                rhs = {}
-                for (c1, c2), v in c.comul_vec(cv).items():
-                    term = a.multiply(p.pair(_unit_vec(f, c1), _unit_vec(f, a1)),
-                                      p.pair(_unit_vec(f, c2), _unit_vec(f, a2)))
-                    rhs = vec_add(f, rhs, vec_scale(f, v, term))
-                if not _vec_eq(f, lhs, rhs):
-                    bad.append("pairing: multiplicativity fails at (c%d,a%d,a%d)" % (ci, a1, a2))
-        for hi in range(h.dim):
-            hv = _unit_vec(f, hi)
-            for ai in range(a.dim):
-                av = _unit_vec(f, ai)
-                lhs = p.alg.act(hv, p.pair(cv, av))
-                rhs = p.pair(p.coalg.act(hv, cv), av)
-                if not _vec_eq(f, lhs, rhs):
-                    bad.append("pairing: equivariance fails at (h%d,c%d,a%d)" % (hi, ci, ai))
-    return bad
-
-
-def check_structure(x):
-    """Dispatch on type; empty report iff every defining identity holds."""
-    if isinstance(x, HopfAlgebraData):
-        return check_hopf(x)
-    if isinstance(x, AlgebraData):
-        return check_algebra(x)
-    if isinstance(x, CoalgebraData):
-        return check_coalgebra(x)
-    if isinstance(x, ModuleAlgebra):
-        return check_module_algebra(x)
-    if isinstance(x, ModuleCoalgebra):
-        return check_module_coalgebra(x)
-    if isinstance(x, ComoduleAlgebra):
-        return check_comodule_algebra(x)
-    if isinstance(x, ComoduleCoalgebra):
-        return check_comodule_coalgebra(x)
-    if isinstance(x, ModComodule):
-        return check_modcomodule(x)
-    if isinstance(x, EquivariantPairing):
-        return check_equivariant(x)
-    raise TypeError("no structure checks for %r" % type(x).__name__)
+    f, h, a, c = p.field, p.hopf, p.alg.algebra, p.coalg.coalgebra
+    dh, da, dc = h.dim, a.dim, c.dim
+    phi = table_matrix(f, p.phi, [dc, da], [da])
+    (m, u), (dl, e) = a.matrices(), c.matrices()
+    return (_fails([dc], (phi * _eye(f, dc).kron(u), u * e,
+                          "pairing: phi(c,1) != eps(c)1 at c{0}"))
+            + _fails([dc, da, da], (phi * _eye(f, dc).kron(m), m * _diagonal(dl, phi, phi),
+                                    "pairing: multiplicativity fails at (c{0},a{1},a{2})"))
+            + _fails([dh, dc, da], (_action(p.alg, da) * _eye(f, dh).kron(phi),
+                                    phi * _action(p.coalg, dc).kron(_eye(f, da)),
+                                    "pairing: equivariance fails at (h{0},c{1},a{2})")))
 
 
 def check_sayd(m):
-    """Stability m(-1)m(0) = m and the anti-Yetter-Drinfeld condition."""
-    f = m.field
-    h = m.hopf
-    bad = []
-    for i in range(m.dim):
-        # stability
-        out = {}
-        for (hh, mm), x in m.coaction[i].items():
-            out = vec_add(f, out, vec_scale(f, x, m.act(_unit_vec(f, hh), _unit_vec(f, mm))))
-        if not _vec_eq(f, out, _unit_vec(f, i)):
-            bad.append("sayd: stability fails at e%d" % i)
-    for hi in range(h.dim):
-        hv = _unit_vec(f, hi)
-        for i in range(m.dim):
-            lhs = m.coact(m.act(hv, _unit_vec(f, i)))
-            rhs = {}
-            for (h1, h2, h3), v in h.sweedler(hv, 3).items():
-                s_inv_h3 = h.apply_antipode(_unit_vec(f, h3), inverse=True)
-                for (mm1, mi), x in m.coaction[i].items():
-                    hleft = h.multiply(h.multiply(_unit_vec(f, h1), _unit_vec(f, mm1)), s_inv_h3)
-                    macted = m.act(_unit_vec(f, h2), _unit_vec(f, mi))
-                    coef = f.mul(v, x)
-                    for hk, hx in hleft.items():
-                        for mk, mx in macted.items():
-                            add_into(f, rhs, (hk, mk), f.mul(coef, f.mul(hx, mx)))
-            if not _vec_eq(f, lhs, rhs):
-                bad.append("sayd: AYD condition fails at (h%d,e%d)" % (hi, i))
-    return bad
+    """Stability m(-1)m(0) = m and the anti-Yetter-Drinfeld condition
+    (hm)(-1) (x) (hm)(0) = h1 m(-1) S^-1(h3) (x) h2 m(0)."""
+    f, h = m.field, m.hopf
+    dh, dm = h.dim, m.dim
+    act, rho = _action(m, dm), _coaction(m, dm)
+    (mh, _), (dl, _) = h.algebra.matrices(), h.coalgebra.matrices()
+    legs = _eye(f, dh).kron(dl) * dl                                 # h1 (x) h2 (x) h3
+    left = mh * mh.kron(_eye(f, dh)) * _eye(f, dh, dh).kron(h.antipode_inv)
+    # h1 (x) h2 (x) h3 (x) m(-1) (x) m(0) -> h1 (x) m(-1) (x) h3 (x) h2 (x) m(0)
+    rhs = left.kron(act) * permute(legs.kron(rho), [dh] * 4 + [dm], (0, 3, 2, 1, 4))
+    return (_fails([dm], (act * rho, _eye(f, dm), "sayd: stability fails at e{0}"))
+            + _fails([dh, dm], (rho * act, rhs,
+                                "sayd: AYD condition fails at (h{0},e{1})")))
+
+
+_CHECKS = ((HopfAlgebraData, check_hopf), (AlgebraData, check_algebra),
+           (CoalgebraData, check_coalgebra), (ModuleAlgebra, check_module_algebra),
+           (ModuleCoalgebra, check_module_coalgebra),
+           (ComoduleAlgebra, check_comodule_algebra),
+           (ComoduleCoalgebra, check_comodule_coalgebra),
+           (ModComodule, check_modcomodule), (EquivariantPairing, check_equivariant))
+
+
+def check_structure(x):
+    """Dispatch on type; empty report iff every defining identity holds.
+
+    The reports of nested structures come first, prefixed: "hopf: " for
+    the Hopf algebra of an actor, "coalgebra side: " and "algebra side: "
+    for the two sides of a pairing.
+    """
+    check = next((c for cls, c in _CHECKS if isinstance(x, cls)), None)
+    if check is None:
+        raise TypeError("no structure checks for %r" % type(x).__name__)
+    if isinstance(x, EquivariantPairing):
+        nested = (("coalgebra side: ", x.coalg), ("algebra side: ", x.alg))
+    else:
+        nested = (("hopf: ", x.hopf),) if hasattr(x, "hopf") else ()
+    return [p + line for p, y in nested for line in check_structure(y)] + check(x)
 
 
 def modular_pair_module(hopf, pair):
@@ -673,29 +517,16 @@ def trivial_modcomodule(hopf):
 def crossed_product_algebra(ma, ca):
     """A x| B with product (a,b)(a',b') = (a (b(-1) a'), b(0) b')."""
     require_same_hopf(ma.hopf, ca.hopf, "crossed product")
-    f = ma.field
-    A, B = ma.algebra, ca.algebra
-    dim = A.dim * B.dim
-    mul = {}
-    for a in range(A.dim):
-        for b in range(B.dim):
-            for a2 in range(A.dim):
-                for b2 in range(B.dim):
-                    out = {}
-                    for (hh, b0), x in ca.coaction[b].items():
-                        left = A.multiply(_unit_vec(f, a),
-                                          ma.act(_unit_vec(f, hh), _unit_vec(f, a2)))
-                        right = B.multiply(_unit_vec(f, b0), _unit_vec(f, b2))
-                        for i, xi in left.items():
-                            for j, yj in right.items():
-                                add_into(f, out, i * B.dim + j, f.mul(x, f.mul(xi, yj)))
-                    mul[(a * B.dim + b, a2 * B.dim + b2)] = out
-    unit = {}
-    for i, x in A.unit.items():
-        for j, y in B.unit.items():
-            unit[i * B.dim + j] = f.mul(x, y)
+    f, A, B = ma.field, ma.algebra, ca.algebra
+    dh, da, db = ma.hopf.dim, A.dim, B.dim
+    (m_a, u_a), (m_b, u_b) = A.matrices(), B.matrices()
+    # a (x) b (x) a' (x) b' -> a (x) b(-1) (x) a' (x) b(0) (x) b'
+    split = permute(_kron(_eye(f, da), _coaction(ca, db), _eye(f, da, db)),
+                    [da, dh, db, da, db], (0, 1, 3, 2, 4))
+    mul = m_a.kron(m_b) * _kron(_eye(f, da), _action(ma, da), _eye(f, db, db)) * split
     labels = ["(%s,%s)" % (la, lb) for la in A.labels for lb in B.labels]
-    return AlgebraData(f, dim, mul, unit, labels=labels)
+    return AlgebraData(f, da * db, matrix_table(mul, [da * db] * 2, [da * db]),
+                       _vec(u_a.kron(u_b)), labels=labels)
 
 
 def crossed_product_coalgebra(zc, mc):
@@ -704,46 +535,26 @@ def crossed_product_coalgebra(zc, mc):
     bad = check_comodule_coalgebra(zc)
     if bad:
         raise CompatibilityFailure("; ".join(bad))
-    f = zc.field
-    Z, C = zc.coalgebra, mc.coalgebra
-    dim = Z.dim * C.dim
-    comul = {}
-    counit = {}
-    for z in range(Z.dim):
-        for c in range(C.dim):
-            out = {}
-            for (z1, z2), w in Z.comul[z].items():
-                for (c1, c2), v in C.comul[c].items():
-                    for (hh, z20), x in zc.coaction[z2].items():
-                        acted = mc.act(_unit_vec(f, hh), _unit_vec(f, c1))
-                        coef = f.mul(w, f.mul(v, x))
-                        for ck, cv in acted.items():
-                            add_into(f, out, (z1 * C.dim + ck, z20 * C.dim + c2),
-                                     f.mul(coef, cv))
-            comul[z * C.dim + c] = out
-            eps = f.mul(Z.counit.get(z, f.zero), C.counit.get(c, f.zero))
-            if not f.is_zero(eps):
-                counit[z * C.dim + c] = eps
+    f, Z, C = zc.field, zc.coalgebra, mc.coalgebra
+    dh, dz, dc = zc.hopf.dim, Z.dim, C.dim
+    (dl_z, e_z), (dl_c, e_c) = Z.matrices(), C.matrices()
+    # z1 (x) z2 (x) c1 (x) c2 -> z1 (x) z2[-1] (x) c1 (x) z2[0] (x) c2
+    coact = _kron(_eye(f, dz), _coaction(zc, dz), _eye(f, dc, dc))
+    split = permute(coact * dl_z.kron(dl_c), [dz, dh, dz, dc, dc], (0, 1, 3, 2, 4))
+    comul = _kron(_eye(f, dz), _action(mc, dc), _eye(f, dz, dc)) * split
     labels = ["(%s,%s)" % (lz, lc) for lz in Z.labels for lc in C.labels]
-    return CoalgebraData(f, dim, comul, counit, labels=labels)
+    return CoalgebraData(f, dz * dc, matrix_table(comul, [dz * dc], [dz * dc] * 2),
+                         _vec(e_z.kron(e_c)), labels=labels)
 
 
 def cotensor(m, m2):
     """M box^H M' inside M (x) M' as the kernel of the two coactions' difference."""
     require_same_hopf(m.hopf, m2.hopf, "cotensor")
-    f = m.field
-    hd = m.hopf.dim
-    # map M (x) M' -> H (x) M (x) M':  rho_M (x) id  minus  (flip to front) id (x) rho_M'
-    def image(t):
-        i, j = t
-        out = {}
-        for (hh, mi), x in m.coaction[i].items():
-            add_into(f, out, (hh, mi, j), x)
-        for (hh, mj), x in m2.coaction[j].items():
-            add_into(f, out, (hh, i, mj), f.neg(x))
-        return out
-    mat = build_matrix(f, [m.dim, m2.dim], [hd, m.dim, m2.dim], image)
-    return mat.kernel_basis()
+    f, hd = m.field, m.hopf.dim
+    # M (x) M' -> H (x) M (x) M':  rho_M (x) id  minus  (flip to front) id (x) rho_M'
+    other = permute(_eye(f, m.dim).kron(_coaction(m2, m2.dim)), [m.dim, hd, m2.dim],
+                    (1, 0, 2))
+    return (_coaction(m, m.dim).kron(_eye(f, m2.dim)) - other).kernel_basis()
 
 
 def algebra_generators(hopf):
@@ -771,24 +582,13 @@ def algebra_generators(hopf):
 
 
 def is_cocommutative(hopf):
-    f = hopf.field
-    for i in range(hopf.dim):
-        flipped = {}
-        for (j, k), v in hopf.coalgebra.comul[i].items():
-            flipped[(k, j)] = v
-        if not _vec_eq(f, flipped, hopf.coalgebra.comul[i]):
-            return False
-    return True
+    dl, _ = hopf.coalgebra.matrices()
+    return dl == permute(dl, [hopf.dim] * 2, (1, 0))
 
 
 def is_commutative(hopf):
-    f = hopf.field
-    for i in range(hopf.dim):
-        for j in range(hopf.dim):
-            if not _vec_eq(f, hopf.multiply(_unit_vec(f, i), _unit_vec(f, j)),
-                           hopf.multiply(_unit_vec(f, j), _unit_vec(f, i))):
-                return False
-    return True
+    m, _ = hopf.algebra.matrices()
+    return m == permute(m, [hopf.dim] * 2, (1, 0), cols=True)
 
 
 def is_symmetric_module(m):
@@ -798,40 +598,18 @@ def is_symmetric_module(m):
     left action can be read as a right action on the other side of a
     balanced tensor product.
     """
-    f = m.field
-    for h1 in range(m.hopf.dim):
-        v1 = _unit_vec(f, h1)
-        for h2 in range(m.hopf.dim):
-            v2 = _unit_vec(f, h2)
-            for i in range(m.dim):
-                ei = _unit_vec(f, i)
-                if not _vec_eq(f, m.act(v1, m.act(v2, ei)), m.act(v2, m.act(v1, ei))):
-                    return False
-    return True
+    act = _action(m, m.dim)
+    twice = act * _eye(m.field, m.hopf.dim).kron(act)        # g (x) h (x) v -> g.(h.v)
+    return twice == permute(twice, [m.hopf.dim, m.hopf.dim, m.dim], (1, 0, 2), cols=True)
 
 
 def cotensor_is_submodule(m, m2):
     """Whether M box^H M' is stable under the diagonal H-action."""
-    f = m.field
     sub = cotensor(m, m2)
-    dims = [m.dim, m2.dim]
-    for h in range(m.hopf.dim):
-        hv = _unit_vec(f, h)
-        # diagonal action on M (x) M'
-        def image(t, hv=hv):
-            out = {}
-            for (h1, h2), v in m.hopf.sweedler(hv, 2).items():
-                u1 = m.act(_unit_vec(f, h1), _unit_vec(f, t[0]))
-                u2 = m2.act(_unit_vec(f, h2), _unit_vec(f, t[1]))
-                for i, x in u1.items():
-                    for j, y in u2.items():
-                        add_into(f, out, (i, j), f.mul(v, f.mul(x, y)))
-            return out
-        mat = build_matrix(f, dims, dims, image)
-        for b in sub.basis:
-            if not sub.contains(mat.apply(b)):
-                return False
-    return True
+    dl, _ = m.hopf.coalgebra.matrices()
+    acted = (_diagonal(dl, _action(m, m.dim), _action(m2, m2.dim))
+             * _eye(m.field, m.hopf.dim).kron(sub.basis_matrix()))
+    return all(sub.contains(col) for col in acted.columns())
 
 
 def check_hypotheses(hopf, modules=()):
@@ -853,44 +631,22 @@ def check_hypotheses(hopf, modules=()):
 
 def tensor_algebra(a1, a2):
     """A (x) A' with componentwise product, indices flattened a*dim2 + a'."""
-    f = a1.field
     d1, d2 = a1.dim, a2.dim
-    mul = {}
-    for i in range(d1):
-        for j in range(d2):
-            for k in range(d1):
-                for l in range(d2):
-                    out = {}
-                    for p, x in a1.mul[(i, k)].items():
-                        for q, y in a2.mul[(j, l)].items():
-                            out[p * d2 + q] = f.mul(x, y)
-                    mul[(i * d2 + j, k * d2 + l)] = out
-    unit = {}
-    for i, x in a1.unit.items():
-        for j, y in a2.unit.items():
-            unit[i * d2 + j] = f.mul(x, y)
+    (m1, u1), (m2, u2) = a1.matrices(), a2.matrices()
+    mul = permute(m1.kron(m2), [d1, d1, d2, d2], MIDDLE, cols=True)
     labels = ["%s(x)%s" % (la, lb) for la in a1.labels for lb in a2.labels]
-    return AlgebraData(f, d1 * d2, mul, unit, labels=labels)
+    return AlgebraData(a1.field, d1 * d2, matrix_table(mul, [d1 * d2] * 2, [d1 * d2]),
+                       _vec(u1.kron(u2)), labels=labels)
 
 
 def tensor_coalgebra(c1, c2):
     """C (x) C' with componentwise coproduct, indices flattened c*dim2 + c'."""
-    f = c1.field
     d1, d2 = c1.dim, c2.dim
-    comul = {}
-    counit = {}
-    for i in range(d1):
-        for j in range(d2):
-            out = {}
-            for (a, b), v in c1.comul[i].items():
-                for (c, d), w in c2.comul[j].items():
-                    out[(a * d2 + c, b * d2 + d)] = f.mul(v, w)
-            comul[i * d2 + j] = out
-            e = f.mul(c1.counit.get(i, f.zero), c2.counit.get(j, f.zero))
-            if not f.is_zero(e):
-                counit[i * d2 + j] = e
+    (dl1, e1), (dl2, e2) = c1.matrices(), c2.matrices()
+    comul = permute(dl1.kron(dl2), [d1, d1, d2, d2], MIDDLE)
     labels = ["%s(x)%s" % (la, lb) for la in c1.labels for lb in c2.labels]
-    return CoalgebraData(f, d1 * d2, comul, counit, labels=labels)
+    return CoalgebraData(c1.field, d1 * d2, matrix_table(comul, [d1 * d2], [d1 * d2] * 2),
+                         _vec(e1.kron(e2)), labels=labels)
 
 
 def tensor_hopf(h1, h2):
@@ -903,24 +659,20 @@ def tensor_hopf(h1, h2):
                            name="%s (x) %s" % (h1.name or "H", h2.name or "H'"))
 
 
+def _tensor_action(x1, d1, x2, d2):
+    """The componentwise action of H (x) H' on V (x) V', as a table."""
+    h1, h2 = x1.hopf.dim, x2.hopf.dim
+    act = permute(_action(x1, d1).kron(_action(x2, d2)), [h1, d1, h2, d2], MIDDLE,
+                  cols=True)
+    return matrix_table(act, [h1 * h2, d1 * d2], [d1 * d2])
+
+
 def tensor_module_algebra(ma1, ma2, hh=None):
     """A (x) A' as a module algebra over H (x) H' acting componentwise."""
     if hh is None:
         hh = tensor_hopf(ma1.hopf, ma2.hopf)
-    f = ma1.field
-    dh2, da2 = ma2.hopf.dim, ma2.algebra.dim
-    alg = tensor_algebra(ma1.algebra, ma2.algebra)
-    action = {}
-    for h1 in range(ma1.hopf.dim):
-        for h2 in range(dh2):
-            for a1 in range(ma1.algebra.dim):
-                for a2 in range(da2):
-                    out = {}
-                    for p, x in ma1.action[(h1, a1)].items():
-                        for q, y in ma2.action[(h2, a2)].items():
-                            out[p * da2 + q] = f.mul(x, y)
-                    action[(h1 * dh2 + h2, a1 * da2 + a2)] = out
-    return ModuleAlgebra(hh, alg, action,
+    action = _tensor_action(ma1, ma1.algebra.dim, ma2, ma2.algebra.dim)
+    return ModuleAlgebra(hh, tensor_algebra(ma1.algebra, ma2.algebra), action,
                          name="%s (x) %s" % (ma1.name or "A", ma2.name or "A'"))
 
 
@@ -928,47 +680,20 @@ def tensor_modcomodule(m1, m2, hh=None):
     """M (x) M' over H (x) H' with componentwise action and coaction."""
     if hh is None:
         hh = tensor_hopf(m1.hopf, m2.hopf)
-    f = m1.field
-    dh2, dm2 = m2.hopf.dim, m2.dim
-    action = {}
-    for h1 in range(m1.hopf.dim):
-        for h2 in range(dh2):
-            for i in range(m1.dim):
-                for j in range(dm2):
-                    out = {}
-                    for p, x in m1.action[(h1, i)].items():
-                        for q, y in m2.action[(h2, j)].items():
-                            out[p * dm2 + q] = f.mul(x, y)
-                    action[(h1 * dh2 + h2, i * dm2 + j)] = out
-    coaction = {}
-    for i in range(m1.dim):
-        for j in range(dm2):
-            out = {}
-            for (h1, p), x in m1.coaction[i].items():
-                for (h2, q), y in m2.coaction[j].items():
-                    out[(h1 * dh2 + h2, p * dm2 + q)] = f.mul(x, y)
-            coaction[i * dm2 + j] = out
-    return ModComodule(hh, m1.dim * dm2, action, coaction,
+    h1, h2, d1, d2 = m1.hopf.dim, m2.hopf.dim, m1.dim, m2.dim
+    rho = permute(_coaction(m1, d1).kron(_coaction(m2, d2)), [h1, d1, h2, d2], MIDDLE)
+    return ModComodule(hh, d1 * d2, _tensor_action(m1, d1, m2, d2),
+                       matrix_table(rho, [d1 * d2], [h1 * h2, d1 * d2]),
                        name="%s (x) %s" % (m1.name or "M", m2.name or "M'"))
 
 
 def tensor_comodule_coalgebra(z1, z2):
     """Z (x) Z' over the shared H, coacting by the product of the two legs."""
     require_same_hopf(z1.hopf, z2.hopf, "tensor comodule coalgebra")
-    f = z1.field
-    h = z1.hopf
-    d2 = z2.coalgebra.dim
-    co = tensor_coalgebra(z1.coalgebra, z2.coalgebra)
-    coaction = {}
-    for i in range(z1.coalgebra.dim):
-        for j in range(d2):
-            out = {}
-            for (h1, p), x in z1.coaction[i].items():
-                for (h2, q), y in z2.coaction[j].items():
-                    for hk, hv in h.multiply(_unit_vec(f, h1), _unit_vec(f, h2)).items():
-                        add_into(f, out, (hk, p * d2 + q), f.mul(f.mul(x, y), hv))
-            coaction[i * d2 + j] = out
-    return ComoduleCoalgebra(h, co, coaction,
+    d1, d2 = z1.coalgebra.dim, z2.coalgebra.dim
+    rho = _codiagonal(z1.hopf.algebra.matrices()[0], _coaction(z1, d1), _coaction(z2, d2))
+    return ComoduleCoalgebra(z1.hopf, tensor_coalgebra(z1.coalgebra, z2.coalgebra),
+                             matrix_table(rho, [d1 * d2], [z1.hopf.dim, d1 * d2]),
                              name="%s (x) %s" % (z1.name or "Z", z2.name or "Z'"))
 
 
@@ -980,58 +705,23 @@ def balanced_tensor_modcomodule(m1, m2):
     (module, projection, section) so callers can map ambient tensors down.
     """
     require_same_hopf(m1.hopf, m2.hopf, "balanced tensor")
-    f = m1.field
-    h = m1.hopf
-    dm2 = m2.dim
-    total = m1.dim * dm2
-    sub = Subspace(f, total)
-    for hh in range(h.dim):
-        for i in range(m1.dim):
-            for j in range(dm2):
-                vec = {}
-                for p, x in m1.action[(hh, i)].items():
-                    add_into(f, vec, p * dm2 + j, x)
-                for q, y in m2.action[(hh, j)].items():
-                    add_into(f, vec, i * dm2 + q, f.neg(y))
-                if vec:
-                    sub.add_vector(vec)
-    dim, proj, sect = quotient_space(total, sub)
-    action = {}
-    for hh in range(h.dim):
-        amb = Matrix(f, total, total, {
-            (p * dm2 + j, i * dm2 + j): x for i in range(m1.dim)
-            for p, x in m1.action[(hh, i)].items() for j in range(dm2)})
-        for b in sub.basis:
-            if not sub.contains(amb.apply(b)):
-                raise CompatibilityFailure(
-                    "H-action does not descend to the balanced tensor product")
-        q = proj * amb * sect
-        for col in range(dim):
-            action[(hh, col)] = q.column(col)
+    f, h = m1.field, m1.hopf
+    dh, d1, d2 = h.dim, m1.dim, m2.dim
+    left = _action(m1, d1).kron(_eye(f, d2))          # h (x) m (x) m' -> hm (x) m'
+    right = permute(_eye(f, d1).kron(_action(m2, d2)), [d1, dh, d2], (1, 0, 2), cols=True)
+    sub = Subspace.from_vectors(f, d1 * d2, (left - right).columns())
+    dim, proj, sect = quotient_space(d1 * d2, sub)
+    if not all(sub.contains(c) for c in
+               (left * _eye(f, dh).kron(sub.basis_matrix())).columns()):
+        raise CompatibilityFailure(
+            "H-action does not descend to the balanced tensor product")
+    action = matrix_table(proj * left * _eye(f, dh).kron(sect), [dh, dim], [dim])
     # product-leg coaction, built on the ambient space then pushed down
-    rho = {}
-    for i in range(m1.dim):
-        for j in range(dm2):
-            for (h1, p), x in m1.coaction[i].items():
-                for (h2, q), y in m2.coaction[j].items():
-                    for hk, hv in h.multiply(_unit_vec(f, h1), _unit_vec(f, h2)).items():
-                        down = proj.apply({p * dm2 + q: f.one})
-                        coef = f.mul(f.mul(x, y), hv)
-                        for r, w in down.items():
-                            add_into(f, rho, (hk * dim + r, i * dm2 + j),
-                                     f.mul(coef, w))
-    rho = Matrix(f, h.dim * dim, total, rho)
-    for b in sub.basis:
-        if rho.apply(b):
-            raise CompatibilityFailure(
-                "coaction does not descend to the balanced tensor product")
-    coaction = {}
-    for col in range(dim):
-        out = {}
-        for r, w in (rho * sect).column(col).items():
-            hk, mq = divmod(r, dim)
-            out[(hk, mq)] = w
-        coaction[col] = out
-    mod = ModComodule(h, dim, action, coaction,
+    rho = (_eye(f, dh).kron(proj)
+           * _codiagonal(h.algebra.matrices()[0], _coaction(m1, d1), _coaction(m2, d2)))
+    if not (rho * sub.basis_matrix()).is_zero():
+        raise CompatibilityFailure(
+            "coaction does not descend to the balanced tensor product")
+    mod = ModComodule(h, dim, action, matrix_table(rho * sect, [dim], [dh, dim]),
                       name="%s (x)_H %s" % (m1.name or "M", m2.name or "M'"))
     return mod, proj, sect

@@ -98,9 +98,6 @@ class Matrix:
                     ent[(i, j)] = v
         return cls(field, rows, len(columns), ent)
 
-    def column(self, j):
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
     def columns(self):
         cols = [dict() for _ in range(self.cols)]
         for (i, j), v in self.entries.items():

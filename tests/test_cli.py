@@ -193,3 +193,59 @@ def test_pair_epi_checks_the_degrees_asked_for(tmp_path):
                  "--output", str(report)]) == EXIT_OK
     rep = json.loads(report.read_text())
     assert sorted(rep["details"]["degrees"]) == ["0", "1"]
+
+
+def _probe(lib, tmp_path, name, edit):
+    doc = json.loads((lib / name).read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _bad_antipode(doc):
+    doc["hopf"]["antipode"] = [[0, 0, 1, 1], [1, 1, 1, 1], [0, 1, 1, 1]]  # S(g) = g + 1
+
+
+def _no_right_unit(doc):
+    doc["algebra_side"]["mul"].remove([1, 0, 1, 1, 1])                    # x * 1 = 0
+
+
+def test_nested_structures_are_validated(lib, tmp_path, capsys):
+    mc = _probe(lib, tmp_path, "module-coalgebra-kz2-regular.json", _bad_antipode)
+    m = _probe(lib, tmp_path, "modcomodule-trivial-kz2.json", _bad_antipode)
+    pairing = _probe(lib, tmp_path, "pairing-action-kz2.json", _no_right_unit)
+    for path in (mc, m):
+        assert main(["check", path]) == EXIT_FAIL
+        assert "hopf: antipode: S(h1)h2 != eps(h)1 at e1" in capsys.readouterr().out
+    assert main(["check", pairing]) == EXIT_FAIL
+    assert "algebra side: module algebra base: e1 * 1 != e1" in capsys.readouterr().out
+    assert main(["build", mc, "--coefficients", m, "--degree", "3"]) == EXIT_USAGE
+    assert main(["cohomology", mc, "--coefficients", m, "--degree", "4"]) == EXIT_USAGE
+    assert main(["char-map", pairing, "--degree", "1"]) == EXIT_USAGE
+    assert "degree" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "hopf-kz2.json", "--degree", "9"],
+    ["check", "hopf-kz2.json", "--buffer", "7"],
+    ["check", "hopf-kz2.json", "--model", "mixed"],
+    ["compare", "hopf-kz2.json", "--model", "mixed"],
+    ["build", "hopf-kz2.json", "--model", "mixed"],
+    ["char-map", "pairing-action-kz2.json", "--model", "mixed"],
+    ["pair", "--via", "trace-cup", "--model", "mixed"],
+    ["fixtures", "--degree", "3"]])
+def test_flags_a_command_does_not_read_are_refused(lib, argv):
+    argv = [str(lib / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [["pair", "--via", "star", "--buffer", "7"],
+                                  ["pair", "--via", "crossed", "--drop-factor"]])
+def test_pair_refuses_flags_its_scenario_ignores(argv, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(argv + ["--output", str(report)]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert json.loads(report.read_text())["ok"] is False
