@@ -472,9 +472,10 @@ def main(argv=None):
         args.buffer_given = args.buffer is not None
         args.degree = 4 if args.degree is None else args.degree
         args.buffer = 2 if args.buffer is None else args.buffer
-        if args.degree < 1:
-            print("--degree must be at least 1", file=sys.stderr)
-            return EXIT_USAGE
+        for flag, value in (("--degree", args.degree), ("--buffer", args.buffer)):
+            if value < 1:
+                print("%s must be at least 1" % flag, file=sys.stderr)
+                return EXIT_USAGE
     try:
         args.field_obj = QQ if args.field is None else field_by_name(args.field)
     except ValueError as e:

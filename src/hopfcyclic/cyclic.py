@@ -10,18 +10,21 @@ the exponent signs depending on the orientation:
     chain:    d_j = tau^j  d_0 tau^-j     s_j = tau^j  s_0 tau^-j
     cochain:  d_j = tau^-j d_0 tau^j      s_i = tau^-i s_0 tau^i
 
-Everything is verified after the fact by check_axioms; nothing relies on
-the conventions being right silently.
+The structure maps (tau, d_0, s_0, the H-action L_h, the colinearity
+operator) are Matrix composites of m, u, Delta, eps, S, S^-1, the actions
+and the coactions, tensored with tensors.slot and reordered with
+tensors.permute.  Everything is verified after the fact by check_axioms;
+nothing relies on the conventions being right silently.
 """
 
 import warnings
 
 from .linalg import (Matrix, Subspace, ShapeMismatch, SingularMatrix,
-                     quotient_space, operator_closure, add_into)
-from .tensors import build_matrix, flatten, unflatten, prod, tensor_step
-from .hopf import (ModuleCoalgebra, CompatibilityFailure, check_sayd,
-                   check_comodule_coalgebra, require_same_hopf,
-                   algebra_generators)
+                     quotient_space, operator_closure)
+from .tensors import permute, slot, column_blocks
+from .hopf import (AlgebraData, ModuleCoalgebra, CompatibilityFailure,
+                   check_sayd, check_comodule_coalgebra, require_same_hopf,
+                   algebra_generators, _action, _coaction, _codiagonal)
 
 CHAIN = "chain"
 COCHAIN = "cochain"
@@ -279,58 +282,38 @@ def constant_modules(field, N):
     return k_co, k_cy
 
 
-def _mul_at(alg, j):
-    """Basis-tuple map multiplying slots j and j+1 of a tensor power of alg."""
-    def im(t):
-        return {t[:j] + (k,) + t[j + 2:]: v
-                for k, v in alg.mul[(t[j], t[j + 1])].items()}
-    return im
+def _zeroth_maps(x, after=1):
+    """d_0 and s_0 on x^{(x)k+1} (x) V, dim V = after, as functions of k.
 
-
-def _unit_after(alg, j):
-    """Basis-tuple map inserting the unit of alg after slot j."""
-    def im(t):
-        return {t[:j + 1] + (u,) + t[j + 1:]: c for u, c in alg.unit.items()}
-    return im
-
-
-def _comul_first(co):
-    """Basis-tuple map comultiplying slot 0 of a tensor power of co."""
-    def im(t):
-        return {(j, k) + t[1:]: v for (j, k), v in co.comul[t[0]].items()}
-    return im
-
-
-def _counit_second(co):
-    """Basis-tuple map applying the counit of co to slot 1."""
-    f = co.field
-
-    def im(t):
-        e = co.counit.get(t[1], f.zero)
-        return {} if f.is_zero(e) else {(t[0],) + t[2:]: e}
-    return im
+    For an algebra x, d_0 multiplies slots 0 and 1 and s_0 inserts the
+    unit after slot 0; for a coalgebra x, d_0 comultiplies slot 0 and s_0
+    applies the counit to slot 1.
+    """
+    d = x.dim
+    if isinstance(x, AlgebraData):
+        m, u = x.matrices()
+        return (lambda k: slot(m, 1, d ** (k - 1) * after),
+                lambda k: slot(u, d, d ** k * after))
+    dl, e = x.matrices()
+    return (lambda k: slot(dl, 1, d ** k * after),
+            lambda k: slot(e, d, d ** (k - 1) * after))
 
 
 def cyc_algebra(a, N):
     """Classical cyclic module of a unital associative algebra."""
     f = a.field
     d = a.dim
+    m, u = a.matrices()
     spaces = {n: d ** (n + 1) for n in range(N + 1)}
-
-    def rot(t):
-        return {t[-1:] + t[:-1]: f.one}
-
-    def wrap(t):
-        # the last face multiplies the last slot into the first
-        return {(k,) + t[1:-1]: v for k, v in a.mul[(t[-1], t[0])].items()}
-
-    def slot_map(n, m, im):
-        return build_matrix(f, [d] * (n + 1), [d] * (m + 1), im)
-
-    taus = {n: slot_map(n, n, rot) for n in spaces}
-    faces = {(n, j): slot_map(n, n - 1, _mul_at(a, j) if j < n else wrap)
-             for n in range(1, N + 1) for j in range(n + 1)}
-    degeneracies = {(n, j): slot_map(n, n + 1, _unit_after(a, j))
+    # tau moves the last slot to the front
+    taus = {n: permute(Matrix.identity(f, dim), [d] * (n + 1),
+                       (n,) + tuple(range(n)))
+            for n, dim in spaces.items()}
+    faces = {(n, j): slot(m, d ** j, d ** (n - 1 - j))
+             for n in range(1, N + 1) for j in range(n)}
+    # the last face multiplies the last slot into the first
+    faces.update({(n, n): faces[(n, 0)] * taus[n] for n in range(1, N + 1)})
+    degeneracies = {(n, j): slot(u, d ** (j + 1), d ** (n - j))
                     for n in range(N) for j in range(n + 1)}
     return ParaCyclicModule(f, CHAIN, spaces, faces, degeneracies, taus,
                             name="Cyc(%s)" % getattr(a, "labels", ["A"])[0],
@@ -342,20 +325,16 @@ def cyc_coalgebra(c, N):
     f = c.field
     d = c.dim
     spaces = {n: d ** (n + 1) for n in range(N + 1)}
-
-    def rot(t):
-        return {t[1:] + (t[0],): f.one}
-
-    def slot_map(n, m, im):
-        return build_matrix(f, [d] * (n + 1), [d] * (m + 1), im)
-
-    taus = {n: slot_map(n, n, rot) for n in spaces}
-    d0 = {n: slot_map(n, n + 1, _comul_first(c)) for n in range(N)}
-    s0 = {n: slot_map(n, n - 1, _counit_second(c)) for n in range(1, N + 1)}
+    # tau moves the first slot to the end
+    taus = {n: permute(Matrix.identity(f, dim), [d] * (n + 1),
+                       tuple(range(1, n + 1)) + (0,))
+            for n, dim in spaces.items()}
+    face0, degen0 = _zeroth_maps(c)
     x = ParaCyclicModule(f, COCHAIN, spaces, {}, {}, taus,
                          name="Cyc(coalgebra)",
                          meta={"kind": "cyc_coalgebra", "factor_dim": d})
-    _fill_by_conjugation(x, d0, s0)
+    _fill_by_conjugation(x, {n: face0(n) for n in range(N)},
+                         {n: degen0(n) for n in range(1, N + 1)})
     return x
 
 
@@ -382,97 +361,69 @@ def _fill_by_conjugation(x, d0, s0):
 # cover complexes with coefficients
 
 
-def _diagonal_action(hopf, dims, action, mod):
-    """Matrices of the diagonal H-action on X^{(x)k} (x) M per basis element.
-
-    action[(h_idx, x_idx)] is a dict for the X factors; mod acts on the last
-    slot.  Returns {h_basis_index: Matrix}.
-    """
-    f = hopf.field
-    k = len(dims) - 1
-    out = {}
-    for h in range(hopf.dim):
-        parts = hopf.sweedler({h: f.one}, k + 1)
-
-        def im(t, parts=parts):
-            total = {}
-            for hs, coef in parts.items():
-                terms = {(): coef}
-                for i in range(k + 1):
-                    act = action if i < k else mod.action
-                    terms = tensor_step(f, terms, act[(hs[i], t[i])])
-                for key, v in terms.items():
-                    add_into(f, total, key, v)
-            return total
-
-        out[h] = build_matrix(f, dims, dims, im)
-    return out
+def _diagonal_actions(hopf, lx, lv):
+    """L_h on X (x) V for each basis h: sum over Delta(h) of c L^X_{h1} (x) L^V_{h2},
+    from the lists lx and lv of the L_h on X and on V."""
+    zero = Matrix(hopf.field, lx[0].rows * lv[0].rows, lx[0].cols * lv[0].cols)
+    return [sum((lx[h1].kron(lv[h2]).scale(c)
+                 for (h1, h2), c in hopf.coalgebra.comul[h].items()), zero)
+            for h in range(hopf.dim)]
 
 
-def _cover(x, base, m, N, orientation, tau_im, d0_im, s0_im):
+def _cover(x, base, m, N, orientation):
     """Para-(co)cyclic cover X^{(x)n+1} (x) M with diagonal H-action.
 
     x is a module algebra (chain) or module coalgebra (cochain) over the
-    (co)algebra base.  tau_im, d0_im and s0_im give tau, d_0 and s_0 on
-    basis tuples; the other faces and degeneracies come by conjugation.
+    (co)algebra base.  tau, d_0, s_0 and the L_h are Matrix composites of
+    the structure maps; the other faces and degeneracies come by
+    conjugation.
     """
-    what = "algebra" if orientation == CHAIN else "coalgebra"
+    chain = orientation == CHAIN
+    what = "algebra" if chain else "coalgebra"
     require_same_hopf(x.hopf, m.hopf, what + " and coefficients")
     f = x.field
     hopf = x.hopf
-    dx, dm = base.dim, m.dim
+    dh, dx, dm = hopf.dim, base.dim, m.dim
     spaces = {n: dx ** (n + 1) * dm for n in range(N + 1)}
-
-    def dims(n):
-        return [dx] * (n + 1) + [dm]
-
-    taus = {n: build_matrix(f, dims(n), dims(n), tau_im) for n in spaces}
-    h_action = {(n, h): mat for n in spaces
-                for h, mat in _diagonal_action(hopf, dims(n), x.action, m).items()}
+    act = _action(x, dx)
+    rho = _coaction(m, dm)
+    if chain:
+        rho = slot(hopf.antipode_inv, 1, dm) * rho        # m -> S^-1(m(-1)) (x) m(0)
+    lx, lv = column_blocks(act, dh), column_blocks(_action(m, dm), dh)
+    taus, h_action = {}, {}
+    for n in spaces:
+        # degree n is X (x) V for V = X^{(x)n} (x) M, degree n - 1
+        lv = _diagonal_actions(hopf, lx, lv)
+        h_action.update({(n, h): lh for h, lh in enumerate(lv)})
+        legs = slot(rho, dx ** (n + 1), 1)                 # x_0..x_n (x) h (x) m
+        dims = [dx] * (n + 1) + [dh, dm]
+        if chain:
+            # S^-1(m(-1)) x_n (x) x_0..x_{n-1} (x) m(0)
+            order = (n + 1, n) + tuple(range(n)) + (n + 2,)
+            taus[n] = slot(act, 1, dx ** n * dm) * permute(legs, dims, order)
+        else:
+            # x_1..x_n (x) m(-1) x_0 (x) m(0)
+            order = tuple(range(1, n + 2)) + (0, n + 2)
+            taus[n] = slot(act, dx ** n, dm) * permute(legs, dims, order)
     t = ParaCyclicModule(f, orientation, spaces, {}, {}, taus, h_action=h_action,
                          hopf=hopf, name="T(%s,%s)" % (x.name or what[0].upper(),
                                                        m.name or "M"),
                          meta={"kind": "cover_" + what, "factor_dim": dx,
                                "m_dim": dm, "mod": m})
-    d0 = {n: build_matrix(f, dims(n), dims(n + t.step), d0_im)
-          for n in spaces if t.face_indices(n)}
-    s0 = {n: build_matrix(f, dims(n), dims(n - t.step), s0_im)
-          for n in spaces if t.degeneracy_indices(n)}
-    _fill_by_conjugation(t, d0, s0)
+    face0, degen0 = _zeroth_maps(base, dm)
+    _fill_by_conjugation(t, {n: face0(n) for n in spaces if t.face_indices(n)},
+                         {n: degen0(n) for n in spaces if t.degeneracy_indices(n)})
     return t
 
 
 def cover_coalgebra(c, m, N):
     """Para-cocyclic cover T(C,M) = C^{(x)n+1} (x) M with diagonal H-action."""
-    f = c.field
-
-    def tau_im(t):
-        out = {}
-        for (h, mm), v in m.coaction[t[-1]].items():
-            for cc, w in c.action[(h, t[0])].items():
-                add_into(f, out, t[1:-1] + (cc, mm), f.mul(v, w))
-        return out
-
-    co = c.coalgebra
-    return _cover(c, co, m, N, COCHAIN, tau_im, _comul_first(co),
-                  _counit_second(co))
+    return _cover(c, c.coalgebra, m, N, COCHAIN)
 
 
 def cover_algebra(a, m, N):
     """Para-cyclic cover T(A,M) = A^{(x)n+1} (x) M with diagonal H-action."""
-    f = a.field
-
-    def tau_im(t):
-        out = {}
-        for (h, mm), v in m.coaction[t[-1]].items():
-            sh = a.hopf.apply_antipode({h: f.one}, inverse=True)
-            for b, w in a.act(sh, {t[-2]: f.one}).items():
-                add_into(f, out, (b,) + t[:-2] + (mm,), f.mul(v, w))
-        return out
-
-    alg = a.algebra
-    return _cover(a, alg, m, N, CHAIN, tau_im, _mul_at(alg, 0),
-                  _unit_after(alg, 0))
+    return _cover(a, a.algebra, m, N, CHAIN)
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +466,14 @@ def compute_J(t, buffer=2):
     L_h and tau preserve J.
 
     The result covers every stored degree; degrees above t.N - buffer are
-    truncation-affected.  Stability in the certified range is checked by
-    recomputing with the top degree removed; a mismatch raises the
-    UnstableTruncation warning.
+    truncation-affected; buffer must be at least 1.  Stability in the
+    certified range is checked by recomputing with the top degree removed;
+    a mismatch raises the UnstableTruncation warning.
     """
     if not t.h_action:
         raise ValueError("compute_J needs a module with an H-action")
+    if buffer < 1:
+        raise ValueError("buffer must be at least 1")
     f = t.field
     gens = algebra_generators(t.hopf)
 
@@ -547,7 +500,7 @@ def compute_J(t, buffer=2):
             if not all(full[n].contains(c) for c in commutator_columns(t, n, h)):
                 raise AssertionError("seed [L_%d, tau] leaves J at degree %d"
                                      % (h, n))
-    if t.N >= 1 and buffer >= 1:
+    if t.N >= 1:
         shrunk = closure(truncate(t, t.N - 1))
         for n in range(0, max(t.N - buffer, 0) + 1):
             if full[n].dim != shrunk[n].dim:
@@ -621,6 +574,8 @@ def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
     c_or_a is a ModuleCoalgebra or ModuleAlgebra.  For Q and C the cover is
     built with `buffer` extra degrees so that they are reliable in 0..N.
     """
+    if buffer < 1:
+        raise ValueError("buffer must be at least 1")
     build = cover_coalgebra if isinstance(c_or_a, ModuleCoalgebra) else cover_algebra
     if level == "T":
         return build(c_or_a, m, N)
@@ -635,58 +590,18 @@ def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
 # colinear-map complexes C(B,M) and C(Z,M)
 
 
-def _diagonal_coaction_matrix(field, hopf, coaction, dims):
-    """rho: X^{(x)k} -> H (x) X^{(x)k}, diagonal coaction, as a matrix.
+def _colinear_subspace(field, hopf, mod, rho_x):
+    """Kernel of the colinearity operator on Hom(X, M), rho_x: X -> H (x) X.
 
-    The H-legs are multiplied together left to right: the coefficient of
-    h (x) (x_0...x_{k-1}) collects x^0_{[-1]} ... x^{k-1}_{[-1]} = h.
+    The operator sends f to rho_M o f - (id_H (x) f) o rho_X.  Hom vectors
+    are flattened with the M index slowest: flat = m*dimX + x.
     """
-    k = len(dims)
-    total = prod(dims)
-    ent = {}
-    unit_items = tuple(hopf.unit().items())
-    for col in range(total):
-        t = unflatten(col, dims)
-        # state: {(h_index, partial_tuple): coeff}, h accumulated by product
-        part = {}
-        for hu, cu in unit_items:
-            part[(hu, ())] = cu
-        for i in range(k):
-            nxt = {}
-            for (h, tup), v in part.items():
-                for (hh, xx), w in coaction[t[i]].items():
-                    for hk, hw in hopf.multiply({h: field.one}, {hh: field.one}).items():
-                        add_into(field, nxt, (hk, tup + (xx,)),
-                                 field.mul(v, field.mul(w, hw)))
-            part = nxt
-        for (hk, tup), v in part.items():
-            add_into(field, ent, (hk * total + flatten(tup, dims), col), v)
-    return Matrix(field, hopf.dim * total, total, ent)
-
-
-def _colinear_subspace(field, hopf, mod, base_coaction, dims):
-    """Kernel of the colinearity operator on Hom(X^{(x)k}, M).
-
-    Hom vectors are flattened with the M index slowest: flat = m*dimX + x.
-    """
-    total = prod(dims)
-    dm = mod.dim
-    dh = hopf.dim
-    rho_x = _diagonal_coaction_matrix(field, hopf, base_coaction, dims)
-    # operator Hom(X, M) -> Hom(X, H (x) M)
-    # term 1: f |-> rho_M o f
-    op = {}
-    for mi in range(dm):
-        for (h, mm), v in mod.coaction[mi].items():
-            for x in range(total):
-                op[((h * dm + mm) * total + x, mi * total + x)] = v
-    # term 2: f |-> (id_H (x) f) o rho_X, subtracted
-    for (row, col), v in rho_x.entries.items():
-        h, xx = divmod(row, total)
-        for mi in range(dm):
-            add_into(field, op, ((h * dm + mi) * total + col, mi * total + xx),
-                     field.neg(v))
-    return Matrix(field, dh * dm * total, dm * total, op).kernel_basis()
+    dh, dm = hopf.dim, mod.dim
+    op = _coaction(mod, dm).kron(Matrix.identity(field, rho_x.cols))
+    for h, block in enumerate(column_blocks(rho_x.transpose(), dh)):
+        e_h = slot(Matrix(field, dh, 1, {(h, 0): field.one}), 1, dm)
+        op = op - e_h.kron(block)
+    return op.kernel_basis()
 
 
 def _restrict(images, sub, tag):
@@ -697,74 +612,53 @@ def _restrict(images, sub, tag):
     return Matrix.from_columns(sub.field, sub.dim, cols)
 
 
-def _twisted_precompose(field, mod, g_blocks, src_total, tgt_total):
-    """Operator on Hom spaces: f |-> (x |-> sum_h act(h, f(u_h(x)))).
-
-    g_blocks: {h: Matrix src_total x tgt_total} with G(x) = sum_h h (x) u_h(x).
-    """
-    dm = mod.dim
-    out = Matrix(field, dm * tgt_total, dm * src_total)
-    for h, g in g_blocks.items():
-        act_h = Matrix(field, dm, dm, {(mm, mi): v for mi in range(dm)
-                                       for mm, v in mod.action[(h, mi)].items()})
-        out = out + act_h.kron(g.transpose())
-    return out
-
-
 def _hom_module(field, hopf, mod, base, N, orientation, name):
     """Shared construction for C(B,M) (cochain) and C(Z,M) (chain).
 
     tau is a twisted rotation and d_0, s_0 precompose with a slot map of
     the base; each is restricted to the colinear maps, then conjugated.
     """
-    if orientation == COCHAIN:
-        # (tau f)(b^0..b^n) = S(b^n_{(-1)}) f(b^n_{(0)}, b^0..b^{n-1})
-        def twist(t):
-            for (h0, bb), v in base.coaction[t[-1]].items():
-                for h, w in hopf.apply_antipode({h0: field.one}).items():
-                    yield h, (bb,) + t[:-1], field.mul(v, w)
-        # d_0 f = f o (multiply slots 0,1), s_0 f = f o (insert 1_B in slot 1)
-        slots = base.algebra
-        d0_pre, s0_pre = _mul_at(slots, 0), _unit_after(slots, 0)
-    else:
-        # (tau f)(z^0..z^n) = z^0_{[-1]} f(z^1..z^n, z^0_{[0]})
-        def twist(t):
-            for (h, zz), v in base.coaction[t[0]].items():
-                yield h, t[1:] + (zz,), v
-        # d_0 f = f o (comultiply slot 0), s_0 f = f o (counit on slot 1)
-        slots = base.coalgebra
-        d0_pre, s0_pre = _comul_first(slots), _counit_second(slots)
-    db, dm = slots.dim, mod.dim
-    subs = {n: _colinear_subspace(field, hopf, mod, base.coaction, [db] * (n + 1))
-            for n in range(N + 1)}
-
-    def restrict(op, n, tgt, tag):
-        return _restrict([op.apply(b) for b in subs[n].basis], subs[tgt], tag)
-
-    def precompose(n, tgt, im, tag):
-        # f |-> f o p with p: B^{(x)tgt+1} -> B^{(x)n+1} read off im
-        p = build_matrix(field, [db] * (tgt + 1), [db] * (n + 1), im)
-        return restrict(Matrix.identity(field, dm).kron(p.transpose()), n, tgt, tag)
-
-    taus = {}
+    # chain: (tau f)(z^0..z^n) = z^0_{[-1]} f(z^1..z^n, z^0_{[0]}), and
+    # d_0, s_0 precompose with the comultiplication and counit maps;
+    # cochain: (tau f)(b^0..b^n) = S(b^n_{(-1)}) f(b^n_{(0)}, b^0..b^{n-1}),
+    # and d_0, s_0 precompose with the multiplication and unit maps
+    slots = base.coalgebra if orientation == CHAIN else base.algebra
+    db, dh, dm = slots.dim, hopf.dim, mod.dim
+    m_h = hopf.algebra.matrices()[0]
+    rho_b = _coaction(base, db)
+    lm = column_blocks(_action(mod, dm), dh)
+    rho, subs, taus = rho_b, {}, {}
     for n in range(N + 1):
-        dims = [db] * (n + 1)
-        total = prod(dims)
-        g_blocks = {h: {} for h in range(hopf.dim)}
-        for x in range(total):
-            for h, t, v in twist(unflatten(x, dims)):
-                add_into(field, g_blocks[h], (flatten(t, dims), x), v)
-        g_blocks = {h: Matrix(field, total, total, e) for h, e in g_blocks.items()}
-        taus[n] = restrict(_twisted_precompose(field, mod, g_blocks, total, total),
-                           n, n, "tau_%d" % n)
+        if n:
+            rho = _codiagonal(m_h, rho, rho_b)             # on B^{(x)n+1}
+        subs[n] = _colinear_subspace(field, hopf, mod, rho)
+        if orientation == CHAIN:
+            order = (0,) + tuple(range(2, n + 2)) + (1,)
+            g = permute(slot(rho_b, 1, db ** n), [dh, db] + [db] * n, order)
+        else:
+            order = (n, n + 1) + tuple(range(n))
+            g = slot(hopf.antipode, 1, db ** (n + 1)) * permute(
+                slot(rho_b, db ** n, 1), [db] * n + [dh, db], order)
+        # G(x) = sum_h h (x) u_h(x); tau f = sum_h L_h o f o u_h
+        ops = [lh.kron(uh) for lh, uh in zip(lm, column_blocks(g.transpose(), dh))]
+        tau = sum(ops[1:], ops[0])
+        taus[n] = _restrict([tau.apply(b) for b in subs[n].basis], subs[n],
+                            "tau_%d" % n)
     x = ParaCyclicModule(field, orientation, {n: subs[n].dim for n in subs}, {},
                          {}, taus, hopf=hopf, name=name,
                          meta={"kind": "colinear_hom", "sub": subs,
                                "factor_dim": db, "mod": mod, "base": base,
                                "m_dim": dm})
-    d0 = {n: precompose(n, n + x.step, d0_pre, "d_0 at %d" % n)
+
+    def precompose(n, tgt, slot_map, tag):
+        # f |-> f o p with p: B^{(x)tgt+1} -> B^{(x)n+1}
+        op = Matrix.identity(field, dm).kron(slot_map(tgt).transpose())
+        return _restrict([op.apply(b) for b in subs[n].basis], subs[tgt], tag)
+
+    face0, degen0 = _zeroth_maps(slots)
+    d0 = {n: precompose(n, n + x.step, face0, "d_0 at %d" % n)
           for n in subs if x.face_indices(n)}
-    s0 = {n: precompose(n, n - x.step, s0_pre, "s_0 at %d" % n)
+    s0 = {n: precompose(n, n - x.step, degen0, "s_0 at %d" % n)
           for n in subs if x.degeneracy_indices(n)}
     _fill_by_conjugation(x, d0, s0)
     return x

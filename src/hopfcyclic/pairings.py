@@ -11,7 +11,7 @@ are realized by pulling evaluation covectors back along these morphisms.
 from itertools import product as iproduct
 
 from .linalg import Matrix, ShapeMismatch, add_into
-from .tensors import flatten, unflatten, prod, tensor_step
+from .tensors import flatten, unflatten, prod, tensor_step, permute, slot
 from .hopf import (check_equivariant, check_sayd,
                    is_commutative, is_symmetric_module, require_same_hopf,
                    tensor_hopf, tensor_module_algebra, tensor_modcomodule,
@@ -729,21 +729,16 @@ def diag_tensor_epi_check(ma, ma2, m, m2, N, buffer=2, drop_factor=False):
     report = {"degrees": {}, "surjective": True, "descends": True,
               "corrupted": bool(drop_factor)}
     for n in range(N + 1):
-        dims12 = [da * da2] * (n + 1) + [dm * dm2]
         d1 = da ** (n + 1) * dm
         d2 = da2 ** (n + 1) * dm2
-        perm = {}
-        for col in range(prod(dims12)):
-            t = unflatten(col, dims12)
-            left = tuple(x // da2 for x in t[:-1]) + (t[-1] // dm2,)
-            if drop_factor:
-                right = (0,) * (n + 2)
-            else:
-                right = tuple(x % da2 for x in t[:-1]) + (t[-1] % dm2,)
-            row = (flatten(left, [da] * (n + 1) + [dm]) * d2
-                   + flatten(right, [da2] * (n + 1) + [dm2]))
-            perm[(row, col)] = f.one
-        down = p1[n].kron(p2[n]) * Matrix(f, d1 * d2, prod(dims12), perm)
+        # (a_0 a'_0) .. (a_n a'_n) (m m') -> a_0 .. a_n m (x) a'_0 .. a'_n m'
+        dims = [da, da2] * (n + 1) + [dm, dm2]
+        order = tuple(range(0, 2 * n + 4, 2)) + tuple(range(1, 2 * n + 4, 2))
+        perm = permute(Matrix.identity(f, d1 * d2), dims, order)
+        if drop_factor:
+            collapse = Matrix(f, d2, d2, {(0, j): f.one for j in range(d2)})
+            perm = slot(collapse, d1, 1) * perm
+        down = p1[n].kron(p2[n]) * perm
         phi = down * s12[n]
         if phi * p12[n] != down:
             report["descends"] = False

@@ -2,9 +2,10 @@
 
 Vectors in V_1 (x) ... (x) V_k are dicts keyed by flat indices; the flat
 index is row-major (first factor slowest).  Operators on tensor spaces
-are assembled basis element by basis element via build_matrix, or read
-off a structure table with table_matrix; permute reorders the tensor
-slots of a matrix's rows or columns.
+are read off a structure table with table_matrix and assembled from such
+matrices: slot places an operator on one slot, permute reorders the
+tensor slots of a matrix's rows or columns, and column_blocks splits a
+map out of K (x) D into one map per basis element of K.
 """
 
 from .linalg import Matrix, add_into
@@ -39,21 +40,6 @@ def tensor_step(field, terms, piece):
         for idx, w in piece.items():
             add_into(field, out, key + (idx,), field.mul(v, w))
     return out
-
-
-def build_matrix(field, src_dims, tgt_dims, image):
-    """Matrix of the linear map sending basis multi-index t to image(t).
-
-    image(t) returns a dict mapping target multi-index tuples to scalars.
-    """
-    src_total = prod(src_dims)
-    tgt_total = prod(tgt_dims)
-    ent = {}
-    for col in range(src_total):
-        t = unflatten(col, src_dims)
-        for tt, v in image(t).items():
-            add_into(field, ent, (flatten(tt, tgt_dims), col), v)
-    return Matrix(field, tgt_total, src_total, ent)
 
 
 def _flat(key, dims):
@@ -96,3 +82,23 @@ def permute(mat, dims, order, cols=False):
     else:
         ent = {(move(r), c): v for (r, c), v in mat.entries.items()}
     return Matrix._owning(mat.field, mat.rows, mat.cols, ent)
+
+
+def slot(op, before, after):
+    """I (x) op (x) I: op on one slot, with identities of dimensions before
+    and after on either side.  The entries of op are copied, not multiplied."""
+    r, c = op.rows, op.cols
+    ent = {((b * r + i) * after + a, (b * c + j) * after + a): v
+           for b in range(before) for (i, j), v in op.entries.items()
+           for a in range(after)}
+    return Matrix._owning(op.field, before * r * after, before * c * after, ent)
+
+
+def column_blocks(mat, k):
+    """mat: K (x) D -> W split along K, dim K = k: block h is d |-> mat(e_h (x) d)."""
+    d = mat.cols // k
+    ent = [{} for _ in range(k)]
+    for (i, j), v in mat.entries.items():
+        h, x = divmod(j, d)
+        ent[h][(i, x)] = v
+    return [Matrix._owning(mat.field, mat.rows, d, e) for e in ent]

@@ -41,6 +41,23 @@ def test_degree_must_be_positive():
     assert main(["cohomology", "x.json", "--degree", "0"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("buffer", ["-3", "-1", "0"])
+@pytest.mark.parametrize("argv", [
+    ["build", "module-coalgebra-kz2-regular.json",
+     "--coefficients", "modcomodule-trivial-kz2.json", "--degree", "2"],
+    ["cohomology", "module-coalgebra-kz2-regular.json",
+     "--coefficients", "modcomodule-modular-pair-kz2.json", "--degree", "4"]],
+    ids=["build", "cohomology"])
+def test_buffer_must_be_positive(lib, argv, buffer, capsys):
+    # a buffer below 1 leaves no stable degree to certify: refused before
+    # any complex is built, not a traceback or a degree-0-only table
+    argv = [str(lib / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv + ["--buffer", buffer]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--buffer must be at least 1\n"
+
+
 def test_unknown_field_is_usage_error(lib):
     assert main(["check", str(lib / "hopf-kz2.json"),
                  "--field", "six"]) == EXIT_USAGE

@@ -75,6 +75,18 @@ def test_compute_j_buffer_stability(kz2_coalgebra_cover):
         assert j2[n].dim == j3[n].dim
 
 
+@pytest.mark.parametrize("buffer", [-3, -1, 0])
+def test_buffer_below_one_is_refused(kz2_coalgebra_cover, pair_g, buffer):
+    # buffer 0 would skip the stability certificate, and a negative one
+    # would build a cover without degree 0
+    with pytest.raises(ValueError, match="buffer must be at least 1"):
+        compute_J(kz2_coalgebra_cover, buffer=buffer)
+    mc = fx.regular_module_coalgebra(kz2_coalgebra_cover.hopf)
+    for level in ("T", "Q", "C"):
+        with pytest.raises(ValueError, match="buffer must be at least 1"):
+            hopf_cyclic_complex(mc, pair_g, 2, buffer=buffer, level=level)
+
+
 def test_coinvariants_of_quotient_match_direct_coinvariants(kz2, pair_triv,
                                                            pair_g, sayd_reg):
     """k (x)_H Q has the same dimensions as k (x)_H T on stable

@@ -63,3 +63,33 @@ def test_pipeline_levels_agree_over_q_and_a_large_prime():
         hopf_cyclic_complex(xq, mq, 3, level="J")
     with pytest.raises(TypeError):
         hopf_cyclic_complex(xq, mq, 3, 2)    # buffer is keyword-only
+
+
+def _product(a, b):
+    """A x B on the basis of A followed by the basis of B, componentwise."""
+    f, da = a.field, a.dim
+    mul = {(i, j): {} for i in range(da + b.dim) for j in range(da + b.dim)}
+    mul.update({(i, j): dict(v) for (i, j), v in a.mul.items()})
+    mul.update({(da + i, da + j): {da + k: x for k, x in v.items()}
+                for (i, j), v in b.mul.items()})
+    unit = dict(a.unit)
+    unit.update({da + k: x for k, x in b.unit.items()})
+    return AlgebraData(f, da + b.dim, mul, unit,
+                       labels=list(a.labels) + list(b.labels))
+
+
+@pytest.mark.parametrize("field,factors,want", [
+    (QQ, ("kZ/2", "dual numbers"), {0: 4, 1: 0, 2: 4}),
+    (FP, ("dual numbers", "kZ/3"), {0: 5, 1: 0, 2: 5})],
+    ids=["kZ2-x-dual-numbers-Q", "dual-numbers-x-kZ3-GF10007"])
+def test_cyclic_cohomology_of_a_product_is_the_direct_sum(field, factors, want):
+    # HC(A x B) = HC(A) (+) HC(B), in both models
+    build = {"kZ/2": lambda: fx.group_algebra(field, 2).algebra,
+             "kZ/3": lambda: fx.group_algebra(field, 3).algebra,
+             "dual numbers": lambda: fx.dual_numbers_algebra(field)}
+    a, b = (build[name]() for name in factors)
+    res = compare_models(cyc_algebra(_product(a, b), 4))
+    assert res["agree"]
+    assert res["bicomplex"].degrees == res["mixed"].degrees == want
+    ta, tb = (cohomology_table(cyc_algebra(x, 4)).degrees for x in (a, b))
+    assert {n: ta[n] + tb[n] for n in ta} == want
