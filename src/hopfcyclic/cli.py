@@ -19,7 +19,7 @@ from .hopf import (AlgebraData, HopfAlgebraData, ModuleAlgebra,
 from .cyclic import (check_axioms, cyc_algebra, cyc_coalgebra, cover_algebra,
                      cover_coalgebra, hopf_cyclic_complex,
                      hopf_cocyclic_comodule_algebra,
-                     hopf_cyclic_comodule_coalgebra)
+                     hopf_cyclic_comodule_coalgebra, NotSAYD, DescentFailure)
 from .homology import (mixed_of_cyclic, cohomology_table, compare_models,
                        _as_cochain)
 from .pairings import (alpha, beta, xi, star, invariant_traces,
@@ -487,6 +487,12 @@ def main(argv=None):
         print(str(e), file=sys.stderr)
         _emit({"ok": False, "error": str(e)}, args.output)
         return EXIT_USAGE
+    except (NotSAYD, DescentFailure) as e:
+        # a certificate failed on valid input: name the identity, exit 1
+        error = "%s: %s" % (type(e).__name__, e)
+        print(error, file=sys.stderr)
+        _emit({"ok": False, "error": error}, args.output)
+        return EXIT_FAIL
     report["command"] = args.command
     _emit(report, args.output)
     return code

@@ -675,6 +675,9 @@ def hopf_cocyclic_comodule_algebra(b, m, N):
 
 def hopf_cyclic_comodule_coalgebra(z, m, N):
     """C(Z,M): colinear maps Z^{(x)n+1} -> M with the cyclic structure."""
+    bad = check_sayd(m)
+    if bad:
+        raise NotSAYD("; ".join(bad))
     bad = check_comodule_coalgebra(z)
     if bad:
         raise CompatibilityFailure("; ".join(bad))

@@ -3,9 +3,19 @@
 Field elements are plain Python values (Fraction for Q, int in range(p)
 for F_p) so matrices and vectors can store them directly.  A Field object
 bundles the arithmetic so the rest of the engine never touches floats.
+Its two hooks `integral` and `from_integral` let a matrix product run on
+Python ints: lift a table of entries to ints over one common denominator,
+sum products of those ints, and lower the sums back to field elements once.
 """
 
 from fractions import Fraction
+from math import lcm
+
+
+def _drop_zeros(entries):
+    for k in [k for k, v in entries.items() if not v]:
+        del entries[k]
+    return entries
 
 
 class Field:
@@ -44,6 +54,27 @@ class RationalField(Field):
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / x
+
+    def integral(self, entries):
+        """(ints, d) with entries[k] == ints[k] / d, d the lcm of the
+        denominators; when every entry is an integer, d = 1."""
+        d = lcm(*{v.denominator for v in entries.values()})
+        if d == 1:
+            return {k: v.numerator for k, v in entries.items()}, 1
+        return {k: v.numerator * (d // v.denominator)
+                for k, v in entries.items()}, d
+
+    def from_integral(self, ints, d):
+        """The Fractions x / d of the ints x, inverse of `integral`.  Works
+        in place on `ints` and returns it with the zeros dropped.  A product
+        holds few distinct values, so each Fraction is made once and shared."""
+        made = {}
+        for k, x in ints.items():
+            q = made.get(x)
+            if q is None:
+                q = made[x] = Fraction(x, d)
+            ints[k] = q
+        return _drop_zeros(ints)
 
     def __repr__(self):
         return "QQ"
@@ -120,6 +151,20 @@ class PrimeField(Field):
         if x % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(x, -1, self.p)
+
+    def integral(self, entries):
+        """(entries, 1): residues in range(p) already are ints."""
+        return entries, 1
+
+    def from_integral(self, ints, d):
+        """The residues mod p of the ints x (d is 1: `integral` keeps the
+        residues as they are).  Works in place on `ints` and returns it
+        with the zeros dropped, so a sum of products is reduced once here,
+        not after every multiply-add."""
+        p = self.p
+        for k, x in ints.items():
+            ints[k] = x % p
+        return _drop_zeros(ints)
 
     def __repr__(self):
         return "GF(%d)" % self.p

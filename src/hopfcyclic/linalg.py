@@ -1,14 +1,20 @@
 """Exact sparse linear algebra over Q and F_p.
 
-Matrices are sparse maps (row, col) -> nonzero scalar.  Every elimination
-(rank, kernel, inverse) goes through one routine, Matrix.rref: a sparse
-Gauss-Jordan on row dicts that pivots each column on the shortest row
-holding it, so fill-in stays low and no dense copy is ever made.  A
-matrix is read-only once applied: the first apply caches a column index
-and freezes the entries.  Subspaces are kept as fully reduced echelon
-bases: each basis vector is 1 at its pivot and 0 at every other pivot, so
-reducing a vector is one pass over the pivots in its support, and a
-quotient projection is read off the basis without reducing anything.
+Matrices are sparse maps (row, col) -> nonzero scalar.  Products and
+Kronecker products run on Python ints: the field lifts each operand to
+ints over one common denominator (over F_p, the residues themselves),
+sums of products accumulate with no zero test, and each sum becomes a
+field element once, divided by the denominator over Q or reduced mod p
+over F_p (fraction-free accumulation and delayed modular reduction).
+Every elimination (rank, kernel, inverse) goes through one routine,
+Matrix.rref: a sparse Gauss-Jordan on row dicts that pivots each column
+on the shortest row holding it, so fill-in stays low and no dense copy
+is ever made.  A matrix is read-only once applied: the first apply
+caches a column index and freezes the entries.  Subspaces are kept as
+fully reduced echelon bases: each basis vector is 1 at its pivot and 0
+at every other pivot, so reducing a vector is one pass over the pivots
+in its support, and a quotient projection is read off the basis without
+reducing anything.
 """
 
 from bisect import bisect_left
@@ -142,18 +148,19 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeMismatch("mul %dx%d with %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         f = self.field
+        a, da = f.integral(self.entries)
+        b, db = f.integral(other.entries)
         by_row = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
-        ent = {}
-        for (i, k), v in self.entries.items():
+        for (i, j), w in b.items():
+            by_row.setdefault(i, []).append((j, w))
+        acc = {}
+        get = acc.get
+        for (i, k), v in a.items():
             for j, w in by_row.get(k, ()):
-                x = f.add(ent.get((i, j), f.zero), f.mul(v, w))
-                if f.is_zero(x):
-                    ent.pop((i, j), None)
-                else:
-                    ent[(i, j)] = x
-        return Matrix._owning(f, self.rows, other.cols, ent)
+                key = (i, j)
+                acc[key] = get(key, 0) + v * w
+        return Matrix._owning(f, self.rows, other.cols,
+                              f.from_integral(acc, da * db))
 
     def apply(self, vec):
         """Apply to a dict-vector (length self.cols), returns dict-vector."""
@@ -181,11 +188,14 @@ class Matrix:
     def kron(self, other):
         """Kronecker product, row-major flattening (self slowest)."""
         f = self.field
+        a, da = f.integral(self.entries)
+        b, db = f.integral(other.entries)
+        r, c = other.rows, other.cols
         return Matrix._owning(
-            f, self.rows * other.rows, self.cols * other.cols,
-            {(i * other.rows + k, j * other.cols + l): f.mul(v, w)
-             for (i, j), v in self.entries.items()
-             for (k, l), w in other.entries.items()})
+            f, self.rows * r, self.cols * c,
+            f.from_integral({(i * r + k, j * c + l): v * w
+                             for (i, j), v in a.items()
+                             for (k, l), w in b.items()}, da * db))
 
     def rank(self):
         return len(self.rref()[0])

@@ -266,3 +266,49 @@ def test_pair_refuses_flags_its_scenario_ignores(argv, tmp_path, capsys):
     assert main(argv + ["--output", str(report)]) == EXIT_USAGE
     assert capsys.readouterr().out == ""
     assert json.loads(report.read_text())["ok"] is False
+
+
+@pytest.fixture(scope="module")
+def not_sayd(tmp_path_factory):
+    """A kZ/2 modcomodule (regular action and coaction) that is not SAYD."""
+    from hopfcyclic import QQ
+    from hopfcyclic import fixtures as fx
+    from hopfcyclic.io import save
+    path = tmp_path_factory.mktemp("m") / "not-sayd-kz2.json"
+    save(fx.regular_action_regular_coaction(fx.group_algebra(QQ, 2)),
+         str(path))
+    return path
+
+
+@pytest.mark.parametrize("command", ["build", "cohomology", "compare"])
+@pytest.mark.parametrize("base", ["comodule-algebra-kz2.json",
+                                  "comodule-coalgebra-functions-kz2.json"])
+def test_coefficients_that_are_not_sayd_fail_by_name(lib, not_sayd, base,
+                                                     command, tmp_path, capsys):
+    # both colinear-Hom complexes need SAYD coefficients: a verified failure
+    # (exit 1, the broken identity named), not a traceback
+    report = tmp_path / "report.json"
+    assert main([command, str(lib / base), "--coefficients", str(not_sayd),
+                 "--degree", "2", "--output", str(report)]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("NotSAYD: sayd: stability fails at e1")
+    rep = json.loads(report.read_text())
+    assert rep["ok"] is False and rep["error"] == captured.err.strip()
+
+
+def test_descent_failure_exits_1(lib, tmp_path, capsys, monkeypatch):
+    # a descent certificate that fails on valid input is a verified failure
+    from hopfcyclic import cli
+    from hopfcyclic.cyclic import DescentFailure
+
+    def fail(*args):
+        raise DescentFailure("tau_0 leaves the colinear subspace")
+    monkeypatch.setattr(cli, "hopf_cyclic_comodule_coalgebra", fail)
+    report = tmp_path / "report.json"
+    assert main(["build", str(lib / "comodule-coalgebra-functions-kz2.json"),
+                 "--coefficients", str(lib / "modcomodule-trivial-kz2.json"),
+                 "--output", str(report)]) == EXIT_FAIL
+    err = "DescentFailure: tau_0 leaves the colinear subspace"
+    assert capsys.readouterr().err == err + "\n"
+    assert json.loads(report.read_text()) == {"ok": False, "error": err}

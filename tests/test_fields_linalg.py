@@ -142,6 +142,87 @@ def test_matrix_product_associative(field, data):
     assert (m1 * m2) * m3 == m1 * (m2 * m3)
 
 
+def kernel_entries(field):
+    """Entries for the product kernel: over Q, mixed denominators and signs."""
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                         st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12]))
+    return st.integers(1, field.p - 1)
+
+
+def reference_product(f, a, b):
+    """a * b entry by entry with f.add and f.mul, zeros dropped."""
+    out = {}
+    for i in range(a.rows):
+        for j in range(b.cols):
+            x = f.zero
+            for k in range(a.cols):
+                v, w = a.entries.get((i, k)), b.entries.get((k, j))
+                if v is not None and w is not None:
+                    x = f.add(x, f.mul(v, w))
+            if not f.is_zero(x):
+                out[(i, j)] = x
+    return out
+
+
+def reference_kron(f, a, b):
+    return {(i * b.rows + k, j * b.cols + l): f.mul(v, w)
+            for (i, j), v in a.entries.items()
+            for (k, l), w in b.entries.items()}
+
+
+def assert_stored_entries_are_field_elements(m):
+    p = getattr(m.field, "p", None)
+    for v in m.entries.values():
+        if p is None:
+            assert type(v) is Fraction and v != 0
+        else:
+            assert type(v) is int and 0 < v < p
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(10007)], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_product_kernel_matches_field_arithmetic(field, data):
+    """Products and Kronecker products summed in ints over a common
+    denominator (or mod p once per entry) equal the entry-by-entry ones."""
+    f = field
+
+    def draw(r, c):
+        return Matrix(f, r, c, data.draw(st.dictionaries(
+            st.tuples(st.integers(0, r - 1), st.integers(0, c - 1)),
+            kernel_entries(f), max_size=r * c)))
+
+    def block(rows, cols, parts, vertical):
+        # parts side by side (or stacked), each part scaled by its sign
+        ent, off = {}, 0
+        for m, sign in parts:
+            for (i, j), v in m.entries.items():
+                ent[(i + off, j) if vertical else (i, j + off)] = f.mul(sign, v)
+            off += m.rows if vertical else m.cols
+        return Matrix(f, rows, cols, ent)
+
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    k2 = data.draw(st.integers(1, 3))
+    x, y, z, w = draw(r, k), draw(k, c), draw(r, k2), draw(k2, c)
+    one, minus = f.one, f.neg(f.one)
+    # a * b = x*y - x*y + z*w: the x*y terms cancel inside every sum
+    a = block(r, 2 * k + k2, [(x, one), (x, one), (z, one)], False)
+    b = block(2 * k + k2, c, [(y, one), (y, minus), (w, one)], True)
+    ab = a * b
+    assert ab.entries == reference_product(f, z, w)
+    for prod, ref in ((ab, reference_product(f, a, b)),
+                      (x * y, reference_product(f, x, y)),
+                      (x.kron(w), reference_kron(f, x, w)),
+                      (a.kron(b), reference_kron(f, a, b))):
+        assert prod.entries == ref
+        assert_stored_entries_are_field_elements(prod)
+    # with no z*w left, the product cancels exactly to zero
+    a0 = block(r, 2 * k, [(x, one), (x, one)], False)
+    b0 = block(2 * k, c, [(y, one), (y, minus)], True)
+    assert (a0 * b0).is_zero()
+
+
 def sparse_matrix(data, field, rows, cols, fill_diagonal=False):
     entries = data.draw(st.dictionaries(
         st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),

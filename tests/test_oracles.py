@@ -1,11 +1,17 @@
-"""Independent oracles: closed forms, Morita invariance, Q against F_p."""
+"""Independent oracles: closed forms, Morita invariance, Q against F_p,
+invariance under a change of basis."""
+
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopfcyclic import (QQ, GF, AlgebraData, cyc_algebra, compare_models,
-                        cohomology_table, hopf_cyclic_complex,
-                        modular_pair_module, trivial_modcomodule)
+from hopfcyclic import (QQ, GF, AlgebraData, Matrix, cyc_algebra,
+                        compare_models, cohomology_table, check_structure,
+                        hopf_cyclic_complex, modular_pair_module,
+                        trivial_modcomodule)
 from hopfcyclic import fixtures as fx
+from hopfcyclic.tensors import matrix_table
 
 FP = GF(10007)
 
@@ -93,3 +99,42 @@ def test_cyclic_cohomology_of_a_product_is_the_direct_sum(field, factors, want):
     assert res["bicomplex"].degrees == res["mixed"].degrees == want
     ta, tb = (cohomology_table(cyc_algebra(x, 4)).degrees for x in (a, b))
     assert {n: ta[n] + tb[n] for n in ta} == want
+
+
+def _invertible(data, d):
+    """A random invertible P = L U over Q: L lower and U upper triangular,
+    every entry on or below (above) the diagonal a nonzero fraction with
+    denominator 2, 3, 5 or 7, so even the simplest draw is no permutation."""
+    q = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1),
+                  st.sampled_from([2, 3, 5, 7]))
+    lower, upper = ({(i, j): data.draw(q)
+                     for i in range(d) for j in range(d) if keep(i, j)}
+                    for keep in (lambda i, j: i >= j, lambda i, j: i <= j))
+    return Matrix(QQ, d, d, lower) * Matrix(QQ, d, d, upper)
+
+
+def _change_basis(a, p):
+    """A on the basis given by the columns of p: m' = p^-1 m (p (x) p) and
+    u' = p^-1 u."""
+    d, pinv = a.dim, p.inverse()
+    m, u = a.matrices()
+    mul = matrix_table(pinv * m * p.kron(p), [d, d], [d])
+    unit = matrix_table(pinv * u, [1], [d])[0]
+    return AlgebraData(a.field, d, mul, unit)
+
+
+@pytest.mark.parametrize("n", [2, 3], ids=["kZ2", "kZ3"])
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_cyclic_cohomology_is_invariant_under_a_change_of_basis(n, data):
+    # the tables of Cyc(A) do not see the basis: a rational change of basis
+    # gives structure constants with denominators, and the same tables
+    a = fx.group_algebra(QQ, n).algebra
+    b = _change_basis(a, _invertible(data, n))
+    assert check_structure(b) == []
+    assert any(x.denominator > 1 for v in b.mul.values() for x in v.values())
+    want = compare_models(cyc_algebra(a, 4))
+    got = compare_models(cyc_algebra(b, 4))
+    assert got["agree"]
+    for model in ("bicomplex", "mixed"):
+        assert got[model].degrees == want[model].degrees == {0: n, 1: 0, 2: n}
