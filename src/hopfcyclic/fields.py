@@ -3,9 +3,10 @@
 Field elements are plain Python values (Fraction for Q, int in range(p)
 for F_p) so matrices and vectors can store them directly.  A Field object
 bundles the arithmetic so the rest of the engine never touches floats.
-Its two hooks `integral` and `from_integral` let a matrix product run on
-Python ints: lift a table of entries to ints over one common denominator,
-sum products of those ints, and lower the sums back to field elements once.
+Its two hooks `integral` and `from_integral` let products of matrices and
+vectors and subspace reductions run on Python ints: lift a table of
+entries to ints over one common denominator, sum products of those ints,
+and lower the sums back to field elements once.
 """
 
 from fractions import Fraction
@@ -65,9 +66,10 @@ class RationalField(Field):
                 for k, v in entries.items()}, d
 
     def from_integral(self, ints, d):
-        """The Fractions x / d of the ints x, inverse of `integral`.  Works
-        in place on `ints` and returns it with the zeros dropped.  A product
-        holds few distinct values, so each Fraction is made once and shared."""
+        """The Fractions x / d of the ints x for a nonzero int d, inverse of
+        `integral`.  Works in place on `ints` and returns it with the zeros
+        dropped.  A product holds few distinct values, so each Fraction is
+        made once and shared."""
         made = {}
         for k, x in ints.items():
             q = made.get(x)
@@ -157,13 +159,18 @@ class PrimeField(Field):
         return entries, 1
 
     def from_integral(self, ints, d):
-        """The residues mod p of the ints x (d is 1: `integral` keeps the
-        residues as they are).  Works in place on `ints` and returns it
-        with the zeros dropped, so a sum of products is reduced once here,
-        not after every multiply-add."""
+        """The residues x / d mod p of the ints x (d is 1 when the ints come
+        from `integral`, which keeps the residues as they are).  Works in
+        place on `ints` and returns it with the zeros dropped, so a sum of
+        products is reduced once here, not after every multiply-add."""
         p = self.p
-        for k, x in ints.items():
-            ints[k] = x % p
+        if d == 1:
+            for k, x in ints.items():
+                ints[k] = x % p
+        else:
+            inv = self.inv(d)
+            for k, x in ints.items():
+                ints[k] = x * inv % p
         return _drop_zeros(ints)
 
     def __repr__(self):

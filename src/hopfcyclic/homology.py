@@ -326,7 +326,8 @@ def _total(c):
             for tgt, block in blocks(k):
                 if tgt in offs[n + 1]:
                     _insert_block(d, block, offs[n + 1][tgt], offs[n][k])
-        diffs[n] = Matrix(f, dims[n + 1], dims[n], d)
+        # block entries are nonzero and each block fits its offsets
+        diffs[n] = Matrix._owning(f, dims[n + 1], dims[n], d)
     return dims, diffs, comps, offs
 
 

@@ -1,23 +1,26 @@
 """Exact sparse linear algebra over Q and F_p.
 
-Matrices are sparse maps (row, col) -> nonzero scalar.  Products and
-Kronecker products run on Python ints: the field lifts each operand to
-ints over one common denominator (over F_p, the residues themselves),
-sums of products accumulate with no zero test, and each sum becomes a
-field element once, divided by the denominator over Q or reduced mod p
-over F_p (fraction-free accumulation and delayed modular reduction).
-Every elimination (rank, kernel, inverse) goes through one routine,
+Matrices are sparse maps (row, col) -> nonzero scalar.  Products,
+Kronecker products, matrix-vector products and subspace reductions run
+on Python ints: the field lifts each operand to ints over one common
+denominator (over F_p, the residues themselves), sums of products
+accumulate with no zero test, and each sum becomes a field element once,
+divided by the denominator over Q or reduced mod p over F_p
+(fraction-free accumulation and delayed modular reduction).  Every
+elimination (rank, kernel, inverse) goes through one routine,
 Matrix.rref: a sparse Gauss-Jordan on row dicts that pivots each column
 on the shortest row holding it, so fill-in stays low and no dense copy
 is ever made.  A matrix is read-only once applied: the first apply
-caches a column index and freezes the entries.  Subspaces are kept as
-fully reduced echelon bases: each basis vector is 1 at its pivot and 0
-at every other pivot, so reducing a vector is one pass over the pivots
-in its support, and a quotient projection is read off the basis without
-reducing anything.
+lifts its entries, caches them by column and freezes the matrix.
+Subspaces are kept as fully reduced echelon bases, each vector also held
+lifted to ints: each basis vector is 1 at its pivot and 0 at every other
+pivot, so reducing a vector is one pass over the pivots in its support,
+and a quotient projection is read off the basis without reducing
+anything.
 """
 
 from bisect import bisect_left
+from math import lcm
 from types import MappingProxyType
 
 
@@ -163,23 +166,27 @@ class Matrix:
                               f.from_integral(acc, da * db))
 
     def apply(self, vec):
-        """Apply to a dict-vector (length self.cols), returns dict-vector."""
+        """Apply to a dict-vector (length self.cols), returns dict-vector.
+
+        The first call lifts the entries to ints, indexes them by column
+        and freezes the matrix.  Each call lifts vec, sums the products in
+        ints and turns each sum into a field element once.
+        """
         f = self.field
         by_col = self._by_col
         if by_col is None:
+            a, self._den = f.integral(self.entries)
             by_col = self._by_col = {}
-            for (i, j), v in self.entries.items():
+            for (i, j), v in a.items():
                 by_col.setdefault(j, []).append((i, v))
             self.entries = MappingProxyType(self.entries)
+        x, dx = f.integral(vec)
         out = {}
-        for j, x in vec.items():
+        get = out.get
+        for j, c in x.items():
             for i, v in by_col.get(j, ()):
-                y = f.add(out.get(i, f.zero), f.mul(v, x))
-                if f.is_zero(y):
-                    out.pop(i, None)
-                else:
-                    out[i] = y
-        return out
+                out[i] = get(i, 0) + v * c
+        return f.from_integral(out, self._den * dx)
 
     def transpose(self):
         return Matrix._owning(self.field, self.cols, self.rows,
@@ -301,7 +308,8 @@ class Subspace:
 
     Basis vectors are dict-vectors; pivot columns strictly increase, each
     basis vector b_p is 1 at its own pivot p, 0 at every other pivot, and
-    has no entry left of p.  `_by_pivot` maps p to b_p.
+    has no entry left of p.  `_by_pivot` maps p to b_p and `_lifted` maps
+    p to b_p lifted to ints, (ints, d) with b_p = ints / d.
     """
 
     def __init__(self, field, ambient_dim):
@@ -310,6 +318,7 @@ class Subspace:
         self.basis = []      # list of dict-vectors
         self.pivots = []     # pivot index per basis vector, sorted
         self._by_pivot = {}  # pivot -> basis vector
+        self._lifted = {}    # pivot -> basis vector lifted to ints
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
@@ -326,22 +335,23 @@ class Subspace:
         """Residual of vec modulo the subspace.
 
         The basis is fully reduced, so the residual is vec - sum vec[p] b_p
-        over the pivots p in the support of vec, built in one pass.
+        over the pivots p in the support of vec.  With vec = x / dx and
+        b_p = B_p / d_p lifted to ints, it is summed in ints over
+        D = lcm of the d_p, as (D x - sum x[p] (D / d_p) B_p) / (D dx), and
+        each entry becomes a field element once.
         """
         f = self.field
-        by_pivot = self._by_pivot
-        out = dict(vec)
-        for p, c in vec.items():
-            b = by_pivot.get(p)
-            if b is None or f.is_zero(c):
-                continue
-            for j, x in b.items():
-                y = f.sub(out.get(j, f.zero), f.mul(c, x))
-                if f.is_zero(y):
-                    out.pop(j, None)
-                else:
-                    out[j] = y
-        return out
+        lifted = self._lifted
+        x, dx = f.integral(vec)
+        hits = [(c, lifted[p]) for p, c in x.items() if p in lifted]
+        d = lcm(*[db for _, (_, db) in hits])
+        out = {k: c * d for k, c in x.items()} if d != 1 else dict(x)
+        get = out.get
+        for c, (b, db) in hits:
+            s = c * (d // db)
+            for j, w in b.items():
+                out[j] = get(j, 0) - s * w
+        return f.from_integral(out, d * dx)
 
     def contains(self, vec):
         return not self.reduce(vec)
@@ -360,16 +370,24 @@ class Subspace:
         if not v:
             return False
         piv = min(v)
-        v = vec_scale(f, f.inv(v[piv]), v)
+        v, _ = f.integral(v)
+        v = f.from_integral(v, v[piv])              # 1 at piv
+        lv, dv = self._lifted[piv] = f.integral(v)
         pos = bisect_left(self.pivots, piv)
-        # clear the new pivot from the basis vectors that can hold it: those
-        # with an earlier pivot
+        # clear the new pivot from the basis vectors that can hold it, those
+        # with an earlier pivot: b - b[piv] v = (lb dv - lb[piv] lv) / (db dv)
         for i in range(pos):
-            b = self.basis[i]
-            c = b.get(piv)
-            if c is not None and not f.is_zero(c):
-                b = self.basis[i] = vec_sub(f, b, vec_scale(f, c, v))
-                self._by_pivot[self.pivots[i]] = b
+            p = self.pivots[i]
+            lb, db = self._lifted[p]
+            c = lb.get(piv)
+            if c is None:
+                continue
+            acc = {k: w * dv for k, w in lb.items()} if dv != 1 else dict(lb)
+            get = acc.get
+            for j, w in lv.items():
+                acc[j] = get(j, 0) - c * w
+            b = self.basis[i] = self._by_pivot[p] = f.from_integral(acc, db * dv)
+            self._lifted[p] = f.integral(b)
         self.pivots.insert(pos, piv)
         self.basis.insert(pos, v)
         self._by_pivot[piv] = v
@@ -380,6 +398,7 @@ class Subspace:
         s.basis = [dict(b) for b in self.basis]
         s.pivots = list(self.pivots)
         s._by_pivot = dict(zip(s.pivots, s.basis))
+        s._lifted = dict(self._lifted)   # no lift is written after it is made
         return s
 
     def basis_matrix(self):

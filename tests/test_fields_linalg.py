@@ -425,3 +425,142 @@ def test_subspace_coordinates_read_the_pivots_or_refuse_outsiders():
     assert vec_sub(f, s.basis_matrix().apply(s.coordinates(v)), v) == {}
     assert s.coordinates({1: f(1)}) is None
     assert s.coordinates({}) == {}
+
+
+def reference_combination(f, terms):
+    """sum c * v over the (c, v) in terms, entry by entry with f.add and
+    f.mul, zeros dropped."""
+    out = {}
+    for c, v in terms:
+        for j, x in v.items():
+            out[j] = f.add(out.get(j, f.zero), f.mul(c, x))
+    return {j: x for j, x in out.items() if not f.is_zero(x)}
+
+
+def reference_apply(f, m, vec):
+    """m applied to vec row by row with f.add and f.mul, zeros dropped."""
+    out = {}
+    for i in range(m.rows):
+        x = f.zero
+        for j, w in vec.items():
+            v = m.entries.get((i, j))
+            if v is not None:
+                x = f.add(x, f.mul(v, w))
+        if not f.is_zero(x):
+            out[i] = x
+    return out
+
+
+def reference_residual(f, basis, vec):
+    """vec minus vec[p] b_p for each pivot p of the fully reduced basis
+    {p: b_p}, one basis vector at a time."""
+    v = dict(vec)
+    for p in sorted(basis):
+        c = v.get(p)
+        if c is not None and not f.is_zero(c):
+            v = reference_combination(f, [(f.one, v),
+                                          (f.neg(c), basis[p])])
+    return v
+
+
+def reference_insert(f, basis, vec):
+    """Insert vec into the fully reduced basis {p: b_p} with f.inv, f.mul
+    and f.add; True when it grew."""
+    r = reference_residual(f, basis, vec)
+    if not r:
+        return False
+    piv = min(r)
+    v = reference_combination(f, [(f.inv(r[piv]), r)])
+    for p, b in basis.items():
+        if piv in b:
+            basis[p] = reference_combination(f, [(f.one, b),
+                                                 (f.neg(b[piv]), v)])
+    basis[piv] = v
+    return True
+
+
+def assert_vector_of_field_elements(f, vec):
+    p = getattr(f, "p", None)
+    for v in vec.values():
+        if p is None:
+            assert type(v) is Fraction and v != 0
+        else:
+            assert type(v) is int and 0 < v < p
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(10007)], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_vector_kernels_match_field_arithmetic(field, data):
+    """apply, reduce, add_vector, contains and coordinates summed in ints
+    equal the entry-by-entry field arithmetic, leave their input as it
+    was and hold only nonzero field elements."""
+    f = field
+    n = data.draw(st.integers(1, 6))
+
+    def draw_vector(size):
+        return data.draw(st.dictionaries(st.integers(0, size - 1),
+                                         kernel_entries(f), max_size=size))
+
+    # columns 0 and 1 of m are equal, so c e_0 - c e_1 maps to exactly {}
+    r = data.draw(st.integers(1, 5))
+    ent = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, r - 1), st.integers(1, n)),
+        kernel_entries(f), max_size=r * n))
+    ent.update({(i, 0): v for (i, j), v in list(ent.items()) if j == 1})
+    m = Matrix(f, r, n + 1, ent)
+    entries = dict(m.entries)
+    for _ in range(3):           # the first apply freezes m, the rest reuse it
+        vec = draw_vector(n + 1)
+        before = dict(vec)
+        image = m.apply(vec)
+        assert image == reference_apply(f, m, vec)
+        assert m.apply(vec) == image
+        assert vec == before
+        assert_vector_of_field_elements(f, image)
+    c = data.draw(kernel_entries(f))
+    assert m.apply({0: c, 1: f.neg(c)}) == {}
+    assert m.entries == entries
+
+    def draw_member_or_not():
+        if added and data.draw(st.booleans()):
+            return reference_combination(
+                f, [(data.draw(kernel_entries(f)), u) for u in added])
+        return draw_vector(n)
+
+    sub, ref, added = Subspace(f, n), {}, []
+    for _ in range(data.draw(st.integers(0, 8))):
+        vec = draw_member_or_not()
+        before = dict(vec)
+        assert sub.add_vector(vec) == reference_insert(f, ref, vec)
+        assert vec == before
+        assert sub.pivots == sorted(ref)
+        assert sub.basis == [ref[p] for p in sub.pivots]
+        for b in sub.basis:
+            assert_vector_of_field_elements(f, b)
+        added.append(vec)
+    for _ in range(4):
+        vec = draw_member_or_not()
+        before = dict(vec)
+        residual = sub.reduce(vec)
+        assert residual == reference_residual(f, ref, vec)
+        assert_vector_of_field_elements(f, residual)
+        assert sub.contains(vec) == (not residual)
+        coords = sub.coordinates(vec)
+        if residual:
+            assert coords is None
+        else:
+            assert_vector_of_field_elements(f, coords)
+            assert reference_combination(
+                f, [(x, sub.basis[i]) for i, x in coords.items()]) == vec
+        assert vec == before
+    # a combination of the basis vectors reduces to exactly {}
+    combo = reference_combination(
+        f, [(data.draw(kernel_entries(f)), b) for b in sub.basis])
+    assert sub.reduce(combo) == {}
+    # a copy shares the lifted basis but grows to all of k^n on its own
+    twin = sub.copy()
+    for i in range(n):
+        twin.add_vector({i: f.one})
+    assert twin.basis == [{i: f.one} for i in range(n)]
+    assert sub.basis == [ref[p] for p in sub.pivots]

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from hopfcyclic import (QQ, GF, AlgebraData, Matrix, cyc_algebra,
                         compare_models, cohomology_table, check_structure,
+                        coinvariants, compute_J, cover_coalgebra,
                         hopf_cyclic_complex, modular_pair_module,
-                        trivial_modcomodule)
+                        quotient_module, trivial_modcomodule, truncate)
 from hopfcyclic import fixtures as fx
 from hopfcyclic.tensors import matrix_table
 
@@ -69,6 +70,25 @@ def test_pipeline_levels_agree_over_q_and_a_large_prime():
         hopf_cyclic_complex(xq, mq, 3, level="J")
     with pytest.raises(TypeError):
         hopf_cyclic_complex(xq, mq, 3, 2)    # buffer is keyword-only
+
+
+def test_sweedler_saturation_over_q_and_a_large_prime():
+    # Sweedler's H4 acting on itself with trivial coefficients: J at every
+    # cover degree, C and both tables agree over Q and GF(10007)
+    N, buffer = 1, 2
+    seen = []
+    for field in (QQ, FP):
+        h = fx.sweedler_hopf(field)
+        t = cover_coalgebra(fx.regular_module_coalgebra(h),
+                            trivial_modcomodule(h), N + buffer)
+        j = compute_J(t, buffer=buffer)
+        c = truncate(coinvariants(quotient_module(t, j)), N)
+        res = compare_models(c)
+        assert res["agree"]
+        seen.append(({n: j[n].dim for n in j}, c.dims(),
+                     res["bicomplex"].degrees, res["mixed"].degrees))
+    assert seen[0] == seen[1]
+    assert seen[0][0][N + buffer] > 0          # J is not trivially zero
 
 
 def _product(a, b):
