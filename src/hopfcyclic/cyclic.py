@@ -462,8 +462,10 @@ def compute_J(t, buffer=2):
     The second line needs L_gh = L_g L_h on the cover, so it is certified
     instead: every column of [L_h, tau], for every basis h, must lie in J,
     or AssertionError is raised as for a violated closure fixpoint.  The
-    first line then gives every [L_h, tau^i]; _descend checks that every
-    L_h and tau preserve J.
+    first line then gives every [L_h, tau^i].  The closure fixpoint
+    certifies that tau and the L_g preserve J in every degree; that the
+    other L_h preserve it is checked by _descend in the degrees it
+    descends and, above the output range, by hopf_cyclic_complex.
 
     The result covers every stored degree; degrees above t.N - buffer are
     truncation-affected; buffer must be at least 1.  Stability in the
@@ -572,7 +574,14 @@ def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
     """The T, Q = T/J or C = k (x)_H Q stage of the pipeline, up to degree N.
 
     c_or_a is a ModuleCoalgebra or ModuleAlgebra.  For Q and C the cover is
-    built with `buffer` extra degrees so that they are reliable in 0..N.
+    built to degree N + buffer and J is computed on all of it, with every
+    certificate of compute_J; then only degrees 0..N are descended, since
+    Q and C there depend only on T_0..T_N, J_0..J_N and the maps among
+    them.  quotient_module and coinvariants verify that every structure
+    map and L_h descends in 0..N.  Above N the closure fixpoint already
+    certifies the faces, the degeneracies, tau and L_g for the algebra
+    generators g; the other L_h are checked here to preserve J, since the
+    lean J of compute_J relies on it, and DescentFailure is raised if not.
     """
     if buffer < 1:
         raise ValueError("buffer must be at least 1")
@@ -582,8 +591,18 @@ def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
     if level not in ("Q", "C"):
         raise ValueError("level must be T, Q or C")
     t = build(c_or_a, m, N + buffer)
-    q = quotient_module(t, compute_J(t, buffer=buffer))
-    return truncate(q if level == "Q" else coinvariants(q), N)
+    j = compute_J(t, buffer=buffer)
+    gens = algebra_generators(t.hopf)
+    for n in range(N + 1, t.N + 1):
+        for h in range(t.hopf.dim):
+            if h in gens:
+                continue
+            lh = t.act_h(n, h)
+            if not all(j[n].contains(lh.apply(b)) for b in j[n].basis):
+                raise DescentFailure("L_h (%d,%d) does not preserve the "
+                                     "subspace (degree %d)" % (n, h, n))
+    q = quotient_module(truncate(t, N), {n: j[n] for n in range(N + 1)})
+    return q if level == "Q" else coinvariants(q)
 
 
 # ---------------------------------------------------------------------------

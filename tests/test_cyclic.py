@@ -4,15 +4,18 @@ import re
 
 import pytest
 
-from hopfcyclic import (QQ, Matrix, check_axioms, constant_modules,
-                        cyc_algebra, cyc_coalgebra, cyclic_dual,
-                        diag_hom, diag_tensor, hopf_cyclic_complex,
-                        hopf_cocyclic_comodule_algebra,
-                        hopf_cyclic_comodule_coalgebra)
+from hopfcyclic import (QQ, GF, Matrix, ModularPair, check_axioms,
+                        constant_modules, cyc_algebra, cyc_coalgebra,
+                        cyclic_dual, diag_hom, diag_tensor,
+                        hopf_cyclic_complex, hopf_cocyclic_comodule_algebra,
+                        hopf_cyclic_comodule_coalgebra, modular_pair_module)
+from hopfcyclic import cyclic
 from hopfcyclic.cyclic import (cover_coalgebra, cover_algebra, compute_J,
                                quotient_module, coinvariants, truncate,
-                               CHAIN, COCHAIN, InvertibilityFailure,
-                               ParaCyclicModule)
+                               CHAIN, COCHAIN, DescentFailure,
+                               InvertibilityFailure, ParaCyclicModule)
+from hopfcyclic.hopf import ModuleCoalgebra, algebra_generators
+from hopfcyclic.pairings import _tower
 from hopfcyclic import fixtures as fx
 
 
@@ -209,3 +212,96 @@ def test_check_axioms_names_every_identity_a_cochain_face_breaks(kz2):
         "s^0 d^1 != id at n=1", "s^1 d^1 != id at n=1",
         "tau d^1 != d^0 tau at n=1", "tau d^2 != d^1 tau at n=1",
         "s^2 d^1 != d^1 s^1 at n=2", "s^0 d^2 != d^1 s^0 at n=2"]
+
+
+# ---------------------------------------------------------------------------
+# output-range descent against the full-tower route
+
+
+def full_tower_route(t, j, N):
+    """Reference: Q and C descended on every degree of the cover t, then
+    truncated to 0..N, as hopf_cyclic_complex formed them before."""
+    q = quotient_module(t, j)
+    return {"Q": truncate(q, N), "C": truncate(coinvariants(q), N)}
+
+
+def _pipeline_case(name, field):
+    one = field.one
+    if name == "kZ2-pair":
+        h = fx.group_algebra(field, 2)
+        return (fx.regular_module_coalgebra(h),
+                modular_pair_module(h, ModularPair({1: one}, {0: one, 1: one})), 3)
+    if name == "kZ3-pair":
+        h = fx.group_algebra(field, 3)
+        return (fx.regular_module_coalgebra(h),
+                modular_pair_module(h, ModularPair({1: one},
+                                                   {0: one, 1: one, 2: one})), 2)
+    if name == "sweedler-regular-trivial":
+        h = fx.sweedler_hopf(field)
+        return fx.regular_module_coalgebra(h), fx.trivial_modcomodule(h), 1
+    h = fx.group_algebra(field, 2)
+    return (fx.dual_numbers_module_algebra(h, field),
+            fx.trivial_modcomodule(h), 3)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=["Q", "GF10007"])
+@pytest.mark.parametrize("name", ["kZ2-pair", "kZ3-pair",
+                                  "sweedler-regular-trivial",
+                                  "dual-numbers-algebra"])
+def test_output_range_descent_matches_the_full_tower(name, field, monkeypatch):
+    # the reference descends the very cover and J the pipeline built;
+    # spaces, structure maps, H-action and the tower maps must agree.  Q
+    # is the module C was formed from, which level="Q" returns.
+    seen = []
+    real = cyclic.compute_J
+
+    def recording(t, buffer=2):
+        seen.append((t, real(t, buffer=buffer)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cyclic, "compute_J", recording)
+    c_or_a, m, N = _pipeline_case(name, field)
+    c = hopf_cyclic_complex(c_or_a, m, N)
+    got = {"Q": c.meta["parent"], "C": c}
+    (t, j), = seen
+    for level, want in full_tower_route(t, j, N).items():
+        x = got[level]
+        assert x.N == N and x.spaces == want.spaces, level
+        assert x.orientation == want.orientation
+        for attr in ("faces", "degeneracies", "cyclic", "h_action"):
+            assert getattr(x, attr) == getattr(want, attr), (level, attr)
+        _, x_proj, x_sect = _tower(x)
+        _, want_proj, want_sect = _tower(want)
+        assert sorted(x_proj) == sorted(x_sect) == list(range(N + 1))
+        for n in range(N + 1):
+            assert x_proj[n] == want_proj[n], (level, n)
+            assert x_sect[n] == want_sect[n], (level, n)
+    assert got["Q"].h_action and got["C"].h_action is None
+
+
+def test_a_non_generator_action_leaving_j_above_the_output_range_fails(monkeypatch):
+    # Sweedler's gx (basis index 3) is not an algebra generator, so the
+    # closure fixpoint never applies it; above N only the explicit L_h
+    # check sees it.  L_h + E with E = e_k e_p0^T sends the J basis vector
+    # with pivot p0 to L_h b + e_k, outside J since e_k is.
+    field, N, gx = GF(10007), 1, 3
+    h = fx.sweedler_hopf(field)
+    assert gx not in algebra_generators(h)
+    real = cyclic.compute_J
+
+    def corrupting(t, buffer=2):
+        j = real(t, buffer=buffer)
+        for n in (N + 1, N + 2):
+            p0 = j[n].pivots[0]
+            k = next(i for i in range(t.spaces[n])
+                     if not j[n].contains({i: field.one}))
+            lh = t.h_action[(n, gx)]
+            t.h_action[(n, gx)] = lh + Matrix(field, lh.rows, lh.cols,
+                                              {(k, p0): field.one})
+        return j
+
+    monkeypatch.setattr(cyclic, "compute_J", corrupting)
+    msg = "L_h (2,3) does not preserve the subspace (degree 2)"
+    with pytest.raises(DescentFailure, match=re.escape(msg)):
+        hopf_cyclic_complex(fx.regular_module_coalgebra(h),
+                            fx.trivial_modcomodule(h), N, level="Q")
