@@ -24,7 +24,7 @@ from .linalg import (Matrix, Subspace, ShapeMismatch, SingularMatrix,
 from .tensors import permute, slot, column_blocks
 from .hopf import (AlgebraData, ModuleCoalgebra, CompatibilityFailure,
                    check_sayd, check_comodule_coalgebra, require_same_hopf,
-                   algebra_generators, _action, _coaction, _codiagonal)
+                   algebra_generators, _action, _coaction, _codiagonals)
 
 CHAIN = "chain"
 COCHAIN = "cochain"
@@ -643,14 +643,12 @@ def _hom_module(field, hopf, mod, base, N, orientation, name):
     # and d_0, s_0 precompose with the multiplication and unit maps
     slots = base.coalgebra if orientation == CHAIN else base.algebra
     db, dh, dm = slots.dim, hopf.dim, mod.dim
-    m_h = hopf.algebra.matrices()[0]
     rho_b = _coaction(base, db)
+    rhos = _codiagonals(hopf.algebra.matrices()[0], rho_b, N + 1)
     lm = column_blocks(_action(mod, dm), dh)
-    rho, subs, taus = rho_b, {}, {}
+    subs, taus = {}, {}
     for n in range(N + 1):
-        if n:
-            rho = _codiagonal(m_h, rho, rho_b)             # on B^{(x)n+1}
-        subs[n] = _colinear_subspace(field, hopf, mod, rho)
+        subs[n] = _colinear_subspace(field, hopf, mod, rhos[n])   # on B^{(x)n+1}
         if orientation == CHAIN:
             order = (0,) + tuple(range(2, n + 2)) + (1,)
             g = permute(slot(rho_b, 1, db ** n), [dh, db] + [db] * n, order)

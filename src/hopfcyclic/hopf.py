@@ -18,7 +18,8 @@ spaces are flattened row-major, as in tensors.flatten.
 
 from .linalg import (Matrix, Subspace, ShapeMismatch, add_into,
                      quotient_space, operator_closure)
-from .tensors import unflatten, prod, permute, table_matrix, matrix_table
+from .tensors import (unflatten, prod, permute, table_matrix, matrix_table,
+                      column_blocks)
 
 # slot order (0, 2, 1, 3): (a (x) b) (x) (c (x) d) -> a (x) c (x) b (x) d
 MIDDLE = (0, 2, 1, 3)
@@ -40,21 +41,23 @@ def _vec_eq(field, u, v):
 
 
 def _bilinear(field, table, u, v):
-    """sum x_i y_j table[(i, j)] for a table of vectors keyed by index pairs."""
+    """sum x_i y_j table[(i, j)] for a table of vectors keyed by index pairs;
+    a missing key is the zero vector, as table_matrix reads it."""
     out = {}
     for i, x in u.items():
         for j, y in v.items():
             c = field.mul(x, y)
-            for k, z in table[(i, j)].items():
+            for k, z in table.get((i, j), {}).items():
                 add_into(field, out, k, field.mul(c, z))
     return out
 
 
 def _linear(field, table, u):
-    """sum x_i table[i] for a table of vectors keyed by one index."""
+    """sum x_i table[i] for a table of vectors keyed by one index; a missing
+    key is the zero vector."""
     out = {}
     for i, x in u.items():
-        for k, v in table[i].items():
+        for k, v in table.get(i, {}).items():
             add_into(field, out, k, field.mul(x, v))
     return out
 
@@ -100,6 +103,15 @@ def _codiagonal(m, rho1, rho2):
     dh, d1, d2 = m.rows, rho1.cols, rho2.cols
     legs = permute(rho1.kron(rho2), [dh, d1, dh, d2], MIDDLE)
     return m.kron(_eye(m.field, d1, d2)) * legs
+
+
+def _codiagonals(m, rho, k):
+    """[rho_1, ..., rho_k] for a coaction rho on V: rho_j is the diagonal
+    coaction v^1..v^j -> v^1(-1)..v^j(-1) (x) v^1(0)..v^j(0) on V^{(x)j}."""
+    out = [rho]
+    while len(out) < k:
+        out.append(_codiagonal(m, out[-1], rho))
+    return out
 
 
 def require_same_hopf(x, y, what):
@@ -566,14 +578,14 @@ def algebra_generators(hopf):
     """
     f, d = hopf.field, hopf.dim
     unit = hopf.unit()
+    left = column_blocks(hopf.algebra.matrices()[0], d)     # left multiplications
     gens, ops = [], []
     sub = Subspace.from_vectors(f, d, [unit])
     for h in range(d):
         if sub.contains({h: f.one}):
             continue
         gens.append(h)
-        ops.append((0, 0, Matrix(f, d, d, {(k, j): v for j in range(d) for k, v
-                                           in hopf.algebra.mul[(h, j)].items()})))
+        ops.append((0, 0, left[h]))
         sub = operator_closure(f, {0: [unit]}, ops, max_degree=0)[0]
     if sub.dim != d:
         raise CompatibilityFailure("the generators %s span a subalgebra of "

@@ -1,22 +1,23 @@
 """Characteristic maps between cyclic theories and the cup products they carry.
 
-The morphisms alpha, beta, xi and star are built degreewise as explicit
-matrices against the coefficient complexes from `cyclic`; every formula
-is evaluated on basis tuples, pushed through the quotient towers, and
-the results are plain ModuleMorphism objects whose commutation with all
-structure operators can be verified exactly.  Cup products with traces
-are realized by pulling evaluation covectors back along these morphisms.
+The morphisms alpha, beta, xi and star are built degreewise as Matrix
+composites of the structure maps (the pairing, the actions, the
+coactions and their diagonal chains, the antipode) against the
+coefficient complexes from `cyclic`, pushed through the quotient
+towers in one product; the results are plain ModuleMorphism objects
+whose commutation with all structure operators can be verified exactly.
+Cup products with traces are realized by pulling evaluation covectors
+back along these morphisms.
 """
 
-from itertools import product as iproduct
-
 from .linalg import Matrix, ShapeMismatch, add_into
-from .tensors import flatten, unflatten, prod, tensor_step, permute, slot
+from .tensors import unflatten, permute, reshape, slot, table_matrix
 from .hopf import (check_equivariant, check_sayd,
                    is_commutative, is_symmetric_module, require_same_hopf,
                    tensor_hopf, tensor_module_algebra, tensor_modcomodule,
                    tensor_comodule_coalgebra, balanced_tensor_modcomodule,
-                   crossed_product_algebra, crossed_product_coalgebra, _vec_eq)
+                   crossed_product_algebra, crossed_product_coalgebra, _vec_eq,
+                   _action, _coaction, _codiagonals)
 from .cyclic import (CHAIN, COCHAIN, ModuleMorphism,
                      DescentFailure, NotSAYD, cyc_algebra, cyc_coalgebra,
                      hopf_cyclic_complex, _restrict,
@@ -64,27 +65,6 @@ def _tower(x):
         sect = {n: s[n] * m for n, m in sect.items() if n in s}
         cur = cur.meta["parent"]
     return cur, proj, sect
-
-
-def _iter_coaction(field, coaction, idx, times):
-    """Expand an iterated coaction: list of (legs_tuple, residue_index, coeff).
-
-    Legs come out so that legs[t] is the (t - times)-th leg, i.e. legs[0]
-    is the outermost x_{[-times]} and legs[-1] is x_{[-1]}.
-    """
-    cur = [((), idx, field.one)]
-    for _ in range(times):
-        nxt = {}
-        for legs, i, c in cur:
-            for (h, j), v in coaction[i].items():
-                add_into(field, nxt, (legs + (h,), j), field.mul(c, v))
-        cur = [(k[0], k[1], v) for k, v in nxt.items()]
-    return cur
-
-
-def _flatten_hom(mat, dim_x):
-    """Row-major flattening of a Hom-space matrix to a diag_hom vector."""
-    return {yi * dim_x + xj: v for (yi, xj), v in mat.entries.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -290,121 +270,139 @@ def invariant_traces(complex_c):
 # the characteristic morphisms
 
 
-def alpha(pairing, m, N, x_mod=None, y_mod=None, level="C", buffer=2,
-          check=True):
+def _push(psi, py, sx):
+    """(py (x) sx^T) psi: vec(py X sx) for each column vec(X) of psi, Hom
+    vectors flattened row-major (Y index slowest), as diag_hom keeps them."""
+    return slot(sx.transpose(), py.rows, 1) * (slot(py, 1, sx.rows) * psi)
+
+
+def _leg_action(act, rho, mid):
+    """v (x) w (x) x -> x(-1).v (x) w (x) x(0) on V (x) W (x) X, dim W = mid,
+    for an action act: H (x) V -> V and a coaction rho: X -> H (x) X."""
+    dh, dv, dx = rho.rows // rho.cols, act.rows, rho.cols
+    legs = permute(slot(rho, dv * mid, 1), [dv, mid, dh, dx], (2, 0, 1, 3))
+    return slot(act, 1, mid * dx) * legs
+
+
+def _unzip(k, lead=0):
+    """The slot order v_0 w_0 .. v_{k-1} w_{k-1} -> v_0..v_{k-1} w_0..w_{k-1},
+    or with lead=1 -> w_0..w_{k-1} v_0..v_{k-1}."""
+    return tuple(range(lead, 2 * k, 2)) + tuple(range(1 - lead, 2 * k, 2))
+
+
+def _with_coefficients(twist, dy, dm):
+    """y (x) x -> sum_m (y (x) m) (x) (m (x) x): the twisted tensor as a Hom
+    vector y (x) m <- m (x) x, dim Y = dy, the M index slowest on both sides."""
+    vec_id = reshape(Matrix.identity(twist.field, dm), dm * dm)
+    return permute(twist.kron(vec_id), [dy, twist.rows // dy, dm, dm], (0, 2, 3, 1))
+
+
+def alpha(pairing, m, N, x_mod=None, y_mod=None, buffer=2):
     """Cyc(A) -> diag Hom(C(C,M), C(A,M)) through an equivariant pairing.
 
     alpha_n(a_0 (x) ... (x) a_n) sends c^0 (x) ... (x) c^n (x) m to
-    phi(c^0, a_0) (x) ... (x) phi(c^n, a_n) (x) m; the map is built on the
-    covers and pushed through the quotient towers of both sides, with the
-    descent verified degreewise.
+    phi(c^0, a_0) (x) ... (x) phi(c^n, a_n) (x) m: on the covers this is
+    the curried pairing a -> phi(-, a) to the power n+1, tensored with
+    vec(id_M) and its slots permuted.  It is pushed through the quotient
+    towers of both sides, with the descent verified degreewise.
     """
     bad = check_equivariant(pairing)
     if bad:
         raise NotEquivariant("; ".join(bad))
     if x_mod is None:
-        x_mod = hopf_cyclic_complex(pairing.coalg, m, N, buffer=buffer,
-                                    level=level)
+        x_mod = hopf_cyclic_complex(pairing.coalg, m, N, buffer=buffer)
     if y_mod is None:
-        y_mod = hopf_cyclic_complex(pairing.alg, m, N, buffer=buffer,
-                                    level=level)
+        y_mod = hopf_cyclic_complex(pairing.alg, m, N, buffer=buffer)
     f = pairing.field
     _, px, sx = _tower(x_mod)
     _, py, _ = _tower(y_mod)
     da = pairing.alg.algebra.dim
     dc = pairing.coalg.coalgebra.dim
     dm = m.dim
-    src = cyc_algebra(pairing.alg.algebra, N)
-    tgt = diag_hom(x_mod, y_mod, N)
+    # a -> phi(-, a) in A (x) C*
+    curried = reshape(table_matrix(f, pairing.phi, [dc, da], [da]), da * dc)
+    lift = reshape(Matrix.identity(f, dm), dm * dm)
     maps = {}
     for n in range(N + 1):
-        src_dims = [da] * (n + 1)
-        xdims = [dc] * (n + 1) + [dm]
-        ydims = [da] * (n + 1) + [dm]
-        dim_x = x_mod.spaces[n]
-        cols = []
-        for col in range(prod(src_dims)):
-            avec = unflatten(col, src_dims)
-            big = {}
-            for xcol in range(prod(xdims)):
-                t = unflatten(xcol, xdims)
-                terms = {(): f.one}
-                for i in range(n + 1):
-                    piece = pairing.phi[(t[i], avec[i])]
-                    if not piece:
-                        terms = {}
-                        break
-                    terms = tensor_step(f, terms, piece)
-                for key, v in terms.items():
-                    add_into(f, big, (flatten(key + (t[n + 1],), ydims), xcol), v)
-            down = py[n] * Matrix(f, prod(ydims), prod(xdims), big)
-            g = down * sx[n]
-            if check and g * px[n] != down:
-                raise DescentFailure("alpha does not descend at degree %d" % n)
-            cols.append(_flatten_hom(g, dim_x))
-        maps[n] = Matrix.from_columns(f, dim_x * y_mod.spaces[n], cols)
-    return ModuleMorphism(src, tgt, maps, name="alpha")
+        lift = curried.kron(lift)
+        # (a c)_0 .. (a c)_n (m m') -> a_0 .. a_n m (x) c_0 .. c_n m'
+        psi = permute(lift, [da, dc] * (n + 1) + [dm, dm], _unzip(n + 2))
+        down = slot(py[n], 1, sx[n].rows) * psi
+        g = slot(sx[n].transpose(), py[n].rows, 1) * down
+        if slot(px[n].transpose(), py[n].rows, 1) * g != down:
+            raise DescentFailure("alpha does not descend at degree %d" % n)
+        maps[n] = g
+    return ModuleMorphism(cyc_algebra(pairing.alg.algebra, N),
+                          diag_hom(x_mod, y_mod, N), maps, name="alpha")
 
 
-def beta(ma, ca, m, N, y_mod=None, buffer=2):
+def beta(ma, ca, m, N, buffer=2):
     """Cyc(A x| B) -> diag Hom(C(B,M), C(A,M)) for a crossed product.
 
     beta_n((a_0,b^0) (x) ... (x) (a_n,b^n))(f) twists each a_j by the
     accumulated coaction legs of b^0..b^{j-1} and feeds the coaction
-    residues (and the untouched b^n) to the colinear map f.
+    residues (and the untouched b^n) to the colinear map f.  At step j
+    the diagonal coaction of the prefix b^0..b^{j-1} acts on a_j.
     """
     require_same_hopf(ma.hopf, ca.hopf, "crossed product")
     bad = check_sayd(m)
     if bad:
         raise NotSAYD("; ".join(bad))
     f = ma.field
-    hopf = ma.hopf
     x_mod = hopf_cocyclic_comodule_algebra(ca, m, N)
-    if y_mod is None:
-        y_mod = hopf_cyclic_complex(ma, m, N, buffer=buffer)
+    y_mod = hopf_cyclic_complex(ma, m, N, buffer=buffer)
     _, py, _ = _tower(y_mod)
     da, db, dm = ma.algebra.dim, ca.algebra.dim, m.dim
-    src = cyc_algebra(crossed_product_algebra(ma, ca), N)
-    tgt = diag_hom(x_mod, y_mod, N)
-    subs = x_mod.meta["sub"]
+    act = _action(ma, da)
+    rhos = _codiagonals(ma.hopf.algebra.matrices()[0], _coaction(ca, db), N)
     maps = {}
     for n in range(N + 1):
-        tb = db ** (n + 1)
-        bdims = [db] * (n + 1)
-        ydims = [da] * (n + 1) + [dm]
-        sxm = subs[n].basis_matrix()
-        dim_x = x_mod.spaces[n]
-        cols = []
-        for col in range(prod([da * db] * (n + 1))):
-            tup = unflatten(col, [da * db] * (n + 1))
-            avec = [t // db for t in tup]
-            bvec = [t % db for t in tup]
-            big = {}
-            expans = [_iter_coaction(f, ca.coaction, bvec[i], n - i)
-                      for i in range(n)]
-            for combo in iproduct(*expans):
-                coef = f.one
-                for _, _, c in combo:
-                    coef = f.mul(coef, c)
-                bz = tuple(item[1] for item in combo) + (bvec[n],)
-                xcol = flatten(bz, bdims)
-                terms = {(avec[0],): coef}
-                for j in range(1, n + 1):
-                    hv = hopf.unit()
-                    for i in range(j):
-                        hv = hopf.multiply(hv, {combo[i][0][j - i - 1]: f.one})
-                    terms = tensor_step(f, terms, ma.act(hv, {avec[j]: f.one}))
-                for key, v in terms.items():
-                    for mi in range(dm):
-                        add_into(f, big, (flatten(key + (mi,), ydims),
-                                          mi * tb + xcol), v)
-            g = py[n] * Matrix(f, prod(ydims), dm * tb, big) * sxm
-            cols.append(_flatten_hom(g, dim_x))
-        maps[n] = Matrix.from_columns(f, dim_x * y_mod.spaces[n], cols)
-    return ModuleMorphism(src, tgt, maps, name="beta")
+        twist = permute(Matrix.identity(f, (da * db) ** (n + 1)), [da, db] * (n + 1),
+                        _unzip(n + 1))
+        for j in range(1, n + 1):
+            # on a_j..a_n (x) b^0..b^{j-1}, inside a_0..a_n (x) b^0..b^n
+            twist = slot(_leg_action(act, rhos[j - 1], da ** (n - j)),
+                         da ** j, db ** (n + 1 - j)) * twist
+        psi = _with_coefficients(twist, da ** (n + 1), dm)
+        maps[n] = _push(psi, py[n], x_mod.meta["sub"][n].basis_matrix())
+    return ModuleMorphism(cyc_algebra(crossed_product_algebra(ma, ca), N),
+                          diag_hom(x_mod, y_mod, N), maps, name="beta")
 
 
-def xi(zc, mc, m, N, y_mod=None, buffer=2, check=True):
+def _xi_forms(zc, mc, m, n):
+    """The two forms of xi_n on the covers, Hom vectors as diag_hom keeps them.
+
+    Rows and columns are c_0..c_n (x) M <- M (x) z_0..z_n.  In the first
+    form slot i is acted on by S^-1 of the diagonal coaction leg of the
+    suffix z^{i+1}..z^n, for i = n-1 down to 0.  In the second the same
+    runs over z^{i+1}..z^{n-1}, and z^n coacts twice: its outer leg acts
+    on c_n, its inner leg on the coefficients.
+    """
+    f, h = zc.field, zc.hopf
+    dz, dc, dm = zc.coalgebra.dim, mc.coalgebra.dim, m.dim
+    act = _action(mc, dc)
+    act_inv = act * slot(h.antipode_inv, 1, dc)
+    rho = _coaction(zc, dz)
+    rhos = _codiagonals(h.algebra.matrices()[0], rho, n)
+    first = second = permute(Matrix.identity(f, (dz * dc) ** (n + 1)),
+                             [dz, dc] * (n + 1), _unzip(n + 1, lead=1))
+    for i in range(n - 1, -1, -1):
+        # on c_i..c_n (x) z^0..z^n, inside c_0..c_n (x) z^0..z^n
+        mid = dc ** (n - i) * dz ** (i + 1)
+        first = slot(_leg_action(act_inv, rhos[n - 1 - i], mid), dc ** i, 1) * first
+        if i < n - 1:
+            second = slot(_leg_action(act_inv, rhos[n - 2 - i], mid),
+                          dc ** i, dz) * second
+    second = slot(_leg_action(act, rho, dz ** n), dc ** n, 1) * second
+    # z^n -> z^n(-1) (x) z^n(0), the leg as vec(L_h) on the coefficients
+    legs = slot(rho, dc ** (n + 1) * dz ** n, 1) * second
+    lm = reshape(permute(_action(m, dm), [h.dim, dm], (1, 0), cols=True), dm * dm)
+    second = permute(slot(lm, dc ** (n + 1) * dz ** n, dz) * legs,
+                     [dc ** (n + 1), dz ** n, dm, dm, dz], (0, 2, 3, 1, 4))
+    return _with_coefficients(first, dc ** (n + 1), dm), second
+
+
+def xi(zc, mc, m, N, y_mod=None, buffer=2):
     """Cyc(Z |x C) -> diag Hom(C(Z,M), C(C,M)) for a cocrossed product.
 
     Two equivalent forms of xi_n are assembled independently.  In the
@@ -421,127 +419,51 @@ def xi(zc, mc, m, N, y_mod=None, buffer=2, check=True):
     bad = check_sayd(m)
     if bad:
         raise NotSAYD("; ".join(bad))
-    f = zc.field
-    hopf = zc.hopf
     x_mod = hopf_cyclic_comodule_coalgebra(zc, m, N)
     if y_mod is None:
         y_mod = hopf_cyclic_complex(mc, m, N, buffer=buffer)
     _, py, _ = _tower(y_mod)
-    dz, dc, dm = zc.coalgebra.dim, mc.coalgebra.dim, m.dim
-    src = cyc_coalgebra(crossed_product_coalgebra(zc, mc), N)
-    tgt = diag_hom(x_mod, y_mod, N)
-    subs = x_mod.meta["sub"]
     maps = {}
     for n in range(N + 1):
-        tz = dz ** (n + 1)
-        zdims = [dz] * (n + 1)
-        ydims = [dc] * (n + 1) + [dm]
-        sxm = subs[n].basis_matrix()
-        dim_x = x_mod.spaces[n]
-        cols = []
-        for col in range(prod([dz * dc] * (n + 1))):
-            tup = unflatten(col, [dz * dc] * (n + 1))
-            zvec = [t // dc for t in tup]
-            cvec = [t % dc for t in tup]
-            # form 1: slot i twisted by the legs of the strictly later factors
-            big1 = {}
-            expans = [_iter_coaction(f, zc.coaction, zvec[j], j)
-                      for j in range(n + 1)]
-            for combo in iproduct(*expans):
-                coef = f.one
-                for _, _, c in combo:
-                    coef = f.mul(coef, c)
-                zz = tuple(item[1] for item in combo)
-                xcol = flatten(zz, zdims)
-                terms = {(): coef}
-                for i in range(n + 1):
-                    hv = hopf.unit()
-                    for j in range(i + 1, n + 1):
-                        hv = hopf.multiply(hv, {combo[j][0][j - i - 1]: f.one})
-                    sh = hopf.apply_antipode(hv, inverse=True)
-                    terms = tensor_step(f, terms, mc.act(sh, {cvec[i]: f.one}))
-                for key, v in terms.items():
-                    for mi in range(dm):
-                        add_into(f, big1, (flatten(key + (mi,), ydims),
-                                           mi * tz + xcol), v)
-            # form 2: the last factor's single leg acts on the coefficients
-            big2 = {}
-            expans = [_iter_coaction(f, zc.coaction, zvec[j], j)
-                      for j in range(n)]
-            expans.append(_iter_coaction(f, zc.coaction, zvec[n], 2))
-            for combo in iproduct(*expans):
-                coef = f.one
-                for _, _, c in combo:
-                    coef = f.mul(coef, c)
-                zz = tuple(item[1] for item in combo)
-                xcol = flatten(zz, zdims)
-                terms = {(): coef}
-                for i in range(n):
-                    hv = hopf.unit()
-                    for j in range(i + 1, n):
-                        hv = hopf.multiply(hv, {combo[j][0][j - i - 1]: f.one})
-                    sh = hopf.apply_antipode(hv, inverse=True)
-                    terms = tensor_step(f, terms, mc.act(sh, {cvec[i]: f.one}))
-                terms = tensor_step(
-                    f, terms, mc.act({combo[n][0][0]: f.one}, {cvec[n]: f.one}))
-                hn = combo[n][0][1]
-                for key, v in terms.items():
-                    for mi in range(dm):
-                        for mk, w in m.action[(hn, mi)].items():
-                            add_into(f, big2, (flatten(key + (mk,), ydims),
-                                               mi * tz + xcol), f.mul(v, w))
-            big1, big2 = (Matrix(f, prod(ydims), dm * tz, e) for e in (big1, big2))
-            g = py[n] * (big1 * sxm)
-            if check and g != py[n] * (big2 * sxm):
-                raise AgreementFailure(
-                    "the two displayed forms of xi disagree at degree %d" % n)
-            cols.append(_flatten_hom(g, dim_x))
-        maps[n] = Matrix.from_columns(f, dim_x * y_mod.spaces[n], cols)
-    return ModuleMorphism(src, tgt, maps, name="xi")
+        sxm = x_mod.meta["sub"][n].basis_matrix()
+        first, second = _xi_forms(zc, mc, m, n)
+        g = _push(first, py[n], sxm)
+        if g != _push(second, py[n], sxm):
+            raise AgreementFailure(
+                "the two displayed forms of xi disagree at degree %d" % n)
+        maps[n] = g
+    return ModuleMorphism(cyc_coalgebra(crossed_product_coalgebra(zc, mc), N),
+                          diag_hom(x_mod, y_mod, N), maps, name="xi")
 
 
-def star(zc, zc2, m, m2, N, check_hyp=True):
+def star(zc, zc2, m, m2, N):
     """diag(C(Z,M) (x) C(Z',M')) -> C(Z (x) Z', M (x)_H M').
 
     (f * f')((x^0,y^0) (x) ... (x) (x^n,y^n)) = f(x-part) (x)_H f'(y-part);
     requires a commutative Hopf algebra and symmetric coefficient modules
     for the balanced tensor product to carry the cyclic structure.
     """
-    hopf = zc.hopf
-    if check_hyp:
-        if not is_commutative(hopf):
-            raise HypothesisFailure("the Hopf algebra is not commutative")
-        if not (is_symmetric_module(m) and is_symmetric_module(m2)):
-            raise HypothesisFailure("a coefficient module is not symmetric")
-    f = zc.field
+    if not is_commutative(zc.hopf):
+        raise HypothesisFailure("the Hopf algebra is not commutative")
+    if not (is_symmetric_module(m) and is_symmetric_module(m2)):
+        raise HypothesisFailure("a coefficient module is not symmetric")
     u = hopf_cyclic_comodule_coalgebra(zc, m, N)
     v = hopf_cyclic_comodule_coalgebra(zc2, m2, N)
-    src = diag_tensor(u, v)
     zz = tensor_comodule_coalgebra(zc, zc2)
     mbar, pim, _ = balanced_tensor_modcomodule(m, m2)
     tgt = hopf_cyclic_comodule_coalgebra(zz, mbar, N)
-    dz, dz2 = zc.coalgebra.dim, zc2.coalgebra.dim
-    dm, dm2, dmb = m.dim, m2.dim, mbar.dim
-    subs_u, subs_v, subs_t = u.meta["sub"], v.meta["sub"], tgt.meta["sub"]
+    dz, dz2, dm, dm2 = zc.coalgebra.dim, zc2.coalgebra.dim, m.dim, m2.dim
     maps = {}
     for n in range(N + 1):
-        tz, tz2 = dz ** (n + 1), dz2 ** (n + 1)
-        tw = (dz * dz2) ** (n + 1)
-        big = {}
-        for x in range(tz):
-            zt = unflatten(x, [dz] * (n + 1))
-            for x2 in range(tz2):
-                z2t = unflatten(x2, [dz2] * (n + 1))
-                w = flatten(tuple(zt[k] * dz2 + z2t[k] for k in range(n + 1)),
-                            [dz * dz2] * (n + 1))
-                for (row, colpair), val in pim.entries.items():
-                    mi, mj = divmod(colpair, dm2)
-                    big[(row * tw + w,
-                         (mi * tz + x) * (dm2 * tz2) + (mj * tz2 + x2))] = val
-        big = Matrix(f, dmb * tw, (dm * tz) * (dm2 * tz2), big)
-        full = big * subs_u[n].basis_matrix().kron(subs_v[n].basis_matrix())
-        maps[n] = _restrict(full.columns(), subs_t[n], "star at degree %d" % n)
-    return ModuleMorphism(src, tgt, maps, name="star")
+        # m z_0 .. z_n (x) m' z'_0 .. z'_n -> m m' (x) (z_0 z'_0) .. (z_n z'_n)
+        dims = [dm] + [dz] * (n + 1) + [dm2] + [dz2] * (n + 1)
+        order = tuple(i + b * (n + 2) for i in range(n + 2) for b in (0, 1))
+        pair = permute(u.meta["sub"][n].basis_matrix().kron(
+            v.meta["sub"][n].basis_matrix()), dims, order)
+        full = slot(pim, 1, (dz * dz2) ** (n + 1)) * pair
+        maps[n] = _restrict(full.columns(), tgt.meta["sub"][n],
+                            "star at degree %d" % n)
+    return ModuleMorphism(diag_tensor(u, v), tgt, maps, name="star")
 
 
 # ---------------------------------------------------------------------------
@@ -670,13 +592,12 @@ def cm_char_map(trace, pairing, cls, alpha_mor=None, buffer=2):
                               cls.representative)
     route2 = alpha_mor.maps[p].transpose().apply(cov)
     # route one: the displayed formula, evaluated term by term
-    _, _, sx = _tower(x_mod)
+    xt, _, sx = _tower(x_mod)
     lift = sx[p].apply(cls.representative)
     t_amb = trace.ambient(0)
     alg = pairing.alg.algebra
     da = alg.dim
     dc = pairing.coalg.coalgebra.dim
-    xt, _, _ = _tower(x_mod)
     dm = xt.meta["m_dim"]
     xdims = [dc] * (p + 1) + [dm]
     route1 = {}
@@ -685,11 +606,11 @@ def cm_char_map(trace, pairing, cls, alpha_mor=None, buffer=2):
         val = f.zero
         for idx, coef in lift.items():
             t = unflatten(idx, xdims)
-            cur = dict(pairing.phi[(t[0], avec[0])])
+            cur = dict(pairing.phi.get((t[0], avec[0]), {}))
             for i in range(1, p + 1):
                 if not cur:
                     break
-                cur = alg.multiply(cur, pairing.phi[(t[i], avec[i])])
+                cur = alg.multiply(cur, pairing.phi.get((t[i], avec[i]), {}))
             for ai, av in cur.items():
                 tv = t_amb.get(ai * dm + t[p + 1])
                 if tv is not None:
@@ -733,8 +654,7 @@ def diag_tensor_epi_check(ma, ma2, m, m2, N, buffer=2, drop_factor=False):
         d2 = da2 ** (n + 1) * dm2
         # (a_0 a'_0) .. (a_n a'_n) (m m') -> a_0 .. a_n m (x) a'_0 .. a'_n m'
         dims = [da, da2] * (n + 1) + [dm, dm2]
-        order = tuple(range(0, 2 * n + 4, 2)) + tuple(range(1, 2 * n + 4, 2))
-        perm = permute(Matrix.identity(f, d1 * d2), dims, order)
+        perm = permute(Matrix.identity(f, d1 * d2), dims, _unzip(n + 2))
         if drop_factor:
             collapse = Matrix(f, d2, d2, {(0, j): f.one for j in range(d2)})
             perm = slot(collapse, d1, 1) * perm

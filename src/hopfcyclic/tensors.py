@@ -4,11 +4,12 @@ Vectors in V_1 (x) ... (x) V_k are dicts keyed by flat indices; the flat
 index is row-major (first factor slowest).  Operators on tensor spaces
 are read off a structure table with table_matrix and assembled from such
 matrices: slot places an operator on one slot, permute reorders the
-tensor slots of a matrix's rows or columns, and column_blocks splits a
-map out of K (x) D into one map per basis element of K.
+tensor slots of a matrix's rows or columns, reshape moves tensor slots
+between rows and columns, and column_blocks splits a map out of
+K (x) D into one map per basis element of K.
 """
 
-from .linalg import Matrix, add_into
+from .linalg import Matrix
 
 
 def flatten(idx, dims):
@@ -30,15 +31,6 @@ def prod(dims):
     out = 1
     for d in dims:
         out *= d
-    return out
-
-
-def tensor_step(field, terms, piece):
-    """Extend {tuple: coeff} by one tensor slot drawn from dict-vector piece."""
-    out = {}
-    for key, v in terms.items():
-        for idx, w in piece.items():
-            add_into(field, out, key + (idx,), field.mul(v, w))
     return out
 
 
@@ -82,6 +74,15 @@ def permute(mat, dims, order, cols=False):
     else:
         ent = {(move(r), c): v for (r, c), v in mat.entries.items()}
     return Matrix._owning(mat.field, mat.rows, mat.cols, ent)
+
+
+def reshape(mat, rows):
+    """mat regrouped into `rows` rows, its entries kept in row-major order:
+    a map W (x) U -> V becomes U -> V (x) W* for rows = dim V dim W, and
+    back for rows = dim V."""
+    cols = mat.rows * mat.cols // rows
+    ent = {divmod(i * mat.cols + j, cols): v for (i, j), v in mat.entries.items()}
+    return Matrix._owning(mat.field, rows, cols, ent)
 
 
 def slot(op, before, after):

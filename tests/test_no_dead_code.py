@@ -2,7 +2,10 @@
 
 A definition counts as used when its name appears as a `Name` or an
 `Attribute` somewhere in src, tests, demos or bench, outside the
-definition's own body.  Dunders and the names `hopfcyclic/__init__.py`
+definition's own body.  A `Name` in another file that defines the same
+name itself refers to that file's own definition, so it does not count:
+a reference copy kept in a test cannot hide a dead package function.
+Dunders and the names `hopfcyclic/__init__.py`
 exports are exempt.  A name imported into a package module must appear
 as a `Name` in that module, or as an `Attribute` anywhere searched (a
 re-export such as `fixtures.trivial_modcomodule`); `__init__.py` is
@@ -32,12 +35,12 @@ def _parse(path):
 
 
 def _uses(tree):
-    """(name, line) for every Name and Attribute in tree."""
+    """(name, line, is a Name) for every Name and Attribute in tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
 
 
 def _definitions(tree):
@@ -55,19 +58,21 @@ def _exported():
 
 
 def test_every_definition_has_a_user():
-    uses = {}        # name -> [(path, line)]
+    uses = {}        # name -> [(path, line, a Name the file defines itself)]
     for top in SEARCHED:
         for path in _python_files(top):
-            for name, line in _uses(_parse(path)):
-                uses.setdefault(name, []).append((path, line))
+            tree = _parse(path)
+            own = {name for name, _, _ in _definitions(tree)}
+            for name, line, is_name in _uses(tree):
+                uses.setdefault(name, []).append((path, line, is_name and name in own))
     exempt = _exported()
     dead = []
     for path in _python_files(PACKAGE):
         for name, first, last in _definitions(_parse(path)):
             if name in exempt or (name.startswith("__") and name.endswith("__")):
                 continue
-            if not any(p != path or not first <= line <= last
-                       for p, line in uses.get(name, ())):
+            if not any(not first <= line <= last if p == path else not local
+                       for p, line, local in uses.get(name, ())):
                 dead.append("%s:%d %s" % (os.path.relpath(path, ROOT), first, name))
     assert dead == [], "nothing calls: " + ", ".join(dead)
 

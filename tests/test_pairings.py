@@ -8,7 +8,8 @@ from hopfcyclic import (QQ, alpha, beta, xi, star, invariant_traces,
                         crossed_cup_with_trace, crossed_cocup_with_invariant,
                         cm_char_map, pullback, diag_tensor_epi_check,
                         coefficient_complex, modular_pair_module,
-                        NotCocycle, HypothesisFailure, NotEquivariant)
+                        NotCocycle, HypothesisFailure, NotEquivariant,
+                        ModularPair, AgreementFailure, DescentFailure)
 from hopfcyclic.pairings import CochainClass
 from hopfcyclic.cyclic import ModuleMorphism
 from hopfcyclic import fixtures as fx
@@ -46,6 +47,49 @@ def test_alpha_rejects_non_equivariant_pairings(kz2, pair_triv):
     bad = EquivariantPairing(mc, ma, phi)
     with pytest.raises(NotEquivariant):
         alpha(bad, pair_triv, 2)
+
+
+def test_alpha_descent_failure_is_caught(pairing, pair_triv):
+    """Negative control: against the unquotiented cover T(A,M) the lift
+    does not descend, and the certificate names the first degree."""
+    x = coefficient_complex(pairing.coalg, pair_triv, 2, level="C")
+    y = coefficient_complex(pairing.alg, pair_triv, 2, level="T")
+    with pytest.raises(DescentFailure, match="alpha does not descend at degree 0"):
+        alpha(pairing, pair_triv, 2, x_mod=x, y_mod=y)
+
+
+def test_xi_forms_disagree_before_coinvariants(kz2, pair_triv):
+    """Negative control: the two forms of xi agree only after the
+    coinvariance relations, so on Q(C,M) the certificate fires."""
+    zc = fx.function_comodule_coalgebra(kz2)
+    mc = fx.regular_module_coalgebra(kz2)
+    y = coefficient_complex(mc, pair_triv, 2, level="Q")
+    with pytest.raises(AgreementFailure,
+                       match="the two displayed forms of xi disagree at degree 1"):
+        xi(zc, mc, pair_triv, 2, y_mod=y)
+
+
+def test_sparse_structure_tables_read_missing_keys_as_zero(sweedler):
+    """A table without the keys of its zero vectors, as check_structure
+    accepts it, gives the same generators, pairing and beta as its io
+    round trip, which lists every key."""
+    from hopfcyclic.hopf import (AlgebraData, HopfAlgebraData, algebra_generators,
+                                 check_structure)
+    from hopfcyclic.io import parse_string, serialize
+    mul = {k: v for k, v in sweedler.algebra.mul.items() if v}
+    sparse = HopfAlgebraData(AlgebraData(QQ, 4, mul, sweedler.algebra.unit),
+                             sweedler.coalgebra, sweedler.antipode)
+    assert len(mul) < 16 and check_structure(sparse) == []
+    assert algebra_generators(sparse) == algebra_generators(
+        parse_string(serialize(sparse))) == [1, 2]
+    ma = fx.dual_numbers_module_algebra(sweedler)
+    assert (2, 0) not in ma.action and check_structure(ma) == []
+    full = parse_string(serialize(ma))
+    mc = fx.regular_module_coalgebra(sweedler)
+    assert fx.action_pairing(mc, ma).phi == fx.action_pairing(mc, full).phi
+    ca = fx.regular_comodule_algebra(sweedler)
+    m = modular_pair_module(sweedler, ModularPair({1: QQ.one}, sweedler.coalgebra.counit))
+    assert beta(ma, ca, m, 1).maps == beta(full, ca, m, 1).maps
 
 
 def test_beta_commutes_with_all_structure_maps(kz2, pair_triv):
