@@ -24,7 +24,8 @@ from .linalg import (Matrix, Subspace, ShapeMismatch, SingularMatrix,
 from .tensors import permute, slot, column_blocks
 from .hopf import (AlgebraData, ModuleCoalgebra, CompatibilityFailure,
                    check_sayd, check_comodule_coalgebra, require_same_hopf,
-                   algebra_generators, _action, _coaction, _codiagonals)
+                   algebra_generators, raise_failures, _action, _coaction,
+                   _codiagonals)
 
 CHAIN = "chain"
 COCHAIN = "cochain"
@@ -364,9 +365,8 @@ def _fill_by_conjugation(x, d0, s0):
 def _diagonal_actions(hopf, lx, lv):
     """L_h on X (x) V for each basis h: sum over Delta(h) of c L^X_{h1} (x) L^V_{h2},
     from the lists lx and lv of the L_h on X and on V."""
-    zero = Matrix(hopf.field, lx[0].rows * lv[0].rows, lx[0].cols * lv[0].cols)
-    return [sum((lx[h1].kron(lv[h2]).scale(c)
-                 for (h1, h2), c in hopf.coalgebra.comul[h].items()), zero)
+    return [Matrix.lincomb([(c, lx[h1].kron(lv[h2]))
+                            for (h1, h2), c in hopf.coalgebra.comul[h].items()])
             for h in range(hopf.dim)]
 
 
@@ -560,7 +560,8 @@ def coinvariants(q):
         s = Subspace(f, q.spaces[n])
         for h in range(hopf.dim):
             eps = hopf.coalgebra.counit.get(h, f.zero)
-            g = q.act_h(n, h) - Matrix.identity(f, q.spaces[n]).scale(eps)
+            g = Matrix.lincomb([(1, q.act_h(n, h)),
+                                (-eps, Matrix.identity(f, q.spaces[n]))])
             for col in g.columns():
                 if col:
                     s.add_vector(col)
@@ -616,11 +617,11 @@ def _colinear_subspace(field, hopf, mod, rho_x):
     are flattened with the M index slowest: flat = m*dimX + x.
     """
     dh, dm = hopf.dim, mod.dim
-    op = _coaction(mod, dm).kron(Matrix.identity(field, rho_x.cols))
+    terms = [(1, _coaction(mod, dm).kron(Matrix.identity(field, rho_x.cols)))]
     for h, block in enumerate(column_blocks(rho_x.transpose(), dh)):
         e_h = slot(Matrix(field, dh, 1, {(h, 0): field.one}), 1, dm)
-        op = op - e_h.kron(block)
-    return op.kernel_basis()
+        terms.append((-1, e_h.kron(block)))
+    return Matrix.lincomb(terms).kernel_basis()
 
 
 def _restrict(images, sub, tag):
@@ -657,8 +658,8 @@ def _hom_module(field, hopf, mod, base, N, orientation, name):
             g = slot(hopf.antipode, 1, db ** (n + 1)) * permute(
                 slot(rho_b, db ** n, 1), [db] * n + [dh, db], order)
         # G(x) = sum_h h (x) u_h(x); tau f = sum_h L_h o f o u_h
-        ops = [lh.kron(uh) for lh, uh in zip(lm, column_blocks(g.transpose(), dh))]
-        tau = sum(ops[1:], ops[0])
+        tau = Matrix.lincomb([(1, lh.kron(uh))
+                              for lh, uh in zip(lm, column_blocks(g.transpose(), dh))])
         taus[n] = _restrict([tau.apply(b) for b in subs[n].basis], subs[n],
                             "tau_%d" % n)
     x = ParaCyclicModule(field, orientation, {n: subs[n].dim for n in subs}, {},
@@ -683,21 +684,15 @@ def _hom_module(field, hopf, mod, base, N, orientation, name):
 
 def hopf_cocyclic_comodule_algebra(b, m, N):
     """C(B,M): colinear maps B^{(x)n+1} -> M with the cocyclic structure."""
-    bad = check_sayd(m)
-    if bad:
-        raise NotSAYD("; ".join(bad))
+    raise_failures(NotSAYD, check_sayd(m))
     return _hom_module(b.field, b.hopf, m, b, N, COCHAIN,
                        "C(%s,%s)" % (b.name or "B", m.name or "M"))
 
 
 def hopf_cyclic_comodule_coalgebra(z, m, N):
     """C(Z,M): colinear maps Z^{(x)n+1} -> M with the cyclic structure."""
-    bad = check_sayd(m)
-    if bad:
-        raise NotSAYD("; ".join(bad))
-    bad = check_comodule_coalgebra(z)
-    if bad:
-        raise CompatibilityFailure("; ".join(bad))
+    raise_failures(NotSAYD, check_sayd(m))
+    raise_failures(CompatibilityFailure, check_comodule_coalgebra(z))
     return _hom_module(z.field, z.hopf, m, z, N, CHAIN,
                        "C(%s,%s)" % (z.name or "Z", m.name or "M"))
 

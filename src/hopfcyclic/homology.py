@@ -12,6 +12,7 @@ for n <= N - 2 (one degree is consumed by each neighboring differential).
 
 from .linalg import Matrix, Subspace, ShapeMismatch
 from .cyclic import CHAIN, COCHAIN, transpose_module
+from .hopf import raise_failures
 
 
 class NotCyclic(Exception):
@@ -42,9 +43,7 @@ class MixedComplex:
         self.B = dict(B)
         self.name = name
         if check:
-            bad = self.violations()
-            if bad:
-                raise IdentityFailure("; ".join(bad))
+            raise_failures(IdentityFailure, self.violations())
 
     def _step(self):
         return -1 if self.orientation == CHAIN else 1
@@ -65,17 +64,17 @@ class MixedComplex:
             # vanishes for a genuine reason (degree below the bottom of
             # the grading), not because of truncation.
             bot = min(self.spaces)
-            term = Matrix.zero(self.field, self.spaces[n], self.spaces[n])
+            terms = []
             have_bB = n in self.B and n - s in self.b and n - s in self.spaces
             have_Bb = n in self.b and n + s in self.B and n + s in self.spaces
             if have_bB:
-                term = term + self.b[n - s] * self.B[n]
+                terms.append((1, self.b[n - s] * self.B[n]))
             if have_Bb:
-                term = term + self.B[n + s] * self.b[n]
+                terms.append((1, self.B[n + s] * self.b[n]))
             checkable = (have_bB and have_Bb) \
                 or (have_bB and not have_Bb and n + s < bot) \
                 or (have_Bb and not have_bB and n - s < bot)
-            if checkable and not term.is_zero():
+            if checkable and not Matrix.lincomb(terms).is_zero():
                 bad.append("bB + Bb != 0 at degree %d" % n)
         return bad
 
@@ -93,9 +92,7 @@ class Bicomplex:
         self.vert = dict(vert)              # (p, q) -> Matrix to (p, q+1)
         self.name = name
         if check:
-            bad = self.violations()
-            if bad:
-                raise IdentityFailure("; ".join(bad))
+            raise_failures(IdentityFailure, self.violations())
 
     def violations(self):
         products = {}
@@ -166,28 +163,29 @@ class CohomologyTable:
 
 
 def _lambda(x, n):
+    """lambda = (-1)^n tau at degree n."""
     t = x.tau(n)
-    return t if n % 2 == 0 else t.scale(x.field.neg(x.field.one))
+    return t if n % 2 == 0 else t.scale(-1)
+
+
+def _one_minus_lambda(x, n):
+    return Matrix.lincomb([(1, Matrix.identity(x.field, x.spaces[n])),
+                           ((-1) ** (n + 1), x.tau(n))])
 
 
 def _norm(x, n):
-    lam = _lambda(x, n)
-    acc = Matrix.identity(x.field, x.spaces[n])
-    out = acc
-    for _ in range(n + 1 - 1):
-        acc = lam * acc
-        out = out + acc
-    return out
+    """N = sum_k lambda^k for k = 0..n, with lambda^k = (-1)^(nk) tau^k."""
+    powers = [Matrix.identity(x.field, x.spaces[n])]
+    for _ in range(n):
+        powers.append(x.tau(n) * powers[-1])
+    return Matrix.lincomb([((-1) ** (n * k), t) for k, t in enumerate(powers)])
 
 
 def _alternating_faces(x, n, idxs):
     """sum_j (-1)^j d_j over the face indices idxs at degree n; None if none."""
-    f = x.field
-    out = None
-    for j in idxs:
-        term = x.faces[(n, j)] if j % 2 == 0 else x.faces[(n, j)].scale(f.neg(f.one))
-        out = term if out is None else out + term
-    return out
+    if not idxs:
+        return None
+    return Matrix.lincomb([((-1) ** j, x.faces[(n, j)]) for j in idxs])
 
 
 def hochschild_b(x, n):
@@ -219,8 +217,7 @@ def mixed_of_cyclic(x):
                 b[n] = m
             if n + 1 <= x.N:
                 s_ext = x.tau(n + 1) * x.degeneracies[(n, n)]
-                one_minus = Matrix.identity(f, x.spaces[n + 1]) - _lambda(x, n + 1)
-                B[n] = one_minus * s_ext * _norm(x, n)
+                B[n] = _one_minus_lambda(x, n + 1) * s_ext * _norm(x, n)
     else:
         for n in sorted(x.spaces):
             m = hochschild_b(x, n)
@@ -228,8 +225,7 @@ def mixed_of_cyclic(x):
                 b[n] = m
             if n >= 1:
                 s_ext = x.degeneracies[(n, n - 1)] * x.tau(n)
-                one_minus = Matrix.identity(f, x.spaces[n]) - _lambda(x, n)
-                B[n] = _norm(x, n - 1) * s_ext * one_minus
+                B[n] = _norm(x, n - 1) * s_ext * _one_minus_lambda(x, n)
     return MixedComplex(f, x.orientation, dict(x.spaces), b, B,
                         name="mixed(%s)" % (x.name or "X"))
 
@@ -250,12 +246,11 @@ def cyclic_bicomplex(x):
     horiz = {}
     vert = {}
     for q in range(x.N + 1):
-        lam = _lambda(x, q)
-        one_minus = Matrix.identity(f, x.spaces[q]) - lam
+        one_minus = _one_minus_lambda(x, q)
         norm = _norm(x, q)
         if q + 1 <= x.N:
             bq = hochschild_b(x, q)
-            neg_bpq = hochschild_b_prime(x, q).scale(f.neg(f.one))
+            neg_bpq = hochschild_b_prime(x, q).scale(-1)
         for p in range(width):
             if p + 1 < width:
                 horiz[(p, q)] = one_minus if p % 2 == 0 else norm

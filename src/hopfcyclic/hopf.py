@@ -33,6 +33,12 @@ class CompatibilityFailure(Exception):
     pass
 
 
+def raise_failures(exc, bad):
+    """Raise exc naming every failure in the list bad, if it has any."""
+    if bad:
+        raise exc("; ".join(bad))
+
+
 def _vec_eq(field, u, v):
     for k in set(u) | set(v):
         if not field.is_zero(field.sub(u.get(k, field.zero), v.get(k, field.zero))):
@@ -544,9 +550,7 @@ def crossed_product_algebra(ma, ca):
 def crossed_product_coalgebra(zc, mc):
     """Z |x C with Delta(z,c) = (z1, z2[-1]c1) (x) (z2[0], c2)."""
     require_same_hopf(zc.hopf, mc.hopf, "crossed product")
-    bad = check_comodule_coalgebra(zc)
-    if bad:
-        raise CompatibilityFailure("; ".join(bad))
+    raise_failures(CompatibilityFailure, check_comodule_coalgebra(zc))
     f, Z, C = zc.field, zc.coalgebra, mc.coalgebra
     dh, dz, dc = zc.hopf.dim, Z.dim, C.dim
     (dl_z, e_z), (dl_c, e_c) = Z.matrices(), C.matrices()

@@ -1,22 +1,22 @@
 """Exact sparse linear algebra over Q and F_p.
 
 Matrices are sparse maps (row, col) -> nonzero scalar.  Products,
-Kronecker products, matrix-vector products and subspace reductions run
-on Python ints: the field lifts each operand to ints over one common
-denominator (over F_p, the residues themselves), sums of products
-accumulate with no zero test, and each sum becomes a field element once,
-divided by the denominator over Q or reduced mod p over F_p
-(fraction-free accumulation and delayed modular reduction).  Every
-elimination (rank, kernel, inverse) goes through one routine,
-Matrix.rref: a sparse Gauss-Jordan on row dicts that pivots each column
-on the shortest row holding it, so fill-in stays low and no dense copy
-is ever made.  A matrix is read-only once applied: the first apply
-lifts its entries, caches them by column and freezes the matrix.
-Subspaces are kept as fully reduced echelon bases, each vector also held
-lifted to ints: each basis vector is 1 at its pivot and 0 at every other
-pivot, so reducing a vector is one pass over the pivots in its support,
-and a quotient projection is read off the basis without reducing
-anything.
+Kronecker products, linear combinations (every sum, difference and
+scaling, through Matrix.lincomb), matrix-vector products and subspace
+reductions run on Python ints: the field lifts each operand to ints over
+one common denominator (over F_p, the residues themselves), sums of
+products accumulate with no zero test, and each sum becomes a field
+element once, divided by the denominator over Q or reduced mod p over
+F_p (fraction-free accumulation and delayed modular reduction).  A
+matrix is lifted at most once: the first kernel that reads it caches the
+lift and freezes the matrix.  Every elimination (rank, kernel, inverse)
+goes through one routine, Matrix.rref: a sparse Gauss-Jordan on row
+dicts that pivots each column on the shortest row holding it, so
+fill-in stays low and no dense copy is ever made.  Subspaces are kept
+as fully reduced echelon bases, each vector also held lifted to ints:
+each basis vector is 1 at its pivot and 0 at every other pivot, so
+reducing a vector is one pass over the pivots in its support, and a
+quotient projection is read off the basis without reducing anything.
 """
 
 from bisect import bisect_left
@@ -64,9 +64,10 @@ class Matrix:
     """Sparse exact matrix.  Stored entries are nonzero.
 
     Build the entries dict first and pass it to the constructor.  The
-    first apply caches a column index and turns `entries` into a read-only
-    view, so a later write raises TypeError instead of going unseen by the
-    index.
+    first product, Kronecker product, linear combination or apply that
+    reads the matrix caches its entries lifted to ints and turns `entries`
+    into a read-only view, so a later write raises TypeError instead of
+    going unseen by the cached lift.
     """
 
     def __init__(self, field, rows, cols, entries=None):
@@ -74,7 +75,8 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = {}
-        self._by_col = None
+        self._lift = None       # (ints, d), set by _ints
+        self._by_col = None     # (column -> [(row, int)], d), set by apply
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
@@ -123,36 +125,55 @@ class Matrix:
     def is_zero(self):
         return not self.entries
 
+    @staticmethod
+    def lincomb(terms):
+        """sum c M over a nonempty list of (c, M): scalars c (field elements
+        or ints) and matrices of one shape.  Summed in ints over the lcm D
+        of the lifted terms' denominators, each entry divided by D once."""
+        m0 = terms[0][1]
+        f = m0.field
+        lifted = []
+        for c, m in terms:
+            if (m.rows, m.cols) != (m0.rows, m0.cols):
+                raise ShapeMismatch("add %dx%d with %dx%d"
+                                    % (m0.rows, m0.cols, m.rows, m.cols))
+            s, dc = f.integral({0: c})
+            lifted.append((s[0], dc, *m._ints()))
+        d = lcm(*[dc * dm for _, dc, _, dm in lifted])
+        acc = {}
+        get = acc.get
+        for s, dc, a, dm in lifted:
+            s *= d // (dc * dm)
+            if s:
+                for k, v in a.items():
+                    acc[k] = get(k, 0) + s * v
+        return Matrix._owning(f, m0.rows, m0.cols, f.from_integral(acc, d))
+
     def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("add %dx%d with %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        f = self.field
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            w = f.add(ent.get(k, f.zero), v)
-            if f.is_zero(w):
-                ent.pop(k, None)
-            else:
-                ent[k] = w
-        return Matrix._owning(f, self.rows, self.cols, ent)
+        return Matrix.lincomb([(1, self), (1, other)])
 
     def __sub__(self, other):
-        return self + other.scale(self.field.neg(self.field.one))
+        return Matrix.lincomb([(1, self), (-1, other)])
 
     def scale(self, c):
-        f = self.field
-        if f.is_zero(c):
-            return Matrix(f, self.rows, self.cols)
-        return Matrix._owning(f, self.rows, self.cols,
-                              {k: f.mul(c, v) for k, v in self.entries.items()})
+        return Matrix.lincomb([(c, self)])
+
+    def _ints(self):
+        """(ints, d) with entries == ints / d, lifted and frozen once.  The
+        lift is shared, so it never goes to from_integral (which works in
+        place): kernels lower only fresh accumulators."""
+        if self._lift is None:
+            self.entries = MappingProxyType(self.entries)
+            self._lift = self.field.integral(self.entries)
+        return self._lift
 
     def __mul__(self, other):
         """Matrix product self @ other."""
         if self.cols != other.rows:
             raise ShapeMismatch("mul %dx%d with %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         f = self.field
-        a, da = f.integral(self.entries)
-        b, db = f.integral(other.entries)
+        a, da = self._ints()
+        b, db = other._ints()
         by_row = {}
         for (i, j), w in b.items():
             by_row.setdefault(i, []).append((j, w))
@@ -168,25 +189,25 @@ class Matrix:
     def apply(self, vec):
         """Apply to a dict-vector (length self.cols), returns dict-vector.
 
-        The first call lifts the entries to ints, indexes them by column
-        and freezes the matrix.  Each call lifts vec, sums the products in
-        ints and turns each sum into a field element once.
+        The first call indexes the matrix's lift by column.  Each call
+        lifts vec, sums the products in ints and turns each sum into a
+        field element once.
         """
         f = self.field
-        by_col = self._by_col
-        if by_col is None:
-            a, self._den = f.integral(self.entries)
-            by_col = self._by_col = {}
+        if self._by_col is None:
+            a, da = self._ints()
+            by_col = {}
             for (i, j), v in a.items():
                 by_col.setdefault(j, []).append((i, v))
-            self.entries = MappingProxyType(self.entries)
+            self._by_col = by_col, da
+        by_col, da = self._by_col
         x, dx = f.integral(vec)
         out = {}
         get = out.get
         for j, c in x.items():
             for i, v in by_col.get(j, ()):
                 out[i] = get(i, 0) + v * c
-        return f.from_integral(out, self._den * dx)
+        return f.from_integral(out, da * dx)
 
     def transpose(self):
         return Matrix._owning(self.field, self.cols, self.rows,
@@ -195,8 +216,8 @@ class Matrix:
     def kron(self, other):
         """Kronecker product, row-major flattening (self slowest)."""
         f = self.field
-        a, da = f.integral(self.entries)
-        b, db = f.integral(other.entries)
+        a, da = self._ints()
+        b, db = other._ints()
         r, c = other.rows, other.cols
         return Matrix._owning(
             f, self.rows * r, self.cols * c,

@@ -12,7 +12,8 @@ back along these morphisms.
 
 from .linalg import Matrix, ShapeMismatch, add_into
 from .tensors import unflatten, permute, reshape, slot, table_matrix
-from .hopf import (check_equivariant, check_sayd,
+from .hopf import (CompatibilityFailure, check_equivariant, check_sayd,
+                   check_module_algebra, check_module_coalgebra, raise_failures,
                    is_commutative, is_symmetric_module, require_same_hopf,
                    tensor_hopf, tensor_module_algebra, tensor_modcomodule,
                    tensor_comodule_coalgebra, balanced_tensor_modcomodule,
@@ -25,7 +26,7 @@ from .cyclic import (CHAIN, COCHAIN, ModuleMorphism,
                      hopf_cyclic_comodule_coalgebra,
                      diag_hom, diag_tensor)
 from .homology import (hochschild_b, total_complex, _as_cochain, _lambda,
-                       _cohomology_at)
+                       _one_minus_lambda, _cohomology_at)
 
 
 class NotEquivariant(Exception):
@@ -192,10 +193,9 @@ def cyclic_cocycles(module, p):
     f = mod.field
     d = mod.spaces[p]
     b = hochschild_b(mod, p)
-    lam = _lambda(mod, p)
     rows = b.rows if b is not None else 0
     stack = dict(b.entries) if b is not None else {}
-    for (i, j), v in (Matrix.identity(f, d) - lam).entries.items():
+    for (i, j), v in _one_minus_lambda(mod, p).entries.items():
         stack[(rows + i, j)] = v
     sub = Matrix(f, rows + d, d, stack).kernel_basis()
     return [from_cyclic_cocycle(module, p, dict(v), check=False)
@@ -306,9 +306,7 @@ def alpha(pairing, m, N, x_mod=None, y_mod=None, buffer=2):
     vec(id_M) and its slots permuted.  It is pushed through the quotient
     towers of both sides, with the descent verified degreewise.
     """
-    bad = check_equivariant(pairing)
-    if bad:
-        raise NotEquivariant("; ".join(bad))
+    raise_failures(NotEquivariant, check_equivariant(pairing))
     if x_mod is None:
         x_mod = hopf_cyclic_complex(pairing.coalg, m, N, buffer=buffer)
     if y_mod is None:
@@ -345,9 +343,8 @@ def beta(ma, ca, m, N, buffer=2):
     the diagonal coaction of the prefix b^0..b^{j-1} acts on a_j.
     """
     require_same_hopf(ma.hopf, ca.hopf, "crossed product")
-    bad = check_sayd(m)
-    if bad:
-        raise NotSAYD("; ".join(bad))
+    raise_failures(CompatibilityFailure, check_module_algebra(ma))
+    raise_failures(NotSAYD, check_sayd(m))
     f = ma.field
     x_mod = hopf_cocyclic_comodule_algebra(ca, m, N)
     y_mod = hopf_cyclic_complex(ma, m, N, buffer=buffer)
@@ -416,9 +413,8 @@ def xi(zc, mc, m, N, y_mod=None, buffer=2):
     is not expected).
     """
     require_same_hopf(zc.hopf, mc.hopf, "cocrossed product")
-    bad = check_sayd(m)
-    if bad:
-        raise NotSAYD("; ".join(bad))
+    raise_failures(CompatibilityFailure, check_module_coalgebra(mc))
+    raise_failures(NotSAYD, check_sayd(m))
     x_mod = hopf_cyclic_comodule_coalgebra(zc, m, N)
     if y_mod is None:
         y_mod = hopf_cyclic_complex(mc, m, N, buffer=buffer)

@@ -8,8 +8,8 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from hopfcyclic import QQ, GF, field_by_name, Matrix, Subspace, quotient_space
 from hopfcyclic.fields import MR_BOUND, is_prime
-from hopfcyclic.linalg import (SingularMatrix, kernel_basis, vec_add,
-                               vec_scale, vec_sub)
+from hopfcyclic.linalg import (ShapeMismatch, SingularMatrix, kernel_basis,
+                               vec_add, vec_scale, vec_sub)
 
 
 def dense_rank_oracle(field, rows, cols, entries):
@@ -266,6 +266,113 @@ def test_entries_are_frozen_once_applied():
     with pytest.raises(TypeError):
         m.entries[(1, 0)] = f.one
     assert m.apply({0: f.one}) == {0: f.one}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("use", ["mul", "rmul", "kron", "add", "sub", "scale",
+                                 "lincomb", "apply"])
+def test_entries_are_frozen_once_read_by_a_kernel(field, use):
+    """Every kernel lifts a matrix once and caches the lift, so the first
+    product, sum or apply freezes it; the lift is never written to."""
+    f = field
+    m = Matrix(f, 2, 2, {(0, 0): f(3), (0, 1): f(2), (1, 1): f.one})
+    i2 = Matrix.identity(f, 2)
+    run = {"mul": lambda: m * i2, "rmul": lambda: i2 * m,
+           "kron": lambda: m.kron(i2), "add": lambda: m + i2,
+           "sub": lambda: i2 - m, "scale": lambda: m.scale(f(5)),
+           "lincomb": lambda: Matrix.lincomb([(f(4), i2), (f(6), m)]),
+           "apply": lambda: m.apply({1: f.one})}
+    before = dict(m.entries)
+    run[use]()
+    with pytest.raises(TypeError):
+        m.entries[(1, 0)] = f.one
+    assert m.entries == before
+    assert m * i2 == m and (m - m).is_zero()
+    assert m.scale(f(3)).entries == {k: f.mul(f(3), v) for k, v in before.items()}
+
+
+def _reference_add(a, b):
+    """The field-arithmetic Matrix.__add__ the integer sum kernel replaced:
+    one field add and one zero test per entry."""
+    f = a.field
+    ent = dict(a.entries)
+    for k, v in b.entries.items():
+        w = f.add(ent.get(k, f.zero), v)
+        if f.is_zero(w):
+            ent.pop(k, None)
+        else:
+            ent[k] = w
+    return Matrix(f, a.rows, a.cols, ent)
+
+
+def _reference_scale(a, c):
+    """The field-arithmetic Matrix.scale the integer sum kernel replaced."""
+    f = a.field
+    if f.is_zero(c):
+        return Matrix(f, a.rows, a.cols)
+    return Matrix(f, a.rows, a.cols, {k: f.mul(c, v) for k, v in a.entries.items()})
+
+
+def sum_entries(field):
+    """Q: mixed denominators; GF(p): residues near p and near 0."""
+    if field is QQ:
+        return st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    return st.one_of(st.integers(field.p - 3, field.p - 1), st.integers(0, 2))
+
+
+def assert_same_entries(m, want):
+    assert m.entries == want.entries
+    assert_stored_entries_are_field_elements(m)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sum_kernel_matches_field_loops(field, data):
+    """+, -, scale and lincomb against the field-loop reference: same
+    entries, zero-free, Fractions over Q and ints in range(p) over F_p."""
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    keys = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+
+    def draw_matrix():
+        return Matrix(field, rows, cols, data.draw(st.dictionaries(
+            keys, sum_entries(field), max_size=rows * cols)))
+
+    a, b, c = draw_matrix(), draw_matrix(), draw_matrix()
+    minus_one = field.neg(field.one)
+    coeffs = [data.draw(sum_entries(field)) for _ in range(3)]
+    assert_same_entries(a + b, _reference_add(a, b))
+    assert_same_entries(a - b, _reference_add(a, _reference_scale(b, minus_one)))
+    assert_same_entries(a - a, Matrix(field, rows, cols))
+    assert_same_entries(a.scale(coeffs[0]), _reference_scale(a, coeffs[0]))
+    assert_same_entries(a.scale(field.zero), Matrix(field, rows, cols))
+    want = Matrix(field, rows, cols)
+    for x, m in zip(coeffs + [minus_one], (a, b, c, a)):
+        want = _reference_add(want, _reference_scale(m, x))
+    assert_same_entries(Matrix.lincomb(list(zip(coeffs + [-1], (a, b, c, a)))),
+                        want)
+    with pytest.raises(ShapeMismatch):
+        a + Matrix(field, rows + 1, cols)
+    with pytest.raises(ShapeMismatch):
+        Matrix.lincomb([(field.one, a), (field.one, Matrix(field, rows, cols + 1))])
+
+
+def test_sum_kernel_cancels_to_zero():
+    """Mixed denominators over Q and entries near p over GF(10007) that
+    cancel exactly leave no stored zero."""
+    f = QQ
+    a = Matrix(f, 1, 3, {(0, 0): f(1, 2), (0, 1): f(1, 3), (0, 2): f(5, 7)})
+    b = Matrix(f, 1, 3, {(0, 0): f(1, 6), (0, 1): f(1, 9), (0, 2): f(1, 7)})
+    s = Matrix.lincomb([(1, a), (-3, b), (f(0), b)])
+    assert s.entries == {(0, 2): f(2, 7)}
+    assert (a.scale(f(2, 3)) - b.scale(4)).entries == {(0, 0): f(-1, 3), (0, 1): f(-2, 9),
+                                                      (0, 2): f(-2, 21)}
+    g = GF(10007)
+    x = Matrix(g, 2, 2, {(0, 0): 10006, (1, 1): 10005, (0, 1): 3})
+    y = Matrix(g, 2, 2, {(0, 0): 1, (1, 1): 2, (0, 1): 10004})
+    assert (x + y).is_zero()
+    assert Matrix.lincomb([(10006, x), (1, y)]).entries == {
+        (0, 0): 2, (1, 1): 4, (0, 1): 10001}
 
 
 def test_matrix_inverse_and_powers():

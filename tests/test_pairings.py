@@ -99,6 +99,29 @@ def test_beta_commutes_with_all_structure_maps(kz2, pair_triv):
     assert bm.verify() == []
 
 
+def test_beta_and_xi_reject_invalid_module_structures(kz2, pair_triv):
+    """A module algebra or module coalgebra that fails check_structure is
+    refused with the failures named, not turned into a morphism."""
+    from hopfcyclic.hopf import (CompatibilityFailure, ModuleAlgebra,
+                                 ModuleCoalgebra, check_structure)
+    f = QQ
+    ma = fx.dual_numbers_module_algebra(kz2)
+    bad_ma = ModuleAlgebra(kz2, ma.algebra, dict(ma.action), name="bad")
+    bad_ma.action[(0, 1)] = {1: f(3)}          # the unit acts on e1 by 3
+    assert "unit does not act as identity at e1" in "; ".join(check_structure(bad_ma))
+    ca = fx.regular_comodule_algebra(kz2)
+    with pytest.raises(CompatibilityFailure, match="unit does not act as identity at e1"):
+        beta(bad_ma, ca, pair_triv, 2)
+    mc = fx.regular_module_coalgebra(kz2)
+    bad_mc = ModuleCoalgebra(kz2, mc.coalgebra, dict(mc.action), name="bad")
+    for c in range(2):
+        bad_mc.action[(0, c)] = {c: f(2)}      # the unit acts by 2
+    assert check_structure(bad_mc)
+    zc = fx.function_comodule_coalgebra(kz2)
+    with pytest.raises(CompatibilityFailure, match="unit does not act as identity"):
+        xi(zc, bad_mc, pair_triv, 2)
+
+
 def test_xi_commutes_with_all_structure_maps(xi_mor):
     assert xi_mor.verify() == []
 
