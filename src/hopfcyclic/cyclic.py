@@ -462,10 +462,17 @@ def compute_J(t, buffer=2):
     The second line needs L_gh = L_g L_h on the cover, so it is certified
     instead: every column of [L_h, tau], for every basis h, must lie in J,
     or AssertionError is raised as for a violated closure fixpoint.  The
-    first line then gives every [L_h, tau^i].  The closure fixpoint
-    certifies that tau and the L_g preserve J in every degree; that the
-    other L_h preserve it is checked by _descend in the degrees it
-    descends and, above the output range, by hopf_cyclic_complex.
+    first line then gives every [L_h, tau^i].  T - id and each [L_h, tau]
+    are formed once per degree, for both closures and this check.
+
+    The closure's worklist runs over d_0, s_0 and tau only, since every
+    other face and degeneracy is a tau-conjugate of d_0 or s_0 and tau^-1
+    preserves J.  They and the L_g are its derived operators: its final
+    certified pass applies every face, degeneracy, tau and L_g to every
+    basis vector of J and closes again over any image outside, so the
+    result does not rest on that argument.  That the other L_h preserve J
+    is checked by _descend in the degrees it descends and, above the
+    output range, by hopf_cyclic_complex.
 
     The result covers every stored degree; degrees above t.N - buffer are
     truncation-affected; buffer must be at least 1.  Stability in the
@@ -478,30 +485,30 @@ def compute_J(t, buffer=2):
         raise ValueError("buffer must be at least 1")
     f = t.field
     gens = algebra_generators(t.hopf)
-
-    def commutator_columns(mod, n, h):
-        lh, tau = mod.act_h(n, h), mod.tau(n)
-        return [c for c in (lh * tau - tau * lh).columns() if c]
+    # the truncated module of the stability check keeps t's matrices
+    twists, comms = {}, {}
+    for n, dim_n in t.spaces.items():
+        twists[n] = [c for c in (t.T(n) - Matrix.identity(f, dim_n)).columns() if c]
+        for h in range(t.hopf.dim):
+            lh, tau = t.act_h(n, h), t.tau(n)
+            comms[n, h] = [c for c in (lh * tau - tau * lh).columns() if c]
 
     def closure(mod):
-        ops = [(n, n + mod.step, m) for (n, _), m in mod.faces.items()]
-        ops += [(n, n - mod.step, m) for (n, _), m in mod.degeneracies.items()]
+        ops, derived = [], []
+        for maps, shift in ((mod.faces, mod.step), (mod.degeneracies, -mod.step)):
+            for (n, j), m in maps.items():
+                (derived if j else ops).append((n, n + shift, m))
         ops += [(n, n, mod.tau(n)) for n in mod.spaces]
-        ops += [(n, n, mod.act_h(n, g)) for n in mod.spaces for g in gens]
-        seeds = {}
-        for n, dim_n in mod.spaces.items():
-            twist = mod.T(n) - Matrix.identity(f, dim_n)
-            seeds[n] = [c for c in twist.columns() if c]
-            for g in gens:
-                seeds[n] += commutator_columns(mod, n, g)
-        return operator_closure(f, seeds, ops, max_degree=mod.N, buffer=1)
+        derived += [(n, n, mod.act_h(n, g)) for n in mod.spaces for g in gens]
+        seeds = {n: twists[n] + [c for g in gens for c in comms[n, g]]
+                 for n in mod.spaces}
+        return operator_closure(f, seeds, ops, mod.N, derived=derived)
 
     full = closure(t)
-    for n in t.spaces:
-        for h in range(t.hopf.dim):
-            if not all(full[n].contains(c) for c in commutator_columns(t, n, h)):
-                raise AssertionError("seed [L_%d, tau] leaves J at degree %d"
-                                     % (h, n))
+    for (n, h), cols in comms.items():
+        if not all(full[n].contains(c) for c in cols):
+            raise AssertionError("seed [L_%d, tau] leaves J at degree %d"
+                                 % (h, n))
     if t.N >= 1:
         shrunk = closure(truncate(t, t.N - 1))
         for n in range(0, max(t.N - buffer, 0) + 1):

@@ -13,12 +13,6 @@ from fractions import Fraction
 from math import lcm
 
 
-def _drop_zeros(entries):
-    for k in [k for k, v in entries.items() if not v]:
-        del entries[k]
-    return entries
-
-
 class Field:
     """Common interface; instantiate QQ or GF(p)."""
 
@@ -66,17 +60,18 @@ class RationalField(Field):
                 for k, v in entries.items()}, d
 
     def from_integral(self, ints, d):
-        """The Fractions x / d of the ints x for a nonzero int d, inverse of
-        `integral`.  Works in place on `ints` and returns it with the zeros
-        dropped.  A product holds few distinct values, so each Fraction is
-        made once and shared."""
-        made = {}
+        """A new dict of the Fractions x / d of the nonzero ints x, for a
+        nonzero int d: the inverse of `integral`, with the zeros dropped.
+        Each int is tested before a Fraction is made, and a product holds
+        few distinct values, so each Fraction is made once and shared."""
+        made, out = {}, {}
         for k, x in ints.items():
-            q = made.get(x)
-            if q is None:
-                q = made[x] = Fraction(x, d)
-            ints[k] = q
-        return _drop_zeros(ints)
+            if x:
+                q = made.get(x)
+                if q is None:
+                    q = made[x] = Fraction(x, d)
+                out[k] = q
+        return out
 
     def __repr__(self):
         return "QQ"
@@ -159,19 +154,15 @@ class PrimeField(Field):
         return entries, 1
 
     def from_integral(self, ints, d):
-        """The residues x / d mod p of the ints x (d is 1 when the ints come
-        from `integral`, which keeps the residues as they are).  Works in
-        place on `ints` and returns it with the zeros dropped, so a sum of
-        products is reduced once here, not after every multiply-add."""
+        """A new dict of the nonzero residues x / d mod p of the ints x (d
+        is 1 when the ints come from `integral`, which keeps the residues
+        as they are).  A sum of products is reduced once here, not after
+        every multiply-add, and a residue is kept only when it is nonzero."""
         p = self.p
         if d == 1:
-            for k, x in ints.items():
-                ints[k] = x % p
-        else:
-            inv = self.inv(d)
-            for k, x in ints.items():
-                ints[k] = x * inv % p
-        return _drop_zeros(ints)
+            return {k: r for k, x in ints.items() if (r := x % p)}
+        inv = self.inv(d)
+        return {k: r for k, x in ints.items() if (r := x * inv % p)}
 
     def __repr__(self):
         return "GF(%d)" % self.p

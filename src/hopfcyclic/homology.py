@@ -294,14 +294,19 @@ def _total(c):
         comps = {}
         for p, q in sorted(c.spaces, key=lambda k: (k[0] + k[1], k)):
             comps.setdefault(p + q, []).append((p, q))
+        negated = {}    # id -> negative, once per block the odd columns share
 
         def blocks(k):
             p, q = k
             if k in c.horiz:
                 yield (p + 1, q), c.horiz[k]
             if k in c.vert:
-                yield (p, q + 1), (c.vert[k] if p % 2 == 0
-                                   else c.vert[k].scale(f.neg(f.one)))
+                v = c.vert[k]
+                if p % 2:
+                    if id(v) not in negated:
+                        negated[id(v)] = v.scale(-1)
+                    v = negated[id(v)]
+                yield (p, q + 1), v
     else:
         raise TypeError("expected a MixedComplex or Bicomplex")
     dims, offs = {}, {}

@@ -5,11 +5,12 @@ Kronecker products, linear combinations (every sum, difference and
 scaling, through Matrix.lincomb), matrix-vector products and subspace
 reductions run on Python ints: the field lifts each operand to ints over
 one common denominator (over F_p, the residues themselves), sums of
-products accumulate with no zero test, and each sum becomes a field
-element once, divided by the denominator over Q or reduced mod p over
-F_p (fraction-free accumulation and delayed modular reduction).  A
-matrix is lifted at most once: the first kernel that reads it caches the
-lift and freezes the matrix.  Every elimination (rank, kernel, inverse)
+products accumulate with no zero test, and the sums are lowered in one
+pass into a new dict that keeps only the nonzero field elements, each
+sum divided by the denominator over Q or reduced mod p over F_p
+(fraction-free accumulation and delayed modular reduction).  A matrix
+is lifted at most once: the first kernel that reads it caches the lift
+and freezes the matrix.  Every elimination (rank, kernel, inverse)
 goes through one routine, Matrix.rref: a sparse Gauss-Jordan on row
 dicts that pivots each column on the shortest row holding it, so
 fill-in stays low and no dense copy is ever made.  Subspaces are kept
@@ -20,6 +21,7 @@ quotient projection is read off the basis without reducing anything.
 """
 
 from bisect import bisect_left
+from collections import deque
 from math import lcm
 from types import MappingProxyType
 
@@ -39,25 +41,6 @@ def add_into(field, d, key, v):
         d.pop(key, None)
     else:
         d[key] = s
-
-
-def vec_add(field, u, v):
-    w = dict(u)
-    for i, x in v.items():
-        y = field.add(w.get(i, field.zero), x)
-        if field.is_zero(y):
-            w.pop(i, None)
-        else:
-            w[i] = y
-    return w
-
-def vec_scale(field, c, u):
-    if field.is_zero(c):
-        return {}
-    return {i: field.mul(c, x) for i, x in u.items()}
-
-def vec_sub(field, u, v):
-    return vec_add(field, u, vec_scale(field, field.neg(field.one), v))
 
 
 class Matrix:
@@ -160,8 +143,8 @@ class Matrix:
 
     def _ints(self):
         """(ints, d) with entries == ints / d, lifted and frozen once.  The
-        lift is shared, so it never goes to from_integral (which works in
-        place): kernels lower only fresh accumulators."""
+        lift is shared and never written to: kernels accumulate into dicts
+        of their own, and from_integral lowers those into new dicts."""
         if self._lift is None:
             self.entries = MappingProxyType(self.entries)
             self._lift = self.field.integral(self.entries)
@@ -419,7 +402,7 @@ class Subspace:
         s.basis = [dict(b) for b in self.basis]
         s.pivots = list(self.pivots)
         s._by_pivot = dict(zip(s.pivots, s.basis))
-        s._lifted = dict(self._lifted)   # no lift is written after it is made
+        s._lifted = dict(self._lifted)   # shared: no lift is ever written
         return s
 
     def basis_matrix(self):
@@ -461,48 +444,62 @@ def quotient_space(ambient_dim, sub):
     return dim, Matrix(f, dim, ambient_dim, proj), Matrix(f, ambient_dim, dim, sect)
 
 
-def operator_closure(field, seeds, ops, max_degree, buffer=1):
+def operator_closure(field, seeds, ops, max_degree, buffer=1, derived=()):
     """Smallest graded subspace containing seeds, closed under the operators.
 
-    seeds: degree -> iterable of dict-vectors.  ops: (source degree, target
-    degree, Matrix) triples; the matrix shapes give the space dimensions.
-    Operators whose source or target exceed max_degree + buffer are ignored.
-    Dimensions are finite and grow monotonely, so the loop terminates; the
-    returned family is a fixpoint (one more full pass adds nothing).
+    seeds: degree -> iterable of dict-vectors.  ops and derived: (source
+    degree, target degree, Matrix) triples; the matrix shapes give the
+    space dimensions.  Operators whose source or target exceed
+    max_degree + buffer are ignored.  A worklist pushes each new vector
+    through `ops` only.  Then a certified pass applies every operator to
+    every final basis vector: an image under `ops` outside the span raises
+    AssertionError, and one under `derived` is inserted and the worklist
+    resumes.  Only a full pass over all operators that adds nothing ends
+    the loop, so the result is closed under all of them whether or not
+    `ops` generate `derived`.  Dimensions are finite and grow, so it ends.
     """
     if buffer < 1:
         raise ValueError("buffer must be >= 1")
     top = max_degree + buffer
     dims = {}
-    for src, tgt, m in ops:
+    for src, tgt, m in (*ops, *derived):
         for n, d in ((src, m.cols), (tgt, m.rows)):
             if dims.setdefault(n, d) != d:
                 raise ShapeMismatch("operator dim %d, space %d has dim %d"
                                     % (d, n, dims[n]))
     spaces = {n: Subspace(field, d) for n, d in dims.items() if n <= top}
-    queue = []
+    active, extra = ([(src, tgt, m) for src, tgt, m in family
+                      if src in spaces and tgt in spaces]
+                     for family in (ops, derived))
+    by_src = {}
+    for src, tgt, m in active:
+        by_src.setdefault(src, []).append((tgt, m))
+    work = deque()
     for n, vecs in seeds.items():
         if n not in spaces:
             continue
         for v in vecs:
             if spaces[n].add_vector(v):
-                queue.append((n, dict(v)))
-    # worklist: whenever a space grows, push the new vector through all ops
-    active = [(src, tgt, m) for (src, tgt, m) in ops
-              if src <= top and tgt <= top and src in spaces and tgt in spaces]
-    by_src = {}
-    for src, tgt, m in active:
-        by_src.setdefault(src, []).append((tgt, m))
-    work = [(n, v) for n, v in queue]
-    while work:
-        n, v = work.pop()
-        for tgt, m in by_src.get(n, ()):
-            img = m.apply(v)
-            if spaces[tgt].add_vector(img):
-                work.append((tgt, img))
-    # certify the fixpoint: one full pass over the final bases adds nothing
-    for src, tgt, m in active:
-        for b in spaces[src].basis:
-            if not spaces[tgt].contains(m.apply(b)):
-                raise AssertionError("closure fixpoint violated")
-    return spaces
+                work.append((n, dict(v)))
+    while True:
+        # worklist, first in first out (a stack made inserts three times as
+        # costly on large covers): push each new vector through ops
+        while work:
+            n, v = work.popleft()
+            for tgt, m in by_src.get(n, ()):
+                img = m.apply(v)
+                if spaces[tgt].add_vector(img):
+                    work.append((tgt, img))
+        # certified pass over the final bases: ops must add nothing, and
+        # what derived adds goes back to the worklist
+        for src, tgt, m in active:
+            for b in spaces[src].basis:
+                if not spaces[tgt].contains(m.apply(b)):
+                    raise AssertionError("closure fixpoint violated")
+        for src, tgt, m in extra:
+            for b in list(spaces[src].basis):
+                img = m.apply(b)
+                if spaces[tgt].add_vector(img):
+                    work.append((tgt, img))
+        if not work:
+            return spaces

@@ -21,7 +21,9 @@ from hopfcyclic.hopf import (_bilinear, _linear, _vec_eq, tensor_hopf,
                              tensor_module_algebra, tensor_modcomodule,
                              tensor_comodule_coalgebra, crossed_product_algebra,
                              crossed_product_coalgebra)
-from hopfcyclic.linalg import add_into, vec_add, vec_scale
+from hopfcyclic.linalg import add_into
+
+from _loops import vec_add, vec_scale
 
 
 # ---------------------------------------------------------------------------

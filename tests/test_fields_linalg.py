@@ -8,8 +8,9 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from hopfcyclic import QQ, GF, field_by_name, Matrix, Subspace, quotient_space
 from hopfcyclic.fields import MR_BOUND, is_prime
-from hopfcyclic.linalg import (ShapeMismatch, SingularMatrix, kernel_basis,
-                               vec_add, vec_scale, vec_sub)
+from hopfcyclic.linalg import ShapeMismatch, SingularMatrix, kernel_basis
+
+from _loops import vec_add, vec_scale, vec_sub
 
 
 def dense_rank_oracle(field, rows, cols, entries):
@@ -373,6 +374,53 @@ def test_sum_kernel_cancels_to_zero():
     assert (x + y).is_zero()
     assert Matrix.lincomb([(10006, x), (1, y)]).entries == {
         (0, 0): 2, (1, 1): 4, (0, 1): 10001}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_from_integral_lowers_in_one_pass(field, data):
+    """x / d for every int x, as a new zero-free dict of field elements:
+    ints that lower to zero (0 and multiples of p), negative ints, and
+    denominators other than 1, negative ones and one that is 1 mod p."""
+    p = 10007
+    ints = data.draw(st.dictionaries(st.integers(0, 9), st.one_of(
+        st.sampled_from([0, p, -p, -3 * p, 2 * p * p]),
+        st.integers(-3 * p, 3 * p))))
+    d = data.draw(st.sampled_from([1, 2, 6, -3, -1, p + 1]))
+    before = dict(ints)
+    out = field.from_integral(ints, d)
+    assert ints == before and out is not ints
+    assert out == {k: field(x, d) for k, x in ints.items()
+                   if not field.is_zero(field(x, d))}
+    assert_stored_entries_are_field_elements(Matrix._owning(field, 10, 1, {
+        (k, 0): v for k, v in out.items()}))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=str)
+def test_kernels_never_write_into_a_cached_lift(field):
+    """Products, sums that cancel to zero, Kronecker products, apply and
+    subspace reductions all lower fresh accumulators: the cached integer
+    lift of every operand stays as it was."""
+    f = field
+    m = Matrix(f, 2, 2, {(0, 0): f(1, 2), (0, 1): f(-3), (1, 1): f(2, 3)})
+    n = Matrix(f, 2, 2, {(0, 0): f(-1, 2), (1, 0): f(5)})
+    lifts = [(x, x._ints()) for x in (m, n)]
+    ints = [(x, dict(a), d) for x, (a, d) in lifts]
+    assert (m - m).is_zero() and (0, 0) not in (m + n).entries
+    assert Matrix.lincomb([(2, m), (-1, m), (-1, m)]).is_zero()
+    assert (m * n).entries == {(0, 0): f(-61, 4), (1, 0): f(10, 3)}
+    assert (n * m).entries == {(0, 0): f(-1, 4), (0, 1): f(3, 2),
+                               (1, 0): f(5, 2), (1, 1): f(-15)}
+    assert m.kron(n).entries[(0, 0)] == f(-1, 4)
+    assert m.scale(f(-7)).entries[(1, 1)] == f(-14, 3)
+    assert m.apply({0: f.one, 1: f(3, 2)}) == {0: f.sub(f(1, 2), f(9, 2)),
+                                               1: f.one}
+    s = Subspace.from_vectors(f, 2, [m.apply({1: f.one})])
+    s.add_vector({1: f(-4)})
+    assert s.reduce({0: f(5), 1: f(-5)}) == {}
+    for (x, lift), (_, a, d) in zip(lifts, ints):
+        assert x._ints() is lift and lift == (a, d)
 
 
 def test_matrix_inverse_and_powers():
