@@ -588,8 +588,9 @@ def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
     them.  quotient_module and coinvariants verify that every structure
     map and L_h descends in 0..N.  Above N the closure fixpoint already
     certifies the faces, the degeneracies, tau and L_g for the algebra
-    generators g; the other L_h are checked here to preserve J, since the
-    lean J of compute_J relies on it, and DescentFailure is raised if not.
+    generators g; every other L_h that is not the identity (as the unit's
+    is) is checked here to preserve J, since the lean J of compute_J relies
+    on it, and DescentFailure is raised if not.
     """
     if buffer < 1:
         raise ValueError("buffer must be at least 1")
@@ -602,10 +603,11 @@ def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
     j = compute_J(t, buffer=buffer)
     gens = algebra_generators(t.hopf)
     for n in range(N + 1, t.N + 1):
+        one = Matrix.identity(t.field, t.spaces[n])
         for h in range(t.hopf.dim):
-            if h in gens:
-                continue
             lh = t.act_h(n, h)
+            if h in gens or lh == one:
+                continue
             if not all(j[n].contains(lh.apply(b)) for b in j[n].basis):
                 raise DescentFailure("L_h (%d,%d) does not preserve the "
                                      "subspace (degree %d)" % (n, h, n))

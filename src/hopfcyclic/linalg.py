@@ -10,14 +10,15 @@ pass into a new dict that keeps only the nonzero field elements, each
 sum divided by the denominator over Q or reduced mod p over F_p
 (fraction-free accumulation and delayed modular reduction).  A matrix
 is lifted at most once: the first kernel that reads it caches the lift
-and freezes the matrix.  Every elimination (rank, kernel, inverse)
-goes through one routine, Matrix.rref: a sparse Gauss-Jordan on row
-dicts that pivots each column on the shortest row holding it, so
-fill-in stays low and no dense copy is ever made.  Subspaces are kept
-as fully reduced echelon bases, each vector also held lifted to ints:
-each basis vector is 1 at its pivot and 0 at every other pivot, so
-reducing a vector is one pass over the pivots in its support, and a
-quotient projection is read off the basis without reducing anything.
+and freezes the matrix.  Subspace is the one elimination engine: it
+keeps a fully reduced echelon basis, each vector also held lifted to
+ints, and a column index of the basis vectors nonzero in each non-pivot
+column.  Each basis vector is 1 at its pivot and 0 at every other
+pivot, so reducing a vector is one pass over the pivots in its support,
+inserting one clears its pivot from just the vectors the index lists
+there, and a quotient projection is read off the basis without reducing
+anything.  Matrix.rref is the reduced basis of the row space, and rank,
+kernels and inverses are read off it.
 """
 
 from bisect import bisect_left
@@ -85,12 +86,9 @@ class Matrix:
     @classmethod
     def from_columns(cls, field, rows, columns):
         """columns: list of dict-vectors of length `rows`."""
-        ent = {}
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if not field.is_zero(v):
-                    ent[(i, j)] = v
-        return cls(field, rows, len(columns), ent)
+        return cls(field, rows, len(columns),
+                   {(i, j): v for j, col in enumerate(columns)
+                    for i, v in col.items()})
 
     def columns(self):
         cols = [dict() for _ in range(self.cols)]
@@ -215,47 +213,14 @@ class Matrix:
         """Reduced row echelon form as (pivot columns, sparse rows).
 
         rows[k] is the dict of the row whose leading 1 is in column
-        pivots[k].  Columns are taken left to right; each is pivoted on
-        the shortest not-yet-pivot row holding it (Markowitz's fill-in
-        rule within one column) and then cleared from every other row.
-        The reduced form is unique, so the pivot choice moves only cost.
+        pivots[k].  The reduced form is unique: it is the reduced basis of
+        the row space, read off a Subspace that the rows are inserted into.
         """
-        f = self.field
         rows = {}
-        holders = {}        # column -> ids of rows with a nonzero there
         for (i, j), v in self.entries.items():
             rows.setdefault(i, {})[j] = v
-            holders.setdefault(j, set()).add(i)
-        pivots, pivot_rows = [], []
-        used = set()
-        for c in sorted(holders):
-            live = [i for i in holders[c] if i not in used]
-            if not live:
-                continue
-            p = min(live, key=lambda i: (len(rows[i]), i))
-            inv = f.inv(rows[p][c])
-            prow = rows[p] = {j: f.mul(inv, x) for j, x in rows[p].items()}
-            for i in list(holders[c]):
-                if i == p:
-                    continue
-                row = rows[i]
-                factor = row[c]
-                for j, x in prow.items():
-                    y = row.get(j)
-                    if y is None:
-                        row[j] = f.neg(f.mul(factor, x))
-                        holders[j].add(i)
-                        continue
-                    y = f.sub(y, f.mul(factor, x))
-                    if f.is_zero(y):
-                        del row[j]
-                        holders[j].discard(i)
-                    else:
-                        row[j] = y
-            used.add(p)
-            pivots.append(c)
-            pivot_rows.append(p)
-        return pivots, [rows[p] for p in pivot_rows]
+        s = Subspace.from_vectors(self.field, self.cols, rows.values())
+        return s.pivots, s.basis
 
     def kernel_basis(self):
         """Kernel as a Subspace of the column space (ambient dim = cols)."""
@@ -299,21 +264,15 @@ class Matrix:
         return out
 
 
-def rank(m):
-    return m.rank()
-
-
-def kernel_basis(m):
-    return m.kernel_basis()
-
-
 class Subspace:
     """Subspace of k^n kept as a fully reduced echelon basis.
 
     Basis vectors are dict-vectors; pivot columns strictly increase, each
     basis vector b_p is 1 at its own pivot p, 0 at every other pivot, and
-    has no entry left of p.  `_by_pivot` maps p to b_p and `_lifted` maps
-    p to b_p lifted to ints, (ints, d) with b_p = ints / d.
+    has no entry left of p.  `_by_pivot` maps p to b_p, `_lifted` maps
+    p to b_p lifted to ints, (ints, d) with b_p = ints / d, and the column
+    index `_holders` maps each non-pivot column j to the pivots p with
+    b_p[j] != 0.
     """
 
     def __init__(self, field, ambient_dim):
@@ -323,6 +282,7 @@ class Subspace:
         self.pivots = []     # pivot index per basis vector, sorted
         self._by_pivot = {}  # pivot -> basis vector
         self._lifted = {}    # pivot -> basis vector lifted to ints
+        self._holders = {}   # non-pivot column -> pivots nonzero there
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
@@ -368,7 +328,12 @@ class Subspace:
         return {i: vec[p] for i, p in enumerate(self.pivots) if p in vec}
 
     def add_vector(self, vec):
-        """Insert vec if independent; returns True when the subspace grew."""
+        """Insert vec if independent; returns True when the subspace grew.
+
+        The reduced vec, scaled to 1 at its pivot, is cleared from the basis
+        vectors the column index lists at that pivot.  Each of them changes
+        only on the support of the new vector, so the index is updated there.
+        """
         f = self.field
         v = self.reduce(vec)
         if not v:
@@ -377,21 +342,25 @@ class Subspace:
         v, _ = f.integral(v)
         v = f.from_integral(v, v[piv])              # 1 at piv
         lv, dv = self._lifted[piv] = f.integral(v)
-        pos = bisect_left(self.pivots, piv)
-        # clear the new pivot from the basis vectors that can hold it, those
-        # with an earlier pivot: b - b[piv] v = (lb dv - lb[piv] lv) / (db dv)
-        for i in range(pos):
-            p = self.pivots[i]
+        holders = self._holders
+        cleared = holders.pop(piv, ())
+        for j in v:
+            holders.setdefault(j, set()).add(piv)
+        # b - b[piv] v = (lb dv - lb[piv] lv) / (db dv)
+        for p in cleared:
             lb, db = self._lifted[p]
-            c = lb.get(piv)
-            if c is None:
-                continue
+            c = lb[piv]
             acc = {k: w * dv for k, w in lb.items()} if dv != 1 else dict(lb)
             get = acc.get
             for j, w in lv.items():
                 acc[j] = get(j, 0) - c * w
-            b = self.basis[i] = self._by_pivot[p] = f.from_integral(acc, db * dv)
+            b = self._by_pivot[p] = f.from_integral(acc, db * dv)
+            self.basis[bisect_left(self.pivots, p)] = b
             self._lifted[p] = f.integral(b)
+            for j in lv:
+                (holders[j].add if j in b else holders[j].discard)(p)
+        del holders[piv]                            # now a pivot column
+        pos = bisect_left(self.pivots, piv)
         self.pivots.insert(pos, piv)
         self.basis.insert(pos, v)
         self._by_pivot[piv] = v
@@ -403,6 +372,7 @@ class Subspace:
         s.pivots = list(self.pivots)
         s._by_pivot = dict(zip(s.pivots, s.basis))
         s._lifted = dict(self._lifted)   # shared: no lift is ever written
+        s._holders = {j: set(ps) for j, ps in self._holders.items()}
         return s
 
     def basis_matrix(self):

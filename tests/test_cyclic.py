@@ -282,26 +282,29 @@ def test_output_range_descent_matches_the_full_tower(name, field, monkeypatch):
 def test_a_non_generator_action_leaving_j_above_the_output_range_fails(monkeypatch):
     # Sweedler's gx (basis index 3) is not an algebra generator, so the
     # closure fixpoint never applies it; above N only the explicit L_h
-    # check sees it.  L_h + E with E = e_k e_p0^T sends the J basis vector
+    # check sees it.  Nor is the unit (index 0): the check skips its L_h
+    # only after finding it equal to the identity, so a corrupted one is
+    # still checked.  L_h + E with E = e_k e_p0^T sends the J basis vector
     # with pivot p0 to L_h b + e_k, outside J since e_k is.
-    field, N, gx = GF(10007), 1, 3
+    field, N = GF(10007), 1
     h = fx.sweedler_hopf(field)
-    assert gx not in algebra_generators(h)
     real = cyclic.compute_J
+    for x in (3, 0):
+        assert x not in algebra_generators(h)
 
-    def corrupting(t, buffer=2):
-        j = real(t, buffer=buffer)
-        for n in (N + 1, N + 2):
-            p0 = j[n].pivots[0]
-            k = next(i for i in range(t.spaces[n])
-                     if not j[n].contains({i: field.one}))
-            lh = t.h_action[(n, gx)]
-            t.h_action[(n, gx)] = lh + Matrix(field, lh.rows, lh.cols,
-                                              {(k, p0): field.one})
-        return j
+        def corrupting(t, buffer=2):
+            j = real(t, buffer=buffer)
+            for n in (N + 1, N + 2):
+                p0 = j[n].pivots[0]
+                k = next(i for i in range(t.spaces[n])
+                         if not j[n].contains({i: field.one}))
+                lh = t.h_action[(n, x)]
+                t.h_action[(n, x)] = lh + Matrix(field, lh.rows, lh.cols,
+                                                 {(k, p0): field.one})
+            return j
 
-    monkeypatch.setattr(cyclic, "compute_J", corrupting)
-    msg = "L_h (2,3) does not preserve the subspace (degree 2)"
-    with pytest.raises(DescentFailure, match=re.escape(msg)):
-        hopf_cyclic_complex(fx.regular_module_coalgebra(h),
-                            fx.trivial_modcomodule(h), N, level="Q")
+        monkeypatch.setattr(cyclic, "compute_J", corrupting)
+        msg = "L_h (2,%d) does not preserve the subspace (degree 2)" % x
+        with pytest.raises(DescentFailure, match=re.escape(msg)):
+            hopf_cyclic_complex(fx.regular_module_coalgebra(h),
+                                fx.trivial_modcomodule(h), N, level="Q")

@@ -8,16 +8,17 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from hopfcyclic import QQ, GF, field_by_name, Matrix, Subspace, quotient_space
 from hopfcyclic.fields import MR_BOUND, is_prime
-from hopfcyclic.linalg import ShapeMismatch, SingularMatrix, kernel_basis
+from hopfcyclic.linalg import ShapeMismatch, SingularMatrix
 
 from _loops import vec_add, vec_scale, vec_sub
 
 
-def dense_rank_oracle(field, rows, cols, entries):
-    """Plain dense Gaussian elimination, written independently of Matrix."""
+def dense_rref_oracle(field, rows, cols, entries):
+    """Plain dense Gauss-Jordan elimination, written independently of
+    Matrix: (pivot columns, reduced rows as zero-free dicts)."""
     a = [[entries.get((i, j), field.zero) for j in range(cols)]
          for i in range(rows)]
-    r = 0
+    r, pivots = 0, []
     for c in range(cols):
         piv = next((i for i in range(r, rows) if not field.is_zero(a[i][c])),
                    None)
@@ -32,7 +33,13 @@ def dense_rank_oracle(field, rows, cols, entries):
                 a[i] = [field.sub(x, field.mul(f, y))
                         for x, y in zip(a[i], a[r])]
         r += 1
-    return r
+        pivots.append(c)
+    return pivots, [{j: x for j, x in enumerate(row) if not field.is_zero(x)}
+                    for row in a[:r]]
+
+
+def dense_rank_oracle(field, rows, cols, entries):
+    return len(dense_rref_oracle(field, rows, cols, entries)[0])
 
 
 FIELDS = [QQ, GF(2), GF(5)]
@@ -120,7 +127,7 @@ def test_kernel_is_killed_and_full(field, data):
         st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
         small_entries(field), max_size=10))
     m = Matrix(field, rows, cols, entries)
-    ker = kernel_basis(m)
+    ker = m.kernel_basis()
     # rank-nullity, and every basis vector really is in the kernel
     assert ker.dim == cols - m.rank()
     for v in ker.basis:
@@ -239,10 +246,11 @@ def sparse_matrix(data, field, rows, cols, fill_diagonal=False):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_sparse_elimination_engine(field, data):
-    """kernel_basis, rank and inverse share one elimination routine."""
+    """rref, kernel_basis, rank and inverse share one elimination routine."""
     rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
     m, entries = sparse_matrix(data, field, rows, cols)
     r = dense_rank_oracle(field, rows, cols, entries)
+    assert m.rref() == dense_rref_oracle(field, rows, cols, entries)
     assert m.rank() == r
     ker = m.kernel_basis()
     assert ker.dim == cols - r
@@ -570,6 +578,11 @@ def test_subspace_against_walk_every_basis_reference(field, data):
         assert twin.dim == sub.dim + 1
     assert sub.pivots == pivots and sub.basis == basis
     assert_reduced_echelon(sub)
+    # then the original grows the same way on its own index
+    if free:
+        assert sub.add_vector(e)
+        assert_reduced_echelon(sub)
+        assert sub == twin
 
 
 def test_subspace_coordinates_read_the_pivots_or_refuse_outsiders():
