@@ -7,7 +7,7 @@ the structural identities by finite linear algebra over Q or F_p.
 """
 
 from .fields import QQ, GF, field_by_name
-from .linalg import Matrix, Subspace, quotient_space
+from .linalg import Matrix, Subspace, quotient_space, CertificateFailure
 from .hopf import (AlgebraData, CoalgebraData, HopfAlgebraData,
                    ModuleAlgebra, ModuleCoalgebra, ComoduleAlgebra,
                    ComoduleCoalgebra, ModComodule, ModularPair,

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .fields import QQ, field_by_name
-from .linalg import Matrix
+from .linalg import Matrix, CertificateFailure
 from .hopf import (AlgebraData, HopfAlgebraData, ModuleAlgebra,
                    ModuleCoalgebra, ComoduleAlgebra, ComoduleCoalgebra,
                    ModComodule, EquivariantPairing, ModularPair, HopfMismatch,
@@ -487,7 +487,7 @@ def main(argv=None):
         print(str(e), file=sys.stderr)
         _emit({"ok": False, "error": str(e)}, args.output)
         return EXIT_USAGE
-    except (NotSAYD, DescentFailure) as e:
+    except (NotSAYD, DescentFailure, CertificateFailure) as e:
         # a certificate failed on valid input: name the identity, exit 1
         error = "%s: %s" % (type(e).__name__, e)
         print(error, file=sys.stderr)

@@ -20,7 +20,7 @@ nothing relies on the conventions being right silently.
 import warnings
 
 from .linalg import (Matrix, Subspace, ShapeMismatch, SingularMatrix,
-                     quotient_space, operator_closure)
+                     CertificateFailure, quotient_space, operator_closure)
 from .tensors import permute, slot, column_blocks
 from .hopf import (AlgebraData, ModuleCoalgebra, CompatibilityFailure,
                    check_sayd, check_comodule_coalgebra, require_same_hopf,
@@ -71,6 +71,7 @@ class ParaCyclicModule:
         self.name = name
         self.meta = dict(meta) if meta else {}
         self._tau_inv = {}
+        self._certified = {}   # see _certify_symmetries
 
     def dim(self, n):
         return self.spaces[n]
@@ -441,8 +442,11 @@ def truncate(x, N):
     ha = None
     if x.h_action:
         ha = {(n, h): m for (n, h), m in x.h_action.items() if n <= N}
-    return ParaCyclicModule(x.field, x.orientation, spaces, faces, degs, taus,
-                            h_action=ha, hopf=x.hopf, name=x.name, meta=x.meta)
+    out = ParaCyclicModule(x.field, x.orientation, spaces, faces, degs, taus,
+                           h_action=ha, hopf=x.hopf, name=x.name, meta=x.meta)
+    out._tau_inv = {n: m for n, m in x._tau_inv.items() if n <= N}
+    out._certified = {k: v for k, v in x._certified.items() if k[1] <= N}
+    return out
 
 
 def compute_J(t, buffer=2):
@@ -451,33 +455,24 @@ def compute_J(t, buffer=2):
     By definition J is the closure of the columns of T - id and of every
     [L_h, tau^i] (h in a basis of H, i = 1..n+1) under the faces, the
     degeneracies, tau, tau^-1 and every L_h.  Here the closure starts from
-    T - id and [L_g, tau] only, for g in algebra_generators(H), and closes
-    under the faces, the degeneracies, tau and the L_g.  That is the same
-    J, and reduced echelon bases are unique, so it is the same basis:
+    T - id and [L_g, tau] for g in algebra_generators(H) and runs over
+    d_0, s_0 and tau.  That is the same J, hence the same reduced basis:
 
-      i = 1 suffices: [L, tau^i] = [L, tau] tau^{i-1} + tau [L, tau^{i-1}];
-      generators suffice: [L_gh, tau] = L_g [L_h, tau] + [L_g, tau] L_h;
-      no tau^-1: tau is injective and J finite-dimensional, so tau(J) = J.
+      [L, tau^i] = [L, tau] tau^{i-1} + tau [L, tau^{i-1}];
+      tau is injective and J finite-dimensional, so tau(J) = J;
+      each other face or degeneracy is a tau-conjugate of index j - 1;
+      L_1 = id and L_g L_h = L_gh make h -> L_h an algebra map, the L_g
+        commute with d_0 and s_0 and each [L_h, tau] maps into J, so by
+        induction over words in d_0, s_0 and tau every L_h preserves J.
 
-    The second line needs L_gh = L_g L_h on the cover, so it is certified
-    instead: every column of [L_h, tau], for every basis h, must lie in J,
-    or AssertionError is raised as for a violated closure fixpoint.  The
-    first line then gives every [L_h, tau^i].  T - id and each [L_h, tau]
-    are formed once per degree, for both closures and this check.
+    _certify_symmetries checks these identities in each degree n with
+    J_n != 0, and DescentFailure names one that fails; the closure
+    fixpoint and [L_h, tau] mapping into J raise CertificateFailure.
 
-    The closure's worklist runs over d_0, s_0 and tau only, since every
-    other face and degeneracy is a tau-conjugate of d_0 or s_0 and tau^-1
-    preserves J.  They and the L_g are its derived operators: its final
-    certified pass applies every face, degeneracy, tau and L_g to every
-    basis vector of J and closes again over any image outside, so the
-    result does not rest on that argument.  That the other L_h preserve J
-    is checked by _descend in the degrees it descends and, above the
-    output range, by hopf_cyclic_complex.
-
-    The result covers every stored degree; degrees above t.N - buffer are
-    truncation-affected; buffer must be at least 1.  Stability in the
-    certified range is checked by recomputing with the top degree removed;
-    a mismatch raises the UnstableTruncation warning.
+    Degrees above t.N - buffer are truncation-affected; buffer must be at
+    least 1.  Stability in the certified range is checked by recomputing
+    with the top degree removed, a closure inside J: a dimension mismatch
+    raises the UnstableTruncation warning.
     """
     if not t.h_action:
         raise ValueError("compute_J needs a module with an H-action")
@@ -494,21 +489,22 @@ def compute_J(t, buffer=2):
             comms[n, h] = [c for c in (lh * tau - tau * lh).columns() if c]
 
     def closure(mod):
-        ops, derived = [], []
-        for maps, shift in ((mod.faces, mod.step), (mod.degeneracies, -mod.step)):
-            for (n, j), m in maps.items():
-                (derived if j else ops).append((n, n + shift, m))
+        ops = [(n, n + shift, m)
+               for maps, shift in ((mod.faces, mod.step),
+                                   (mod.degeneracies, -mod.step))
+               for (n, j), m in maps.items() if j == 0]
         ops += [(n, n, mod.tau(n)) for n in mod.spaces]
-        derived += [(n, n, mod.act_h(n, g)) for n in mod.spaces for g in gens]
         seeds = {n: twists[n] + [c for g in gens for c in comms[n, g]]
                  for n in mod.spaces}
-        return operator_closure(f, seeds, ops, mod.N, derived=derived)
+        return operator_closure(f, seeds, ops, mod.N)
 
     full = closure(t)
+    t._certified = _certify_symmetries(
+        t, [n for n in sorted(t.spaces) if full[n].dim], gens)
     for (n, h), cols in comms.items():
         if not all(full[n].contains(c) for c in cols):
-            raise AssertionError("seed [L_%d, tau] leaves J at degree %d"
-                                 % (h, n))
+            raise CertificateFailure("seed [L_%d, tau] leaves J at degree %d"
+                                     % (h, n))
     if t.N >= 1:
         shrunk = closure(truncate(t, t.N - 1))
         for n in range(0, max(t.N - buffer, 0) + 1):
@@ -519,31 +515,103 @@ def compute_J(t, buffer=2):
     return full
 
 
+def _family(t, kind, n):
+    """The maps _certify_symmetries reads at source degree n (None where
+    t has none): every L_h, or tau at both ends and every face or
+    degeneracy."""
+    if kind == "L_h":
+        return tuple(t.h_action.get((n, h)) for h in range(t.hopf.dim))
+    if kind == "face":
+        maps, tgt, indices = t.faces, n + t.step, t.face_indices(n)
+    else:
+        maps, tgt, indices = t.degeneracies, n - t.step, t.degeneracy_indices(n)
+    return (t.cyclic.get(n), t.cyclic.get(tgt),
+            *(maps.get((n, j)) for j in indices))
+
+
+def _certify_symmetries(t, degrees, gens):
+    """Check compute_J's identities at each source degree in degrees.
+
+    DescentFailure names the first that fails.  Returns (kind, n) -> (the
+    maps read, the indices of the maps that then preserve every subspace
+    tau, d_0, s_0 and the L_g preserve).
+    """
+    f, hopf, chain = t.field, t.hopf, t.orientation == CHAIN
+    record = {}
+
+    def check(ok, identity, n):
+        if not ok:
+            raise DescentFailure("%s fails at degree %d" % (identity, n))
+
+    def act(lh, vec):   # sum_h vec[h] L_h; 0 L_0 for the zero vector
+        return Matrix.lincomb([(c, lh[h]) for h, c in vec.items()]
+                              or [(0, lh[0])])
+
+    for n in degrees:
+        lh = _family(t, "L_h", n)
+        check(act(lh, hopf.unit()) == Matrix.identity(f, t.spaces[n]),
+              "L_1 = id", n)
+        for g in gens:
+            for h in range(hopf.dim):
+                gh = hopf.multiply({g: f.one}, {h: f.one})
+                check(lh[g] * lh[h] == act(lh, gh),
+                      "L_g L_h = L_gh (g=%d, h=%d)" % (g, h), n)
+        record["L_h", n] = (lh, [h for h in range(hopf.dim) if h not in gens])
+        for kind, sym, tgt in (("face", "d", n + t.step),
+                               ("degeneracy", "s", n - t.step)):
+            family = _family(t, kind, n)
+            tau_src, tau_tgt, *maps = family
+            for g in gens if maps else ():
+                check(t.act_h(tgt, g) * maps[0] == maps[0] * lh[g],
+                      "L_g %s_0 = %s_0 L_g (g=%d)" % (sym, sym, g), n)
+            if len(maps) < 2:
+                continue
+            # invertible: inverted when the maps of index j >= 1 were formed
+            t.tau_inv(n if chain else tgt)
+            m = sym + ("_" if chain else "^")
+            for j in range(1, len(maps)):
+                a, b = (j, j - 1) if chain else (j - 1, j)
+                check(maps[a] * tau_src == tau_tgt * maps[b],
+                      "%s%d tau = tau %s%d" % (m, a, m, b), n)
+            record[kind, n] = (family, range(1, len(maps)))
+    return record
+
+
 def _descend(t, sub, keep_h=True, name=None):
-    """Quotient of t by a degreewise subspace closed under the structure maps."""
+    """Quotient of t by a degreewise subspace closed under the structure maps.
+
+    Each map is checked on every basis vector of the subspace, unless t
+    still stores every map _certify_symmetries read and they imply it.
+    """
     f = t.field
     proj, sect, qdims = {}, {}, {}
     for n in sorted(t.spaces):
         s = sub.get(n) or Subspace(f, t.spaces[n])
         qdims[n], proj[n], sect[n] = quotient_space(t.spaces[n], s)
+    implied = set()
+    for (kind, n), (maps, indices) in t._certified.items():
+        if list(map(id, maps)) == list(map(id, _family(t, kind, n))):
+            implied.update((kind, n, i) for i in indices)
 
-    def induce(m, src, tgt, tag):
-        for b in sub.get(src, Subspace(f, t.spaces[src])).basis:
-            if proj[tgt].apply(m.apply(b)):
-                raise DescentFailure("%s does not preserve the subspace "
-                                     "(degree %d)" % (tag, src))
+    def induce(m, tgt, key):
+        kind, src, _ = key
+        if key not in implied:
+            tag = "tau_%d" % src if kind == "tau" else "%s (%d,%d)" % key
+            for b in sub.get(src, Subspace(f, t.spaces[src])).basis:
+                if proj[tgt].apply(m.apply(b)):
+                    raise DescentFailure("%s does not preserve the subspace "
+                                         "(degree %d)" % (tag, src))
         # m * sect only picks columns of m, so form it before the projection
         return proj[tgt] * (m * sect[src])
 
-    faces = {(n, j): induce(m, n, n + t.step, "face (%d,%d)" % (n, j))
-             for (n, j), m in t.faces.items()}
-    degs = {(n, i): induce(m, n, n - t.step, "degeneracy (%d,%d)" % (n, i))
-            for (n, i), m in t.degeneracies.items()}
-    taus = {n: induce(t.tau(n), n, n, "tau_%d" % n) for n in t.spaces}
+    faces = {k: induce(m, k[0] + t.step, ("face", *k))
+             for k, m in t.faces.items()}
+    degs = {k: induce(m, k[0] - t.step, ("degeneracy", *k))
+            for k, m in t.degeneracies.items()}
+    taus = {n: induce(t.tau(n), n, ("tau", n, 0)) for n in t.spaces}
     ha = None
     if keep_h and t.h_action:
-        ha = {(n, h): induce(m, n, n, "L_h (%d,%d)" % (n, h))
-              for (n, h), m in t.h_action.items()}
+        ha = {k: induce(m, k[0], ("L_h", *k)) for k, m in t.h_action.items()}
     meta = {"kind": "quotient", "parent": t, "proj": proj, "sect": sect,
             "sub": dict(sub)}
     return ParaCyclicModule(f, t.orientation, qdims, faces, degs, taus,
@@ -586,11 +654,7 @@ def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
     certificate of compute_J; then only degrees 0..N are descended, since
     Q and C there depend only on T_0..T_N, J_0..J_N and the maps among
     them.  quotient_module and coinvariants verify that every structure
-    map and L_h descends in 0..N.  Above N the closure fixpoint already
-    certifies the faces, the degeneracies, tau and L_g for the algebra
-    generators g; every other L_h that is not the identity (as the unit's
-    is) is checked here to preserve J, since the lean J of compute_J relies
-    on it, and DescentFailure is raised if not.
+    map and L_h descends in 0..N.
     """
     if buffer < 1:
         raise ValueError("buffer must be at least 1")
@@ -601,16 +665,6 @@ def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
         raise ValueError("level must be T, Q or C")
     t = build(c_or_a, m, N + buffer)
     j = compute_J(t, buffer=buffer)
-    gens = algebra_generators(t.hopf)
-    for n in range(N + 1, t.N + 1):
-        one = Matrix.identity(t.field, t.spaces[n])
-        for h in range(t.hopf.dim):
-            lh = t.act_h(n, h)
-            if h in gens or lh == one:
-                continue
-            if not all(j[n].contains(lh.apply(b)) for b in j[n].basis):
-                raise DescentFailure("L_h (%d,%d) does not preserve the "
-                                     "subspace (degree %d)" % (n, h, n))
     q = quotient_module(truncate(t, N), {n: j[n] for n in range(N + 1)})
     return q if level == "Q" else coinvariants(q)
 

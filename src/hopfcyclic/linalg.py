@@ -18,7 +18,11 @@ pivot, so reducing a vector is one pass over the pivots in its support,
 inserting one clears its pivot from just the vectors the index lists
 there, and a quotient projection is read off the basis without reducing
 anything.  Matrix.rref is the reduced basis of the row space, and rank,
-kernels and inverses are read off it.
+kernels and inverses are read off it.  operator_closure grows graded
+subspaces to the smallest one closed under a list of operators and then
+certifies that fixpoint; a failed certificate raises CertificateFailure,
+an AssertionError that names what failed and, unlike an assert
+statement, still runs under python -O.
 """
 
 from bisect import bisect_left
@@ -33,6 +37,10 @@ class ShapeMismatch(Exception):
 
 class SingularMatrix(ValueError):
     """Matrix.inverse was given a singular matrix."""
+
+
+class CertificateFailure(AssertionError):
+    """An exact certificate failed; the message names the identity."""
 
 
 def add_into(field, d, key, v):
@@ -414,33 +422,29 @@ def quotient_space(ambient_dim, sub):
     return dim, Matrix(f, dim, ambient_dim, proj), Matrix(f, ambient_dim, dim, sect)
 
 
-def operator_closure(field, seeds, ops, max_degree, buffer=1, derived=()):
+def operator_closure(field, seeds, ops, max_degree, buffer=1):
     """Smallest graded subspace containing seeds, closed under the operators.
 
-    seeds: degree -> iterable of dict-vectors.  ops and derived: (source
-    degree, target degree, Matrix) triples; the matrix shapes give the
-    space dimensions.  Operators whose source or target exceed
-    max_degree + buffer are ignored.  A worklist pushes each new vector
-    through `ops` only.  Then a certified pass applies every operator to
-    every final basis vector: an image under `ops` outside the span raises
-    AssertionError, and one under `derived` is inserted and the worklist
-    resumes.  Only a full pass over all operators that adds nothing ends
-    the loop, so the result is closed under all of them whether or not
-    `ops` generate `derived`.  Dimensions are finite and grow, so it ends.
+    seeds: degree -> iterable of dict-vectors.  ops: (source degree, target
+    degree, Matrix) triples; the matrix shapes give the space dimensions.
+    Operators whose source or target exceed max_degree + buffer are
+    ignored.  A worklist pushes each new vector through every operator.
+    Then a certified pass applies every operator to every final basis
+    vector and raises CertificateFailure on an image outside the span.
+    Dimensions are finite and grow, so the worklist ends.
     """
     if buffer < 1:
         raise ValueError("buffer must be >= 1")
     top = max_degree + buffer
     dims = {}
-    for src, tgt, m in (*ops, *derived):
+    for src, tgt, m in ops:
         for n, d in ((src, m.cols), (tgt, m.rows)):
             if dims.setdefault(n, d) != d:
                 raise ShapeMismatch("operator dim %d, space %d has dim %d"
                                     % (d, n, dims[n]))
     spaces = {n: Subspace(field, d) for n, d in dims.items() if n <= top}
-    active, extra = ([(src, tgt, m) for src, tgt, m in family
-                      if src in spaces and tgt in spaces]
-                     for family in (ops, derived))
+    active = [(src, tgt, m) for src, tgt, m in ops
+              if src in spaces and tgt in spaces]
     by_src = {}
     for src, tgt, m in active:
         by_src.setdefault(src, []).append((tgt, m))
@@ -451,25 +455,16 @@ def operator_closure(field, seeds, ops, max_degree, buffer=1, derived=()):
         for v in vecs:
             if spaces[n].add_vector(v):
                 work.append((n, dict(v)))
-    while True:
-        # worklist, first in first out (a stack made inserts three times as
-        # costly on large covers): push each new vector through ops
-        while work:
-            n, v = work.popleft()
-            for tgt, m in by_src.get(n, ()):
-                img = m.apply(v)
-                if spaces[tgt].add_vector(img):
-                    work.append((tgt, img))
-        # certified pass over the final bases: ops must add nothing, and
-        # what derived adds goes back to the worklist
-        for src, tgt, m in active:
-            for b in spaces[src].basis:
-                if not spaces[tgt].contains(m.apply(b)):
-                    raise AssertionError("closure fixpoint violated")
-        for src, tgt, m in extra:
-            for b in list(spaces[src].basis):
-                img = m.apply(b)
-                if spaces[tgt].add_vector(img):
-                    work.append((tgt, img))
-        if not work:
-            return spaces
+    # first in first out: a stack made inserts three times as costly on
+    # large covers
+    while work:
+        n, v = work.popleft()
+        for tgt, m in by_src.get(n, ()):
+            img = m.apply(v)
+            if spaces[tgt].add_vector(img):
+                work.append((tgt, img))
+    for src, tgt, m in active:
+        for b in spaces[src].basis:
+            if not spaces[tgt].contains(m.apply(b)):
+                raise CertificateFailure("closure fixpoint violated")
+    return spaces

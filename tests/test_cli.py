@@ -312,3 +312,22 @@ def test_descent_failure_exits_1(lib, tmp_path, capsys, monkeypatch):
     err = "DescentFailure: tau_0 leaves the colinear subspace"
     assert capsys.readouterr().err == err + "\n"
     assert json.loads(report.read_text()) == {"ok": False, "error": err}
+
+
+def test_a_failed_j_certificate_exits_1(tmp_path, capsys, monkeypatch):
+    # without algebra generators J is only the closure of T - id, and the
+    # seed certificate finds a [L_h, tau] column outside it
+    import os
+    from hopfcyclic import cyclic
+    inputs = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench", "inputs")
+    monkeypatch.setattr(cyclic, "algebra_generators", lambda hopf: [])
+    report = tmp_path / "report.json"
+    assert main(["build",
+                 os.path.join(inputs, "module-coalgebra-sweedler-regular-gf10007.json"),
+                 "--coefficients",
+                 os.path.join(inputs, "modcomodule-trivial-sweedler-gf10007.json"),
+                 "--degree", "1", "--output", str(report)]) == EXIT_FAIL
+    err = "CertificateFailure: seed [L_2, tau] leaves J at degree 1"
+    assert capsys.readouterr().err == err + "\n"
+    assert json.loads(report.read_text()) == {"ok": False, "error": err}

@@ -280,31 +280,139 @@ def test_output_range_descent_matches_the_full_tower(name, field, monkeypatch):
 
 
 def test_a_non_generator_action_leaving_j_above_the_output_range_fails(monkeypatch):
-    # Sweedler's gx (basis index 3) is not an algebra generator, so the
-    # closure fixpoint never applies it; above N only the explicit L_h
-    # check sees it.  Nor is the unit (index 0): the check skips its L_h
-    # only after finding it equal to the identity, so a corrupted one is
-    # still checked.  L_h + E with E = e_k e_p0^T sends the J basis vector
-    # with pivot p0 to L_h b + e_k, outside J since e_k is.
+    # Sweedler's gx (basis index 3) is not an algebra generator, so no
+    # closure applies its L_h; nor is the unit (index 0).  Above N only the
+    # identity certificate of compute_J reads them there.  L_h + E with
+    # E = e_k e_p0^T sends the J basis vector with pivot p0 to L_h b + e_k,
+    # outside J since e_k is, and breaks L_g L_h = L_gh (gx = g x) or L_1 = id.
     field, N = GF(10007), 1
     h = fx.sweedler_hopf(field)
-    real = cyclic.compute_J
-    for x in (3, 0):
+    mc, m = fx.regular_module_coalgebra(h), fx.trivial_modcomodule(h)
+    j = compute_J(cover_coalgebra(mc, m, N + 2))
+    real = cyclic.cover_coalgebra
+    for x, identity in ((3, "L_g L_h = L_gh (g=1, h=2)"), (0, "L_1 = id")):
         assert x not in algebra_generators(h)
 
-        def corrupting(t, buffer=2):
-            j = real(t, buffer=buffer)
+        def corrupting(c, mod, top):
+            t = real(c, mod, top)
             for n in (N + 1, N + 2):
-                p0 = j[n].pivots[0]
                 k = next(i for i in range(t.spaces[n])
                          if not j[n].contains({i: field.one}))
-                lh = t.h_action[(n, x)]
-                t.h_action[(n, x)] = lh + Matrix(field, lh.rows, lh.cols,
-                                                 {(k, p0): field.one})
-            return j
+                t.h_action[(n, x)] = _plus_unit(t.h_action[(n, x)], k,
+                                                j[n].pivots[0])
+            return t
 
-        monkeypatch.setattr(cyclic, "compute_J", corrupting)
-        msg = "L_h (2,%d) does not preserve the subspace (degree 2)" % x
+        monkeypatch.setattr(cyclic, "cover_coalgebra", corrupting)
+        msg = "%s fails at degree %d" % (identity, N + 1)
         with pytest.raises(DescentFailure, match=re.escape(msg)):
-            hopf_cyclic_complex(fx.regular_module_coalgebra(h),
-                                fx.trivial_modcomodule(h), N, level="Q")
+            hopf_cyclic_complex(mc, m, N, level="Q")
+
+
+# ---------------------------------------------------------------------------
+# the identity certificate of compute_J and the descent sweeps it replaces
+
+
+def _plus_unit(m, i, j):
+    """m + e_i e_j^T."""
+    f = m.field
+    return m + Matrix(f, m.rows, m.cols, {(i, j): f.one})
+
+
+def _sweedler_cover(N):
+    h = fx.sweedler_hopf(GF(10007))
+    return cover_coalgebra(fx.regular_module_coalgebra(h),
+                           fx.trivial_modcomodule(h), N)
+
+
+def _dual_numbers_cover(N):
+    field = GF(10007)
+    h = fx.group_algebra(field, 2)
+    return cover_algebra(fx.dual_numbers_module_algebra(h, field),
+                         fx.regular_action_regular_coaction(h), N)
+
+
+def _break_face(t):
+    t.faces[(2, 1)] = _plus_unit(t.faces[(2, 1)], 0, 0)
+
+
+def _conjugate_actions(t):
+    """Every L_h at degree 2 conjugated by P = id + e_0 e_1^T: h -> L_h is
+    still an algebra map, but the L_g no longer commute with the maps
+    into and out of degree 2."""
+    f, dim = t.field, t.spaces[2]
+    one, e = Matrix.identity(f, dim), Matrix(f, dim, dim, {(0, 1): f.one})
+    p, p_inv = one + e, one - e
+    for h in range(t.hopf.dim):
+        t.h_action[(2, h)] = p * t.h_action[(2, h)] * p_inv
+
+
+def _break_multiplicativity(t):
+    t.h_action[(1, 3)] = t.h_action[(1, 3)].scale(2)
+
+
+@pytest.mark.parametrize("cover, top, damage, message", [
+    # chain: d_j tau = tau d_{j-1}; cochain: d^{j-1} tau = tau d^j
+    (_sweedler_cover, 3, _break_face, "d^0 tau = tau d^1 fails at degree 2"),
+    (_dual_numbers_cover, 3, _break_face, "d_1 tau = tau d_0 fails at degree 2"),
+    # the cochain d_0 and the chain s_0 go from degree 1 into degree 2
+    (_sweedler_cover, 3, _conjugate_actions,
+     "L_g d_0 = d_0 L_g (g=1) fails at degree 1"),
+    (_dual_numbers_cover, 3, _conjugate_actions,
+     "L_g s_0 = s_0 L_g (g=1) fails at degree 1"),
+    # L_gx doubled is no longer L_g L_x
+    (_sweedler_cover, 2, _break_multiplicativity,
+     "L_g L_h = L_gh (g=1, h=2) fails at degree 1"),
+], ids=["cochain face", "chain face", "L_g d_0", "L_g s_0", "multiplicative"])
+def test_a_broken_identity_fails_compute_j_by_name(cover, top, damage, message):
+    t = cover(top)
+    damage(t)
+    with pytest.raises(DescentFailure, match=re.escape(message)):
+        compute_J(t, buffer=1)
+
+
+def _leaving_j(t, j, kind, key):
+    """Replace a map of t with source degree n = key[0], after compute_J,
+    by one sending J_n's first basis vector outside J."""
+    maps, n = (t.faces if kind == "face" else t.h_action), key[0]
+    tgt = n + t.step if kind == "face" else n
+    k = next(i for i in range(t.spaces[tgt]) if not j[tgt].contains({i: t.field.one}))
+    maps[key] = _plus_unit(maps[key], k, j[n].pivots[0])
+
+
+@pytest.mark.parametrize("kind, key", [("L_h", (2, 3)), ("L_h", (1, 0)),
+                                       ("face", (1, 1))],
+                         ids=["L_gx", "unit L_h", "face"])
+def test_a_map_replaced_after_compute_j_is_swept_again(kind, key, monkeypatch):
+    # the identities were checked on the maps compute_J saw; a replaced map
+    # is checked vector by vector again, on the full tower and on the
+    # output range hopf_cyclic_complex descends
+    msg = "%s (%d,%d) does not preserve the subspace (degree %d)" % (
+        kind, *key, key[0])
+    t = _sweedler_cover(3)
+    j = compute_J(t)
+    _leaving_j(t, j, kind, key)
+    with pytest.raises(DescentFailure, match=re.escape(msg)):
+        quotient_module(t, j)
+    real = cyclic.compute_J
+
+    def replacing(t, buffer=2):
+        j = real(t, buffer=buffer)
+        _leaving_j(t, j, kind, key)
+        return j
+
+    monkeypatch.setattr(cyclic, "compute_J", replacing)
+    h = fx.sweedler_hopf(GF(10007))
+    with pytest.raises(DescentFailure, match=re.escape(msg)):
+        hopf_cyclic_complex(fx.regular_module_coalgebra(h),
+                            fx.trivial_modcomodule(h), 2, level="Q")
+
+
+def test_truncate_carries_the_certificate_record_and_tau_inverses():
+    t = _sweedler_cover(3)
+    compute_J(t)
+    u = truncate(t, 2)
+    kept = [k for k in t._certified if k[1] <= 2]
+    assert kept and sorted(u._certified) == sorted(kept)
+    assert all(u._certified[k] is t._certified[k] for k in kept)
+    assert u._tau_inv and all(u._tau_inv[n] is t._tau_inv[n] for n in u._tau_inv)
+    assert sorted(u._tau_inv) == [n for n in sorted(t._tau_inv) if n <= 2]

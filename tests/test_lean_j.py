@@ -6,11 +6,15 @@ the definition: every [L_h, tau^i] for h in a basis of H and i = 1..n+1,
 closed under the faces, degeneracies, tau, tau^-1 and every L_h.  Reduced
 echelon bases are unique, so the two must agree vector for vector.
 
-compute_J's worklist runs over d_0, s_0 and tau, with the other faces and
-degeneracies and the L_g as derived operators of operator_closure; the
-tests at the end check that any split into worklist and derived operators
-gives the closure under all of them.
+compute_J's closure runs over d_0, s_0 and tau only; identities checked
+on the matrices carry it over to the other faces and degeneracies and to
+every L_h.  The tests at the end check which operators the closure runs
+over, that its certified pass catches an operator that leaves the span,
+and that J on the Sweedler cover of degree 4 keeps its frozen digests.
 """
+
+import hashlib
+import json
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
@@ -128,65 +132,7 @@ def test_seed_certificate_catches_missing_generators(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# operator_closure with derived operators
-
-
-def _entries(field):
-    if field is QQ:
-        return st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    return st.integers(0, field.p - 1)
-
-
-@st.composite
-def operator_families(draw, field):
-    """Small graded families: 1..3 degrees of dim 1..3, 1..6 operators
-    between any two of them, a seed per degree and a split of the
-    operators into worklist ones and derived ones."""
-    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    degree = st.integers(0, len(dims) - 1)
-    ops = []
-    for _ in range(draw(st.integers(1, 6))):
-        src, tgt = draw(degree), draw(degree)
-        ent = draw(st.dictionaries(
-            st.tuples(st.integers(0, dims[tgt] - 1), st.integers(0, dims[src] - 1)),
-            _entries(field), max_size=4))
-        ops.append((src, tgt, Matrix(field, dims[tgt], dims[src], ent)))
-    seeds = {n: [draw(st.dictionaries(st.integers(0, d - 1), _entries(field),
-                                      max_size=d))]
-             for n, d in enumerate(dims)}
-    derived = draw(st.lists(st.booleans(), min_size=len(ops), max_size=len(ops)))
-    return dims, ops, seeds, derived
-
-
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_any_split_into_derived_operators_gives_the_same_closure(field, data):
-    dims, ops, seeds, derived = data.draw(operator_families(field))
-    top = len(dims) - 1
-    ref = operator_closure(field, seeds, ops, max_degree=top)
-    split = operator_closure(
-        field, seeds, [o for o, d in zip(ops, derived) if not d], max_degree=top,
-        derived=[o for o, d in zip(ops, derived) if d])
-    assert sorted(split) == sorted(ref)
-    for n in ref:
-        assert split[n] == ref[n]
-    for src, tgt, m in ops:
-        assert all(ref[tgt].contains(m.apply(b)) for b in ref[src].basis)
-
-
-def test_derived_images_outside_the_span_reenter_the_worklist():
-    # P: e0 -> e1 is derived and Q: e1 -> e2 is a worklist operator, so
-    # e1 comes only from the certified pass and e2 only from the worklist
-    # it resumes; a pass that only checked would stop at span{e0}
-    f = QQ
-    p = Matrix(f, 3, 3, {(1, 0): f.one})
-    q = Matrix(f, 3, 3, {(2, 1): f.one})
-    for ops in ([(0, 0, q)], []):
-        derived = [(0, 0, p)] + ([] if ops else [(0, 0, q)])
-        closed = operator_closure(f, {0: [{0: f(2)}]}, ops, max_degree=0,
-                                  derived=derived)
-        assert closed[0].basis == [{0: f.one}, {1: f.one}, {2: f.one}]
+# operator_closure's certified pass and the operators compute_J closes over
 
 
 class _Drifting:
@@ -218,27 +164,29 @@ def test_compute_J_equals_the_closure_with_every_operator_in_the_worklist(
     f, gens = t.field, algebra_generators(t.hopf)
     calls = []
 
-    def spy(field, seeds, ops, max_degree, buffer=1, derived=()):
-        calls.append((ops, derived))
-        return operator_closure(field, seeds, ops, max_degree, buffer, derived)
+    def spy(field, seeds, ops, max_degree, buffer=1):
+        calls.append(ops)
+        return operator_closure(field, seeds, ops, max_degree, buffer)
 
     monkeypatch.setattr(cyclic, "operator_closure", spy)
     lean = compute_J(t, buffer=1)
-    # both closures: d_0, s_0 and tau in the worklist; the other faces and
-    # degeneracies and the L_g derived, so the certified pass covers them all
-    faces = {id(m): j for (_, j), m in t.faces.items()}
-    degs = {id(m): i for (_, i), m in t.degeneracies.items()}
+    # both closures, the full one and the stability check's, run over
+    # exactly d_0, s_0 and tau: the identity certificate covers the rest
+    zeroth = {id(m) for maps in (t.faces, t.degeneracies)
+              for (_, j), m in maps.items() if j == 0}
     taus = {id(m) for m in t.cyclic.values()}
-    acts = {id(t.act_h(n, g)) for n in t.spaces for g in gens}
-    full_ops, full_derived = calls[0]
-    assert {id(m) for _, _, m in full_ops} == (
-        {k for k, j in faces.items() if j == 0} | taus
-        | {k for k, i in degs.items() if i == 0})
-    assert {id(m) for _, _, m in full_derived} == (
-        {k for k, j in faces.items() if j} | acts
-        | {k for k, i in degs.items() if i})
     assert len(calls) == 2
-    ops = full_ops + full_derived
+    full_ops, shrunk_ops = calls
+    assert {id(m) for _, _, m in full_ops} == zeroth | taus
+    assert len(full_ops) == len(zeroth | taus)
+    assert {id(m) for _, _, m in shrunk_ops} <= zeroth | taus
+    assert {(src, tgt) for src, tgt, _ in shrunk_ops} == {
+        (src, tgt) for src, tgt, _ in full_ops if max(src, tgt) <= t.N - 1}
+    # the reference closes over every face, degeneracy, tau and L_g
+    ops = [(n, n + t.step, m) for (n, _), m in t.faces.items()]
+    ops += [(n, n - t.step, m) for (n, _), m in t.degeneracies.items()]
+    ops += [(n, n, m) for n in t.spaces
+            for m in (t.tau(n), *(t.act_h(n, g) for g in gens))]
     seeds = {}
     for n, dim_n in t.spaces.items():
         mats = [t.T(n) - Matrix.identity(f, dim_n)]
@@ -248,3 +196,24 @@ def test_compute_J_equals_the_closure_with_every_operator_in_the_worklist(
     assert sorted(lean) == sorted(ref)
     for n in ref:
         assert lean[n] == ref[n]
+
+
+def _j_digest(j):
+    """sha256 of every degree's pivots and reduced basis vectors."""
+    doc = [[n, j[n].pivots, [sorted([k, str(v)] for k, v in b.items())
+                             for b in j[n].basis]] for n in sorted(j)]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("field, digest", [
+    (QQ, "6268da0aecd01f280dee051de17fbc4bc0e1b0ad26caafc5fd5da5d39e645333"),
+    (GF(10007),
+     "094a122cf80af0678f4f8843210e6bbb1dd8c2def18ce92d41409b17ca4feedc"),
+], ids=["Q", "GF10007"])
+def test_j_on_the_sweedler_cover_of_degree_4_is_frozen(field, digest):
+    # digests of the J bases computed when every face, degeneracy and L_g
+    # was still applied to every basis vector of J
+    j = compute_J(_sweedler_cover(field, 4))
+    assert {n: j[n].dim for n in sorted(j)} == {0: 0, 1: 6, 2: 35, 3: 163,
+                                                 4: 703}
+    assert _j_digest(j) == digest
