@@ -483,10 +483,12 @@ def compute_J(t, buffer=2):
     # the truncated module of the stability check keeps t's matrices
     twists, comms = {}, {}
     for n, dim_n in t.spaces.items():
-        twists[n] = [c for c in (t.T(n) - Matrix.identity(f, dim_n)).columns() if c]
+        cols = (t.T(n) - Matrix.identity(f, dim_n)).columns(lifted=True)
+        twists[n] = [c for c in cols if c[0]]
         for h in range(t.hopf.dim):
             lh, tau = t.act_h(n, h), t.tau(n)
-            comms[n, h] = [c for c in (lh * tau - tau * lh).columns() if c]
+            cols = (lh * tau - tau * lh).columns(lifted=True)
+            comms[n, h] = [c for c in cols if c[0]]
 
     def closure(mod):
         ops = [(n, n + shift, m)
@@ -597,8 +599,8 @@ def _descend(t, sub, keep_h=True, name=None):
         kind, src, _ = key
         if key not in implied:
             tag = "tau_%d" % src if kind == "tau" else "%s (%d,%d)" % key
-            for b in sub.get(src, Subspace(f, t.spaces[src])).basis:
-                if proj[tgt].apply(m.apply(b)):
+            for b in sub.get(src, Subspace(f, t.spaces[src])).lifts():
+                if proj[tgt].apply(m.apply(b))[0]:
                     raise DescentFailure("%s does not preserve the subspace "
                                          "(degree %d)" % (tag, src))
         # m * sect only picks columns of m, so form it before the projection
@@ -637,8 +639,8 @@ def coinvariants(q):
             eps = hopf.coalgebra.counit.get(h, f.zero)
             g = Matrix.lincomb([(1, q.act_h(n, h)),
                                 (-eps, Matrix.identity(f, q.spaces[n]))])
-            for col in g.columns():
-                if col:
+            for col in g.columns(lifted=True):
+                if col[0]:
                     s.add_vector(col)
         sub[n] = s
     out = _descend(q, sub, keep_h=False, name="C(%s)" % (q.name or "Q"))
@@ -723,7 +725,7 @@ def _hom_module(field, hopf, mod, base, N, orientation, name):
         # G(x) = sum_h h (x) u_h(x); tau f = sum_h L_h o f o u_h
         tau = Matrix.lincomb([(1, lh.kron(uh))
                               for lh, uh in zip(lm, column_blocks(g.transpose(), dh))])
-        taus[n] = _restrict([tau.apply(b) for b in subs[n].basis], subs[n],
+        taus[n] = _restrict([tau.apply(b) for b in subs[n].lifts()], subs[n],
                             "tau_%d" % n)
     x = ParaCyclicModule(field, orientation, {n: subs[n].dim for n in subs}, {},
                          {}, taus, hopf=hopf, name=name,
@@ -734,7 +736,7 @@ def _hom_module(field, hopf, mod, base, N, orientation, name):
     def precompose(n, tgt, slot_map, tag):
         # f |-> f o p with p: B^{(x)tgt+1} -> B^{(x)n+1}
         op = Matrix.identity(field, dm).kron(slot_map(tgt).transpose())
-        return _restrict([op.apply(b) for b in subs[n].basis], subs[tgt], tag)
+        return _restrict([op.apply(b) for b in subs[n].lifts()], subs[tgt], tag)
 
     face0, degen0 = _zeroth_maps(slots)
     d0 = {n: precompose(n, n + x.step, face0, "d_0 at %d" % n)

@@ -1,16 +1,17 @@
 """Exact ground fields: the rationals and prime fields F_p.
 
 Field elements are plain Python values (Fraction for Q, int in range(p)
-for F_p) so matrices and vectors can store them directly.  A Field object
-bundles the arithmetic so the rest of the engine never touches floats.
-Its two hooks `integral` and `from_integral` let products of matrices and
-vectors and subspace reductions run on Python ints: lift a table of
-entries to ints over one common denominator, sum products of those ints,
-and lower the sums back to field elements once.
+for F_p), and a Field object bundles their arithmetic: no floats.  The
+engine keeps matrices and vectors as lifts, tables of ints over one
+denominator, (ints, d), in the canonical form the hook `normalize` gives
+a table of summed ints: over Q one gcd leaves d > 0 and no prime dividing
+d and every int, over F_p one pass mod p leaves the nonzero residues over
+d = 1.  At the boundary, `integral` lifts a table of field elements and
+`from_integral` lowers a lift back to one.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class Field:
@@ -25,6 +26,7 @@ class Field:
 
 class RationalField(Field):
     name = "Q"
+    types = (int, Fraction)     # the values accepted as elements
 
     def __init__(self):
         self.zero = Fraction(0)
@@ -60,18 +62,16 @@ class RationalField(Field):
                 for k, v in entries.items()}, d
 
     def from_integral(self, ints, d):
-        """A new dict of the Fractions x / d of the nonzero ints x, for a
-        nonzero int d: the inverse of `integral`, with the zeros dropped.
-        Each int is tested before a Fraction is made, and a product holds
-        few distinct values, so each Fraction is made once and shared."""
-        made, out = {}, {}
-        for k, x in ints.items():
-            if x:
-                q = made.get(x)
-                if q is None:
-                    q = made[x] = Fraction(x, d)
-                out[k] = q
-        return out
+        """A new dict of the Fractions x / d of the nonzero ints x."""
+        return {k: Fraction(x, d) for k, x in ints.items() if x}
+
+    def normalize(self, ints, d):
+        """The canonical lift of the ints x / d (d a nonzero int): a new dict
+        of the nonzero ints and d, divided by their gcd, with d > 0."""
+        g = gcd(d, *ints.values()) * (1 if d > 0 else -1)
+        if g == 1:
+            return {k: x for k, x in ints.items() if x}, d
+        return {k: x // g for k, x in ints.items() if x}, d // g
 
     def __repr__(self):
         return "QQ"
@@ -116,6 +116,8 @@ def is_prime(p):
 
 
 class PrimeField(Field):
+    types = (int,)
+
     def __init__(self, p):
         if not is_prime(p):
             raise ValueError("modulus %r is not prime" % (p,))
@@ -153,16 +155,19 @@ class PrimeField(Field):
         """(entries, 1): residues in range(p) already are ints."""
         return entries, 1
 
-    def from_integral(self, ints, d):
-        """A new dict of the nonzero residues x / d mod p of the ints x (d
-        is 1 when the ints come from `integral`, which keeps the residues
-        as they are).  A sum of products is reduced once here, not after
-        every multiply-add, and a residue is kept only when it is nonzero."""
+    def normalize(self, ints, d):
+        """The canonical lift of the ints x / d: a new dict of their nonzero
+        residues mod p, over 1.  A sum of products is reduced once here,
+        not after every multiply-add."""
         p = self.p
         if d == 1:
-            return {k: r for k, x in ints.items() if (r := x % p)}
+            return {k: r for k, x in ints.items() if (r := x % p)}, 1
         inv = self.inv(d)
-        return {k: r for k, x in ints.items() if (r := x * inv % p)}
+        return {k: r for k, x in ints.items() if (r := x * inv % p)}, 1
+
+    def from_integral(self, ints, d):
+        """A new dict of the nonzero residues x / d mod p of the ints x."""
+        return self.normalize(ints, d)[0]
 
     def __repr__(self):
         return "GF(%d)" % self.p

@@ -263,12 +263,6 @@ def cyclic_bicomplex(x):
 # cohomology of total complexes
 
 
-def _insert_block(ent, block, row0, col0):
-    """Copy block's entries into the entry dict ent at offset (row0, col0)."""
-    for (i, j), v in block.entries.items():
-        ent[(row0 + i, col0 + j)] = v
-
-
 def _total(c):
     """(dims, diffs, comps, offs) of the total complex of a model.
 
@@ -317,17 +311,10 @@ def _total(c):
             off[k] = run
             run += c.spaces[k]
         dims[n] = run
-    diffs = {}
-    for n in comps:
-        if n + 1 not in comps:
-            continue
-        d = {}
-        for k in comps[n]:
-            for tgt, block in blocks(k):
-                if tgt in offs[n + 1]:
-                    _insert_block(d, block, offs[n + 1][tgt], offs[n][k])
-        # block entries are nonzero and each block fits its offsets
-        diffs[n] = Matrix._owning(f, dims[n + 1], dims[n], d)
+    diffs = {n: Matrix.from_blocks(f, dims[n + 1], dims[n], [
+        (offs[n + 1][tgt], offs[n][k], block)
+        for k in comps[n] for tgt, block in blocks(k) if tgt in offs[n + 1]])
+        for n in comps if n + 1 in comps}
     return dims, diffs, comps, offs
 
 
@@ -338,22 +325,20 @@ def _cohomology_at(field, dims, diffs, n):
         return 0, []
     d_out = diffs.get(n)
     d_in = diffs.get(n - 1)
-    if d_out is not None:
-        kernel = d_out.kernel_basis()
-    else:
-        kernel = Subspace.from_vectors(field, dim_n,
-                                       [{i: field.one} for i in range(dim_n)])
+    if d_out is None:               # the kernel of a map with no rows is everything
+        d_out = Matrix.zero(field, 0, dim_n)
+    kernel = d_out.kernel_basis()
     image = Subspace(field, dim_n)
     if d_in is not None:
-        for col in d_in.columns():
-            if col:
+        for col in d_in.columns(lifted=True):
+            if col[0]:
                 image.add_vector(col)
     dim_h = kernel.dim - image.dim
     reps = []
     span = image.copy()
-    for v in kernel.basis:
+    for v in kernel.lifts():
         if span.add_vector(v):
-            reps.append(dict(v))
+            reps.append(field.from_integral(*v))
     return dim_h, reps
 
 
@@ -409,24 +394,18 @@ def hochschild_table(x, nmax=None, normalized=False):
         # normalized subcomplex: intersection of codegeneracy kernels
         subs = {}
         for n in sorted(xc.spaces):
-            idxs = list(xc.degeneracy_indices(n))
-            if not idxs:
-                subs[n] = Subspace.from_vectors(
-                    f, xc.spaces[n], [{i: f.one} for i in range(xc.spaces[n])])
-                continue
-            stacked = {}
-            r0 = 0
-            for i in idxs:
-                _insert_block(stacked, xc.degeneracies[(n, i)], r0, 0)
+            blocks, r0 = [], 0      # with no codegeneracy, all of X_n
+            for i in xc.degeneracy_indices(n):
+                blocks.append((r0, 0, xc.degeneracies[(n, i)]))
                 r0 += xc.degeneracies[(n, i)].rows
-            subs[n] = Matrix(f, r0, xc.spaces[n], stacked).kernel_basis()
+            subs[n] = Matrix.from_blocks(f, r0, xc.spaces[n], blocks).kernel_basis()
         dims = {n: subs[n].dim for n in subs}
         diffs = {}
         for n in sorted(xc.spaces):
             if n + 1 > xc.N:
                 continue
             b = hochschild_b(xc, n)
-            cols = [subs[n + 1].coordinates(b.apply(v)) for v in subs[n].basis]
+            cols = [subs[n + 1].coordinates(b.apply(v)) for v in subs[n].lifts()]
             if any(c is None for c in cols):
                 raise IdentityFailure("b does not preserve the normalized "
                                       "subcomplex at degree %d" % n)

@@ -124,8 +124,7 @@ def require_same_hopf(x, y, what):
     """Raise HopfMismatch unless x and y have the same structure constants."""
     if x is y:
         return
-    same = (x.field == y.field and x.dim == y.dim
-            and x.algebra.matrices() == y.algebra.matrices()
+    same = (x.algebra.matrices() == y.algebra.matrices()     # fields and shapes too
             and x.coalgebra.matrices() == y.coalgebra.matrices()
             and x.antipode == y.antipode)
     if not same:
@@ -313,8 +312,8 @@ def _fails(dims, *identities):
     lhs and rhs differ; identity by identity, tuples in increasing order."""
     out = []
     for lhs, rhs, msg in identities:
-        if lhs.entries != rhs.entries:
-            cols = sorted({c for _, c in (lhs - rhs).entries})
+        if lhs != rhs:
+            cols = sorted({c for _, c in (lhs - rhs).lift[0]})
             out += [msg.format(*unflatten(c, dims)) for c in cols]
     return out
 
@@ -625,7 +624,7 @@ def cotensor_is_submodule(m, m2):
     dl, _ = m.hopf.coalgebra.matrices()
     acted = (_diagonal(dl, _action(m, m.dim), _action(m2, m2.dim))
              * _eye(m.field, m.hopf.dim).kron(sub.basis_matrix()))
-    return all(sub.contains(col) for col in acted.columns())
+    return all(sub.contains(col) for col in acted.columns(lifted=True))
 
 
 def check_hypotheses(hopf, modules=()):
@@ -725,10 +724,10 @@ def balanced_tensor_modcomodule(m1, m2):
     dh, d1, d2 = h.dim, m1.dim, m2.dim
     left = _action(m1, d1).kron(_eye(f, d2))          # h (x) m (x) m' -> hm (x) m'
     right = permute(_eye(f, d1).kron(_action(m2, d2)), [d1, dh, d2], (1, 0, 2), cols=True)
-    sub = Subspace.from_vectors(f, d1 * d2, (left - right).columns())
+    sub = Subspace.from_vectors(f, d1 * d2, (left - right).columns(lifted=True))
     dim, proj, sect = quotient_space(d1 * d2, sub)
     if not all(sub.contains(c) for c in
-               (left * _eye(f, dh).kron(sub.basis_matrix())).columns()):
+               (left * _eye(f, dh).kron(sub.basis_matrix())).columns(lifted=True)):
         raise CompatibilityFailure(
             "H-action does not descend to the balanced tensor product")
     action = matrix_table(proj * left * _eye(f, dh).kron(sect), [dh, dim], [dim])

@@ -1,28 +1,27 @@
 """Exact sparse linear algebra over Q and F_p.
 
-Matrices are sparse maps (row, col) -> nonzero scalar.  Products,
-Kronecker products, linear combinations (every sum, difference and
-scaling, through Matrix.lincomb), matrix-vector products and subspace
-reductions run on Python ints: the field lifts each operand to ints over
-one common denominator (over F_p, the residues themselves), sums of
-products accumulate with no zero test, and the sums are lowered in one
-pass into a new dict that keeps only the nonzero field elements, each
-sum divided by the denominator over Q or reduced mod p over F_p
-(fraction-free accumulation and delayed modular reduction).  A matrix
-is lifted at most once: the first kernel that reads it caches the lift
-and freezes the matrix.  Subspace is the one elimination engine: it
-keeps a fully reduced echelon basis, each vector also held lifted to
-ints, and a column index of the basis vectors nonzero in each non-pivot
-column.  Each basis vector is 1 at its pivot and 0 at every other
-pivot, so reducing a vector is one pass over the pivots in its support,
+Matrices and vectors are held as lifts: a lift (ints, d) is a dict of
+Python ints over one nonzero int d, standing for the values ints[k] / d.
+Stored lifts are canonical (see fields), so equal matrices have equal
+lifts.  Every kernel sums products of ints with no zero test and
+normalises its accumulator once: one gcd over Q, one pass mod p over F_p
+(fraction-free accumulation, delayed modular reduction).  No kernel
+builds a field element: the Matrix constructor takes them,
+`Matrix.entries` and `Subspace.basis` lower lifts on each read, and a
+method that takes a vector takes a dict of field elements or a lift and
+answers in the form it was given.  A Matrix is immutable from
+construction.
+
+Subspace is the one elimination engine: a fully reduced echelon basis of
+lifts plus a column index of the basis vectors nonzero in each non-pivot
+column, so reducing a vector is one pass over the pivots in its support,
 inserting one clears its pivot from just the vectors the index lists
-there, and a quotient projection is read off the basis without reducing
-anything.  Matrix.rref is the reduced basis of the row space, and rank,
-kernels and inverses are read off it.  operator_closure grows graded
-subspaces to the smallest one closed under a list of operators and then
-certifies that fixpoint; a failed certificate raises CertificateFailure,
-an AssertionError that names what failed and, unlike an assert
-statement, still runs under python -O.
+there, and a quotient projection is read off the basis.  Matrix.rref is
+the reduced basis of the row space; rank, kernels and inverses are read
+off it.  operator_closure grows graded subspaces to the smallest one
+closed under a list of operators and then certifies that fixpoint; a
+failed certificate raises CertificateFailure, an AssertionError that
+names what failed and, unlike an assert statement, runs under python -O.
 """
 
 from bisect import bisect_left
@@ -52,40 +51,38 @@ def add_into(field, d, key, v):
         d[key] = s
 
 
-class Matrix:
-    """Sparse exact matrix.  Stored entries are nonzero.
+def _lift(field, vec):
+    """vec as a lift: a lift (a tuple) as it is, a dict of field elements lifted."""
+    return vec if type(vec) is tuple else field.normalize(*field.integral(vec))
 
-    Build the entries dict first and pass it to the constructor.  The
-    first product, Kronecker product, linear combination or apply that
-    reads the matrix caches its entries lifted to ints and turns `entries`
-    into a read-only view, so a later write raises TypeError instead of
-    going unseen by the cached lift.
+
+class Matrix:
+    """Sparse exact matrix, immutable, held as one canonical lift.
+
+    `lift` is (ints, d): entry (i, j) is ints[(i, j)] / d, and absent keys
+    are zeros.  Give entries, a dict of field elements (ints too over Q):
+    residues are reduced mod p and any other value raises TypeError.
+    Kernels give lift, a canonical lift in range, which is kept as it is.
     """
 
-    def __init__(self, field, rows, cols, entries=None):
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = {}
-        self._lift = None       # (ints, d), set by _ints
-        self._by_col = None     # (column -> [(row, int)], d), set by apply
-        if entries:
+    __slots__ = ("field", "rows", "cols", "lift", "_by_col")
+
+    def __init__(self, field, rows, cols, entries=None, lift=None):
+        if lift is None:
+            entries = entries or {}
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ShapeMismatch("entry (%d,%d) out of %dx%d" % (i, j, rows, cols))
-                if not field.is_zero(v):
-                    self.entries[(i, j)] = v
-
-    @classmethod
-    def _owning(cls, field, rows, cols, entries):
-        """Matrix that keeps `entries` as is: in range and zero-free."""
-        m = cls(field, rows, cols)
-        m.entries = entries
-        return m
+                if not isinstance(v, field.types):
+                    raise TypeError("entry (%d,%d) is %r, not an element of %r"
+                                    % (i, j, v, field))
+            lift = field.normalize(*field.integral(entries))
+        self.field, self.rows, self.cols, self.lift = field, rows, cols, lift
+        self._by_col = None     # column -> [(row, int)], set by apply
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, n, n, {(i, i): field.one for i in range(n)})
+        return cls(field, n, n, lift=({(i, i): 1 for i in range(n)}, 1))
 
     @classmethod
     def zero(cls, field, rows, cols):
@@ -93,32 +90,58 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field, rows, columns):
-        """columns: list of dict-vectors of length `rows`."""
-        return cls(field, rows, len(columns),
-                   {(i, j): v for j, col in enumerate(columns)
-                    for i, v in col.items()})
+        """columns: vectors of length `rows`, dicts of field elements or lifts."""
+        lifts = [_lift(field, c) for c in columns]
+        d = lcm(*[dc for _, dc in lifts])
+        ent = {(i, j): x * (d // dc) for j, (c, dc) in enumerate(lifts)
+               for i, x in c.items()}
+        return cls(field, rows, len(lifts), lift=field.normalize(ent, d))
 
-    def columns(self):
-        cols = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
-        return cols
+    @classmethod
+    def from_blocks(cls, field, rows, cols, blocks):
+        """The matrix with the disjoint blocks (row offset, column offset, M):
+        canonical lifts over the lcm of their denominators stay canonical."""
+        d = lcm(*[m.lift[1] for _, _, m in blocks])
+        ent = {}
+        for r0, c0, m in blocks:
+            a, dm = m.lift
+            s = d // dm
+            ent.update({(r0 + i, c0 + j): x * s for (i, j), x in a.items()})
+        return cls(field, rows, cols, lift=(ent, d))
+
+    @property
+    def entries(self):
+        """The nonzero entries as field elements: a read-only view, lowered
+        from the lift on each read."""
+        return MappingProxyType(self.field.from_integral(*self.lift))
+
+    def columns(self, lifted=False):
+        """The columns as dicts of field elements or, when lifted, as lifts
+        over the matrix's denominator."""
+        a, d = self.lift
+        cols = [{} for _ in range(self.cols)]
+        for (i, j), x in a.items():
+            cols[j][i] = x
+        if lifted:
+            return [(c, d) for c in cols]
+        return [self.field.from_integral(c, d) for c in cols]
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+        return (isinstance(other, Matrix) and self.field == other.field and
+                (self.rows, self.cols, self.lift) == (other.rows, other.cols, other.lift))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self.entries.items()))))
+        a, d = self.lift
+        return hash((self.field, self.rows, self.cols, d, frozenset(a.items())))
 
     def is_zero(self):
-        return not self.entries
+        return not self.lift[0]
 
     @staticmethod
     def lincomb(terms):
         """sum c M over a nonempty list of (c, M): scalars c (field elements
-        or ints) and matrices of one shape.  Summed in ints over the lcm D
-        of the lifted terms' denominators, each entry divided by D once."""
+        or ints) and matrices of one shape, summed in ints over the lcm of
+        the lifted terms' denominators."""
         m0 = terms[0][1]
         f = m0.field
         lifted = []
@@ -127,7 +150,7 @@ class Matrix:
                 raise ShapeMismatch("add %dx%d with %dx%d"
                                     % (m0.rows, m0.cols, m.rows, m.cols))
             s, dc = f.integral({0: c})
-            lifted.append((s[0], dc, *m._ints()))
+            lifted.append((s[0], dc, *m.lift))
         d = lcm(*[dc * dm for _, dc, _, dm in lifted])
         acc = {}
         get = acc.get
@@ -136,7 +159,7 @@ class Matrix:
             if s:
                 for k, v in a.items():
                     acc[k] = get(k, 0) + s * v
-        return Matrix._owning(f, m0.rows, m0.cols, f.from_integral(acc, d))
+        return Matrix(f, m0.rows, m0.cols, lift=f.normalize(acc, d))
 
     def __add__(self, other):
         return Matrix.lincomb([(1, self), (1, other)])
@@ -147,22 +170,13 @@ class Matrix:
     def scale(self, c):
         return Matrix.lincomb([(c, self)])
 
-    def _ints(self):
-        """(ints, d) with entries == ints / d, lifted and frozen once.  The
-        lift is shared and never written to: kernels accumulate into dicts
-        of their own, and from_integral lowers those into new dicts."""
-        if self._lift is None:
-            self.entries = MappingProxyType(self.entries)
-            self._lift = self.field.integral(self.entries)
-        return self._lift
-
     def __mul__(self, other):
         """Matrix product self @ other."""
         if self.cols != other.rows:
             raise ShapeMismatch("mul %dx%d with %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         f = self.field
-        a, da = self._ints()
-        b, db = other._ints()
+        a, da = self.lift
+        b, db = other.lift
         by_row = {}
         for (i, j), w in b.items():
             by_row.setdefault(i, []).append((j, w))
@@ -172,91 +186,85 @@ class Matrix:
             for j, w in by_row.get(k, ()):
                 key = (i, j)
                 acc[key] = get(key, 0) + v * w
-        return Matrix._owning(f, self.rows, other.cols,
-                              f.from_integral(acc, da * db))
+        return Matrix(f, self.rows, other.cols, lift=f.normalize(acc, da * db))
 
     def apply(self, vec):
-        """Apply to a dict-vector (length self.cols), returns dict-vector.
-
-        The first call indexes the matrix's lift by column.  Each call
-        lifts vec, sums the products in ints and turns each sum into a
-        field element once.
-        """
+        """self applied to a vector of length self.cols, in the vector's
+        form; the first call indexes the lift by column."""
         f = self.field
-        if self._by_col is None:
-            a, da = self._ints()
-            by_col = {}
-            for (i, j), v in a.items():
+        by_col = self._by_col
+        if by_col is None:
+            by_col = self._by_col = {}
+            for (i, j), v in self.lift[0].items():
                 by_col.setdefault(j, []).append((i, v))
-            self._by_col = by_col, da
-        by_col, da = self._by_col
-        x, dx = f.integral(vec)
+        x, dx = vec if type(vec) is tuple else _lift(f, vec)
         out = {}
         get = out.get
         for j, c in x.items():
             for i, v in by_col.get(j, ()):
                 out[i] = get(i, 0) + v * c
-        return f.from_integral(out, da * dx)
+        out = f.normalize(out, self.lift[1] * dx)
+        return out if type(vec) is tuple else f.from_integral(*out)
 
     def transpose(self):
-        return Matrix._owning(self.field, self.cols, self.rows,
-                              {(j, i): v for (i, j), v in self.entries.items()})
+        a, d = self.lift
+        return Matrix(self.field, self.cols, self.rows,
+                      lift=({(j, i): x for (i, j), x in a.items()}, d))
 
     def kron(self, other):
         """Kronecker product, row-major flattening (self slowest)."""
         f = self.field
-        a, da = self._ints()
-        b, db = other._ints()
+        a, da = self.lift
+        b, db = other.lift
         r, c = other.rows, other.cols
-        return Matrix._owning(
-            f, self.rows * r, self.cols * c,
-            f.from_integral({(i * r + k, j * c + l): v * w
-                             for (i, j), v in a.items()
-                             for (k, l), w in b.items()}, da * db))
+        return Matrix(f, self.rows * r, self.cols * c, lift=f.normalize(
+            {(i * r + k, j * c + l): v * w for (i, j), v in a.items()
+             for (k, l), w in b.items()}, da * db))
 
     def rank(self):
-        return len(self.rref()[0])
+        return len(self.rref(lifted=True)[0])
 
-    def rref(self):
-        """Reduced row echelon form as (pivot columns, sparse rows).
-
-        rows[k] is the dict of the row whose leading 1 is in column
-        pivots[k].  The reduced form is unique: it is the reduced basis of
-        the row space, read off a Subspace that the rows are inserted into.
+    def rref(self, lifted=False):
+        """Reduced row echelon form as (pivot columns, sparse rows): rows[k],
+        a dict of field elements or, when lifted, a lift, has its leading 1
+        in column pivots[k].  The form is unique: it is the reduced basis of
+        the row space, read off a Subspace the rows of ints are inserted into.
         """
         rows = {}
-        for (i, j), v in self.entries.items():
-            rows.setdefault(i, {})[j] = v
-        s = Subspace.from_vectors(self.field, self.cols, rows.values())
-        return s.pivots, s.basis
+        for (i, j), x in self.lift[0].items():
+            rows.setdefault(i, {})[j] = x
+        s = Subspace.from_vectors(self.field, self.cols,
+                                  [(r, 1) for r in rows.values()])
+        return s.pivots, (s.lifts() if lifted else s.basis)
 
     def kernel_basis(self):
         """Kernel as a Subspace of the column space (ambient dim = cols)."""
-        f = self.field
-        pivots, rows = self.rref()
+        pivots, rows = self.rref(lifted=True)
+        d = lcm(*[dr for _, dr in rows])            # the vectors' denominator
         pivot_set = set(pivots)
-        basis = {c: {c: f.one} for c in range(self.cols) if c not in pivot_set}
-        for pc, row in zip(pivots, rows):
-            for c, v in row.items():
+        basis = {c: {c: d} for c in range(self.cols) if c not in pivot_set}
+        for pc, (row, dr) in zip(pivots, rows):
+            for c, x in row.items():
                 if c != pc:
-                    basis[c][pc] = f.neg(v)
-        return Subspace.from_vectors(f, self.cols, list(basis.values()))
+                    basis[c][pc] = -x * (d // dr)
+        return Subspace.from_vectors(self.field, self.cols,
+                                     [(v, d) for v in basis.values()])
 
     def inverse(self):
         """Exact inverse; raises SingularMatrix when there is none."""
         if self.rows != self.cols:
             raise ShapeMismatch("inverse of non-square matrix")
-        f = self.field
         n = self.rows
-        aug = dict(self.entries)
+        a, d = self.lift
+        aug = dict(a)
         for i in range(n):
-            aug[(i, n + i)] = f.one
-        pivots, rows = Matrix._owning(f, n, 2 * n, aug).rref()
+            aug[(i, n + i)] = d                     # [A | I], still canonical
+        pivots, rows = Matrix(self.field, n, 2 * n, lift=(aug, d)).rref(lifted=True)
         if pivots[:n] != list(range(n)):
             raise SingularMatrix("matrix is singular")
-        return Matrix._owning(f, n, n, {(i, j - n): v
-                                        for i, row in enumerate(rows)
-                                        for j, v in row.items() if j >= n})
+        return Matrix.from_columns(self.field, n, [
+            ({j - n: x for j, x in row.items() if j >= n}, dr)
+            for row, dr in rows]).transpose()
 
     def pow_int(self, k):
         if self.rows != self.cols:
@@ -273,23 +281,21 @@ class Matrix:
 
 
 class Subspace:
-    """Subspace of k^n kept as a fully reduced echelon basis.
+    """Subspace of k^n kept as a fully reduced echelon basis of lifts.
 
-    Basis vectors are dict-vectors; pivot columns strictly increase, each
-    basis vector b_p is 1 at its own pivot p, 0 at every other pivot, and
-    has no entry left of p.  `_by_pivot` maps p to b_p, `_lifted` maps
-    p to b_p lifted to ints, (ints, d) with b_p = ints / d, and the column
-    index `_holders` maps each non-pivot column j to the pivots p with
-    b_p[j] != 0.
+    Pivot columns strictly increase; each basis vector b_p is 1 at its own
+    pivot p, 0 at every other pivot, and has no entry left of p.  `_vecs`
+    maps p to the canonical lift (B_p, d_p) of b_p, so B_p[p] = d_p, and
+    the column index `_holders` maps each non-pivot column j to the pivots
+    p with b_p[j] != 0.  `basis` lowers the vectors on each read and
+    `lifts()` gives them as they are stored, both in pivot order.
     """
 
     def __init__(self, field, ambient_dim):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = []      # list of dict-vectors
-        self.pivots = []     # pivot index per basis vector, sorted
-        self._by_pivot = {}  # pivot -> basis vector
-        self._lifted = {}    # pivot -> basis vector lifted to ints
+        self.pivots = []     # sorted
+        self._vecs = {}      # pivot -> basis vector as a canonical lift
         self._holders = {}   # non-pivot column -> pivots nonzero there
 
     @classmethod
@@ -301,21 +307,25 @@ class Subspace:
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
+
+    @property
+    def basis(self):
+        """The basis vectors as dicts of field elements, lowered on each read."""
+        return [self.field.from_integral(*self._vecs[p]) for p in self.pivots]
+
+    def lifts(self):
+        return [self._vecs[p] for p in self.pivots]
 
     def reduce(self, vec):
-        """Residual of vec modulo the subspace.
-
-        The basis is fully reduced, so the residual is vec - sum vec[p] b_p
-        over the pivots p in the support of vec.  With vec = x / dx and
-        b_p = B_p / d_p lifted to ints, it is summed in ints over
-        D = lcm of the d_p, as (D x - sum x[p] (D / d_p) B_p) / (D dx), and
-        each entry becomes a field element once.
-        """
+        """Residual of vec modulo the subspace, in the form vec was given:
+        the basis is fully reduced, so with vec = x / dx and b_p = B_p / d_p
+        it is (D x - sum x[p] (D / d_p) B_p) / (D dx) over the pivots p in
+        the support of x, D the lcm of their d_p, summed in ints."""
         f = self.field
-        lifted = self._lifted
-        x, dx = f.integral(vec)
-        hits = [(c, lifted[p]) for p, c in x.items() if p in lifted]
+        vecs = self._vecs
+        x, dx = vec if type(vec) is tuple else _lift(f, vec)
+        hits = [(c, vecs[p]) for p, c in x.items() if p in vecs]
         d = lcm(*[db for _, (_, db) in hits])
         out = {k: c * d for k, c in x.items()} if d != 1 else dict(x)
         get = out.get
@@ -323,73 +333,71 @@ class Subspace:
             s = c * (d // db)
             for j, w in b.items():
                 out[j] = get(j, 0) - s * w
-        return f.from_integral(out, d * dx)
+        out = f.normalize(out, d * dx)
+        return out if type(vec) is tuple else f.from_integral(*out)
 
     def contains(self, vec):
-        return not self.reduce(vec)
+        return not self.reduce(_lift(self.field, vec))[0]
 
     def coordinates(self, vec):
-        """Coordinates of vec in the basis (b_p is 1 at p and 0 at the
-        other pivots, so they are vec's pivot entries), or None if outside."""
-        if self.reduce(vec):
+        """Coordinates of vec in the basis, in the form vec was given (its
+        entries at the pivots), or None if vec is outside."""
+        f = self.field
+        x, dx = lv = _lift(f, vec)
+        if not self.contains(lv):
             return None
-        return {i: vec[p] for i, p in enumerate(self.pivots) if p in vec}
+        coords = f.normalize({i: x[p] for i, p in enumerate(self.pivots) if p in x}, dx)
+        return coords if type(vec) is tuple else f.from_integral(*coords)
 
     def add_vector(self, vec):
         """Insert vec if independent; returns True when the subspace grew.
 
-        The reduced vec, scaled to 1 at its pivot, is cleared from the basis
-        vectors the column index lists at that pivot.  Each of them changes
+        The residual of vec, scaled to 1 at its pivot, is cleared from the
+        basis vectors the column index lists at that pivot; each changes
         only on the support of the new vector, so the index is updated there.
         """
         f = self.field
-        v = self.reduce(vec)
+        v, _ = self.reduce(vec if type(vec) is tuple else _lift(f, vec))
         if not v:
             return False
         piv = min(v)
-        v, _ = f.integral(v)
-        v = f.from_integral(v, v[piv])              # 1 at piv
-        lv, dv = self._lifted[piv] = f.integral(v)
+        lv, dv = f.normalize(v, v[piv])             # 1 at piv
+        vecs = self._vecs
         holders = self._holders
         cleared = holders.pop(piv, ())
-        for j in v:
+        for j in lv:
             holders.setdefault(j, set()).add(piv)
         # b - b[piv] v = (lb dv - lb[piv] lv) / (db dv)
         for p in cleared:
-            lb, db = self._lifted[p]
+            lb, db = vecs[p]
             c = lb[piv]
             acc = {k: w * dv for k, w in lb.items()} if dv != 1 else dict(lb)
             get = acc.get
             for j, w in lv.items():
                 acc[j] = get(j, 0) - c * w
-            b = self._by_pivot[p] = f.from_integral(acc, db * dv)
-            self.basis[bisect_left(self.pivots, p)] = b
-            self._lifted[p] = f.integral(b)
+            b = vecs[p] = f.normalize(acc, db * dv)
             for j in lv:
-                (holders[j].add if j in b else holders[j].discard)(p)
+                (holders[j].add if j in b[0] else holders[j].discard)(p)
         del holders[piv]                            # now a pivot column
-        pos = bisect_left(self.pivots, piv)
-        self.pivots.insert(pos, piv)
-        self.basis.insert(pos, v)
-        self._by_pivot[piv] = v
+        self.pivots.insert(bisect_left(self.pivots, piv), piv)
+        vecs[piv] = lv, dv
         return True
 
     def copy(self):
         s = Subspace(self.field, self.ambient_dim)
-        s.basis = [dict(b) for b in self.basis]
         s.pivots = list(self.pivots)
-        s._by_pivot = dict(zip(s.pivots, s.basis))
-        s._lifted = dict(self._lifted)   # shared: no lift is ever written
+        s._vecs = dict(self._vecs)   # shared: add_vector replaces lifts, never writes one
         s._holders = {j: set(ps) for j, ps in self._holders.items()}
         return s
 
     def basis_matrix(self):
         """Columns are the basis vectors."""
-        return Matrix.from_columns(self.field, self.ambient_dim, self.basis)
+        return Matrix.from_columns(self.field, self.ambient_dim, self.lifts())
 
     def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self.pivots == other.pivots and self.basis == other.basis)
+        return (isinstance(other, Subspace) and self.field == other.field
+                and self.ambient_dim == other.ambient_dim
+                and self.pivots == other.pivots and self._vecs == other._vecs)
 
 
 def quotient_space(ambient_dim, sub):
@@ -399,39 +407,43 @@ def quotient_space(ambient_dim, sub):
     quotient and kernel(projection) = sub.  Quotient coordinates are the
     non-pivot coordinates of the ambient space.  The projection is read off
     the reduced basis: a non-pivot e_i maps to its own coordinate and a
-    pivot e_p to -b_p restricted to the non-pivots.
+    pivot e_p to -b_p restricted to the non-pivots, all over the lcm of the
+    basis denominators.
     """
     if sub.ambient_dim != ambient_dim:
         raise ShapeMismatch("subspace of dim-%d space inside dim-%d quotient"
                             % (sub.ambient_dim, ambient_dim))
     f = sub.field
-    by_pivot = sub._by_pivot
-    nonpivots = [i for i in range(ambient_dim) if i not in by_pivot]
+    vecs = sub._vecs
+    nonpivots = [i for i in range(ambient_dim) if i not in vecs]
     dim = len(nonpivots)
     pos = {i: q for q, i in enumerate(nonpivots)}
+    d = lcm(*[db for _, db in vecs.values()])
     proj = {}
     for i in range(ambient_dim):
-        b = by_pivot.get(i)
-        if b is None:
-            proj[(pos[i], i)] = f.one
+        if i not in vecs:
+            proj[(pos[i], i)] = d
             continue
-        for j, v in b.items():
+        b, db = vecs[i]
+        s = d // db
+        for j, x in b.items():
             if j != i:
-                proj[(pos[j], i)] = f.neg(v)
-    sect = {(i, q): f.one for q, i in enumerate(nonpivots)}
-    return dim, Matrix(f, dim, ambient_dim, proj), Matrix(f, ambient_dim, dim, sect)
+                proj[(pos[j], i)] = -x * s
+    sect = {(i, q): 1 for q, i in enumerate(nonpivots)}
+    return (dim, Matrix(f, dim, ambient_dim, lift=f.normalize(proj, d)),
+            Matrix(f, ambient_dim, dim, lift=(sect, 1)))
 
 
 def operator_closure(field, seeds, ops, max_degree, buffer=1):
     """Smallest graded subspace containing seeds, closed under the operators.
 
-    seeds: degree -> iterable of dict-vectors.  ops: (source degree, target
+    seeds: degree -> iterable of vectors.  ops: (source degree, target
     degree, Matrix) triples; the matrix shapes give the space dimensions.
     Operators whose source or target exceed max_degree + buffer are
-    ignored.  A worklist pushes each new vector through every operator.
-    Then a certified pass applies every operator to every final basis
-    vector and raises CertificateFailure on an image outside the span.
-    Dimensions are finite and grow, so the worklist ends.
+    ignored.  A worklist pushes each new vector, as a lift, through every
+    operator.  Then a certified pass applies every operator to every final
+    basis vector and raises CertificateFailure on an image outside the
+    span.  Dimensions are finite and grow, so the worklist ends.
     """
     if buffer < 1:
         raise ValueError("buffer must be >= 1")
@@ -453,8 +465,9 @@ def operator_closure(field, seeds, ops, max_degree, buffer=1):
         if n not in spaces:
             continue
         for v in vecs:
+            v = _lift(field, v)
             if spaces[n].add_vector(v):
-                work.append((n, dict(v)))
+                work.append((n, v))
     # first in first out: a stack made inserts three times as costly on
     # large covers
     while work:
@@ -464,7 +477,7 @@ def operator_closure(field, seeds, ops, max_degree, buffer=1):
             if spaces[tgt].add_vector(img):
                 work.append((tgt, img))
     for src, tgt, m in active:
-        for b in spaces[src].basis:
+        for b in spaces[src].lifts():
             if not spaces[tgt].contains(m.apply(b)):
                 raise CertificateFailure("closure fixpoint violated")
     return spaces

@@ -192,14 +192,10 @@ def cyclic_cocycles(module, p):
     mod = _as_cochain(module)
     f = mod.field
     d = mod.spaces[p]
-    b = hochschild_b(mod, p)
-    rows = b.rows if b is not None else 0
-    stack = dict(b.entries) if b is not None else {}
-    for (i, j), v in _one_minus_lambda(mod, p).entries.items():
-        stack[(rows + i, j)] = v
-    sub = Matrix(f, rows + d, d, stack).kernel_basis()
-    return [from_cyclic_cocycle(module, p, dict(v), check=False)
-            for v in sub.basis]
+    b = hochschild_b(mod, p) or Matrix.zero(f, 0, d)     # None at the top degree
+    sub = Matrix.from_blocks(f, b.rows + d, d, [
+        (0, 0, b), (b.rows, 0, _one_minus_lambda(mod, p))]).kernel_basis()
+    return [from_cyclic_cocycle(module, p, v, check=False) for v in sub.basis]
 
 
 def classes_from_cohomology(module, p, model="mixed"):
@@ -258,12 +254,10 @@ def invariant_traces(complex_c):
     d0 = complex_c.spaces[0]
     d1 = complex_c.spaces[1]
     b1 = hochschild_b(complex_c, 1)
-    stack = {(j, i): v for (i, j), v in b1.entries.items()}   # rows of b1^T
     fix = complex_c.tau(0).transpose() - Matrix.identity(f, d0)
-    for (i, j), v in fix.entries.items():
-        stack[(d1 + i, j)] = v
-    sub = Matrix(f, d1 + d0, d0, stack).kernel_basis()
-    return [InvariantTrace(complex_c, dict(v)) for v in sub.basis]
+    sub = Matrix.from_blocks(f, d1 + d0, d0,
+                             [(0, 0, b1.transpose()), (d1, 0, fix)]).kernel_basis()
+    return [InvariantTrace(complex_c, v) for v in sub.basis]
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +451,7 @@ def star(zc, zc2, m, m2, N):
         pair = permute(u.meta["sub"][n].basis_matrix().kron(
             v.meta["sub"][n].basis_matrix()), dims, order)
         full = slot(pim, 1, (dz * dz2) ** (n + 1)) * pair
-        maps[n] = _restrict(full.columns(), tgt.meta["sub"][n],
+        maps[n] = _restrict(full.columns(lifted=True), tgt.meta["sub"][n],
                             "star at degree %d" % n)
     return ModuleMorphism(diag_tensor(u, v), tgt, maps, name="star")
 

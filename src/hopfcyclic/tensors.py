@@ -6,7 +6,8 @@ are read off a structure table with table_matrix and assembled from such
 matrices: slot places an operator on one slot, permute reorders the
 tensor slots of a matrix's rows or columns, reshape moves tensor slots
 between rows and columns, and column_blocks splits a map out of
-K (x) D into one map per basis element of K.
+K (x) D into one map per basis element of K.  Each moves the ints of a
+lift without arithmetic; column_blocks then normalises each block.
 """
 
 from .linalg import Matrix
@@ -69,11 +70,12 @@ def permute(mat, dims, order, cols=False):
     def move(i):
         idx = unflatten(i, dims)
         return flatten([idx[o] for o in order], new_dims)
+    a, d = mat.lift
     if cols:
-        ent = {(r, move(c)): v for (r, c), v in mat.entries.items()}
+        ent = {(r, move(c)): v for (r, c), v in a.items()}
     else:
-        ent = {(move(r), c): v for (r, c), v in mat.entries.items()}
-    return Matrix._owning(mat.field, mat.rows, mat.cols, ent)
+        ent = {(move(r), c): v for (r, c), v in a.items()}
+    return Matrix(mat.field, mat.rows, mat.cols, lift=(ent, d))
 
 
 def reshape(mat, rows):
@@ -81,25 +83,28 @@ def reshape(mat, rows):
     a map W (x) U -> V becomes U -> V (x) W* for rows = dim V dim W, and
     back for rows = dim V."""
     cols = mat.rows * mat.cols // rows
-    ent = {divmod(i * mat.cols + j, cols): v for (i, j), v in mat.entries.items()}
-    return Matrix._owning(mat.field, rows, cols, ent)
+    a, d = mat.lift
+    ent = {divmod(i * mat.cols + j, cols): v for (i, j), v in a.items()}
+    return Matrix(mat.field, rows, cols, lift=(ent, d))
 
 
 def slot(op, before, after):
     """I (x) op (x) I: op on one slot, with identities of dimensions before
-    and after on either side.  The entries of op are copied, not multiplied."""
+    and after on either side.  The ints of op's lift are copied, not multiplied."""
     r, c = op.rows, op.cols
+    ints, d = op.lift
     ent = {((b * r + i) * after + a, (b * c + j) * after + a): v
-           for b in range(before) for (i, j), v in op.entries.items()
+           for b in range(before) for (i, j), v in ints.items()
            for a in range(after)}
-    return Matrix._owning(op.field, before * r * after, before * c * after, ent)
+    return Matrix(op.field, before * r * after, before * c * after, lift=(ent, d))
 
 
 def column_blocks(mat, k):
     """mat: K (x) D -> W split along K, dim K = k: block h is d |-> mat(e_h (x) d)."""
-    d = mat.cols // k
+    f, d = mat.field, mat.cols // k
+    ints, den = mat.lift
     ent = [{} for _ in range(k)]
-    for (i, j), v in mat.entries.items():
+    for (i, j), v in ints.items():
         h, x = divmod(j, d)
         ent[h][(i, x)] = v
-    return [Matrix._owning(mat.field, mat.rows, d, e) for e in ent]
+    return [Matrix(f, mat.rows, d, lift=f.normalize(e, den)) for e in ent]

@@ -213,8 +213,7 @@ def test_8_crossed_product_laws_exhaustive(kz2):
 
 def test_9_negative_controls_fail_loudly(kz2, pair_triv):
     # corrupted antipode: named identity in the report
-    bad_s = Matrix.identity(QQ, 2)
-    bad_s.entries[(0, 1)] = QQ.one
+    bad_s = Matrix(QQ, 2, 2, {(0, 0): QQ.one, (1, 1): QQ.one, (0, 1): QQ.one})
     report = check_hopf(HopfAlgebraData(kz2.algebra, kz2.coalgebra, bad_s))
     assert any("antipode" in line for line in report)
     # corrupted B operator: named identity and nonzero CLI exit

@@ -446,11 +446,34 @@ def _keys(*dims):
     return keys if len(dims) > 1 else [k[0] for k in keys]
 
 
+class _MatrixTable(dict):
+    """The entries of the matrix obj.<attr> as a table: matrices are
+    immutable, so each write puts a matrix built from the table there."""
+
+    def __init__(self, obj, attr):
+        super().__init__(getattr(obj, attr).entries)
+        self.obj, self.attr = obj, attr
+
+    def _rebuild(self):
+        m = getattr(self.obj, self.attr)
+        setattr(self.obj, self.attr, Matrix(m.field, m.rows, m.cols, self))
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self._rebuild()
+
+    def pop(self, key, *default):
+        out = super().pop(key, *default)
+        self._rebuild()
+        return out
+
+
 def _hopf_tables(h):
     d = h.dim
     return [(h.algebra.mul, _keys(d)), (h.algebra.unit, _keys(d)),
             (h.coalgebra.comul, _keys(d, d)), (h.coalgebra.counit, _keys(d)),
-            (h.antipode.entries, _keys(d, d)), (h.antipode_inv.entries, _keys(d, d))]
+            (_MatrixTable(h, "antipode"), _keys(d, d)),
+            (_MatrixTable(h, "antipode_inv"), _keys(d, d))]
 
 
 def _algebra_tables(a):

@@ -29,8 +29,8 @@ def test_corrupted_antipode_is_detected(kz2):
     """Swapping the antipode for the identity on kZ/2 keeps S invertible
     but breaks the convolution-inverse law, and the report names it."""
     f = QQ
-    bad_s = Matrix.identity(f, 2)
-    bad_s.entries[(0, 1)] = f.one        # S(g) = 1 + g: not an antipode
+    # S(g) = 1 + g: not an antipode
+    bad_s = Matrix(f, 2, 2, {(0, 0): f.one, (1, 1): f.one, (0, 1): f.one})
     broken = HopfAlgebraData(kz2.algebra, kz2.coalgebra, bad_s)
     report = check_hopf(broken)
     assert report

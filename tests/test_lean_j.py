@@ -138,7 +138,8 @@ def test_seed_certificate_catches_missing_generators(monkeypatch):
 class _Drifting:
     """A 1x1 'operator' that maps to 0 on its first apply and to the
     identity afterwards, so the worklist sees 0 and the certified pass
-    sees an image outside the span."""
+    sees an image outside the span.  The closure applies operators to
+    lifts (ints, d), so apply takes and returns lifts."""
 
     rows = cols = 1
 
@@ -147,7 +148,7 @@ class _Drifting:
 
     def apply(self, vec):
         self.calls += 1
-        return {} if self.calls == 1 else dict(vec)
+        return ({}, 1) if self.calls == 1 else vec
 
 
 def test_a_worklist_operator_that_leaves_the_span_still_fails_the_fixpoint():
