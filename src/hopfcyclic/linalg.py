@@ -7,10 +7,11 @@ lifts.  Every kernel sums products of ints with no zero test and
 normalises its accumulator once: one gcd over Q, one pass mod p over F_p
 (fraction-free accumulation, delayed modular reduction).  No kernel
 builds a field element: the Matrix constructor takes them,
-`Matrix.entries` and `Subspace.basis` lower lifts on each read, and a
-method that takes a vector takes a dict of field elements or a lift and
-answers in the form it was given.  A Matrix is immutable from
-construction.
+`Matrix.entries` and `Subspace.basis` lower lifts on each read.
+`Matrix.apply` answers in the form its vector was given, a dict of field
+elements or a lift; `Subspace.contains` and `Subspace.add_vector` take
+either; `Matrix.rref`, `Subspace.reduce` and `Subspace.coordinates` take
+and give lifts only.  A Matrix is immutable from construction.
 
 Subspace is the one elimination engine: a fully reduced echelon basis of
 lifts plus a column index of the basis vectors nonzero in each non-pivot
@@ -197,7 +198,7 @@ class Matrix:
             by_col = self._by_col = {}
             for (i, j), v in self.lift[0].items():
                 by_col.setdefault(j, []).append((i, v))
-        x, dx = vec if type(vec) is tuple else _lift(f, vec)
+        x, dx = _lift(f, vec)
         out = {}
         get = out.get
         for j, c in x.items():
@@ -222,24 +223,24 @@ class Matrix:
              for (k, l), w in b.items()}, da * db))
 
     def rank(self):
-        return len(self.rref(lifted=True)[0])
+        return len(self.rref()[0])
 
-    def rref(self, lifted=False):
-        """Reduced row echelon form as (pivot columns, sparse rows): rows[k],
-        a dict of field elements or, when lifted, a lift, has its leading 1
-        in column pivots[k].  The form is unique: it is the reduced basis of
-        the row space, read off a Subspace the rows of ints are inserted into.
+    def rref(self):
+        """Reduced row echelon form as (pivot columns, rows): rows[k], a
+        canonical lift, has its leading 1 in column pivots[k].  The form is
+        unique: it is the reduced basis of the row space, read off a
+        Subspace the rows of ints are inserted into.
         """
         rows = {}
         for (i, j), x in self.lift[0].items():
             rows.setdefault(i, {})[j] = x
         s = Subspace.from_vectors(self.field, self.cols,
                                   [(r, 1) for r in rows.values()])
-        return s.pivots, (s.lifts() if lifted else s.basis)
+        return s.pivots, s.lifts()
 
     def kernel_basis(self):
         """Kernel as a Subspace of the column space (ambient dim = cols)."""
-        pivots, rows = self.rref(lifted=True)
+        pivots, rows = self.rref()
         d = lcm(*[dr for _, dr in rows])            # the vectors' denominator
         pivot_set = set(pivots)
         basis = {c: {c: d} for c in range(self.cols) if c not in pivot_set}
@@ -259,7 +260,7 @@ class Matrix:
         aug = dict(a)
         for i in range(n):
             aug[(i, n + i)] = d                     # [A | I], still canonical
-        pivots, rows = Matrix(self.field, n, 2 * n, lift=(aug, d)).rref(lifted=True)
+        pivots, rows = Matrix(self.field, n, 2 * n, lift=(aug, d)).rref()
         if pivots[:n] != list(range(n)):
             raise SingularMatrix("matrix is singular")
         return Matrix.from_columns(self.field, n, [
@@ -318,13 +319,13 @@ class Subspace:
         return [self._vecs[p] for p in self.pivots]
 
     def reduce(self, vec):
-        """Residual of vec modulo the subspace, in the form vec was given:
+        """Residual of the lift vec modulo the subspace, a canonical lift:
         the basis is fully reduced, so with vec = x / dx and b_p = B_p / d_p
         it is (D x - sum x[p] (D / d_p) B_p) / (D dx) over the pivots p in
         the support of x, D the lcm of their d_p, summed in ints."""
         f = self.field
         vecs = self._vecs
-        x, dx = vec if type(vec) is tuple else _lift(f, vec)
+        x, dx = vec
         hits = [(c, vecs[p]) for p, c in x.items() if p in vecs]
         d = lcm(*[db for _, (_, db) in hits])
         out = {k: c * d for k, c in x.items()} if d != 1 else dict(x)
@@ -333,21 +334,19 @@ class Subspace:
             s = c * (d // db)
             for j, w in b.items():
                 out[j] = get(j, 0) - s * w
-        out = f.normalize(out, d * dx)
-        return out if type(vec) is tuple else f.from_integral(*out)
+        return f.normalize(out, d * dx)
 
     def contains(self, vec):
         return not self.reduce(_lift(self.field, vec))[0]
 
     def coordinates(self, vec):
-        """Coordinates of vec in the basis, in the form vec was given (its
+        """Coordinates of the lift vec in the basis as a canonical lift (its
         entries at the pivots), or None if vec is outside."""
-        f = self.field
-        x, dx = lv = _lift(f, vec)
-        if not self.contains(lv):
+        if self.reduce(vec)[0]:
             return None
-        coords = f.normalize({i: x[p] for i, p in enumerate(self.pivots) if p in x}, dx)
-        return coords if type(vec) is tuple else f.from_integral(*coords)
+        x, dx = vec
+        return self.field.normalize(
+            {i: x[p] for i, p in enumerate(self.pivots) if p in x}, dx)
 
     def add_vector(self, vec):
         """Insert vec if independent; returns True when the subspace grew.
@@ -357,7 +356,7 @@ class Subspace:
         only on the support of the new vector, so the index is updated there.
         """
         f = self.field
-        v, _ = self.reduce(vec if type(vec) is tuple else _lift(f, vec))
+        v, _ = self.reduce(_lift(f, vec))
         if not v:
             return False
         piv = min(v)

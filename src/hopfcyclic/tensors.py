@@ -90,13 +90,15 @@ def reshape(mat, rows):
 
 def slot(op, before, after):
     """I (x) op (x) I: op on one slot, with identities of dimensions before
-    and after on either side.  The ints of op's lift are copied, not multiplied."""
+    and after on either side.  The ints of op's lift are copied, not
+    multiplied; an empty result has the zero matrix's lift ({}, 1)."""
     r, c = op.rows, op.cols
     ints, d = op.lift
     ent = {((b * r + i) * after + a, (b * c + j) * after + a): v
            for b in range(before) for (i, j), v in ints.items()
            for a in range(after)}
-    return Matrix(op.field, before * r * after, before * c * after, lift=(ent, d))
+    return Matrix(op.field, before * r * after, before * c * after,
+                  lift=(ent, d) if ent else ({}, 1))
 
 
 def column_blocks(mat, k):

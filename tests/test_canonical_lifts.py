@@ -79,7 +79,8 @@ def test_every_kernel_output_is_canonical(field, data):
                Matrix.from_blocks(f, r + k, k + c, [(0, 0, a), (r, k, b)]),
                Matrix.from_columns(f, r, a.columns(lifted=True)),
                permute(a.kron(a2), [r, r], (1, 0)),
-               reshape(a, 1), slot(b, 2, 3), *column_blocks(a.kron(b), k)]
+               reshape(a, 1), slot(b, 2, 3), slot(b, 0, 3), slot(b, 2, 0),
+               *column_blocks(a.kron(b), k)]
     n = data.draw(st.integers(1, 4))
     sq = draw_matrix(data, f, n, n)
     try:
@@ -91,7 +92,7 @@ def test_every_kernel_output_is_canonical(field, data):
     scale = data.draw(st.integers(1, 6)) * data.draw(st.sampled_from([1, -1]))
     vec = draw_vector(data, f, k)
     assert_canonical(f, a.apply(scaled_lift(f, vec, scale)))
-    _, rows = a.rref(lifted=True)
+    _, rows = a.rref()
     ker = a.kernel_basis()
     dim, proj, sect = quotient_space(k, ker)
     for lift in rows + ker.lifts() + [proj.lift, sect.lift, ker.basis_matrix().lift]:
@@ -104,8 +105,9 @@ def test_every_kernel_output_is_canonical(field, data):
 def test_subspace_basis_stays_canonical_and_both_forms_agree(field, data):
     """Insert each vector as a dict of field elements into one subspace and
     as a scaled, non-canonical lift into another: the two stay equal, every
-    stored basis vector is canonical and 1 at its pivot, and apply, reduce
-    and coordinates give the lowered lift for a dict."""
+    stored basis vector is canonical and 1 at its pivot, apply gives the
+    lowered lift for a dict, and reduce and coordinates give the same
+    canonical lift for a scaled lift as for the canonical one."""
     f = field
     n = data.draw(st.integers(1, 7))
     m = draw_matrix(data, f, data.draw(st.integers(1, 4)), n)
@@ -122,14 +124,16 @@ def test_subspace_basis_stays_canonical_and_both_forms_agree(field, data):
     for _ in range(3):
         vec = field_vector(f, draw_vector(data, f, n))
         lift = scaled_lift(f, vec, 3)
-        for kernel, arg in ((m.apply, vec), (by_lift.reduce, vec),
-                            (by_lift.coordinates, vec)):
-            out, lifted = kernel(arg), kernel(lift)
-            if out is None:
-                assert lifted is None
-                continue
-            assert_canonical(f, lifted)
-            assert out == f.from_integral(*lifted)
+        canonical = scaled_lift(f, vec, 1)
+        image = m.apply(lift)
+        assert_canonical(f, image)
+        assert m.apply(vec) == f.from_integral(*image)
+        assert m.apply(canonical) == image
+        for kernel in (by_lift.reduce, by_lift.coordinates):
+            out = kernel(lift)
+            assert out == kernel(canonical)
+            if out is not None:
+                assert_canonical(f, out)
 
 
 def equal_forms(field):

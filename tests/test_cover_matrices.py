@@ -260,7 +260,7 @@ def ref_hom(base, mod, N):
             for n in range(N + 1)}
 
     def restrict(op, n, tgt, tag):
-        return cyclic._restrict([op.apply(b) for b in subs[n].basis], subs[tgt], tag)
+        return cyclic._restrict([op.apply(b) for b in subs[n].lifts()], subs[tgt], tag)
 
     def precompose(n, tgt, im, tag):
         p = build_matrix(field, [db] * (tgt + 1), [db] * (n + 1), im)

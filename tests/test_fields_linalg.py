@@ -38,6 +38,17 @@ def dense_rref_oracle(field, rows, cols, entries):
                     for row in a[:r]]
 
 
+def lift_of(field, vec):
+    """vec, a dict of field elements, as the canonical lift that rref,
+    Subspace.reduce and Subspace.coordinates work in."""
+    return field.normalize(*field.integral(vec))
+
+
+def lowered(field, lift):
+    """A lift as a dict of field elements; None stays None."""
+    return None if lift is None else field.from_integral(*lift)
+
+
 def dense_rank_oracle(field, rows, cols, entries):
     return len(dense_rref_oracle(field, rows, cols, entries)[0])
 
@@ -250,7 +261,9 @@ def test_sparse_elimination_engine(field, data):
     rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
     m, entries = sparse_matrix(data, field, rows, cols)
     r = dense_rank_oracle(field, rows, cols, entries)
-    assert m.rref() == dense_rref_oracle(field, rows, cols, entries)
+    pivots, lifts = m.rref()
+    assert (pivots, [lowered(field, r) for r in lifts]) == \
+        dense_rref_oracle(field, rows, cols, entries)
     assert m.rank() == r
     ker = m.kernel_basis()
     assert ker.dim == cols - r
@@ -429,7 +442,7 @@ def test_kernels_never_write_into_a_cached_lift(field):
                                                1: f.one}
     s = Subspace.from_vectors(f, 2, [m.apply({1: f.one})])
     s.add_vector({1: f(-4)})
-    assert s.reduce({0: f(5), 1: f(-5)}) == {}
+    assert lowered(f, s.reduce(lift_of(f, {0: f(5), 1: f(-5)}))) == {}
     for (x, lift), (_, a, d) in zip(lifts, ints):
         assert x.lift is lift and lift == (a, d)
 
@@ -557,7 +570,8 @@ def test_subspace_against_walk_every_basis_reference(field, data):
 
     for _ in range(4):
         v = draw_vector()
-        assert sub.reduce(v) == reference_reduce(sub, v)
+        assert lowered(field, sub.reduce(lift_of(field, v))) == \
+            reference_reduce(sub, v)
         assert sub.contains(v) == \
             (vectors_rank(field, n, added + [v]) == sub.dim)
 
@@ -592,10 +606,11 @@ def test_subspace_coordinates_read_the_pivots_or_refuse_outsiders():
     f = QQ
     s = Subspace.from_vectors(f, 3, [{0: f(1), 1: f(2)}, {2: f(1)}])
     v = {0: f(3), 1: f(6), 2: f(-1)}           # 3 basis[0] - basis[1]
-    assert s.coordinates(v) == {0: f(3), 1: f(-1)}
-    assert vec_sub(f, s.basis_matrix().apply(s.coordinates(v)), v) == {}
-    assert s.coordinates({1: f(1)}) is None
-    assert s.coordinates({}) == {}
+    coords = lowered(f, s.coordinates(lift_of(f, v)))
+    assert coords == {0: f(3), 1: f(-1)}
+    assert vec_sub(f, s.basis_matrix().apply(coords), v) == {}
+    assert s.coordinates(lift_of(f, {1: f(1)})) is None
+    assert lowered(f, s.coordinates(lift_of(f, {}))) == {}
 
 
 def reference_combination(f, terms):
@@ -713,22 +728,24 @@ def test_vector_kernels_match_field_arithmetic(field, data):
     for _ in range(4):
         vec = draw_member_or_not()
         before = dict(vec)
-        residual = sub.reduce(vec)
+        lift = lift_of(f, vec)
+        lift_before = dict(lift[0]), lift[1]
+        residual = lowered(f, sub.reduce(lift))
         assert residual == reference_residual(f, ref, vec)
         assert_vector_of_field_elements(f, residual)
         assert sub.contains(vec) == (not residual)
-        coords = sub.coordinates(vec)
+        coords = lowered(f, sub.coordinates(lift))
         if residual:
             assert coords is None
         else:
             assert_vector_of_field_elements(f, coords)
             assert reference_combination(
                 f, [(x, sub.basis[i]) for i, x in coords.items()]) == vec
-        assert vec == before
+        assert vec == before and lift == lift_before
     # a combination of the basis vectors reduces to exactly {}
     combo = reference_combination(
         f, [(data.draw(kernel_entries(f)), b) for b in sub.basis])
-    assert sub.reduce(combo) == {}
+    assert lowered(f, sub.reduce(lift_of(f, combo))) == {}
     # a copy shares the lifted basis but grows to all of k^n on its own
     twin = sub.copy()
     for i in range(n):

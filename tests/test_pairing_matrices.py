@@ -234,7 +234,7 @@ def ref_star(zc, zc2, m, m2, N, u, v, tgt, pim):
                          (mi * tz + x) * (dm2 * tz2) + (mj * tz2 + x2))] = val
         big = Matrix(f, dmb * tw, (dm * tz) * (dm2 * tz2), big)
         full = big * u.meta["sub"][n].basis_matrix().kron(v.meta["sub"][n].basis_matrix())
-        cols = [tgt.meta["sub"][n].coordinates(c) for c in full.columns()]
+        cols = [tgt.meta["sub"][n].coordinates(c) for c in full.columns(lifted=True)]
         maps[n] = Matrix.from_columns(f, tgt.spaces[n], cols)
     return maps
 
