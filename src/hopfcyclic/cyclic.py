@@ -71,7 +71,7 @@ class ParaCyclicModule:
         self.name = name
         self.meta = dict(meta) if meta else {}
         self._tau_inv = {}
-        self._certified = {}   # see _certify_symmetries
+        self._certified = {}   # see compute_J and _certify_symmetries
 
     def dim(self, n):
         return self.spaces[n]
@@ -214,6 +214,8 @@ def _cochain_violations(x):
     def degen(n, i):
         return x.degeneracies[(n, i)]
 
+    twist = {n: x.T(n) for n in degs}   # each a power of tau: form it once
+
     for n in degs:
         # d^j d^i = d^i d^{j-1}  (i < j), X_n -> X_{n+2}
         if n + 2 <= x.N:
@@ -252,14 +254,13 @@ def _cochain_violations(x):
                 if x.tau(n - 1) * degen(n, i + 1) != degen(n, i) * x.tau(n):
                     bad.append("tau s^%d != s^%d tau at n=%d" % (i + 1, i, n))
         # the twist T = tau^{n+1} commutes with everything
-        T_n = x.T(n)
         if n + 1 <= x.N:
             for j in range(n + 2):
-                if face(n, j) * T_n != x.T(n + 1) * face(n, j):
+                if face(n, j) * twist[n] != twist[n + 1] * face(n, j):
                     bad.append("T does not commute with d^%d at n=%d" % (j, n))
         if n >= 1:
             for i in range(n):
-                if degen(n, i) * T_n != x.T(n - 1) * degen(n, i):
+                if degen(n, i) * twist[n] != twist[n - 1] * degen(n, i):
                     bad.append("T does not commute with s^%d at n=%d" % (i, n))
     return bad
 
@@ -468,6 +469,8 @@ def compute_J(t, buffer=2):
     _certify_symmetries checks these identities in each degree n with
     J_n != 0, and DescentFailure names one that fails; the closure
     fixpoint and [L_h, tau] mapping into J raise CertificateFailure.
+    Once all pass, t._certified records the maps they read with J and its
+    dimensions, so that _descend need not check them on J again.
 
     Degrees above t.N - buffer are truncation-affected; buffer must be at
     least 1.  Stability in the certified range is checked by recomputing
@@ -501,12 +504,12 @@ def compute_J(t, buffer=2):
         return operator_closure(f, seeds, ops, mod.N)
 
     full = closure(t)
-    t._certified = _certify_symmetries(
-        t, [n for n in sorted(t.spaces) if full[n].dim], gens)
+    record = _certify_symmetries(t, full, gens)
     for (n, h), cols in comms.items():
         if not all(full[n].contains(c) for c in cols):
             raise CertificateFailure("seed [L_%d, tau] leaves J at degree %d"
                                      % (h, n))
+    t._certified = record   # it claims every L_h preserves J: seeds first
     if t.N >= 1:
         shrunk = closure(truncate(t, t.N - 1))
         for n in range(0, max(t.N - buffer, 0) + 1):
@@ -519,27 +522,33 @@ def compute_J(t, buffer=2):
 
 def _family(t, kind, n):
     """The maps _certify_symmetries reads at source degree n (None where
-    t has none): every L_h, or tau at both ends and every face or
-    degeneracy."""
+    t has none), with their target degree and their keys in _descend:
+    every L_h, or tau at both ends and every face or degeneracy."""
     if kind == "L_h":
-        return tuple(t.h_action.get((n, h)) for h in range(t.hopf.dim))
+        keys = [("L_h", n, h) for h in range(t.hopf.dim)]
+        return n, keys, tuple(t.h_action.get(k[1:]) for k in keys)
     if kind == "face":
         maps, tgt, indices = t.faces, n + t.step, t.face_indices(n)
     else:
         maps, tgt, indices = t.degeneracies, n - t.step, t.degeneracy_indices(n)
-    return (t.cyclic.get(n), t.cyclic.get(tgt),
-            *(maps.get((n, j)) for j in indices))
+    keys = [("tau", n, 0), ("tau", tgt, 0)] + [(kind, n, j) for j in indices]
+    return tgt, keys, (t.cyclic.get(n), t.cyclic.get(tgt),
+                       *(maps.get((n, j)) for j in indices))
 
 
-def _certify_symmetries(t, degrees, gens):
-    """Check compute_J's identities at each source degree in degrees.
+def _certify_symmetries(t, ideal, gens):
+    """Check compute_J's identities at each degree n with ideal[n] != 0.
 
     DescentFailure names the first that fails.  Returns (kind, n) -> (the
-    maps read, the indices of the maps that then preserve every subspace
-    tau, d_0, s_0 and the L_g preserve).
+    maps read, ideal at their source and target degrees, the dimensions
+    of those two subspaces).
     """
     f, hopf, chain = t.field, t.hopf, t.orientation == CHAIN
     record = {}
+
+    def keep(kind, n, tgt, maps):
+        subs = ideal[n], ideal[tgt]
+        record[kind, n] = maps, subs, (subs[0].dim, subs[1].dim)
 
     def check(ok, identity, n):
         if not ok:
@@ -549,8 +558,8 @@ def _certify_symmetries(t, degrees, gens):
         return Matrix.lincomb([(c, lh[h]) for h, c in vec.items()]
                               or [(0, lh[0])])
 
-    for n in degrees:
-        lh = _family(t, "L_h", n)
+    for n in [n for n in sorted(t.spaces) if ideal[n].dim]:
+        _, _, lh = _family(t, "L_h", n)
         check(act(lh, hopf.unit()) == Matrix.identity(f, t.spaces[n]),
               "L_1 = id", n)
         for g in gens:
@@ -558,14 +567,16 @@ def _certify_symmetries(t, degrees, gens):
                 gh = hopf.multiply({g: f.one}, {h: f.one})
                 check(lh[g] * lh[h] == act(lh, gh),
                       "L_g L_h = L_gh (g=%d, h=%d)" % (g, h), n)
-        record["L_h", n] = (lh, [h for h in range(hopf.dim) if h not in gens])
-        for kind, sym, tgt in (("face", "d", n + t.step),
-                               ("degeneracy", "s", n - t.step)):
-            family = _family(t, kind, n)
+        keep("L_h", n, n, lh)
+        for kind, sym in (("face", "d"), ("degeneracy", "s")):
+            tgt, _, family = _family(t, kind, n)
             tau_src, tau_tgt, *maps = family
-            for g in gens if maps else ():
+            if not maps:
+                continue
+            for g in gens:
                 check(t.act_h(tgt, g) * maps[0] == maps[0] * lh[g],
                       "L_g %s_0 = %s_0 L_g (g=%d)" % (sym, sym, g), n)
+            keep(kind, n, tgt, family)
             if len(maps) < 2:
                 continue
             # invertible: inverted when the maps of index j >= 1 were formed
@@ -575,15 +586,17 @@ def _certify_symmetries(t, degrees, gens):
                 a, b = (j, j - 1) if chain else (j - 1, j)
                 check(maps[a] * tau_src == tau_tgt * maps[b],
                       "%s%d tau = tau %s%d" % (m, a, m, b), n)
-            record[kind, n] = (family, range(1, len(maps)))
     return record
 
 
 def _descend(t, sub, keep_h=True, name=None):
     """Quotient of t by a degreewise subspace closed under the structure maps.
 
-    Each map is checked on every basis vector of the subspace, unless t
-    still stores every map _certify_symmetries read and they imply it.
+    Each map is checked on every basis vector of the subspace, unless
+    compute_J certified it on t: t still stores every map of the family
+    _certify_symmetries read with it, and the subspaces at their source
+    and target are the very J_n compute_J returned, with the same
+    dimensions (a Subspace only grows).
     """
     f = t.field
     proj, sect, qdims = {}, {}, {}
@@ -591,9 +604,12 @@ def _descend(t, sub, keep_h=True, name=None):
         s = sub.get(n) or Subspace(f, t.spaces[n])
         qdims[n], proj[n], sect[n] = quotient_space(t.spaces[n], s)
     implied = set()
-    for (kind, n), (maps, indices) in t._certified.items():
-        if list(map(id, maps)) == list(map(id, _family(t, kind, n))):
-            implied.update((kind, n, i) for i in indices)
+    for (kind, n), (maps, subs, dims) in t._certified.items():
+        tgt, keys, now = _family(t, kind, n)
+        now += (sub.get(n), sub.get(tgt))
+        if (list(map(id, maps + subs)) == list(map(id, now))
+                and dims == (subs[0].dim, subs[1].dim)):
+            implied.update(keys)
 
     def induce(m, tgt, key):
         kind, src, _ = key
@@ -622,7 +638,8 @@ def _descend(t, sub, keep_h=True, name=None):
 
 
 def quotient_module(t, j):
-    """Q = T/J with every structure map verified to descend."""
+    """Q = T/J with every structure map proved to descend, by compute_J's
+    record where it covers j and the map, by a per-vector check elsewhere."""
     return _descend(t, j, keep_h=True)
 
 
@@ -655,8 +672,9 @@ def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
     built to degree N + buffer and J is computed on all of it, with every
     certificate of compute_J; then only degrees 0..N are descended, since
     Q and C there depend only on T_0..T_N, J_0..J_N and the maps among
-    them.  quotient_module and coinvariants verify that every structure
-    map and L_h descends in 0..N.
+    them.  truncate keeps compute_J's certificate record, so
+    quotient_module checks vector by vector only what that record does not
+    prove; coinvariants checks every map on its subspace of Q.
     """
     if buffer < 1:
         raise ValueError("buffer must be at least 1")

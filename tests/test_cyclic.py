@@ -15,6 +15,7 @@ from hopfcyclic.cyclic import (cover_coalgebra, cover_algebra, compute_J,
                                CHAIN, COCHAIN, DescentFailure,
                                InvertibilityFailure, ParaCyclicModule)
 from hopfcyclic.hopf import ModuleCoalgebra, algebra_generators
+from hopfcyclic.linalg import Subspace
 from hopfcyclic.pairings import _tower
 from hopfcyclic import fixtures as fx
 
@@ -372,47 +373,90 @@ def test_a_broken_identity_fails_compute_j_by_name(cover, top, damage, message):
 
 def _leaving_j(t, j, kind, key):
     """Replace a map of t with source degree n = key[0], after compute_J,
-    by one sending J_n's first basis vector outside J."""
-    maps, n = (t.faces if kind == "face" else t.h_action), key[0]
-    tgt = n + t.step if kind == "face" else n
+    by one sending J_n's first basis vector outside J; tau_n has key (n,)."""
+    n = key[0]
+    maps, tgt = {"face": (t.faces, n + t.step), "L_h": (t.h_action, n),
+                 "tau": (t.cyclic, n)}[kind]
     k = next(i for i in range(t.spaces[tgt]) if not j[tgt].contains({i: t.field.one}))
-    maps[key] = _plus_unit(maps[key], k, j[n].pivots[0])
+    slot = n if kind == "tau" else key
+    maps[slot] = _plus_unit(maps[slot], k, j[n].pivots[0])
 
 
-@pytest.mark.parametrize("kind, key", [("L_h", (2, 3)), ("L_h", (1, 0)),
-                                       ("face", (1, 1))],
-                         ids=["L_gx", "unit L_h", "face"])
-def test_a_map_replaced_after_compute_j_is_swept_again(kind, key, monkeypatch):
-    # the identities were checked on the maps compute_J saw; a replaced map
-    # is checked vector by vector again, on the full tower and on the
-    # output range hopf_cyclic_complex descends
-    msg = "%s (%d,%d) does not preserve the subspace (degree %d)" % (
-        kind, *key, key[0])
+def _descent_paths(monkeypatch, change):
+    """Run change(t, j) right after compute_J, then descend: on the full
+    Sweedler cover of degree 3, and on the output range of
+    hopf_cyclic_complex at N = 2.  Each must raise DescentFailure."""
     t = _sweedler_cover(3)
     j = compute_J(t)
-    _leaving_j(t, j, kind, key)
-    with pytest.raises(DescentFailure, match=re.escape(msg)):
+    change(t, j)
+    with pytest.raises(DescentFailure) as full:
         quotient_module(t, j)
     real = cyclic.compute_J
 
-    def replacing(t, buffer=2):
+    def changing(t, buffer=2):
         j = real(t, buffer=buffer)
-        _leaving_j(t, j, kind, key)
+        change(t, j)
         return j
 
-    monkeypatch.setattr(cyclic, "compute_J", replacing)
+    monkeypatch.setattr(cyclic, "compute_J", changing)
     h = fx.sweedler_hopf(GF(10007))
-    with pytest.raises(DescentFailure, match=re.escape(msg)):
+    with pytest.raises(DescentFailure) as truncated:
         hopf_cyclic_complex(fx.regular_module_coalgebra(h),
                             fx.trivial_modcomodule(h), 2, level="Q")
+    return str(full.value), str(truncated.value)
+
+
+@pytest.mark.parametrize("kind, key", [("L_h", (2, 3)), ("L_h", (1, 0)),
+                                       ("face", (1, 1)), ("face", (1, 0)),
+                                       ("L_h", (2, 1)), ("tau", (1,))],
+                         ids=["L_gx", "unit L_h", "face", "d_0", "L_g", "tau"])
+def test_a_map_replaced_after_compute_j_is_swept_again(kind, key, monkeypatch):
+    # compute_J's record names the maps its closure and identities read; a
+    # replaced map is checked vector by vector again, on the full tower and
+    # on the output range hopf_cyclic_complex descends
+    tag = "tau_%d" % key if kind == "tau" else "%s (%d,%d)" % (kind, *key)
+    msg = "%s does not preserve the subspace (degree %d)" % (tag, key[0])
+    got = _descent_paths(monkeypatch, lambda t, j: _leaving_j(t, j, kind, key))
+    assert got == (msg, msg)
+
+
+def test_a_j_grown_after_compute_j_is_swept_again(monkeypatch):
+    # the same Subspace object, one vector larger: the record's dimension no
+    # longer matches, so d_0 is checked on the grown J_1 and sends the new
+    # vector outside J_2
+    def grow(t, j):
+        k = next(i for i in range(t.spaces[1]) if not j[1].contains({i: t.field.one}))
+        assert j[1].add_vector({k: t.field.one})
+
+    msg = "face (1,0) does not preserve the subspace (degree 1)"
+    assert _descent_paths(monkeypatch, grow) == (msg, msg)
+
+
+def test_d_0_into_a_replaced_j_is_swept_again(monkeypatch):
+    # J_1 is the one compute_J certified, but the subspace at d_0's target
+    # degree is not: d_0 is checked on J_1 and leaves the zero subspace
+    def replace(t, j):
+        j[2] = Subspace(t.field, t.spaces[2])
+
+    msg = "face (1,0) does not preserve the subspace (degree 1)"
+    assert _descent_paths(monkeypatch, replace) == (msg, msg)
 
 
 def test_truncate_carries_the_certificate_record_and_tau_inverses():
     t = _sweedler_cover(3)
-    compute_J(t)
+    j = compute_J(t)
     u = truncate(t, 2)
     kept = [k for k in t._certified if k[1] <= 2]
     assert kept and sorted(u._certified) == sorted(kept)
     assert all(u._certified[k] is t._certified[k] for k in kept)
+    # each entry holds the maps read, the very J at their source and target
+    # degrees and the dimensions those had
+    for (kind, n), (maps, subs, dims) in t._certified.items():
+        tgt = n + {"face": t.step, "degeneracy": -t.step}.get(kind, 0)
+        assert subs[0] is j[n] and subs[1] is j[tgt]
+        assert dims == (j[n].dim, j[tgt].dim)
     assert u._tau_inv and all(u._tau_inv[n] is t._tau_inv[n] for n in u._tau_inv)
     assert sorted(u._tau_inv) == [n for n in sorted(t._tau_inv) if n <= 2]
+    # a module built by _descend has no record of its own
+    q = quotient_module(u, {n: j[n] for n in range(3)})
+    assert q._certified == {} and coinvariants(q)._certified == {}

@@ -10,7 +10,8 @@ compute_J's closure runs over d_0, s_0 and tau only; identities checked
 on the matrices carry it over to the other faces and degeneracies and to
 every L_h.  The tests at the end check which operators the closure runs
 over, that its certified pass catches an operator that leaves the span,
-and that J on the Sweedler cover of degree 4 keeps its frozen digests.
+and that J on the Sweedler cover of degree 4 keeps its frozen digests, as
+does Q = T/J, which descends there with no per-vector check.
 """
 
 import hashlib
@@ -218,3 +219,39 @@ def test_j_on_the_sweedler_cover_of_degree_4_is_frozen(field, digest):
     assert {n: j[n].dim for n in sorted(j)} == {0: 0, 1: 6, 2: 35, 3: 163,
                                                  4: 703}
     assert _j_digest(j) == digest
+
+
+def _q_digest(q):
+    """sha256 of every face, degeneracy, tau and L_h of a quotient module."""
+    def doc(maps):
+        return sorted([list(k), m.rows, m.cols,
+                       sorted([i, j, str(v)] for (i, j), v in m.entries.items())]
+                      for k, m in maps.items())
+    cyc = {(n,): m for n, m in q.cyclic.items()}
+    return hashlib.sha256(json.dumps(
+        [doc(maps) for maps in (q.faces, q.degeneracies, cyc, q.h_action)]
+    ).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("field, digest", [
+    (QQ, "b88e04aed58a24743fdc064c8a90b7dca4ee5202d033429d8d6c21f4a5bb5024"),
+    (GF(10007),
+     "19b299aa69a579c3c7f476cf7538d7e82dd2fc4a367fd4225e623afe04d22a0a"),
+], ids=["Q", "GF10007"])
+def test_q_on_the_sweedler_cover_of_degree_4_is_frozen(field, digest, monkeypatch):
+    # Q from compute_J's own J, whose record skips every per-vector check,
+    # equals Q from copies of J, checked vector by vector; the digests were
+    # taken when every map was still checked on every basis vector of J
+    t = _sweedler_cover(field, 4)
+    j = compute_J(t)
+    applied = []
+    real = Matrix.apply
+    monkeypatch.setattr(Matrix, "apply",
+                        lambda m, v: applied.append(1) or real(m, v))
+    q = cyclic.quotient_module(t, j)
+    skipped, applied[:] = not applied, []
+    ref = cyclic.quotient_module(t, {n: j[n].copy() for n in j})
+    assert skipped and applied
+    for attr in ("spaces", "faces", "degeneracies", "cyclic", "h_action"):
+        assert getattr(q, attr) == getattr(ref, attr), attr
+    assert _q_digest(q) == digest
