@@ -237,10 +237,13 @@ def cmd_compare(args):
         mat = mixed.B[deg]
         mixed.B[deg] = mat + Matrix(f, mat.rows, mat.cols, {(0, 0): f.one})
         bad = mixed.violations()
+        if not bad:
+            raise UsageError("--degree %d is too small for --corrupt-b: the "
+                             "damaged B enters no checkable identity"
+                             % args.degree)
         for line in bad:
             print("corrupted B detected: %s" % line)
-        ok = bool(bad)
-        return (EXIT_FAIL if ok else EXIT_OK), {"ok": False, "failures": bad}
+        return EXIT_FAIL, {"ok": False, "failures": bad}
     return _compare(mod)
 
 

@@ -2,9 +2,10 @@
 
 Cohomology is always computed on cochain-oriented complexes; chain-oriented
 modules are dualized degreewise (transposed) first, which is exact in finite
-dimensions.  The two models are the (b,B) mixed complex and the classical
-cyclic bicomplex with alternating b / -b' columns; both are verified at
-construction time and compared degree by degree.
+dimensions.  The two models are the (b,B) mixed complex and Connes' cyclic
+bicomplex CC, whose columns alternate b / -b' and repeat with period 2, so it
+is kept by rows.  Both are verified at construction time, both total
+complexes span degrees 0..N, and they are compared degree by degree.
 
 Stable range: with truncation N, cohomology in degree n is certified only
 for n <= N - 2 (one degree is consumed by each neighboring differential).
@@ -83,52 +84,43 @@ class MixedComplex:
 
 
 class Bicomplex:
-    """Two families of anticommuting square-zero differentials."""
+    """Connes' cyclic bicomplex CC of a cocyclic module, kept by rows.
 
-    def __init__(self, field, spaces, horiz, vert, name=None, check=True):
+    CC^{p,q} = X_q in every column p >= 0, and the columns repeat with
+    period 2, so row q holds two pairs, each indexed by the parity of p:
+    vert[q] = (b_q, -b'_q) into row q + 1 and horiz[q] = (1 - lambda_q, N_q)
+    into the next column.  The six identities that make CC a bicomplex with
+    anticommuting squares are checked once per row at construction.
+    """
+
+    def __init__(self, field, spaces, vert, horiz, name=None):
         self.field = field
-        self.spaces = dict(spaces)          # (p, q) -> dim
-        self.horiz = dict(horiz)            # (p, q) -> Matrix to (p+1, q)
-        self.vert = dict(vert)              # (p, q) -> Matrix to (p, q+1)
+        self.spaces = dict(spaces)          # q -> dim X_q
+        self.vert = dict(vert)              # q -> (b_q, -b'_q), q < N
+        self.horiz = dict(horiz)            # q -> (1 - lambda_q, N_q)
         self.name = name
-        if check:
-            raise_failures(IdentityFailure, self.violations())
+        raise_failures(IdentityFailure, self.violations())
 
     def violations(self):
-        products = {}
-        sums = {}
-
-        def mul(a, b):
-            # columns often repeat (the cyclic bicomplex has period 2), so
-            # each pair of operand objects is multiplied once per call
-            key = (id(a), id(b))
-            if key not in products:
-                products[key] = a * b
-            return products[key]
-
-        def anticommutator(v1, h0, h1, v0):
-            # v1 h0 + h1 v0, formed once per quadruple of operand objects
-            key = (id(v1), id(h0), id(h1), id(v0))
-            if key not in sums:
-                sums[key] = mul(v1, h0) + mul(h1, v0)
-            return sums[key]
-
         bad = []
-        for (p, q) in self.spaces:
-            if (p, q) in self.horiz and (p + 1, q) in self.horiz \
-                    and (p + 2, q) in self.spaces:
-                if not mul(self.horiz[(p + 1, q)], self.horiz[(p, q)]).is_zero():
-                    bad.append("horizontal d^2 != 0 at (%d,%d)" % (p, q))
-            if (p, q) in self.vert and (p, q + 1) in self.vert \
-                    and (p, q + 2) in self.spaces:
-                if not mul(self.vert[(p, q + 1)], self.vert[(p, q)]).is_zero():
-                    bad.append("vertical d^2 != 0 at (%d,%d)" % (p, q))
-            if (p, q) in self.horiz and (p, q) in self.vert \
-                    and (p + 1, q + 1) in self.spaces:
-                anti = anticommutator(self.vert[(p + 1, q)], self.horiz[(p, q)],
-                                      self.horiz[(p, q + 1)], self.vert[(p, q)])
-                if not anti.is_zero():
-                    bad.append("square does not anticommute at (%d,%d)" % (p, q))
+        for q, (one_minus, norm) in self.horiz.items():
+            if not (norm * one_minus).is_zero():
+                bad.append("N(1 - lambda) != 0 in row %d" % q)
+            if not (one_minus * norm).is_zero():
+                bad.append("(1 - lambda)N != 0 in row %d" % q)
+        for q, (b, neg_bp) in self.vert.items():
+            if q + 1 in self.vert:
+                b_up, neg_bp_up = self.vert[q + 1]
+                if not (b_up * b).is_zero():
+                    bad.append("b b != 0 from row %d" % q)
+                if not (neg_bp_up * neg_bp).is_zero():
+                    bad.append("b' b' != 0 from row %d" % q)
+            (one_minus, norm), (one_minus_up, norm_up) = \
+                self.horiz[q], self.horiz[q + 1]
+            if not (neg_bp * one_minus + one_minus_up * b).is_zero():
+                bad.append("-b'(1 - lambda) + (1 - lambda)b != 0 from row %d" % q)
+            if not (b * norm + norm_up * neg_bp).is_zero():
+                bad.append("bN - Nb' != 0 from row %d" % q)
         return bad
 
 
@@ -231,32 +223,20 @@ def mixed_of_cyclic(x):
 
 
 def cyclic_bicomplex(x):
-    """Classical first-quadrant cyclic bicomplex of a cocyclic module.
+    """Connes' cyclic bicomplex of a cocyclic module, one entry per row.
 
-    Columns alternate b and -b' vertical differentials; horizontal maps
-    alternate 1 - lambda and the norm N.  Chain modules are transposed.
+    Even columns carry b and 1 - lambda, odd columns -b' and the norm N.
+    Chain modules are transposed.
     """
     if x.orientation == CHAIN:
         x = transpose_module(x)
     if not x.is_cyclic():
         raise NotCyclic("tau^{n+1} != id")
-    f = x.field
-    width = 2 * (x.N + 1)
-    spaces = {(p, q): x.spaces[q] for p in range(width) for q in range(x.N + 1)}
-    horiz = {}
-    vert = {}
-    for q in range(x.N + 1):
-        one_minus = _one_minus_lambda(x, q)
-        norm = _norm(x, q)
-        if q + 1 <= x.N:
-            bq = hochschild_b(x, q)
-            neg_bpq = hochschild_b_prime(x, q).scale(-1)
-        for p in range(width):
-            if p + 1 < width:
-                horiz[(p, q)] = one_minus if p % 2 == 0 else norm
-            if q + 1 <= x.N:
-                vert[(p, q)] = bq if p % 2 == 0 else neg_bpq
-    return Bicomplex(f, spaces, horiz, vert, name="CC(%s)" % (x.name or "X"))
+    vert = {q: (hochschild_b(x, q), hochschild_b_prime(x, q).scale(-1))
+            for q in range(x.N)}
+    horiz = {q: (_one_minus_lambda(x, q), _norm(x, q)) for q in range(x.N + 1)}
+    return Bicomplex(x.field, x.spaces, vert, horiz,
+                     name="CC(%s)" % (x.name or "X"))
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +244,22 @@ def cyclic_bicomplex(x):
 
 
 def _total(c):
-    """(dims, diffs, comps, offs) of the total complex of a model.
+    """(dims, diffs, comps, offs) of the total complex of a model, degrees 0..N.
 
     Mixed complex (cochain): Tot^n = (+)_i X_{n-2i} with differential b + B.
-    Bicomplex: Tot^n = (+)_{p+q=n} with differential horiz + (-1)^p vert.
-    comps[n] lists the blocks of Tot^n (keys of c.spaces) and
-    offs[n][block] the offset of each.
+    Bicomplex: Tot^n = (+)_{p+q=n} X_q with differential horizontal +
+    vertical (the squares anticommute).  comps[n] lists the blocks of Tot^n
+    (degrees, or bidegrees (p, q) by ascending p) and offs[n][block] the
+    offset of each.
     """
     f = c.field
+    lo, hi = min(c.spaces), max(c.spaces)
     if isinstance(c, MixedComplex):
         if c.orientation != COCHAIN:
             raise ShapeMismatch("total complex needs a cochain mixed complex")
-        lo, hi = min(c.spaces), max(c.spaces)
         comps = {n: [m for m in range(n, lo - 1, -2) if m in c.spaces]
                  for n in range(lo, hi + 1)}
+        size = c.spaces.__getitem__
 
         def blocks(m):
             if m in c.b:
@@ -285,22 +267,17 @@ def _total(c):
             if m in c.B:
                 yield m - 1, c.B[m]
     elif isinstance(c, Bicomplex):
-        comps = {}
-        for p, q in sorted(c.spaces, key=lambda k: (k[0] + k[1], k)):
-            comps.setdefault(p + q, []).append((p, q))
-        negated = {}    # id -> negative, once per block the odd columns share
+        comps = {n: [(n - q, q) for q in range(n, lo - 1, -1)]
+                 for n in range(lo, hi + 1)}
+
+        def size(k):
+            return c.spaces[k[1]]
 
         def blocks(k):
             p, q = k
-            if k in c.horiz:
-                yield (p + 1, q), c.horiz[k]
-            if k in c.vert:
-                v = c.vert[k]
-                if p % 2:
-                    if id(v) not in negated:
-                        negated[id(v)] = v.scale(-1)
-                    v = negated[id(v)]
-                yield (p, q + 1), v
+            yield (p + 1, q), c.horiz[q][p % 2]
+            if q in c.vert:
+                yield (p, q + 1), c.vert[q][p % 2]
     else:
         raise TypeError("expected a MixedComplex or Bicomplex")
     dims, offs = {}, {}
@@ -309,7 +286,7 @@ def _total(c):
         run = 0
         for k in comp:
             off[k] = run
-            run += c.spaces[k]
+            run += size(k)
         dims[n] = run
     diffs = {n: Matrix.from_blocks(f, dims[n + 1], dims[n], [
         (offs[n + 1][tgt], offs[n][k], block)
@@ -379,42 +356,18 @@ def cohomology_table(x, model="mixed", nmax=None):
     return CohomologyTable(model, degrees, stable, name=x.name)
 
 
-def hochschild_table(x, nmax=None, normalized=False):
-    """Hochschild cohomology (b-complex only), optionally normalized."""
+def hochschild_table(x, nmax=None):
+    """Hochschild cohomology of a (co)cyclic module (the b-complex alone)."""
     xc = _as_cochain(x)
-    f = xc.field
     stable = xc.N - 1
     if nmax is None:
         nmax = stable
-    if not normalized:
-        dims = dict(xc.spaces)
-        diffs = {n: b for n in xc.spaces
-                 if n + 1 <= xc.N and (b := hochschild_b(xc, n)) is not None}
-    else:
-        # normalized subcomplex: intersection of codegeneracy kernels
-        subs = {}
-        for n in sorted(xc.spaces):
-            blocks, r0 = [], 0      # with no codegeneracy, all of X_n
-            for i in xc.degeneracy_indices(n):
-                blocks.append((r0, 0, xc.degeneracies[(n, i)]))
-                r0 += xc.degeneracies[(n, i)].rows
-            subs[n] = Matrix.from_blocks(f, r0, xc.spaces[n], blocks).kernel_basis()
-        dims = {n: subs[n].dim for n in subs}
-        diffs = {}
-        for n in sorted(xc.spaces):
-            if n + 1 > xc.N:
-                continue
-            b = hochschild_b(xc, n)
-            cols = [subs[n + 1].coordinates(b.apply(v)) for v in subs[n].lifts()]
-            if any(c is None for c in cols):
-                raise IdentityFailure("b does not preserve the normalized "
-                                      "subcomplex at degree %d" % n)
-            diffs[n] = Matrix.from_columns(f, subs[n + 1].dim, cols)
+    diffs = {n: b for n in xc.spaces
+             if n + 1 <= xc.N and (b := hochschild_b(xc, n)) is not None}
     degrees = {}
     for n in range(nmax + 1):
-        degrees[n], _ = _cohomology_at(f, dims, diffs, n)
-    return CohomologyTable("hochschild" + ("-normalized" if normalized else ""),
-                           degrees, stable, name=x.name)
+        degrees[n], _ = _cohomology_at(xc.field, xc.spaces, diffs, n)
+    return CohomologyTable("hochschild", degrees, stable, name=x.name)
 
 
 def compare_models(x, nmax=None):

@@ -97,6 +97,14 @@ def test_compare_corrupt_b_negative_control(lib, capsys):
     assert "bB + Bb != 0" in out or "B^2 != 0" in out
 
 
+def test_compare_corrupt_b_below_its_degree_is_refused(lib, capsys):
+    # kZ/2 is commutative, so b_0 = 0 and the damaged B_1 of degree 1
+    # enters no checkable identity: the control could not fail there
+    assert main(["compare", str(lib / "hopf-kz2.json"), "--degree", "1",
+                 "--corrupt-b"]) == EXIT_USAGE
+    assert "--degree 1 is too small for --corrupt-b" in capsys.readouterr().err
+
+
 def test_char_map(lib, capsys):
     assert main(["char-map", str(lib / "pairing-action-kz2.json"),
                  "--degree", "2"]) == EXIT_OK

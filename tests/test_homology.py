@@ -4,9 +4,10 @@ import pytest
 
 from hopfcyclic import (QQ, GF, Matrix, cyc_algebra, cohomology_table,
                         hochschild_table, compare_models, AlgebraData)
+from hopfcyclic import homology
 from hopfcyclic.homology import (mixed_of_cyclic, cyclic_bicomplex,
                                  transpose_module, MixedComplex,
-                                 IdentityFailure, hochschild_b)
+                                 IdentityFailure, hochschild_b, total_complex)
 from hopfcyclic import fixtures as fx
 
 
@@ -81,6 +82,104 @@ def test_mixed_complex_identities_hold(kz2_hopf_complex):
 def test_bicomplex_identities_hold(kz2_hopf_complex):
     bic = cyclic_bicomplex(kz2_hopf_complex)
     assert bic.violations() == []
+
+
+# Damage of one operator in row 2 of CC(Cyc(kZ/3)) at N = 4: the slot and
+# parity of the damaged entry, the homology helper that builds it, and
+# every identity the damage breaks.  Each of the six identities is named.
+ROW = 2
+DAMAGES = [
+    ("vert", 0, "hochschild_b",
+     ["b b != 0 from row 1", "b b != 0 from row 2",
+      "-b'(1 - lambda) + (1 - lambda)b != 0 from row 2",
+      "bN - Nb' != 0 from row 2"]),
+    ("vert", 1, "hochschild_b_prime", ["b' b' != 0 from row 2"]),
+    ("horiz", 0, "_one_minus_lambda",
+     ["N(1 - lambda) != 0 in row 2", "(1 - lambda)N != 0 in row 2",
+      "-b'(1 - lambda) + (1 - lambda)b != 0 from row 1",
+      "-b'(1 - lambda) + (1 - lambda)b != 0 from row 2"]),
+    ("horiz", 1, "_norm", ["bN - Nb' != 0 from row 2"]),
+]
+
+
+def _bump(m):
+    """m plus one unit entry at (0, 0)."""
+    return m + Matrix(m.field, m.rows, m.cols, {(0, 0): m.field.one})
+
+
+@pytest.mark.parametrize("slot, parity, helper, named", DAMAGES)
+def test_damaged_bicomplex_operator_is_named(kz3, monkeypatch, slot, parity,
+                                             helper, named):
+    x = cyc_algebra(kz3.algebra, 4)
+    bic = cyclic_bicomplex(x)
+    pairs = getattr(bic, slot)
+    pair = list(pairs[ROW])
+    pair[parity] = _bump(pair[parity])
+    pairs[ROW] = tuple(pair)
+    assert bic.violations() == named
+    build = getattr(homology, helper)
+    monkeypatch.setattr(homology, helper, lambda x, n: (
+        _bump(build(x, n)) if n == ROW else build(x, n)))
+    with pytest.raises(IdentityFailure) as err:
+        cyclic_bicomplex(x)
+    assert str(err.value) == "; ".join(named)
+
+
+def test_every_bicomplex_identity_has_a_damage():
+    templates = {line.rsplit(" ", 1)[0] for *_, named in DAMAGES
+                 for line in named}
+    assert len(templates) == 6
+
+
+def _reference_total(x):
+    """The offsets and differentials of Tot(CC) of a cocyclic module on
+    degrees 0..N, built cell by cell from the classical definition:
+    CC^{p,q} = X_q, vertically b on even and -b' on odd columns,
+    horizontally 1 - lambda from even and N from odd columns, with
+    lambda = (-1)^q tau, and total d = horizontal + vertical."""
+    f, top = x.field, x.N
+
+    def faces(q, last):
+        return Matrix.lincomb([((-1) ** j, x.faces[(q, j)])
+                               for j in x.face_indices(q)[:last]])
+
+    def horizontal(q):
+        lam = x.tau(q).scale((-1) ** q)
+        one = Matrix.identity(f, x.spaces[q])
+        powers = [one]
+        for _ in range(q):
+            powers.append(lam * powers[-1])
+        return one - lam, Matrix.lincomb([(1, m) for m in powers])
+
+    vert = {q: (faces(q, None), faces(q, -1).scale(-1)) for q in range(top)}
+    horiz = {q: horizontal(q) for q in range(top + 1)}
+    dims = {n: sum(x.spaces[q] for q in range(n + 1)) for n in range(top + 1)}
+    offs = {n: {(p, n - p): sum(x.spaces[q] for q in range(n - p + 1, n + 1))
+                for p in range(n + 1)} for n in dims}
+    diffs = {n: Matrix.from_blocks(f, dims[n + 1], dims[n], [
+        block for (p, q), off in offs[n].items() for block in (
+            (offs[n + 1][(p + 1, q)], off, horiz[q][p % 2]),
+            (offs[n + 1][(p, q + 1)], off, vert[q][p % 2]))])
+        for n in range(top)}
+    return offs, diffs
+
+
+@pytest.mark.parametrize("algebra, top", [("kz3", 5), ("sweedler", 4)])
+def test_bicomplex_total_complex_spans_degrees_to_n(request, algebra, top):
+    x = transpose_module(cyc_algebra(request.getfixturevalue(algebra).algebra,
+                                     top))
+    dims, diffs, comps, offs = total_complex(x, "bicomplex")
+    assert sorted(dims) == list(range(top + 1))
+    for n in dims:
+        assert dims[n] == sum(x.spaces[q] for q in range(n + 1))
+        assert comps[n] == [(p, n - p) for p in range(n + 1)]
+    ref_offs, ref_diffs = _reference_total(x)
+    assert offs == ref_offs
+    assert sorted(diffs) == list(range(top))
+    for n in range(top):
+        assert diffs[n] == ref_diffs[n], n
+    for n in range(top - 1):
+        assert (diffs[n + 1] * diffs[n]).is_zero(), n
 
 
 def test_corrupted_b_operator_is_named():
