@@ -408,9 +408,6 @@ def build_parser():
     common.add_argument("--field",
                         help="ground field: Q or a prime (default Q); an "
                              "input file must be over this field")
-    common.add_argument("--sequential", action="store_true",
-                        help="force deterministic sequential evaluation "
-                             "(always on)")
     common.add_argument("--output", help="write a JSON report to this path")
     # only the commands that build complexes read these two
     complexes = argparse.ArgumentParser(add_help=False)

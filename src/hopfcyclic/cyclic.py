@@ -176,8 +176,7 @@ def transpose_module(x):
             for (n, i), m in x.degeneracies.items()}
     taus = {n: m.transpose() for n, m in x.cyclic.items()}
     return ParaCyclicModule(x.field, orient, dict(x.spaces), faces, degs, taus,
-                            name="dual*(%s)" % (x.name or "X"),
-                            meta={"kind": "transpose", "parent": x})
+                            name="dual*(%s)" % (x.name or "X"))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +319,7 @@ def cyc_algebra(a, N):
                     for n in range(N) for j in range(n + 1)}
     return ParaCyclicModule(f, CHAIN, spaces, faces, degeneracies, taus,
                             name="Cyc(%s)" % getattr(a, "labels", ["A"])[0],
-                            meta={"kind": "cyc_algebra", "factor_dim": d})
+                            meta={"kind": "cyc_algebra"})
 
 
 def cyc_coalgebra(c, N):
@@ -335,7 +334,7 @@ def cyc_coalgebra(c, N):
     face0, degen0 = _zeroth_maps(c)
     x = ParaCyclicModule(f, COCHAIN, spaces, {}, {}, taus,
                          name="Cyc(coalgebra)",
-                         meta={"kind": "cyc_coalgebra", "factor_dim": d})
+                         meta={"kind": "cyc_coalgebra"})
     _fill_by_conjugation(x, {n: face0(n) for n in range(N)},
                          {n: degen0(n) for n in range(1, N + 1)})
     return x
@@ -410,8 +409,7 @@ def _cover(x, base, m, N, orientation):
     t = ParaCyclicModule(f, orientation, spaces, {}, {}, taus, h_action=h_action,
                          hopf=hopf, name="T(%s,%s)" % (x.name or what[0].upper(),
                                                        m.name or "M"),
-                         meta={"kind": "cover_" + what, "factor_dim": dx,
-                               "m_dim": dm, "mod": m})
+                         meta={"kind": "cover_" + what, "m_dim": dm, "mod": m})
     face0, degen0 = _zeroth_maps(base, dm)
     _fill_by_conjugation(t, {n: face0(n) for n in spaces if t.face_indices(n)},
                          {n: degen0(n) for n in spaces if t.degeneracy_indices(n)})
@@ -501,7 +499,7 @@ def compute_J(t, buffer=2):
         ops += [(n, n, mod.tau(n)) for n in mod.spaces]
         seeds = {n: twists[n] + [c for g in gens for c in comms[n, g]]
                  for n in mod.spaces}
-        return operator_closure(f, seeds, ops, mod.N)
+        return operator_closure(f, seeds, ops)
 
     full = closure(t)
     record = _certify_symmetries(t, full, gens)
@@ -630,8 +628,7 @@ def _descend(t, sub, keep_h=True, name=None):
     ha = None
     if keep_h and t.h_action:
         ha = {k: induce(m, k[0], ("L_h", *k)) for k, m in t.h_action.items()}
-    meta = {"kind": "quotient", "parent": t, "proj": proj, "sect": sect,
-            "sub": dict(sub)}
+    meta = {"kind": "quotient", "parent": t, "proj": proj, "sect": sect}
     return ParaCyclicModule(f, t.orientation, qdims, faces, degs, taus,
                             h_action=ha, hopf=t.hopf,
                             name=name or ("Q(%s)" % (t.name or "T")), meta=meta)
@@ -747,8 +744,7 @@ def _hom_module(field, hopf, mod, base, N, orientation, name):
                             "tau_%d" % n)
     x = ParaCyclicModule(field, orientation, {n: subs[n].dim for n in subs}, {},
                          {}, taus, hopf=hopf, name=name,
-                         meta={"kind": "colinear_hom", "sub": subs,
-                               "factor_dim": db, "mod": mod, "base": base,
+                         meta={"kind": "colinear_hom", "sub": subs, "mod": mod,
                                "m_dim": dm})
 
     def precompose(n, tgt, slot_map, tag):
@@ -808,8 +804,7 @@ def cyclic_dual(x):
                     faces[(n, i)] = x.degeneracies[(n, i)]
                 faces[(n, n)] = x.tau_inv(n - 1) * x.degeneracies[(n, n - 1)] * x.tau(n)
         return ParaCyclicModule(f, CHAIN, spaces, faces, degs, taus,
-                                hopf=x.hopf, name="dual(%s)" % (x.name or "X"),
-                                meta={"kind": "dual", "parent": x})
+                                hopf=x.hopf, name="dual(%s)" % (x.name or "X"))
     # cyclic -> cocyclic: d^j := s_{j-1} (j >= 1), s^i := d_i;
     # the missing coface comes from the cochain conjugation d^0 = tau d^1 tau^{-1}
     faces = {(n, j): x.degeneracies[(n, j - 1)]
@@ -822,8 +817,7 @@ def cyclic_dual(x):
             for i in range(n):
                 degs[(n, i)] = x.faces[(n, i)]
     return ParaCyclicModule(f, COCHAIN, spaces, faces, degs, taus,
-                            hopf=x.hopf, name="dual(%s)" % (x.name or "X"),
-                            meta={"kind": "dual", "parent": x})
+                            hopf=x.hopf, name="dual(%s)" % (x.name or "X"))
 
 
 def diag_hom(x, y, N=None):
@@ -866,17 +860,6 @@ def diag_tensor(u, v):
     for (n, i), m in u.degeneracies.items():
         if (n, i) in v.degeneracies and n <= N and 0 <= n - u.step <= N:
             degs[(n, i)] = m.kron(v.degeneracies[(n, i)])
-    ha = None
-    hopf = None
-    if u.h_action and v.h_action:
-        d2 = v.hopf.dim
-        ha = {}
-        for n in range(N + 1):
-            for h1 in range(u.hopf.dim):
-                for h2 in range(d2):
-                    ha[(n, h1 * d2 + h2)] = u.act_h(n, h1).kron(v.act_h(n, h2))
     return ParaCyclicModule(f, u.orientation, spaces, faces, degs, taus,
-                            h_action=ha, hopf=hopf,
                             name="diag(%s (x) %s)" % (u.name or "U", v.name or "V"),
-                            meta={"kind": "diag_tensor", "u": u, "v": v,
-                                  "hopf_pair": (u.hopf, v.hopf)})
+                            meta={"kind": "diag_tensor", "u": u, "v": v})

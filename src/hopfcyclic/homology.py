@@ -1,11 +1,14 @@
 """Hochschild and cyclic cohomology through two independent models.
 
-Cohomology is always computed on cochain-oriented complexes; chain-oriented
-modules are dualized degreewise (transposed) first, which is exact in finite
-dimensions.  The two models are the (b,B) mixed complex and Connes' cyclic
-bicomplex CC, whose columns alternate b / -b' and repeat with period 2, so it
-is kept by rows.  Both are verified at construction time, both total
-complexes span degrees 0..N, and they are compared degree by degree.
+Cohomology is computed on cochain-oriented complexes: a chain module is
+dualized degreewise (transposed) once, which is exact in finite dimensions.
+The two models are the (b,B) mixed complex and Connes' cyclic bicomplex
+CC, whose columns alternate b / -b' and repeat with period 2, so it is kept
+by rows.  Both are verified at construction time, both total complexes span
+degrees 0..N, and they are compared degree by degree.  Dimensions come
+from one rank per differential; kernels and representative cocycles are
+formed only where they are returned.  Only this module knows the block
+keys of the total complexes.
 
 Stable range: with truncation N, cohomology in degree n is certified only
 for n <= N - 2 (one degree is consumed by each neighboring differential).
@@ -154,6 +157,10 @@ class CohomologyTable:
 # module-level helpers
 
 
+def _as_cochain(x):
+    return transpose_module(x) if x.orientation == CHAIN else x
+
+
 def _lambda(x, n):
     """lambda = (-1)^n tau at degree n."""
     t = x.tau(n)
@@ -228,8 +235,7 @@ def cyclic_bicomplex(x):
     Even columns carry b and 1 - lambda, odd columns -b' and the norm N.
     Chain modules are transposed.
     """
-    if x.orientation == CHAIN:
-        x = transpose_module(x)
+    x = _as_cochain(x)
     if not x.is_cyclic():
         raise NotCyclic("tau^{n+1} != id")
     vert = {q: (hochschild_b(x, q), hochschild_b_prime(x, q).scale(-1))
@@ -241,6 +247,24 @@ def cyclic_bicomplex(x):
 
 # ---------------------------------------------------------------------------
 # cohomology of total complexes
+
+
+def _check_model(model):
+    if model not in ("mixed", "bicomplex"):
+        raise ValueError("model must be 'mixed' or 'bicomplex'")
+
+
+def single_degree_block(model, n):
+    """The key of the block of Tot^n that is X_n itself: n in the mixed
+    model, (0, n) in the bicomplex."""
+    _check_model(model)
+    return n if model == "mixed" else (0, n)
+
+
+def block_space(model, key):
+    """The degree q of the space X_q a block lives on: a mixed block is
+    keyed by its degree m, a bicomplex block by (p, q)."""
+    return key if model == "mixed" else key[1]
 
 
 def _total(c):
@@ -257,9 +281,9 @@ def _total(c):
     if isinstance(c, MixedComplex):
         if c.orientation != COCHAIN:
             raise ShapeMismatch("total complex needs a cochain mixed complex")
+        model = "mixed"
         comps = {n: [m for m in range(n, lo - 1, -2) if m in c.spaces]
                  for n in range(lo, hi + 1)}
-        size = c.spaces.__getitem__
 
         def blocks(m):
             if m in c.b:
@@ -267,11 +291,9 @@ def _total(c):
             if m in c.B:
                 yield m - 1, c.B[m]
     elif isinstance(c, Bicomplex):
+        model = "bicomplex"
         comps = {n: [(n - q, q) for q in range(n, lo - 1, -1)]
                  for n in range(lo, hi + 1)}
-
-        def size(k):
-            return c.spaces[k[1]]
 
         def blocks(k):
             p, q = k
@@ -286,7 +308,7 @@ def _total(c):
         run = 0
         for k in comp:
             off[k] = run
-            run += size(k)
+            run += c.spaces[block_space(model, k)]
         dims[n] = run
     diffs = {n: Matrix.from_blocks(f, dims[n + 1], dims[n], [
         (offs[n + 1][tgt], offs[n][k], block)
@@ -295,65 +317,55 @@ def _total(c):
     return dims, diffs, comps, offs
 
 
-def _cohomology_at(field, dims, diffs, n):
-    """dim ker/im plus representative cocycles at degree n."""
-    dim_n = dims.get(n, 0)
-    if dim_n == 0:
-        return 0, []
-    d_out = diffs.get(n)
-    d_in = diffs.get(n - 1)
-    if d_out is None:               # the kernel of a map with no rows is everything
-        d_out = Matrix.zero(field, 0, dim_n)
-    kernel = d_out.kernel_basis()
-    image = Subspace(field, dim_n)
-    if d_in is not None:
-        for col in d_in.columns(lifted=True):
-            if col[0]:
-                image.add_vector(col)
-    dim_h = kernel.dim - image.dim
-    reps = []
-    span = image.copy()
-    for v in kernel.lifts():
-        if span.add_vector(v):
-            reps.append(field.from_integral(*v))
-    return dim_h, reps
-
-
-def cohomology(c, n, stable_range=None):
-    """Cohomology dimension and representatives of a model at degree n."""
-    dims, diffs, _, _ = _total(c)
-    if stable_range is not None and n > stable_range:
-        raise OutOfStableRange("degree %d beyond certified range %d"
-                               % (n, stable_range))
-    return _cohomology_at(c.field, dims, diffs, n)
-
-
-def _as_cochain(x):
-    return transpose_module(x) if x.orientation == CHAIN else x
-
-
 def total_complex(x, model):
     """(dims, diffs, comps, offs) of the total complex of a (co)cyclic module
     in one model, 'mixed' or 'bicomplex'; a chain module is dualized first."""
+    _check_model(model)
     x = _as_cochain(x)
-    if model == "mixed":
-        return _total(mixed_of_cyclic(x))
-    if model == "bicomplex":
-        return _total(cyclic_bicomplex(x))
-    raise ValueError("model must be 'mixed' or 'bicomplex'")
+    return _total(mixed_of_cyclic(x) if model == "mixed" else cyclic_bicomplex(x))
+
+
+def _ranks_to_dims(dims, diffs, nmax):
+    """dim H^n = dim C^n - rank d_n - rank d_{n-1} for n = 0..nmax, from one
+    rank per differential."""
+    rank = {n: d.rank() for n, d in diffs.items() if n <= nmax}
+    return {n: dims.get(n, 0) - rank.get(n, 0) - rank.get(n - 1, 0)
+            for n in range(nmax + 1)}
+
+
+def _representatives(field, dims, diffs, n):
+    """Cocycles of degree n whose classes are a basis of H^n: the kernel
+    vectors of d_n that are independent modulo the image of d_{n-1}."""
+    dim_n = dims.get(n, 0)
+    image = Subspace.from_vectors(
+        field, dim_n, diffs[n - 1].columns(lifted=True) if n - 1 in diffs else [])
+    # the kernel of a map with no rows is everything
+    d_out = diffs.get(n) or Matrix.zero(field, 0, dim_n)
+    return [field.from_integral(*v) for v in d_out.kernel_basis().lifts()
+            if image.add_vector(v)]
+
+
+def cohomology(c, n, stable_range=None):
+    """Cohomology dimension and representative cocycles of a model at degree n."""
+    if stable_range is not None and n > stable_range:
+        raise OutOfStableRange("degree %d beyond certified range %d"
+                               % (n, stable_range))
+    dims, diffs, _, _ = _total(c)
+    reps = _representatives(c.field, dims, diffs, n)
+    return len(reps), reps
+
+
+def _table(xc, model, nmax, name):
+    """The cyclic cohomology table of a cocyclic module in one model."""
+    stable = xc.N - 2
+    dims, diffs, _, _ = total_complex(xc, model)
+    degrees = _ranks_to_dims(dims, diffs, stable if nmax is None else nmax)
+    return CohomologyTable(model, degrees, stable, name=name)
 
 
 def cohomology_table(x, model="mixed", nmax=None):
     """Cyclic cohomology dimensions of a (co)cyclic module, one model."""
-    xc = _as_cochain(x)
-    stable = xc.N - 2
-    if nmax is None:
-        nmax = stable
-    dims, diffs, _, _ = total_complex(xc, model)
-    degrees = {}
-    for n in range(nmax + 1):
-        degrees[n], _ = _cohomology_at(xc.field, dims, diffs, n)
-    return CohomologyTable(model, degrees, stable, name=x.name)
+    return _table(_as_cochain(x), model, nmax, x.name)
 
 
 def hochschild_table(x, nmax=None):
@@ -362,18 +374,17 @@ def hochschild_table(x, nmax=None):
     stable = xc.N - 1
     if nmax is None:
         nmax = stable
-    diffs = {n: b for n in xc.spaces
-             if n + 1 <= xc.N and (b := hochschild_b(xc, n)) is not None}
-    degrees = {}
-    for n in range(nmax + 1):
-        degrees[n], _ = _cohomology_at(xc.field, xc.spaces, diffs, n)
-    return CohomologyTable("hochschild", degrees, stable, name=x.name)
+    # the cochain b leaves degree n < N; there is none out of degree N
+    diffs = {n: hochschild_b(xc, n) for n in range(min(nmax + 1, xc.N))}
+    return CohomologyTable("hochschild", _ranks_to_dims(xc.spaces, diffs, nmax),
+                           stable, name=x.name)
 
 
 def compare_models(x, nmax=None):
-    """Bicomplex vs (b,B) cohomology tables plus an equality verdict."""
-    t1 = cohomology_table(x, "bicomplex", nmax)
-    t2 = cohomology_table(x, "mixed", nmax)
+    """Bicomplex vs (b,B) cohomology tables plus an equality verdict; a chain
+    module is dualized once, for both tables."""
+    xc = _as_cochain(x)
+    t1, t2 = (_table(xc, model, nmax, x.name) for model in ("bicomplex", "mixed"))
     agree = all(t1.degrees[n] == t2.degrees[n]
                 for n in t1.degrees if n <= t1.stable_range)
     return {"bicomplex": t1, "mixed": t2, "agree": agree,

@@ -589,7 +589,7 @@ def algebra_generators(hopf):
             continue
         gens.append(h)
         ops.append((0, 0, left[h]))
-        sub = operator_closure(f, {0: [unit]}, ops, max_degree=0)[0]
+        sub = operator_closure(f, {0: [unit]}, ops)[0]
     if sub.dim != d:
         raise CompatibilityFailure("the generators %s span a subalgebra of "
                                    "dimension %d < %d" % (gens, sub.dim, d))

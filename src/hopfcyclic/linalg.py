@@ -433,36 +433,29 @@ def quotient_space(ambient_dim, sub):
             Matrix(f, ambient_dim, dim, lift=(sect, 1)))
 
 
-def operator_closure(field, seeds, ops, max_degree, buffer=1):
+def operator_closure(field, seeds, ops):
     """Smallest graded subspace containing seeds, closed under the operators.
 
-    seeds: degree -> iterable of vectors.  ops: (source degree, target
-    degree, Matrix) triples; the matrix shapes give the space dimensions.
-    Operators whose source or target exceed max_degree + buffer are
-    ignored.  A worklist pushes each new vector, as a lift, through every
-    operator.  Then a certified pass applies every operator to every final
-    basis vector and raises CertificateFailure on an image outside the
-    span.  Dimensions are finite and grow, so the worklist ends.
+    seeds: degree -> iterable of vectors, in degrees the operators touch.
+    ops: (source degree, target degree, Matrix) triples; the matrix shapes
+    give the space dimensions.  A worklist pushes each new vector, as a
+    lift, through every operator.  Then a certified pass applies every
+    operator to every final basis vector and raises CertificateFailure on
+    an image outside the span.  Dimensions are finite and grow, so the
+    worklist ends.
     """
-    if buffer < 1:
-        raise ValueError("buffer must be >= 1")
-    top = max_degree + buffer
     dims = {}
     for src, tgt, m in ops:
         for n, d in ((src, m.cols), (tgt, m.rows)):
             if dims.setdefault(n, d) != d:
                 raise ShapeMismatch("operator dim %d, space %d has dim %d"
                                     % (d, n, dims[n]))
-    spaces = {n: Subspace(field, d) for n, d in dims.items() if n <= top}
-    active = [(src, tgt, m) for src, tgt, m in ops
-              if src in spaces and tgt in spaces]
+    spaces = {n: Subspace(field, d) for n, d in dims.items()}
     by_src = {}
-    for src, tgt, m in active:
+    for src, tgt, m in ops:
         by_src.setdefault(src, []).append((tgt, m))
     work = deque()
     for n, vecs in seeds.items():
-        if n not in spaces:
-            continue
         for v in vecs:
             v = _lift(field, v)
             if spaces[n].add_vector(v):
@@ -475,7 +468,7 @@ def operator_closure(field, seeds, ops, max_degree, buffer=1):
             img = m.apply(v)
             if spaces[tgt].add_vector(img):
                 work.append((tgt, img))
-    for src, tgt, m in active:
+    for src, tgt, m in ops:
         for b in spaces[src].lifts():
             if not spaces[tgt].contains(m.apply(b)):
                 raise CertificateFailure("closure fixpoint violated")

@@ -19,14 +19,15 @@ from .hopf import (CompatibilityFailure, check_equivariant, check_sayd,
                    tensor_comodule_coalgebra, balanced_tensor_modcomodule,
                    crossed_product_algebra, crossed_product_coalgebra, _vec_eq,
                    _action, _coaction, _codiagonals)
-from .cyclic import (CHAIN, COCHAIN, ModuleMorphism,
+from .cyclic import (CHAIN, ModuleMorphism,
                      DescentFailure, NotSAYD, cyc_algebra, cyc_coalgebra,
                      hopf_cyclic_complex, _restrict,
                      hopf_cocyclic_comodule_algebra,
                      hopf_cyclic_comodule_coalgebra,
                      diag_hom, diag_tensor)
-from .homology import (hochschild_b, total_complex, _as_cochain, _lambda,
-                       _one_minus_lambda, _cohomology_at)
+from .homology import (hochschild_b, total_complex, single_degree_block,
+                       block_space, _as_cochain, _lambda, _one_minus_lambda,
+                       _representatives)
 
 
 class NotEquivariant(Exception):
@@ -77,15 +78,13 @@ class CochainClass:
 
     Stored against a cochain-oriented module; a class handed a chain
     module is interpreted as a covector class of the degreewise transpose.
-    Components are keyed by internal degree (mixed model) or bidegree
-    (bicomplex model) and assemble into a vector of the total complex.
+    Components are keyed by the blocks of the model's total complex (see
+    homology) and assemble into a vector of it.
     """
 
     def __init__(self, module, degree, components, model="mixed", name=None):
-        module = _as_cochain(module)
-        if model not in ("mixed", "bicomplex"):
-            raise ValueError("model must be 'mixed' or 'bicomplex'")
-        self.module = module
+        self._single = single_degree_block(model, degree)
+        self.module = _as_cochain(module)
         self.degree = degree
         self.model = model
         self.components = {k: dict(v) for k, v in components.items() if v}
@@ -109,12 +108,10 @@ class CochainClass:
     @property
     def representative(self):
         """The top component (classical single-degree cochain part)."""
-        key = self.degree if self.model == "mixed" else (0, self.degree)
-        return dict(self.components.get(key, {}))
+        return dict(self.components.get(self._single, {}))
 
     def is_single_degree(self):
-        key = self.degree if self.model == "mixed" else (0, self.degree)
-        return set(self.components) <= {key}
+        return set(self.components) <= {self._single}
 
     def is_cocycle(self):
         _, diffs, _, _ = self._total_data()
@@ -158,7 +155,7 @@ def _components(module, model, comps, offs, deg, vec):
     parts = {}
     for key in comps[deg]:
         off = offs[deg][key]
-        size = module.spaces[key if model == "mixed" else key[1]]
+        size = module.spaces[block_space(model, key)]
         part = {i - off: v for i, v in vec.items() if off <= i < off + size}
         if part:
             parts[key] = part
@@ -171,8 +168,8 @@ def from_cyclic_cocycle(module, p, vec, model="mixed", check=True, name=None):
     A cochain psi with b(psi) = 0 and lambda(psi) = psi is closed in both
     models with all other components zero, so the embedding is exact.
     """
-    key = p if model == "mixed" else (0, p)
-    cls = CochainClass(module, p, {key: vec}, model=model, name=name)
+    cls = CochainClass(module, p, {single_degree_block(model, p): vec},
+                       model=model, name=name)
     if check:
         mod = cls.module
         f = mod.field
@@ -202,7 +199,7 @@ def classes_from_cohomology(module, p, model="mixed"):
     """Representative classes of the degree-p cohomology of a model."""
     mod = _as_cochain(module)
     dims, diffs, comps, offs = total_complex(mod, model)
-    _, reps = _cohomology_at(mod.field, dims, diffs, p)
+    reps = _representatives(mod.field, dims, diffs, p)
     return [CochainClass(mod, p, _components(mod, model, comps, offs, p, rep),
                          model=model)
             for rep in reps]
@@ -239,8 +236,7 @@ class InvariantTrace:
         return proj[n].transpose().apply(self.extended(n))
 
     def as_class(self):
-        return from_cyclic_cocycle(self.complex, 0, self.t0, check=True,
-                                   name=self.name)
+        return from_cyclic_cocycle(self.complex, 0, self.t0, name=self.name)
 
 
 def invariant_traces(complex_c):
@@ -473,41 +469,25 @@ def evaluation_covector(d, n, t_cov, c_vec):
     return out
 
 
-def pullback(mor, cls, check=True):
+def pullback(mor, cls):
     """Precompose a covector class on the target of a chain morphism.
 
     Cohomology of a chain module lives on its transpose, so classes pull
-    back contravariantly along chain morphisms, componentwise.
+    back contravariantly along chain morphisms, componentwise.  The image
+    of a cocycle must be closed.
     """
     if mor.source.orientation != CHAIN:
         raise ShapeMismatch("pullback needs a chain-oriented morphism")
-    comps = {}
-    for key, vec in cls.components.items():
-        deg = key if cls.model == "mixed" else key[1]
-        comps[key] = mor.maps[deg].transpose().apply(vec)
+    comps = {key: mor.maps[block_space(cls.model, key)].transpose().apply(vec)
+             for key, vec in cls.components.items()}
     out = CochainClass(mor.source, cls.degree, comps, model=cls.model,
                        name="%s^*(%s)" % (mor.name or "f", cls.name or "class"))
-    if check and cls.is_cocycle() and not out.is_cocycle():
+    if cls.is_cocycle() and not out.is_cocycle():
         raise NotCocycle("pullback of a cocycle failed to be closed")
     return out
 
 
-def pushforward(mor, cls, check=True):
-    """Apply a cochain morphism to an element class on its source."""
-    if mor.source.orientation != COCHAIN:
-        raise ShapeMismatch("pushforward needs a cochain-oriented morphism")
-    comps = {}
-    for key, vec in cls.components.items():
-        deg = key if cls.model == "mixed" else key[1]
-        comps[key] = mor.maps[deg].apply(vec)
-    out = CochainClass(mor.target, cls.degree, comps, model=cls.model,
-                       name="%s_*(%s)" % (mor.name or "f", cls.name or "class"))
-    if check and cls.is_cocycle() and not out.is_cocycle():
-        raise NotCocycle("image of a cocycle failed to be closed")
-    return out
-
-
-def cup_with_trace(cls, trace, mor, check=True):
+def cup_with_trace(cls, trace, mor):
     """Pair a cochain-side class against a trace through a characteristic map.
 
     Pulls the evaluation-against-the-trace covector on the diag Hom target
@@ -520,18 +500,18 @@ def cup_with_trace(cls, trace, mor, check=True):
     cov = evaluation_covector(mor.target, p, trace.extended(p),
                               cls.representative)
     psi = mor.maps[p].transpose().apply(cov)
-    return from_cyclic_cocycle(mor.source, p, psi, check=check,
+    return from_cyclic_cocycle(mor.source, p, psi,
                                name="cup(%s)" % (cls.name or "class"))
 
 
-def crossed_cup_with_trace(cls, trace, beta_mor, check=True):
+def crossed_cup_with_trace(cls, trace, beta_mor):
     """HC^q_Hopf(B,M) (x) trace on A -> HC^q(A x| B), via beta."""
-    out = cup_with_trace(cls, trace, beta_mor, check=check)
+    out = cup_with_trace(cls, trace, beta_mor)
     out.name = "crossed_cup(%s)" % (cls.name or "class")
     return out
 
 
-def crossed_cocup_with_invariant(cls, g0, xi_mor, check=True):
+def crossed_cocup_with_invariant(cls, g0, xi_mor):
     """Evaluate a Cyc(Z |x C) cocycle at a degeneracy-extended invariant.
 
     g0 must be a tau-fixed element of C_0(Z,M); its extension sigma_0^p g0
@@ -555,7 +535,7 @@ def crossed_cocup_with_invariant(cls, g0, xi_mor, check=True):
         yi, xj = divmod(idx, dim_x)
         if xj in g:
             add_into(f, out, yi, f.mul(v, g[xj]))
-    return from_cyclic_cocycle(y_mod, p, out, check=check,
+    return from_cyclic_cocycle(y_mod, p, out,
                                name="cocup(%s)" % (cls.name or "class"))
 
 

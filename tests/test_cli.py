@@ -145,11 +145,6 @@ def test_fixture_library_is_reproducible(lib, tmp_path):
         assert (lib / name).read_bytes() == (d2 / name).read_bytes()
 
 
-def test_sequential_flag_is_accepted(lib):
-    assert main(["check", str(lib / "hopf-kz2.json"),
-                 "--sequential"]) == EXIT_OK
-
-
 def test_build_without_coefficients_is_usage_error(lib):
     assert main(["build", str(lib / "module-algebra-dual-numbers.json")]) \
         == EXIT_USAGE
@@ -259,7 +254,8 @@ def test_nested_structures_are_validated(lib, tmp_path, capsys):
     ["build", "hopf-kz2.json", "--model", "mixed"],
     ["char-map", "pairing-action-kz2.json", "--model", "mixed"],
     ["pair", "--via", "trace-cup", "--model", "mixed"],
-    ["fixtures", "--degree", "3"]])
+    ["fixtures", "--degree", "3"],
+    ["check", "hopf-kz2.json", "--sequential"]])
 def test_flags_a_command_does_not_read_are_refused(lib, argv):
     argv = [str(lib / a) if a.endswith(".json") else a for a in argv]
     with pytest.raises(SystemExit) as e:

@@ -3,11 +3,13 @@
 import pytest
 
 from hopfcyclic import (QQ, GF, Matrix, cyc_algebra, cohomology_table,
-                        hochschild_table, compare_models, AlgebraData)
+                        hochschild_table, compare_models, cohomology,
+                        classes_from_cohomology, AlgebraData)
 from hopfcyclic import homology
 from hopfcyclic.homology import (mixed_of_cyclic, cyclic_bicomplex,
                                  transpose_module, MixedComplex,
-                                 IdentityFailure, hochschild_b, total_complex)
+                                 IdentityFailure, OutOfStableRange,
+                                 hochschild_b, total_complex)
 from hopfcyclic import fixtures as fx
 
 
@@ -231,3 +233,44 @@ def test_tables_compare_over_common_stable_range():
     t_long = cohomology_table(x, "mixed", 3)
     t_short = cohomology_table(cyc_algebra(unit_algebra(), 4), "bicomplex", 2)
     assert t_long == t_short
+
+
+@pytest.mark.parametrize("model", ["mixed", "bicomplex"])
+@pytest.mark.parametrize("name, top", [("kz3", 5), ("sweedler", 4),
+                                       ("kz2_hopf_complex", None)])
+def test_rank_dimensions_equal_the_representative_count(request, name, top,
+                                                        model):
+    # the tables count ranks; cohomology and classes_from_cohomology build
+    # kernel vectors independent modulo the image: the counts must agree
+    x = request.getfixturevalue(name)
+    if top is not None:
+        x = cyc_algebra(x.algebra, top)
+    table = cohomology_table(x, model)
+    stable = table.stable_range
+    assert sorted(table.degrees) == list(range(stable + 1))
+    xc = homology._as_cochain(x)
+    c = mixed_of_cyclic(xc) if model == "mixed" else cyclic_bicomplex(xc)
+    for n, dim in table.degrees.items():
+        assert len(classes_from_cohomology(x, n, model)) == dim, n
+        assert cohomology(c, n, stable)[0] == dim, n
+    with pytest.raises(OutOfStableRange):
+        cohomology(c, stable + 1, stable)
+
+
+def test_compare_models_eliminates_each_differential_once(monkeypatch, kz3):
+    calls = {"rank": 0, "kernel_basis": 0, "transpose_module": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("rank", "kernel_basis"):
+        monkeypatch.setattr(Matrix, name, counted(name, getattr(Matrix, name)))
+    monkeypatch.setattr(homology, "transpose_module",
+                        counted("transpose_module", homology.transpose_module))
+    res = compare_models(cyc_algebra(kz3.algebra, 5))
+    assert res["agree"] and res["stable_range"] == 3
+    # d_0..d_3 in each model, both models built on one dual of the chain module
+    assert calls == {"rank": 8, "kernel_basis": 0, "transpose_module": 1}

@@ -43,7 +43,7 @@ def definitional_J(t):
                 ti = t.tau_power(n, i)
                 gens.append(lh * ti - ti * lh)
         seeds[n] = [c for g in gens for c in g.columns() if c]
-    return operator_closure(f, seeds, ops, max_degree=t.N, buffer=1)
+    return operator_closure(f, seeds, ops)
 
 
 def _pair_g(h):
@@ -157,7 +157,7 @@ def test_a_worklist_operator_that_leaves_the_span_still_fails_the_fixpoint():
     seeds = {0: [{0: f.one}], 1: []}
     ops = [(0, 1, _Drifting())]
     with pytest.raises(AssertionError, match="closure fixpoint violated"):
-        operator_closure(f, seeds, ops, max_degree=1)
+        operator_closure(f, seeds, ops)
 
 
 def test_compute_J_equals_the_closure_with_every_operator_in_the_worklist(
@@ -166,9 +166,9 @@ def test_compute_J_equals_the_closure_with_every_operator_in_the_worklist(
     f, gens = t.field, algebra_generators(t.hopf)
     calls = []
 
-    def spy(field, seeds, ops, max_degree, buffer=1):
+    def spy(field, seeds, ops):
         calls.append(ops)
-        return operator_closure(field, seeds, ops, max_degree, buffer)
+        return operator_closure(field, seeds, ops)
 
     monkeypatch.setattr(cyclic, "operator_closure", spy)
     lean = compute_J(t, buffer=1)
@@ -194,7 +194,7 @@ def test_compute_J_equals_the_closure_with_every_operator_in_the_worklist(
         mats = [t.T(n) - Matrix.identity(f, dim_n)]
         mats += [t.act_h(n, g) * t.tau(n) - t.tau(n) * t.act_h(n, g) for g in gens]
         seeds[n] = [c for m in mats for c in m.columns() if c]
-    ref = operator_closure(f, seeds, ops, max_degree=t.N)
+    ref = operator_closure(f, seeds, ops)
     assert sorted(lean) == sorted(ref)
     for n in ref:
         assert lean[n] == ref[n]
