@@ -4,8 +4,9 @@ Cohomology is computed on cochain-oriented complexes: a chain module is
 dualized degreewise (transposed) once, which is exact in finite dimensions.
 The two models are the (b,B) mixed complex and Connes' cyclic bicomplex
 CC, whose columns alternate b / -b' and repeat with period 2, so it is kept
-by rows.  Both are verified at construction time, both total complexes span
-degrees 0..N, and they are compared degree by degree.  Dimensions come
+by rows.  Both are verified at construction time and compared degree by
+degree.  A table through degree nmax reads X_0..X_{nmax+1} only, so its
+models and total complexes span those degrees alone.  Dimensions come
 from one rank per differential; kernels and representative cocycles are
 formed only where they are returned.  Only this module knows the block
 keys of the total complexes.
@@ -15,7 +16,7 @@ for n <= N - 2 (one degree is consumed by each neighboring differential).
 """
 
 from .linalg import Matrix, Subspace, ShapeMismatch
-from .cyclic import CHAIN, COCHAIN, transpose_module
+from .cyclic import CHAIN, COCHAIN, transpose_module, truncate
 from .hopf import raise_failures
 
 
@@ -355,17 +356,27 @@ def cohomology(c, n, stable_range=None):
     return len(reps), reps
 
 
-def _table(xc, model, nmax, name):
-    """The cyclic cohomology table of a cocyclic module in one model."""
-    stable = xc.N - 2
-    dims, diffs, _, _ = total_complex(xc, model)
-    degrees = _ranks_to_dims(dims, diffs, stable if nmax is None else nmax)
-    return CohomologyTable(model, degrees, stable, name=name)
+def _tables(x, models, nmax):
+    """The cyclic cohomology tables of a (co)cyclic module, one per model.
+
+    A table through degree top = nmax (default N - 2) reads d_0..d_top,
+    which touch X_0..X_{top+1} only, so the module is truncated there and
+    then dualized once for every model.
+    """
+    stable = x.N - 2
+    top = stable if nmax is None else nmax
+    xc = _as_cochain(truncate(x, max(top + 1, 0)))
+    tables = []
+    for model in models:
+        dims, diffs, _, _ = total_complex(xc, model)
+        tables.append(CohomologyTable(model, _ranks_to_dims(dims, diffs, top),
+                                      stable, name=x.name))
+    return tables
 
 
 def cohomology_table(x, model="mixed", nmax=None):
     """Cyclic cohomology dimensions of a (co)cyclic module, one model."""
-    return _table(_as_cochain(x), model, nmax, x.name)
+    return _tables(x, [model], nmax)[0]
 
 
 def hochschild_table(x, nmax=None):
@@ -383,8 +394,7 @@ def hochschild_table(x, nmax=None):
 def compare_models(x, nmax=None):
     """Bicomplex vs (b,B) cohomology tables plus an equality verdict; a chain
     module is dualized once, for both tables."""
-    xc = _as_cochain(x)
-    t1, t2 = (_table(xc, model, nmax, x.name) for model in ("bicomplex", "mixed"))
+    t1, t2 = _tables(x, ("bicomplex", "mixed"), nmax)
     agree = all(t1.degrees[n] == t2.degrees[n]
                 for n in t1.degrees if n <= t1.stable_range)
     return {"bicomplex": t1, "mixed": t2, "agree": agree,

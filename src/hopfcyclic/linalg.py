@@ -272,13 +272,14 @@ class Matrix:
             raise ShapeMismatch("power of non-square matrix")
         base = self if k >= 0 else self.inverse()
         k = abs(k)
-        out = Matrix.identity(self.field, self.rows)
+        out = None
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return Matrix.identity(self.field, self.rows) if out is None else out
 
 
 class Subspace:

@@ -455,6 +455,34 @@ def test_matrix_inverse_and_powers():
     assert m.pow_int(3) * m.pow_int(-3) == Matrix.identity(f, 2)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_pow_int_is_the_repeated_product_by_squaring(monkeypatch, field):
+    f = field
+    m = Matrix(f, 3, 3, {(0, 0): f(2), (0, 1): f(1), (1, 2): f(3),
+                         (2, 0): f(1), (2, 2): f(-1)})
+    inv = m.inverse()
+    expected = {0: Matrix.identity(f, 3)}
+    for k in range(1, 10):
+        expected[k] = expected[k - 1] * m
+        expected[-k] = expected[-k + 1] * inv
+    products = [0]
+    mul = Matrix.__mul__
+
+    def counted(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    for k in range(-3, 10):
+        products[0] = 0
+        assert m.pow_int(k) == expected[k], k
+        # one squaring per bit after the leading one, one product per set
+        # bit after the first: k = 5 takes 3, k = 1 and k = 0 take none
+        a = abs(k)
+        assert products[0] == (max(a.bit_length() - 1, 0)
+                               + max(bin(a).count("1") - 1, 0)), k
+
+
 def test_kron_shape_and_entries():
     f = QQ
     a = Matrix(f, 2, 2, {(0, 1): f(2)})

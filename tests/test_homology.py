@@ -4,12 +4,15 @@ import pytest
 
 from hopfcyclic import (QQ, GF, Matrix, cyc_algebra, cohomology_table,
                         hochschild_table, compare_models, cohomology,
-                        classes_from_cohomology, AlgebraData)
+                        classes_from_cohomology, AlgebraData, ModularPair,
+                        modular_pair_module, hopf_cyclic_complex)
 from hopfcyclic import homology
 from hopfcyclic.homology import (mixed_of_cyclic, cyclic_bicomplex,
                                  transpose_module, MixedComplex,
                                  IdentityFailure, OutOfStableRange,
-                                 hochschild_b, total_complex)
+                                 hochschild_b, total_complex,
+                                 _ranks_to_dims)
+from hopfcyclic.cyclic import truncate
 from hopfcyclic import fixtures as fx
 
 
@@ -270,7 +273,78 @@ def test_compare_models_eliminates_each_differential_once(monkeypatch, kz3):
         monkeypatch.setattr(Matrix, name, counted(name, getattr(Matrix, name)))
     monkeypatch.setattr(homology, "transpose_module",
                         counted("transpose_module", homology.transpose_module))
+    # the top degree of every module either model builder gets
+    tops = []
+    for name in ("mixed_of_cyclic", "cyclic_bicomplex"):
+        def spy(x, build=getattr(homology, name)):
+            tops.append(max(max(x.spaces), max(x.cyclic),
+                            *(n + x.step for n, _ in x.faces),
+                            *(n - x.step for n, _ in x.degeneracies)))
+            return build(x)
+        monkeypatch.setattr(homology, name, spy)
     res = compare_models(cyc_algebra(kz3.algebra, 5))
     assert res["agree"] and res["stable_range"] == 3
-    # d_0..d_3 in each model, both models built on one dual of the chain module
+    # d_0..d_3 in each model, both models built on one dual of the chain
+    # module, and no matrix of either model touches X_5
     assert calls == {"rank": 8, "kernel_basis": 0, "transpose_module": 1}
+    assert tops == [4, 4]
+
+
+def _damaged_face(x, n):
+    """A copy of the cocyclic module x with the face (n, 0) damaged."""
+    y = truncate(x, x.N)
+    y.faces[(n, 0)] = _bump(y.faces[(n, 0)])
+    return y
+
+
+def test_tables_check_every_identity_their_degrees_read(kz3):
+    x = transpose_module(cyc_algebra(kz3.algebra, 5))
+    # d^0_3 : X_3 -> X_4 enters d_3, the last differential the table reads
+    with pytest.raises(IdentityFailure):
+        compare_models(_damaged_face(x, 3))
+    # d^0_4 : X_4 -> X_5 enters no reported degree: the tables no longer
+    # build X_5, and only the full model sees the damage
+    broken = _damaged_face(x, 4)
+    assert compare_models(broken)["agree"]
+    with pytest.raises(IdentityFailure):
+        mixed_of_cyclic(broken)
+
+
+def _kz2_hopf_cyclic(field, N):
+    """C(H, k_(g, eps)) of the regular module coalgebra of kZ/2."""
+    h = fx.group_algebra(field, 2)
+    pair = modular_pair_module(h, ModularPair({1: field.one},
+                                              {0: field.one, 1: field.one}))
+    return hopf_cyclic_complex(fx.regular_module_coalgebra(h), pair, N)
+
+
+ORACLE_MODULES = [
+    ("Cyc(kZ/2)", 5, lambda f, N: cyc_algebra(fx.group_algebra(f, 2).algebra, N)),
+    ("Cyc(kZ/3)", 4, lambda f, N: cyc_algebra(fx.group_algebra(f, 3).algebra, N)),
+    ("Cyc(H4)", 3, lambda f, N: cyc_algebra(fx.sweedler_hopf(f).algebra, N)),
+    ("Cyc(dual numbers)", 5, lambda f, N: cyc_algebra(fx.dual_numbers_algebra(f), N)),
+    ("C(kZ/2, (g, eps))", 4, _kz2_hopf_cyclic),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF(3)"])
+@pytest.mark.parametrize("name, top, build", ORACLE_MODULES,
+                         ids=[m[0] for m in ORACLE_MODULES])
+def test_tables_equal_the_untruncated_total_complex(field, name, top, build):
+    # the tables build their models on degrees 0..nmax+1 only; the oracle
+    # reads the same ranks off the total complexes on all of 0..N
+    for N in range(top + 1):
+        x = build(field, N)
+        full = {m: total_complex(x, m)[:2] for m in ("bicomplex", "mixed")}
+        for nmax in [None] + list(range(N + 1)):
+            want = {m: _ranks_to_dims(*full[m], N - 2 if nmax is None else nmax)
+                    for m in full}
+            res = compare_models(x, nmax)
+            assert res["stable_range"] == N - 2
+            assert res["agree"] == all(
+                want["bicomplex"][n] == want["mixed"][n]
+                for n in want["mixed"] if n <= N - 2)
+            for m in full:
+                t = cohomology_table(x, m, nmax)
+                assert t.degrees == res[m].degrees == want[m], (N, nmax, m)
+                assert t.stable_range == res[m].stable_range == N - 2
