@@ -125,39 +125,55 @@ def _load(path, args, validate=True):
     return obj
 
 
-def _build_modules(obj, m, N, buffer):
-    """All complexes the input naturally supports, as (label, module)."""
-    out = []
+def _coefficients(args):
+    """The --coefficients file, or None when it is not given."""
+    if not args.coefficients:
+        return None
+    m = _load(args.coefficients, args)
+    if not isinstance(m, ModComodule):
+        raise UsageError("--coefficients must be a modcomodule file")
+    return m
+
+
+def _complexes(args, main=False):
+    """(label, module) for each complex the input file supports, or with
+    main only the one whose cohomology it asks for.  A flag those
+    complexes do not read is refused."""
+    obj, N = _load(args.file, args), args.degree
+    classical = isinstance(obj, (HopfAlgebraData, AlgebraData))
+    if args.coefficients and classical:
+        raise UsageError("--coefficients is read only for module and "
+                         "comodule (co)algebra inputs")
+    if args.buffer_given and not isinstance(obj, (ModuleAlgebra,
+                                                  ModuleCoalgebra)):
+        raise UsageError("--buffer is read only for module (co)algebra "
+                         "inputs, which build a cover")
     if isinstance(obj, HopfAlgebraData):
-        out.append(("Cyc(algebra)", cyc_algebra(obj.algebra, N)))
-        out.append(("Cyc(coalgebra)", cyc_coalgebra(obj.coalgebra, N)))
-        return out
-    if isinstance(obj, AlgebraData):
+        out = [("Cyc(algebra)", cyc_algebra(obj.algebra, N))]
+        return out if main else out + [("Cyc(coalgebra)",
+                                        cyc_coalgebra(obj.coalgebra, N))]
+    if classical:
         return [("Cyc(algebra)", cyc_algebra(obj, N))]
+    if not isinstance(obj, (ModuleAlgebra, ModuleCoalgebra, ComoduleAlgebra,
+                            ComoduleCoalgebra)):
+        raise UsageError("cannot build complexes from kind %r"
+                         % type(obj).__name__)
+    m = _coefficients(args)
     if m is None:
         raise UsageError("this input kind needs --coefficients MODFILE")
-    if isinstance(obj, (ModuleAlgebra, ModuleCoalgebra)):
-        build = (cover_algebra if isinstance(obj, ModuleAlgebra)
-                 else cover_coalgebra)
-        out.append(("T (cover)", build(obj, m, N)))
-        out.append(("C (Hopf-cyclic)",
-                    hopf_cyclic_complex(obj, m, N, buffer=buffer)))
-        return out
     if isinstance(obj, ComoduleAlgebra):
         return [("C(B,M) colinear", hopf_cocyclic_comodule_algebra(obj, m, N))]
     if isinstance(obj, ComoduleCoalgebra):
         return [("C(Z,M) colinear", hopf_cyclic_comodule_coalgebra(obj, m, N))]
-    raise UsageError("cannot build complexes from kind %r" % type(obj).__name__)
+    build = cover_algebra if isinstance(obj, ModuleAlgebra) else cover_coalgebra
+    out = [] if main else [("T (cover)", build(obj, m, N))]
+    return out + [("C (Hopf-cyclic)",
+                   hopf_cyclic_complex(obj, m, N, buffer=args.buffer))]
 
 
 def cmd_build(args):
-    obj = _load(args.file, args)
-    m = _load(args.coefficients, args) if args.coefficients else None
-    if m is not None and not isinstance(m, ModComodule):
-        raise UsageError("--coefficients must be a modcomodule file")
-    mods = _build_modules(obj, m, args.degree, args.buffer)
     details, ok = [], True
-    for label, mod in mods:
+    for label, mod in _complexes(args):
         report = check_axioms(mod)
         _print_dims(label, mod)
         status = "axioms ok" if not report else "; ".join(report)
@@ -166,25 +182,6 @@ def cmd_build(args):
         details.append({"module": label, "dims": _dims_row(mod),
                         "failures": report})
     return (EXIT_OK if ok else EXIT_FAIL), {"ok": ok, "modules": details}
-
-
-def _main_module(obj, m, N, buffer):
-    """The single module whose cohomology the input asks for."""
-    if isinstance(obj, HopfAlgebraData):
-        return cyc_algebra(obj.algebra, N)
-    if isinstance(obj, AlgebraData):
-        return cyc_algebra(obj, N)
-    if not isinstance(obj, (ModuleAlgebra, ModuleCoalgebra, ComoduleAlgebra,
-                            ComoduleCoalgebra)):
-        raise UsageError("cannot compute cohomology of kind %r"
-                         % type(obj).__name__)
-    if m is None:
-        raise UsageError("this input kind needs --coefficients MODFILE")
-    if isinstance(obj, ComoduleAlgebra):
-        return hopf_cocyclic_comodule_algebra(obj, m, N)
-    if isinstance(obj, ComoduleCoalgebra):
-        return hopf_cyclic_comodule_coalgebra(obj, m, N)
-    return hopf_cyclic_complex(obj, m, N, buffer=buffer)
 
 
 def _require_stable(stable_range):
@@ -210,9 +207,7 @@ def _compare(mod):
 
 
 def cmd_cohomology(args):
-    obj = _load(args.file, args)
-    m = _load(args.coefficients, args) if args.coefficients else None
-    mod = _main_module(obj, m, args.degree, args.buffer)
+    [(_, mod)] = _complexes(args, main=True)
     if args.model == "both":
         return _compare(mod)
     table = cohomology_table(mod, args.model)
@@ -222,9 +217,7 @@ def cmd_cohomology(args):
 
 
 def cmd_compare(args):
-    obj = _load(args.file, args)
-    m = _load(args.coefficients, args) if args.coefficients else None
-    mod = _main_module(obj, m, args.degree, args.buffer)
+    [(_, mod)] = _complexes(args, main=True)
     if args.corrupt_b:
         # negative-control hook: damage one B entry, then re-check the
         # mixed-complex identities, which must name the failure
@@ -256,9 +249,8 @@ def cmd_char_map(args):
     pairing = _load(args.file, args)
     if not isinstance(pairing, EquivariantPairing):
         raise UsageError("char-map needs a pairing file")
-    if args.coefficients:
-        m = _load(args.coefficients, args)
-    else:
+    m = _coefficients(args)
+    if m is None:
         m = modular_pair_module(pairing.hopf,
                                 fx.trivial_modular_pair(pairing.hopf))
     p = args.degree

@@ -3,18 +3,21 @@
 A chain-oriented module has faces X_n -> X_{n-1} (j = 0..n), degeneracies
 X_n -> X_{n+1} (j = 0..n) and invertible cyclic operators tau_n.  A
 cochain-oriented module has cofaces X_n -> X_{n+1} (j = 0..n+1) and
-codegeneracies X_n -> X_{n-1} (i = 0..n-1).  Higher structure maps are
-always produced from (d_0, s_0, tau) by conjugation with tau powers, with
-the exponent signs depending on the orientation:
+codegeneracies X_n -> X_{n-1} (i = 0..n-1).  Each map of index j >= 1 is
+the tau-conjugate of the one of index j - 1:
 
-    chain:    d_j = tau^j  d_0 tau^-j     s_j = tau^j  s_0 tau^-j
-    cochain:  d_j = tau^-j d_0 tau^j      s_i = tau^-i s_0 tau^i
+    chain:    d_j = tau d_{j-1} tau^-1     s_j = tau s_{j-1} tau^-1
+    cochain:  d_j = tau^-1 d_{j-1} tau     s_i = tau^-1 s_{i-1} tau
 
-The structure maps (tau, d_0, s_0, the H-action L_h, the colinearity
-operator) are Matrix composites of m, u, Delta, eps, S, S^-1, the actions
-and the coactions, tensored with tensors.slot and reordered with
-tensors.permute.  Everything is verified after the fact by check_axioms;
-nothing relies on the conventions being right silently.
+The cyclic modules and covers X^{(x)n+1} (x) V build their faces and
+degeneracies directly, as slot maps of m, u, Delta and eps and one
+wrap-around face through tau, so the conjugation is a checked identity;
+only the colinear-Hom complexes conjugate.  tau^-1 is formed only where a
+certificate, check_axioms or a cyclic dual reads it.  All structure maps
+are Matrix composites of m, u, Delta, eps, S, S^-1, the actions and the
+coactions, tensored with tensors.slot and reordered with tensors.permute.
+Everything is verified after the fact by check_axioms; nothing relies on
+the conventions being right silently.
 """
 
 import warnings
@@ -22,8 +25,8 @@ import warnings
 from .linalg import (Matrix, Subspace, ShapeMismatch, SingularMatrix,
                      CertificateFailure, quotient_space, operator_closure)
 from .tensors import permute, slot, column_blocks
-from .hopf import (AlgebraData, ModuleCoalgebra, CompatibilityFailure,
-                   check_sayd, check_comodule_coalgebra, require_same_hopf,
+from .hopf import (ModuleCoalgebra, CompatibilityFailure, check_sayd,
+                   check_comodule_coalgebra, require_same_hopf,
                    algebra_generators, raise_failures, _action, _coaction,
                    _codiagonals)
 
@@ -284,42 +287,49 @@ def constant_modules(field, N):
     return k_co, k_cy
 
 
-def _zeroth_maps(x, after=1):
-    """d_0 and s_0 on x^{(x)k+1} (x) V, dim V = after, as functions of k.
+def _slot_maps(base):
+    """Face j and degeneracy j on a space base^{(x)k+1} (x) V of dimension
+    dim, as functions of (j, dim): for an algebra, face j multiplies slots
+    j and j + 1 and degeneracy j inserts the unit after slot j; for a
+    coalgebra, face j comultiplies slot j and degeneracy j applies the
+    counit to slot j + 1."""
+    d, (face, degen) = base.dim, base.matrices()
+    return (lambda j, dim: slot(face, d ** j, dim // (d ** j * face.cols)),
+            lambda j, dim: slot(degen, d ** (j + 1),
+                                dim // (d ** (j + 1) * degen.cols)))
 
-    For an algebra x, d_0 multiplies slots 0 and 1 and s_0 inserts the
-    unit after slot 0; for a coalgebra x, d_0 comultiplies slot 0 and s_0
-    applies the counit to slot 1.
-    """
-    d = x.dim
-    if isinstance(x, AlgebraData):
-        m, u = x.matrices()
-        return (lambda k: slot(m, 1, d ** (k - 1) * after),
-                lambda k: slot(u, d, d ** k * after))
-    dl, e = x.matrices()
-    return (lambda k: slot(dl, 1, d ** k * after),
-            lambda k: slot(e, d, d ** (k - 1) * after))
+
+def _fill_from_slots(x, base):
+    """Populate every face and degeneracy of x = base^{(x)n+1} (x) V with
+    the slot maps of _slot_maps, except the wrap-around face, which goes
+    through tau: d_n = d_0 tau_n (chain), d^{n+1} = tau_{n+1} d^0 (cochain).
+    No tau^-1 is formed."""
+    face, degen = _slot_maps(base)
+    for n, dim in x.spaces.items():
+        js = x.face_indices(n)
+        x.faces.update({(n, j): face(j, dim) for j in js[:-1]})
+        if js:
+            d0 = x.faces[n, 0]
+            x.faces[n, js[-1]] = (d0 * x.tau(n) if x.orientation == CHAIN
+                                  else x.tau(n + 1) * d0)
+        x.degeneracies.update({(n, j): degen(j, dim)
+                               for j in x.degeneracy_indices(n)})
 
 
 def cyc_algebra(a, N):
     """Classical cyclic module of a unital associative algebra."""
     f = a.field
     d = a.dim
-    m, u = a.matrices()
     spaces = {n: d ** (n + 1) for n in range(N + 1)}
     # tau moves the last slot to the front
     taus = {n: permute(Matrix.identity(f, dim), [d] * (n + 1),
                        (n,) + tuple(range(n)))
             for n, dim in spaces.items()}
-    faces = {(n, j): slot(m, d ** j, d ** (n - 1 - j))
-             for n in range(1, N + 1) for j in range(n)}
-    # the last face multiplies the last slot into the first
-    faces.update({(n, n): faces[(n, 0)] * taus[n] for n in range(1, N + 1)})
-    degeneracies = {(n, j): slot(u, d ** (j + 1), d ** (n - j))
-                    for n in range(N) for j in range(n + 1)}
-    return ParaCyclicModule(f, CHAIN, spaces, faces, degeneracies, taus,
-                            name="Cyc(%s)" % getattr(a, "labels", ["A"])[0],
-                            meta={"kind": "cyc_algebra"})
+    x = ParaCyclicModule(f, CHAIN, spaces, {}, {}, taus,
+                         name="Cyc(%s)" % getattr(a, "labels", ["A"])[0],
+                         meta={"kind": "cyc_algebra"})
+    _fill_from_slots(x, a)
+    return x
 
 
 def cyc_coalgebra(c, N):
@@ -331,12 +341,10 @@ def cyc_coalgebra(c, N):
     taus = {n: permute(Matrix.identity(f, dim), [d] * (n + 1),
                        tuple(range(1, n + 1)) + (0,))
             for n, dim in spaces.items()}
-    face0, degen0 = _zeroth_maps(c)
     x = ParaCyclicModule(f, COCHAIN, spaces, {}, {}, taus,
                          name="Cyc(coalgebra)",
                          meta={"kind": "cyc_coalgebra"})
-    _fill_by_conjugation(x, {n: face0(n) for n in range(N)},
-                         {n: degen0(n) for n in range(1, N + 1)})
+    _fill_from_slots(x, c)
     return x
 
 
@@ -375,9 +383,9 @@ def _cover(x, base, m, N, orientation):
     """Para-(co)cyclic cover X^{(x)n+1} (x) M with diagonal H-action.
 
     x is a module algebra (chain) or module coalgebra (cochain) over the
-    (co)algebra base.  tau, d_0, s_0 and the L_h are Matrix composites of
-    the structure maps; the other faces and degeneracies come by
-    conjugation.
+    (co)algebra base.  tau and the L_h are Matrix composites of the
+    structure maps; every face and degeneracy is a slot map of base, by
+    _fill_from_slots, so no tau^-1 is formed.
     """
     chain = orientation == CHAIN
     what = "algebra" if chain else "coalgebra"
@@ -410,9 +418,7 @@ def _cover(x, base, m, N, orientation):
                          hopf=hopf, name="T(%s,%s)" % (x.name or what[0].upper(),
                                                        m.name or "M"),
                          meta={"kind": "cover_" + what, "m_dim": dm, "mod": m})
-    face0, degen0 = _zeroth_maps(base, dm)
-    _fill_by_conjugation(t, {n: face0(n) for n in spaces if t.face_indices(n)},
-                         {n: degen0(n) for n in spaces if t.degeneracy_indices(n)})
+    _fill_from_slots(t, base)
     return t
 
 
@@ -465,7 +471,8 @@ def compute_J(t, buffer=2):
         induction over words in d_0, s_0 and tau every L_h preserves J.
 
     _certify_symmetries checks these identities in each degree n with
-    J_n != 0, and DescentFailure names one that fails; the closure
+    J_n != 0, where it also inverts tau_n (InvertibilityFailure if it is
+    singular), and DescentFailure names one that fails; the closure
     fixpoint and [L_h, tau] mapping into J raise CertificateFailure.
     Once all pass, t._certified records the maps they read with J and its
     dimensions, so that _descend need not check them on J again.
@@ -537,9 +544,10 @@ def _family(t, kind, n):
 def _certify_symmetries(t, ideal, gens):
     """Check compute_J's identities at each degree n with ideal[n] != 0.
 
-    DescentFailure names the first that fails.  Returns (kind, n) -> (the
-    maps read, ideal at their source and target degrees, the dimensions
-    of those two subspaces).
+    tau_n is inverted at each such n, for tau(J_n) = J_n; the other
+    identities are checked on the matrices, and DescentFailure names the
+    first that fails.  Returns (kind, n) -> (the maps read, ideal at their
+    source and target degrees, the dimensions of those two subspaces).
     """
     f, hopf, chain = t.field, t.hopf, t.orientation == CHAIN
     record = {}
@@ -557,6 +565,7 @@ def _certify_symmetries(t, ideal, gens):
                               or [(0, lh[0])])
 
     for n in [n for n in sorted(t.spaces) if ideal[n].dim]:
+        t.tau_inv(n)   # tau_n is injective, so tau(J_n) = J_n
         _, _, lh = _family(t, "L_h", n)
         check(act(lh, hopf.unit()) == Matrix.identity(f, t.spaces[n]),
               "L_1 = id", n)
@@ -575,10 +584,6 @@ def _certify_symmetries(t, ideal, gens):
                 check(t.act_h(tgt, g) * maps[0] == maps[0] * lh[g],
                       "L_g %s_0 = %s_0 L_g (g=%d)" % (sym, sym, g), n)
             keep(kind, n, tgt, family)
-            if len(maps) < 2:
-                continue
-            # invertible: inverted when the maps of index j >= 1 were formed
-            t.tau_inv(n if chain else tgt)
             m = sym + ("_" if chain else "^")
             for j in range(1, len(maps)):
                 a, b = (j, j - 1) if chain else (j - 1, j)
@@ -748,14 +753,15 @@ def _hom_module(field, hopf, mod, base, N, orientation, name):
                                "m_dim": dm})
 
     def precompose(n, tgt, slot_map, tag):
-        # f |-> f o p with p: B^{(x)tgt+1} -> B^{(x)n+1}
-        op = Matrix.identity(field, dm).kron(slot_map(tgt).transpose())
+        # f |-> f o p with p = slot_map(0, .): B^{(x)tgt+1} -> B^{(x)n+1}
+        p = slot_map(0, db ** (tgt + 1))
+        op = Matrix.identity(field, dm).kron(p.transpose())
         return _restrict([op.apply(b) for b in subs[n].lifts()], subs[tgt], tag)
 
-    face0, degen0 = _zeroth_maps(slots)
-    d0 = {n: precompose(n, n + x.step, face0, "d_0 at %d" % n)
+    face, degen = _slot_maps(slots)
+    d0 = {n: precompose(n, n + x.step, face, "d_0 at %d" % n)
           for n in subs if x.face_indices(n)}
-    s0 = {n: precompose(n, n - x.step, degen0, "s_0 at %d" % n)
+    s0 = {n: precompose(n, n - x.step, degen, "s_0 at %d" % n)
           for n in subs if x.degeneracy_indices(n)}
     _fill_by_conjugation(x, d0, s0)
     return x

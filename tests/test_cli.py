@@ -263,6 +263,65 @@ def test_flags_a_command_does_not_read_are_refused(lib, argv):
     assert e.value.code == EXIT_USAGE
 
 
+@pytest.fixture(scope="module")
+def algebra_file(tmp_path_factory):
+    """The dual numbers as a bare algebra file."""
+    from hopfcyclic import fixtures as fx
+    from hopfcyclic.io import save
+    path = tmp_path_factory.mktemp("a") / "algebra-dual-numbers.json"
+    save(fx.dual_numbers_algebra(), str(path))
+    return path
+
+
+M = "modcomodule-trivial-kz2.json"
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["build", "hopf-kz2.json", "--coefficients", M], "--coefficients"),
+    (["cohomology", "hopf-kz2.json", "--coefficients", M], "--coefficients"),
+    (["compare", "algebra", "--coefficients", M], "--coefficients"),
+    (["build", "hopf-kz2.json", "--buffer", "3"], "--buffer"),
+    (["cohomology", "algebra", "--buffer", "3"], "--buffer"),
+    (["compare", "comodule-algebra-kz2.json", "--coefficients", M,
+      "--buffer", "3"], "--buffer"),
+    (["build", "comodule-coalgebra-functions-kz2.json", "--coefficients", M,
+      "--buffer", "3"], "--buffer")],
+    ids=["build-hopf-coefficients", "cohomology-hopf-coefficients",
+         "compare-algebra-coefficients", "build-hopf-buffer",
+         "cohomology-algebra-buffer", "compare-comodule-algebra-buffer",
+         "build-comodule-coalgebra-buffer"])
+def test_flags_an_input_does_not_read_are_refused(lib, algebra_file, argv, flag,
+                                                  tmp_path, capsys):
+    # a classical cyclic module reads no coefficients, and only a module
+    # (co)algebra builds the cover that --buffer extends
+    argv = [str(algebra_file) if a == "algebra" else
+            str(lib / a) if a.endswith(".json") else a for a in argv]
+    report = tmp_path / "report.json"
+    assert main(argv + ["--degree", "3", "--output", str(report)]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    rep = json.loads(report.read_text())
+    assert rep["ok"] is False and rep["error"].startswith(flag + " is read only")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "module-coalgebra-kz2-regular.json"],
+    ["cohomology", "module-coalgebra-kz2-regular.json"],
+    ["compare", "module-coalgebra-kz2-regular.json"],
+    ["char-map", "pairing-action-kz2.json"]],
+    ids=["build", "cohomology", "compare", "char-map"])
+def test_coefficients_must_be_a_modcomodule_file(lib, argv, tmp_path, capsys):
+    # a Hopf algebra file given as coefficients is refused by name, for
+    # every command that reads --coefficients, before anything is built
+    report = tmp_path / "report.json"
+    assert main([argv[0], str(lib / argv[1]), "--coefficients",
+                 str(lib / "hopf-kz2.json"), "--degree", "3",
+                 "--output", str(report)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "--coefficients must be a modcomodule "
+                                       "file\n")
+    assert json.loads(report.read_text()) == {
+        "ok": False, "error": "--coefficients must be a modcomodule file"}
+
+
 @pytest.mark.parametrize("argv", [["pair", "--via", "star", "--buffer", "7"],
                                   ["pair", "--via", "crossed", "--drop-factor"]])
 def test_pair_refuses_flags_its_scenario_ignores(argv, tmp_path, capsys):

@@ -8,10 +8,14 @@ definition.  On every grid case both must give the same tau, faces,
 degeneracies, L_h and colinear subspaces, entry for entry, or raise the
 same exception with the same text.
 
-Cyc(A) builds every face and degeneracy directly.  The other complexes
-build only d_0, s_0 and tau and conjugate the rest; the reference runs
-the package's _fill_by_conjugation on its own d_0, s_0 and tau, so every
-face and degeneracy is compared there too.
+For Cyc(A) the reference builds every face and degeneracy directly.  For
+Cyc(C), the covers and the colinear-Hom complexes it builds only d_0, s_0
+and tau, and forms the maps of index j >= 1 by tau-conjugation with the
+package's _fill_by_conjugation.  Cyc(C) and the covers build those maps
+directly, as slot maps and one wrap-around face through tau, so there the
+comparison is an independent check that the tau-conjugation identities
+hold; the colinear-Hom complexes conjugate as the reference does, so
+there it checks d_0, s_0 and tau.
 """
 
 import pytest

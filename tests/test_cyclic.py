@@ -15,7 +15,7 @@ from hopfcyclic.cyclic import (cover_coalgebra, cover_algebra, compute_J,
                                CHAIN, COCHAIN, DescentFailure,
                                InvertibilityFailure, ParaCyclicModule)
 from hopfcyclic.hopf import ModuleCoalgebra, algebra_generators
-from hopfcyclic.linalg import Subspace
+from hopfcyclic.linalg import SingularMatrix, Subspace
 from hopfcyclic.pairings import _tower
 from hopfcyclic import fixtures as fx
 
@@ -189,6 +189,61 @@ def test_tau_inv_lets_other_errors_through(monkeypatch):
     monkeypatch.setattr(Matrix, "inverse", broken)
     with pytest.raises(TypeError, match="bug inside inverse"):
         _module_with_tau(Matrix.identity(QQ, 2)).tau_inv(0)
+
+
+def _inverses(monkeypatch):
+    """The matrices Matrix.inverse is called on from now, in call order."""
+    calls, inverse = [], Matrix.inverse
+
+    def spy(self):
+        calls.append(self)
+        return inverse(self)
+    monkeypatch.setattr(Matrix, "inverse", spy)
+    return calls
+
+
+def test_covers_and_classical_modules_form_no_inverse(monkeypatch):
+    # faces and degeneracies are slot maps, the wrap-around face a product
+    # with tau: no tau^-1 is formed to build them
+    h2, h4 = fx.group_algebra(QQ, 2), fx.sweedler_hopf(QQ)
+    ma, m2 = fx.dual_numbers_module_algebra(h2), fx.trivial_modcomodule(h2)
+    mc, m4 = fx.regular_module_coalgebra(h4), fx.trivial_modcomodule(h4)
+    calls = _inverses(monkeypatch)
+    cover_algebra(ma, m2, 3)
+    cover_coalgebra(mc, m4, 3)
+    cyc_coalgebra(h4.coalgebra, 3)
+    cyc_algebra(h4.algebra, 3)
+    assert calls == []
+
+
+def test_compute_J_inverts_tau_exactly_where_J_is_nonzero(monkeypatch):
+    t = _sweedler_cover(3)
+    calls = _inverses(monkeypatch)
+    j = compute_J(t)
+    nonzero = [n for n in sorted(t.spaces) if j[n].dim]
+    assert nonzero and nonzero != sorted(t.spaces)
+    assert sorted(t._tau_inv) == nonzero
+    assert [id(c) for c in calls] == [id(t.tau(n)) for n in nonzero]
+
+
+def test_the_epi_check_on_j_free_covers_forms_no_inverse(monkeypatch):
+    from hopfcyclic.pairings import diag_tensor_epi_check
+    h = fx.group_algebra(QQ, 2)
+    ma, m = fx.dual_numbers_module_algebra(h), fx.trivial_modcomodule(h)
+    calls = _inverses(monkeypatch)
+    assert diag_tensor_epi_check(ma, ma, m, m, 2)["surjective"]
+    assert calls == []
+
+
+def test_a_singular_tau_stops_compute_J_before_its_record(monkeypatch):
+    t = _sweedler_cover(2)
+
+    def singular(self):
+        raise SingularMatrix("matrix is singular")
+    monkeypatch.setattr(Matrix, "inverse", singular)
+    with pytest.raises(InvertibilityFailure, match="tau_\\d is not invertible"):
+        compute_J(t)
+    assert t._certified == {}
 
 
 def _corrupt_face(x, key):
