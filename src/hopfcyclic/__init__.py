@@ -24,7 +24,7 @@ from .cyclic import (ParaCyclicModule, ModuleMorphism, check_axioms,
                      hopf_cyclic_complex as coefficient_complex,
                      hopf_cyclic_comodule_coalgebra, cyclic_dual,
                      diag_hom, diag_tensor, NotSAYD, DescentFailure)
-from .homology import (mixed_of_cyclic, cyclic_bicomplex, cohomology,
+from .homology import (Total, mixed_of_cyclic, cyclic_bicomplex, cohomology,
                        cohomology_table, hochschild_table, compare_models,
                        NotCyclic, IdentityFailure)
 from .pairings import (CochainClass, InvariantTrace, invariant_traces,

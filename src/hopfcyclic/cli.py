@@ -20,8 +20,7 @@ from .cyclic import (check_axioms, cyc_algebra, cyc_coalgebra, cover_algebra,
                      cover_coalgebra, hopf_cyclic_complex,
                      hopf_cocyclic_comodule_algebra,
                      hopf_cyclic_comodule_coalgebra, NotSAYD, DescentFailure)
-from .homology import (mixed_of_cyclic, cohomology_table, compare_models,
-                       _as_cochain)
+from .homology import mixed_of_cyclic, cohomology_table, compare_models
 from .pairings import (alpha, beta, xi, star, invariant_traces,
                        cyclic_cocycles, cm_char_map, cup_with_trace,
                        crossed_cup_with_trace, crossed_cocup_with_invariant,
@@ -221,7 +220,7 @@ def cmd_compare(args):
     if args.corrupt_b:
         # negative-control hook: damage one B entry, then re-check the
         # mixed-complex identities, which must name the failure
-        mixed = mixed_of_cyclic(_as_cochain(mod))
+        mixed = mixed_of_cyclic(mod)
         f = mixed.field
         # pick an interior degree: boundary-degree damage can fall outside
         # every checkable identity square

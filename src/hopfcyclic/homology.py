@@ -5,18 +5,21 @@ dualized degreewise (transposed) once, which is exact in finite dimensions.
 The two models are the (b,B) mixed complex and Connes' cyclic bicomplex
 CC, whose columns alternate b / -b' and repeat with period 2, so it is kept
 by rows.  Both are verified at construction time and compared degree by
-degree.  A table through degree nmax reads X_0..X_{nmax+1} only, so its
-models and total complexes span those degrees alone.  Dimensions come
-from one rank per differential; kernels and representative cocycles are
-formed only where they are returned.  Only this module knows the block
-keys of the total complexes.
+degree.  `Total` is the total complex of one module in one model: it
+dualizes a chain module once, builds the model and its differentials on
+first read, and alone knows the block layout (which blocks make up Tot^n,
+their keys and offsets).  Tables, `cohomology` and the cochain classes of
+`pairings` all read a Total.  A table through degree nmax reads
+X_0..X_{nmax+1} only, so its models and total complexes span those degrees
+alone.  Dimensions come from one rank per differential; kernels and
+representative cocycles are formed only where they are returned.
 
 Stable range: with truncation N, cohomology in degree n is certified only
 for n <= N - 2 (one degree is consumed by each neighboring differential).
 """
 
-from .linalg import Matrix, Subspace, ShapeMismatch
-from .cyclic import CHAIN, COCHAIN, transpose_module, truncate
+from .linalg import Matrix, Subspace
+from .cyclic import CHAIN, transpose_module, truncate
 from .hopf import raise_failures
 
 
@@ -33,58 +36,47 @@ class OutOfStableRange(Exception):
 
 
 class MixedComplex:
-    """Graded space with differentials b and B; b2 = B2 = bB + Bb = 0.
+    """Cochain graded space with differentials b (raising the degree) and B
+    (lowering it); b2 = B2 = bB + Bb = 0.
 
-    For chain orientation b lowers and B raises the degree; for cochain
-    orientation the other way around.  All three identities are checked at
-    construction and a violation raises IdentityFailure naming the degree.
+    All three identities are checked at construction and a violation
+    raises IdentityFailure naming the degree.
     """
 
-    def __init__(self, field, orientation, spaces, b, B, name=None, check=True):
+    def __init__(self, field, spaces, b, B, name=None):
         self.field = field
-        self.orientation = orientation
         self.spaces = dict(spaces)
         self.b = dict(b)
         self.B = dict(B)
         self.name = name
-        if check:
-            raise_failures(IdentityFailure, self.violations())
-
-    def _step(self):
-        return -1 if self.orientation == CHAIN else 1
+        raise_failures(IdentityFailure, self.violations())
 
     def violations(self):
         bad = []
-        s = self._step()
+        bot = min(self.spaces)
         for n in self.spaces:
-            if n + s in self.b and n in self.b and n + 2 * s in self.spaces:
-                if not (self.b[n + s] * self.b[n]).is_zero():
+            if n + 1 in self.b and n in self.b and n + 2 in self.spaces:
+                if not (self.b[n + 1] * self.b[n]).is_zero():
                     bad.append("b^2 != 0 at degree %d" % n)
-            if n - s in self.B and n in self.B and n - 2 * s in self.spaces:
-                if not (self.B[n - s] * self.B[n]).is_zero():
+            if n - 1 in self.B and n in self.B and n - 2 in self.spaces:
+                if not (self.B[n - 1] * self.B[n]).is_zero():
                     bad.append("B^2 != 0 at degree %d" % n)
             # bB + Bb = 0 as an endomorphism of degree n.  Near the
-            # truncation boundary one of the two terms is cut off; a
-            # single-term check is only meaningful when the partner term
-            # vanishes for a genuine reason (degree below the bottom of
-            # the grading), not because of truncation.
-            bot = min(self.spaces)
+            # truncation boundary one of the two terms is cut off; the
+            # single term Bb is checked alone only at the bottom degree,
+            # where bB vanishes because there is no degree below, not
+            # because of truncation.
+            have_bB = n in self.B and n - 1 in self.b
+            have_Bb = n in self.b and n + 1 in self.B
             terms = []
-            have_bB = n in self.B and n - s in self.b and n - s in self.spaces
-            have_Bb = n in self.b and n + s in self.B and n + s in self.spaces
             if have_bB:
-                terms.append((1, self.b[n - s] * self.B[n]))
+                terms.append((1, self.b[n - 1] * self.B[n]))
             if have_Bb:
-                terms.append((1, self.B[n + s] * self.b[n]))
-            checkable = (have_bB and have_Bb) \
-                or (have_bB and not have_Bb and n + s < bot) \
-                or (have_Bb and not have_bB and n - s < bot)
+                terms.append((1, self.B[n + 1] * self.b[n]))
+            checkable = have_Bb and (have_bB or n == bot)
             if checkable and not Matrix.lincomb(terms).is_zero():
                 bad.append("bB + Bb != 0 at degree %d" % n)
         return bad
-
-    def dims(self):
-        return {n: self.spaces[n] for n in sorted(self.spaces)}
 
 
 class Bicomplex:
@@ -199,34 +191,25 @@ def hochschild_b_prime(x, n):
 
 
 def mixed_of_cyclic(x):
-    """The (b,B) mixed complex of a cyclic or cocyclic module.
+    """The (b,B) mixed complex of a cocyclic module.
 
-    b is the alternating face sum; B = (1 - lambda) s N with the extra
-    (co)degeneracy s built from tau, mirrored for the cochain orientation.
-    The three mixed identities are verified before returning.
+    b is the alternating face sum; B = N s (1 - lambda) with the extra
+    codegeneracy s built from tau.  A chain module is transposed.  The
+    three mixed identities are verified before returning.
     """
+    x = _as_cochain(x)
     if not x.is_cyclic():
         raise NotCyclic("tau^{n+1} != id; pass the quotient/coinvariant module")
-    f = x.field
     b = {}
     B = {}
-    if x.orientation == CHAIN:
-        for n in sorted(x.spaces):
-            m = hochschild_b(x, n)
-            if m is not None:
-                b[n] = m
-            if n + 1 <= x.N:
-                s_ext = x.tau(n + 1) * x.degeneracies[(n, n)]
-                B[n] = _one_minus_lambda(x, n + 1) * s_ext * _norm(x, n)
-    else:
-        for n in sorted(x.spaces):
-            m = hochschild_b(x, n)
-            if m is not None and n + 1 <= x.N:
-                b[n] = m
-            if n >= 1:
-                s_ext = x.degeneracies[(n, n - 1)] * x.tau(n)
-                B[n] = _norm(x, n - 1) * s_ext * _one_minus_lambda(x, n)
-    return MixedComplex(f, x.orientation, dict(x.spaces), b, B,
+    for n in sorted(x.spaces):
+        m = hochschild_b(x, n)       # None at the top degree
+        if m is not None:
+            b[n] = m
+        if n >= 1:
+            s_ext = x.degeneracies[(n, n - 1)] * x.tau(n)
+            B[n] = _norm(x, n - 1) * s_ext * _one_minus_lambda(x, n)
+    return MixedComplex(x.field, x.spaces, b, B,
                         name="mixed(%s)" % (x.name or "X"))
 
 
@@ -250,82 +233,6 @@ def cyclic_bicomplex(x):
 # cohomology of total complexes
 
 
-def _check_model(model):
-    if model not in ("mixed", "bicomplex"):
-        raise ValueError("model must be 'mixed' or 'bicomplex'")
-
-
-def single_degree_block(model, n):
-    """The key of the block of Tot^n that is X_n itself: n in the mixed
-    model, (0, n) in the bicomplex."""
-    _check_model(model)
-    return n if model == "mixed" else (0, n)
-
-
-def block_space(model, key):
-    """The degree q of the space X_q a block lives on: a mixed block is
-    keyed by its degree m, a bicomplex block by (p, q)."""
-    return key if model == "mixed" else key[1]
-
-
-def _total(c):
-    """(dims, diffs, comps, offs) of the total complex of a model, degrees 0..N.
-
-    Mixed complex (cochain): Tot^n = (+)_i X_{n-2i} with differential b + B.
-    Bicomplex: Tot^n = (+)_{p+q=n} X_q with differential horizontal +
-    vertical (the squares anticommute).  comps[n] lists the blocks of Tot^n
-    (degrees, or bidegrees (p, q) by ascending p) and offs[n][block] the
-    offset of each.
-    """
-    f = c.field
-    lo, hi = min(c.spaces), max(c.spaces)
-    if isinstance(c, MixedComplex):
-        if c.orientation != COCHAIN:
-            raise ShapeMismatch("total complex needs a cochain mixed complex")
-        model = "mixed"
-        comps = {n: [m for m in range(n, lo - 1, -2) if m in c.spaces]
-                 for n in range(lo, hi + 1)}
-
-        def blocks(m):
-            if m in c.b:
-                yield m + 1, c.b[m]
-            if m in c.B:
-                yield m - 1, c.B[m]
-    elif isinstance(c, Bicomplex):
-        model = "bicomplex"
-        comps = {n: [(n - q, q) for q in range(n, lo - 1, -1)]
-                 for n in range(lo, hi + 1)}
-
-        def blocks(k):
-            p, q = k
-            yield (p + 1, q), c.horiz[q][p % 2]
-            if q in c.vert:
-                yield (p, q + 1), c.vert[q][p % 2]
-    else:
-        raise TypeError("expected a MixedComplex or Bicomplex")
-    dims, offs = {}, {}
-    for n, comp in comps.items():
-        off = offs[n] = {}
-        run = 0
-        for k in comp:
-            off[k] = run
-            run += c.spaces[block_space(model, k)]
-        dims[n] = run
-    diffs = {n: Matrix.from_blocks(f, dims[n + 1], dims[n], [
-        (offs[n + 1][tgt], offs[n][k], block)
-        for k in comps[n] for tgt, block in blocks(k) if tgt in offs[n + 1]])
-        for n in comps if n + 1 in comps}
-    return dims, diffs, comps, offs
-
-
-def total_complex(x, model):
-    """(dims, diffs, comps, offs) of the total complex of a (co)cyclic module
-    in one model, 'mixed' or 'bicomplex'; a chain module is dualized first."""
-    _check_model(model)
-    x = _as_cochain(x)
-    return _total(mixed_of_cyclic(x) if model == "mixed" else cyclic_bicomplex(x))
-
-
 def _ranks_to_dims(dims, diffs, nmax):
     """dim H^n = dim C^n - rank d_n - rank d_{n-1} for n = 0..nmax, from one
     rank per differential."""
@@ -334,25 +241,113 @@ def _ranks_to_dims(dims, diffs, nmax):
             for n in range(nmax + 1)}
 
 
-def _representatives(field, dims, diffs, n):
-    """Cocycles of degree n whose classes are a basis of H^n: the kernel
-    vectors of d_n that are independent modulo the image of d_{n-1}."""
-    dim_n = dims.get(n, 0)
-    image = Subspace.from_vectors(
-        field, dim_n, diffs[n - 1].columns(lifted=True) if n - 1 in diffs else [])
-    # the kernel of a map with no rows is everything
-    d_out = diffs.get(n) or Matrix.zero(field, 0, dim_n)
-    return [field.from_integral(*v) for v in d_out.kernel_basis().lifts()
-            if image.add_vector(v)]
+class Total:
+    """The total complex of a (co)cyclic module in one model, degrees 0..N.
+
+    Mixed model: Tot^n = (+)_i X_{n-2i} with differential b + B, its blocks
+    keyed by their degree.  Bicomplex: Tot^n = (+)_{p+q=n} X_q with
+    differential horizontal + vertical (the squares anticommute), its
+    blocks keyed by (p, q) in ascending p.  offsets[n] maps each block of
+    Tot^n, in order, to its offset.  A chain module is dualized once, here;
+    the model, identity checks included, and the differentials are built
+    on the first read of `diffs`, and nothing else is cached.
+    """
+
+    def __init__(self, x, model="mixed"):
+        if model not in ("mixed", "bicomplex"):
+            raise ValueError("model must be 'mixed' or 'bicomplex'")
+        self.module = _as_cochain(x)
+        self.model = model
+        self.field = self.module.field
+        self.offsets, self.dims = {}, {}
+        for n in sorted(self.module.spaces):
+            off = self.offsets[n] = {}
+            run = 0
+            for key in (range(n, -1, -2) if model == "mixed"
+                        else [(n - q, q) for q in range(n, -1, -1)]):
+                off[key] = run
+                run += self.size(key)
+            self.dims[n] = run
+        self._diffs = None
+
+    def block(self, n):
+        """The key of the block of Tot^n that is X_n itself."""
+        return n if self.model == "mixed" else (0, n)
+
+    def space(self, key):
+        """The degree q of the space X_q a block lives on."""
+        return key if self.model == "mixed" else key[1]
+
+    def size(self, key):
+        return self.module.spaces[self.space(key)]
+
+    @property
+    def diffs(self):
+        """n -> d_n: Tot^n -> Tot^{n+1}, for n = 0..N-1."""
+        if self._diffs is None:
+            if self.model == "mixed":
+                c = mixed_of_cyclic(self.module)
+
+                def blocks(m):
+                    if m in c.b:
+                        yield m + 1, c.b[m]
+                    if m in c.B:
+                        yield m - 1, c.B[m]
+            else:
+                c = cyclic_bicomplex(self.module)
+
+                def blocks(key):
+                    p, q = key
+                    yield (p + 1, q), c.horiz[q][p % 2]
+                    if q in c.vert:
+                        yield (p, q + 1), c.vert[q][p % 2]
+            offs = self.offsets
+            self._diffs = {n: Matrix.from_blocks(
+                self.field, self.dims[n + 1], self.dims[n], [
+                    (offs[n + 1][tgt], off, m)
+                    for key, off in offs[n].items()
+                    for tgt, m in blocks(key) if tgt in offs[n + 1]])
+                for n in offs if n + 1 in offs}
+        return self._diffs
+
+    def split(self, n, vec):
+        """A vector of Tot^n as its nonzero blocks."""
+        parts = {}
+        for key, off in self.offsets[n].items():
+            end = off + self.size(key)
+            part = {i - off: v for i, v in vec.items() if off <= i < end}
+            if part:
+                parts[key] = part
+        return parts
+
+    def join(self, n, parts):
+        """Blocks of Tot^n assembled into one vector."""
+        offs = self.offsets[n]
+        return {offs[key] + i: v for key, vec in parts.items()
+                for i, v in vec.items()}
+
+    def representatives(self, n):
+        """Cocycles of degree n whose classes are a basis of H^n: the kernel
+        vectors of d_n that are independent modulo the image of d_{n-1}."""
+        f, diffs, dim_n = self.field, self.diffs, self.dims.get(n, 0)
+        image = Subspace.from_vectors(
+            f, dim_n, diffs[n - 1].columns(lifted=True) if n - 1 in diffs else [])
+        # the kernel of a map with no rows is everything
+        d_out = diffs.get(n) or Matrix.zero(f, 0, dim_n)
+        return [f.from_integral(*v) for v in d_out.kernel_basis().lifts()
+                if image.add_vector(v)]
+
+    def cohomology_dims(self, nmax):
+        """dim H^n for n = 0..nmax, one rank per differential."""
+        return _ranks_to_dims(self.dims, self.diffs, nmax)
 
 
-def cohomology(c, n, stable_range=None):
-    """Cohomology dimension and representative cocycles of a model at degree n."""
+def cohomology(total, n, stable_range=None):
+    """Cohomology dimension and representative cocycles of a Total at degree n."""
     if stable_range is not None and n > stable_range:
         raise OutOfStableRange("degree %d beyond certified range %d"
                                % (n, stable_range))
-    dims, diffs, _, _ = _total(c)
-    reps = _representatives(c.field, dims, diffs, n)
+    reps = total.representatives(n)
     return len(reps), reps
 
 
@@ -366,12 +361,8 @@ def _tables(x, models, nmax):
     stable = x.N - 2
     top = stable if nmax is None else nmax
     xc = _as_cochain(truncate(x, max(top + 1, 0)))
-    tables = []
-    for model in models:
-        dims, diffs, _, _ = total_complex(xc, model)
-        tables.append(CohomologyTable(model, _ranks_to_dims(dims, diffs, top),
-                                      stable, name=x.name))
-    return tables
+    return [CohomologyTable(model, Total(xc, model).cohomology_dims(top),
+                            stable, name=x.name) for model in models]
 
 
 def cohomology_table(x, model="mixed", nmax=None):

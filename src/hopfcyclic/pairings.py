@@ -25,9 +25,7 @@ from .cyclic import (CHAIN, ModuleMorphism,
                      hopf_cocyclic_comodule_algebra,
                      hopf_cyclic_comodule_coalgebra,
                      diag_hom, diag_tensor)
-from .homology import (hochschild_b, total_complex, single_degree_block,
-                       block_space, _as_cochain, _lambda, _one_minus_lambda,
-                       _representatives)
+from .homology import Total, hochschild_b, _lambda, _one_minus_lambda
 
 
 class NotEquivariant(Exception):
@@ -74,48 +72,33 @@ def _tower(x):
 
 
 class CochainClass:
-    """Total-complex cocycle representative for one of the two models.
+    """A vector of the total complex of one model, in one degree.
 
-    Stored against a cochain-oriented module; a class handed a chain
-    module is interpreted as a covector class of the degreewise transpose.
-    Components are keyed by the blocks of the model's total complex (see
-    homology) and assemble into a vector of it.
+    It lives in a `homology.Total`, which fixes the module (the transpose of
+    a chain module), the model and the block layout; the components are
+    keyed by the total's blocks.  Classes made from one another share their
+    Total, so they build its model at most once between them.
     """
 
-    def __init__(self, module, degree, components, model="mixed", name=None):
-        self._single = single_degree_block(model, degree)
-        self.module = _as_cochain(module)
+    def __init__(self, total, degree, components, name=None):
+        self.total = total
         self.degree = degree
-        self.model = model
         self.components = {k: dict(v) for k, v in components.items() if v}
         self.name = name
-        self._totals = None
-
-    def _total_data(self):
-        if self._totals is None:
-            self._totals = total_complex(self.module, self.model)
-        return self._totals
 
     def total_vector(self):
-        _, _, _, offs = self._total_data()
-        out = {}
-        for key, vec in self.components.items():
-            off = offs[self.degree][key]
-            for i, v in vec.items():
-                out[off + i] = v
-        return out
+        return self.total.join(self.degree, self.components)
 
     @property
     def representative(self):
         """The top component (classical single-degree cochain part)."""
-        return dict(self.components.get(self._single, {}))
+        return dict(self.components.get(self.total.block(self.degree), {}))
 
     def is_single_degree(self):
-        return set(self.components) <= {self._single}
+        return set(self.components) <= {self.total.block(self.degree)}
 
     def is_cocycle(self):
-        _, diffs, _, _ = self._total_data()
-        d = diffs.get(self.degree)
+        d = self.total.diffs.get(self.degree)
         if d is None:
             raise ShapeMismatch("no outgoing total differential at degree %d"
                                 % self.degree)
@@ -123,26 +106,23 @@ class CochainClass:
 
     def differential(self):
         """The coboundary of this (not necessarily closed) representative."""
-        _, diffs, comps, offs = self._total_data()
-        img = diffs[self.degree].apply(self.total_vector())
+        img = self.total.diffs[self.degree].apply(self.total_vector())
         deg = self.degree + 1
-        parts = _components(self.module, self.model, comps, offs, deg, img)
-        return CochainClass(self.module, deg, parts, model=self.model,
+        return CochainClass(self.total, deg, self.total.split(deg, img),
                             name="d(%s)" % (self.name or "class"))
 
     def scaled(self, c):
-        f = self.module.field
+        f = self.total.field
         comps = {k: {i: f.mul(c, v) for i, v in vec.items()}
                  for k, vec in self.components.items()}
-        return CochainClass(self.module, self.degree, comps, model=self.model,
-                            name=self.name)
+        return CochainClass(self.total, self.degree, comps, name=self.name)
 
     def __eq__(self, other):
         if not isinstance(other, CochainClass):
             return NotImplemented
-        if self.degree != other.degree or self.model != other.model:
+        if self.degree != other.degree or self.total.model != other.total.model:
             return False
-        f = self.module.field
+        f = self.total.field
         for key in set(self.components) | set(other.components):
             if not _vec_eq(f, self.components.get(key, {}),
                            other.components.get(key, {})):
@@ -150,59 +130,42 @@ class CochainClass:
         return True
 
 
-def _components(module, model, comps, offs, deg, vec):
-    """A degree-deg total-complex vector split into its nonzero blocks."""
-    parts = {}
-    for key in comps[deg]:
-        off = offs[deg][key]
-        size = module.spaces[block_space(model, key)]
-        part = {i - off: v for i, v in vec.items() if off <= i < off + size}
-        if part:
-            parts[key] = part
-    return parts
-
-
-def from_cyclic_cocycle(module, p, vec, model="mixed", check=True, name=None):
+def from_cyclic_cocycle(module, p, vec, model="mixed", name=None):
     """Wrap a single-degree cyclic cocycle as a total-complex class.
 
     A cochain psi with b(psi) = 0 and lambda(psi) = psi is closed in both
     models with all other components zero, so the embedding is exact.
     """
-    cls = CochainClass(module, p, {single_degree_block(model, p): vec},
-                       model=model, name=name)
-    if check:
-        mod = cls.module
-        f = mod.field
-        v = cls.representative
-        lam = _lambda(mod, p)
-        if not _vec_eq(f, lam.apply(v), v):
-            raise NotCocycle("representative is not cyclic (lambda-fixed) "
-                             "at degree %d" % p)
-        b = hochschild_b(mod, p)
-        if b is not None and b.apply(v):
-            raise NotCocycle("representative is not closed under b at degree %d" % p)
+    total = Total(module, model)
+    cls = CochainClass(total, p, {total.block(p): vec}, name=name)
+    mod, f, v = total.module, total.field, cls.representative
+    if not _vec_eq(f, _lambda(mod, p).apply(v), v):
+        raise NotCocycle("representative is not cyclic (lambda-fixed) "
+                         "at degree %d" % p)
+    b = hochschild_b(mod, p)
+    if b is not None and b.apply(v):
+        raise NotCocycle("representative is not closed under b at degree %d" % p)
     return cls
 
 
 def cyclic_cocycles(module, p):
-    """Basis of single-degree cyclic cocycles: ker b intersect ker(1 - lambda)."""
-    mod = _as_cochain(module)
-    f = mod.field
+    """Basis of single-degree cyclic cocycles: ker b intersect ker(1 - lambda),
+    as classes of the mixed model sharing one Total."""
+    total = Total(module)
+    mod, f = total.module, total.field
     d = mod.spaces[p]
     b = hochschild_b(mod, p) or Matrix.zero(f, 0, d)     # None at the top degree
     sub = Matrix.from_blocks(f, b.rows + d, d, [
         (0, 0, b), (b.rows, 0, _one_minus_lambda(mod, p))]).kernel_basis()
-    return [from_cyclic_cocycle(module, p, v, check=False) for v in sub.basis]
+    return [CochainClass(total, p, {total.block(p): v}) for v in sub.basis]
 
 
 def classes_from_cohomology(module, p, model="mixed"):
-    """Representative classes of the degree-p cohomology of a model."""
-    mod = _as_cochain(module)
-    dims, diffs, comps, offs = total_complex(mod, model)
-    reps = _representatives(mod.field, dims, diffs, p)
-    return [CochainClass(mod, p, _components(mod, model, comps, offs, p, rep),
-                         model=model)
-            for rep in reps]
+    """Representative classes of the degree-p cohomology of a model, sharing
+    one Total."""
+    total = Total(module, model)
+    return [CochainClass(total, p, total.split(p, rep))
+            for rep in total.representatives(p)]
 
 
 class InvariantTrace:
@@ -478,9 +441,10 @@ def pullback(mor, cls):
     """
     if mor.source.orientation != CHAIN:
         raise ShapeMismatch("pullback needs a chain-oriented morphism")
-    comps = {key: mor.maps[block_space(cls.model, key)].transpose().apply(vec)
+    total = Total(mor.source, cls.total.model)
+    comps = {key: mor.maps[total.space(key)].transpose().apply(vec)
              for key, vec in cls.components.items()}
-    out = CochainClass(mor.source, cls.degree, comps, model=cls.model,
+    out = CochainClass(total, cls.degree, comps,
                        name="%s^*(%s)" % (mor.name or "f", cls.name or "class"))
     if cls.is_cocycle() and not out.is_cocycle():
         raise NotCocycle("pullback of a cocycle failed to be closed")
@@ -550,7 +514,7 @@ def cm_char_map(trace, pairing, cls, alpha_mor=None, buffer=2):
     if not cls.is_single_degree():
         raise NotCocycle("cm_char_map needs a single-degree representative")
     p = cls.degree
-    x_mod = cls.module
+    x_mod = cls.total.module
     y_mod = trace.complex
     if alpha_mor is None:
         yt, _, _ = _tower(y_mod)

@@ -246,6 +246,19 @@ def test_a_singular_tau_stops_compute_J_before_its_record(monkeypatch):
     assert t._certified == {}
 
 
+def test_check_axioms_certifies_tau_by_rank(monkeypatch):
+    broken = cyc_coalgebra(fx.group_algebra(QQ, 2).coalgebra, 3)
+    broken.cyclic[0] = Matrix(QQ, 2, 2, {(0, 0): QQ.one, (0, 1): QQ.one})
+    cover = _sweedler_cover(3)
+    chain = cyc_algebra(fx.sweedler_hopf(QQ).algebra, 3)
+    calls = _inverses(monkeypatch)
+    # a singular tau_0 is named, and nothing else is checked
+    assert check_axioms(broken) == ["InvertibilityFailure: tau_0"]
+    # a valid cochain cover and a valid chain module: no inverse is formed
+    assert check_axioms(cover) == [] and check_axioms(chain) == []
+    assert calls == []
+
+
 def _corrupt_face(x, key):
     """x with one face changed by E_00: the identities through it break."""
     m = x.faces[key]

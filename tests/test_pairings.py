@@ -10,7 +10,9 @@ from hopfcyclic import (QQ, alpha, beta, xi, star, invariant_traces,
                         coefficient_complex, modular_pair_module,
                         NotCocycle, HypothesisFailure, NotEquivariant,
                         ModularPair, AgreementFailure, DescentFailure)
+from hopfcyclic import cyc_algebra, homology
 from hopfcyclic.pairings import CochainClass
+from hopfcyclic.homology import Total
 from hopfcyclic.cyclic import ModuleMorphism
 from hopfcyclic import fixtures as fx
 
@@ -268,6 +270,43 @@ def test_classes_from_cohomology_are_cocycles(kz2_hopf_complex):
             assert cls.is_cocycle()
 
 
+def _model_builds(monkeypatch):
+    """The names of the model builders called from now, in call order."""
+    builds = []
+    for name in ("mixed_of_cyclic", "cyclic_bicomplex"):
+        def spy(x, name=name, build=getattr(homology, name)):
+            builds.append(name)
+            return build(x)
+        monkeypatch.setattr(homology, name, spy)
+    return builds
+
+
+@pytest.mark.parametrize("model, builder", [("mixed", "mixed_of_cyclic"),
+                                            ("bicomplex", "cyclic_bicomplex")])
+def test_classes_from_one_call_build_one_model(monkeypatch, kz3, model,
+                                               builder):
+    x = cyc_algebra(kz3.algebra, 5)
+    builds = _model_builds(monkeypatch)
+    classes = classes_from_cohomology(x, 2, model)
+    assert len(classes) == 3
+    for cls in classes:
+        assert cls.is_cocycle()
+        d = cls.differential()
+        assert d.total is cls.total and not d.components
+    assert builds == [builder]
+
+
+def test_cyclic_cocycles_from_one_call_build_one_model(monkeypatch, kz3):
+    x = cyc_algebra(kz3.algebra, 5)
+    builds = _model_builds(monkeypatch)
+    classes = cyclic_cocycles(x, 2)
+    assert len(classes) == 6
+    for cls in classes:
+        assert cls.is_cocycle() and cls.scaled(QQ(2)).is_cocycle()
+        assert not cls.differential().components
+    assert builds == ["mixed_of_cyclic"]
+
+
 def test_diag_tensor_epi_check(kz2, pair_triv):
     ma = fx.dual_numbers_module_algebra(kz2)
     rep = diag_tensor_epi_check(ma, ma, pair_triv, pair_triv, 1)
@@ -289,6 +328,6 @@ def test_coefficient_complex_levels(kz2, pair_g):
 def test_cochain_class_differential_detects_non_cocycles(alpha_mor):
     x = alpha_mor.target.meta["x"]
     f = x.field
-    probe = CochainClass(x, 1, {1: {0: f.one}})
+    probe = CochainClass(Total(x), 1, {1: {0: f.one}})
     if not probe.is_cocycle():
         assert probe.differential().components
