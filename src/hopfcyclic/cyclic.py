@@ -9,14 +9,15 @@ the tau-conjugate of the one of index j - 1:
     chain:    d_j = tau d_{j-1} tau^-1     s_j = tau s_{j-1} tau^-1
     cochain:  d_j = tau^-1 d_{j-1} tau     s_i = tau^-1 s_{i-1} tau
 
-The cyclic modules and covers X^{(x)n+1} (x) V build their faces and
-degeneracies directly, as slot maps of m, u, Delta and eps and one
-wrap-around face through tau, so the conjugation is a checked identity;
-only the colinear-Hom complexes conjugate.  tau^-1 is formed only where a
-certificate or a cyclic dual reads it; check_axioms certifies each tau_n
-invertible by its rank.  All structure maps are Matrix composites of m, u,
-Delta, eps, S, S^-1, the actions and the coactions, tensored with
-tensors.slot and reordered with tensors.permute.
+Every module built here gets its faces and degeneracies one way, from
+_fill_from_slots: slot maps of m, u, Delta and eps on the cyclic modules
+and covers X^{(x)n+1} (x) V, precomposition with those slot maps on the
+colinear-Hom complexes, and one wrap-around face through tau.  So the
+conjugation is a checked identity, not a construction, and tau^-1 is
+formed only by tau_inv, tau_power and cyclic_dual; check_axioms and
+compute_J certify tau_n invertible by its rank.  All structure maps are
+Matrix composites of m, u, Delta, eps, S, S^-1, the actions and the
+coactions, tensored with tensors.slot and reordered with tensors.permute.
 Everything is verified after the fact by check_axioms; nothing relies on
 the conventions being right silently.
 """
@@ -57,6 +58,7 @@ class ParaCyclicModule:
     spaces: degree -> dimension, degrees 0..N contiguous.
     faces/degeneracies keyed by (source_degree, index); cyclic by degree.
     h_action, when present, is keyed by (degree, hopf_basis_index).
+    tau_inv forms tau_n^-1 on each call: nothing is cached.
     """
 
     def __init__(self, field, orientation, spaces, faces, degeneracies,
@@ -74,7 +76,6 @@ class ParaCyclicModule:
         self.hopf = hopf
         self.name = name
         self.meta = dict(meta) if meta else {}
-        self._tau_inv = {}
         self._certified = {}   # see compute_J and _certify_symmetries
 
     def dim(self, n):
@@ -103,12 +104,10 @@ class ParaCyclicModule:
         return self.cyclic[n]
 
     def tau_inv(self, n):
-        if n not in self._tau_inv:
-            try:
-                self._tau_inv[n] = self.cyclic[n].inverse()
-            except SingularMatrix:
-                raise InvertibilityFailure("tau_%d is not invertible" % n)
-        return self._tau_inv[n]
+        try:
+            return self.cyclic[n].inverse()
+        except SingularMatrix:
+            raise InvertibilityFailure("tau_%d is not invertible" % n)
 
     def tau_power(self, n, k):
         if k >= 0:
@@ -285,32 +284,31 @@ def constant_modules(field, N):
     return k_co, k_cy
 
 
-def _slot_maps(base):
-    """Face j and degeneracy j on a space base^{(x)k+1} (x) V of dimension
-    dim, as functions of (j, dim): for an algebra, face j multiplies slots
-    j and j + 1 and degeneracy j inserts the unit after slot j; for a
-    coalgebra, face j comultiplies slot j and degeneracy j applies the
-    counit to slot j + 1."""
+def _slot_maps(base, spaces):
+    """Face j and degeneracy j at degree n, on base^{(x)n+1} (x) V of
+    dimension spaces[n], as functions of (n, j): for an algebra, face j
+    multiplies slots j and j + 1 and degeneracy j inserts the unit after
+    slot j; for a coalgebra, face j comultiplies slot j and degeneracy j
+    applies the counit to slot j + 1."""
     d, (face, degen) = base.dim, base.matrices()
-    return (lambda j, dim: slot(face, d ** j, dim // (d ** j * face.cols)),
-            lambda j, dim: slot(degen, d ** (j + 1),
-                                dim // (d ** (j + 1) * degen.cols)))
+    return (lambda n, j: slot(face, d ** j, spaces[n] // (d ** j * face.cols)),
+            lambda n, j: slot(degen, d ** (j + 1),
+                              spaces[n] // (d ** (j + 1) * degen.cols)))
 
 
-def _fill_from_slots(x, base):
-    """Populate every face and degeneracy of x = base^{(x)n+1} (x) V with
-    the slot maps of _slot_maps, except the wrap-around face, which goes
-    through tau: d_n = d_0 tau_n (chain), d^{n+1} = tau_{n+1} d^0 (cochain).
-    No tau^-1 is formed."""
-    face, degen = _slot_maps(base)
-    for n, dim in x.spaces.items():
+def _fill_from_slots(x, face, degen):
+    """Populate every face and degeneracy of x from the builders face(n, j)
+    and degen(n, j), except the wrap-around face, which goes through tau:
+    d_n = d_0 tau_n (chain), d^{n+1} = tau_{n+1} d^0 (cochain).  No tau^-1
+    is formed."""
+    for n in x.spaces:
         js = x.face_indices(n)
-        x.faces.update({(n, j): face(j, dim) for j in js[:-1]})
+        x.faces.update({(n, j): face(n, j) for j in js[:-1]})
         if js:
             d0 = x.faces[n, 0]
             x.faces[n, js[-1]] = (d0 * x.tau(n) if x.orientation == CHAIN
                                   else x.tau(n + 1) * d0)
-        x.degeneracies.update({(n, j): degen(j, dim)
+        x.degeneracies.update({(n, j): degen(n, j)
                                for j in x.degeneracy_indices(n)})
 
 
@@ -326,7 +324,7 @@ def cyc_algebra(a, N):
     x = ParaCyclicModule(f, CHAIN, spaces, {}, {}, taus,
                          name="Cyc(%s)" % getattr(a, "labels", ["A"])[0],
                          meta={"kind": "cyc_algebra"})
-    _fill_from_slots(x, a)
+    _fill_from_slots(x, *_slot_maps(a, spaces))
     return x
 
 
@@ -342,27 +340,8 @@ def cyc_coalgebra(c, N):
     x = ParaCyclicModule(f, COCHAIN, spaces, {}, {}, taus,
                          name="Cyc(coalgebra)",
                          meta={"kind": "cyc_coalgebra"})
-    _fill_from_slots(x, c)
+    _fill_from_slots(x, *_slot_maps(c, spaces))
     return x
-
-
-def _fill_by_conjugation(x, d0, s0):
-    """Populate all faces/degeneracies from (d_0, s_0) and tau.
-
-    Chain: the j-th map is tau^j m tau^-j; cochain: tau^-j m tau^j.  Each
-    is the previous one conjugated once more, so no power is formed.
-    """
-    chain = x.orientation == CHAIN
-    for out, maps, indices, shift in (
-            (x.faces, d0, x.face_indices, x.step),
-            (x.degeneracies, s0, x.degeneracy_indices, -x.step)):
-        for n, m in maps.items():
-            tgt = n + shift
-            for j in indices(n):
-                if j:
-                    m = (x.tau(tgt) * m * x.tau_inv(n) if chain
-                         else x.tau_inv(tgt) * m * x.tau(n))
-                out[(n, j)] = m
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +395,7 @@ def _cover(x, base, m, N, orientation):
                          hopf=hopf, name="T(%s,%s)" % (x.name or what[0].upper(),
                                                        m.name or "M"),
                          meta={"kind": "cover_" + what, "m_dim": dm, "mod": m})
-    _fill_from_slots(t, base)
+    _fill_from_slots(t, *_slot_maps(base, spaces))
     return t
 
 
@@ -447,7 +426,6 @@ def truncate(x, N):
         ha = {(n, h): m for (n, h), m in x.h_action.items() if n <= N}
     out = ParaCyclicModule(x.field, x.orientation, spaces, faces, degs, taus,
                            h_action=ha, hopf=x.hopf, name=x.name, meta=x.meta)
-    out._tau_inv = {n: m for n, m in x._tau_inv.items() if n <= N}
     out._certified = {k: v for k, v in x._certified.items() if k[1] <= N}
     return out
 
@@ -463,14 +441,15 @@ def compute_J(t, buffer=2):
 
       [L, tau^i] = [L, tau] tau^{i-1} + tau [L, tau^{i-1}];
       tau is injective and J finite-dimensional, so tau(J) = J;
-      each other face or degeneracy is a tau-conjugate of index j - 1;
+      each other face or degeneracy is the tau-conjugate of index j - 1;
       L_1 = id and L_g L_h = L_gh make h -> L_h an algebra map, the L_g
         commute with d_0 and s_0 and each [L_h, tau] maps into J, so by
         induction over words in d_0, s_0 and tau every L_h preserves J.
 
     _certify_symmetries checks these identities in each degree n with
-    J_n != 0, where it also inverts tau_n (InvertibilityFailure if it is
-    singular), and DescentFailure names one that fails; the closure
+    J_n != 0, where it also certifies tau_n injective by its rank
+    (InvertibilityFailure if it is not), and DescentFailure names one that
+    fails; the closure
     fixpoint and [L_h, tau] mapping into J raise CertificateFailure.
     Once all pass, t._certified records the maps they read with J and its
     dimensions, so that _descend need not check them on J again.
@@ -542,9 +521,9 @@ def _family(t, kind, n):
 def _certify_symmetries(t, ideal, gens):
     """Check compute_J's identities at each degree n with ideal[n] != 0.
 
-    tau_n is inverted at each such n, for tau(J_n) = J_n; the other
-    identities are checked on the matrices, and DescentFailure names the
-    first that fails.  Returns (kind, n) -> (the maps read, ideal at their
+    tau_n has full rank at each such n (InvertibilityFailure if not), so
+    tau(J_n) = J_n; the other identities are checked on the matrices, and
+    DescentFailure names the first that fails.  Returns (kind, n) -> (the maps read, ideal at their
     source and target degrees, the dimensions of those two subspaces).
     """
     f, hopf, chain = t.field, t.hopf, t.orientation == CHAIN
@@ -563,7 +542,8 @@ def _certify_symmetries(t, ideal, gens):
                               or [(0, lh[0])])
 
     for n in [n for n in sorted(t.spaces) if ideal[n].dim]:
-        t.tau_inv(n)   # tau_n is injective, so tau(J_n) = J_n
+        if t.tau(n).rank() != t.spaces[n]:   # injective, so tau(J_n) = J_n
+            raise InvertibilityFailure("tau_%d is not invertible" % n)
         _, _, lh = _family(t, "L_h", n)
         check(act(lh, hopf.unit()) == Matrix.identity(f, t.spaces[n]),
               "L_1 = id", n)
@@ -707,32 +687,42 @@ def _colinear_subspace(field, hopf, mod, rho_x):
     return Matrix.lincomb(terms).kernel_basis()
 
 
-def _restrict(images, sub, tag):
-    """Coordinates of each image vector inside a colinear subspace, as columns."""
-    cols = [sub.coordinates(w) for w in images]
-    if any(c is None for c in cols):
+def _restrict(image, sub, tag):
+    """The columns of image, a matrix into sub's ambient space, in sub's
+    basis: the rows of image at sub's pivots.  The basis is reduced (1 at
+    its own pivot, 0 at the others), so a column lies in sub iff it is the
+    basis combination of its entries there; one product certifies every
+    column, and DescentFailure names tag if one lies outside."""
+    a, d = image.lift
+    rows = {p: i for i, p in enumerate(sub.pivots)}
+    coords = Matrix(sub.field, sub.dim, image.cols, lift=sub.field.normalize(
+        {(rows[i], j): x for (i, j), x in a.items() if i in rows}, d))
+    if sub.basis_matrix() * coords != image:
         raise DescentFailure("%s leaves the colinear subspace" % tag)
-    return Matrix.from_columns(sub.field, sub.dim, cols)
+    return coords
 
 
 def _hom_module(field, hopf, mod, base, N, orientation, name):
     """Shared construction for C(B,M) (cochain) and C(Z,M) (chain).
 
-    tau is a twisted rotation and d_0, s_0 precompose with a slot map of
-    the base; each is restricted to the colinear maps, then conjugated.
+    tau is a twisted rotation, and the face and degeneracy of index j
+    precompose with the slot map j of the base; each is restricted to the
+    colinear maps.  _fill_from_slots forms the wrap-around face through
+    tau, the cyclic relation d_n = d_0 tau (Loday, Cyclic Homology 6.1).
     """
     # chain: (tau f)(z^0..z^n) = z^0_{[-1]} f(z^1..z^n, z^0_{[0]}), and
-    # d_0, s_0 precompose with the comultiplication and counit maps;
+    # d_j, s_j precompose with the comultiplication and counit maps;
     # cochain: (tau f)(b^0..b^n) = S(b^n_{(-1)}) f(b^n_{(0)}, b^0..b^{n-1}),
-    # and d_0, s_0 precompose with the multiplication and unit maps
+    # and d_j, s_j precompose with the multiplication and unit maps
     slots = base.coalgebra if orientation == CHAIN else base.algebra
     db, dh, dm = slots.dim, hopf.dim, mod.dim
     rho_b = _coaction(base, db)
     rhos = _codiagonals(hopf.algebra.matrices()[0], rho_b, N + 1)
     lm = column_blocks(_action(mod, dm), dh)
-    subs, taus = {}, {}
+    subs, bases, taus = {}, {}, {}
     for n in range(N + 1):
         subs[n] = _colinear_subspace(field, hopf, mod, rhos[n])   # on B^{(x)n+1}
+        bases[n] = subs[n].basis_matrix()
         if orientation == CHAIN:
             order = (0,) + tuple(range(2, n + 2)) + (1,)
             g = permute(slot(rho_b, 1, db ** n), [dh, db] + [db] * n, order)
@@ -743,25 +733,24 @@ def _hom_module(field, hopf, mod, base, N, orientation, name):
         # G(x) = sum_h h (x) u_h(x); tau f = sum_h L_h o f o u_h
         tau = Matrix.lincomb([(1, lh.kron(uh))
                               for lh, uh in zip(lm, column_blocks(g.transpose(), dh))])
-        taus[n] = _restrict([tau.apply(b) for b in subs[n].lifts()], subs[n],
-                            "tau_%d" % n)
+        taus[n] = _restrict(tau * bases[n], subs[n], "tau_%d" % n)
     x = ParaCyclicModule(field, orientation, {n: subs[n].dim for n in subs}, {},
                          {}, taus, hopf=hopf, name=name,
                          meta={"kind": "colinear_hom", "sub": subs, "mod": mod,
                                "m_dim": dm})
 
-    def precompose(n, tgt, slot_map, tag):
-        # f |-> f o p with p = slot_map(0, .): B^{(x)tgt+1} -> B^{(x)n+1}
-        p = slot_map(0, db ** (tgt + 1))
-        op = Matrix.identity(field, dm).kron(p.transpose())
-        return _restrict([op.apply(b) for b in subs[n].lifts()], subs[tgt], tag)
+    def precompose(slot_map, shift, sym):
+        def build(n, j):
+            # f |-> f o p with p = slot_map(tgt, j): B^{(x)tgt+1} -> B^{(x)n+1}
+            tgt = n + shift
+            op = Matrix.identity(field, dm).kron(slot_map(tgt, j).transpose())
+            return _restrict(op * bases[n], subs[tgt],
+                             "%s_%d at %d" % (sym, j, n))
+        return build
 
-    face, degen = _slot_maps(slots)
-    d0 = {n: precompose(n, n + x.step, face, "d_0 at %d" % n)
-          for n in subs if x.face_indices(n)}
-    s0 = {n: precompose(n, n - x.step, degen, "s_0 at %d" % n)
-          for n in subs if x.degeneracy_indices(n)}
-    _fill_by_conjugation(x, d0, s0)
+    face, degen = _slot_maps(slots, {n: db ** (n + 1) for n in subs})
+    _fill_from_slots(x, precompose(face, x.step, "d"),
+                     precompose(degen, -x.step, "s"))
     return x
 
 
@@ -789,7 +778,8 @@ def cyclic_dual(x):
 
     Dual faces are the original degeneracies reindexed; the missing index-0
     operator is recovered through the conjugation convention; dual tau is
-    the inverse.  Applying the functor twice gives back the input.
+    the inverse, formed once per degree and read again for that operator.
+    Applying the functor twice gives back the input.
     """
     f = x.field
     if not x.is_cyclic():
@@ -806,7 +796,7 @@ def cyclic_dual(x):
             if n >= 1:
                 for i in range(n):
                     faces[(n, i)] = x.degeneracies[(n, i)]
-                faces[(n, n)] = x.tau_inv(n - 1) * x.degeneracies[(n, n - 1)] * x.tau(n)
+                faces[(n, n)] = taus[n - 1] * x.degeneracies[(n, n - 1)] * x.tau(n)
         return ParaCyclicModule(f, CHAIN, spaces, faces, degs, taus,
                                 hopf=x.hopf, name="dual(%s)" % (x.name or "X"))
     # cyclic -> cocyclic: d^j := s_{j-1} (j >= 1), s^i := d_i;
@@ -816,7 +806,7 @@ def cyclic_dual(x):
     degs = {}
     for n in spaces:
         if n + 1 <= x.N:
-            faces[(n, 0)] = x.tau_inv(n + 1) * x.degeneracies[(n, 0)] * x.tau(n)
+            faces[(n, 0)] = taus[n + 1] * x.degeneracies[(n, 0)] * x.tau(n)
         if n >= 1:
             for i in range(n):
                 degs[(n, i)] = x.faces[(n, i)]

@@ -92,7 +92,8 @@ def _read_rows(field, rows, bounds, what):
     """{index tuple: value} from entry rows [i_1, ..., i_k, num, den].
 
     bounds[t] is the size of the basis index t ranges over (None: any
-    index >= 0).  A malformed row raises ParseError naming it.
+    index >= 0).  A malformed row, or one repeating an earlier row's
+    indices, raises ParseError naming it.
     """
     if not isinstance(rows, list):
         raise ParseError("%s: expected a list of entries, got %r" % (what, rows))
@@ -109,6 +110,9 @@ def _read_rows(field, rows, bounds, what):
         if not (_is_int(num) and _is_int(den)) or den == 0:
             raise ParseError("%s entry %r: numerator and denominator must be "
                              "integers, the denominator nonzero" % (what, row))
+        if tuple(idx) in out:
+            raise ParseError("%s entry %r: indices %s repeat an earlier entry"
+                             % (what, row, idx))
         out[tuple(idx)] = _value(field, num, den)
     return out
 

@@ -410,8 +410,7 @@ def star(zc, zc2, m, m2, N):
         pair = permute(u.meta["sub"][n].basis_matrix().kron(
             v.meta["sub"][n].basis_matrix()), dims, order)
         full = slot(pim, 1, (dz * dz2) ** (n + 1)) * pair
-        maps[n] = _restrict(full.columns(lifted=True), tgt.meta["sub"][n],
-                            "star at degree %d" % n)
+        maps[n] = _restrict(full, tgt.meta["sub"][n], "star at degree %d" % n)
     return ModuleMorphism(diag_tensor(u, v), tgt, maps, name="star")
 
 

@@ -10,12 +10,12 @@ same exception with the same text.
 
 For Cyc(A) the reference builds every face and degeneracy directly.  For
 Cyc(C), the covers and the colinear-Hom complexes it builds only d_0, s_0
-and tau, and forms the maps of index j >= 1 by tau-conjugation with the
-package's _fill_by_conjugation.  Cyc(C) and the covers build those maps
-directly, as slot maps and one wrap-around face through tau, so there the
-comparison is an independent check that the tau-conjugation identities
-hold; the colinear-Hom complexes conjugate as the reference does, so
-there it checks d_0, s_0 and tau.
+and tau, restricts the colinear-Hom maps vector by vector with
+Subspace.coordinates, and forms the maps of index j >= 1 by
+tau-conjugation (fill_by_conjugation below).  The package builds every
+one of those maps directly, as a slot map or a precomposition with one,
+and the one wrap-around face through tau, so the comparison is an
+independent check that the tau-conjugation identities hold.
 """
 
 import pytest
@@ -264,7 +264,10 @@ def ref_hom(base, mod, N):
             for n in range(N + 1)}
 
     def restrict(op, n, tgt, tag):
-        return cyclic._restrict([op.apply(b) for b in subs[n].lifts()], subs[tgt], tag)
+        cols = [subs[tgt].coordinates(op.apply(b)) for b in subs[n].lifts()]
+        if any(c is None for c in cols):
+            raise cyclic.DescentFailure("%s leaves the colinear subspace" % tag)
+        return Matrix.from_columns(field, subs[tgt].dim, cols)
 
     def precompose(n, tgt, im, tag):
         p = build_matrix(field, [db] * (tgt + 1), [db] * (n + 1), im)
@@ -378,12 +381,31 @@ def test_classical_cyclic_modules(field, name):
                      *ref_cyc_coalgebra(h.coalgebra, N))
 
 
+def fill_by_conjugation(x, d0, s0):
+    """Populate all faces/degeneracies from (d_0, s_0) and tau.
+
+    Chain: the j-th map is tau^j m tau^-j; cochain: tau^-j m tau^j.  Each
+    is the previous one conjugated once more, so no power is formed.
+    """
+    chain = x.orientation == cyclic.CHAIN
+    for out, maps, indices, shift in (
+            (x.faces, d0, x.face_indices, x.step),
+            (x.degeneracies, s0, x.degeneracy_indices, -x.step)):
+        for n, m in maps.items():
+            tgt = n + shift
+            for j in indices(n):
+                if j:
+                    m = (x.tau(tgt) * m * x.tau_inv(n) if chain
+                         else x.tau_inv(tgt) * m * x.tau(n))
+                out[(n, j)] = m
+
+
 def _same_conjugated(x, taus, d0, s0):
     """x has the given tau, and the faces and degeneracies that d_0 and s_0
-    give under the shared conjugation."""
+    give under the conjugation."""
     _same(x.cyclic, taus)
     ref = cyclic.ParaCyclicModule(x.field, x.orientation, x.spaces, {}, {}, taus)
-    cyclic._fill_by_conjugation(ref, d0, s0)
+    fill_by_conjugation(ref, d0, s0)
     _same(x.faces, ref.faces)
     _same(x.degeneracies, ref.degeneracies)
 

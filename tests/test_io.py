@@ -128,6 +128,9 @@ MALFORMED = [
     ("hopf-kz2.json", "unit", [[0, 1]], "short row"),
     ("hopf-kz2.json", "antipode", [[0, 5, 1, 1]], "antipode out of range"),
     ("hopf-kz2.json", "mul", [[5, 0, 0, 1, 1]], "mul index out of range"),
+    # a second row for g.g would silently replace the first
+    ("hopf-kz2.json", "mul", [[0, 0, 0, 1, 1], [0, 1, 1, 1, 1], [1, 0, 1, 1, 1],
+                              [1, 1, 0, 5, 1], [1, 1, 0, 1, 1]], "repeated index"),
     ("modcomodule-trivial-kz2.json", "dim", "two", "dim not an integer"),
 ]
 
