@@ -103,10 +103,7 @@ def cmd_check(args):
             print("%-44s PARSE ERROR: %s" % (path, e))
             return EXIT_USAGE, {"ok": False, "error": str(e)}
     for name, obj in objs:
-        if isinstance(obj, hio.TraceVector):
-            report = []
-        else:
-            report = check_structure(obj)
+        report = check_structure(obj)
         status = "ok" if not report else "; ".join(report)
         ok = ok and not report
         details.append({"input": name, "kind": type(obj).__name__,
@@ -268,8 +265,7 @@ def cmd_char_map(args):
     details = []
     for i, cls in enumerate(classes):
         try:
-            out = cm_char_map(trace, pairing, cls, alpha_mor=am,
-                              buffer=args.buffer)
+            out = cm_char_map(trace, pairing, cls, alpha_mor=am)
         except AgreementFailure as e:
             print("cocycle %d: AGREEMENT FAILURE: %s" % (i, e))
             return EXIT_FAIL, {"ok": False, "error": str(e)}
@@ -316,8 +312,7 @@ def cmd_pair(args):
         classes = cyclic_cocycles(am.target.meta["x"], p)
         for i, cls in enumerate(classes):
             via_cup = cup_with_trace(cls, trace, am)
-            via_gamma = cm_char_map(trace, pairing, cls, alpha_mor=am,
-                                    buffer=args.buffer)
+            via_gamma = cm_char_map(trace, pairing, cls, alpha_mor=am)
             same = via_cup == via_gamma
             print("class %d: cup == char-map: %s" % (i, same))
             if not same:

@@ -394,7 +394,7 @@ def _cover(x, base, m, N, orientation):
     t = ParaCyclicModule(f, orientation, spaces, {}, {}, taus, h_action=h_action,
                          hopf=hopf, name="T(%s,%s)" % (x.name or what[0].upper(),
                                                        m.name or "M"),
-                         meta={"kind": "cover_" + what, "m_dim": dm, "mod": m})
+                         meta={"kind": "cover_" + what, "m_dim": dm})
     _fill_from_slots(t, *_slot_maps(base, spaces))
     return t
 
@@ -687,17 +687,18 @@ def _colinear_subspace(field, hopf, mod, rho_x):
     return Matrix.lincomb(terms).kernel_basis()
 
 
-def _restrict(image, sub, tag):
+def _restrict(image, sub, basis, tag):
     """The columns of image, a matrix into sub's ambient space, in sub's
-    basis: the rows of image at sub's pivots.  The basis is reduced (1 at
-    its own pivot, 0 at the others), so a column lies in sub iff it is the
-    basis combination of its entries there; one product certifies every
-    column, and DescentFailure names tag if one lies outside."""
+    basis (basis, its basis matrix): the rows of image at sub's pivots.
+    The basis is reduced (1 at its own pivot, 0 at the others), so a
+    column lies in sub iff it is the basis combination of its entries
+    there; one product certifies every column, and DescentFailure names
+    tag if one lies outside."""
     a, d = image.lift
     rows = {p: i for i, p in enumerate(sub.pivots)}
     coords = Matrix(sub.field, sub.dim, image.cols, lift=sub.field.normalize(
         {(rows[i], j): x for (i, j), x in a.items() if i in rows}, d))
-    if sub.basis_matrix() * coords != image:
+    if basis * coords != image:
         raise DescentFailure("%s leaves the colinear subspace" % tag)
     return coords
 
@@ -733,18 +734,17 @@ def _hom_module(field, hopf, mod, base, N, orientation, name):
         # G(x) = sum_h h (x) u_h(x); tau f = sum_h L_h o f o u_h
         tau = Matrix.lincomb([(1, lh.kron(uh))
                               for lh, uh in zip(lm, column_blocks(g.transpose(), dh))])
-        taus[n] = _restrict(tau * bases[n], subs[n], "tau_%d" % n)
+        taus[n] = _restrict(tau * bases[n], subs[n], bases[n], "tau_%d" % n)
     x = ParaCyclicModule(field, orientation, {n: subs[n].dim for n in subs}, {},
                          {}, taus, hopf=hopf, name=name,
-                         meta={"kind": "colinear_hom", "sub": subs, "mod": mod,
-                               "m_dim": dm})
+                         meta={"kind": "colinear_hom", "sub": subs})
 
     def precompose(slot_map, shift, sym):
         def build(n, j):
             # f |-> f o p with p = slot_map(tgt, j): B^{(x)tgt+1} -> B^{(x)n+1}
             tgt = n + shift
             op = Matrix.identity(field, dm).kron(slot_map(tgt, j).transpose())
-            return _restrict(op * bases[n], subs[tgt],
+            return _restrict(op * bases[n], subs[tgt], bases[tgt],
                              "%s_%d at %d" % (sym, j, n))
         return build
 

@@ -1,16 +1,18 @@
 """Structure-constant files: exact parsing and deterministic serialization.
 
-A file is a JSON document with a `kind` field selecting the structure
-(hopf, algebra, module-algebra, module-coalgebra, comodule-algebra,
-comodule-coalgebra, modcomodule, pairing, trace), a `field` tag ("Q" or
-a prime), basis labels, and sparse tensors stored as entry lists
-[indices..., numerator, denominator].  Serialization is canonical
-(sorted keys, sorted entries) so round-trips are byte-identical.
+A file is a JSON document with a `kind` field selecting the structure, a
+`field` tag ("Q" or a prime), basis labels, and sparse tensors stored as
+entry lists [indices..., numerator, denominator].  The kinds are hopf,
+algebra, modcomodule, pairing and the four actor kinds: a module or a
+comodule (the side, an `action` or a `coaction` table) over an algebra or
+a coalgebra (the base).  One table, ACTORS, reads and writes all four.
+Serialization is canonical (sorted keys, sorted entries) so round-trips
+are byte-identical.
 """
 
 import json
-from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .fields import QQ, GF
 from .hopf import (AlgebraData, CoalgebraData, HopfAlgebraData,
@@ -28,13 +30,20 @@ class ValidationError(Exception):
     pass
 
 
-KINDS = ("hopf", "algebra", "module-algebra", "module-coalgebra",
-         "comodule-algebra", "comodule-coalgebra", "modcomodule",
-         "pairing", "trace")
-
-
-def _field_tag(field):
-    return "Q" if field is QQ or getattr(field, "p", None) is None else field.p
+# a base's class, its table and its vector
+BASES = {"algebra": (AlgebraData, "mul", "unit"),
+         "coalgebra": (CoalgebraData, "comul", "counit")}
+# an actor kind's class, base and side
+ACTORS = {"module-algebra": (ModuleAlgebra, "algebra", "action"),
+          "module-coalgebra": (ModuleCoalgebra, "coalgebra", "action"),
+          "comodule-algebra": (ComoduleAlgebra, "algebra", "coaction"),
+          "comodule-coalgebra": (ComoduleCoalgebra, "coalgebra", "coaction")}
+# a table's outer and inner indices: d ranges over the structure's own
+# basis, h over its Hopf algebra's; a vector has no inner indices
+SHAPES = {"mul": ("dd", "d"), "unit": ("d", ""),
+          "comul": ("d", "dd"), "counit": ("d", ""),
+          "action": ("hd", "d"), "coaction": ("d", "hd")}
+KINDS = ("hopf", "algebra", *ACTORS, "modcomodule", "pairing")
 
 
 def _field_from_tag(tag, what):
@@ -54,46 +63,12 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _num_den(field, v):
-    if field is QQ or getattr(field, "p", None) is None:
-        fr = Fraction(v)
-        return fr.numerator, fr.denominator
-    return int(v), 1
-
-
-def _value(field, num, den):
-    if field is QQ or getattr(field, "p", None) is None:
-        return Fraction(num, den)
-    p = field.p
-    d = den % p
-    if d == 0:
-        raise ParseError("denominator %d is zero mod %d" % (den, p))
-    return (num % p) * pow(d, p - 2, p) % p
-
-
-def _entries_from_vec(field, vec):
-    return sorted([int(i)] + list(_num_den(field, v)) for i, v in vec.items())
-
-
-def _entries_from_keyed(field, mapping, outer_arity):
-    """mapping: outer-key (int or tuple) -> {inner-key (int or tuple): value}."""
-    rows = []
-    for outer, inner in mapping.items():
-        ok = outer if isinstance(outer, tuple) else (outer,)
-        if len(ok) != outer_arity:
-            raise ValueError("outer key arity mismatch")
-        for ik, v in inner.items():
-            it = ik if isinstance(ik, tuple) else (ik,)
-            rows.append(list(ok) + list(it) + list(_num_den(field, v)))
-    return sorted(rows)
-
-
 def _read_rows(field, rows, bounds, what):
     """{index tuple: value} from entry rows [i_1, ..., i_k, num, den].
 
-    bounds[t] is the size of the basis index t ranges over (None: any
-    index >= 0).  A malformed row, or one repeating an earlier row's
-    indices, raises ParseError naming it.
+    bounds[t] is the size of the basis index t ranges over.  A malformed
+    row, or one repeating an earlier row's indices, raises ParseError
+    naming it.
     """
     if not isinstance(rows, list):
         raise ParseError("%s: expected a list of entries, got %r" % (what, rows))
@@ -103,8 +78,7 @@ def _read_rows(field, rows, bounds, what):
             raise ParseError("%s entry %r: expected %d indices, a numerator "
                              "and a denominator" % (what, row, len(bounds)))
         *idx, num, den = row
-        if not all(_is_int(i) and 0 <= i and (b is None or i < b)
-                   for i, b in zip(idx, bounds)):
+        if not all(_is_int(i) and 0 <= i < b for i, b in zip(idx, bounds)):
             raise ParseError("%s entry %r: indices must be integers in %s"
                              % (what, row, bounds))
         if not (_is_int(num) and _is_int(den)) or den == 0:
@@ -113,25 +87,29 @@ def _read_rows(field, rows, bounds, what):
         if tuple(idx) in out:
             raise ParseError("%s entry %r: indices %s repeat an earlier entry"
                              % (what, row, idx))
-        out[tuple(idx)] = _value(field, num, den)
+        try:
+            out[tuple(idx)] = field(num, den)
+        except ZeroDivisionError:
+            raise ParseError("%s entry %r: denominator %d is zero mod %d"
+                             % (what, row, den, field.p))
     return out
 
 
-def _vector(field, rows, dim, what):
-    return {i: v for (i,), v in _read_rows(field, rows, [dim], what).items()}
-
-
 def _keyed(field, rows, outer, inner, what):
-    """{outer key: {inner key: value}} with every outer key present.
+    """{outer key: {inner key: value}} with every outer key present, or
+    with no inner indices the vector {outer key: value}.
 
     A key with a single index is a bare int, otherwise a tuple.
     """
     def key(idx):
         return idx[0] if len(idx) == 1 else idx
 
+    entries = _read_rows(field, rows, outer + inner, what)
+    if not inner:
+        return {key(idx): v for idx, v in entries.items()}
     k = len(outer)
     out = {key(o): {} for o in product(*map(range, outer))}
-    for idx, v in _read_rows(field, rows, outer + inner, what).items():
+    for idx, v in entries.items():
         out[key(idx[:k])][key(idx[k:])] = v
     return out
 
@@ -140,90 +118,54 @@ def _keyed(field, rows, outer, inner, what):
 # documents from objects
 
 
-def _algebra_doc(a):
-    return {
-        "basis": list(a.labels),
-        "mul": _entries_from_keyed(a.field, a.mul, 2),
-        "unit": _entries_from_vec(a.field, a.unit),
-    }
+def _rows(field, table):
+    """The sorted rows [indices..., num, den] of a vector {i: v}, a
+    matrix's entries {(i, j): v} or a table {outer: {inner: v}}, each key
+    an int or a tuple."""
+    def key(k):
+        return k if isinstance(k, tuple) else (k,)
+
+    flat = {}
+    for k, v in table.items():
+        if isinstance(v, dict):
+            flat.update((key(k) + key(i), w) for i, w in v.items())
+        else:
+            flat[key(k)] = v
+    ints, d = field.integral(flat)
+    return sorted([*k, x // (g := gcd(x, d)), d // g] for k, x in ints.items())
 
 
-def _coalgebra_doc(c):
-    return {
-        "basis": list(c.labels),
-        "comul": _entries_from_keyed(c.field, c.comul, 1),
-        "counit": _entries_from_vec(c.field, c.counit),
-    }
-
-
-def _matrix_entries(field, mat):
-    return sorted([int(i), int(j)] + list(_num_den(field, v))
-                  for (i, j), v in mat.entries.items())
+def _base_doc(obj, base):
+    _, table, vector = BASES[base]
+    return {"basis": list(obj.labels),
+            table: _rows(obj.field, getattr(obj, table)),
+            vector: _rows(obj.field, getattr(obj, vector))}
 
 
 def to_document(obj):
+    f = obj.field
+    doc = {"field": "Q" if f == QQ else f.p,
+           "name": getattr(obj, "name", None) or ""}
     if isinstance(obj, HopfAlgebraData):
-        doc = {"kind": "hopf", "field": _field_tag(obj.field),
-               "name": obj.name or ""}
-        doc.update(_algebra_doc(obj.algebra))
-        cd = _coalgebra_doc(obj.coalgebra)
-        doc["comul"], doc["counit"] = cd["comul"], cd["counit"]
-        doc["antipode"] = _matrix_entries(obj.field, obj.antipode)
+        doc.update(_base_doc(obj.coalgebra, "coalgebra"))
+        doc.update(_base_doc(obj.algebra, "algebra"), kind="hopf",
+                   antipode=_rows(f, obj.antipode.entries))
         return doc
     if isinstance(obj, AlgebraData):
-        doc = {"kind": "algebra", "field": _field_tag(obj.field), "name": ""}
-        doc.update(_algebra_doc(obj))
-        return doc
-    if isinstance(obj, ModuleAlgebra):
-        doc = {"kind": "module-algebra", "field": _field_tag(obj.field),
-               "name": obj.name or "", "hopf": to_document(obj.hopf)}
-        doc.update(_algebra_doc(obj.algebra))
-        doc["action"] = _entries_from_keyed(obj.field, obj.action, 2)
-        return doc
-    if isinstance(obj, ModuleCoalgebra):
-        doc = {"kind": "module-coalgebra", "field": _field_tag(obj.field),
-               "name": obj.name or "", "hopf": to_document(obj.hopf)}
-        doc.update(_coalgebra_doc(obj.coalgebra))
-        doc["action"] = _entries_from_keyed(obj.field, obj.action, 2)
-        return doc
-    if isinstance(obj, ComoduleAlgebra):
-        doc = {"kind": "comodule-algebra", "field": _field_tag(obj.field),
-               "name": obj.name or "", "hopf": to_document(obj.hopf)}
-        doc.update(_algebra_doc(obj.algebra))
-        doc["coaction"] = _entries_from_keyed(obj.field, obj.coaction, 1)
-        return doc
-    if isinstance(obj, ComoduleCoalgebra):
-        doc = {"kind": "comodule-coalgebra", "field": _field_tag(obj.field),
-               "name": obj.name or "", "hopf": to_document(obj.hopf)}
-        doc.update(_coalgebra_doc(obj.coalgebra))
-        doc["coaction"] = _entries_from_keyed(obj.field, obj.coaction, 1)
-        return doc
+        return dict(doc, kind="algebra", **_base_doc(obj, "algebra"))
     if isinstance(obj, ModComodule):
-        return {"kind": "modcomodule", "field": _field_tag(obj.field),
-                "name": obj.name or "", "hopf": to_document(obj.hopf),
-                "dim": obj.dim,
-                "action": _entries_from_keyed(obj.field, obj.action, 2),
-                "coaction": _entries_from_keyed(obj.field, obj.coaction, 1)}
+        return dict(doc, kind="modcomodule", hopf=to_document(obj.hopf),
+                    dim=obj.dim, action=_rows(f, obj.action),
+                    coaction=_rows(f, obj.coaction))
     if isinstance(obj, EquivariantPairing):
-        return {"kind": "pairing", "field": _field_tag(obj.field),
-                "name": obj.name or "",
-                "coalgebra_side": to_document(obj.coalg),
-                "algebra_side": to_document(obj.alg),
-                "phi": _entries_from_keyed(obj.field, obj.phi, 2)}
-    if isinstance(obj, TraceVector):
-        return {"kind": "trace", "field": _field_tag(obj.field),
-                "name": obj.name or "",
-                "entries": _entries_from_vec(obj.field, obj.entries)}
+        return dict(doc, kind="pairing", coalgebra_side=to_document(obj.coalg),
+                    algebra_side=to_document(obj.alg), phi=_rows(f, obj.phi))
+    for kind, (cls, base, side) in ACTORS.items():
+        if isinstance(obj, cls):
+            return dict(doc, kind=kind, hopf=to_document(obj.hopf),
+                        **_base_doc(getattr(obj, base), base),
+                        **{side: _rows(f, getattr(obj, side))})
     raise TypeError("cannot serialize %r" % type(obj).__name__)
-
-
-class TraceVector:
-    """A covector on a degree-0 space, as read from a trace file."""
-
-    def __init__(self, field, entries, name=None):
-        self.field = field
-        self.entries = dict(entries)
-        self.name = name
 
 
 def serialize(obj):
@@ -252,31 +194,20 @@ def _basis(doc, what):
     return [str(b) for b in basis]
 
 
-def _parse_algebra(field, doc, what):
+def _table(field, doc, key, what, d, dh=None):
+    """doc[key] in the shape SHAPES[key], d the size of the structure's
+    basis and dh that of its Hopf algebra's."""
+    size = {"d": d, "h": dh}
+    outer, inner = ([size[c] for c in part] for part in SHAPES[key])
+    return _keyed(field, _need(doc, key, what), outer, inner, what + "." + key)
+
+
+def _parse_base(field, doc, base, what):
+    cls, table, vector = BASES[base]
     labels = _basis(doc, what)
-    dim = len(labels)
-    mul = _keyed(field, _need(doc, "mul", what), [dim, dim], [dim], what + ".mul")
-    unit = _vector(field, _need(doc, "unit", what), dim, what + ".unit")
-    return AlgebraData(field, dim, mul, unit, labels=labels)
-
-
-def _parse_coalgebra(field, doc, what):
-    labels = _basis(doc, what)
-    dim = len(labels)
-    comul = _keyed(field, _need(doc, "comul", what), [dim], [dim, dim],
-                   what + ".comul")
-    counit = _vector(field, _need(doc, "counit", what), dim, what + ".counit")
-    return CoalgebraData(field, dim, comul, counit, labels=labels)
-
-
-def _parse_action(field, doc, hopf_dim, dim, what):
-    return _keyed(field, _need(doc, "action", what), [hopf_dim, dim], [dim],
-                  what + ".action")
-
-
-def _parse_coaction(field, doc, hopf_dim, dim, what):
-    return _keyed(field, _need(doc, "coaction", what), [dim], [hopf_dim, dim],
-                  what + ".coaction")
+    d = len(labels)
+    return cls(field, d, _table(field, doc, table, what, d),
+               _table(field, doc, vector, what, d), labels=labels)
 
 
 def _nested(doc, key, field, what):
@@ -297,10 +228,6 @@ def parse_document(doc, what="input"):
                          % (what, kind, ", ".join(KINDS)))
     field = _field_from_tag(_need(doc, "field", what), what)
     name = doc.get("name") or None
-    if kind == "trace":
-        return TraceVector(field, _vector(
-            field, _need(doc, "entries", what), None, what + ".entries"),
-            name=name)
     if kind == "pairing":
         mc = _nested(doc, "coalgebra_side", field, what)
         ma = _nested(doc, "algebra_side", field, what)
@@ -314,10 +241,10 @@ def parse_document(doc, what="input"):
         except HopfMismatch as e:
             raise ValidationError("%s: %s" % (what, e))
     if kind == "algebra":
-        return _parse_algebra(field, doc, what)
+        return _parse_base(field, doc, "algebra", what)
     if kind == "hopf":
-        alg = _parse_algebra(field, doc, what)
-        co = _parse_coalgebra(field, doc, what)
+        alg = _parse_base(field, doc, "algebra", what)
+        co = _parse_base(field, doc, "coalgebra", what)
         s = _read_rows(field, _need(doc, "antipode", what), [alg.dim, alg.dim],
                        what + ".antipode")
         try:
@@ -334,29 +261,13 @@ def parse_document(doc, what="input"):
             raise ParseError("%s: dim must be a positive integer, got %r"
                              % (what, dim))
         return ModComodule(hopf, dim,
-                           _parse_action(field, doc, hopf.dim, dim, what),
-                           _parse_coaction(field, doc, hopf.dim, dim, what),
+                           _table(field, doc, "action", what, dim, hopf.dim),
+                           _table(field, doc, "coaction", what, dim, hopf.dim),
                            name=name)
-    if kind == "module-algebra":
-        alg = _parse_algebra(field, doc, what)
-        return ModuleAlgebra(hopf, alg,
-                             _parse_action(field, doc, hopf.dim, alg.dim, what),
-                             name=name)
-    if kind == "module-coalgebra":
-        co = _parse_coalgebra(field, doc, what)
-        return ModuleCoalgebra(hopf, co,
-                               _parse_action(field, doc, hopf.dim, co.dim, what),
-                               name=name)
-    if kind == "comodule-algebra":
-        alg = _parse_algebra(field, doc, what)
-        return ComoduleAlgebra(hopf, alg,
-                               _parse_coaction(field, doc, hopf.dim, alg.dim,
-                                               what),
-                               name=name)
-    co = _parse_coalgebra(field, doc, what)
-    return ComoduleCoalgebra(hopf, co,
-                             _parse_coaction(field, doc, hopf.dim, co.dim, what),
-                             name=name)
+    cls, base, side = ACTORS[kind]
+    b = _parse_base(field, doc, base, what)
+    return cls(hopf, b, _table(field, doc, side, what, b.dim, hopf.dim),
+               name=name)
 
 
 def parse_string(text, what="input", validate=True):
@@ -366,7 +277,7 @@ def parse_string(text, what="input", validate=True):
         raise ParseError("%s: line %d column %d: %s"
                          % (what, e.lineno, e.colno, e.msg))
     obj = parse_document(doc, what)
-    if validate and not isinstance(obj, TraceVector):
+    if validate:
         report = check_structure(obj)
         if report:
             raise ValidationError("%s: %s" % (what, "; ".join(report)))

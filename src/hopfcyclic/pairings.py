@@ -410,7 +410,9 @@ def star(zc, zc2, m, m2, N):
         pair = permute(u.meta["sub"][n].basis_matrix().kron(
             v.meta["sub"][n].basis_matrix()), dims, order)
         full = slot(pim, 1, (dz * dz2) ** (n + 1)) * pair
-        maps[n] = _restrict(full, tgt.meta["sub"][n], "star at degree %d" % n)
+        sub = tgt.meta["sub"][n]
+        maps[n] = _restrict(full, sub, sub.basis_matrix(),
+                            "star at degree %d" % n)
     return ModuleMorphism(diag_tensor(u, v), tgt, maps, name="star")
 
 
@@ -502,7 +504,7 @@ def crossed_cocup_with_invariant(cls, g0, xi_mor):
                                name="cocup(%s)" % (cls.name or "class"))
 
 
-def cm_char_map(trace, pairing, cls, alpha_mor=None, buffer=2):
+def cm_char_map(trace, pairing, cls, alpha_mor):
     """The trace characteristic map, computed twice and compared.
 
     Route one evaluates the defining formula directly: the class is lifted
@@ -514,11 +516,6 @@ def cm_char_map(trace, pairing, cls, alpha_mor=None, buffer=2):
         raise NotCocycle("cm_char_map needs a single-degree representative")
     p = cls.degree
     x_mod = cls.total.module
-    y_mod = trace.complex
-    if alpha_mor is None:
-        yt, _, _ = _tower(y_mod)
-        alpha_mor = alpha(pairing, yt.meta["mod"], min(x_mod.N, y_mod.N),
-                          x_mod=x_mod, y_mod=y_mod, buffer=buffer)
     f = pairing.field
     # route two: pullback of the evaluation covector
     cov = evaluation_covector(alpha_mor.target, p, trace.extended(p),

@@ -75,8 +75,11 @@ def test_malformed_json_reports_position():
 
 
 def test_unknown_kind_and_missing_fields():
-    with pytest.raises(ParseError):
-        parse_string(json.dumps({"kind": "widget", "field": "Q"}))
+    # no command reads a covector file, so `trace` is not a kind
+    for kind in ("widget", "trace"):
+        with pytest.raises(ParseError, match="unknown kind %r" % kind):
+            parse_string(json.dumps({"kind": kind, "field": "Q",
+                                     "entries": [[0, 1, 1]]}))
     with pytest.raises(ParseError):
         parse_string(json.dumps({"kind": "algebra", "field": "Q"}))
 
@@ -116,6 +119,26 @@ def _fixture_doc(name):
         return json.load(fh)
 
 
+BENCH_INPUTS = os.path.join(os.path.dirname(FIXTURES), "bench", "inputs")
+SHIPPED = [os.path.join(d, n) for d in (FIXTURES, BENCH_INPUTS)
+           for n in sorted(os.listdir(d))]
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+def test_every_shipped_file_reserializes_to_its_own_bytes(path):
+    with open(path) as fh:
+        text = fh.read()
+    assert serialize(parse_input(path, validate=False)) == text
+
+
+def test_the_fixture_library_serializes_to_the_committed_fixtures():
+    library = fixture_library(QQ)
+    assert sorted(name for name, _ in library) == sorted(os.listdir(FIXTURES))
+    for name, obj in library:
+        with open(os.path.join(FIXTURES, name)) as fh:
+            assert serialize(obj) == fh.read(), name
+
+
 MALFORMED = [
     # (fixture, key, replacement, reason)
     ("hopf-kz2.json", "unit", [[0, 1, 0]], "zero denominator"),
@@ -143,6 +166,16 @@ def test_malformed_entries_are_parse_errors(name, key, value, reason):
     with pytest.raises(ParseError) as err:
         parse_string(json.dumps(doc), what="doc")
     assert str(err.value).startswith("doc")
+
+
+def test_a_denominator_zero_mod_p_names_the_path_and_the_entry():
+    doc = _fixture_doc("hopf-kz2.json")
+    doc["field"] = 7
+    doc["unit"] = [[0, 1, 7]]
+    with pytest.raises(ParseError) as err:
+        parse_string(json.dumps(doc), what="doc")
+    assert str(err.value) == ("doc.unit entry [0, 1, 7]: denominator 7 is "
+                              "zero mod 7")
 
 
 def test_nested_document_over_another_field_is_a_parse_error():
