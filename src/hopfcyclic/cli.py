@@ -7,6 +7,7 @@ input could not be parsed or validated.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -389,6 +390,7 @@ def cmd_fixtures(args):
 # argument parsing
 
 
+@functools.cache   # built on the first main call, then reused
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field",

@@ -20,11 +20,18 @@ Matrix composites of m, u, Delta, eps, S, S^-1, the actions and the
 coactions, tensored with tensors.slot and reordered with tensors.permute.
 Everything is verified after the fact by check_axioms; nothing relies on
 the conventions being right silently.
+
+Each structure map is built on its first read (linalg.LazyMatrices), and
+truncate and transpose_module build nothing, so a table through degree
+nmax builds no map of X_{nmax+2} or above.  What reads every map builds
+it: check_axioms, compute_J's certificates, _descend, cyclic_dual, diag_*.
 """
 
 import warnings
+from functools import partial
+from weakref import proxy
 
-from .linalg import (Matrix, Subspace, ShapeMismatch, SingularMatrix,
+from .linalg import (Matrix, LazyMatrices, Subspace, ShapeMismatch, SingularMatrix,
                      CertificateFailure, quotient_space, operator_closure)
 from .tensors import permute, slot, column_blocks
 from .hopf import (ModuleCoalgebra, CompatibilityFailure, check_sayd,
@@ -56,7 +63,8 @@ class ParaCyclicModule:
     """Truncated graded module with explicit structure matrices.
 
     spaces: degree -> dimension, degrees 0..N contiguous.
-    faces/degeneracies keyed by (source_degree, index); cyclic by degree.
+    faces/degeneracies keyed by (source_degree, index); cyclic by degree;
+    each a LazyMatrices of Matrix or builder entries, built on first read.
     h_action, when present, is keyed by (degree, hopf_basis_index).
     tau_inv forms tau_n^-1 on each call: nothing is cached.
     """
@@ -69,9 +77,9 @@ class ParaCyclicModule:
         self.orientation = orientation
         self.spaces = dict(spaces)
         self.N = max(self.spaces)
-        self.faces = dict(faces)
-        self.degeneracies = dict(degeneracies)
-        self.cyclic = dict(cyclic_ops)
+        self.faces = LazyMatrices(faces)
+        self.degeneracies = LazyMatrices(degeneracies)
+        self.cyclic = LazyMatrices(cyclic_ops)
         self.h_action = dict(h_action) if h_action else None
         self.hopf = hopf
         self.name = name
@@ -173,11 +181,14 @@ def transpose_module(x):
     Exchanges the chain and cochain orientations with identical indexing.
     """
     orient = COCHAIN if x.orientation == CHAIN else CHAIN
+
+    def dual(maps, key):
+        return lambda: maps[key].transpose()
     # d_j: X_n -> X_{n+step} transposes to a map X*_{n+step} -> X*_n
-    faces = {(n + x.step, j): m.transpose() for (n, j), m in x.faces.items()}
-    degs = {(n - x.step, i): m.transpose()
-            for (n, i), m in x.degeneracies.items()}
-    taus = {n: m.transpose() for n, m in x.cyclic.items()}
+    faces = {(n + x.step, j): dual(x.faces, (n, j)) for n, j in x.faces}
+    degs = {(n - x.step, i): dual(x.degeneracies, (n, i))
+            for n, i in x.degeneracies}
+    taus = {n: dual(x.cyclic, n) for n in x.cyclic}
     return ParaCyclicModule(x.field, orient, dict(x.spaces), faces, degs, taus,
                             name="dual*(%s)" % (x.name or "X"))
 
@@ -297,51 +308,48 @@ def _slot_maps(base, spaces):
 
 
 def _fill_from_slots(x, face, degen):
-    """Populate every face and degeneracy of x from the builders face(n, j)
-    and degen(n, j), except the wrap-around face, which goes through tau:
-    d_n = d_0 tau_n (chain), d^{n+1} = tau_{n+1} d^0 (cochain).  No tau^-1
-    is formed."""
+    """Register every face and degeneracy of x, each built on its first
+    read: face(n, j) and degen(n, j), except the wrap-around face, which
+    reads d_0 and tau (d_n = d_0 tau_n, d^{n+1} = tau_{n+1} d^0; no tau^-1)
+    from x.faces held weakly, so an unread one makes no reference cycle."""
+    faces, taus, chain = proxy(x.faces), x.cyclic, x.orientation == CHAIN
+
+    def wrap(n):
+        return faces[n, 0] * taus[n] if chain else taus[n + 1] * faces[n, 0]
+
     for n in x.spaces:
         js = x.face_indices(n)
-        x.faces.update({(n, j): face(n, j) for j in js[:-1]})
+        x.faces.update({(n, j): partial(face, n, j) for j in js[:-1]})
         if js:
-            d0 = x.faces[n, 0]
-            x.faces[n, js[-1]] = (d0 * x.tau(n) if x.orientation == CHAIN
-                                  else x.tau(n + 1) * d0)
-        x.degeneracies.update({(n, j): degen(n, j)
+            x.faces[n, js[-1]] = partial(wrap, n)
+        x.degeneracies.update({(n, j): partial(degen, n, j)
                                for j in x.degeneracy_indices(n)})
+
+
+def _classical(base, N, orientation, name):
+    """Cyc of an algebra (chain) or a coalgebra (cochain) on base^{(x)n+1};
+    tau moves the last slot to the front (chain) or the first to the end."""
+    f, d, chain = base.field, base.dim, orientation == CHAIN
+    spaces = {n: d ** (n + 1) for n in range(N + 1)}
+
+    def tau(n):
+        order = (n,) + tuple(range(n)) if chain else tuple(range(1, n + 1)) + (0,)
+        return permute(Matrix.identity(f, spaces[n]), [d] * (n + 1), order)
+    x = ParaCyclicModule(f, orientation, spaces, {}, {},
+                         {n: partial(tau, n) for n in spaces}, name=name,
+                         meta={"kind": "cyc_algebra" if chain else "cyc_coalgebra"})
+    _fill_from_slots(x, *_slot_maps(base, spaces))
+    return x
 
 
 def cyc_algebra(a, N):
     """Classical cyclic module of a unital associative algebra."""
-    f = a.field
-    d = a.dim
-    spaces = {n: d ** (n + 1) for n in range(N + 1)}
-    # tau moves the last slot to the front
-    taus = {n: permute(Matrix.identity(f, dim), [d] * (n + 1),
-                       (n,) + tuple(range(n)))
-            for n, dim in spaces.items()}
-    x = ParaCyclicModule(f, CHAIN, spaces, {}, {}, taus,
-                         name="Cyc(%s)" % getattr(a, "labels", ["A"])[0],
-                         meta={"kind": "cyc_algebra"})
-    _fill_from_slots(x, *_slot_maps(a, spaces))
-    return x
+    return _classical(a, N, CHAIN, "Cyc(%s)" % getattr(a, "labels", ["A"])[0])
 
 
 def cyc_coalgebra(c, N):
     """Classical cocyclic module of a counital coassociative coalgebra."""
-    f = c.field
-    d = c.dim
-    spaces = {n: d ** (n + 1) for n in range(N + 1)}
-    # tau moves the first slot to the end
-    taus = {n: permute(Matrix.identity(f, dim), [d] * (n + 1),
-                       tuple(range(1, n + 1)) + (0,))
-            for n, dim in spaces.items()}
-    x = ParaCyclicModule(f, COCHAIN, spaces, {}, {}, taus,
-                         name="Cyc(coalgebra)",
-                         meta={"kind": "cyc_coalgebra"})
-    _fill_from_slots(x, *_slot_maps(c, spaces))
-    return x
+    return _classical(c, N, COCHAIN, "Cyc(coalgebra)")
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +422,14 @@ def cover_algebra(a, m, N):
 
 
 def truncate(x, N):
-    """Restriction of a module to degrees 0..N."""
+    """Restriction of a module to degrees 0..N.  Each map is read from x on
+    its first read, so the two share one Matrix per entry."""
+    def read(maps, shift):   # the maps with source and target in 0..N
+        return {k: partial(maps.__getitem__, k) for k in maps
+                if max(k[0], k[0] + shift) <= N}
     spaces = {n: d for n, d in x.spaces.items() if n <= N}
-    faces = {(n, j): m for (n, j), m in x.faces.items()
-             if n <= N and n + x.step <= N}
-    degs = {(n, i): m for (n, i), m in x.degeneracies.items()
-            if n <= N and n - x.step <= N}
-    taus = {n: m for n, m in x.cyclic.items() if n <= N}
+    faces, degs = read(x.faces, x.step), read(x.degeneracies, -x.step)
+    taus = {n: partial(x.cyclic.__getitem__, n) for n in x.cyclic if n <= N}
     ha = None
     if x.h_action:
         ha = {(n, h): m for (n, h), m in x.h_action.items() if n <= N}
@@ -476,10 +485,10 @@ def compute_J(t, buffer=2):
             comms[n, h] = [c for c in cols if c[0]]
 
     def closure(mod):
-        ops = [(n, n + shift, m)
+        ops = [(n, n + shift, maps[n, j])
                for maps, shift in ((mod.faces, mod.step),
                                    (mod.degeneracies, -mod.step))
-               for (n, j), m in maps.items() if j == 0]
+               for n, j in maps if j == 0]
         ops += [(n, n, mod.tau(n)) for n in mod.spaces]
         seeds = {n: twists[n] + [c for g in gens for c in comms[n, g]]
                  for n in mod.spaces}
@@ -751,6 +760,8 @@ def _hom_module(field, hopf, mod, base, N, orientation, name):
     face, degen = _slot_maps(slots, {n: db ** (n + 1) for n in subs})
     _fill_from_slots(x, precompose(face, x.step, "d"),
                      precompose(degen, -x.step, "s"))
+    for maps in (x.faces, x.degeneracies):   # _restrict raises here, if at all
+        list(maps.values())
     return x
 
 

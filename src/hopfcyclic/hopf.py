@@ -508,8 +508,10 @@ def modular_pair_module(hopf, pair):
     """The 1-dimensional coefficient module k_(sigma,delta).
 
     Convention: h . 1 = delta(h) 1 and the coaction sends 1 to sigma (x) 1.
-    check_sayd decides afterwards whether the pair is in involution.
+    A pair that is not modular raises CompatibilityFailure naming the failed
+    identities; check_sayd decides afterwards whether it is in involution.
     """
+    raise_failures(CompatibilityFailure, check_modular_pair(hopf, pair))
     f = hopf.field
     action = {}
     for h in range(hopf.dim):

@@ -11,7 +11,8 @@ builds a field element: the Matrix constructor takes them,
 `Matrix.apply` answers in the form its vector was given, a dict of field
 elements or a lift; `Subspace.contains` and `Subspace.add_vector` take
 either; `Matrix.rref`, `Subspace.reduce` and `Subspace.coordinates` take
-and give lifts only.  A Matrix is immutable from construction.
+and give lifts only.  A Matrix is immutable from construction;
+LazyMatrices holds Matrices by key, each built on its first read.
 
 Subspace is the one elimination engine: a fully reduced echelon basis of
 lifts plus a column index of the basis vectors nonzero in each non-pivot
@@ -27,6 +28,7 @@ names what failed and, unlike an assert statement, runs under python -O.
 
 from bisect import bisect_left
 from collections import deque
+from collections.abc import MutableMapping
 from math import lcm
 from types import MappingProxyType
 
@@ -280,6 +282,39 @@ class Matrix:
             if k:
                 base = base * base
         return Matrix.identity(self.field, self.rows) if out is None else out
+
+
+class LazyMatrices(MutableMapping):
+    """Matrices by key, each built on its first read: an entry is a Matrix
+    or a zero-argument builder, which that read runs and replaces by the
+    Matrix it returns.  Setting a key replaces its entry.  `in`, len and
+    iteration build nothing; values, items and get read, so they build."""
+
+    __slots__ = ("_entries", "__weakref__")
+
+    def __init__(self, entries):
+        self._entries = dict(entries)
+
+    def __getitem__(self, key):
+        m = self._entries[key]
+        if not isinstance(m, Matrix):
+            m = self._entries[key] = m()
+        return m
+
+    def __setitem__(self, key, m):
+        self._entries[key] = m
+
+    def __delitem__(self, key):
+        del self._entries[key]
+
+    def __contains__(self, key):
+        return key in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
 
 
 class Subspace:

@@ -394,3 +394,29 @@ def test_a_failed_j_certificate_exits_1(tmp_path, capsys, monkeypatch):
     err = "CertificateFailure: seed [L_2, tau] leaves J at degree 1"
     assert capsys.readouterr().err == err + "\n"
     assert json.loads(report.read_text()) == {"ok": False, "error": err}
+
+
+def test_main_runs_commands_in_a_row_as_fresh_processes(tmp_path):
+    # main builds its parser once and reuses it: a command run after another
+    # in one process writes the report a fresh process writes for it
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    src = str(root / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] \
+        if env.get("PYTHONPATH") else src
+    runs = [["cohomology", str(root / "fixtures" / "hopf-kz3.json"),
+             "--model", "mixed", "--degree", "3"],
+            ["compare", str(root / "fixtures" / "hopf-kz2.json"),
+             "--degree", "4"]]
+    for k, argv in enumerate(runs):
+        here, fresh = tmp_path / ("here-%d.json" % k), tmp_path / ("fresh-%d.json" % k)
+        assert main(argv + ["--output", str(here)]) == EXIT_OK
+        run = subprocess.run([sys.executable, "-m", "hopfcyclic.cli", *argv,
+                              "--output", str(fresh)], cwd=root, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == EXIT_OK, run.stderr
+        assert here.read_bytes() == fresh.read_bytes()

@@ -6,7 +6,8 @@ from hopfcyclic import (QQ, GF, Matrix, HopfAlgebraData, ModularPair,
                         check_structure, check_sayd, modular_pair_module,
                         trivial_modcomodule, crossed_product_algebra,
                         crossed_product_coalgebra, cotensor)
-from hopfcyclic.hopf import (check_hopf, check_modular_pair, check_equivariant,
+from hopfcyclic.hopf import (CompatibilityFailure, check_hopf,
+                             check_modular_pair, check_equivariant,
                              is_commutative, is_cocommutative,
                              is_symmetric_module, cotensor_is_submodule,
                              check_hypotheses, tensor_hopf,
@@ -75,6 +76,14 @@ def test_modular_pairs(kz2):
     # sigma must be group-like: 1 + g is not
     bad = ModularPair({0: f.one, 1: f.one}, {0: f.one, 1: f.one})
     assert any("group-like" in line for line in check_modular_pair(kz2, bad))
+
+
+def test_a_library_pair_that_is_not_modular_is_named(kz2):
+    # delta(g) = 0 is no character of kZ/2: delta(g)delta(g) != delta(1)
+    one = QQ.one
+    with pytest.raises(CompatibilityFailure,
+                       match=r"^modular pair: delta not multiplicative at \(1,1\)$"):
+        modular_pair_module(kz2, ModularPair({1: one}, {0: one}))
 
 
 def test_sayd_positive_fixtures(kz2, pair_triv, pair_g, sayd_reg):
