@@ -21,10 +21,15 @@ coactions, tensored with tensors.slot and reordered with tensors.permute.
 Everything is verified after the fact by check_axioms; nothing relies on
 the conventions being right silently.
 
-Each structure map is built on its first read (linalg.LazyMatrices), and
-truncate and transpose_module build nothing, so a table through degree
-nmax builds no map of X_{nmax+2} or above.  What reads every map builds
-it: check_axioms, compute_J's certificates, _descend, cyclic_dual, diag_*.
+Each structure map of every module here, the colinear-Hom complexes
+included, is built on its first read (linalg.LazyMatrices), and truncate
+and transpose_module build nothing, so a table through degree nmax
+builds no map of X_{nmax+2} or above.  What reads every map builds it:
+check_axioms, compute_J's certificates, _descend, cyclic_dual, diag_*.
+
+compute_J records one proved fact per map: the Matrix, J at its source
+and target, and their dimensions.  _descend trusts an entry only while
+the map and both subspaces are those very objects with those dimensions.
 """
 
 import warnings
@@ -336,8 +341,7 @@ def _classical(base, N, orientation, name):
         order = (n,) + tuple(range(n)) if chain else tuple(range(1, n + 1)) + (0,)
         return permute(Matrix.identity(f, spaces[n]), [d] * (n + 1), order)
     x = ParaCyclicModule(f, orientation, spaces, {}, {},
-                         {n: partial(tau, n) for n in spaces}, name=name,
-                         meta={"kind": "cyc_algebra" if chain else "cyc_coalgebra"})
+                         {n: partial(tau, n) for n in spaces}, name=name)
     _fill_from_slots(x, *_slot_maps(base, spaces))
     return x
 
@@ -401,8 +405,7 @@ def _cover(x, base, m, N, orientation):
             taus[n] = slot(act, dx ** n, dm) * permute(legs, dims, order)
     t = ParaCyclicModule(f, orientation, spaces, {}, {}, taus, h_action=h_action,
                          hopf=hopf, name="T(%s,%s)" % (x.name or what[0].upper(),
-                                                       m.name or "M"),
-                         meta={"kind": "cover_" + what, "m_dim": dm})
+                                                       m.name or "M"))
     _fill_from_slots(t, *_slot_maps(base, spaces))
     return t
 
@@ -460,8 +463,9 @@ def compute_J(t, buffer=2):
     (InvertibilityFailure if it is not), and DescentFailure names one that
     fails; the closure
     fixpoint and [L_h, tau] mapping into J raise CertificateFailure.
-    Once all pass, t._certified records the maps they read with J and its
-    dimensions, so that _descend need not check them on J again.
+    Once all pass, t._certified records each map they prove to send J into
+    J, with J at its two ends and their dimensions, so that _descend need
+    not check it on J again.
 
     Degrees above t.N - buffer are truncation-affected; buffer must be at
     least 1.  Stability in the certified range is checked by recomputing
@@ -511,36 +515,21 @@ def compute_J(t, buffer=2):
     return full
 
 
-def _family(t, kind, n):
-    """The maps _certify_symmetries reads at source degree n (None where
-    t has none), with their target degree and their keys in _descend:
-    every L_h, or tau at both ends and every face or degeneracy."""
-    if kind == "L_h":
-        keys = [("L_h", n, h) for h in range(t.hopf.dim)]
-        return n, keys, tuple(t.h_action.get(k[1:]) for k in keys)
-    if kind == "face":
-        maps, tgt, indices = t.faces, n + t.step, t.face_indices(n)
-    else:
-        maps, tgt, indices = t.degeneracies, n - t.step, t.degeneracy_indices(n)
-    keys = [("tau", n, 0), ("tau", tgt, 0)] + [(kind, n, j) for j in indices]
-    return tgt, keys, (t.cyclic.get(n), t.cyclic.get(tgt),
-                       *(maps.get((n, j)) for j in indices))
-
-
 def _certify_symmetries(t, ideal, gens):
     """Check compute_J's identities at each degree n with ideal[n] != 0.
 
     tau_n has full rank at each such n (InvertibilityFailure if not), so
     tau(J_n) = J_n; the other identities are checked on the matrices, and
-    DescentFailure names the first that fails.  Returns (kind, n) -> (the maps read, ideal at their
-    source and target degrees, the dimensions of those two subspaces).
+    DescentFailure names the first that fails.  Returns, for tau_n, every
+    L_h and every face and degeneracy out of each such n, keyed as _descend
+    keys it: (the map, ideal at its source and target, their dimensions).
     """
     f, hopf, chain = t.field, t.hopf, t.orientation == CHAIN
     record = {}
 
-    def keep(kind, n, tgt, maps):
-        subs = ideal[n], ideal[tgt]
-        record[kind, n] = maps, subs, (subs[0].dim, subs[1].dim)
+    def keep(key, m, tgt):
+        subs = ideal[key[1]], ideal[tgt]
+        record[key] = (m, *subs, (subs[0].dim, subs[1].dim))
 
     def check(ok, identity, n):
         if not ok:
@@ -551,9 +540,11 @@ def _certify_symmetries(t, ideal, gens):
                               or [(0, lh[0])])
 
     for n in [n for n in sorted(t.spaces) if ideal[n].dim]:
-        if t.tau(n).rank() != t.spaces[n]:   # injective, so tau(J_n) = J_n
+        tau = t.tau(n)
+        if tau.rank() != t.spaces[n]:   # injective, so tau(J_n) = J_n
             raise InvertibilityFailure("tau_%d is not invertible" % n)
-        _, _, lh = _family(t, "L_h", n)
+        keep(("tau", n, 0), tau, n)
+        lh = [t.act_h(n, h) for h in range(hopf.dim)]
         check(act(lh, hopf.unit()) == Matrix.identity(f, t.spaces[n]),
               "L_1 = id", n)
         for g in gens:
@@ -561,21 +552,25 @@ def _certify_symmetries(t, ideal, gens):
                 gh = hopf.multiply({g: f.one}, {h: f.one})
                 check(lh[g] * lh[h] == act(lh, gh),
                       "L_g L_h = L_gh (g=%d, h=%d)" % (g, h), n)
-        keep("L_h", n, n, lh)
-        for kind, sym in (("face", "d"), ("degeneracy", "s")):
-            tgt, _, family = _family(t, kind, n)
-            tau_src, tau_tgt, *maps = family
-            if not maps:
+        for h, m in enumerate(lh):
+            keep(("L_h", n, h), m, n)
+        for kind, sym, maps, tgt, indices in (
+                ("face", "d", t.faces, n + t.step, t.face_indices(n)),
+                ("degeneracy", "s", t.degeneracies, n - t.step,
+                 t.degeneracy_indices(n))):
+            ms = [maps[n, j] for j in indices]
+            if not ms:
                 continue
             for g in gens:
-                check(t.act_h(tgt, g) * maps[0] == maps[0] * lh[g],
+                check(t.act_h(tgt, g) * ms[0] == ms[0] * lh[g],
                       "L_g %s_0 = %s_0 L_g (g=%d)" % (sym, sym, g), n)
-            keep(kind, n, tgt, family)
             m = sym + ("_" if chain else "^")
-            for j in range(1, len(maps)):
+            for j in range(1, len(ms)):
                 a, b = (j, j - 1) if chain else (j - 1, j)
-                check(maps[a] * tau_src == tau_tgt * maps[b],
+                check(ms[a] * tau == t.tau(tgt) * ms[b],
                       "%s%d tau = tau %s%d" % (m, a, m, b), n)
+            for j, mj in enumerate(ms):
+                keep((kind, n, j), mj, tgt)
     return record
 
 
@@ -583,27 +578,23 @@ def _descend(t, sub, keep_h=True, name=None):
     """Quotient of t by a degreewise subspace closed under the structure maps.
 
     Each map is checked on every basis vector of the subspace, unless
-    compute_J certified it on t: t still stores every map of the family
-    _certify_symmetries read with it, and the subspaces at their source
-    and target are the very J_n compute_J returned, with the same
-    dimensions (a Subspace only grows).
+    compute_J certified it on t: its record entry holds that very Matrix
+    and the very subspaces at its source and target, with the dimensions
+    they had.  A Matrix is immutable and a Subspace only grows, so the map
+    still sends the one into the other, whatever became of the other maps.
     """
     f = t.field
     proj, sect, qdims = {}, {}, {}
     for n in sorted(t.spaces):
         s = sub.get(n) or Subspace(f, t.spaces[n])
         qdims[n], proj[n], sect[n] = quotient_space(t.spaces[n], s)
-    implied = set()
-    for (kind, n), (maps, subs, dims) in t._certified.items():
-        tgt, keys, now = _family(t, kind, n)
-        now += (sub.get(n), sub.get(tgt))
-        if (list(map(id, maps + subs)) == list(map(id, now))
-                and dims == (subs[0].dim, subs[1].dim)):
-            implied.update(keys)
 
     def induce(m, tgt, key):
         kind, src, _ = key
-        if key not in implied:
+        now = m, sub.get(src), sub.get(tgt)
+        proved = t._certified.get(key, ())
+        if not (proved and all(a is b for a, b in zip(proved, now))
+                and proved[3] == (now[1].dim, now[2].dim)):
             tag = "tau_%d" % src if kind == "tau" else "%s (%d,%d)" % key
             for b in sub.get(src, Subspace(f, t.spaces[src])).lifts():
                 if proj[tgt].apply(m.apply(b))[0]:
@@ -620,7 +611,7 @@ def _descend(t, sub, keep_h=True, name=None):
     ha = None
     if keep_h and t.h_action:
         ha = {k: induce(m, k[0], ("L_h", *k)) for k, m in t.h_action.items()}
-    meta = {"kind": "quotient", "parent": t, "proj": proj, "sect": sect}
+    meta = {"parent": t, "proj": proj, "sect": sect}
     return ParaCyclicModule(f, t.orientation, qdims, faces, degs, taus,
                             h_action=ha, hopf=t.hopf,
                             name=name or ("Q(%s)" % (t.name or "T")), meta=meta)
@@ -649,9 +640,7 @@ def coinvariants(q):
                 if col[0]:
                     s.add_vector(col)
         sub[n] = s
-    out = _descend(q, sub, keep_h=False, name="C(%s)" % (q.name or "Q"))
-    out.meta["kind"] = "coinvariants"
-    return out
+    return _descend(q, sub, keep_h=False, name="C(%s)" % (q.name or "Q"))
 
 
 def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
@@ -719,6 +708,8 @@ def _hom_module(field, hopf, mod, base, N, orientation, name):
     precompose with the slot map j of the base; each is restricted to the
     colinear maps.  _fill_from_slots forms the wrap-around face through
     tau, the cyclic relation d_n = d_0 tau (Loday, Cyclic Homology 6.1).
+    Every map is built on its first read, and _restrict's DescentFailure
+    is raised there; the public constructors refuse a non-SAYD M first.
     """
     # chain: (tau f)(z^0..z^n) = z^0_{[-1]} f(z^1..z^n, z^0_{[0]}), and
     # d_j, s_j precompose with the comultiplication and counit maps;
@@ -729,10 +720,11 @@ def _hom_module(field, hopf, mod, base, N, orientation, name):
     rho_b = _coaction(base, db)
     rhos = _codiagonals(hopf.algebra.matrices()[0], rho_b, N + 1)
     lm = column_blocks(_action(mod, dm), dh)
-    subs, bases, taus = {}, {}, {}
-    for n in range(N + 1):
-        subs[n] = _colinear_subspace(field, hopf, mod, rhos[n])   # on B^{(x)n+1}
-        bases[n] = subs[n].basis_matrix()
+    subs = {n: _colinear_subspace(field, hopf, mod, rhos[n])   # on B^{(x)n+1}
+            for n in range(N + 1)}
+    bases = {n: sub.basis_matrix() for n, sub in subs.items()}
+
+    def twisted_rotation(n):
         if orientation == CHAIN:
             order = (0,) + tuple(range(2, n + 2)) + (1,)
             g = permute(slot(rho_b, 1, db ** n), [dh, db] + [db] * n, order)
@@ -743,10 +735,10 @@ def _hom_module(field, hopf, mod, base, N, orientation, name):
         # G(x) = sum_h h (x) u_h(x); tau f = sum_h L_h o f o u_h
         tau = Matrix.lincomb([(1, lh.kron(uh))
                               for lh, uh in zip(lm, column_blocks(g.transpose(), dh))])
-        taus[n] = _restrict(tau * bases[n], subs[n], bases[n], "tau_%d" % n)
+        return _restrict(tau * bases[n], subs[n], bases[n], "tau_%d" % n)
     x = ParaCyclicModule(field, orientation, {n: subs[n].dim for n in subs}, {},
-                         {}, taus, hopf=hopf, name=name,
-                         meta={"kind": "colinear_hom", "sub": subs})
+                         {}, {n: partial(twisted_rotation, n) for n in subs},
+                         hopf=hopf, name=name, meta={"sub": subs})
 
     def precompose(slot_map, shift, sym):
         def build(n, j):
@@ -760,8 +752,6 @@ def _hom_module(field, hopf, mod, base, N, orientation, name):
     face, degen = _slot_maps(slots, {n: db ** (n + 1) for n in subs})
     _fill_from_slots(x, precompose(face, x.step, "d"),
                      precompose(degen, -x.step, "s"))
-    for maps in (x.faces, x.degeneracies):   # _restrict raises here, if at all
-        list(maps.values())
     return x
 
 
@@ -787,10 +777,11 @@ def hopf_cyclic_comodule_coalgebra(z, m, N):
 def cyclic_dual(x):
     """Connes' duality: cyclic <-> cocyclic on the same spaces.
 
-    Dual faces are the original degeneracies reindexed; the missing index-0
-    operator is recovered through the conjugation convention; dual tau is
-    the inverse, formed once per degree and read again for that operator.
-    Applying the functor twice gives back the input.
+    Dual faces are the original degeneracies reindexed, and the one missing
+    face is a single product with a tau: d_n = s^0 tau'_n with the dual's
+    tau' (chain dual), d^0 = tau_{n+1} s_n with x's own tau (cocyclic dual;
+    Loday's s_0 t = t^2 s_n).  Dual tau is the inverse, formed once per
+    degree.  Applying the functor twice gives back the input.
     """
     f = x.field
     if not x.is_cyclic():
@@ -799,7 +790,7 @@ def cyclic_dual(x):
     taus = {n: x.tau_inv(n) for n in spaces}
     if x.orientation == COCHAIN:
         # cocyclic -> cyclic: d_i := s^i (i < n), s_j := d^{j+1};
-        # the last face comes from the chain conjugation d_n = tau d_{n-1} tau^{-1}
+        # the last face is the chain wrap-around d_n = d_0 tau_n
         degs = {(n, j): x.faces[(n, j + 1)]
                 for n in spaces if n + 1 <= x.N for j in range(n + 1)}
         faces = {}
@@ -807,17 +798,17 @@ def cyclic_dual(x):
             if n >= 1:
                 for i in range(n):
                     faces[(n, i)] = x.degeneracies[(n, i)]
-                faces[(n, n)] = taus[n - 1] * x.degeneracies[(n, n - 1)] * x.tau(n)
+                faces[(n, n)] = x.degeneracies[(n, 0)] * taus[n]
         return ParaCyclicModule(f, CHAIN, spaces, faces, degs, taus,
                                 hopf=x.hopf, name="dual(%s)" % (x.name or "X"))
     # cyclic -> cocyclic: d^j := s_{j-1} (j >= 1), s^i := d_i;
-    # the missing coface comes from the cochain conjugation d^0 = tau d^1 tau^{-1}
+    # the missing coface d^0 = tau_{n+1} s_n
     faces = {(n, j): x.degeneracies[(n, j - 1)]
              for n in spaces if n + 1 <= x.N for j in range(1, n + 2)}
     degs = {}
     for n in spaces:
         if n + 1 <= x.N:
-            faces[(n, 0)] = taus[n + 1] * x.degeneracies[(n, 0)] * x.tau(n)
+            faces[(n, 0)] = x.tau(n + 1) * x.degeneracies[(n, n)]
         if n >= 1:
             for i in range(n):
                 degs[(n, i)] = x.faces[(n, i)]
@@ -846,7 +837,7 @@ def diag_hom(x, y, N=None):
     taus = {n: y.tau(n).kron(x.tau(n).transpose()) for n in range(N + 1)}
     return ParaCyclicModule(f, y.orientation, spaces, faces, degs, taus,
                             name="diagHom(%s,%s)" % (x.name or "X", y.name or "Y"),
-                            meta={"kind": "diag_hom", "x": x, "y": y})
+                            meta={"x": x, "y": y})
 
 
 def diag_tensor(u, v):
@@ -867,4 +858,4 @@ def diag_tensor(u, v):
             degs[(n, i)] = m.kron(v.degeneracies[(n, i)])
     return ParaCyclicModule(f, u.orientation, spaces, faces, degs, taus,
                             name="diag(%s (x) %s)" % (u.name or "U", v.name or "V"),
-                            meta={"kind": "diag_tensor", "u": u, "v": v})
+                            meta={"u": u, "v": v})

@@ -85,14 +85,17 @@ def dual_numbers_module_algebra(hopf=None, field=QQ):
     return ModuleAlgebra(hopf, alg, action, name="k[x]/(x^2) over kZ/2")
 
 
+def _left_regular(hopf):
+    """The action table of H on itself by left multiplication."""
+    one = hopf.field.one
+    return {(h, c): hopf.multiply({h: one}, {c: one})
+            for h in range(hopf.dim) for c in range(hopf.dim)}
+
+
 def regular_module_coalgebra(hopf):
     """C = H acting on itself by left multiplication."""
-    f = hopf.field
-    action = {}
-    for h in range(hopf.dim):
-        for c in range(hopf.dim):
-            action[(h, c)] = hopf.multiply({h: f.one}, {c: f.one})
-    return ModuleCoalgebra(hopf, hopf.coalgebra, action, name="C = H (left regular)")
+    return ModuleCoalgebra(hopf, hopf.coalgebra, _left_regular(hopf),
+                           name="C = H (left regular)")
 
 
 def regular_comodule_algebra(hopf):
@@ -134,13 +137,9 @@ def regular_action_trivial_coaction(hopf):
     For cocommutative H this is AYD (h1 S^-1(h3) (x) h2 collapses to
     1 (x) h) and stable, so it is a positive fixture there.
     """
-    f = hopf.field
-    action = {}
-    for h in range(hopf.dim):
-        for m in range(hopf.dim):
-            action[(h, m)] = hopf.multiply({h: f.one}, {m: f.one})
     coaction = {m: {(i, m): v for i, v in hopf.unit().items()} for m in range(hopf.dim)}
-    return ModComodule(hopf, hopf.dim, action, coaction, name="H regular / trivial")
+    return ModComodule(hopf, hopf.dim, _left_regular(hopf), coaction,
+                       name="H regular / trivial")
 
 
 def regular_action_regular_coaction(hopf):
@@ -149,13 +148,9 @@ def regular_action_regular_coaction(hopf):
     Fails both stability and the AYD condition already over kZ/2
     (h = g, m = 1 is a witness), so it serves as the negative control.
     """
-    f = hopf.field
-    action = {}
-    for h in range(hopf.dim):
-        for m in range(hopf.dim):
-            action[(h, m)] = hopf.multiply({h: f.one}, {m: f.one})
     coaction = {m: dict(hopf.coalgebra.comul[m]) for m in range(hopf.dim)}
-    return ModComodule(hopf, hopf.dim, action, coaction, name="H regular / Delta")
+    return ModComodule(hopf, hopf.dim, _left_regular(hopf), coaction,
+                       name="H regular / Delta")
 
 
 def trivial_modular_pair(hopf):

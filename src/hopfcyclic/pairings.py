@@ -58,7 +58,7 @@ def _tower(x):
     proj = {n: Matrix.identity(x.field, d) for n, d in x.spaces.items()}
     sect = {n: Matrix.identity(x.field, d) for n, d in x.spaces.items()}
     cur = x
-    while cur.meta.get("kind") in ("quotient", "coinvariants"):
+    while "parent" in cur.meta:
         p = cur.meta["proj"]
         s = cur.meta["sect"]
         proj = {n: m * p[n] for n, m in proj.items() if n in p}
@@ -206,17 +206,10 @@ def invariant_traces(complex_c):
     """All covectors t on C_0 with t(b x) = 0 and t(tau_0 x) = t(x).
 
     These are exactly the degree-0 cyclic cocycles of the coefficient
-    complex; the conditions are linear, so the full solution space comes
-    out of one kernel computation.
+    complex, one trace per basis vector cyclic_cocycles gives.
     """
-    f = complex_c.field
-    d0 = complex_c.spaces[0]
-    d1 = complex_c.spaces[1]
-    b1 = hochschild_b(complex_c, 1)
-    fix = complex_c.tau(0).transpose() - Matrix.identity(f, d0)
-    sub = Matrix.from_blocks(f, d1 + d0, d0,
-                             [(0, 0, b1.transpose()), (d1, 0, fix)]).kernel_basis()
-    return [InvariantTrace(complex_c, v) for v in sub.basis]
+    return [InvariantTrace(complex_c, k.representative)
+            for k in cyclic_cocycles(complex_c, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +521,7 @@ def cm_char_map(trace, pairing, cls, alpha_mor):
     alg = pairing.alg.algebra
     da = alg.dim
     dc = pairing.coalg.coalgebra.dim
-    dm = xt.meta["m_dim"]
+    dm = xt.spaces[0] // dc
     xdims = [dc] * (p + 1) + [dm]
     route1 = {}
     for col in range(da ** (p + 1)):

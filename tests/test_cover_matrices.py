@@ -361,6 +361,14 @@ def _outcome(build):
         return None, (type(e).__name__, str(e))
 
 
+def _read_every_map(x):
+    """x, once each tau, face and degeneracy is built, in the order the
+    reference builds them: a map leaving the colinear subspace raises."""
+    for maps in (x.cyclic, x.faces, x.degeneracies):
+        list(maps.values())
+    return x
+
+
 def _same(got, ref):
     assert got.keys() == ref.keys()
     for k in ref:
@@ -435,7 +443,8 @@ def test_colinear_hom_complexes(case):
     for base, build in ((fx.regular_comodule_algebra(h),
                          cyclic.hopf_cocyclic_comodule_algebra),
                         (comodule_coalgebra, cyclic.hopf_cyclic_comodule_coalgebra)):
-        got, raised = _outcome(lambda: build(base, m, N))
+        # the maps are built on first read, so read them all
+        got, raised = _outcome(lambda: _read_every_map(build(base, m, N)))
         if check_sayd(m):
             # C(B,M) and C(Z,M) are refused before anything is built
             assert raised == ("NotSAYD", "; ".join(check_sayd(m)))
@@ -443,8 +452,8 @@ def test_colinear_hom_complexes(case):
                 continue
             # the C(Z,M) construction behind the check still matches the
             # reference, descent failure included
-            got, raised = _outcome(lambda: cyclic._hom_module(
-                field, h, m, base, N, cyclic.CHAIN, "C(Z,M)"))
+            got, raised = _outcome(lambda: _read_every_map(cyclic._hom_module(
+                field, h, m, base, N, cyclic.CHAIN, "C(Z,M)")))
         ref, ref_raised = _outcome(lambda: ref_hom(base, m, N))
         assert raised == ref_raised
         if ref_raised:

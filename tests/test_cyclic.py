@@ -222,8 +222,10 @@ def test_colinear_hom_complexes_form_no_inverse(monkeypatch):
     h = fx.group_algebra(QQ, 2)
     m = modular_pair_module(h, ModularPair({1: QQ.one}, h.coalgebra.counit))
     calls = _inverses(monkeypatch)
-    hopf_cocyclic_comodule_algebra(fx.regular_comodule_algebra(h), m, 3)
-    hopf_cyclic_comodule_coalgebra(fx.function_comodule_coalgebra(h), m, 3)
+    for x in (hopf_cocyclic_comodule_algebra(fx.regular_comodule_algebra(h), m, 3),
+              hopf_cyclic_comodule_coalgebra(fx.function_comodule_coalgebra(h), m, 3)):
+        for maps in (x.cyclic, x.faces, x.degeneracies):   # built on first read
+            list(maps.values())
     assert calls == []
 
 
@@ -524,6 +526,39 @@ def test_d_0_into_a_replaced_j_is_swept_again(monkeypatch):
     assert _descent_paths(monkeypatch, replace) == (msg, msg)
 
 
+def _maps_by_key(t):
+    """Every structure map of t, keyed as _descend and compute_J's record
+    key it: (kind, source degree, index) -> (the Matrix, target degree)."""
+    out = {("tau", n, 0): (t.tau(n), n) for n in t.spaces}
+    out.update({("L_h", *k): (m, k[0]) for k, m in t.h_action.items()})
+    for kind, maps, shift in (("face", t.faces, t.step),
+                              ("degeneracy", t.degeneracies, -t.step)):
+        out.update({(kind, *k): (m, k[0] + shift) for k, m in maps.items()})
+    return out
+
+
+def test_a_tau_replaced_by_an_equal_matrix_is_the_only_map_swept_again(
+        monkeypatch):
+    # the record proves each map on its own: a new tau_1 equal to the old
+    # one is checked on J_1 vector by vector, and no face, degeneracy or
+    # L_h whose proof read tau_1 is
+    t = _sweedler_cover(3)
+    j = compute_J(t)
+    old = t.tau(1)
+    t.cyclic[1] = old.scale(1)
+    assert t.tau(1) == old and t.tau(1) is not old
+    keys = {id(m): key for key, (m, _) in _maps_by_key(t).items()}
+    swept, apply = set(), Matrix.apply
+
+    def spy(self, vec):
+        if id(self) in keys:
+            swept.add(keys[id(self)])
+        return apply(self, vec)
+    monkeypatch.setattr(Matrix, "apply", spy)
+    quotient_module(t, j)
+    assert swept == {("tau", 1, 0)}
+
+
 def test_truncate_carries_the_certificate_record():
     t = _sweedler_cover(3)
     j = compute_J(t)
@@ -531,12 +566,15 @@ def test_truncate_carries_the_certificate_record():
     kept = [k for k in t._certified if k[1] <= 2]
     assert kept and sorted(u._certified) == sorted(kept)
     assert all(u._certified[k] is t._certified[k] for k in kept)
-    # each entry holds the maps read, the very J at their source and target
-    # degrees and the dimensions those had
-    for (kind, n), (maps, subs, dims) in t._certified.items():
-        tgt = n + {"face": t.step, "degeneracy": -t.step}.get(kind, 0)
-        assert subs[0] is j[n] and subs[1] is j[tgt]
-        assert dims == (j[n].dim, j[tgt].dim)
+    # one entry per map out of each degree where J is nonzero, holding
+    # that map, the very J at its source and target degrees and the
+    # dimensions those had
+    maps = _maps_by_key(t)
+    assert sorted(t._certified) == sorted(k for k in maps if j[k[1]].dim)
+    for key, (m, src, tgt, dims) in t._certified.items():
+        n, (mine, after) = key[1], maps[key]
+        assert m is mine and src is j[n] and tgt is j[after]
+        assert dims == (j[n].dim, j[after].dim)
     # a module built by _descend has no record of its own
     q = quotient_module(u, {n: j[n] for n in range(3)})
     assert q._certified == {} and coinvariants(q)._certified == {}

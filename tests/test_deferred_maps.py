@@ -6,8 +6,10 @@ import weakref
 
 import pytest
 
-from hopfcyclic import (QQ, Matrix, check_axioms, cyc_algebra, cyc_coalgebra,
-                        cohomology_table, compare_models)
+from hopfcyclic import (QQ, Matrix, ModularPair, check_axioms, cyc_algebra,
+                        cyc_coalgebra, cohomology_table, compare_models,
+                        hopf_cocyclic_comodule_algebra,
+                        hopf_cyclic_comodule_coalgebra, modular_pair_module)
 from hopfcyclic.cyclic import transpose_module, truncate
 from hopfcyclic.homology import IdentityFailure
 from hopfcyclic.linalg import LazyMatrices
@@ -46,11 +48,22 @@ def test_an_entry_is_built_once_on_its_first_read():
     assert maps[0] == Matrix.zero(QQ, 2, 2) and calls == [1]
 
 
+def _colinear_hom(build, base):
+    """build over kZ/2 at N = 6, with the modular pair sigma = g, delta = eps."""
+    h = fx.group_algebra(QQ, 2)
+    m = modular_pair_module(h, ModularPair({1: QQ.one}, h.coalgebra.counit))
+    return build(base(h), m, 6)
+
+
 @pytest.mark.parametrize("make, hc0", [
     (lambda: cyc_algebra(fx.group_algebra(QQ, 3).algebra, 5), 3),
     (lambda: cyc_algebra(fx.sweedler_hopf(QQ).algebra, 4), None),
     (lambda: cyc_coalgebra(fx.sweedler_hopf(QQ).coalgebra, 4), None),
-], ids=["Cyc(kZ3)", "Cyc(H4)", "Cyc(H4 coalgebra)"])
+    (lambda: _colinear_hom(hopf_cocyclic_comodule_algebra,
+                           fx.regular_comodule_algebra), None),
+    (lambda: _colinear_hom(hopf_cyclic_comodule_coalgebra,
+                           fx.function_comodule_coalgebra), None),
+], ids=["Cyc(kZ3)", "Cyc(H4)", "Cyc(H4 coalgebra)", "C(B,M)", "C(Z,M)"])
 def test_tables_build_no_map_of_the_top_degree(make, hc0):
     x = make()
     assert _built(x) == set()
