@@ -30,8 +30,7 @@ from .homology import (Total, mixed_of_cyclic, cyclic_bicomplex, cohomology,
 from .pairings import (CochainClass, InvariantTrace, invariant_traces,
                        cyclic_cocycles, from_cyclic_cocycle,
                        classes_from_cohomology, alpha, beta, xi, star,
-                       pullback, cup_with_trace,
-                       crossed_cup_with_trace, crossed_cocup_with_invariant,
+                       pullback, cup_with_trace, crossed_cocup_with_invariant,
                        cm_char_map, evaluation_covector,
                        diag_tensor_epi_check,
                        NotEquivariant, NotCocycle, AgreementFailure,

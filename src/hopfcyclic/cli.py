@@ -3,7 +3,7 @@
 Every command prints an aligned text report to stdout and can also write
 a machine-readable JSON report via --output.  Exit code 0 means every
 requested check or assertion passed; 1 means a check failed; 2 means the
-input could not be parsed or validated.
+input could not be parsed or validated, or an output could not be written.
 """
 
 import argparse
@@ -17,14 +17,13 @@ from .hopf import (AlgebraData, HopfAlgebraData, ModuleAlgebra,
                    ModuleCoalgebra, ComoduleAlgebra, ComoduleCoalgebra,
                    ModComodule, EquivariantPairing, ModularPair, HopfMismatch,
                    check_structure, modular_pair_module, trivial_modcomodule)
-from .cyclic import (check_axioms, cyc_algebra, cyc_coalgebra, cover_algebra,
-                     cover_coalgebra, hopf_cyclic_complex,
-                     hopf_cocyclic_comodule_algebra,
+from .cyclic import (check_axioms, cyc_algebra, cyc_coalgebra,
+                     hopf_cyclic_complex, hopf_cocyclic_comodule_algebra,
                      hopf_cyclic_comodule_coalgebra, NotSAYD, DescentFailure)
 from .homology import mixed_of_cyclic, cohomology_table, compare_models
 from .pairings import (alpha, beta, xi, star, invariant_traces,
                        cyclic_cocycles, cm_char_map, cup_with_trace,
-                       crossed_cup_with_trace, crossed_cocup_with_invariant,
+                       crossed_cocup_with_invariant,
                        diag_tensor_epi_check, AgreementFailure)
 from . import fixtures as fx
 from . import io as hio
@@ -67,6 +66,10 @@ def fixture_library(field=QQ):
 
 # ---------------------------------------------------------------------------
 # report plumbing
+
+
+def _unwritable(path, e):
+    return "cannot write %s: %s" % (path, e.strerror or e)
 
 
 def _emit(report, output):
@@ -162,10 +165,11 @@ def _complexes(args, main=False):
         return [("C(B,M) colinear", hopf_cocyclic_comodule_algebra(obj, m, N))]
     if isinstance(obj, ComoduleCoalgebra):
         return [("C(Z,M) colinear", hopf_cyclic_comodule_coalgebra(obj, m, N))]
-    build = cover_algebra if isinstance(obj, ModuleAlgebra) else cover_coalgebra
-    out = [] if main else [("T (cover)", build(obj, m, N))]
-    return out + [("C (Hopf-cyclic)",
-                   hopf_cyclic_complex(obj, m, N, buffer=args.buffer))]
+    out = [("C (Hopf-cyclic)", hopf_cyclic_complex(obj, m, N, buffer=args.buffer))]
+    t = out[0][1]   # the root of C's quotient tower: the cover truncated to N
+    while "parent" in t.meta:
+        t = t.meta["parent"]
+    return out if main else [("T (cover)", t)] + out
 
 
 def cmd_build(args):
@@ -329,7 +333,7 @@ def cmd_pair(args):
             return EXIT_FAIL, {"ok": False, "failures": bad}
         trace = invariant_traces(bm.target.meta["y"])[0]
         cls = cyclic_cocycles(bm.source, 0)[0]
-        out = crossed_cup_with_trace(cls, trace, bm)
+        out = cup_with_trace(cls, trace, bm)
         print("degree-0 crossed cup class: %s" % (_class_rep(out) or "0"))
         details["crossed cup"] = _class_rep(out)
     elif args.via == "cocrossed":
@@ -375,15 +379,17 @@ def cmd_pair(args):
 def cmd_fixtures(args):
     import os
     outdir = args.output or "fixtures"
-    os.makedirs(outdir, exist_ok=True)
-    names = []
-    for name, obj in fixture_library(args.field_obj):
-        path = os.path.join(outdir, name)
-        hio.save(obj, path)
-        names.append(name)
-        print(path)
-    args.output = None  # --output named the directory, not a report file
-    return EXIT_OK, {"ok": True, "written": names}
+    args.output = None  # --output names the directory, not a report file
+    lib = fixture_library(args.field_obj)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for name, obj in lib:
+            hio.save(obj, os.path.join(outdir, name))
+    except OSError as e:
+        raise UsageError(_unwritable(e.filename or outdir, e))
+    for name, _ in lib:
+        print(os.path.join(outdir, name))
+    return EXIT_OK, {"ok": True, "written": [name for name, _ in lib]}
 
 
 # ---------------------------------------------------------------------------
@@ -471,18 +477,20 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         code, report = COMMANDS[args.command](args)
+        report["command"] = args.command
     except (hio.ParseError, hio.ValidationError, UsageError, HopfMismatch) as e:
         print(str(e), file=sys.stderr)
-        _emit({"ok": False, "error": str(e)}, args.output)
-        return EXIT_USAGE
+        code, report = EXIT_USAGE, {"ok": False, "error": str(e)}
     except (NotSAYD, DescentFailure, CertificateFailure) as e:
         # a certificate failed on valid input: name the identity, exit 1
         error = "%s: %s" % (type(e).__name__, e)
         print(error, file=sys.stderr)
-        _emit({"ok": False, "error": error}, args.output)
-        return EXIT_FAIL
-    report["command"] = args.command
-    _emit(report, args.output)
+        code, report = EXIT_FAIL, {"ok": False, "error": error}
+    try:
+        _emit(report, args.output)
+    except OSError as e:
+        print(_unwritable(args.output, e), file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -91,9 +91,6 @@ class ParaCyclicModule:
         self.meta = dict(meta) if meta else {}
         self._certified = {}   # see compute_J and _certify_symmetries
 
-    def dim(self, n):
-        return self.spaces[n]
-
     @property
     def step(self):
         """Degree shift of a face: -1 for chain, +1 for cochain.

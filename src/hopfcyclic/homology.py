@@ -154,12 +154,6 @@ def _as_cochain(x):
     return transpose_module(x) if x.orientation == CHAIN else x
 
 
-def _lambda(x, n):
-    """lambda = (-1)^n tau at degree n."""
-    t = x.tau(n)
-    return t if n % 2 == 0 else t.scale(-1)
-
-
 def _one_minus_lambda(x, n):
     return Matrix.lincomb([(1, Matrix.identity(x.field, x.spaces[n])),
                            ((-1) ** (n + 1), x.tau(n))])
@@ -386,7 +380,5 @@ def compare_models(x, nmax=None):
     """Bicomplex vs (b,B) cohomology tables plus an equality verdict; a chain
     module is dualized once, for both tables."""
     t1, t2 = _tables(x, ("bicomplex", "mixed"), nmax)
-    agree = all(t1.degrees[n] == t2.degrees[n]
-                for n in t1.degrees if n <= t1.stable_range)
-    return {"bicomplex": t1, "mixed": t2, "agree": agree,
+    return {"bicomplex": t1, "mixed": t2, "agree": t1 == t2,
             "stable_range": t1.stable_range}

@@ -276,6 +276,10 @@ def parse_string(text, what="input", validate=True):
     except json.JSONDecodeError as e:
         raise ParseError("%s: line %d column %d: %s"
                          % (what, e.lineno, e.colno, e.msg))
+    except (RecursionError, ValueError) as e:
+        # nested deeper than the interpreter's stack, or an integer with
+        # more digits than int() converts
+        raise ParseError("%s: %s" % (what, e))
     obj = parse_document(doc, what)
     if validate:
         report = check_structure(obj)
@@ -290,4 +294,6 @@ def parse_input(path, validate=True):
             text = fh.read()
     except OSError as e:
         raise ParseError("%s: %s" % (path, e.strerror or e))
+    except UnicodeDecodeError as e:
+        raise ParseError("%s: %s" % (path, e))
     return parse_string(text, what=str(path), validate=validate)

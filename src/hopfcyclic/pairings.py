@@ -10,14 +10,16 @@ Cup products with traces are realized by pulling evaluation covectors
 back along these morphisms.
 """
 
-from .linalg import Matrix, ShapeMismatch, add_into
+from types import MappingProxyType
+
+from .linalg import Matrix, ShapeMismatch, _lift
 from .tensors import unflatten, permute, reshape, slot, table_matrix
 from .hopf import (CompatibilityFailure, check_equivariant, check_sayd,
                    check_module_algebra, check_module_coalgebra, raise_failures,
                    is_commutative, is_symmetric_module, require_same_hopf,
                    tensor_hopf, tensor_module_algebra, tensor_modcomodule,
                    tensor_comodule_coalgebra, balanced_tensor_modcomodule,
-                   crossed_product_algebra, crossed_product_coalgebra, _vec_eq,
+                   crossed_product_algebra, crossed_product_coalgebra,
                    _action, _coaction, _codiagonals)
 from .cyclic import (CHAIN, ModuleMorphism,
                      DescentFailure, NotSAYD, cyc_algebra, cyc_coalgebra,
@@ -25,7 +27,7 @@ from .cyclic import (CHAIN, ModuleMorphism,
                      hopf_cocyclic_comodule_algebra,
                      hopf_cyclic_comodule_coalgebra,
                      diag_hom, diag_tensor)
-from .homology import Total, hochschild_b, _lambda, _one_minus_lambda
+from .homology import Total, hochschild_b, _one_minus_lambda
 
 
 class NotEquivariant(Exception):
@@ -75,19 +77,21 @@ class CochainClass:
     """A vector of the total complex of one model, in one degree.
 
     It lives in a `homology.Total`, which fixes the module (the transpose of
-    a chain module), the model and the block layout; the components are
-    keyed by the total's blocks.  Classes made from one another share their
-    Total, so they build its model at most once between them.
+    a chain module), the model and the block layout; `vector` is joined
+    once from components keyed by the total's blocks.  Classes made from
+    one another share their Total, so they build its model at most once.
     """
 
     def __init__(self, total, degree, components, name=None):
         self.total = total
         self.degree = degree
-        self.components = {k: dict(v) for k, v in components.items() if v}
+        self.vector = total.join(degree, components)
         self.name = name
 
-    def total_vector(self):
-        return self.total.join(self.degree, self.components)
+    @property
+    def components(self):
+        """The nonzero blocks of the vector, a read-only view."""
+        return MappingProxyType(self.total.split(self.degree, self.vector))
 
     @property
     def representative(self):
@@ -102,44 +106,40 @@ class CochainClass:
         if d is None:
             raise ShapeMismatch("no outgoing total differential at degree %d"
                                 % self.degree)
-        return not d.apply(self.total_vector())
+        return not d.apply(self.vector)
 
     def differential(self):
         """The coboundary of this (not necessarily closed) representative."""
-        img = self.total.diffs[self.degree].apply(self.total_vector())
+        img = self.total.diffs[self.degree].apply(self.vector)
         deg = self.degree + 1
         return CochainClass(self.total, deg, self.total.split(deg, img),
                             name="d(%s)" % (self.name or "class"))
 
     def scaled(self, c):
         f = self.total.field
-        comps = {k: {i: f.mul(c, v) for i, v in vec.items()}
-                 for k, vec in self.components.items()}
-        return CochainClass(self.total, self.degree, comps, name=self.name)
+        vec = {i: f.mul(c, v) for i, v in self.vector.items()}
+        return CochainClass(self.total, self.degree,
+                            self.total.split(self.degree, vec), name=self.name)
 
     def __eq__(self, other):
         if not isinstance(other, CochainClass):
             return NotImplemented
-        if self.degree != other.degree or self.total.model != other.total.model:
-            return False
         f = self.total.field
-        for key in set(self.components) | set(other.components):
-            if not _vec_eq(f, self.components.get(key, {}),
-                           other.components.get(key, {})):
-                return False
-        return True
+        return (self.degree == other.degree
+                and self.total.model == other.total.model
+                and _lift(f, self.vector) == _lift(f, other.vector))
 
 
 def from_cyclic_cocycle(module, p, vec, model="mixed", name=None):
     """Wrap a single-degree cyclic cocycle as a total-complex class.
 
-    A cochain psi with b(psi) = 0 and lambda(psi) = psi is closed in both
-    models with all other components zero, so the embedding is exact.
+    A cochain psi with b(psi) = 0 and (1 - lambda)(psi) = 0 is closed in
+    both models with all other components zero, so the embedding is exact.
     """
     total = Total(module, model)
     cls = CochainClass(total, p, {total.block(p): vec}, name=name)
-    mod, f, v = total.module, total.field, cls.representative
-    if not _vec_eq(f, _lambda(mod, p).apply(v), v):
+    mod, v = total.module, cls.representative
+    if _one_minus_lambda(mod, p).apply(v):
         raise NotCocycle("representative is not cyclic (lambda-fixed) "
                          "at degree %d" % p)
     b = hochschild_b(mod, p)
@@ -414,16 +414,17 @@ def star(zc, zc2, m, m2, N):
 
 
 def evaluation_covector(d, n, t_cov, c_vec):
-    """Covector on a diag_hom space sending F to t(F(c))."""
-    f = d.field
-    dim_x = d.meta["x"].spaces[n]
-    out = {}
-    for yi, tv in t_cov.items():
-        for xj, cv in c_vec.items():
-            w = f.mul(tv, cv)
-            if not f.is_zero(w):
-                out[yi * dim_x + xj] = w
-    return out
+    """Covector on a diag_hom space sending F to t(F(c)): the Kronecker
+    product t (x) c, the Y index slowest, as diag_hom keeps Hom vectors."""
+    f, dx = d.field, d.meta["x"].spaces[n]
+    return Matrix.from_columns(f, d.spaces[n] // dx, [t_cov]).kron(
+        Matrix.from_columns(f, dx, [c_vec])).columns()[0]
+
+
+def _pulled_back(mor, p, trace, cls):
+    """mor_p^T (t_p (x) c): the evaluation covector pulled back along mor."""
+    return mor.maps[p].transpose().apply(evaluation_covector(
+        mor.target, p, trace.extended(p), cls.representative))
 
 
 def pullback(mor, cls):
@@ -450,23 +451,14 @@ def cup_with_trace(cls, trace, mor):
 
     Pulls the evaluation-against-the-trace covector on the diag Hom target
     back along the morphism; the result is a single-degree cyclic cocycle
-    on the morphism's source.
+    on the morphism's source.  Along beta this is the crossed cup
+    HC^q_Hopf(B,M) (x) trace on A -> HC^q(A x| B).
     """
     if not cls.is_single_degree():
         raise NotCocycle("cup products need a single-degree representative")
     p = cls.degree
-    cov = evaluation_covector(mor.target, p, trace.extended(p),
-                              cls.representative)
-    psi = mor.maps[p].transpose().apply(cov)
-    return from_cyclic_cocycle(mor.source, p, psi,
+    return from_cyclic_cocycle(mor.source, p, _pulled_back(mor, p, trace, cls),
                                name="cup(%s)" % (cls.name or "class"))
-
-
-def crossed_cup_with_trace(cls, trace, beta_mor):
-    """HC^q_Hopf(B,M) (x) trace on A -> HC^q(A x| B), via beta."""
-    out = cup_with_trace(cls, trace, beta_mor)
-    out.name = "crossed_cup(%s)" % (cls.name or "class")
-    return out
 
 
 def crossed_cocup_with_invariant(cls, g0, xi_mor):
@@ -478,22 +470,18 @@ def crossed_cocup_with_invariant(cls, g0, xi_mor):
     x_mod = xi_mor.target.meta["x"]
     y_mod = xi_mor.target.meta["y"]
     f = x_mod.field
-    if not _vec_eq(f, x_mod.tau(0).apply(g0), dict(g0)):
+    g = _lift(f, g0)
+    if x_mod.tau(0).apply(g) != g:
         raise NotCocycle("the degree-0 element is not tau-invariant")
     if not cls.is_single_degree():
         raise NotCocycle("evaluation needs a single-degree representative")
     p = cls.degree
-    g = dict(g0)
     for k in range(p):
         g = x_mod.degeneracies[(k, 0)].apply(g)
-    flat = xi_mor.maps[p].apply(cls.representative)
-    dim_x = x_mod.spaces[p]
-    out = {}
-    for idx, v in flat.items():
-        yi, xj = divmod(idx, dim_x)
-        if xj in g:
-            add_into(f, out, yi, f.mul(v, g[xj]))
-    return from_cyclic_cocycle(y_mod, p, out,
+    # xi_p(class) as a column, regrouped into the Hom matrix Y_p <- X_p
+    hom = reshape(Matrix.from_columns(f, xi_mor.target.spaces[p], [
+        xi_mor.maps[p].apply(cls.representative)]), y_mod.spaces[p])
+    return from_cyclic_cocycle(y_mod, p, f.from_integral(*hom.apply(g)),
                                name="cocup(%s)" % (cls.name or "class"))
 
 
@@ -511,9 +499,7 @@ def cm_char_map(trace, pairing, cls, alpha_mor):
     x_mod = cls.total.module
     f = pairing.field
     # route two: pullback of the evaluation covector
-    cov = evaluation_covector(alpha_mor.target, p, trace.extended(p),
-                              cls.representative)
-    route2 = alpha_mor.maps[p].transpose().apply(cov)
+    route2 = _pulled_back(alpha_mor, p, trace, cls)
     # route one: the displayed formula, evaluated term by term
     xt, _, sx = _tower(x_mod)
     lift = sx[p].apply(cls.representative)
@@ -540,7 +526,7 @@ def cm_char_map(trace, pairing, cls, alpha_mor):
                     val = f.add(val, f.mul(coef, f.mul(av, tv)))
         if not f.is_zero(val):
             route1[col] = val
-    if not _vec_eq(f, route1, route2):
+    if _lift(f, route1) != _lift(f, route2):
         raise AgreementFailure("direct formula and pullback route disagree "
                                "at degree %d" % p)
     return from_cyclic_cocycle(alpha_mor.source, p, route1,

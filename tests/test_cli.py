@@ -420,3 +420,26 @@ def test_main_runs_commands_in_a_row_as_fresh_processes(tmp_path):
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == EXIT_OK, run.stderr
         assert here.read_bytes() == fresh.read_bytes()
+
+
+def test_an_unwritable_output_path_is_a_usage_error(lib, tmp_path, capsys):
+    import errno
+    import os
+    report = tmp_path / "no" / "such" / "dir" / "r.json"
+    assert main(["check", str(lib / "hopf-kz2.json"),
+                 "--output", str(report)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "ok" in captured.out     # the report is printed before the write
+    assert captured.err == "cannot write %s: %s\n" % (
+        report, os.strerror(errno.ENOENT))
+
+
+def test_fixtures_into_an_existing_file_is_a_usage_error(tmp_path, capsys):
+    import errno
+    import os
+    target = tmp_path / "F"
+    target.write_text("kept\n")
+    assert main(["fixtures", "--output", str(target)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "cannot write %s: %s\n" % (
+        target, os.strerror(errno.EEXIST))
+    assert target.read_text() == "kept\n"

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,3 +258,18 @@ def test_mutated_documents_raise_only_parse_or_validation_errors(name, data):
         parse_string(json.dumps(doc))
     except (ParseError, ValidationError):
         pass
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe{",
+    b"[" * 200000 + b"]" * 200000,
+    # an integer with more digits than int() converts from a string
+    b'{"kind": "hopf", "field": %s}' % (b"1" * (sys.get_int_max_str_digits() + 1))],
+    ids=["undecodable bytes", "nested too deeply", "too many digits"])
+def test_input_the_decoder_cannot_read_is_a_parse_error(tmp_path, data):
+    from hopfcyclic.cli import main, EXIT_USAGE
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="^%s: " % re.escape(str(path))):
+        parse_input(str(path))
+    assert main(["check", str(path)]) == EXIT_USAGE

@@ -8,6 +8,10 @@ leg by leg, kept here only as an independent definition.  Each map
 must agree with it entry for entry, over Q and GF(10007); both forms of
 xi are compared on the covers, before any descent.
 
+The evaluation covector and the contraction F -> F(g) of the crossed
+cocup are checked the same way, against the dict loops they replaced,
+which index a Hom vector as yi * dim X + xj.
+
 The leg order of beta is pinned down on Sweedler's H4, which is not
 commutative.  xi has no input over a noncommutative Hopf algebra here
 (the regular coaction of H4 is not a comodule coalgebra), so its leg
@@ -17,7 +21,8 @@ order and S^-1 are covered on commutative H only.
 import pytest
 
 from hopfcyclic import (QQ, GF, Matrix, ModularPair, modular_pair_module,
-                        alpha, beta, xi, star)
+                        alpha, beta, xi, star, cyclic_cocycles,
+                        crossed_cocup_with_invariant, evaluation_covector)
 from hopfcyclic import fixtures as fx
 from hopfcyclic.cyclic import DescentFailure
 from hopfcyclic.hopf import ModuleAlgebra, balanced_tensor_modcomodule, check_structure
@@ -239,6 +244,36 @@ def ref_star(zc, zc2, m, m2, N, u, v, tgt, pim):
     return maps
 
 
+def ref_evaluation_covector(d, n, t_cov, c_vec):
+    f = d.field
+    dim_x = d.meta["x"].spaces[n]
+    out = {}
+    for yi, tv in t_cov.items():
+        for xj, cv in c_vec.items():
+            w = f.mul(tv, cv)
+            if not f.is_zero(w):
+                out[yi * dim_x + xj] = w
+    return out
+
+
+def ref_cocup(cls, g0, xi_mor):
+    """The representative of crossed_cocup_with_invariant(cls, g0, xi_mor)."""
+    x_mod = xi_mor.target.meta["x"]
+    f = x_mod.field
+    p = cls.degree
+    g = dict(g0)
+    for k in range(p):
+        g = x_mod.degeneracies[(k, 0)].apply(g)
+    flat = xi_mor.maps[p].apply(cls.representative)
+    dim_x = x_mod.spaces[p]
+    out = {}
+    for idx, v in flat.items():
+        yi, xj = divmod(idx, dim_x)
+        if xj in g:
+            add_into(f, out, yi, f.mul(v, g[xj]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the grid
 
@@ -344,3 +379,33 @@ def test_alpha_and_beta_over_sweedler(field):
         # complexes depend on it, and they come out the same as at buffer 2
         am = alpha(pairing, m, 2, buffer=1)
         _same(am.maps, ref_alpha(pairing, m, 2, am.target.meta["x"], am.target.meta["y"]))
+
+
+def _kz2_alpha_and_xis(field):
+    """alpha and two xi over kZ/2; in the second, the functions on Z/1
+    make dim X_n = 1 while dim Y_n = 2^n."""
+    h = fx.group_algebra(field, 2)
+    m = _pairs(h)["trivial"]
+    mc = fx.regular_module_coalgebra(h)
+    pairing = fx.action_pairing(mc, fx.dual_numbers_module_algebra(h))
+    return alpha(pairing, m, 3), [
+        xi(fx.function_comodule_coalgebra(h, k), mc, m, 3) for k in (2, 1)]
+
+
+@pytest.mark.parametrize("field", (QQ, GF(7)), ids=str)
+def test_evaluation_covector_and_cocup_contraction(field):
+    f = field
+    am, xms = _kz2_alpha_and_xis(field)
+    for d in [am.target] + [xm.target for xm in xms]:
+        for n in d.spaces:
+            dx = d.meta["x"].spaces[n]
+            # dense vectors with a zero entry and, over Q, denominators
+            t = {i: f(i + 1, 3) for i in range(d.spaces[n] // dx)}
+            c = {j: f(j - 2, 5) for j in range(dx)}
+            assert (evaluation_covector(d, n, t, c)
+                    == ref_evaluation_covector(d, n, t, c)), (d.name, n)
+    for xm in xms:
+        for p in xm.source.spaces:
+            for cls in cyclic_cocycles(xm.source, p):
+                got = crossed_cocup_with_invariant(cls, {0: f.one}, xm)
+                assert got.representative == ref_cocup(cls, {0: f.one}, xm), p

@@ -2,10 +2,10 @@
 
 import pytest
 
-from hopfcyclic import (QQ, alpha, beta, xi, star, invariant_traces,
+from hopfcyclic import (QQ, GF, alpha, beta, xi, star, invariant_traces,
                         cyclic_cocycles, from_cyclic_cocycle,
                         classes_from_cohomology, cup_with_trace,
-                        crossed_cup_with_trace, crossed_cocup_with_invariant,
+                        crossed_cocup_with_invariant,
                         cm_char_map, pullback, diag_tensor_epi_check,
                         coefficient_complex, modular_pair_module,
                         NotCocycle, HypothesisFailure, NotEquivariant,
@@ -230,7 +230,7 @@ def test_crossed_cup_with_trace(kz2, pair_triv):
     bm = beta(ma, ca, pair_triv, 2)
     trace = invariant_traces(bm.target.meta["y"])[0]
     cls = cyclic_cocycles(bm.source, 0)[0]
-    out = crossed_cup_with_trace(cls, trace, bm)
+    out = cup_with_trace(cls, trace, bm)
     assert out.is_cocycle()
     assert out.degree == 0
 
@@ -305,6 +305,17 @@ def test_cyclic_cocycles_from_one_call_build_one_model(monkeypatch, kz3):
         assert cls.is_cocycle() and cls.scaled(QQ(2)).is_cocycle()
         assert not cls.differential().components
     assert builds == ["mixed_of_cyclic"]
+
+
+def test_scaled_multiplies_in_the_field():
+    # over GF(7), 6 * 6 is 1: a scaled class holds residues, not products
+    f = GF(7)
+    x = cyc_algebra(fx.group_algebra(f, 3).algebra, 3)
+    cls = cyclic_cocycles(x, 0)[0]
+    assert cls.representative == {0: 1}
+    twice = cls.scaled(6).scaled(6)
+    assert twice.representative == {0: 1}
+    assert twice == cls
 
 
 def test_diag_tensor_epi_check(kz2, pair_triv):
