@@ -6,7 +6,10 @@ engine keeps matrices and vectors as lifts, tables of ints over one
 denominator, (ints, d), in the canonical form the hook `normalize` gives
 a table of summed ints: over Q one gcd leaves d > 0 and no prime dividing
 d and every int, over F_p one pass mod p leaves the nonzero residues over
-d = 1.  At the boundary, `integral` lifts a table of field elements and
+d = 1.  Over Q a table that is already canonical is returned as it is,
+with no copy, so the table a kernel hands over must be its own and is
+not written to afterwards; over F_p the residues are always a new dict.
+At the boundary, `integral` lifts a table of field elements and
 `from_integral` lowers a lift back to one.
 """
 
@@ -66,10 +69,14 @@ class RationalField(Field):
         return {k: Fraction(x, d) for k, x in ints.items() if x}
 
     def normalize(self, ints, d):
-        """The canonical lift of the ints x / d (d a nonzero int): a new dict
-        of the nonzero ints and d, divided by their gcd, with d > 0."""
-        g = gcd(d, *ints.values()) * (1 if d > 0 else -1)
+        """The canonical lift of the ints x / d (d a nonzero int): the nonzero
+        ints and d, divided by their gcd, with d > 0.  A lift that is
+        already canonical comes back as it is, ints itself: a caller hands
+        over a dict it owns and does not write to it afterwards."""
+        g = 1 if d == 1 else gcd(d, *ints.values()) * (1 if d > 0 else -1)
         if g == 1:
+            if 0 not in ints.values():
+                return ints, d
             return {k: x for k, x in ints.items() if x}, d
         return {k: x // g for k, x in ints.items() if x}, d // g
 

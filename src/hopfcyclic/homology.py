@@ -5,9 +5,12 @@ dualized degreewise (transposed) once, which is exact in finite dimensions.
 The two models are the (b,B) mixed complex and Connes' cyclic bicomplex
 CC, whose columns alternate b / -b' and repeat with period 2, so it is kept
 by rows.  Both are verified at construction time and compared degree by
-degree.  `Total` is the total complex of one module in one model: it
+degree.  `CyclicOperators` forms the operators both models are made of
+(b, b', 1 - lambda, N) and the cyclicity verdict, each once, on first
+read.  `Total` is the total complex of one module in one model: it
 dualizes a chain module once, builds the model and its differentials on
-first read, and alone knows the block layout (which blocks make up Tot^n,
+first read from its CyclicOperators, which the two models of one table
+share, and alone knows the block layout (which blocks make up Tot^n,
 their keys and offsets).  Tables, `cohomology` and the cochain classes of
 `pairings` all read a Total.  A table through degree nmax reads
 X_0..X_{nmax+1} only, so its models and total complexes span those degrees
@@ -184,41 +187,89 @@ def hochschild_b_prime(x, n):
     return _alternating_faces(x, n, x.face_indices(n)[:-1])
 
 
+class CyclicOperators:
+    """The operators both models of one cocyclic module are made of: b, b',
+    1 - lambda and N by degree, each formed on its first read, and the
+    verdict of `is_cyclic`, decided on its first read.
+
+    A Total owns one set, and the two Totals of one table share one, so
+    each operator and the verdict are formed once per table; nothing is
+    kept on the module, whose maps a caller may still replace.
+    """
+
+    def __init__(self, x):
+        self.module = x
+        self._formed = {}
+        self._cyclic = None
+
+    def _read(self, build, n):
+        if (build, n) not in self._formed:
+            self._formed[build, n] = build(self.module, n)
+        return self._formed[build, n]
+
+    def b(self, n):
+        """The Hochschild coboundary out of degree n; None at the top."""
+        return self._read(hochschild_b, n)
+
+    def b_prime(self, n):
+        return self._read(hochschild_b_prime, n)
+
+    def one_minus_lambda(self, n):
+        return self._read(_one_minus_lambda, n)
+
+    def norm(self, n):
+        return self._read(_norm, n)
+
+    def is_cyclic(self):
+        if self._cyclic is None:
+            self._cyclic = self.module.is_cyclic()
+        return self._cyclic
+
+
+def _operators(x):
+    """x's CyclicOperators: x itself, or a new set on x dualized if a chain
+    module."""
+    return x if isinstance(x, CyclicOperators) else CyclicOperators(_as_cochain(x))
+
+
 def mixed_of_cyclic(x):
-    """The (b,B) mixed complex of a cocyclic module.
+    """The (b,B) mixed complex of a cocyclic module, or of the module of a
+    CyclicOperators, whose operators it reads.
 
     b is the alternating face sum; B = N s (1 - lambda) with the extra
     codegeneracy s built from tau.  A chain module is transposed.  The
     three mixed identities are verified before returning.
     """
-    x = _as_cochain(x)
-    if not x.is_cyclic():
+    ops = _operators(x)
+    x = ops.module
+    if not ops.is_cyclic():
         raise NotCyclic("tau^{n+1} != id; pass the quotient/coinvariant module")
     b = {}
     B = {}
     for n in sorted(x.spaces):
-        m = hochschild_b(x, n)       # None at the top degree
+        m = ops.b(n)
         if m is not None:
             b[n] = m
         if n >= 1:
             s_ext = x.degeneracies[(n, n - 1)] * x.tau(n)
-            B[n] = _norm(x, n - 1) * s_ext * _one_minus_lambda(x, n)
+            B[n] = ops.norm(n - 1) * s_ext * ops.one_minus_lambda(n)
     return MixedComplex(x.field, x.spaces, b, B,
                         name="mixed(%s)" % (x.name or "X"))
 
 
 def cyclic_bicomplex(x):
-    """Connes' cyclic bicomplex of a cocyclic module, one entry per row.
+    """Connes' cyclic bicomplex of a cocyclic module, or of the module of a
+    CyclicOperators, whose operators it reads; one entry per row.
 
     Even columns carry b and 1 - lambda, odd columns -b' and the norm N.
     Chain modules are transposed.
     """
-    x = _as_cochain(x)
-    if not x.is_cyclic():
+    ops = _operators(x)
+    x = ops.module
+    if not ops.is_cyclic():
         raise NotCyclic("tau^{n+1} != id")
-    vert = {q: (hochschild_b(x, q), hochschild_b_prime(x, q).scale(-1))
-            for q in range(x.N)}
-    horiz = {q: (_one_minus_lambda(x, q), _norm(x, q)) for q in range(x.N + 1)}
+    vert = {q: (ops.b(q), ops.b_prime(q).scale(-1)) for q in range(x.N)}
+    horiz = {q: (ops.one_minus_lambda(q), ops.norm(q)) for q in range(x.N + 1)}
     return Bicomplex(x.field, x.spaces, vert, horiz,
                      name="CC(%s)" % (x.name or "X"))
 
@@ -242,15 +293,18 @@ class Total:
     keyed by their degree.  Bicomplex: Tot^n = (+)_{p+q=n} X_q with
     differential horizontal + vertical (the squares anticommute), its
     blocks keyed by (p, q) in ascending p.  offsets[n] maps each block of
-    Tot^n, in order, to its offset.  A chain module is dualized once, here;
-    the model, identity checks included, and the differentials are built
-    on the first read of `diffs`, and nothing else is cached.
+    Tot^n, in order, to its offset.  x is a module, which a chain module is
+    dualized once for, here, or a CyclicOperators, which the Total then
+    shares.  `ops` forms b, b', 1 - lambda and N on their first read; the
+    model, identity checks included, and the differentials are built on
+    the first read of `diffs`, and nothing else is cached.
     """
 
     def __init__(self, x, model="mixed"):
         if model not in ("mixed", "bicomplex"):
             raise ValueError("model must be 'mixed' or 'bicomplex'")
-        self.module = _as_cochain(x)
+        self.ops = _operators(x)
+        self.module = self.ops.module
         self.model = model
         self.field = self.module.field
         self.offsets, self.dims = {}, {}
@@ -280,7 +334,7 @@ class Total:
         """n -> d_n: Tot^n -> Tot^{n+1}, for n = 0..N-1."""
         if self._diffs is None:
             if self.model == "mixed":
-                c = mixed_of_cyclic(self.module)
+                c = mixed_of_cyclic(self.ops)
 
                 def blocks(m):
                     if m in c.b:
@@ -288,7 +342,7 @@ class Total:
                     if m in c.B:
                         yield m - 1, c.B[m]
             else:
-                c = cyclic_bicomplex(self.module)
+                c = cyclic_bicomplex(self.ops)
 
                 def blocks(key):
                     p, q = key
@@ -350,12 +404,14 @@ def _tables(x, models, nmax):
 
     A table through degree top = nmax (default N - 2) reads d_0..d_top,
     which touch X_0..X_{top+1} only, so the module is truncated there and
-    then dualized once for every model.
+    then dualized once for every model.  The models share one
+    CyclicOperators, so b, b', 1 - lambda, N and the cyclicity verdict are
+    formed once, and each model still checks every identity of its own.
     """
     stable = x.N - 2
     top = stable if nmax is None else nmax
-    xc = _as_cochain(truncate(x, max(top + 1, 0)))
-    return [CohomologyTable(model, Total(xc, model).cohomology_dims(top),
+    ops = CyclicOperators(_as_cochain(truncate(x, max(top + 1, 0))))
+    return [CohomologyTable(model, Total(ops, model).cohomology_dims(top),
                             stable, name=x.name) for model in models]
 
 

@@ -5,7 +5,10 @@ Python ints over one nonzero int d, standing for the values ints[k] / d.
 Stored lifts are canonical (see fields), so equal matrices have equal
 lifts.  Every kernel sums products of ints with no zero test and
 normalises its accumulator once: one gcd over Q, one pass mod p over F_p
-(fraction-free accumulation, delayed modular reduction).  No kernel
+(fraction-free accumulation, delayed modular reduction).  Over Q an
+accumulator that is already canonical becomes the result's lift itself,
+uncopied, so each kernel normalises a dict of its own and writes nothing
+to it afterwards.  No kernel
 builds a field element: the Matrix constructor takes them,
 `Matrix.entries` and `Subspace.basis` lower lifts on each read.
 `Matrix.apply` answers in the form its vector was given, a dict of field

@@ -11,6 +11,7 @@ back along these morphisms.
 """
 
 from types import MappingProxyType
+from weakref import WeakKeyDictionary
 
 from .linalg import Matrix, ShapeMismatch, _lift
 from .tensors import unflatten, permute, reshape, slot, table_matrix
@@ -27,7 +28,7 @@ from .cyclic import (CHAIN, ModuleMorphism,
                      hopf_cocyclic_comodule_algebra,
                      hopf_cyclic_comodule_coalgebra,
                      diag_hom, diag_tensor)
-from .homology import Total, hochschild_b, _one_minus_lambda
+from .homology import Total
 
 
 class NotEquivariant(Exception):
@@ -78,8 +79,9 @@ class CochainClass:
 
     It lives in a `homology.Total`, which fixes the module (the transpose of
     a chain module), the model and the block layout; `vector` is joined
-    once from components keyed by the total's blocks.  Classes made from
-    one another share their Total, so they build its model at most once.
+    once from components keyed by the total's blocks, and split back into
+    them once, on the first read of `components`.  Classes made from one
+    another share their Total, so they build its model at most once.
     """
 
     def __init__(self, total, degree, components, name=None):
@@ -87,11 +89,16 @@ class CochainClass:
         self.degree = degree
         self.vector = total.join(degree, components)
         self.name = name
+        self._components = None
 
     @property
     def components(self):
         """The nonzero blocks of the vector, a read-only view."""
-        return MappingProxyType(self.total.split(self.degree, self.vector))
+        if self._components is None:
+            self._components = MappingProxyType({
+                key: MappingProxyType(part) for key, part
+                in self.total.split(self.degree, self.vector).items()})
+        return self._components
 
     @property
     def representative(self):
@@ -136,27 +143,46 @@ def from_cyclic_cocycle(module, p, vec, model="mixed", name=None):
     A cochain psi with b(psi) = 0 and (1 - lambda)(psi) = 0 is closed in
     both models with all other components zero, so the embedding is exact.
     """
-    total = Total(module, model)
+    return _cyclic_class(Total(module, model), p, vec, name)
+
+
+def _cyclic_class(total, p, vec, name):
+    """from_cyclic_cocycle in a given Total, checked with its operators."""
     cls = CochainClass(total, p, {total.block(p): vec}, name=name)
-    mod, v = total.module, cls.representative
-    if _one_minus_lambda(mod, p).apply(v):
+    v = cls.representative
+    if total.ops.one_minus_lambda(p).apply(v):
         raise NotCocycle("representative is not cyclic (lambda-fixed) "
                          "at degree %d" % p)
-    b = hochschild_b(mod, p)
+    b = total.ops.b(p)
     if b is not None and b.apply(v):
         raise NotCocycle("representative is not closed under b at degree %d" % p)
     return cls
+
+
+# morphism -> {module: the mixed-model Total that products along the
+# morphism land in there}; an entry goes with its morphism, which holds
+# the module
+_LANDING = WeakKeyDictionary()
+
+
+def _landing(mor, module, p, vec, name):
+    """from_cyclic_cocycle(module, p, vec) in one Total per morphism and
+    module, so the classes of every call along mor share it and its
+    operators."""
+    totals = _LANDING.setdefault(mor, {})
+    if module not in totals:
+        totals[module] = Total(module)
+    return _cyclic_class(totals[module], p, vec, name)
 
 
 def cyclic_cocycles(module, p):
     """Basis of single-degree cyclic cocycles: ker b intersect ker(1 - lambda),
     as classes of the mixed model sharing one Total."""
     total = Total(module)
-    mod, f = total.module, total.field
-    d = mod.spaces[p]
-    b = hochschild_b(mod, p) or Matrix.zero(f, 0, d)     # None at the top degree
+    f, d = total.field, total.module.spaces[p]
+    b = total.ops.b(p) or Matrix.zero(f, 0, d)     # None at the top degree
     sub = Matrix.from_blocks(f, b.rows + d, d, [
-        (0, 0, b), (b.rows, 0, _one_minus_lambda(mod, p))]).kernel_basis()
+        (0, 0, b), (b.rows, 0, total.ops.one_minus_lambda(p))]).kernel_basis()
     return [CochainClass(total, p, {total.block(p): v}) for v in sub.basis]
 
 
@@ -457,8 +483,8 @@ def cup_with_trace(cls, trace, mor):
     if not cls.is_single_degree():
         raise NotCocycle("cup products need a single-degree representative")
     p = cls.degree
-    return from_cyclic_cocycle(mor.source, p, _pulled_back(mor, p, trace, cls),
-                               name="cup(%s)" % (cls.name or "class"))
+    return _landing(mor, mor.source, p, _pulled_back(mor, p, trace, cls),
+                    "cup(%s)" % (cls.name or "class"))
 
 
 def crossed_cocup_with_invariant(cls, g0, xi_mor):
@@ -481,8 +507,8 @@ def crossed_cocup_with_invariant(cls, g0, xi_mor):
     # xi_p(class) as a column, regrouped into the Hom matrix Y_p <- X_p
     hom = reshape(Matrix.from_columns(f, xi_mor.target.spaces[p], [
         xi_mor.maps[p].apply(cls.representative)]), y_mod.spaces[p])
-    return from_cyclic_cocycle(y_mod, p, f.from_integral(*hom.apply(g)),
-                               name="cocup(%s)" % (cls.name or "class"))
+    return _landing(xi_mor, y_mod, p, f.from_integral(*hom.apply(g)),
+                    "cocup(%s)" % (cls.name or "class"))
 
 
 def cm_char_map(trace, pairing, cls, alpha_mor):
@@ -529,8 +555,8 @@ def cm_char_map(trace, pairing, cls, alpha_mor):
     if _lift(f, route1) != _lift(f, route2):
         raise AgreementFailure("direct formula and pullback route disagree "
                                "at degree %d" % p)
-    return from_cyclic_cocycle(alpha_mor.source, p, route1,
-                               name="gamma(%s)" % (cls.name or "class"))
+    return _landing(alpha_mor, alpha_mor.source, p, route1,
+                    "gamma(%s)" % (cls.name or "class"))
 
 
 # ---------------------------------------------------------------------------

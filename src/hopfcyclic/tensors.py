@@ -62,19 +62,24 @@ def permute(mat, dims, order, cols=False):
     """mat with the slots of its row (or column) index reordered.
 
     The index runs over V_0 (x) ... (x) V_k with dimensions dims; slot j of
-    the new index is slot order[j] of the old one.  One pass over the
-    entries: no permutation matrix is built.
+    the new index is slot order[j] of the old one.  One table gives the new
+    index of every old one, built slot by slot with each slot weighted by
+    its stride in the new index, and one pass maps the entries through it:
+    no permutation matrix is built.
     """
-    new_dims = [dims[o] for o in order]
-
-    def move(i):
-        idx = unflatten(i, dims)
-        return flatten([idx[o] for o in order], new_dims)
+    stride = [0] * len(dims)
+    step = 1
+    for o in reversed(order):
+        stride[o] = step
+        step *= dims[o]
+    move = [0]
+    for dim, w in zip(dims, stride):
+        move = [t + i * w for t in move for i in range(dim)]
     a, d = mat.lift
     if cols:
-        ent = {(r, move(c)): v for (r, c), v in a.items()}
+        ent = {(r, move[c]): v for (r, c), v in a.items()}
     else:
-        ent = {(move(r), c): v for (r, c), v in a.items()}
+        ent = {(move[r], c): v for (r, c), v in a.items()}
     return Matrix(mat.field, mat.rows, mat.cols, lift=(ent, d))
 
 

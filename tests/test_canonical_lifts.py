@@ -7,7 +7,9 @@ Subspace basis vector is checked to be stored that way, the lift and the
 field-element forms of each vector kernel are checked to agree, and
 equality and hashing are checked against the lowered entries.  The
 constructor's canonicalisation and its refusal of values that are not
-field elements are pinned by plain examples.
+field elements are pinned by plain examples.  The Q normaliser, which
+hands a canonical table back uncopied, and the index table of permute
+are checked against their definitions.
 """
 
 from fractions import Fraction
@@ -18,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from hopfcyclic import QQ, GF, Matrix, Subspace, quotient_space
 from hopfcyclic.linalg import SingularMatrix
-from hopfcyclic.tensors import column_blocks, permute, reshape, slot
+from hopfcyclic.tensors import (column_blocks, flatten, permute, prod, reshape,
+                                slot, unflatten)
 
 FIELDS = [QQ, GF(7), GF(10007)]
 
@@ -192,3 +195,46 @@ def test_q_ints_become_fractions_in_the_view():
 def test_a_value_that_is_not_a_field_element_is_refused(field, value):
     with pytest.raises(TypeError, match=r"entry \(0,1\)"):
         Matrix(field, 1, 2, {(0, 0): 1, (0, 1): value})
+
+
+@settings(max_examples=200, deadline=None)
+@given(ints=st.dictionaries(st.integers(0, 9), st.integers(-40, 40)),
+       d=st.integers(-12, 12).filter(bool), common=st.integers(1, 6))
+def test_q_normalize_equals_its_definition(ints, d, common):
+    """x / d, ints and d sharing a factor: the nonzero ints and d divided by
+    their gcd, signed so that d > 0; a dict handed back as it is had no
+    zero and is left unchanged, and a canonical lift always comes back."""
+    ints = {k: x * common for k, x in ints.items()}
+    d *= common
+    before = dict(ints)
+    g = gcd(d, *ints.values()) * (1 if d > 0 else -1)
+    out = QQ.normalize(ints, d)
+    assert out == ({k: x // g for k, x in ints.items() if x}, d // g)
+    assert ints == before
+    if out[0] is ints:
+        assert 0 not in ints.values()
+    assert QQ.normalize(*out)[0] is out[0]
+    assert_canonical(QQ, out)
+
+
+@pytest.mark.parametrize("cols", [False, True], ids=["rows", "columns"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_permute_moves_each_index_as_its_definition_does(cols, data):
+    """Slot j of the new index is slot order[j] of the old one, read off
+    unflatten and flatten for every entry of the row or column index."""
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    order = data.draw(st.permutations(range(len(dims))))
+    other = data.draw(st.integers(1, 3))
+    shape = (other, prod(dims)) if cols else (prod(dims), other)
+    m = draw_matrix(data, QQ, *shape)
+    new_dims = [dims[o] for o in order]
+
+    def move(i):
+        idx = unflatten(i, dims)
+        return flatten([idx[o] for o in order], new_dims)
+    ints, d = m.lift
+    want = {(r, move(c)) if cols else (move(r), c): x
+            for (r, c), x in ints.items()}
+    got = permute(m, dims, order, cols=cols)
+    assert (got.rows, got.cols) == shape and got.lift == (want, d)

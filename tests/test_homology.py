@@ -11,7 +11,7 @@ from hopfcyclic.homology import (mixed_of_cyclic, cyclic_bicomplex,
                                  transpose_module, MixedComplex,
                                  IdentityFailure, OutOfStableRange,
                                  hochschild_b, Total)
-from hopfcyclic.cyclic import truncate
+from hopfcyclic.cyclic import ParaCyclicModule, truncate
 from hopfcyclic import fixtures as fx
 
 
@@ -271,14 +271,16 @@ def test_compare_models_eliminates_each_differential_once(monkeypatch, kz3):
         monkeypatch.setattr(Matrix, name, counted(name, getattr(Matrix, name)))
     monkeypatch.setattr(homology, "transpose_module",
                         counted("transpose_module", homology.transpose_module))
-    # the top degree of every module either model builder gets
+    # the top degree of every module either model builder gets, through
+    # the operators the two models share
     tops = []
     for name in ("mixed_of_cyclic", "cyclic_bicomplex"):
-        def spy(x, build=getattr(homology, name)):
+        def spy(ops, build=getattr(homology, name)):
+            x = ops.module
             tops.append(max(max(x.spaces), max(x.cyclic),
                             *(n + x.step for n, _ in x.faces),
                             *(n - x.step for n, _ in x.degeneracies)))
-            return build(x)
+            return build(ops)
         monkeypatch.setattr(homology, name, spy)
     res = compare_models(cyc_algebra(kz3.algebra, 5))
     assert res["agree"] and res["stable_range"] == 3
@@ -286,6 +288,31 @@ def test_compare_models_eliminates_each_differential_once(monkeypatch, kz3):
     # module, and no matrix of either model touches X_5
     assert calls == {"rank": 8, "kernel_basis": 0, "transpose_module": 1}
     assert tops == [4, 4]
+
+
+def test_compare_models_forms_each_cyclic_operator_once(monkeypatch, kz3):
+    x = cyc_algebra(kz3.algebra, 5)
+    formed = []
+    for name in ("hochschild_b", "hochschild_b_prime", "_one_minus_lambda",
+                 "_norm"):
+        def spy(x, n, name=name, build=getattr(homology, name)):
+            formed.append((name, n))
+            return build(x, n)
+        monkeypatch.setattr(homology, name, spy)
+    twist = ParaCyclicModule.T
+
+    def twist_spy(self, n):
+        formed.append(("twist", n))
+        return twist(self, n)
+    monkeypatch.setattr(ParaCyclicModule, "T", twist_spy)
+    assert compare_models(x)["agree"]
+    # the tables read X_0..X_4: both models share b (None out of X_4),
+    # 1 - lambda, N and the twists of the cyclicity verdict; b' is the
+    # bicomplex's alone, out of X_0..X_3
+    want = [(name, n) for name in ("hochschild_b", "_one_minus_lambda",
+                                   "_norm", "twist") for n in range(5)]
+    want += [("hochschild_b_prime", n) for n in range(4)]
+    assert sorted(formed) == sorted(want)
 
 
 def _damaged_face(x, n):

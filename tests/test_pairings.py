@@ -247,6 +247,26 @@ def test_crossed_cocup_with_invariant(xi_mor):
     assert reps[2] == {3: f(2)}
 
 
+def test_classes_along_one_morphism_share_one_total(monkeypatch, xi_mor):
+    # the cocups of every degree land in one Total of C(C,M), and each
+    # class, taken or made, splits its vector once however often it is read
+    splits = []
+    split = Total.split
+
+    def spy(self, n, vec):
+        splits.append(n)
+        return split(self, n, vec)
+    monkeypatch.setattr(Total, "split", spy)
+    outs = [crossed_cocup_with_invariant(cls, {0: QQ.one}, xi_mor)
+            for p in (0, 1, 2) for cls in cyclic_cocycles(xi_mor.source, p)]
+    assert len(outs) == 8 and len({id(out.total) for out in outs}) == 1
+    assert len(splits) == 2 * len(outs)
+    for out in outs:
+        assert out.is_single_degree() and out.is_cocycle()
+        assert set(out.components) <= {out.total.block(out.degree)}
+    assert len(splits) == 2 * len(outs)
+
+
 def test_cocup_rejects_non_invariant_seed(xi_mor):
     x = xi_mor.target.meta["x"]
     f = x.field
