@@ -458,16 +458,22 @@ def compute_J(t, buffer=2):
     _certify_symmetries checks these identities in each degree n with
     J_n != 0, where it also certifies tau_n injective by its rank
     (InvertibilityFailure if it is not), and DescentFailure names one that
-    fails; the closure
-    fixpoint and [L_h, tau] mapping into J raise CertificateFailure.
-    Once all pass, t._certified records each map they prove to send J into
-    J, with J at its two ends and their dimensions, so that _descend need
-    not check it on J again.
+    fails; the closure fixpoints and [L_h, tau] mapping into J raise
+    CertificateFailure.  Once all pass, t._certified records each map they
+    prove to send J into J, with J at its two ends and their dimensions,
+    so that _descend need not check it on J again.  The seeds are formed
+    by _seeds, which takes no difference of two equal matrices: L_1 = id,
+    checked there degree by degree, makes [L_1, tau] zero.
 
     Degrees above t.N - buffer are truncation-affected; buffer must be at
-    least 1.  Stability in the certified range is checked by recomputing
-    with the top degree removed, a closure inside J: a dimension mismatch
-    raises the UnstableTruncation warning.
+    least 1.  The closure runs in two phases, each certified at its
+    fixpoint.  Phase 1 closes the seeds below degree t.N under the
+    operators among those degrees: the closure of t truncated to t.N - 1.
+    Phase 2 grows those very subspaces to J, pushing them only into degree
+    t.N and adding its seeds; as cl(S) = cl(cl_{<N}(S_{<N}) + S_N) and
+    reduced bases are unique, J is the one closure of all the seeds.  A
+    dimension in the certified range that phase 2 changed raises the
+    UnstableTruncation warning.
     """
     if not t.h_action:
         raise ValueError("compute_J needs a module with an H-action")
@@ -475,41 +481,59 @@ def compute_J(t, buffer=2):
         raise ValueError("buffer must be at least 1")
     f = t.field
     gens = algebra_generators(t.hopf)
-    # the truncated module of the stability check keeps t's matrices
     twists, comms = {}, {}
-    for n, dim_n in t.spaces.items():
-        cols = (t.T(n) - Matrix.identity(f, dim_n)).columns(lifted=True)
-        twists[n] = [c for c in cols if c[0]]
-        for h in range(t.hopf.dim):
-            lh, tau = t.act_h(n, h), t.tau(n)
-            cols = (lh * tau - tau * lh).columns(lifted=True)
-            comms[n, h] = [c for c in cols if c[0]]
+    for n in t.spaces:
+        twists[n], comms[n] = _seeds(t, n)
+    ops = [(n, n + shift, maps[n, j])
+           for maps, shift in ((t.faces, t.step), (t.degeneracies, -t.step))
+           for n, j in maps if j == 0]
+    ops += [(n, n, t.tau(n)) for n in t.spaces]
 
-    def closure(mod):
-        ops = [(n, n + shift, maps[n, j])
-               for maps, shift in ((mod.faces, mod.step),
-                                   (mod.degeneracies, -mod.step))
-               for n, j in maps if j == 0]
-        ops += [(n, n, mod.tau(n)) for n in mod.spaces]
-        seeds = {n: twists[n] + [c for g in gens for c in comms[n, g]]
-                 for n in mod.spaces}
-        return operator_closure(f, seeds, ops)
+    def closure(degrees, ops, start=None):
+        seeds = {n: twists[n] + [c for g in gens for c in comms[n][g]]
+                 for n in degrees}
+        return operator_closure(f, seeds, ops, start)
 
-    full = closure(t)
+    start = {}
+    if t.N >= 1:   # phase 1
+        start = closure(range(t.N), [op for op in ops if max(op[:2]) < t.N])
+    below = {n: s.dim for n, s in start.items()}
+    full = closure([n for n in t.spaces if n not in start], ops, start)
     record = _certify_symmetries(t, full, gens)
-    for (n, h), cols in comms.items():
-        if not all(full[n].contains(c) for c in cols):
-            raise CertificateFailure("seed [L_%d, tau] leaves J at degree %d"
-                                     % (h, n))
+    for n in comms:
+        for h, cols in comms[n].items():
+            if not all(full[n].contains(c) for c in cols):
+                raise CertificateFailure("seed [L_%d, tau] leaves J at degree %d"
+                                         % (h, n))
     t._certified = record   # it claims every L_h preserves J: seeds first
     if t.N >= 1:
-        shrunk = closure(truncate(t, t.N - 1))
-        for n in range(0, max(t.N - buffer, 0) + 1):
-            if full[n].dim != shrunk[n].dim:
+        for n in range(max(t.N - buffer, 0) + 1):
+            if full[n].dim != below[n]:
                 warnings.warn("J dimensions not yet stable at degree %d "
-                              "(%d vs %d)" % (n, full[n].dim, shrunk[n].dim),
+                              "(%d vs %d)" % (n, full[n].dim, below[n]),
                               UnstableTruncation)
     return full
+
+
+def _seeds(t, n):
+    """The nonzero columns of T_n - id and of [L_h, tau_n] for each basis h
+    of H, as lifts: (twist columns, {h: commutator columns}).  A difference
+    of two equal matrices is not formed, nor the products of the unit's
+    commutator once L_1 = id is checked at degree n."""
+    f, dim, hopf = t.field, t.spaces[n], t.hopf
+    ident, tau = Matrix.identity(f, dim), t.tau(n)
+
+    def columns(a, b):   # the nonzero columns of a - b
+        if a == b:
+            return []
+        return [c for c in (a - b).columns(lifted=True) if c[0]]
+
+    unit = hopf.unit()
+    skip = {h for h in unit if unit == {h: f.one} and t.act_h(n, h) == ident}
+    comms = {h: [] if h in skip else columns(t.act_h(n, h) * tau,
+                                             tau * t.act_h(n, h))
+             for h in range(hopf.dim)}
+    return columns(t.T(n), ident), comms
 
 
 def _certify_symmetries(t, ideal, gens):
@@ -581,10 +605,12 @@ def _descend(t, sub, keep_h=True, name=None):
     still sends the one into the other, whatever became of the other maps.
     """
     f = t.field
-    proj, sect, qdims = {}, {}, {}
+    proj, sect, qdims, whole = {}, {}, {}, set()
     for n in sorted(t.spaces):
         s = sub.get(n) or Subspace(f, t.spaces[n])
         qdims[n], proj[n], sect[n] = quotient_space(t.spaces[n], s)
+        if not s.dim:
+            whole.add(n)
 
     def induce(m, tgt, key):
         kind, src, _ = key
@@ -597,8 +623,11 @@ def _descend(t, sub, keep_h=True, name=None):
                 if proj[tgt].apply(m.apply(b))[0]:
                     raise DescentFailure("%s does not preserve the subspace "
                                          "(degree %d)" % (tag, src))
-        # m * sect only picks columns of m, so form it before the projection
-        return proj[tgt] * (m * sect[src])
+        # m * sect only picks columns of m, so form it before the projection;
+        # both are identities where the subspace is zero
+        if src not in whole:
+            m = m * sect[src]
+        return m if tgt in whole else proj[tgt] * m
 
     faces = {k: induce(m, k[0] + t.step, ("face", *k))
              for k, m in t.faces.items()}

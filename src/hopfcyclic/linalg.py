@@ -22,11 +22,15 @@ lifts plus a column index of the basis vectors nonzero in each non-pivot
 column, so reducing a vector is one pass over the pivots in its support,
 inserting one clears its pivot from just the vectors the index lists
 there, and a quotient projection is read off the basis.  Matrix.rref is
-the reduced basis of the row space; rank, kernels and inverses are read
-off it.  operator_closure grows graded subspaces to the smallest one
-closed under a list of operators and then certifies that fixpoint; a
-failed certificate raises CertificateFailure, an AssertionError that
-names what failed and, unlike an assert statement, runs under python -O.
+the reduced basis of the row space; kernels and inverses are read off
+it, and so is the rank, except where the nonzeros lie in distinct rows
+and columns: then each is a pivot and the rank is their number.
+operator_closure grows graded subspaces to the smallest one closed under
+a list of operators and then certifies that fixpoint; given a start, a
+graded subspace already closed in some degrees, it grows that in place
+and pushes it only into the other degrees.  A failed certificate raises
+CertificateFailure, an AssertionError that names what failed and, unlike
+an assert statement, runs under python -O.
 """
 
 from bisect import bisect_left
@@ -228,7 +232,15 @@ class Matrix:
              for (k, l), w in b.items()}, da * db))
 
     def rank(self):
-        return len(self.rref()[0])
+        """Rank, read off rref; a matrix whose nonzeros lie in distinct rows
+        and columns (a scaled partial permutation) has one per nonzero."""
+        rows, cols = set(), set()
+        for i, j in self.lift[0]:
+            if i in rows or j in cols:
+                return len(self.rref()[0])
+            rows.add(i)
+            cols.add(j)
+        return len(rows)
 
     def rref(self):
         """Reduced row echelon form as (pivot columns, rows): rows[k], a
@@ -472,41 +484,49 @@ def quotient_space(ambient_dim, sub):
             Matrix(f, ambient_dim, dim, lift=(sect, 1)))
 
 
-def operator_closure(field, seeds, ops):
+def operator_closure(field, seeds, ops, start=None):
     """Smallest graded subspace containing seeds, closed under the operators.
 
     seeds: degree -> iterable of vectors, in degrees the operators touch.
     ops: (source degree, target degree, Matrix) triples; the matrix shapes
-    give the space dimensions.  A worklist pushes each new vector, as a
-    lift, through every operator.  Then a certified pass applies every
-    operator to every final basis vector and raises CertificateFailure on
-    an image outside the span.  Dimensions are finite and grow, so the
-    worklist ends.
+    give the space dimensions.  start: degree -> Subspace, already closed
+    under the operators among its degrees; these grow in place, and their
+    basis vectors are pushed only through the operators into the other
+    degrees.  A worklist pushes each new vector, as a lift, through every
+    operator.  Then a certified pass applies every operator to every final
+    basis vector and raises CertificateFailure on an image outside the
+    span, a start that was not closed included.  Dimensions are finite and
+    grow, so the worklist ends.
     """
-    dims = {}
+    start = start or {}
+    dims = {n: s.ambient_dim for n, s in start.items()}
     for src, tgt, m in ops:
         for n, d in ((src, m.cols), (tgt, m.rows)):
             if dims.setdefault(n, d) != d:
                 raise ShapeMismatch("operator dim %d, space %d has dim %d"
                                     % (d, n, dims[n]))
-    spaces = {n: Subspace(field, d) for n, d in dims.items()}
+    spaces = {n: start.get(n) or Subspace(field, d) for n, d in dims.items()}
     by_src = {}
     for src, tgt, m in ops:
         by_src.setdefault(src, []).append((tgt, m))
     work = deque()
+
+    def add(n, v):
+        if spaces[n].add_vector(v):
+            work.append((n, v))
+    for src, tgt, m in ops:
+        if src in start and tgt not in start:
+            for b in start[src].lifts():
+                add(tgt, m.apply(b))
     for n, vecs in seeds.items():
         for v in vecs:
-            v = _lift(field, v)
-            if spaces[n].add_vector(v):
-                work.append((n, v))
+            add(n, _lift(field, v))
     # first in first out: a stack made inserts three times as costly on
     # large covers
     while work:
         n, v = work.popleft()
         for tgt, m in by_src.get(n, ()):
-            img = m.apply(v)
-            if spaces[tgt].add_vector(img):
-                work.append((tgt, img))
+            add(tgt, m.apply(v))
     for src, tgt, m in ops:
         for b in spaces[src].lifts():
             if not spaces[tgt].contains(m.apply(b)):

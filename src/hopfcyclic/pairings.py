@@ -567,7 +567,8 @@ def diag_tensor_epi_check(ma, ma2, m, m2, N, buffer=2, drop_factor=False):
     """Surjectivity of Q(H(x)H; A(x)A', M(x)M') onto diag(Q (x) Q').
 
     Builds the factor-reshuffling map on covers, pushes it through the
-    three quotient towers, and certifies degreewise surjectivity by rank
+    quotient towers (one per factor, one in all when A' is A and M' is M,
+    and one of the product), and certifies degreewise surjectivity by rank
     in degrees 0..N.  drop_factor corrupts the reshuffle by collapsing the
     second factor onto a single basis line (a forced negative control).
     """
@@ -575,11 +576,13 @@ def diag_tensor_epi_check(ma, ma2, m, m2, N, buffer=2, drop_factor=False):
     hh = tensor_hopf(ma.hopf, ma2.hopf)
     mat = tensor_module_algebra(ma, ma2, hh)
     mmt = tensor_modcomodule(m, m2, hh)
-    q12, q1, q2 = (hopf_cyclic_complex(a, c, N, buffer=buffer, level="Q")
-                   for a, c in ((mat, mmt), (ma, m), (ma2, m2)))
+    q12, q1 = (hopf_cyclic_complex(a, c, N, buffer=buffer, level="Q")
+               for a, c in ((mat, mmt), (ma, m)))
+    q2 = q1 if ma2 is ma and m2 is m else hopf_cyclic_complex(
+        ma2, m2, N, buffer=buffer, level="Q")
     _, p12, s12 = _tower(q12)
     _, p1, _ = _tower(q1)
-    _, p2, _ = _tower(q2)
+    p2 = p1 if q2 is q1 else _tower(q2)[1]
     da, da2 = ma.algebra.dim, ma2.algebra.dim
     dm, dm2 = m.dim, m2.dim
     report = {"degrees": {}, "surjective": True, "descends": True,

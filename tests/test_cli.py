@@ -221,6 +221,20 @@ def test_pair_epi_checks_the_degrees_asked_for(tmp_path):
     assert sorted(rep["details"]["degrees"]) == ["0", "1"]
 
 
+def test_pair_epi_builds_one_tower_per_distinct_factor(monkeypatch):
+    # pair --via epi checks Q(A (x) A, M (x) M) onto diag(Q (x) Q) with the
+    # same A and M twice: Q(A, M) is built once, so two towers in all
+    from hopfcyclic import pairings
+    built, real = [], pairings.hopf_cyclic_complex
+
+    def spy(c_or_a, m, N, **kw):
+        built.append((c_or_a, m))
+        return real(c_or_a, m, N, **kw)
+    monkeypatch.setattr(pairings, "hopf_cyclic_complex", spy)
+    assert main(["pair", "--via", "epi"]) == EXIT_OK
+    assert len(built) == 2 and built[0] != built[1]
+
+
 def _probe(lib, tmp_path, name, edit):
     doc = json.loads((lib / name).read_text())
     edit(doc)

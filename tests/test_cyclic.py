@@ -91,6 +91,51 @@ def test_buffer_below_one_is_refused(kz2_coalgebra_cover, pair_g, buffer):
             hopf_cyclic_complex(mc, pair_g, 2, buffer=buffer, level=level)
 
 
+def _top_twisted_module(field):
+    """A cochain module over H = k on three 1-dimensional degrees whose one
+    nonzero twist T_n - id sits at the top degree: tau = 1, -1, 2, so T is
+    1, 1, 8.  Each face and degeneracy of index j >= 1 is scaled from the
+    one of index j - 1 so that the tau-conjugation identities compute_J
+    certifies hold; the degeneracies carry J_2 down to J_1 and J_0."""
+    tau = {0: field(1), 1: field(-1), 2: field(2)}
+
+    def scalar(c):
+        return Matrix(field, 1, 1, {(0, 0): c} if c else {})
+    faces, degs = {}, {}
+    for n in (0, 1):   # d^j tau_n = tau_{n+1} d^{j+1}
+        c = field.one
+        for j in range(n + 2):
+            faces[n, j] = scalar(c)
+            c = field.mul(c, field.mul(tau[n], field.inv(tau[n + 1])))
+    for n in (1, 2):   # s^j tau_n = tau_{n-1} s^{j+1}
+        c = field.one
+        for j in range(n):
+            degs[n, j] = scalar(c)
+            c = field.mul(c, field.mul(tau[n], field.inv(tau[n - 1])))
+    return ParaCyclicModule(
+        field, COCHAIN, {0: 1, 1: 1, 2: 1}, faces, degs,
+        {n: scalar(c) for n, c in tau.items()},
+        h_action={(n, 0): scalar(field.one) for n in range(3)},
+        hopf=fx.trivial_hopf(field))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=["Q", "GF10007"])
+def test_a_seed_only_at_the_top_degree_warns_of_an_unstable_truncation(field):
+    # J is all of X, but truncated to degrees 0 and 1 the module has no
+    # seed: the certified range 0..N - 1 has not settled
+    t = _top_twisted_module(field)
+    with pytest.warns(cyclic.UnstableTruncation) as caught:
+        j = compute_J(t, buffer=1)
+    assert {n: j[n].dim for n in sorted(j)} == {0: 1, 1: 1, 2: 1}
+    assert [str(w.message) for w in caught] == [
+        "J dimensions not yet stable at degree %d (1 vs 0)" % n for n in (0, 1)]
+    # buffer 2 certifies degree 0 only
+    with pytest.warns(cyclic.UnstableTruncation) as caught:
+        compute_J(_top_twisted_module(field), buffer=2)
+    assert [str(w.message) for w in caught] == [
+        "J dimensions not yet stable at degree 0 (1 vs 0)"]
+
+
 def test_coinvariants_of_quotient_match_direct_coinvariants(kz2, pair_triv,
                                                            pair_g, sayd_reg):
     """k (x)_H Q has the same dimensions as k (x)_H T on stable
@@ -435,6 +480,16 @@ def _break_multiplicativity(t):
     t.h_action[(1, 3)] = t.h_action[(1, 3)].scale(2)
 
 
+def _scale_unit_action(t):
+    """L_1 = 2 id at degree 1: it still commutes with tau."""
+    t.h_action[(1, 0)] = t.h_action[(1, 0)].scale(2)
+
+
+def _shear_unit_action(t):
+    """L_1 = id + e_0 e_1^T at degree 2."""
+    t.h_action[(2, 0)] = _plus_unit(t.h_action[(2, 0)], 0, 1)
+
+
 @pytest.mark.parametrize("cover, top, damage, message", [
     # chain: d_j tau = tau d_{j-1}; cochain: d^{j-1} tau = tau d^j
     (_sweedler_cover, 3, _break_face, "d^0 tau = tau d^1 fails at degree 2"),
@@ -447,7 +502,12 @@ def _break_multiplicativity(t):
     # L_gx doubled is no longer L_g L_x
     (_sweedler_cover, 2, _break_multiplicativity,
      "L_g L_h = L_gh (g=1, h=2) fails at degree 1"),
-], ids=["cochain face", "chain face", "L_g d_0", "L_g s_0", "multiplicative"])
+    # an L_1 that is not the identity has its commutator formed as a seed
+    (_sweedler_cover, 2, _scale_unit_action, "L_1 = id fails at degree 1"),
+    (_sweedler_cover, 3, _shear_unit_action, "L_1 = id fails at degree 2"),
+    (_dual_numbers_cover, 3, _shear_unit_action, "L_1 = id fails at degree 2"),
+], ids=["cochain face", "chain face", "L_g d_0", "L_g s_0", "multiplicative",
+        "scaled L_1", "sheared L_1", "sheared chain L_1"])
 def test_a_broken_identity_fails_compute_j_by_name(cover, top, damage, message):
     t = cover(top)
     damage(t)

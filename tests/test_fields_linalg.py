@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -126,6 +127,37 @@ def test_rank_matches_dense_oracle(field, data):
         small_entries(field), max_size=12))
     m = Matrix(field, rows, cols, entries)
     assert m.rank() == dense_rank_oracle(field, rows, cols, entries)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(10007)], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rank_of_nonzeros_in_distinct_rows_and_columns(field, data):
+    # such a matrix has one pivot per nonzero, and rank counts them without
+    # eliminating; a near miss with one more nonzero in a used row or a
+    # used column goes through rref, whose pivots rank must agree with
+    rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    k = data.draw(st.integers(0, min(rows, cols)))
+    where = zip(data.draw(st.permutations(range(rows))),
+                data.draw(st.permutations(range(cols))))
+    nonzero = small_entries(field).filter(bool)
+    entries = {ij: data.draw(nonzero) for ij in list(where)[:k]}
+    used_rows, used_cols = sorted({i for i, _ in entries}), {j for _, j in entries}
+    miss = data.draw(st.sampled_from(["none", "row", "column"]))
+    free = []
+    if miss == "row":        # a used row, an unused column
+        free = [(i, j) for i in used_rows for j in range(cols) if j not in used_cols]
+    elif miss == "column":   # an unused row, a used column
+        free = [(i, j) for i in range(rows) if i not in used_rows
+                for j in sorted(used_cols)]
+    if free:
+        entries[data.draw(st.sampled_from(free))] = data.draw(nonzero)
+    m = Matrix(field, rows, cols, entries)
+    with mock.patch.object(Matrix, "rref", autospec=True,
+                           side_effect=Matrix.rref) as rref:
+        r = m.rank()
+    assert r == len(m.rref()[0]) == dense_rank_oracle(field, rows, cols, entries)
+    assert rref.called == (len(entries) > k)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

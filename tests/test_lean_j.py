@@ -16,6 +16,7 @@ does Q = T/J, which descends there with no per-vector check.
 
 import hashlib
 import json
+import os
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
@@ -24,8 +25,11 @@ from hopfcyclic import QQ, GF, Matrix, ModularPair, modular_pair_module
 from hopfcyclic import cyclic
 from hopfcyclic import fixtures as fx
 from hopfcyclic.cyclic import cover_algebra, cover_coalgebra, compute_J
-from hopfcyclic.hopf import algebra_generators
+from hopfcyclic import io as hio
+from hopfcyclic.hopf import ModuleCoalgebra, algebra_generators
 from hopfcyclic.linalg import operator_closure
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def definitional_J(t):
@@ -115,6 +119,49 @@ def test_lean_j_equals_the_definition_on_every_case_at_top_degree():
             assert all(lean[n] == ref[n] for n in ref), (name, field)
 
 
+def _file_covers():
+    """Degree-3 covers of every shipped module (co)algebra file with every
+    shipped coefficient file, and of the benchmark's two Sweedler inputs."""
+    def read(*parts):
+        return hio.parse_input(os.path.join(ROOT, *parts), validate=True)
+    pairs = [(read("fixtures", x), read("fixtures", m), x + " with " + m)
+             for x in ("module-coalgebra-kz2-regular.json",
+                       "module-algebra-dual-numbers.json")
+             for m in ("modcomodule-trivial-kz2.json",
+                       "modcomodule-modular-pair-kz2.json")]
+    pairs.append((read("bench", "inputs",
+                       "module-coalgebra-sweedler-regular-gf10007.json"),
+                  read("bench", "inputs",
+                       "modcomodule-trivial-sweedler-gf10007.json"),
+                  "bench inputs"))
+    for x, m, name in pairs:
+        build = cover_coalgebra if isinstance(x, ModuleCoalgebra) else cover_algebra
+        yield name, build(x, m, 3)
+
+
+def test_the_seeds_are_the_nonzero_columns_of_every_twist_and_commutator():
+    # _seeds forms no difference of equal matrices and skips the unit's
+    # commutator where L_1 = id: what it returns must still be every
+    # nonzero column of T_n - id and of L_h tau - tau L_h, for every h
+    def lowered(f, cols):
+        return [f.from_integral(*c) for c in cols]
+    seen = set()
+    for name, t in _file_covers():
+        f = t.field
+        for n, dim_n in t.spaces.items():
+            twist, comms = cyclic._seeds(t, n)
+            want = (t.T(n) - Matrix.identity(f, dim_n)).columns()
+            assert lowered(f, twist) == [c for c in want if c], (name, n)
+            assert sorted(comms) == list(range(t.hopf.dim))
+            for h, cols in comms.items():
+                lh, tau = t.act_h(n, h), t.tau(n)
+                want = (lh * tau - tau * lh).columns()
+                assert lowered(f, cols) == [c for c in want if c], (name, n, h)
+            seen |= {"twist"} if twist else set()
+            seen |= {"commutator"} if any(comms.values()) else set()
+    assert seen == {"twist", "commutator"}
+
+
 def test_algebra_generators():
     assert algebra_generators(fx.group_algebra(QQ, 2)) == [1]
     assert algebra_generators(fx.group_algebra(GF(7), 5)) == [1]
@@ -166,24 +213,31 @@ def test_compute_J_equals_the_closure_with_every_operator_in_the_worklist(
     f, gens = t.field, algebra_generators(t.hopf)
     calls = []
 
-    def spy(field, seeds, ops):
-        calls.append(ops)
-        return operator_closure(field, seeds, ops)
+    def spy(field, seeds, ops, start=None):
+        out = operator_closure(field, seeds, ops, start)
+        calls.append((sorted(seeds), ops, start, out))
+        return out
 
     monkeypatch.setattr(cyclic, "operator_closure", spy)
     lean = compute_J(t, buffer=1)
-    # both closures, the full one and the stability check's, run over
-    # exactly d_0, s_0 and tau: the identity certificate covers the rest
+    # both phases of the one closure, the stability check's below the top
+    # degree and the full one grown from it, run over exactly d_0, s_0 and
+    # tau: the identity certificate covers the rest
     zeroth = {id(m) for maps in (t.faces, t.degeneracies)
               for (_, j), m in maps.items() if j == 0}
     taus = {id(m) for m in t.cyclic.values()}
     assert len(calls) == 2
-    full_ops, shrunk_ops = calls
+    (low_seeds, low_ops, low_start, low), (top_seeds, full_ops, start, out) = calls
     assert {id(m) for _, _, m in full_ops} == zeroth | taus
     assert len(full_ops) == len(zeroth | taus)
-    assert {id(m) for _, _, m in shrunk_ops} <= zeroth | taus
-    assert {(src, tgt) for src, tgt, _ in shrunk_ops} == {
+    assert {id(m) for _, _, m in low_ops} <= zeroth | taus
+    assert {(src, tgt) for src, tgt, _ in low_ops} == {
         (src, tgt) for src, tgt, _ in full_ops if max(src, tgt) <= t.N - 1}
+    # phase 1 covers the degrees below N, and phase 2 grows its very
+    # subspaces, adding the seeds of degree N only
+    assert low_start is None and low_seeds == sorted(low) == list(range(t.N))
+    assert start is low and top_seeds == [t.N] and out is lean
+    assert all(lean[n] is low[n] for n in low)
     # the reference closes over every face, degeneracy, tau and L_g
     ops = [(n, n + t.step, m) for (n, _), m in t.faces.items()]
     ops += [(n, n - t.step, m) for (n, _), m in t.degeneracies.items()]
