@@ -16,7 +16,8 @@ from .linalg import Matrix, CertificateFailure
 from .hopf import (AlgebraData, HopfAlgebraData, ModuleAlgebra,
                    ModuleCoalgebra, ComoduleAlgebra, ComoduleCoalgebra,
                    ModComodule, EquivariantPairing, ModularPair, HopfMismatch,
-                   check_structure, modular_pair_module, trivial_modcomodule)
+                   check_structure, check_sayd, modular_pair_module,
+                   trivial_modcomodule)
 from .cyclic import (check_axioms, cyc_algebra, cyc_coalgebra,
                      hopf_cyclic_complex, hopf_cocyclic_comodule_algebra,
                      hopf_cyclic_comodule_coalgebra, NotSAYD, DescentFailure)
@@ -43,19 +44,24 @@ def fixture_library(field=QQ):
     """The shipped fixtures, as an ordered list of (file name, object)."""
     h2 = fx.group_algebra(field, 2)
     h3 = fx.group_algebra(field, 3)
+    sw = fx.sweedler_hopf(field)
     items = [
         ("trivial-hopf.json", fx.trivial_hopf(field)),
         ("hopf-kz2.json", h2),
         ("hopf-kz3.json", h3),
-        ("hopf-sweedler.json", fx.sweedler_hopf(field)),
+        ("hopf-sweedler.json", sw),
         ("module-algebra-dual-numbers.json", fx.dual_numbers_module_algebra(h2)),
         ("module-coalgebra-kz2-regular.json", fx.regular_module_coalgebra(h2)),
+        ("module-coalgebra-sweedler-regular.json", fx.regular_module_coalgebra(sw)),
         ("comodule-algebra-kz2.json", fx.regular_comodule_algebra(h2)),
         ("comodule-coalgebra-functions-kz2.json",
          fx.function_comodule_coalgebra(h2)),
         ("modcomodule-trivial-kz2.json", trivial_modcomodule(h2)),
         ("modcomodule-modular-pair-kz2.json",
          modular_pair_module(h2, ModularPair({1: field.one},
+                                             {0: field.one, 1: field.one}))),
+        ("modcomodule-modular-pair-sweedler.json",   # (eps, g): SAYD
+         modular_pair_module(sw, ModularPair({1: field.one},
                                              {0: field.one, 1: field.one}))),
         ("pairing-action-kz2.json",
          fx.action_pairing(fx.regular_module_coalgebra(h2),
@@ -135,6 +141,14 @@ def _coefficients(args):
     return m
 
 
+def _refuse_buffer_if_sayd(args, m):
+    """C of SAYD coefficients is the coinvariants of the degree-N cover:
+    no J is closed, so no buffer is read."""
+    if args.buffer_given and not check_sayd(m):
+        raise UsageError("--buffer is read only for coefficients that are "
+                         "not SAYD, whose C closes J on a deeper cover")
+
+
 def _complexes(args, main=False):
     """(label, module) for each complex the input file supports, or with
     main only the one whose cohomology it asks for.  A flag those
@@ -161,12 +175,13 @@ def _complexes(args, main=False):
     m = _coefficients(args)
     if m is None:
         raise UsageError("this input kind needs --coefficients MODFILE")
+    _refuse_buffer_if_sayd(args, m)
     if isinstance(obj, ComoduleAlgebra):
         return [("C(B,M) colinear", hopf_cocyclic_comodule_algebra(obj, m, N))]
     if isinstance(obj, ComoduleCoalgebra):
         return [("C(Z,M) colinear", hopf_cyclic_comodule_coalgebra(obj, m, N))]
     out = [("C (Hopf-cyclic)", hopf_cyclic_complex(obj, m, N, buffer=args.buffer))]
-    t = out[0][1]   # the root of C's quotient tower: the cover truncated to N
+    t = out[0][1]   # the root of C's quotient tower: the cover, degrees 0..N
     while "parent" in t.meta:
         t = t.meta["parent"]
     return out if main else [("T (cover)", t)] + out
@@ -254,6 +269,7 @@ def cmd_char_map(args):
     if m is None:
         m = modular_pair_module(pairing.hopf,
                                 fx.trivial_modular_pair(pairing.hopf))
+    _refuse_buffer_if_sayd(args, m)
     p = args.degree
     N = max(2, p) + 1
     am = alpha(pairing, m, N, buffer=args.buffer)
@@ -295,8 +311,8 @@ PAIR_DEGREES = {"trace-cup": (1, 2), "crossed": (2,), "cocrossed": (2,),
 
 
 def cmd_pair(args):
-    if args.via == "star" and args.buffer_given:
-        raise UsageError("pair --via star does not use --buffer")
+    if args.via != "epi" and args.buffer_given:   # the rest are SAYD
+        raise UsageError("pair --via %s does not use --buffer" % args.via)
     if args.drop_factor and args.via != "epi":
         raise UsageError("--drop-factor is the negative control of --via epi "
                          "only")
@@ -409,7 +425,8 @@ def build_parser():
                            help="truncation N, or class degree for char-map "
                                 "(default 4)")
     complexes.add_argument("--buffer", type=int,
-                           help="extra degrees for saturation (default 2)")
+                           help="extra degrees for saturation, read only "
+                                "where J is closed (default 2)")
     p = argparse.ArgumentParser(
         prog="hopfcyclic",
         description="exact cyclic and Hopf-cyclic cohomology engine")

@@ -649,7 +649,7 @@ def quotient_module(t, j):
     return _descend(t, j, keep_h=True)
 
 
-def coinvariants(q):
+def coinvariants(q, name=None):
     """C = k (x)_H Q: quotient by span{h.x - eps(h) x}."""
     if not q.h_action:
         raise ValueError("coinvariants needs a module with an H-action")
@@ -666,19 +666,24 @@ def coinvariants(q):
                 if col[0]:
                     s.add_vector(col)
         sub[n] = s
-    return _descend(q, sub, keep_h=False, name="C(%s)" % (q.name or "Q"))
+    return _descend(q, sub, keep_h=False, name=name or "C(%s)" % (q.name or "Q"))
 
 
 def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
     """The T, Q = T/J or C = k (x)_H Q stage of the pipeline, up to degree N.
 
-    c_or_a is a ModuleCoalgebra or ModuleAlgebra.  For Q and C the cover is
-    built to degree N + buffer and J is computed on all of it, with every
-    certificate of compute_J; then only degrees 0..N are descended, since
-    Q and C there depend only on T_0..T_N, J_0..J_N and the maps among
-    them.  truncate keeps compute_J's certificate record, so
-    quotient_module checks vector by vector only what that record does not
-    prove; coinvariants checks every map on its subspace of Q.
+    c_or_a is a ModuleCoalgebra or ModuleAlgebra.  For C with SAYD m
+    (check_sayd(m) empty), T/H+T is already (co)cyclic (Hajac-Khalkhali-
+    Rangipour-Sommerhaeuser), so J lies in H+T and C = T/H+T: the cover is
+    built to degree N only, C is its coinvariants, certified by _descend's
+    per-vector checks and named C(Q(T(...))) as on the paper route, and
+    buffer is not read.  On the paper route, for Q and for C with any
+    other m, the cover is built to degree N + buffer and J is computed on
+    all of it, with every certificate of compute_J; then only degrees 0..N
+    are descended, since Q and C there depend only on T_0..T_N, J_0..J_N
+    and the maps among them.  truncate keeps compute_J's certificate
+    record, so quotient_module checks vector by vector only what that
+    record does not prove; coinvariants checks every map on its subspace.
     """
     if buffer < 1:
         raise ValueError("buffer must be at least 1")
@@ -687,6 +692,9 @@ def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
         return build(c_or_a, m, N)
     if level not in ("Q", "C"):
         raise ValueError("level must be T, Q or C")
+    if level == "C" and not check_sayd(m):
+        t = build(c_or_a, m, N)
+        return coinvariants(t, name="C(Q(%s))" % t.name)
     t = build(c_or_a, m, N + buffer)
     j = compute_J(t, buffer=buffer)
     q = quotient_module(truncate(t, N), {n: j[n] for n in range(N + 1)})

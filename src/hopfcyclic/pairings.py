@@ -58,15 +58,14 @@ def _tower(x):
     module together with degreewise proj (ambient -> x) and sect
     (x -> ambient, a right inverse of proj).
     """
-    proj = {n: Matrix.identity(x.field, d) for n, d in x.spaces.items()}
-    sect = {n: Matrix.identity(x.field, d) for n, d in x.spaces.items()}
-    cur = x
+    if "parent" not in x.meta:   # not a quotient: the tower is the identity
+        ident = {n: Matrix.identity(x.field, d) for n, d in x.spaces.items()}
+        return x, ident, ident
+    proj, sect, cur = x.meta["proj"], x.meta["sect"], x.meta["parent"]
     while "parent" in cur.meta:
-        p = cur.meta["proj"]
-        s = cur.meta["sect"]
-        proj = {n: m * p[n] for n, m in proj.items() if n in p}
-        sect = {n: s[n] * m for n, m in sect.items() if n in s}
-        cur = cur.meta["parent"]
+        p, s, cur = cur.meta["proj"], cur.meta["sect"], cur.meta["parent"]
+        proj = {n: m * p[n] for n, m in proj.items()}
+        sect = {n: s[n] * m for n, m in sect.items()}
     return cur, proj, sect
 
 

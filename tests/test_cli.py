@@ -305,15 +305,25 @@ M = "modcomodule-trivial-kz2.json"
     (["compare", "comodule-algebra-kz2.json", "--coefficients", M,
       "--buffer", "3"], "--buffer"),
     (["build", "comodule-coalgebra-functions-kz2.json", "--coefficients", M,
-      "--buffer", "3"], "--buffer")],
+      "--buffer", "3"], "--buffer"),
+    (["build", "module-coalgebra-kz2-regular.json",
+      "--coefficients", "modcomodule-modular-pair-kz2.json", "--buffer", "3"],
+     "--buffer"),
+    (["cohomology", "module-algebra-dual-numbers.json", "--coefficients", M,
+      "--buffer", "3"], "--buffer"),
+    (["compare", "module-coalgebra-sweedler-regular.json", "--coefficients",
+      "modcomodule-modular-pair-sweedler.json", "--buffer", "3"], "--buffer"),
+    (["char-map", "pairing-action-kz2.json", "--buffer", "3"], "--buffer")],
     ids=["build-hopf-coefficients", "cohomology-hopf-coefficients",
          "compare-algebra-coefficients", "build-hopf-buffer",
          "cohomology-algebra-buffer", "compare-comodule-algebra-buffer",
-         "build-comodule-coalgebra-buffer"])
+         "build-comodule-coalgebra-buffer", "build-sayd-buffer",
+         "cohomology-sayd-buffer", "compare-sayd-buffer", "char-map-sayd-buffer"])
 def test_flags_an_input_does_not_read_are_refused(lib, algebra_file, argv, flag,
                                                   tmp_path, capsys):
-    # a classical cyclic module reads no coefficients, and only a module
-    # (co)algebra builds the cover that --buffer extends
+    # a classical cyclic module reads no coefficients, only a module
+    # (co)algebra builds the cover that --buffer extends, and with SAYD
+    # coefficients C is the coinvariants of the degree-N cover: no J, no buffer
     argv = [str(algebra_file) if a == "algebra" else
             str(lib / a) if a.endswith(".json") else a for a in argv]
     report = tmp_path / "report.json"
@@ -343,12 +353,34 @@ def test_coefficients_must_be_a_modcomodule_file(lib, argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["pair", "--via", "star", "--buffer", "7"],
-                                  ["pair", "--via", "crossed", "--drop-factor"]])
+                                  ["pair", "--via", "crossed", "--drop-factor"],
+                                  # the coefficients of these three are SAYD
+                                  ["pair", "--via", "trace-cup", "--buffer", "3"],
+                                  ["pair", "--via", "crossed", "--buffer", "3"],
+                                  ["pair", "--via", "cocrossed", "--buffer", "3"]])
 def test_pair_refuses_flags_its_scenario_ignores(argv, tmp_path, capsys):
     report = tmp_path / "report.json"
     assert main(argv + ["--output", str(report)]) == EXIT_USAGE
     assert capsys.readouterr().out == ""
     assert json.loads(report.read_text())["ok"] is False
+
+
+def test_buffer_is_read_where_j_is_closed(lib, not_sayd, monkeypatch):
+    # coefficients that are not SAYD, and the two Q towers of pair --via
+    # epi, close J on a cover N + buffer deep
+    from hopfcyclic import cyclic
+    seen, real = [], cyclic.compute_J
+
+    def spy(t, buffer=2):
+        seen.append((t.N, buffer))
+        return real(t, buffer=buffer)
+    monkeypatch.setattr(cyclic, "compute_J", spy)
+    assert main(["build", str(lib / "module-coalgebra-kz2-regular.json"),
+                 "--coefficients", str(not_sayd), "--degree", "2",
+                 "--buffer", "3"]) == EXIT_OK
+    assert main(["pair", "--via", "epi", "--degree", "1",
+                 "--buffer", "1"]) == EXIT_OK
+    assert seen == [(5, 3), (2, 1), (2, 1)]
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ from hopfcyclic.cyclic import (cover_coalgebra, cover_algebra, compute_J,
                                quotient_module, coinvariants, truncate,
                                CHAIN, COCHAIN, DescentFailure,
                                InvertibilityFailure, ParaCyclicModule)
-from hopfcyclic.hopf import ModuleCoalgebra, algebra_generators
+from hopfcyclic.hopf import ModuleCoalgebra, algebra_generators, check_sayd
 from hopfcyclic.linalg import Subspace
 from hopfcyclic.pairings import _tower
 from hopfcyclic import fixtures as fx
@@ -379,9 +379,10 @@ def _pipeline_case(name, field):
                                   "sweedler-regular-trivial",
                                   "dual-numbers-algebra"])
 def test_output_range_descent_matches_the_full_tower(name, field, monkeypatch):
-    # the reference descends the very cover and J the pipeline built;
-    # spaces, structure maps, H-action and the tower maps must agree.  Q
-    # is the module C was formed from, which level="Q" returns.
+    # the reference descends the very cover and J the paper route built;
+    # spaces, structure maps, H-action and the tower maps must agree.  C is
+    # taken on the paper route explicitly, as the coinvariants of level Q,
+    # since level C of SAYD coefficients builds no J.
     seen = []
     real = cyclic.compute_J
 
@@ -391,8 +392,8 @@ def test_output_range_descent_matches_the_full_tower(name, field, monkeypatch):
 
     monkeypatch.setattr(cyclic, "compute_J", recording)
     c_or_a, m, N = _pipeline_case(name, field)
-    c = hopf_cyclic_complex(c_or_a, m, N)
-    got = {"Q": c.meta["parent"], "C": c}
+    q = hopf_cyclic_complex(c_or_a, m, N, level="Q")
+    got = {"Q": q, "C": coinvariants(q)}
     (t, j), = seen
     for level, want in full_tower_route(t, j, N).items():
         x = got[level]
@@ -407,6 +408,79 @@ def test_output_range_descent_matches_the_full_tower(name, field, monkeypatch):
             assert x_proj[n] == want_proj[n], (level, n)
             assert x_sect[n] == want_sect[n], (level, n)
     assert got["Q"].h_action and got["C"].h_action is None
+
+
+# ---------------------------------------------------------------------------
+# the SAYD route against the paper route
+
+SAYD_CASES = ["kZ2-pair", "kZ3-pair", "dual-numbers-algebra", "sweedler-eg"]
+
+
+def _sayd_case(name, field):
+    """The module (co)algebra and SAYD coefficients of a SAYD case: the
+    modular pair (eps, g) on kZ/2, kZ/3 and Sweedler's H4, the trivial
+    pair on the dual numbers."""
+    if name == "sweedler-eg":
+        h, one = fx.sweedler_hopf(field), field.one
+        return (fx.regular_module_coalgebra(h),
+                modular_pair_module(h, ModularPair({1: one}, {0: one, 1: one})))
+    return _pipeline_case(name, field)[:2]
+
+
+def _sweedler_trivial_pair(field):
+    h = fx.sweedler_hopf(field)
+    return fx.regular_module_coalgebra(h), fx.trivial_modcomodule(h)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+@pytest.mark.parametrize("name", SAYD_CASES)
+def test_the_sayd_route_gives_the_paper_routes_matrices(name, field):
+    # for SAYD M, J lies in H+T, so the coinvariants of the degree-N cover
+    # are the paper route's C = (T/J)/H+(T/J), map for map, with the same
+    # projection and section: both take the non-pivots of one reduced basis
+    c_or_a, m = _sayd_case(name, field)
+    assert check_sayd(m) == []
+    N = 3
+    got = hopf_cyclic_complex(c_or_a, m, N)
+    want = coinvariants(hopf_cyclic_complex(c_or_a, m, N, level="Q"))
+    assert got.name == want.name and got.spaces == want.spaces
+    assert "parent" not in got.meta["parent"].meta   # C of the cover itself
+    assert got.meta["parent"].N == N
+    for attr in ("faces", "degeneracies", "cyclic"):
+        assert getattr(got, attr) == getattr(want, attr), attr
+    (_, got_proj, got_sect), (_, want_proj, want_sect) = _tower(got), _tower(want)
+    for n in range(N + 1):
+        assert got_proj[n] == want_proj[n] and got_sect[n] == want_sect[n], n
+
+
+def test_compute_J_runs_on_the_paper_route_only(monkeypatch):
+    calls = []
+    real = cyclic.compute_J
+
+    def counting(t, buffer=2):
+        calls.append(t.name)
+        return real(t, buffer=buffer)
+
+    monkeypatch.setattr(cyclic, "compute_J", counting)
+    for name in SAYD_CASES:
+        for field in (QQ, GF(3)):
+            hopf_cyclic_complex(*_sayd_case(name, field), 2)
+    assert calls == []
+    mc, m = _sweedler_trivial_pair(QQ)
+    assert check_sayd(m)   # Sweedler's trivial pair (eps, 1) is not SAYD
+    hopf_cyclic_complex(mc, m, 1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+def test_the_sayd_route_fails_on_coefficients_that_are_not_sayd(field):
+    # negative control: on Sweedler (eps, 1) the coinvariants of the cover
+    # are not cocyclic, and the descent check names the first face that
+    # does not descend; hopf_cyclic_complex takes the paper route there
+    mc, m = _sweedler_trivial_pair(field)
+    with pytest.raises(DescentFailure, match=re.escape(
+            "face (0,1) does not preserve the subspace (degree 0)")):
+        coinvariants(cover_coalgebra(mc, m, 2))
 
 
 def test_a_non_generator_action_leaving_j_above_the_output_range_fails(monkeypatch):
