@@ -105,12 +105,13 @@ def cmd_check(args):
     if args.fixtures or not paths:
         objs = [("fixture:" + name, obj)
                 for name, obj in fixture_library(args.field_obj)]
+    width = max(len(name) for name in [name for name, _ in objs] + paths)
     details, ok = [], True
     for path in paths:
         try:
             objs.append((path, _load(path, args, validate=False)))
         except hio.ParseError as e:
-            print("%-44s PARSE ERROR: %s" % (path, e))
+            print("%-*s PARSE ERROR: %s" % (width, path, e))
             return EXIT_USAGE, {"ok": False, "error": str(e)}
     for name, obj in objs:
         report = check_structure(obj)
@@ -118,7 +119,7 @@ def cmd_check(args):
         ok = ok and not report
         details.append({"input": name, "kind": type(obj).__name__,
                         "failures": report})
-        print("%-44s %s" % (name, status))
+        print("%-*s %s" % (width, name, status))
     return (EXIT_OK if ok else EXIT_FAIL), {"ok": ok, "checks": details}
 
 

@@ -560,6 +560,7 @@ def _certify_symmetries(t, ideal, gens):
         return Matrix.lincomb([(c, lh[h]) for h, c in vec.items()]
                               or [(0, lh[0])])
 
+    mul = hopf.algebra.matrices()[0].columns()     # e_g e_h is column g d + h
     for n in [n for n in sorted(t.spaces) if ideal[n].dim]:
         tau = t.tau(n)
         if tau.rank() != t.spaces[n]:   # injective, so tau(J_n) = J_n
@@ -570,8 +571,7 @@ def _certify_symmetries(t, ideal, gens):
               "L_1 = id", n)
         for g in gens:
             for h in range(hopf.dim):
-                gh = hopf.multiply({g: f.one}, {h: f.one})
-                check(lh[g] * lh[h] == act(lh, gh),
+                check(lh[g] * lh[h] == act(lh, mul[g * hopf.dim + h]),
                       "L_g L_h = L_gh (g=%d, h=%d)" % (g, h), n)
         for h, m in enumerate(lh):
             keep(("L_h", n, h), m, n)

@@ -11,6 +11,7 @@ from .hopf import (AlgebraData, CoalgebraData, HopfAlgebraData, ModuleAlgebra,
                    ModComodule, ModularPair, EquivariantPairing,
                    trivial_modcomodule)
 from .linalg import Matrix
+from .tensors import matrix_table, table_matrix
 
 
 def trivial_hopf(field=QQ):
@@ -86,10 +87,10 @@ def dual_numbers_module_algebra(hopf=None, field=QQ):
 
 
 def _left_regular(hopf):
-    """The action table of H on itself by left multiplication."""
-    one = hopf.field.one
-    return {(h, c): hopf.multiply({h: one}, {c: one})
-            for h in range(hopf.dim) for c in range(hopf.dim)}
+    """The action table of H on itself by left multiplication: the
+    multiplication table, every key present."""
+    d = hopf.dim
+    return matrix_table(hopf.algebra.matrices()[0], [d, d], [d])
 
 
 def regular_module_coalgebra(hopf):
@@ -163,13 +164,12 @@ def trivial_modular_pair(hopf):
 
 
 def action_pairing(mc, ma):
-    """phi(c, a) = c.a for C = H acting through the module-algebra action."""
-    f = ma.field
-    phi = {}
-    for c in range(mc.coalgebra.dim):
-        for a in range(ma.algebra.dim):
-            phi[(c, a)] = ma.act({c: f.one}, {a: f.one})
-    return EquivariantPairing(mc, ma, phi, name="phi(h,a)=h.a")
+    """phi(c, a) = c.a for C = H acting through the module-algebra action:
+    the action table, every key present."""
+    dims = [mc.coalgebra.dim, ma.algebra.dim]
+    act = table_matrix(ma.field, ma.action, dims, dims[1:])
+    return EquivariantPairing(mc, ma, matrix_table(act, dims, dims[1:]),
+                              name="phi(h,a)=h.a")
 
 
 def counit_pairing(mc, ma):
@@ -187,18 +187,10 @@ def group_likes(hopf):
     """The basis vectors e_i that are group-like: Delta(e_i) = e_i (x) e_i
     and eps(e_i) = 1.  Only basis vectors are tried, so a group-like
     element that is not a basis vector is not found."""
-    f = hopf.field
-    found = []
-    cands = [{i: f.one} for i in range(hopf.dim)]
-    for s in cands:
-        tensor = {}
-        for i, x in s.items():
-            for j, y in s.items():
-                tensor[(i, j)] = f.mul(x, y)
-        if hopf.coalgebra.comul_vec(s) == tensor and \
-                f.is_zero(f.sub(hopf.counit(s), f.one)):
-            found.append(s)
-    return found
+    f, d = hopf.field, hopf.dim
+    dl, eps = (m.columns() for m in hopf.coalgebra.matrices())
+    return [{i: f.one} for i in range(d)
+            if dl[i] == {i * d + i: f.one} and eps[i] == {0: f.one}]
 
 
 def characters(hopf):

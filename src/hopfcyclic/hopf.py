@@ -1,13 +1,16 @@
 """Finite-dimensional Hopf algebras and their actors, as structure constants.
 
 Every structure is a bundle of sparse structure-constant tables over an
-exact field.  Axioms are never assumed.  Each structure map (m, u, Delta,
-eps, S, an action, a coaction, a pairing) is read as a Matrix, and each
-defining identity, a commutative diagram, is one exact Matrix equation
-lhs == rhs between composites built with products and Kronecker
-products.  check_structure reports every basis tuple at which the two
-sides differ.  The tensor and crossed-product constructions are built
-from the same matrices and read back into tables.
+exact field.  Tables are what is stored and serialized; every
+computation reads them as Matrices.  Axioms are never assumed.  Each
+structure map (m, u, Delta, eps, S, an action, a coaction, a pairing) is
+read as a Matrix, and each defining identity, a commutative diagram, is
+one exact Matrix equation lhs == rhs between composites built with
+products and Kronecker products.  check_structure reports every basis
+tuple at which the two sides differ.  The tensor and crossed-product
+constructions are built from the same matrices and read back into
+tables.  The tests keep an entry-by-entry loop form of the same maps as
+the reference these Matrix forms are compared against.
 
 Conventions.  A vector is a dict {basis index: scalar}.  Multiplication
 tables map (i, j) to the vector e_i * e_j.  Comultiplications map i to
@@ -16,8 +19,8 @@ on an object V map a V-index to {(h, v): scalar} inside H (x) V.  Tensor
 spaces are flattened row-major, as in tensors.flatten.
 """
 
-from .linalg import (Matrix, Subspace, ShapeMismatch, add_into,
-                     quotient_space, operator_closure)
+from .linalg import (Matrix, Subspace, ShapeMismatch, quotient_space,
+                     operator_closure)
 from .tensors import (unflatten, prod, permute, table_matrix, matrix_table,
                       column_blocks)
 
@@ -37,35 +40,6 @@ def raise_failures(exc, bad):
     """Raise exc naming every failure in the list bad, if it has any."""
     if bad:
         raise exc("; ".join(bad))
-
-
-def _vec_eq(field, u, v):
-    for k in set(u) | set(v):
-        if not field.is_zero(field.sub(u.get(k, field.zero), v.get(k, field.zero))):
-            return False
-    return True
-
-
-def _bilinear(field, table, u, v):
-    """sum x_i y_j table[(i, j)] for a table of vectors keyed by index pairs;
-    a missing key is the zero vector, as table_matrix reads it."""
-    out = {}
-    for i, x in u.items():
-        for j, y in v.items():
-            c = field.mul(x, y)
-            for k, z in table.get((i, j), {}).items():
-                add_into(field, out, k, field.mul(c, z))
-    return out
-
-
-def _linear(field, table, u):
-    """sum x_i table[i] for a table of vectors keyed by one index; a missing
-    key is the zero vector."""
-    out = {}
-    for i, x in u.items():
-        for k, v in table.get(i, {}).items():
-            add_into(field, out, k, field.mul(x, v))
-    return out
 
 
 def _eye(field, *dims):
@@ -139,9 +113,6 @@ class AlgebraData:
         self.unit = dict(unit)
         self.labels = labels or ["e%d" % i for i in range(dim)]
 
-    def multiply(self, u, v):
-        return _bilinear(self.field, self.mul, u, v)
-
     def matrices(self):
         """(m, u): the product A (x) A -> A and the unit k -> A."""
         d = self.dim
@@ -156,29 +127,6 @@ class CoalgebraData:
         self.comul = comul
         self.counit = dict(counit)
         self.labels = labels or ["e%d" % i for i in range(dim)]
-
-    def comul_vec(self, u):
-        return _linear(self.field, self.comul, u)
-
-    def counit_vec(self, u):
-        f = self.field
-        out = f.zero
-        for i, x in u.items():
-            out = f.add(out, f.mul(x, self.counit.get(i, f.zero)))
-        return out
-
-    def iterated(self, u, parts):
-        """Delta^(parts-1): vector -> dict {tuple of length parts: scalar}."""
-        f = self.field
-        cur = {(i,): x for i, x in u.items()}
-        for _ in range(parts - 1):
-            nxt = {}
-            for key, x in cur.items():
-                last = key[-1]
-                for (j, k), v in self.comul[last].items():
-                    add_into(f, nxt, key[:-1] + (j, k), f.mul(x, v))
-            cur = nxt
-        return cur
 
     def matrices(self):
         """(Delta, eps): the coproduct C -> C (x) C and the counit C -> k."""
@@ -202,21 +150,8 @@ class HopfAlgebraData:
         self.name = name
         self.labels = algebra.labels
 
-    def apply_antipode(self, u, inverse=False):
-        m = self.antipode_inv if inverse else self.antipode
-        return m.apply(u)
-
-    def sweedler(self, u, parts):
-        return self.coalgebra.iterated(u, parts)
-
-    def counit(self, u):
-        return self.coalgebra.counit_vec(u)
-
     def unit(self):
         return dict(self.algebra.unit)
-
-    def multiply(self, u, v):
-        return self.algebra.multiply(u, v)
 
 
 class ModuleAlgebra:
@@ -229,9 +164,6 @@ class ModuleAlgebra:
         self.action = action
         self.name = name
 
-    def act(self, h_vec, a_vec):
-        return _bilinear(self.field, self.action, h_vec, a_vec)
-
 
 class ModuleCoalgebra:
     """Counital coalgebra with a left H-action compatible with its coproduct."""
@@ -242,9 +174,6 @@ class ModuleCoalgebra:
         self.coalgebra = coalgebra
         self.action = action
         self.name = name
-
-    def act(self, h_vec, c_vec):
-        return _bilinear(self.field, self.action, h_vec, c_vec)
 
 
 class ComoduleAlgebra:

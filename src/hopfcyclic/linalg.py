@@ -52,15 +52,6 @@ class CertificateFailure(AssertionError):
     """An exact certificate failed; the message names the identity."""
 
 
-def add_into(field, d, key, v):
-    """d[key] += v, dropping the key when the sum is zero."""
-    s = field.add(d.get(key, field.zero), v)
-    if field.is_zero(s):
-        d.pop(key, None)
-    else:
-        d[key] = s
-
-
 def _lift(field, vec):
     """vec as a lift: a lift (a tuple) as it is, a dict of field elements lifted."""
     return vec if type(vec) is tuple else field.normalize(*field.integral(vec))

@@ -531,6 +531,7 @@ def cm_char_map(trace, pairing, cls, alpha_mor):
     t_amb = trace.ambient(0)
     alg = pairing.alg.algebra
     da = alg.dim
+    mul = alg.matrices()[0]
     dc = pairing.coalg.coalgebra.dim
     dm = xt.spaces[0] // dc
     xdims = [dc] * (p + 1) + [dm]
@@ -544,7 +545,9 @@ def cm_char_map(trace, pairing, cls, alpha_mor):
             for i in range(1, p + 1):
                 if not cur:
                     break
-                cur = alg.multiply(cur, pairing.phi.get((t[i], avec[i]), {}))
+                phi = pairing.phi.get((t[i], avec[i]), {})
+                cur = mul.apply({j * da + k: f.mul(x, y) for j, x in cur.items()
+                                 for k, y in phi.items()})
             for ai, av in cur.items():
                 tv = t_amb.get(ai * dm + t[p + 1])
                 if tv is not None:

@@ -3,10 +3,18 @@
 hopfcyclic.hopf writes every defining identity as one equation between
 Matrix composites.  The reference below is the earlier loop-form code
 that evaluated each identity basis tuple by basis tuple, kept here only
-as an independent definition.  On single-entry corruptions of every
-structure kind over Q and GF(7), both must report the same failure lines
-(as multisets; the Matrix form groups them by identity), and every
-message template of the Matrix form must fire on some corruption.
+as an independent definition; it evaluates the structure maps with the
+loop forms of `_loops` (multiply, comul_vec, counit_vec, iterated,
+apply_antipode, act), which the package no longer has.  On single-entry
+corruptions of every structure kind over Q and GF(7), both must report
+the same failure lines (as multisets; the Matrix form groups them by
+identity), and every message template of the Matrix form must fire on
+some corruption.
+
+The fixture constructors that read their tables off Matrices (the left
+regular action, action_pairing and group_likes) must give the tables the
+loop forms give, every key present and no zero entry, on the trivial
+Hopf algebra, kZ/2, kZ/3 and Sweedler's H4 over Q and GF(7).
 """
 
 import itertools
@@ -17,13 +25,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hopfcyclic import QQ, GF, Matrix, ModularPair, modular_pair_module
 from hopfcyclic import cli, hopf
 from hopfcyclic import fixtures as fx
-from hopfcyclic.hopf import (_bilinear, _linear, _vec_eq, tensor_hopf,
-                             tensor_module_algebra, tensor_modcomodule,
+from hopfcyclic.hopf import (AlgebraData, CoalgebraData, HopfAlgebraData, ModuleAlgebra,
+                             tensor_hopf, tensor_module_algebra, tensor_modcomodule,
                              tensor_comodule_coalgebra, crossed_product_algebra,
                              crossed_product_coalgebra)
-from hopfcyclic.linalg import add_into
 
-from _loops import vec_add, vec_scale
+from _loops import (act, add_into, apply_antipode, bilinear, comul_vec,
+                    counit_vec, iterated, linear, multiply, vec_add, vec_eq,
+                    vec_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -34,16 +43,12 @@ def _unit_vec(field, i):
     return {i: field.one}
 
 
-def _act(x, h_vec, v_vec):
-    return _bilinear(x.field, x.action, h_vec, v_vec)
-
-
 def _pair(p, c_vec, a_vec):
-    return _bilinear(p.field, p.phi, c_vec, a_vec)
+    return bilinear(p.field, p.phi, c_vec, a_vec)
 
 
 def _coact(x, v_vec):
-    return _linear(x.field, x.coaction, v_vec)
+    return linear(x.field, x.coaction, v_vec)
 
 
 def _delta_of(field, pair, h_vec):
@@ -58,17 +63,17 @@ def check_algebra(a, tag="algebra"):
     bad = []
     for i in range(a.dim):
         ei = _unit_vec(f, i)
-        if not _vec_eq(f, a.multiply(ei, a.unit), ei):
+        if not vec_eq(f, multiply(a, ei, a.unit), ei):
             bad.append("%s: e%d * 1 != e%d" % (tag, i, i))
-        if not _vec_eq(f, a.multiply(a.unit, ei), ei):
+        if not vec_eq(f, multiply(a, a.unit, ei), ei):
             bad.append("%s: 1 * e%d != e%d" % (tag, i, i))
         for j in range(a.dim):
             ej = _unit_vec(f, j)
             for k in range(a.dim):
                 ek = _unit_vec(f, k)
-                lhs = a.multiply(a.multiply(ei, ej), ek)
-                rhs = a.multiply(ei, a.multiply(ej, ek))
-                if not _vec_eq(f, lhs, rhs):
+                lhs = multiply(a, multiply(a, ei, ej), ek)
+                rhs = multiply(a, ei, multiply(a, ej, ek))
+                if not vec_eq(f, lhs, rhs):
                     bad.append("%s: associativity fails at (%d,%d,%d)" % (tag, i, j, k))
     return bad
 
@@ -80,23 +85,23 @@ def check_coalgebra(c, tag="coalgebra"):
         ei = _unit_vec(f, i)
         # coassociativity via the two readings of the 3-fold coproduct
         left = {}
-        for (j, k), v in c.comul_vec(ei).items():
+        for (j, k), v in comul_vec(c, ei).items():
             for (a, b), w in c.comul[j].items():
                 add_into(f, left, (a, b, k), f.mul(v, w))
         right = {}
-        for (j, k), v in c.comul_vec(ei).items():
+        for (j, k), v in comul_vec(c, ei).items():
             for (a, b), w in c.comul[k].items():
                 add_into(f, right, (j, a, b), f.mul(v, w))
-        if not _vec_eq(f, left, right):
+        if not vec_eq(f, left, right):
             bad.append("%s: coassociativity fails at e%d" % (tag, i))
         lcounit = {}
         rcounit = {}
-        for (j, k), v in c.comul_vec(ei).items():
+        for (j, k), v in comul_vec(c, ei).items():
             add_into(f, lcounit, k, f.mul(v, c.counit.get(j, f.zero)))
             add_into(f, rcounit, j, f.mul(v, c.counit.get(k, f.zero)))
-        if not _vec_eq(f, lcounit, ei):
+        if not vec_eq(f, lcounit, ei):
             bad.append("%s: left counit fails at e%d" % (tag, i))
-        if not _vec_eq(f, rcounit, ei):
+        if not vec_eq(f, rcounit, ei):
             bad.append("%s: right counit fails at e%d" % (tag, i))
     return bad
 
@@ -108,8 +113,8 @@ def _tensor2_mul(hopf, u2, v2):
     for (a, b), x in u2.items():
         for (c, d), y in v2.items():
             coef = f.mul(x, y)
-            left = hopf.multiply(_unit_vec(f, a), _unit_vec(f, c))
-            right = hopf.multiply(_unit_vec(f, b), _unit_vec(f, d))
+            left = multiply(hopf.algebra, _unit_vec(f, a), _unit_vec(f, c))
+            right = multiply(hopf.algebra, _unit_vec(f, b), _unit_vec(f, d))
             for i, xi in left.items():
                 for j, yj in right.items():
                     add_into(f, out, (i, j), f.mul(coef, f.mul(xi, yj)))
@@ -127,18 +132,18 @@ def check_hopf(h):
     for i, x in h.unit().items():
         for j, y in h.unit().items():
             unit2[(i, j)] = f.mul(x, y)
-    if not _vec_eq(f, co.comul_vec(h.unit()), unit2):
+    if not vec_eq(f, comul_vec(co, h.unit()), unit2):
         bad.append("bialgebra: Delta(1) != 1 (x) 1")
-    if not f.is_zero(f.sub(co.counit_vec(h.unit()), f.one)):
+    if not f.is_zero(f.sub(counit_vec(co, h.unit()), f.one)):
         bad.append("bialgebra: eps(1) != 1")
     for i in range(h.dim):
         for j in range(h.dim):
-            prod = h.multiply(_unit_vec(f, i), _unit_vec(f, j))
-            lhs = co.comul_vec(prod)
+            prod = multiply(h.algebra, _unit_vec(f, i), _unit_vec(f, j))
+            lhs = comul_vec(co, prod)
             rhs = _tensor2_mul(h, co.comul[i], co.comul[j])
-            if not _vec_eq(f, lhs, rhs):
+            if not vec_eq(f, lhs, rhs):
                 bad.append("bialgebra: Delta not multiplicative at (%d,%d)" % (i, j))
-            eps_prod = co.counit_vec(prod)
+            eps_prod = counit_vec(co, prod)
             eps_sep = f.mul(co.counit.get(i, f.zero), co.counit.get(j, f.zero))
             if not f.is_zero(f.sub(eps_prod, eps_sep)):
                 bad.append("bialgebra: eps not multiplicative at (%d,%d)" % (i, j))
@@ -147,15 +152,15 @@ def check_hopf(h):
         ei = _unit_vec(f, i)
         left = {}
         right = {}
-        for (j, k), v in co.comul_vec(ei).items():
-            sj = h.apply_antipode(_unit_vec(f, j))
-            sk = h.apply_antipode(_unit_vec(f, k))
-            left = vec_add(f, left, vec_scale(f, v, h.multiply(sj, _unit_vec(f, k))))
-            right = vec_add(f, right, vec_scale(f, v, h.multiply(_unit_vec(f, j), sk)))
+        for (j, k), v in comul_vec(co, ei).items():
+            sj = apply_antipode(h, _unit_vec(f, j))
+            sk = apply_antipode(h, _unit_vec(f, k))
+            left = vec_add(f, left, vec_scale(f, v, multiply(h.algebra, sj, _unit_vec(f, k))))
+            right = vec_add(f, right, vec_scale(f, v, multiply(h.algebra, _unit_vec(f, j), sk)))
         target = vec_scale(f, co.counit.get(i, f.zero), h.unit())
-        if not _vec_eq(f, left, target):
+        if not vec_eq(f, left, target):
             bad.append("antipode: S(h1)h2 != eps(h)1 at e%d" % i)
-        if not _vec_eq(f, right, target):
+        if not vec_eq(f, right, target):
             bad.append("antipode: h1S(h2) != eps(h)1 at e%d" % i)
     if h.antipode * h.antipode_inv != Matrix.identity(f, h.dim):
         bad.append("antipode: S o S^-1 != id")
@@ -164,20 +169,20 @@ def check_hopf(h):
     return bad
 
 
-def _check_action(hopf, dim, act, tag):
-    """act(h_vec, v_vec); checks 1.v = v and (gh).v = g.(h.v)."""
+def _check_action(hopf, dim, acting, tag):
+    """acting(h_vec, v_vec); checks 1.v = v and (gh).v = g.(h.v)."""
     f = hopf.field
     bad = []
     for m in range(dim):
         em = _unit_vec(f, m)
-        if not _vec_eq(f, act(hopf.unit(), em), em):
+        if not vec_eq(f, acting(hopf.unit(), em), em):
             bad.append("%s: unit does not act as identity at e%d" % (tag, m))
         for g in range(hopf.dim):
             for h in range(hopf.dim):
-                gh = hopf.multiply(_unit_vec(f, g), _unit_vec(f, h))
-                lhs = act(gh, em)
-                rhs = act(_unit_vec(f, g), act(_unit_vec(f, h), em))
-                if not _vec_eq(f, lhs, rhs):
+                gh = multiply(hopf.algebra, _unit_vec(f, g), _unit_vec(f, h))
+                lhs = acting(gh, em)
+                rhs = acting(_unit_vec(f, g), acting(_unit_vec(f, h), em))
+                if not vec_eq(f, lhs, rhs):
                     bad.append("%s: action not associative at (h%d,h%d,e%d)" % (tag, g, h, m))
     return bad
 
@@ -192,7 +197,7 @@ def _check_coaction(hopf, dim, coact_one, tag):
         cu = {}
         for (h, v), x in rho.items():
             add_into(f, cu, v, f.mul(x, hopf.coalgebra.counit.get(h, f.zero)))
-        if not _vec_eq(f, cu, _unit_vec(f, m)):
+        if not vec_eq(f, cu, _unit_vec(f, m)):
             bad.append("%s: counit law fails at e%d" % (tag, m))
         # (Delta (x) id) rho = (id (x) rho) rho
         lhs = {}
@@ -203,7 +208,7 @@ def _check_coaction(hopf, dim, coact_one, tag):
         for (h, v), x in rho.items():
             for (h2, v2), w in coact_one(v).items():
                 add_into(f, rhs, (h, h2, v2), f.mul(x, w))
-        if not _vec_eq(f, lhs, rhs):
+        if not vec_eq(f, lhs, rhs):
             bad.append("%s: coassociativity of coaction fails at e%d" % (tag, m))
     return bad
 
@@ -213,22 +218,22 @@ def check_module_algebra(ma):
     h = ma.hopf
     a = ma.algebra
     bad = check_algebra(a, "module algebra base")
-    bad += _check_action(h, a.dim, lambda hv, v: _act(ma, hv, v), "module algebra action")
+    bad += _check_action(h, a.dim, lambda hv, v: act(ma, hv, v), "module algebra action")
     for i in range(h.dim):
         hi = _unit_vec(f, i)
-        target = vec_scale(f, h.counit(hi), a.unit)
-        if not _vec_eq(f, _act(ma, hi, a.unit), target):
+        target = vec_scale(f, counit_vec(h.coalgebra, hi), a.unit)
+        if not vec_eq(f, act(ma, hi, a.unit), target):
             bad.append("module algebra: h(1_A) != eps(h)1_A at h%d" % i)
         for p in range(a.dim):
             for q in range(a.dim):
-                prod = a.multiply(_unit_vec(f, p), _unit_vec(f, q))
-                lhs = _act(ma, hi, prod)
+                prod = multiply(a, _unit_vec(f, p), _unit_vec(f, q))
+                lhs = act(ma, hi, prod)
                 rhs = {}
-                for (j, k), v in h.sweedler(hi, 2).items():
-                    term = a.multiply(_act(ma, _unit_vec(f, j), _unit_vec(f, p)),
-                                      _act(ma, _unit_vec(f, k), _unit_vec(f, q)))
+                for (j, k), v in iterated(h.coalgebra, hi, 2).items():
+                    term = multiply(a, act(ma, _unit_vec(f, j), _unit_vec(f, p)),
+                                    act(ma, _unit_vec(f, k), _unit_vec(f, q)))
                     rhs = vec_add(f, rhs, vec_scale(f, v, term))
-                if not _vec_eq(f, lhs, rhs):
+                if not vec_eq(f, lhs, rhs):
                     bad.append("module algebra: h(ab) law fails at (h%d,e%d,e%d)" % (i, p, q))
     return bad
 
@@ -238,26 +243,26 @@ def check_module_coalgebra(mc):
     h = mc.hopf
     c = mc.coalgebra
     bad = check_coalgebra(c, "module coalgebra base")
-    bad += _check_action(h, c.dim, lambda hv, v: _act(mc, hv, v), "module coalgebra action")
+    bad += _check_action(h, c.dim, lambda hv, v: act(mc, hv, v), "module coalgebra action")
     for i in range(h.dim):
         hi = _unit_vec(f, i)
         for p in range(c.dim):
             cp = _unit_vec(f, p)
-            acted = _act(mc, hi, cp)
-            lhs = c.comul_vec(acted)
+            acted = act(mc, hi, cp)
+            lhs = comul_vec(c, acted)
             rhs = {}
-            for (j, k), v in h.sweedler(hi, 2).items():
-                for (c1, c2), w in c.comul_vec(cp).items():
-                    t1 = _act(mc, _unit_vec(f, j), _unit_vec(f, c1))
-                    t2 = _act(mc, _unit_vec(f, k), _unit_vec(f, c2))
+            for (j, k), v in iterated(h.coalgebra, hi, 2).items():
+                for (c1, c2), w in comul_vec(c, cp).items():
+                    t1 = act(mc, _unit_vec(f, j), _unit_vec(f, c1))
+                    t2 = act(mc, _unit_vec(f, k), _unit_vec(f, c2))
                     for x1, y1 in t1.items():
                         for x2, y2 in t2.items():
                             add_into(f, rhs, (x1, x2),
                                      f.mul(f.mul(v, w), f.mul(y1, y2)))
-            if not _vec_eq(f, lhs, rhs):
+            if not vec_eq(f, lhs, rhs):
                 bad.append("module coalgebra: Delta(hc) law fails at (h%d,e%d)" % (i, p))
-            eps_l = c.counit_vec(acted)
-            eps_r = f.mul(h.counit(hi), c.counit_vec(cp))
+            eps_l = counit_vec(c, acted)
+            eps_r = f.mul(counit_vec(h.coalgebra, hi), counit_vec(c, cp))
             if not f.is_zero(f.sub(eps_l, eps_r)):
                 bad.append("module coalgebra: eps(hc) law fails at (h%d,e%d)" % (i, p))
     return bad
@@ -272,18 +277,18 @@ def check_comodule_algebra(ca):
     # multiplicative
     for p in range(a.dim):
         for q in range(a.dim):
-            prod = a.multiply(_unit_vec(f, p), _unit_vec(f, q))
+            prod = multiply(a, _unit_vec(f, p), _unit_vec(f, q))
             lhs = _coact(ca, prod)
             rhs = {}
             for (h1, b1), x in ca.coaction[p].items():
                 for (h2, b2), y in ca.coaction[q].items():
-                    hh = h.multiply(_unit_vec(f, h1), _unit_vec(f, h2))
-                    bb = a.multiply(_unit_vec(f, b1), _unit_vec(f, b2))
+                    hh = multiply(h.algebra, _unit_vec(f, h1), _unit_vec(f, h2))
+                    bb = multiply(a, _unit_vec(f, b1), _unit_vec(f, b2))
                     coef = f.mul(x, y)
                     for hk, hv in hh.items():
                         for bk, bv in bb.items():
                             add_into(f, rhs, (hk, bk), f.mul(coef, f.mul(hv, bv)))
-            if not _vec_eq(f, lhs, rhs):
+            if not vec_eq(f, lhs, rhs):
                 bad.append("comodule algebra: coaction not multiplicative at (%d,%d)" % (p, q))
     # unit coinvariant
     unit_img = _coact(ca, a.unit)
@@ -291,7 +296,7 @@ def check_comodule_algebra(ca):
     for i, x in h.unit().items():
         for j, y in a.unit.items():
             expect[(i, j)] = f.mul(x, y)
-    if not _vec_eq(f, unit_img, expect):
+    if not vec_eq(f, unit_img, expect):
         bad.append("comodule algebra: unit not coinvariant")
     return bad
 
@@ -313,18 +318,18 @@ def check_comodule_coalgebra(cc):
         for (z1, z2), w in c.comul[z].items():
             for (h1, z10), x in cc.coaction[z1].items():
                 for (h2, z20), y in cc.coaction[z2].items():
-                    hh = h.multiply(_unit_vec(f, h1), _unit_vec(f, h2))
+                    hh = multiply(h.algebra, _unit_vec(f, h1), _unit_vec(f, h2))
                     coef = f.mul(w, f.mul(x, y))
                     for hk, hv in hh.items():
                         add_into(f, rhs, (hk, z10, z20), f.mul(coef, hv))
-        if not _vec_eq(f, lhs, rhs):
+        if not vec_eq(f, lhs, rhs):
             bad.append("comodule coalgebra: mixed compatibility fails at e%d" % z)
     return bad
 
 
 def check_modcomodule(m):
     h = m.hopf
-    bad = _check_action(h, m.dim, lambda hv, v: _act(m, hv, v), "module/comodule action")
+    bad = _check_action(h, m.dim, lambda hv, v: act(m, hv, v), "module/comodule action")
     bad += _check_coaction(h, m.dim, lambda i: m.coaction[i], "module/comodule coaction")
     return bad
 
@@ -336,15 +341,15 @@ def check_modular_pair(hopf, pair):
     for i, x in pair.sigma.items():
         for j, y in pair.sigma.items():
             sig2[(i, j)] = f.mul(x, y)
-    if not _vec_eq(f, hopf.coalgebra.comul_vec(pair.sigma), sig2):
+    if not vec_eq(f, comul_vec(hopf.coalgebra, pair.sigma), sig2):
         bad.append("modular pair: sigma not group-like")
-    if not f.is_zero(f.sub(hopf.counit(pair.sigma), f.one)):
+    if not f.is_zero(f.sub(counit_vec(hopf.coalgebra, pair.sigma), f.one)):
         bad.append("modular pair: eps(sigma) != 1")
     if not f.is_zero(f.sub(_delta_of(f, pair, hopf.unit()), f.one)):
         bad.append("modular pair: delta(1) != 1")
     for i in range(hopf.dim):
         for j in range(hopf.dim):
-            prod = hopf.multiply(_unit_vec(f, i), _unit_vec(f, j))
+            prod = multiply(hopf.algebra, _unit_vec(f, i), _unit_vec(f, j))
             lhs = _delta_of(f, pair, prod)
             rhs = f.mul(pair.delta.get(i, f.zero), pair.delta.get(j, f.zero))
             if not f.is_zero(f.sub(lhs, rhs)):
@@ -362,26 +367,26 @@ def check_equivariant(p):
         cv = _unit_vec(f, ci)
         # phi(c, 1) = eps(c) 1
         target = vec_scale(f, c.counit.get(ci, f.zero), a.unit)
-        if not _vec_eq(f, _pair(p, cv, a.unit), target):
+        if not vec_eq(f, _pair(p, cv, a.unit), target):
             bad.append("pairing: phi(c,1) != eps(c)1 at c%d" % ci)
         for a1 in range(a.dim):
             for a2 in range(a.dim):
-                prod = a.multiply(_unit_vec(f, a1), _unit_vec(f, a2))
+                prod = multiply(a, _unit_vec(f, a1), _unit_vec(f, a2))
                 lhs = _pair(p, cv, prod)
                 rhs = {}
-                for (c1, c2), v in c.comul_vec(cv).items():
-                    term = a.multiply(_pair(p, _unit_vec(f, c1), _unit_vec(f, a1)),
-                                      _pair(p, _unit_vec(f, c2), _unit_vec(f, a2)))
+                for (c1, c2), v in comul_vec(c, cv).items():
+                    term = multiply(a, _pair(p, _unit_vec(f, c1), _unit_vec(f, a1)),
+                                    _pair(p, _unit_vec(f, c2), _unit_vec(f, a2)))
                     rhs = vec_add(f, rhs, vec_scale(f, v, term))
-                if not _vec_eq(f, lhs, rhs):
+                if not vec_eq(f, lhs, rhs):
                     bad.append("pairing: multiplicativity fails at (c%d,a%d,a%d)" % (ci, a1, a2))
         for hi in range(h.dim):
             hv = _unit_vec(f, hi)
             for ai in range(a.dim):
                 av = _unit_vec(f, ai)
-                lhs = _act(p.alg, hv, _pair(p, cv, av))
-                rhs = _pair(p, _act(p.coalg, hv, cv), av)
-                if not _vec_eq(f, lhs, rhs):
+                lhs = act(p.alg, hv, _pair(p, cv, av))
+                rhs = _pair(p, act(p.coalg, hv, cv), av)
+                if not vec_eq(f, lhs, rhs):
                     bad.append("pairing: equivariance fails at (h%d,c%d,a%d)" % (hi, ci, ai))
     return bad
 
@@ -395,24 +400,25 @@ def check_sayd(m):
         # stability
         out = {}
         for (hh, mm), x in m.coaction[i].items():
-            out = vec_add(f, out, vec_scale(f, x, _act(m, _unit_vec(f, hh), _unit_vec(f, mm))))
-        if not _vec_eq(f, out, _unit_vec(f, i)):
+            out = vec_add(f, out, vec_scale(f, x, act(m, _unit_vec(f, hh), _unit_vec(f, mm))))
+        if not vec_eq(f, out, _unit_vec(f, i)):
             bad.append("sayd: stability fails at e%d" % i)
     for hi in range(h.dim):
         hv = _unit_vec(f, hi)
         for i in range(m.dim):
-            lhs = _coact(m, _act(m, hv, _unit_vec(f, i)))
+            lhs = _coact(m, act(m, hv, _unit_vec(f, i)))
             rhs = {}
-            for (h1, h2, h3), v in h.sweedler(hv, 3).items():
-                s_inv_h3 = h.apply_antipode(_unit_vec(f, h3), inverse=True)
+            for (h1, h2, h3), v in iterated(h.coalgebra, hv, 3).items():
+                s_inv_h3 = apply_antipode(h, _unit_vec(f, h3), inverse=True)
                 for (mm1, mi), x in m.coaction[i].items():
-                    hleft = h.multiply(h.multiply(_unit_vec(f, h1), _unit_vec(f, mm1)), s_inv_h3)
-                    macted = _act(m, _unit_vec(f, h2), _unit_vec(f, mi))
+                    hleft = multiply(h.algebra, multiply(h.algebra, _unit_vec(f, h1),
+                                                         _unit_vec(f, mm1)), s_inv_h3)
+                    macted = act(m, _unit_vec(f, h2), _unit_vec(f, mi))
                     coef = f.mul(v, x)
                     for hk, hx in hleft.items():
                         for mk, mx in macted.items():
                             add_into(f, rhs, (hk, mk), f.mul(coef, f.mul(hx, mx)))
-            if not _vec_eq(f, lhs, rhs):
+            if not vec_eq(f, lhs, rhs):
                 bad.append("sayd: AYD condition fails at (h%d,e%d)" % (hi, i))
     return bad
 
@@ -664,3 +670,65 @@ def test_lawful_fixtures_and_their_products_check_clean(field):
         assert hopf.check_structure(tensor_comodule_coalgebra(z, z)) == []
         assert hopf.check_coalgebra(crossed_product_coalgebra(
             z, fx.regular_module_coalgebra(h))) == []
+
+
+# ---------------------------------------------------------------------------
+# fixture constructors that read their tables off Matrices
+
+
+def _counit_action(h):
+    """The dual numbers with h.a = eps(h) a, written with an explicit zero
+    entry wherever eps(h) = 0."""
+    f = h.field
+    alg = fx.dual_numbers_algebra(f)
+    action = {(g, a): {a: h.coalgebra.counit.get(g, f.zero)}
+              for g in range(h.dim) for a in range(alg.dim)}
+    return ModuleAlgebra(h, alg, action)
+
+
+def _sparse_product(h):
+    """h with the empty entries of its product table left out and an
+    explicit zero written into e_0 e_0."""
+    f, d = h.field, h.dim
+    mul = {k: dict(v) for k, v in h.algebra.mul.items() if v}
+    if d > 1:
+        mul[(0, 0)] = {**mul[(0, 0)], d - 1: f.zero}
+    return HopfAlgebraData(AlgebraData(f, d, mul, h.algebra.unit),
+                           h.coalgebra, h.antipode, name=h.name)
+
+
+def _flipped_counit(h):
+    """h with eps(e_last) replaced by 1 - eps(e_last): not a Hopf algebra,
+    but a group-like basis vector of Delta can now fail eps = 1 (kZ/n), or
+    a basis vector with eps = 1 fail to be group-like (Sweedler's gx)."""
+    f, d = h.field, h.dim
+    co = h.coalgebra
+    counit = {**co.counit, d - 1: f.sub(f.one, co.counit.get(d - 1, f.zero))}
+    return HopfAlgebraData(h.algebra, CoalgebraData(f, d, co.comul, counit),
+                           h.antipode, name=h.name)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_table_constructors_give_the_loop_form_tables(field):
+    f = FIELDS[field]
+    one = f.one
+    for h0 in [fx.trivial_hopf(f)] + _hopf_cases(f):
+        for h in (h0, _sparse_product(h0), _flipped_counit(h0)):
+            units = [{i: one} for i in range(h.dim)]
+            regular = {(g, c): multiply(h.algebra, units[g], units[c])
+                       for g in range(h.dim) for c in range(h.dim)}
+            for x in (fx.regular_module_coalgebra(h),
+                      fx.regular_action_trivial_coaction(h),
+                      fx.regular_action_regular_coaction(h)):
+                assert x.action == regular, (h.name, x.name)
+            mc = fx.regular_module_coalgebra(h)
+            mas = [_counit_action(h)] + (
+                [fx.dual_numbers_module_algebra(h)] if h.dim > 1 else [])
+            for ma in mas:
+                phi = {(c, a): act(ma, units[c], {a: one})
+                       for c in range(h.dim) for a in range(ma.algebra.dim)}
+                assert fx.action_pairing(mc, ma).phi == phi, h.name
+            likes = [u for u in units
+                     if comul_vec(h.coalgebra, u) == {(i, i): one for i in u}
+                     and f.is_zero(f.sub(counit_vec(h.coalgebra, u), one))]
+            assert fx.group_likes(h) == likes, h.name

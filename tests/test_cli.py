@@ -21,6 +21,14 @@ def test_check_fixture_library(capsys):
     assert "ok" in out
 
 
+def test_check_prints_every_status_in_one_column(capsys):
+    main(["check", "--fixtures"])
+    lines = capsys.readouterr().out.splitlines()
+    name = [line.split(" ", 1)[0] for line in lines]
+    column = {len(line) - len(line[len(n):].lstrip(" ")) for n, line in zip(name, lines)}
+    assert len(lines) > 1 and len(column) == 1, column
+
+
 def test_check_single_file(lib):
     assert main(["check", str(lib / "hopf-kz2.json")]) == EXIT_OK
 

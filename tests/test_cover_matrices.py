@@ -25,7 +25,8 @@ from hopfcyclic import cyclic
 from hopfcyclic import fixtures as fx
 from hopfcyclic.hopf import (ComoduleCoalgebra, CompatibilityFailure, ModuleAlgebra,
                              check_sayd)
-from hopfcyclic.linalg import add_into
+
+from _loops import act, add_into, apply_antipode, iterated, multiply
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,7 @@ def _diagonal_action(hopf, dims, action, mod):
     k = len(dims) - 1
     out = {}
     for h in range(hopf.dim):
-        parts = hopf.sweedler({h: f.one}, k + 1)
+        parts = iterated(hopf.coalgebra, {h: f.one}, k + 1)
 
         def im(t, parts=parts):
             total = {}
@@ -168,8 +169,8 @@ def ref_cover(x, m, N):
         def tau_im(t):
             out = {}
             for (h, mm), v in m.coaction[t[-1]].items():
-                sh = x.hopf.apply_antipode({h: f.one}, inverse=True)
-                for b, w in x.act(sh, {t[-2]: f.one}).items():
+                sh = apply_antipode(x.hopf, {h: f.one}, inverse=True)
+                for b, w in act(x, sh, {t[-2]: f.one}).items():
                     add_into(f, out, (b,) + t[:-2] + (mm,), f.mul(v, w))
             return out
         d0_im, s0_im, step = _mul_at(base, 0), _unit_after(base, 0), -1
@@ -207,7 +208,7 @@ def _diagonal_coaction_matrix(field, hopf, coaction, dims):
             nxt = {}
             for (h, tup), v in part.items():
                 for (hh, xx), w in coaction[t[i]].items():
-                    for hk, hw in hopf.multiply({h: field.one}, {hh: field.one}).items():
+                    for hk, hw in multiply(hopf.algebra, {h: field.one}, {hh: field.one}).items():
                         add_into(field, nxt, (hk, tup + (xx,)),
                                  field.mul(v, field.mul(w, hw)))
             part = nxt
@@ -255,7 +256,7 @@ def ref_hom(base, mod, N):
     else:
         def twist(t):
             for (h0, bb), v in base.coaction[t[-1]].items():
-                for h, w in hopf.apply_antipode({h0: field.one}).items():
+                for h, w in apply_antipode(hopf, {h0: field.one}).items():
                     yield h, (bb,) + t[:-1], field.mul(v, w)
         slots = base.algebra
         d0_pre, s0_pre, step = _mul_at(slots, 0), _unit_after(slots, 0), 1
@@ -303,8 +304,8 @@ def _adjoint_module_algebra(h):
         for a in range(h.dim):
             out = {}
             for (g1, g2), v in h.coalgebra.comul[g].items():
-                prod = h.multiply(h.multiply({g1: f.one}, {a: f.one}),
-                                  h.apply_antipode({g2: f.one}))
+                prod = multiply(h.algebra, multiply(h.algebra, {g1: f.one}, {a: f.one}),
+                                apply_antipode(h, {g2: f.one}))
                 for k, w in prod.items():
                     add_into(f, out, k, f.mul(v, w))
             action[(g, a)] = out
@@ -317,8 +318,8 @@ def _coadjoint_comodule_coalgebra(h):
     coaction = {}
     for g in range(h.dim):
         out = {}
-        for (g1, g2, g3), v in h.sweedler({g: f.one}, 3).items():
-            for k, w in h.multiply({g1: f.one}, h.apply_antipode({g3: f.one})).items():
+        for (g1, g2, g3), v in iterated(h.coalgebra, {g: f.one}, 3).items():
+            for k, w in multiply(h.algebra, {g1: f.one}, apply_antipode(h, {g3: f.one})).items():
                 add_into(f, out, (k, g2), f.mul(v, w))
         coaction[g] = out
     return ComoduleCoalgebra(h, h.coalgebra, coaction, name="H coadjoint")

@@ -26,8 +26,9 @@ from hopfcyclic import (QQ, GF, Matrix, ModularPair, modular_pair_module,
 from hopfcyclic import fixtures as fx
 from hopfcyclic.cyclic import DescentFailure
 from hopfcyclic.hopf import ModuleAlgebra, balanced_tensor_modcomodule, check_structure
-from hopfcyclic.linalg import add_into
 from hopfcyclic.pairings import AgreementFailure, _tower, _xi_forms
+
+from _loops import act, add_into, apply_antipode, multiply
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +145,8 @@ def ref_beta(ma, ca, m, N, x_mod, y_mod):
                 for j in range(1, n + 1):
                     hv = hopf.unit()
                     for i in range(j):
-                        hv = hopf.multiply(hv, {combo[i][0][j - i - 1]: f.one})
-                    terms = _tensor_step(f, terms, ma.act(hv, {avec[j]: f.one}))
+                        hv = multiply(hopf.algebra, hv, {combo[i][0][j - i - 1]: f.one})
+                    terms = _tensor_step(f, terms, act(ma, hv, {avec[j]: f.one}))
                 for key, v in terms.items():
                     for mi in range(dm):
                         add_into(f, big, (_flatten(key + (mi,), ydims), mi * tb + xcol), v)
@@ -170,9 +171,9 @@ def ref_xi_forms(zc, mc, m, n):
         for i in range(upto):
             hv = hopf.unit()
             for j in range(i + 1, upto):
-                hv = hopf.multiply(hv, {combo[j][0][j - i - 1]: f.one})
-            sh = hopf.apply_antipode(hv, inverse=True)
-            terms = _tensor_step(f, terms, mc.act(sh, {cvec[i]: f.one}))
+                hv = multiply(hopf.algebra, hv, {combo[j][0][j - i - 1]: f.one})
+            sh = apply_antipode(hopf, hv, inverse=True)
+            terms = _tensor_step(f, terms, act(mc, sh, {cvec[i]: f.one}))
         return terms
 
     firsts, seconds = [], []
@@ -192,7 +193,7 @@ def ref_xi_forms(zc, mc, m, n):
         for combo, coef in _combos(f, expans):
             xcol = _flatten(tuple(c[1] for c in combo), [dz] * (n + 1))
             terms = _tensor_step(f, twisted(cvec, combo, n),
-                                 mc.act({combo[n][0][0]: f.one}, {cvec[n]: f.one}))
+                                 act(mc, {combo[n][0][0]: f.one}, {cvec[n]: f.one}))
             hn = combo[n][0][1]
             for key, v in terms.items():
                 for mi in range(dm):
