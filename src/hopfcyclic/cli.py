@@ -20,8 +20,10 @@ from .hopf import (AlgebraData, HopfAlgebraData, ModuleAlgebra,
                    trivial_modcomodule)
 from .cyclic import (check_axioms, cyc_algebra, cyc_coalgebra,
                      hopf_cyclic_complex, hopf_cocyclic_comodule_algebra,
-                     hopf_cyclic_comodule_coalgebra, NotSAYD, DescentFailure)
-from .homology import mixed_of_cyclic, cohomology_table, compare_models
+                     hopf_cyclic_comodule_coalgebra, NotSAYD, DescentFailure,
+                     InvertibilityFailure)
+from .homology import (mixed_of_cyclic, cohomology_table, compare_models,
+                       IdentityFailure)
 from .pairings import (alpha, beta, xi, star, invariant_traces,
                        cyclic_cocycles, cm_char_map, cup_with_trace,
                        crossed_cocup_with_invariant,
@@ -499,7 +501,8 @@ def main(argv=None):
     except (hio.ParseError, hio.ValidationError, UsageError, HopfMismatch) as e:
         print(str(e), file=sys.stderr)
         code, report = EXIT_USAGE, {"ok": False, "error": str(e)}
-    except (NotSAYD, DescentFailure, CertificateFailure) as e:
+    except (NotSAYD, DescentFailure, CertificateFailure, IdentityFailure,
+            InvertibilityFailure) as e:
         # a certificate failed on valid input: name the identity, exit 1
         error = "%s: %s" % (type(e).__name__, e)
         print(error, file=sys.stderr)

@@ -147,6 +147,11 @@ class ParaCyclicModule:
             [self.spaces[n] for n in sorted(self.spaces)])
 
 
+def _equal_products(a, b, c, d):
+    """Whether a b = c d, decided in one accumulation of both products."""
+    return Matrix.lincomb([(1, a, b), (-1, c, d)]).is_zero()
+
+
 class ModuleMorphism:
     """Degreewise linear map between two modules of the same orientation."""
 
@@ -167,12 +172,13 @@ class ModuleMorphism:
             fn = self.maps[n]
             up, down = self.maps.get(n + x.step), self.maps.get(n - x.step)
             for j in x.face_indices(n) if up is not None else ():
-                if up * x.faces[(n, j)] != y.faces[(n, j)] * fn:
+                if not _equal_products(up, x.faces[(n, j)], y.faces[(n, j)], fn):
                     bad.append("face (%d,%d)" % (n, j))
             for i in x.degeneracy_indices(n) if down is not None else ():
-                if down * x.degeneracies[(n, i)] != y.degeneracies[(n, i)] * fn:
+                if not _equal_products(down, x.degeneracies[(n, i)],
+                                       y.degeneracies[(n, i)], fn):
                     bad.append("degeneracy (%d,%d)" % (n, i))
-            if fn * x.cyclic[n] != y.cyclic[n] * fn:
+            if not _equal_products(fn, x.cyclic[n], y.cyclic[n], fn):
                 bad.append("cyclic %d" % n)
         return bad
 
@@ -233,46 +239,50 @@ def _cochain_violations(x):
         if n + 2 <= x.N:
             for j in range(n + 3):
                 for i in range(min(j, n + 2)):
-                    if face(n + 1, j) * face(n, i) != face(n + 1, i) * face(n, j - 1):
+                    if not _equal_products(face(n + 1, j), face(n, i),
+                                           face(n + 1, i), face(n, j - 1)):
                         bad.append("d^%d d^%d != d^%d d^%d at n=%d" % (j, i, i, j - 1, n))
         # s^j s^i = s^i s^{j+1}  (i <= j), X_n -> X_{n-2}
         if n >= 2:
             for j in range(n - 1):
                 for i in range(j + 1):
-                    if degen(n - 1, j) * degen(n, i) != degen(n - 1, i) * degen(n, j + 1):
+                    if not _equal_products(degen(n - 1, j), degen(n, i),
+                                           degen(n - 1, i), degen(n, j + 1)):
                         bad.append("s^%d s^%d != s^%d s^%d at n=%d" % (j, i, i, j + 1, n))
         # s^j d^i relations (both X_n -> X_n)
         if n + 1 <= x.N:
             ident = Matrix.identity(f, x.spaces[n])
             for i in range(n + 2):
                 for j in range(n + 1):
-                    lhs = degen(n + 1, j) * face(n, i)
+                    s, d = degen(n + 1, j), face(n, i)
                     if i == j or i == j + 1:
-                        if lhs != ident:
+                        if s * d != ident:
                             bad.append("s^%d d^%d != id at n=%d" % (j, i, n))
                     elif i < j:
-                        if n >= 1 and lhs != face(n - 1, i) * degen(n, j - 1):
+                        if n >= 1 and not _equal_products(
+                                s, d, face(n - 1, i), degen(n, j - 1)):
                             bad.append("s^%d d^%d != d^%d s^%d at n=%d" % (j, i, i, j - 1, n))
                     else:
-                        if n >= 1 and lhs != face(n - 1, i - 1) * degen(n, j):
+                        if n >= 1 and not _equal_products(
+                                s, d, face(n - 1, i - 1), degen(n, j)):
                             bad.append("s^%d d^%d != d^%d s^%d at n=%d" % (j, i, i - 1, j, n))
         # tau relations: tau d^{j+1} = d^j tau, tau s^{i+1} = s^i tau
         if n + 1 <= x.N:
             for j in range(n + 1):
-                if x.tau(n + 1) * face(n, j + 1) != face(n, j) * x.tau(n):
+                if not _equal_products(x.tau(n + 1), face(n, j + 1), face(n, j), x.tau(n)):
                     bad.append("tau d^%d != d^%d tau at n=%d" % (j + 1, j, n))
         if n >= 1:
             for i in range(n - 1):
-                if x.tau(n - 1) * degen(n, i + 1) != degen(n, i) * x.tau(n):
+                if not _equal_products(x.tau(n - 1), degen(n, i + 1), degen(n, i), x.tau(n)):
                     bad.append("tau s^%d != s^%d tau at n=%d" % (i + 1, i, n))
         # the twist T = tau^{n+1} commutes with everything
         if n + 1 <= x.N:
             for j in range(n + 2):
-                if face(n, j) * twist[n] != twist[n + 1] * face(n, j):
+                if not _equal_products(face(n, j), twist[n], twist[n + 1], face(n, j)):
                     bad.append("T does not commute with d^%d at n=%d" % (j, n))
         if n >= 1:
             for i in range(n):
-                if degen(n, i) * twist[n] != twist[n - 1] * degen(n, i):
+                if not _equal_products(degen(n, i), twist[n], twist[n - 1], degen(n, i)):
                     bad.append("T does not commute with s^%d at n=%d" % (i, n))
     return bad
 
@@ -462,8 +472,9 @@ def compute_J(t, buffer=2):
     CertificateFailure.  Once all pass, t._certified records each map they
     prove to send J into J, with J at its two ends and their dimensions,
     so that _descend need not check it on J again.  The seeds are formed
-    by _seeds, which takes no difference of two equal matrices: L_1 = id,
-    checked there degree by degree, makes [L_1, tau] zero.
+    by _seeds, which accumulates each [L_h, tau] as one sum of two
+    product terms: L_1 = id, checked there degree by degree, makes
+    [L_1, tau] zero, so it is not summed.
 
     Degrees above t.N - buffer are truncation-affected; buffer must be at
     least 1.  The closure runs in two phases, each certified at its
@@ -517,23 +528,23 @@ def compute_J(t, buffer=2):
 
 def _seeds(t, n):
     """The nonzero columns of T_n - id and of [L_h, tau_n] for each basis h
-    of H, as lifts: (twist columns, {h: commutator columns}).  A difference
-    of two equal matrices is not formed, nor the products of the unit's
-    commutator once L_1 = id is checked at degree n."""
+    of H, as lifts: (twist columns, {h: commutator columns}).  Each
+    commutator L_h tau - tau L_h is one lincomb of two product terms, so
+    neither product is formed alone, and none is accumulated for the unit
+    once L_1 = id is checked at degree n; T_n - id is not formed when
+    T_n = id."""
     f, dim, hopf = t.field, t.spaces[n], t.hopf
-    ident, tau = Matrix.identity(f, dim), t.tau(n)
+    ident, tau, twist = Matrix.identity(f, dim), t.tau(n), t.T(n)
 
-    def columns(a, b):   # the nonzero columns of a - b
-        if a == b:
-            return []
-        return [c for c in (a - b).columns(lifted=True) if c[0]]
+    def columns(m):   # the nonzero columns of m
+        return [] if m.is_zero() else [c for c in m.columns(lifted=True) if c[0]]
 
     unit = hopf.unit()
     skip = {h for h in unit if unit == {h: f.one} and t.act_h(n, h) == ident}
-    comms = {h: [] if h in skip else columns(t.act_h(n, h) * tau,
-                                             tau * t.act_h(n, h))
+    comms = {h: [] if h in skip else columns(Matrix.lincomb(
+        [(1, t.act_h(n, h), tau), (-1, tau, t.act_h(n, h))]))
              for h in range(hopf.dim)}
-    return columns(t.T(n), ident), comms
+    return ([] if twist == ident else columns(twist - ident)), comms
 
 
 def _certify_symmetries(t, ideal, gens):
@@ -556,10 +567,6 @@ def _certify_symmetries(t, ideal, gens):
         if not ok:
             raise DescentFailure("%s fails at degree %d" % (identity, n))
 
-    def act(lh, vec):   # sum_h vec[h] L_h; 0 L_0 for the zero vector
-        return Matrix.lincomb([(c, lh[h]) for h, c in vec.items()]
-                              or [(0, lh[0])])
-
     mul = hopf.algebra.matrices()[0].columns()     # e_g e_h is column g d + h
     for n in [n for n in sorted(t.spaces) if ideal[n].dim]:
         tau = t.tau(n)
@@ -567,11 +574,13 @@ def _certify_symmetries(t, ideal, gens):
             raise InvertibilityFailure("tau_%d is not invertible" % n)
         keep(("tau", n, 0), tau, n)
         lh = [t.act_h(n, h) for h in range(hopf.dim)]
-        check(act(lh, hopf.unit()) == Matrix.identity(f, t.spaces[n]),
+        check(Matrix.lincomb([(-1, Matrix.identity(f, t.spaces[n]))] +
+                             [(c, lh[h]) for h, c in hopf.unit().items()]).is_zero(),
               "L_1 = id", n)
         for g in gens:
             for h in range(hopf.dim):
-                check(lh[g] * lh[h] == act(lh, mul[g * hopf.dim + h]),
+                check(Matrix.lincomb([(1, lh[g], lh[h])] + [
+                    (-c, lh[k]) for k, c in mul[g * hopf.dim + h].items()]).is_zero(),
                       "L_g L_h = L_gh (g=%d, h=%d)" % (g, h), n)
         for h, m in enumerate(lh):
             keep(("L_h", n, h), m, n)
@@ -583,12 +592,12 @@ def _certify_symmetries(t, ideal, gens):
             if not ms:
                 continue
             for g in gens:
-                check(t.act_h(tgt, g) * ms[0] == ms[0] * lh[g],
+                check(_equal_products(t.act_h(tgt, g), ms[0], ms[0], lh[g]),
                       "L_g %s_0 = %s_0 L_g (g=%d)" % (sym, sym, g), n)
             m = sym + ("_" if chain else "^")
             for j in range(1, len(ms)):
                 a, b = (j, j - 1) if chain else (j - 1, j)
-                check(ms[a] * tau == t.tau(tgt) * ms[b],
+                check(_equal_products(ms[a], tau, t.tau(tgt), ms[b]),
                       "%s%d tau = tau %s%d" % (m, a, m, b), n)
             for j, mj in enumerate(ms):
                 keep((kind, n, j), mj, tgt)
@@ -791,6 +800,7 @@ def _hom_module(field, hopf, mod, base, N, orientation, name):
 
 def hopf_cocyclic_comodule_algebra(b, m, N):
     """C(B,M): colinear maps B^{(x)n+1} -> M with the cocyclic structure."""
+    require_same_hopf(b.hopf, m.hopf, "comodule algebra and coefficients")
     raise_failures(NotSAYD, check_sayd(m))
     return _hom_module(b.field, b.hopf, m, b, N, COCHAIN,
                        "C(%s,%s)" % (b.name or "B", m.name or "M"))
@@ -798,6 +808,7 @@ def hopf_cocyclic_comodule_algebra(b, m, N):
 
 def hopf_cyclic_comodule_coalgebra(z, m, N):
     """C(Z,M): colinear maps Z^{(x)n+1} -> M with the cyclic structure."""
+    require_same_hopf(z.hopf, m.hopf, "comodule coalgebra and coefficients")
     raise_failures(NotSAYD, check_sayd(m))
     raise_failures(CompatibilityFailure, check_comodule_coalgebra(z))
     return _hom_module(z.field, z.hopf, m, z, N, CHAIN,

@@ -73,9 +73,9 @@ class MixedComplex:
             have_Bb = n in self.b and n + 1 in self.B
             terms = []
             if have_bB:
-                terms.append((1, self.b[n - 1] * self.B[n]))
+                terms.append((1, self.b[n - 1], self.B[n]))
             if have_Bb:
-                terms.append((1, self.B[n + 1] * self.b[n]))
+                terms.append((1, self.B[n + 1], self.b[n]))
             checkable = have_Bb and (have_bB or n == bot)
             if checkable and not Matrix.lincomb(terms).is_zero():
                 bad.append("bB + Bb != 0 at degree %d" % n)
@@ -116,9 +116,10 @@ class Bicomplex:
                     bad.append("b' b' != 0 from row %d" % q)
             (one_minus, norm), (one_minus_up, norm_up) = \
                 self.horiz[q], self.horiz[q + 1]
-            if not (neg_bp * one_minus + one_minus_up * b).is_zero():
+            if not Matrix.lincomb([(1, neg_bp, one_minus),
+                                   (1, one_minus_up, b)]).is_zero():
                 bad.append("-b'(1 - lambda) + (1 - lambda)b != 0 from row %d" % q)
-            if not (b * norm + norm_up * neg_bp).is_zero():
+            if not Matrix.lincomb([(1, b, norm), (1, norm_up, neg_bp)]).is_zero():
                 bad.append("bN - Nb' != 0 from row %d" % q)
         return bad
 

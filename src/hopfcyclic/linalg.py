@@ -8,7 +8,12 @@ normalises its accumulator once: one gcd over Q, one pass mod p over F_p
 (fraction-free accumulation, delayed modular reduction).  Over Q an
 accumulator that is already canonical becomes the result's lift itself,
 uncopied, so each kernel normalises a dict of its own and writes nothing
-to it afterwards.  No kernel
+to it afterwards.  `Matrix.lincomb` sums scaled matrices and scaled
+products c A B in one such table, so that
+`lincomb([(1, A, B), (-1, C, D)]).is_zero()` decides A B = C D without
+forming either product alone; one sum carries the terms of one identity
+only, never two identities whose terms could cancel.  `Matrix.__mul__`
+and lincomb's product terms share one inner loop.  No kernel
 builds a field element: the Matrix constructor takes them,
 `Matrix.entries` and `Subspace.basis` lower lifts on each read.
 `Matrix.apply` answers in the form its vector was given, a dict of field
@@ -50,6 +55,24 @@ class SingularMatrix(ValueError):
 
 class CertificateFailure(AssertionError):
     """An exact certificate failed; the message names the identity."""
+
+
+def _product_into(acc, a, b, s=1):
+    """acc[i, j] += s sum_k a[i, k] b[k, j] for tables of ints a and b:
+    the inner loop of every product, b indexed by row once; returns acc."""
+    by_row = {}
+    for (i, j), w in b.items():
+        by_row.setdefault(i, []).append((j, w))
+    get = acc.get
+    for (i, k), v in a.items():
+        row = by_row.get(k)
+        if row:
+            if s != 1:
+                v *= s
+            for j, w in row:
+                key = (i, j)
+                acc[key] = get(key, 0) + v * w
+    return acc
 
 
 def _lift(field, vec):
@@ -140,27 +163,49 @@ class Matrix:
 
     @staticmethod
     def lincomb(terms):
-        """sum c M over a nonempty list of (c, M): scalars c (field elements
-        or ints) and matrices of one shape, summed in ints over the lcm of
-        the lifted terms' denominators."""
+        """sum c M + sum c A B over a nonempty list of terms (c, M) and
+        (c, A, B): scalars c (field elements or ints) and matrices M and
+        products A B of one shape, summed in one table of ints over the lcm
+        of the lifted terms' denominators and normalised once.  A product
+        is accumulated entry by entry, never formed alone, so
+        `lincomb([(1, A, B), (-1, C, D)]).is_zero()` decides A B = C D.
+        One sum carries the terms of one identity only."""
         m0 = terms[0][1]
         f = m0.field
-        lifted = []
-        for c, m in terms:
-            if (m.rows, m.cols) != (m0.rows, m0.cols):
+        rows, cols = m0.rows, terms[0][-1].cols
+        d, scaled = 1, []   # d: the lcm; scaled: (c as an int, its denominator)
+        for term in terms:
+            c, a, b = term[0], term[1], term[-1]
+            if len(term) == 3:
+                if a.cols != b.rows:
+                    raise ShapeMismatch("mul %dx%d with %dx%d"
+                                        % (a.rows, a.cols, b.rows, b.cols))
+                dt = a.lift[1] * b.lift[1]
+            else:
+                dt = a.lift[1]
+            if a.rows != rows or b.cols != cols:
                 raise ShapeMismatch("add %dx%d with %dx%d"
-                                    % (m0.rows, m0.cols, m.rows, m.cols))
-            s, dc = f.integral({0: c})
-            lifted.append((s[0], dc, *m.lift))
-        d = lcm(*[dc * dm for _, dc, _, dm in lifted])
+                                    % (rows, cols, a.rows, b.cols))
+            if type(c) is not int:
+                ints, dc = f.integral({0: c})
+                c, dt = ints[0], dt * dc
+            if dt != 1:
+                d = lcm(d, dt)
+            scaled.append((c, dt))
         acc = {}
         get = acc.get
-        for s, dc, a, dm in lifted:
-            s *= d // (dc * dm)
-            if s:
-                for k, v in a.items():
-                    acc[k] = get(k, 0) + s * v
-        return Matrix(f, m0.rows, m0.cols, lift=f.normalize(acc, d))
+        for term, (c, dt) in zip(terms, scaled):
+            s = c * (d // dt)
+            if not s:
+                continue
+            if len(term) == 3:
+                _product_into(acc, term[1].lift[0], term[2].lift[0], s)
+                continue
+            for k, v in term[1].lift[0].items():
+                acc[k] = get(k, 0) + s * v
+        # an identity that holds leaves a table of zeros: its lift is ({}, 1)
+        lift = f.normalize(acc, d) if any(acc.values()) else ({}, 1)
+        return Matrix(f, rows, cols, lift=lift)
 
     def __add__(self, other):
         return Matrix.lincomb([(1, self), (1, other)])
@@ -178,16 +223,8 @@ class Matrix:
         f = self.field
         a, da = self.lift
         b, db = other.lift
-        by_row = {}
-        for (i, j), w in b.items():
-            by_row.setdefault(i, []).append((j, w))
-        acc = {}
-        get = acc.get
-        for (i, k), v in a.items():
-            for j, w in by_row.get(k, ()):
-                key = (i, j)
-                acc[key] = get(key, 0) + v * w
-        return Matrix(f, self.rows, other.cols, lift=f.normalize(acc, da * db))
+        return Matrix(f, self.rows, other.cols,
+                      lift=f.normalize(_product_into({}, a, b), da * db))
 
     def apply(self, vec):
         """self applied to a vector of length self.cols, in the vector's

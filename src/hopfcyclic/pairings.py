@@ -298,7 +298,8 @@ def alpha(pairing, m, N, x_mod=None, y_mod=None, buffer=2):
         psi = permute(lift, [da, dc] * (n + 1) + [dm, dm], _unzip(n + 2))
         down = slot(py[n], 1, sx[n].rows) * psi
         g = slot(sx[n].transpose(), py[n].rows, 1) * down
-        if slot(px[n].transpose(), py[n].rows, 1) * g != down:
+        if not Matrix.lincomb([(1, slot(px[n].transpose(), py[n].rows, 1), g),
+                               (-1, down)]).is_zero():
             raise DescentFailure("alpha does not descend at degree %d" % n)
         maps[n] = g
     return ModuleMorphism(cyc_algebra(pairing.alg.algebra, N),
@@ -600,7 +601,7 @@ def diag_tensor_epi_check(ma, ma2, m, m2, N, buffer=2, drop_factor=False):
             perm = slot(collapse, d1, 1) * perm
         down = p1[n].kron(p2[n]) * perm
         phi = down * s12[n]
-        if phi * p12[n] != down:
+        if not Matrix.lincomb([(1, phi, p12[n]), (-1, down)]).is_zero():
             report["descends"] = False
         r = phi.rank()
         tgt = q1.spaces[n] * q2.spaces[n]

@@ -437,6 +437,57 @@ def test_descent_failure_exits_1(lib, tmp_path, capsys, monkeypatch):
     assert json.loads(report.read_text()) == {"ok": False, "error": err}
 
 
+@pytest.mark.parametrize("command", ["build", "cohomology", "compare"])
+@pytest.mark.parametrize("base, kind", [
+    ("comodule-algebra-kz2.json", "comodule algebra"),
+    ("comodule-coalgebra-functions-kz2.json", "comodule coalgebra")])
+def test_colinear_hom_over_another_hopf_algebra_exits_2(lib, base, kind, command,
+                                                        tmp_path, capsys):
+    # kZ/2 inputs with Sweedler coefficients: refused before any map is built
+    report = tmp_path / "report.json"
+    assert main([command, str(lib / base), "--coefficients",
+                 str(lib / "modcomodule-modular-pair-sweedler.json"),
+                 "--output", str(report)]) == EXIT_USAGE
+    err = "%s and coefficients across different Hopf algebras" % kind
+    assert capsys.readouterr().err == err + "\n"
+    assert json.loads(report.read_text()) == {"ok": False, "error": err}
+
+
+def test_identity_failure_exits_1(lib, tmp_path, capsys, monkeypatch):
+    # a model identity that fails while the bicomplex is built is a verified
+    # failure, named as the model names it
+    from hopfcyclic import homology
+    monkeypatch.setattr(homology.Bicomplex, "violations",
+                        lambda self: ["b b != 0 from row 1"])
+    report = tmp_path / "report.json"
+    assert main(["compare", str(lib / "hopf-kz2.json"), "--degree", "3",
+                 "--output", str(report)]) == EXIT_FAIL
+    err = "IdentityFailure: b b != 0 from row 1"
+    assert capsys.readouterr().err == err + "\n"
+    assert json.loads(report.read_text()) == {"ok": False, "error": err}
+
+
+def test_invertibility_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # compute_J's rank check on tau is a verified failure too
+    import os
+    from hopfcyclic import cyclic
+
+    def fail(*args):
+        raise cyclic.InvertibilityFailure("tau_1 is not invertible")
+    monkeypatch.setattr(cyclic, "_certify_symmetries", fail)
+    inputs = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench", "inputs")
+    report = tmp_path / "report.json"
+    assert main(["build",
+                 os.path.join(inputs, "module-coalgebra-sweedler-regular-gf10007.json"),
+                 "--coefficients",
+                 os.path.join(inputs, "modcomodule-trivial-sweedler-gf10007.json"),
+                 "--degree", "1", "--output", str(report)]) == EXIT_FAIL
+    err = "InvertibilityFailure: tau_1 is not invertible"
+    assert capsys.readouterr().err == err + "\n"
+    assert json.loads(report.read_text()) == {"ok": False, "error": err}
+
+
 def test_a_failed_j_certificate_exits_1(tmp_path, capsys, monkeypatch):
     # without algebra generators J is only the closure of T - id, and the
     # seed certificate finds a [L_h, tau] column outside it

@@ -11,7 +11,7 @@ from hopfcyclic import QQ, GF, field_by_name, Matrix, Subspace, quotient_space
 from hopfcyclic.fields import MR_BOUND, is_prime
 from hopfcyclic.linalg import ShapeMismatch, SingularMatrix
 
-from _loops import vec_add, vec_scale, vec_sub
+from _loops import add_into, vec_add, vec_scale, vec_sub
 
 
 def dense_rref_oracle(field, rows, cols, entries):
@@ -371,6 +371,17 @@ def _reference_scale(a, c):
     return Matrix(f, a.rows, a.cols, {k: f.mul(c, v) for k, v in a.entries.items()})
 
 
+def _reference_mul(a, b):
+    """The field-arithmetic product: one field multiply and add per term."""
+    f = a.field
+    ent = {}
+    for (i, k), v in a.entries.items():
+        for (k2, j), w in b.entries.items():
+            if k == k2:
+                add_into(f, ent, (i, j), f.mul(v, w))
+    return Matrix(f, a.rows, b.cols, ent)
+
+
 def sum_entries(field):
     """Q: mixed denominators; GF(p): residues near p and near 0."""
     if field is QQ:
@@ -387,37 +398,62 @@ def assert_same_entries(m, want):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_sum_kernel_matches_field_loops(field, data):
-    """+, -, scale and lincomb against the field-loop reference: same
-    entries, zero-free, Fractions over Q and ints in range(p) over F_p."""
+    """+, -, scale and lincomb, with matrix terms (c, M) and product terms
+    (c, A, B) mixed, against the field-loop reference: same entries,
+    zero-free, Fractions over Q and ints in range(p) over F_p."""
     rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-    keys = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    inner = data.draw(st.integers(1, 4))
 
-    def draw_matrix():
+    def draw_matrix(rows=rows, cols=cols):
+        keys = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
         return Matrix(field, rows, cols, data.draw(st.dictionaries(
             keys, sum_entries(field), max_size=rows * cols)))
 
     a, b, c = draw_matrix(), draw_matrix(), draw_matrix()
+    left, right = draw_matrix(rows, inner), draw_matrix(inner, cols)
+    left2, right2 = draw_matrix(rows, inner), draw_matrix(inner, cols)
     minus_one = field.neg(field.one)
-    coeffs = [data.draw(sum_entries(field)) for _ in range(3)]
+    coeffs = [data.draw(sum_entries(field)) for _ in range(5)]
     assert_same_entries(a + b, _reference_add(a, b))
     assert_same_entries(a - b, _reference_add(a, _reference_scale(b, minus_one)))
     assert_same_entries(a - a, Matrix(field, rows, cols))
     assert_same_entries(a.scale(coeffs[0]), _reference_scale(a, coeffs[0]))
     assert_same_entries(a.scale(field.zero), Matrix(field, rows, cols))
     want = Matrix(field, rows, cols)
-    for x, m in zip(coeffs + [minus_one], (a, b, c, a)):
+    for x, m in zip(coeffs[:3] + [minus_one], (a, b, c, a)):
         want = _reference_add(want, _reference_scale(m, x))
-    assert_same_entries(Matrix.lincomb(list(zip(coeffs + [-1], (a, b, c, a)))),
+    assert_same_entries(Matrix.lincomb(list(zip(coeffs[:3] + [-1], (a, b, c, a)))),
                         want)
+    assert_same_entries(left * right, _reference_mul(left, right))
+    # matrix and product terms in one sum, a zero coefficient among them
+    for x, m in ((coeffs[3], _reference_mul(left, right)),
+                 (minus_one, _reference_mul(left2, right2))):
+        want = _reference_add(want, _reference_scale(m, x))
+    terms = [(coeffs[0], a), (coeffs[3], left, right), (field.zero, left, right2),
+             (coeffs[1], b), (-1, left2, right2), (coeffs[2], c), (-1, a),
+             (0, c)]
+    assert_same_entries(Matrix.lincomb(terms), want)
+    assert_same_entries(Matrix.lincomb([(coeffs[4], left, right)]),
+                        _reference_scale(_reference_mul(left, right), coeffs[4]))
+    assert Matrix.lincomb([(1, left, right), (-1, left, right)]).is_zero()
+    assert Matrix.lincomb([(coeffs[4], left, right),
+                           (field.neg(coeffs[4]), left, right), (0, a)]).is_zero()
     with pytest.raises(ShapeMismatch):
         a + Matrix(field, rows + 1, cols)
     with pytest.raises(ShapeMismatch):
         Matrix.lincomb([(field.one, a), (field.one, Matrix(field, rows, cols + 1))])
+    with pytest.raises(ShapeMismatch, match="mul"):     # the inner dimensions
+        Matrix.lincomb([(1, a), (1, left, Matrix(field, inner + 1, cols))])
+    with pytest.raises(ShapeMismatch, match="add"):     # the outer shapes
+        Matrix.lincomb([(1, left, right), (1, left, Matrix(field, inner, cols + 1))])
+    with pytest.raises(ShapeMismatch, match="add"):
+        Matrix.lincomb([(1, Matrix(field, rows + 1, cols)), (1, left, right)])
 
 
 def test_sum_kernel_cancels_to_zero():
     """Mixed denominators over Q and entries near p over GF(10007) that
-    cancel exactly leave no stored zero."""
+    cancel exactly leave no stored zero, in sums of matrices and of
+    products alike."""
     f = QQ
     a = Matrix(f, 1, 3, {(0, 0): f(1, 2), (0, 1): f(1, 3), (0, 2): f(5, 7)})
     b = Matrix(f, 1, 3, {(0, 0): f(1, 6), (0, 1): f(1, 9), (0, 2): f(1, 7)})
@@ -425,12 +461,24 @@ def test_sum_kernel_cancels_to_zero():
     assert s.entries == {(0, 2): f(2, 7)}
     assert (a.scale(f(2, 3)) - b.scale(4)).entries == {(0, 0): f(-1, 3), (0, 1): f(-2, 9),
                                                       (0, 2): f(-2, 21)}
+    # (1/2)(3/5) a - 9 (1/10) b + 0 (1/10) b = (3/10)(a - 3b): 3/35 is left
+    col = Matrix(f, 1, 1, {(0, 0): f(3, 5)})
+    tenth = Matrix(f, 1, 1, {(0, 0): f(1, 10)})
+    p = Matrix.lincomb([(f(1, 2), col, a), (-9, tenth, b), (0, tenth, b)])
+    assert p.entries == {(0, 2): f(3, 35)} and p.lift == ({(0, 2): 3}, 35)
+    assert Matrix.lincomb([(1, col, a), (-1, col, a)]).lift == ({}, 1)
+    assert Matrix.lincomb([(f(1, 3), col, a), (f(-3, 5), a)]).entries == {
+        (0, 0): f(-1, 5), (0, 1): f(-2, 15), (0, 2): f(-2, 7)}
     g = GF(10007)
     x = Matrix(g, 2, 2, {(0, 0): 10006, (1, 1): 10005, (0, 1): 3})
     y = Matrix(g, 2, 2, {(0, 0): 1, (1, 1): 2, (0, 1): 10004})
     assert (x + y).is_zero()
     assert Matrix.lincomb([(10006, x), (1, y)]).entries == {
         (0, 0): 2, (1, 1): 4, (0, 1): 10001}
+    # y = -x, so x x = [[1, -9], [0, 4]] = -x y mod p
+    assert Matrix.lincomb([(1, x, x), (1, x, y)]).is_zero()
+    assert Matrix.lincomb([(1, x, x), (10006, x, y), (0, y, y)]).entries == {
+        (0, 0): 2, (1, 1): 8, (0, 1): 10007 - 18}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(10007)], ids=str)

@@ -128,6 +128,18 @@ def test_xi_commutes_with_all_structure_maps(xi_mor):
     assert xi_mor.verify() == []
 
 
+def test_verify_names_each_damaged_structure_map(kz2, pair_triv):
+    """A face, a degeneracy and a tau of xi's source, each doubled after
+    xi verifies, are each named once, in verify's degree order."""
+    xm = xi(fx.function_comodule_coalgebra(kz2), fx.regular_module_coalgebra(kz2),
+            pair_triv, 2)
+    assert xm.verify() == []        # reads, so builds, every map first
+    x = xm.source
+    for maps, key in ((x.faces, (1, 0)), (x.degeneracies, (2, 1)), (x.cyclic, 0)):
+        maps[key] = maps[key].scale(2)
+    assert xm.verify() == ["cyclic 0", "face (1,0)", "degeneracy (2,1)"]
+
+
 def test_xi_with_twisted_coefficients(kz2, pair_g):
     zc = fx.function_comodule_coalgebra(kz2)
     mc = fx.regular_module_coalgebra(kz2)
