@@ -21,11 +21,15 @@ coactions, tensored with tensors.slot and reordered with tensors.permute.
 Everything is verified after the fact by check_axioms; nothing relies on
 the conventions being right silently.
 
-Each structure map of every module here, the colinear-Hom complexes
-included, is built on its first read (linalg.LazyMatrices), and truncate
-and transpose_module build nothing, so a table through degree nmax
-builds no map of X_{nmax+2} or above.  What reads every map builds it:
-check_axioms, compute_J's certificates, _descend, cyclic_dual, diag_*.
+Each structure map of every module here, the H-action L_h, the
+quotients Q and C and the colinear-Hom complexes included, is built on
+its first read (linalg.LazyMatrices), and truncate and transpose_module
+build nothing, so a table through degree nmax builds no map of
+X_{nmax+2} or above.  A quotient map is checked to descend when it is
+first read, against the subspaces the quotient was formed from.  What
+reads every map builds it: check_axioms, compute_J's certificates,
+cyclic_dual, diag_*; coinvariants reads every L_h of the module it
+descends.
 
 compute_J records one proved fact per map: the Matrix, J at its source
 and target, and their dimensions.  _descend trusts an entry only while
@@ -70,7 +74,8 @@ class ParaCyclicModule:
     spaces: degree -> dimension, degrees 0..N contiguous.
     faces/degeneracies keyed by (source_degree, index); cyclic by degree;
     each a LazyMatrices of Matrix or builder entries, built on first read.
-    h_action, when present, is keyed by (degree, hopf_basis_index).
+    h_action, when present, is a LazyMatrices keyed by (degree,
+    hopf_basis_index).
     tau_inv forms tau_n^-1 on each call: nothing is cached.
     """
 
@@ -85,7 +90,7 @@ class ParaCyclicModule:
         self.faces = LazyMatrices(faces)
         self.degeneracies = LazyMatrices(degeneracies)
         self.cyclic = LazyMatrices(cyclic_ops)
-        self.h_action = dict(h_action) if h_action else None
+        self.h_action = LazyMatrices(h_action) if h_action else None
         self.hopf = hopf
         self.name = name
         self.meta = dict(meta) if meta else {}
@@ -440,9 +445,7 @@ def truncate(x, N):
     spaces = {n: d for n, d in x.spaces.items() if n <= N}
     faces, degs = read(x.faces, x.step), read(x.degeneracies, -x.step)
     taus = {n: partial(x.cyclic.__getitem__, n) for n in x.cyclic if n <= N}
-    ha = None
-    if x.h_action:
-        ha = {(n, h): m for (n, h), m in x.h_action.items() if n <= N}
+    ha = read(x.h_action, 0) if x.h_action else None
     out = ParaCyclicModule(x.field, x.orientation, spaces, faces, degs, taus,
                            h_action=ha, hopf=x.hopf, name=x.name, meta=x.meta)
     out._certified = {k: v for k, v in x._certified.items() if k[1] <= N}
@@ -607,28 +610,38 @@ def _certify_symmetries(t, ideal, gens):
 def _descend(t, sub, keep_h=True, name=None):
     """Quotient of t by a degreewise subspace closed under the structure maps.
 
-    Each map is checked on every basis vector of the subspace, unless
-    compute_J certified it on t: its record entry holds that very Matrix
-    and the very subspaces at its source and target, with the dimensions
-    they had.  A Matrix is immutable and a Subspace only grows, so the map
-    still sends the one into the other, whatever became of the other maps.
+    The spaces, projections and sections are formed here; each face,
+    degeneracy, tau and L_h is induced on its first read, which first
+    proves that t's map at that read descends.  The proof is against the
+    subspaces as they were here: each degree's Subspace object, its basis
+    and its dimension are captured now, so a subspace grown later changes
+    nothing a later read checks.  A map is checked on every basis vector
+    of its source's subspace, unless compute_J certified it on t: its
+    record entry holds that very Matrix and the very subspaces at its
+    source and target, with the dimensions captured here.  A Matrix is
+    immutable and a Subspace only grows, so the map still sends the one
+    into the other, whatever became of the other maps.  The builders hold
+    t and the captured data, never the quotient itself.
     """
     f = t.field
-    proj, sect, qdims, whole = {}, {}, {}, set()
+    proj, sect, qdims, whole, held = {}, {}, {}, set(), {}
     for n in sorted(t.spaces):
         s = sub.get(n) or Subspace(f, t.spaces[n])
         qdims[n], proj[n], sect[n] = quotient_space(t.spaces[n], s)
+        held[n] = s, s.lifts(), s.dim
         if not s.dim:
             whole.add(n)
 
-    def induce(m, tgt, key):
-        kind, src, _ = key
-        now = m, sub.get(src), sub.get(tgt)
+    def induce(maps, kind, k, shift):
+        m = maps[k]
+        key = (kind, k, 0) if kind == "tau" else (kind, *k)
+        src, tgt = key[1], key[1] + shift
+        (s, lifts, dim), (s_tgt, _, dim_tgt) = held[src], held[tgt]
         proved = t._certified.get(key, ())
-        if not (proved and all(a is b for a, b in zip(proved, now))
-                and proved[3] == (now[1].dim, now[2].dim)):
+        if not (proved and all(a is b for a, b in zip(proved, (m, s, s_tgt)))
+                and proved[3] == (dim, dim_tgt)):
             tag = "tau_%d" % src if kind == "tau" else "%s (%d,%d)" % key
-            for b in sub.get(src, Subspace(f, t.spaces[src])).lifts():
+            for b in lifts:
                 if proj[tgt].apply(m.apply(b))[0]:
                     raise DescentFailure("%s does not preserve the subspace "
                                          "(degree %d)" % (tag, src))
@@ -638,28 +651,31 @@ def _descend(t, sub, keep_h=True, name=None):
             m = m * sect[src]
         return m if tgt in whole else proj[tgt] * m
 
-    faces = {k: induce(m, k[0] + t.step, ("face", *k))
-             for k, m in t.faces.items()}
-    degs = {k: induce(m, k[0] - t.step, ("degeneracy", *k))
-            for k, m in t.degeneracies.items()}
-    taus = {n: induce(t.tau(n), n, ("tau", n, 0)) for n in t.spaces}
-    ha = None
-    if keep_h and t.h_action:
-        ha = {k: induce(m, k[0], ("L_h", *k)) for k, m in t.h_action.items()}
+    def lazy(maps, kind, shift):
+        return {k: partial(induce, maps, kind, k, shift) for k in maps}
+
+    ha = lazy(t.h_action, "L_h", 0) if keep_h and t.h_action else None
     meta = {"parent": t, "proj": proj, "sect": sect}
-    return ParaCyclicModule(f, t.orientation, qdims, faces, degs, taus,
+    return ParaCyclicModule(f, t.orientation, qdims,
+                            lazy(t.faces, "face", t.step),
+                            lazy(t.degeneracies, "degeneracy", -t.step),
+                            lazy(t.cyclic, "tau", 0),
                             h_action=ha, hopf=t.hopf,
                             name=name or ("Q(%s)" % (t.name or "T")), meta=meta)
 
 
 def quotient_module(t, j):
-    """Q = T/J with every structure map proved to descend, by compute_J's
-    record where it covers j and the map, by a per-vector check elsewhere."""
+    """Q = T/J with each structure map proved to descend when it is first
+    read: by compute_J's record where it covers j and the map, by a
+    per-vector check elsewhere."""
     return _descend(t, j, keep_h=True)
 
 
 def coinvariants(q, name=None):
-    """C = k (x)_H Q: quotient by span{h.x - eps(h) x}."""
+    """C = k (x)_H Q: quotient by span{h.x - eps(h) x}.
+
+    The subspace reads every L_h of q; each map of C is checked on it,
+    vector by vector, when it is first read."""
     if not q.h_action:
         raise ValueError("coinvariants needs a module with an H-action")
     f = q.field
@@ -684,15 +700,17 @@ def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
     c_or_a is a ModuleCoalgebra or ModuleAlgebra.  For C with SAYD m
     (check_sayd(m) empty), T/H+T is already (co)cyclic (Hajac-Khalkhali-
     Rangipour-Sommerhaeuser), so J lies in H+T and C = T/H+T: the cover is
-    built to degree N only, C is its coinvariants, certified by _descend's
-    per-vector checks and named C(Q(T(...))) as on the paper route, and
-    buffer is not read.  On the paper route, for Q and for C with any
-    other m, the cover is built to degree N + buffer and J is computed on
-    all of it, with every certificate of compute_J; then only degrees 0..N
-    are descended, since Q and C there depend only on T_0..T_N, J_0..J_N
-    and the maps among them.  truncate keeps compute_J's certificate
+    built to degree N only, C is its coinvariants, each map certified by
+    _descend's per-vector check on its first read, named C(Q(T(...))) as
+    on the paper route, and buffer is not read.  On the paper route, for Q
+    and for C with any other m, the cover is built to degree N + buffer
+    and J is computed on all of it, with every certificate of compute_J;
+    then only degrees 0..N are descended, since Q and C there depend only
+    on T_0..T_N, J_0..J_N and the maps among them.  truncate keeps compute_J's certificate
     record, so quotient_module checks vector by vector only what that
     record does not prove; coinvariants checks every map on its subspace.
+    Each check runs when its map of Q or C is first read, so a table
+    that reads no map of degree N checks none there.
     """
     if buffer < 1:
         raise ValueError("buffer must be at least 1")

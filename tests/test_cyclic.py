@@ -18,6 +18,7 @@ from hopfcyclic.hopf import ModuleCoalgebra, algebra_generators, check_sayd
 from hopfcyclic.linalg import Subspace
 from hopfcyclic.pairings import _tower
 from hopfcyclic import fixtures as fx
+from _descent import read_every_map
 
 
 def test_constant_modules_axioms():
@@ -476,11 +477,12 @@ def test_compute_J_runs_on_the_paper_route_only(monkeypatch):
 def test_the_sayd_route_fails_on_coefficients_that_are_not_sayd(field):
     # negative control: on Sweedler (eps, 1) the coinvariants of the cover
     # are not cocyclic, and the descent check names the first face that
-    # does not descend; hopf_cyclic_complex takes the paper route there
+    # does not descend, read in the order the maps were formed;
+    # hopf_cyclic_complex takes the paper route there
     mc, m = _sweedler_trivial_pair(field)
     with pytest.raises(DescentFailure, match=re.escape(
             "face (0,1) does not preserve the subspace (degree 0)")):
-        coinvariants(cover_coalgebra(mc, m, 2))
+        read_every_map(coinvariants(cover_coalgebra(mc, m, 2)))
 
 
 def test_a_non_generator_action_leaving_j_above_the_output_range_fails(monkeypatch):
@@ -601,14 +603,14 @@ def _leaving_j(t, j, kind, key):
 
 
 def _descent_paths(monkeypatch, change):
-    """Run change(t, j) right after compute_J, then descend: on the full
-    Sweedler cover of degree 3, and on the output range of
-    hopf_cyclic_complex at N = 2.  Each must raise DescentFailure."""
+    """Run change(t, j) right after compute_J, then descend and read every
+    map: on the full Sweedler cover of degree 3, and on the output range
+    of hopf_cyclic_complex at N = 2.  Each must raise DescentFailure."""
     t = _sweedler_cover(3)
     j = compute_J(t)
     change(t, j)
     with pytest.raises(DescentFailure) as full:
-        quotient_module(t, j)
+        read_every_map(quotient_module(t, j))
     real = cyclic.compute_J
 
     def changing(t, buffer=2):
@@ -619,8 +621,9 @@ def _descent_paths(monkeypatch, change):
     monkeypatch.setattr(cyclic, "compute_J", changing)
     h = fx.sweedler_hopf(GF(10007))
     with pytest.raises(DescentFailure) as truncated:
-        hopf_cyclic_complex(fx.regular_module_coalgebra(h),
-                            fx.trivial_modcomodule(h), 2, level="Q")
+        read_every_map(hopf_cyclic_complex(fx.regular_module_coalgebra(h),
+                                           fx.trivial_modcomodule(h), 2,
+                                           level="Q"))
     return str(full.value), str(truncated.value)
 
 
@@ -689,7 +692,7 @@ def test_a_tau_replaced_by_an_equal_matrix_is_the_only_map_swept_again(
             swept.add(keys[id(self)])
         return apply(self, vec)
     monkeypatch.setattr(Matrix, "apply", spy)
-    quotient_module(t, j)
+    read_every_map(quotient_module(t, j))
     assert swept == {("tau", 1, 0)}
 
 

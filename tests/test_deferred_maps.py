@@ -2,6 +2,7 @@
 dual builds, and that a replaced entry is the one every reader sees."""
 
 import gc
+import os
 import weakref
 
 import pytest
@@ -10,10 +11,14 @@ from hopfcyclic import (QQ, Matrix, ModularPair, check_axioms, cyc_algebra,
                         cyc_coalgebra, cohomology_table, compare_models,
                         hopf_cocyclic_comodule_algebra,
                         hopf_cyclic_comodule_coalgebra, modular_pair_module)
-from hopfcyclic.cyclic import transpose_module, truncate
+from hopfcyclic import io as hio
+from hopfcyclic.cyclic import (coinvariants, compute_J, cover_coalgebra,
+                               quotient_module, transpose_module, truncate)
 from hopfcyclic.homology import IdentityFailure
 from hopfcyclic.linalg import LazyMatrices
 from hopfcyclic import fixtures as fx
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _built(x):
@@ -75,6 +80,25 @@ def test_tables_build_no_map_of_the_top_degree(make, hc0):
         assert res["mixed"].degrees[0] == hc0
     # the tables read maps up to X_{N-1} only
     assert _built(x) and not _built(x) & _touching_top(x)
+
+
+def test_the_benchmark_tower_builds_no_quotient_map_above_its_table():
+    # the saturate-fp tower: Q and C of the whole cover of degree 4, then
+    # the axioms and both models of C truncated to degree 2
+    mc, m = (hio.parse_input(os.path.join(ROOT, "bench", "inputs", name))
+             for name in ("module-coalgebra-sweedler-regular-gf10007.json",
+                          "modcomodule-trivial-sweedler-gf10007.json"))
+    t = cover_coalgebra(mc, m, 4)
+    q = quotient_module(t, compute_J(t))
+    c = coinvariants(q)
+    # coinvariants reads every L_h of Q, and nothing else
+    assert all(isinstance(lh, Matrix) for lh in q.h_action._entries.values())
+    assert _built(q) == _built(c) == set()
+    top = truncate(c, 2)
+    assert check_axioms(top) == [] and compare_models(top)["agree"]
+    for x in (q, c):
+        sources = {k if name == "cyclic" else k[0] for name, k in _built(x)}
+        assert sources == {0, 1, 2}
 
 
 def test_a_face_replaced_before_its_first_read_is_the_one_seen(kz2):
