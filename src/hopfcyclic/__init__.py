@@ -21,7 +21,6 @@ from .cyclic import (ParaCyclicModule, ModuleMorphism, check_axioms,
                      cyc_coalgebra, cover_algebra, cover_coalgebra,
                      compute_J, quotient_module, coinvariants, truncate,
                      hopf_cyclic_complex, hopf_cocyclic_comodule_algebra,
-                     hopf_cyclic_complex as coefficient_complex,
                      hopf_cyclic_comodule_coalgebra, cyclic_dual,
                      diag_hom, diag_tensor, NotSAYD, DescentFailure)
 from .homology import (Total, mixed_of_cyclic, cyclic_bicomplex, cohomology,

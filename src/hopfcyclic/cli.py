@@ -331,9 +331,11 @@ def cmd_pair(args):
         pairing = fx.action_pairing(fx.regular_module_coalgebra(h),
                                     fx.dual_numbers_module_algebra(h))
         p = min(args.degree, 2)
-        am = alpha(pairing, m, p + 1, buffer=args.buffer)
+        am = alpha(pairing, m, p + 1)
         trace = invariant_traces(am.target.meta["y"])[0]
         classes = cyclic_cocycles(am.target.meta["x"], p)
+        if not classes:
+            print("degree-%d Hopf-cyclic cocycles: 0" % p)
         for i, cls in enumerate(classes):
             via_cup = cup_with_trace(cls, trace, am)
             via_gamma = cm_char_map(trace, pairing, cls, alpha_mor=am)
@@ -345,7 +347,7 @@ def cmd_pair(args):
     elif args.via == "crossed":
         ma = fx.dual_numbers_module_algebra(h)
         ca = fx.regular_comodule_algebra(h)
-        bm = beta(ma, ca, m, 2, buffer=args.buffer)
+        bm = beta(ma, ca, m, 2)
         bad = bm.verify()
         print("beta commutation: %s" % ("ok" if not bad else "; ".join(bad)))
         if bad:
@@ -358,7 +360,7 @@ def cmd_pair(args):
     elif args.via == "cocrossed":
         zc = fx.function_comodule_coalgebra(h)
         mc = fx.regular_module_coalgebra(h)
-        xm = xi(zc, mc, m, 2, buffer=args.buffer)
+        xm = xi(zc, mc, m, 2)
         bad = xm.verify()
         print("xi commutation: %s" % ("ok" if not bad else "; ".join(bad)))
         if bad:

@@ -9,7 +9,8 @@ the tau-conjugate of the one of index j - 1:
     chain:    d_j = tau d_{j-1} tau^-1     s_j = tau s_{j-1} tau^-1
     cochain:  d_j = tau^-1 d_{j-1} tau     s_i = tau^-1 s_{i-1} tau
 
-Every module built here gets its faces and degeneracies one way, from
+Every module built from a (co)algebra here (Cyc, the covers and the
+colinear-Hom complexes) gets its faces and degeneracies one way, from
 _fill_from_slots: slot maps of m, u, Delta and eps on the cyclic modules
 and covers X^{(x)n+1} (x) V, precomposition with those slot maps on the
 colinear-Hom complexes, and one wrap-around face through tau.  So the
@@ -21,15 +22,16 @@ coactions, tensored with tensors.slot and reordered with tensors.permute.
 Everything is verified after the fact by check_axioms; nothing relies on
 the conventions being right silently.
 
-Each structure map of every module here, the H-action L_h, the
-quotients Q and C and the colinear-Hom complexes included, is built on
-its first read (linalg.LazyMatrices), and truncate and transpose_module
-build nothing, so a table through degree nmax builds no map of
-X_{nmax+2} or above.  A quotient map is checked to descend when it is
-first read, against the subspaces the quotient was formed from.  What
-reads every map builds it: check_axioms, compute_J's certificates,
-cyclic_dual, diag_*; coinvariants reads every L_h of the module it
-descends.
+Those faces and degeneracies, the tau of Cyc and of the colinear-Hom
+complexes, and every map of the quotients Q and C, L_h included, are
+built on their first read (linalg.LazyMatrices), and truncate and
+transpose_module build nothing, so a table through degree nmax builds
+none of them of X_{nmax+2} or above.  The cover's tau and L_h are formed
+with the cover, and cyclic_dual, diag_hom and diag_tensor form every map
+at construction.  A quotient map is checked to descend when it is first
+read, against the subspaces the quotient was formed from.  check_axioms
+and compute_J's certificates read every map; coinvariants reads every
+L_h of the module it descends.
 
 compute_J records one proved fact per map: the Matrix, J at its source
 and target, and their dimensions.  _descend trusts an entry only while
@@ -47,6 +49,7 @@ from .hopf import (ModuleCoalgebra, CompatibilityFailure, check_sayd,
                    check_comodule_coalgebra, require_same_hopf,
                    algebra_generators, raise_failures, _action, _coaction,
                    _codiagonals)
+from .fixtures import trivial_hopf
 
 CHAIN = "chain"
 COCHAIN = "cochain"
@@ -297,19 +300,11 @@ def _cochain_violations(x):
 
 
 def constant_modules(field, N):
-    """The 1-dimensional cocyclic and cyclic modules of the ground field."""
-    ident = Matrix.identity(field, 1)
-    spaces = {n: 1 for n in range(N + 1)}
-    co_faces = {(n, j): ident for n in range(N) for j in range(n + 2)}
-    co_degs = {(n, i): ident for n in range(1, N + 1) for i in range(n)}
-    taus = {n: ident for n in range(N + 1)}
-    k_co = ParaCyclicModule(field, COCHAIN, spaces, co_faces, co_degs, taus,
-                            name="k_constant_cocyclic")
-    ch_faces = {(n, j): ident for n in range(1, N + 1) for j in range(n + 1)}
-    ch_degs = {(n, j): ident for n in range(N) for j in range(n + 1)}
-    k_cy = ParaCyclicModule(field, CHAIN, spaces, ch_faces, ch_degs, dict(taus),
-                            name="k_constant_cyclic")
-    return k_co, k_cy
+    """The 1-dimensional cocyclic and cyclic modules of the ground field:
+    Cyc of k as a coalgebra and as an algebra."""
+    k = trivial_hopf(field)
+    return (_classical(k.coalgebra, N, COCHAIN, "k_constant_cocyclic"),
+            _classical(k.algebra, N, CHAIN, "k_constant_cyclic"))
 
 
 def _slot_maps(base, spaces):
@@ -695,7 +690,7 @@ def coinvariants(q, name=None):
 
 
 def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
-    """The T, Q = T/J or C = k (x)_H Q stage of the pipeline, up to degree N.
+    """The Q = T/J or C = k (x)_H Q stage of the pipeline, up to degree N.
 
     c_or_a is a ModuleCoalgebra or ModuleAlgebra.  For C with SAYD m
     (check_sayd(m) empty), T/H+T is already (co)cyclic (Hajac-Khalkhali-
@@ -710,15 +705,14 @@ def hopf_cyclic_complex(c_or_a, m, N, *, buffer=2, level="C"):
     record, so quotient_module checks vector by vector only what that
     record does not prove; coinvariants checks every map on its subspace.
     Each check runs when its map of Q or C is first read, so a table
-    that reads no map of degree N checks none there.
+    that reads no map of degree N checks none there.  The cover T itself
+    is cover_coalgebra or cover_algebra.
     """
     if buffer < 1:
         raise ValueError("buffer must be at least 1")
-    build = cover_coalgebra if isinstance(c_or_a, ModuleCoalgebra) else cover_algebra
-    if level == "T":
-        return build(c_or_a, m, N)
     if level not in ("Q", "C"):
-        raise ValueError("level must be T, Q or C")
+        raise ValueError("level must be Q or C")
+    build = cover_coalgebra if isinstance(c_or_a, ModuleCoalgebra) else cover_algebra
     if level == "C" and not check_sayd(m):
         t = build(c_or_a, m, N)
         return coinvariants(t, name="C(Q(%s))" % t.name)
@@ -879,8 +873,8 @@ def cyclic_dual(x):
                             hopf=x.hopf, name="dual(%s)" % (x.name or "X"))
 
 
-def diag_hom(x, y, N=None):
-    """Degreewise Hom(X_n, Y_n) with the conjugation structure.
+def diag_hom(x, y, N):
+    """Degreewise Hom(X_n, Y_n), n = 0..N, with the conjugation structure.
 
     X and Y must have opposite orientations; the result follows Y.  Hom
     elements are matrices Y_n x X_n flattened row-major (Y index slowest).
@@ -888,8 +882,6 @@ def diag_hom(x, y, N=None):
     if x.orientation == y.orientation:
         raise ShapeMismatch("diag_hom needs opposite orientations")
     f = x.field
-    if N is None:
-        N = min(x.N, y.N)
     spaces = {n: x.spaces[n] * y.spaces[n] for n in range(N + 1)}
     s = y.step
     # x runs the other way: its map pairing with y's lands where y's starts

@@ -8,18 +8,16 @@ each fixture.
 from .fields import QQ
 from .hopf import (AlgebraData, CoalgebraData, HopfAlgebraData, ModuleAlgebra,
                    ModuleCoalgebra, ComoduleAlgebra, ComoduleCoalgebra,
-                   ModComodule, ModularPair, EquivariantPairing,
-                   trivial_modcomodule)
+                   ModComodule, ModularPair, EquivariantPairing)
 from .linalg import Matrix
 from .tensors import matrix_table, table_matrix
 
 
 def trivial_hopf(field=QQ):
-    """H = k."""
-    alg = AlgebraData(field, 1, {(0, 0): {0: field.one}}, {0: field.one}, labels=["1"])
-    co = CoalgebraData(field, 1, {0: {(0, 0): field.one}}, {0: field.one}, labels=["1"])
-    s = Matrix.identity(field, 1)
-    return HopfAlgebraData(alg, co, s, s, name="k")
+    """H = k: the group algebra of the trivial group."""
+    k = group_algebra(field, 1)
+    k.name = "k"
+    return k
 
 
 def group_algebra(field, n):
@@ -73,10 +71,8 @@ def product_field_algebra(field=QQ):
     return AlgebraData(field, 2, mul, {0: one, 1: one}, labels=["e0", "e1"])
 
 
-def dual_numbers_module_algebra(hopf=None, field=QQ):
-    """k[x]/(x^2) as a kZ/2-module algebra with g.x = -x."""
-    if hopf is None:
-        hopf = group_algebra(field, 2)
+def dual_numbers_module_algebra(hopf):
+    """k[x]/(x^2) as a module algebra over hopf = kZ/2 with g.x = -x."""
     f = hopf.field
     alg = dual_numbers_algebra(f)
     action = {

@@ -144,6 +144,8 @@ class CohomologyTable:
         return "\n".join(lines)
 
     def __eq__(self, other):
+        if not isinstance(other, CohomologyTable):
+            return NotImplemented
         common = set(self.degrees) & set(other.degrees)
         rng = min(self.stable_range, other.stable_range)
         return all(self.degrees[n] == other.degrees[n]

@@ -613,19 +613,15 @@ def _tensor_action(x1, d1, x2, d2):
     return matrix_table(act, [h1 * h2, d1 * d2], [d1 * d2])
 
 
-def tensor_module_algebra(ma1, ma2, hh=None):
-    """A (x) A' as a module algebra over H (x) H' acting componentwise."""
-    if hh is None:
-        hh = tensor_hopf(ma1.hopf, ma2.hopf)
+def tensor_module_algebra(ma1, ma2, hh):
+    """A (x) A' as a module algebra over hh = H (x) H', acting componentwise."""
     action = _tensor_action(ma1, ma1.algebra.dim, ma2, ma2.algebra.dim)
     return ModuleAlgebra(hh, tensor_algebra(ma1.algebra, ma2.algebra), action,
                          name="%s (x) %s" % (ma1.name or "A", ma2.name or "A'"))
 
 
-def tensor_modcomodule(m1, m2, hh=None):
-    """M (x) M' over H (x) H' with componentwise action and coaction."""
-    if hh is None:
-        hh = tensor_hopf(m1.hopf, m2.hopf)
+def tensor_modcomodule(m1, m2, hh):
+    """M (x) M' over hh = H (x) H' with componentwise action and coaction."""
     h1, h2, d1, d2 = m1.hopf.dim, m2.hopf.dim, m1.dim, m2.dim
     rho = permute(_coaction(m1, d1).kron(_coaction(m2, d2)), [h1, d1, h2, d2], MIDDLE)
     return ModComodule(hh, d1 * d2, _tensor_action(m1, d1, m2, d2),

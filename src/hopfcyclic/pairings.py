@@ -216,12 +216,12 @@ class InvariantTrace:
             self._ext[n] = self.complex.faces[(n, 0)].transpose().apply(prev)
         return dict(self._ext[n])
 
-    def ambient(self, n=0):
-        """The trace as a covector on the ambient cover at degree n."""
+    def ambient(self):
+        """The trace as a covector on the ambient cover at degree 0."""
         if self._tower is None:
             self._tower = _tower(self.complex)
         _, proj, _ = self._tower
-        return proj[n].transpose().apply(self.extended(n))
+        return proj[0].transpose().apply(self.t0)
 
     def as_class(self):
         return from_cyclic_cocycle(self.complex, 0, self.t0, name=self.name)
@@ -268,20 +268,19 @@ def _with_coefficients(twist, dy, dm):
     return permute(twist.kron(vec_id), [dy, twist.rows // dy, dm, dm], (0, 2, 3, 1))
 
 
-def alpha(pairing, m, N, x_mod=None, y_mod=None, buffer=2):
+def alpha(pairing, m, N, buffer=2):
     """Cyc(A) -> diag Hom(C(C,M), C(A,M)) through an equivariant pairing.
 
     alpha_n(a_0 (x) ... (x) a_n) sends c^0 (x) ... (x) c^n (x) m to
     phi(c^0, a_0) (x) ... (x) phi(c^n, a_n) (x) m: on the covers this is
     the curried pairing a -> phi(-, a) to the power n+1, tensored with
     vec(id_M) and its slots permuted.  It is pushed through the quotient
-    towers of both sides, with the descent verified degreewise.
+    towers of both sides, with the descent verified degreewise.  buffer
+    goes to hopf_cyclic_complex, which reads it only for m not SAYD.
     """
     raise_failures(NotEquivariant, check_equivariant(pairing))
-    if x_mod is None:
-        x_mod = hopf_cyclic_complex(pairing.coalg, m, N, buffer=buffer)
-    if y_mod is None:
-        y_mod = hopf_cyclic_complex(pairing.alg, m, N, buffer=buffer)
+    x_mod = hopf_cyclic_complex(pairing.coalg, m, N, buffer=buffer)
+    y_mod = hopf_cyclic_complex(pairing.alg, m, N, buffer=buffer)
     f = pairing.field
     _, px, sx = _tower(x_mod)
     _, py, _ = _tower(y_mod)
@@ -306,20 +305,21 @@ def alpha(pairing, m, N, x_mod=None, y_mod=None, buffer=2):
                           diag_hom(x_mod, y_mod, N), maps, name="alpha")
 
 
-def beta(ma, ca, m, N, buffer=2):
+def beta(ma, ca, m, N):
     """Cyc(A x| B) -> diag Hom(C(B,M), C(A,M)) for a crossed product.
 
     beta_n((a_0,b^0) (x) ... (x) (a_n,b^n))(f) twists each a_j by the
     accumulated coaction legs of b^0..b^{j-1} and feeds the coaction
     residues (and the untouched b^n) to the colinear map f.  At step j
-    the diagonal coaction of the prefix b^0..b^{j-1} acts on a_j.
+    the diagonal coaction of the prefix b^0..b^{j-1} acts on a_j.  M is
+    SAYD (NotSAYD otherwise), so C(A,M) closes no J and reads no buffer.
     """
     require_same_hopf(ma.hopf, ca.hopf, "crossed product")
     raise_failures(CompatibilityFailure, check_module_algebra(ma))
     raise_failures(NotSAYD, check_sayd(m))
     f = ma.field
     x_mod = hopf_cocyclic_comodule_algebra(ca, m, N)
-    y_mod = hopf_cyclic_complex(ma, m, N, buffer=buffer)
+    y_mod = hopf_cyclic_complex(ma, m, N)
     _, py, _ = _tower(y_mod)
     da, db, dm = ma.algebra.dim, ca.algebra.dim, m.dim
     act = _action(ma, da)
@@ -371,7 +371,7 @@ def _xi_forms(zc, mc, m, n):
     return _with_coefficients(first, dc ** (n + 1), dm), second
 
 
-def xi(zc, mc, m, N, y_mod=None, buffer=2):
+def xi(zc, mc, m, N):
     """Cyc(Z |x C) -> diag Hom(C(Z,M), C(C,M)) for a cocrossed product.
 
     Two equivalent forms of xi_n are assembled independently.  In the
@@ -382,14 +382,13 @@ def xi(zc, mc, m, N, y_mod=None, buffer=2):
     slot.  The two must agree once restricted to colinear maps and
     pushed through the quotient tower (the rewriting uses colinearity
     of the input and the coinvariance relations, so ambient agreement
-    is not expected).
+    is not expected).  M is SAYD (NotSAYD otherwise): no J, no buffer.
     """
     require_same_hopf(zc.hopf, mc.hopf, "cocrossed product")
     raise_failures(CompatibilityFailure, check_module_coalgebra(mc))
     raise_failures(NotSAYD, check_sayd(m))
     x_mod = hopf_cyclic_comodule_coalgebra(zc, m, N)
-    if y_mod is None:
-        y_mod = hopf_cyclic_complex(mc, m, N, buffer=buffer)
+    y_mod = hopf_cyclic_complex(mc, m, N)
     _, py, _ = _tower(y_mod)
     maps = {}
     for n in range(N + 1):
@@ -529,7 +528,7 @@ def cm_char_map(trace, pairing, cls, alpha_mor):
     # route one: the displayed formula, evaluated term by term
     xt, _, sx = _tower(x_mod)
     lift = sx[p].apply(cls.representative)
-    t_amb = trace.ambient(0)
+    t_amb = trace.ambient()
     alg = pairing.alg.algebra
     da = alg.dim
     mul = alg.matrices()[0]

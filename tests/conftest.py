@@ -2,7 +2,7 @@
 
 import pytest
 
-from hopfcyclic import QQ, ModularPair, modular_pair_module
+from hopfcyclic import QQ, ModularPair, modular_pair_module, trivial_modcomodule
 from hopfcyclic import fixtures as fx
 from hopfcyclic.cyclic import (cover_coalgebra, cover_algebra, compute_J,
                                quotient_module, coinvariants,
@@ -32,7 +32,7 @@ def sweedler():
 @pytest.fixture(scope="session")
 def pair_triv(kz2):
     """The trivial modular pair (1, epsilon) coefficient line."""
-    return fx.trivial_modcomodule(kz2)
+    return trivial_modcomodule(kz2)
 
 
 @pytest.fixture(scope="session")

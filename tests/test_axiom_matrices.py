@@ -661,8 +661,9 @@ def test_lawful_fixtures_and_their_products_check_clean(field):
     kz2 = fx.group_algebra(f, 2)
     ma = fx.dual_numbers_module_algebra(kz2)
     m = fx.regular_action_trivial_coaction(kz2)
-    assert hopf.check_structure(tensor_module_algebra(ma, ma)) == []
-    assert hopf.check_structure(tensor_modcomodule(m, m)) == []
+    hh = tensor_hopf(kz2, kz2)
+    assert hopf.check_structure(tensor_module_algebra(ma, ma, hh)) == []
+    assert hopf.check_structure(tensor_modcomodule(m, m, hh)) == []
     assert hopf.check_algebra(crossed_product_algebra(
         ma, fx.regular_comodule_algebra(kz2))) == []
     for h in hs[:2]:

@@ -131,6 +131,16 @@ def test_pair_scenarios(lib):
         assert main(["pair", "--via", via, "--degree", "2"]) == EXIT_OK, via
 
 
+def test_pair_trace_cup_reports_a_degree_with_no_class(tmp_path, capsys):
+    # no degree-1 Hopf-cyclic cocycle exists here: the report says so, as
+    # char-map does, instead of printing nothing
+    report = tmp_path / "report.json"
+    assert main(["pair", "--via", "trace-cup", "--degree", "1",
+                 "--output", str(report)]) == EXIT_OK
+    assert capsys.readouterr().out == "degree-1 Hopf-cyclic cocycles: 0\n"
+    assert json.loads(report.read_text())["details"] == {}
+
+
 def test_pair_epi_and_drop_factor():
     assert main(["pair", "--via", "epi", "--degree", "1"]) == EXIT_OK
     assert main(["pair", "--via", "epi", "--degree", "1",

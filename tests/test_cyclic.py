@@ -8,7 +8,8 @@ from hopfcyclic import (QQ, GF, Matrix, ModularPair, check_axioms,
                         constant_modules, cyc_algebra, cyc_coalgebra,
                         cyclic_dual, diag_hom, diag_tensor,
                         hopf_cyclic_complex, hopf_cocyclic_comodule_algebra,
-                        hopf_cyclic_comodule_coalgebra, modular_pair_module)
+                        hopf_cyclic_comodule_coalgebra, modular_pair_module,
+                        trivial_modcomodule)
 from hopfcyclic import cyclic
 from hopfcyclic.cyclic import (cover_coalgebra, cover_algebra, compute_J,
                                quotient_module, coinvariants, truncate,
@@ -87,7 +88,7 @@ def test_buffer_below_one_is_refused(kz2_coalgebra_cover, pair_g, buffer):
     with pytest.raises(ValueError, match="buffer must be at least 1"):
         compute_J(kz2_coalgebra_cover, buffer=buffer)
     mc = fx.regular_module_coalgebra(kz2_coalgebra_cover.hopf)
-    for level in ("T", "Q", "C"):
+    for level in ("Q", "C"):
         with pytest.raises(ValueError, match="buffer must be at least 1"):
             hopf_cyclic_complex(mc, pair_g, 2, buffer=buffer, level=level)
 
@@ -252,8 +253,8 @@ def test_covers_and_classical_modules_form_no_inverse(monkeypatch):
     # faces and degeneracies are slot maps, the wrap-around face a product
     # with tau: no tau^-1 is formed to build them
     h2, h4 = fx.group_algebra(QQ, 2), fx.sweedler_hopf(QQ)
-    ma, m2 = fx.dual_numbers_module_algebra(h2), fx.trivial_modcomodule(h2)
-    mc, m4 = fx.regular_module_coalgebra(h4), fx.trivial_modcomodule(h4)
+    ma, m2 = fx.dual_numbers_module_algebra(h2), trivial_modcomodule(h2)
+    mc, m4 = fx.regular_module_coalgebra(h4), trivial_modcomodule(h4)
     calls = _inverses(monkeypatch)
     cover_algebra(ma, m2, 3)
     cover_coalgebra(mc, m4, 3)
@@ -293,7 +294,7 @@ def test_compute_J_takes_the_rank_of_tau_exactly_where_J_is_nonzero(monkeypatch)
 def test_the_epi_check_on_j_free_covers_forms_no_inverse(monkeypatch):
     from hopfcyclic.pairings import diag_tensor_epi_check
     h = fx.group_algebra(QQ, 2)
-    ma, m = fx.dual_numbers_module_algebra(h), fx.trivial_modcomodule(h)
+    ma, m = fx.dual_numbers_module_algebra(h), trivial_modcomodule(h)
     calls = _inverses(monkeypatch)
     assert diag_tensor_epi_check(ma, ma, m, m, 2)["surjective"]
     assert calls == []
@@ -369,10 +370,10 @@ def _pipeline_case(name, field):
                                                    {0: one, 1: one, 2: one})), 2)
     if name == "sweedler-regular-trivial":
         h = fx.sweedler_hopf(field)
-        return fx.regular_module_coalgebra(h), fx.trivial_modcomodule(h), 1
+        return fx.regular_module_coalgebra(h), trivial_modcomodule(h), 1
     h = fx.group_algebra(field, 2)
-    return (fx.dual_numbers_module_algebra(h, field),
-            fx.trivial_modcomodule(h), 3)
+    return (fx.dual_numbers_module_algebra(h),
+            trivial_modcomodule(h), 3)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(10007)], ids=["Q", "GF10007"])
@@ -430,7 +431,7 @@ def _sayd_case(name, field):
 
 def _sweedler_trivial_pair(field):
     h = fx.sweedler_hopf(field)
-    return fx.regular_module_coalgebra(h), fx.trivial_modcomodule(h)
+    return fx.regular_module_coalgebra(h), trivial_modcomodule(h)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
@@ -493,7 +494,7 @@ def test_a_non_generator_action_leaving_j_above_the_output_range_fails(monkeypat
     # outside J since e_k is, and breaks L_g L_h = L_gh (gx = g x) or L_1 = id.
     field, N = GF(10007), 1
     h = fx.sweedler_hopf(field)
-    mc, m = fx.regular_module_coalgebra(h), fx.trivial_modcomodule(h)
+    mc, m = fx.regular_module_coalgebra(h), trivial_modcomodule(h)
     j = compute_J(cover_coalgebra(mc, m, N + 2))
     real = cyclic.cover_coalgebra
     for x, identity in ((3, "L_g L_h = L_gh (g=1, h=2)"), (0, "L_1 = id")):
@@ -527,13 +528,13 @@ def _plus_unit(m, i, j):
 def _sweedler_cover(N):
     h = fx.sweedler_hopf(GF(10007))
     return cover_coalgebra(fx.regular_module_coalgebra(h),
-                           fx.trivial_modcomodule(h), N)
+                           trivial_modcomodule(h), N)
 
 
 def _dual_numbers_cover(N):
     field = GF(10007)
     h = fx.group_algebra(field, 2)
-    return cover_algebra(fx.dual_numbers_module_algebra(h, field),
+    return cover_algebra(fx.dual_numbers_module_algebra(h),
                          fx.regular_action_regular_coaction(h), N)
 
 
@@ -622,7 +623,7 @@ def _descent_paths(monkeypatch, change):
     h = fx.sweedler_hopf(GF(10007))
     with pytest.raises(DescentFailure) as truncated:
         read_every_map(hopf_cyclic_complex(fx.regular_module_coalgebra(h),
-                                           fx.trivial_modcomodule(h), 2,
+                                           trivial_modcomodule(h), 2,
                                            level="Q"))
     return str(full.value), str(truncated.value)
 

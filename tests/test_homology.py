@@ -5,7 +5,8 @@ import pytest
 from hopfcyclic import (QQ, GF, Matrix, cyc_algebra, cohomology_table,
                         hochschild_table, compare_models, cohomology,
                         classes_from_cohomology, AlgebraData, ModularPair,
-                        modular_pair_module, hopf_cyclic_complex)
+                        modular_pair_module, hopf_cyclic_complex,
+                        trivial_modcomodule)
 from hopfcyclic import homology
 from hopfcyclic.homology import (mixed_of_cyclic, cyclic_bicomplex,
                                  transpose_module, MixedComplex,
@@ -73,7 +74,7 @@ def test_hopf_cyclic_cohomology_of_kz2(kz2, kz2_hopf_complex):
     assert [t.degrees[n] for n in (0, 1, 2)] == [0, 0, 0]
     from hopfcyclic import hopf_cyclic_complex
     mc = fx.regular_module_coalgebra(kz2)
-    c_triv = hopf_cyclic_complex(mc, fx.trivial_modcomodule(kz2), 4)
+    c_triv = hopf_cyclic_complex(mc, trivial_modcomodule(kz2), 4)
     t2 = cohomology_table(c_triv, "mixed", 2)
     assert [t2.degrees[n] for n in (0, 1, 2)] == [1, 0, 1]
 
@@ -235,6 +236,15 @@ def test_tables_compare_over_common_stable_range():
     t_long = cohomology_table(x, "mixed", 3)
     t_short = cohomology_table(cyc_algebra(unit_algebra(), 4), "bicomplex", 2)
     assert t_long == t_short
+
+
+def test_a_table_is_unequal_to_anything_but_a_table():
+    # __eq__ returns NotImplemented for a non-table, so == falls back to
+    # identity instead of reading the other side's degrees
+    t = cohomology_table(cyc_algebra(unit_algebra(), 4), "mixed", 2)
+    assert t != None   # noqa: E711
+    assert t != {"degrees": t.degrees, "stable_range": t.stable_range}
+    assert t.__eq__(None) is NotImplemented
 
 
 @pytest.mark.parametrize("model", ["mixed", "bicomplex"])

@@ -47,7 +47,7 @@ def test_module_and_comodule_fixtures_are_lawful(kz2, kz3):
         fx.function_comodule_coalgebra(kz2),
         fx.function_comodule_coalgebra(kz3),
         fx.regular_action_trivial_coaction(kz2),
-        fx.trivial_modcomodule(kz2),
+        trivial_modcomodule(kz2),
     ]
     for obj in objs:
         assert check_structure(obj) == [], obj.name

@@ -54,7 +54,7 @@ def test_document_shape():
 
 
 def test_canonical_serialization_is_sorted_and_stable():
-    obj = fx.dual_numbers_module_algebra()
+    obj = fx.dual_numbers_module_algebra(fx.group_algebra(QQ, 2))
     a, b = serialize(obj), serialize(obj)
     assert a == b
     assert a.endswith("\n")
@@ -99,7 +99,7 @@ def test_validation_failure_names_the_defect():
 
 
 def test_nested_hopf_documents_embed(tmp_path):
-    ma = fx.dual_numbers_module_algebra()
+    ma = fx.dual_numbers_module_algebra(fx.group_algebra(QQ, 2))
     doc = to_document(ma)
     assert doc["kind"] == "module-algebra"
     assert doc["hopf"]["kind"] == "hopf"

@@ -10,7 +10,8 @@ import weakref
 
 import pytest
 
-from hopfcyclic import QQ, GF, ModularPair, modular_pair_module
+from hopfcyclic import (QQ, GF, ModularPair, modular_pair_module,
+                        trivial_modcomodule)
 from hopfcyclic import fixtures as fx
 from hopfcyclic.cyclic import (coinvariants, compute_J, cover_coalgebra,
                                hopf_cyclic_complex, quotient_module)
@@ -22,7 +23,7 @@ from _descent import (eager_coinvariants, eager_quotient_module,
 def _sweedler_cover(field, N):
     h = fx.sweedler_hopf(field)
     return cover_coalgebra(fx.regular_module_coalgebra(h),
-                           fx.trivial_modcomodule(h), N)
+                           trivial_modcomodule(h), N)
 
 
 def _same(got, want):

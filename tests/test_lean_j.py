@@ -21,7 +21,8 @@ import os
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from hopfcyclic import QQ, GF, Matrix, ModularPair, modular_pair_module
+from hopfcyclic import (QQ, GF, Matrix, ModularPair, modular_pair_module,
+                        trivial_modcomodule)
 from hopfcyclic import cyclic
 from hopfcyclic import fixtures as fx
 from hopfcyclic.cyclic import cover_algebra, cover_coalgebra, compute_J
@@ -76,14 +77,14 @@ def _dual_numbers_cover(coefficients):
 def _sweedler_cover(field, N):
     h = fx.sweedler_hopf(field)
     return cover_coalgebra(fx.regular_module_coalgebra(h),
-                           fx.trivial_modcomodule(h), N)
+                           trivial_modcomodule(h), N)
 
 
 CASES = {
     "kZ/2 regular module coalgebra": (_coalgebra_cover(2), (QQ, GF(7)), 3),
     "kZ/3 regular module coalgebra": (_coalgebra_cover(3), (QQ, GF(7)), 3),
     "dual numbers, trivial coefficients":
-        (_dual_numbers_cover(fx.trivial_modcomodule), (QQ, GF(7)), 3),
+        (_dual_numbers_cover(trivial_modcomodule), (QQ, GF(7)), 3),
     "dual numbers, regular coefficients":
         (_dual_numbers_cover(fx.regular_action_regular_coaction),
          (QQ, GF(7)), 3),

@@ -6,10 +6,10 @@ definition's own body.  A `Name` in another file that defines the same
 name itself refers to that file's own definition, so it does not count:
 a reference copy kept in a test cannot hide a dead package function.
 Dunders and the names `hopfcyclic/__init__.py`
-exports are exempt.  A name imported into a package module must appear
-as a `Name` in that module, or as an `Attribute` anywhere searched (a
-re-export such as `fixtures.trivial_modcomodule`); `__init__.py` is
-exempt.  Standard library only.
+exports are exempt.  A name imported into a package module other than
+`__init__.py` must appear as a `Name` in that module, so no module
+re-exports a name it does not use; `__init__.py` exports every object
+under its own name, never a second one with `as`.  Standard library only.
 """
 
 import ast
@@ -78,23 +78,21 @@ def test_every_definition_has_a_user():
 
 
 def test_every_import_is_used():
-    attributes = set()
-    for top in SEARCHED:
-        for path in _python_files(top):
-            attributes.update(node.attr for node in ast.walk(_parse(path))
-                              if isinstance(node, ast.Attribute))
     unused = []
     for path in _python_files(PACKAGE):
-        if os.path.basename(path) == "__init__.py":
-            continue
         tree = _parse(path)
+        init = os.path.basename(path) == "__init__.py"
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
-                if name not in names and name not in attributes:
+                if init and alias.asname:
+                    unused.append("%s:%d %s exported as %s" % (
+                        os.path.relpath(path, ROOT), node.lineno, alias.name,
+                        alias.asname))
+                elif not init and name not in names:
                     unused.append("%s:%d %s" % (os.path.relpath(path, ROOT),
                                                 node.lineno, name))
-    assert unused == [], "imported but unused: " + ", ".join(unused)
+    assert unused == [], "imported but unused, or exported twice: " + ", ".join(unused)

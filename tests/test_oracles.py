@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcyclic import (QQ, GF, AlgebraData, Matrix, cyc_algebra,
-                        compare_models, cohomology_table, check_structure,
-                        coinvariants, compute_J, cover_coalgebra,
+from hopfcyclic import (QQ, GF, AlgebraData, Matrix, ModuleCoalgebra,
+                        cyc_algebra, compare_models, cohomology_table,
+                        check_structure, coinvariants, compute_J,
+                        cover_algebra, cover_coalgebra,
                         hopf_cyclic_complex, modular_pair_module,
                         quotient_module, trivial_modcomodule, truncate)
 from hopfcyclic import fixtures as fx
@@ -56,7 +57,11 @@ def _pipeline_inputs(field):
 def test_pipeline_levels_agree_over_q_and_a_large_prime():
     for (xq, mq), (xp, mp) in zip(_pipeline_inputs(QQ), _pipeline_inputs(FP)):
         dims = {}
-        for level in ("T", "Q", "C"):
+        cover = (cover_coalgebra if isinstance(xq, ModuleCoalgebra)
+                 else cover_algebra)
+        dims["T"] = cover(xq, mq, 3).dims()
+        assert dims["T"] == cover(xp, mp, 3).dims(), (type(xq).__name__, "T")
+        for level in ("Q", "C"):
             dims[level] = hopf_cyclic_complex(xq, mq, 3, level=level).dims()
             dp = hopf_cyclic_complex(xp, mp, 3, level=level).dims()
             assert dims[level] == dp, (type(xq).__name__, level)
@@ -66,8 +71,9 @@ def test_pipeline_levels_agree_over_q_and_a_large_prime():
         cq = hopf_cyclic_complex(xq, mq, 3)
         cp = hopf_cyclic_complex(xp, mp, 3)
         assert cohomology_table(cq).degrees == cohomology_table(cp).degrees
-    with pytest.raises(ValueError):
-        hopf_cyclic_complex(xq, mq, 3, level="J")
+    for level in ("T", "J"):   # the cover is cover_algebra's, not a level
+        with pytest.raises(ValueError, match="level must be Q or C"):
+            hopf_cyclic_complex(xq, mq, 3, level=level)
     with pytest.raises(TypeError):
         hopf_cyclic_complex(xq, mq, 3, 2)    # buffer is keyword-only
 

@@ -22,7 +22,8 @@ import pytest
 
 from hopfcyclic import (QQ, GF, Matrix, ModularPair, modular_pair_module,
                         alpha, beta, xi, star, cyclic_cocycles,
-                        crossed_cocup_with_invariant, evaluation_covector)
+                        crossed_cocup_with_invariant, evaluation_covector,
+                        trivial_modcomodule)
 from hopfcyclic import fixtures as fx
 from hopfcyclic.cyclic import DescentFailure
 from hopfcyclic.hopf import ModuleAlgebra, balanced_tensor_modcomodule, check_structure
@@ -284,7 +285,7 @@ FIELDS = (QQ, GF(10007))
 
 def _pairs(h):
     """The modular pairs (1, eps) and (g, eps) of kZ/n as coefficient lines."""
-    return {"trivial": fx.trivial_modcomodule(h),
+    return {"trivial": trivial_modcomodule(h),
             "(g, eps)": modular_pair_module(h, ModularPair({1: h.field.one},
                                                            h.coalgebra.counit))}
 
@@ -323,7 +324,7 @@ def _xi_cases(field):
         yield "kZ/2 " + name, fx.function_comodule_coalgebra(kz2), kz2, m, 3
     yield ("kZ/3 trivial", fx.function_comodule_coalgebra(kz3), kz3,
            modular_pair_module(kz3, fx.trivial_modular_pair(kz3)), 2)
-    yield "k", fx.function_comodule_coalgebra(k, 1), k, fx.trivial_modcomodule(k), 3
+    yield "k", fx.function_comodule_coalgebra(k, 1), k, trivial_modcomodule(k), 3
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

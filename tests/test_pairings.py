@@ -7,10 +7,11 @@ from hopfcyclic import (QQ, GF, alpha, beta, xi, star, invariant_traces,
                         classes_from_cohomology, cup_with_trace,
                         crossed_cocup_with_invariant,
                         cm_char_map, pullback, diag_tensor_epi_check,
-                        coefficient_complex, modular_pair_module,
+                        modular_pair_module, trivial_modcomodule,
                         NotCocycle, HypothesisFailure, NotEquivariant,
                         ModularPair, AgreementFailure, DescentFailure)
-from hopfcyclic import cyc_algebra, homology
+from hopfcyclic import (cover_algebra, cover_coalgebra, cyc_algebra,
+                        hopf_cyclic_complex, homology, pairings)
 from hopfcyclic.pairings import CochainClass
 from hopfcyclic.homology import Total
 from hopfcyclic.cyclic import ModuleMorphism
@@ -51,24 +52,31 @@ def test_alpha_rejects_non_equivariant_pairings(kz2, pair_triv):
         alpha(bad, pair_triv, 2)
 
 
-def test_alpha_descent_failure_is_caught(pairing, pair_triv):
+def test_alpha_descent_failure_is_caught(pairing, pair_triv, monkeypatch):
     """Negative control: against the unquotiented cover T(A,M) the lift
     does not descend, and the certificate names the first degree."""
-    x = coefficient_complex(pairing.coalg, pair_triv, 2, level="C")
-    y = coefficient_complex(pairing.alg, pair_triv, 2, level="T")
+    real = pairings.hopf_cyclic_complex
+
+    def cover_for_the_algebra(c_or_a, m, N, **kw):
+        if c_or_a is pairing.alg:
+            return cover_algebra(c_or_a, m, N)
+        return real(c_or_a, m, N, **kw)
+    monkeypatch.setattr(pairings, "hopf_cyclic_complex", cover_for_the_algebra)
     with pytest.raises(DescentFailure, match="alpha does not descend at degree 0"):
-        alpha(pairing, pair_triv, 2, x_mod=x, y_mod=y)
+        alpha(pairing, pair_triv, 2)
 
 
-def test_xi_forms_disagree_before_coinvariants(kz2, pair_triv):
+def test_xi_forms_disagree_before_coinvariants(kz2, pair_triv, monkeypatch):
     """Negative control: the two forms of xi agree only after the
     coinvariance relations, so on Q(C,M) the certificate fires."""
     zc = fx.function_comodule_coalgebra(kz2)
     mc = fx.regular_module_coalgebra(kz2)
-    y = coefficient_complex(mc, pair_triv, 2, level="Q")
+    real = pairings.hopf_cyclic_complex
+    monkeypatch.setattr(pairings, "hopf_cyclic_complex",
+                        lambda c_or_a, m, N: real(c_or_a, m, N, level="Q"))
     with pytest.raises(AgreementFailure,
                        match="the two displayed forms of xi disagree at degree 1"):
-        xi(zc, mc, pair_triv, 2, y_mod=y)
+        xi(zc, mc, pair_triv, 2)
 
 
 def test_sparse_structure_tables_read_missing_keys_as_zero(sweedler):
@@ -160,7 +168,7 @@ def test_xi_trivial_hopf_reduction(triv_hopf):
     plain pairing map and still agree and commute."""
     zc = fx.function_comodule_coalgebra(triv_hopf, 1)
     mc = fx.regular_module_coalgebra(triv_hopf)
-    m = fx.trivial_modcomodule(triv_hopf)
+    m = trivial_modcomodule(triv_hopf)
     xm = xi(zc, mc, m, 3)
     assert xm.verify() == []
 
@@ -170,7 +178,7 @@ def test_star_commutes_and_needs_commutativity(kz2, sweedler, pair_triv):
     st = star(zc, zc, pair_triv, pair_triv, 2)
     assert st.verify() == []
     z_sw = fx.trivial_comodule_coalgebra(sweedler, sweedler.coalgebra)
-    m_sw = fx.trivial_modcomodule(sweedler)
+    m_sw = trivial_modcomodule(sweedler)
     with pytest.raises(HypothesisFailure):
         star(z_sw, z_sw, m_sw, m_sw, 2)
 
@@ -359,11 +367,11 @@ def test_diag_tensor_epi_check(kz2, pair_triv):
     assert not bad["surjective"]
 
 
-def test_coefficient_complex_levels(kz2, pair_g):
+def test_hopf_cyclic_complex_levels(kz2, pair_g):
     mc = fx.regular_module_coalgebra(kz2)
-    t = coefficient_complex(mc, pair_g, 3, level="T")
-    q = coefficient_complex(mc, pair_g, 3, level="Q")
-    c = coefficient_complex(mc, pair_g, 3, level="C")
+    t = cover_coalgebra(mc, pair_g, 3)
+    q = hopf_cyclic_complex(mc, pair_g, 3, level="Q")
+    c = hopf_cyclic_complex(mc, pair_g, 3, level="C")
     assert t.dims() == {n: 2 ** (n + 1) for n in range(4)}
     assert q.dims() == c.dims() == {n: 2 ** n for n in range(4)}
 
