@@ -22,20 +22,23 @@ coactions, tensored with tensors.slot and reordered with tensors.permute.
 Everything is verified after the fact by check_axioms; nothing relies on
 the conventions being right silently.
 
-Those faces and degeneracies, the tau of Cyc and of the colinear-Hom
-complexes, and every map of the quotients Q and C, L_h included, are
+Those faces and degeneracies, the tau of Cyc, of the covers and of the
+colinear-Hom complexes, the covers' L_h, every map of diag_hom and
+diag_tensor, and every map of the quotients Q and C, L_h included, are
 built on their first read (linalg.LazyMatrices), and truncate and
 transpose_module build nothing, so a table through degree nmax builds
-none of them of X_{nmax+2} or above.  The cover's tau and L_h are formed
-with the cover, and cyclic_dual, diag_hom and diag_tensor form every map
-at construction.  A quotient map is checked to descend when it is first
+none of them of X_{nmax+2} or above.  cyclic_dual forms every map at
+construction.  A quotient map is checked to descend when it is first
 read, against the subspaces the quotient was formed from.  check_axioms
-and compute_J's certificates read every map; coinvariants reads every
-L_h of the module it descends.
+reads every map; compute_J's seeds read every L_h of the cover, and
+coinvariants reads only the algebra generators' L_g of the module it
+descends, since h -> L_h is an algebra map (see _cover).
 
-compute_J records one proved fact per map: the Matrix, J at its source
-and target, and their dimensions.  _descend trusts an entry only while
-the map and both subspaces are those very objects with those dimensions.
+compute_J records one proved fact per map it checked on that very
+Matrix: tau, the faces, the degeneracies and the generators' L_g, each
+with J at its source and target, and their dimensions.  _descend trusts
+an entry only while the map and both subspaces are those very objects
+with those dimensions, and checks any other map vector by vector.
 """
 
 import warnings
@@ -367,21 +370,28 @@ def cyc_coalgebra(c, N):
 # cover complexes with coefficients
 
 
-def _diagonal_actions(hopf, lx, lv):
-    """L_h on X (x) V for each basis h: sum over Delta(h) of c L^X_{h1} (x) L^V_{h2},
-    from the lists lx and lv of the L_h on X and on V."""
-    return [Matrix.lincomb([(c, lx[h1].kron(lv[h2]))
-                            for (h1, h2), c in hopf.coalgebra.comul[h].items()])
-            for h in range(hopf.dim)]
-
-
 def _cover(x, base, m, N, orientation):
     """Para-(co)cyclic cover X^{(x)n+1} (x) M with diagonal H-action.
 
     x is a module algebra (chain) or module coalgebra (cochain) over the
-    (co)algebra base.  tau and the L_h are Matrix composites of the
-    structure maps; every face and degeneracy is a slot map of base, by
-    _fill_from_slots, so no tau^-1 is formed.
+    (co)algebra base.  Every map is built on its first read: each face and
+    degeneracy is a slot map of base, by _fill_from_slots, so no tau^-1 is
+    formed; tau_n and each L_h are Matrix composites of the structure maps.
+    Degree n is X (x) V with V of degree n - 1 (V = M below degree 0), and
+    L_h there is the diagonal action
+
+        L^n_h = sum over Delta(h) of c L^X_{h1} (x) L^{n-1}_{h2},
+
+    read from the degree n - 1 actions as this cover built them, held
+    weakly: an entry of h_action replaced later changes only that entry,
+    and an unread cover makes no reference cycle.  An L_h that nothing
+    reads, directly or through the coproduct of one that is read, is
+    never formed.  Nothing here checks that h -> L_h is an algebra map:
+    by induction over n it is one, since M and X are H-modules
+    (check_structure) and Delta is multiplicative (check_hopf), so
+    L^n_h L^n_k = sum L^X_{(hk)1} (x) L^{n-1}_{(hk)2} = L^n_hk and
+    L^n_1 = id (x) id.  compute_J checks L_1 = id and the generator
+    products on the matrices it reads.
     """
     chain = orientation == CHAIN
     what = "algebra" if chain else "coalgebra"
@@ -394,23 +404,31 @@ def _cover(x, base, m, N, orientation):
     rho = _coaction(m, dm)
     if chain:
         rho = slot(hopf.antipode_inv, 1, dm) * rho        # m -> S^-1(m(-1)) (x) m(0)
-    lx, lv = column_blocks(act, dh), column_blocks(_action(m, dm), dh)
-    taus, h_action = {}, {}
-    for n in spaces:
-        # degree n is X (x) V for V = X^{(x)n} (x) M, degree n - 1
-        lv = _diagonal_actions(hopf, lx, lv)
-        h_action.update({(n, h): lh for h, lh in enumerate(lv)})
+    lx, comul = column_blocks(act, dh), hopf.coalgebra.comul
+    built = LazyMatrices({(-1, h): lm
+                          for h, lm in enumerate(column_blocks(_action(m, dm), dh))})
+    below = proxy(built)
+
+    def diagonal(n, h):
+        return Matrix.lincomb([(c, lx[h1].kron(below[n - 1, h2]))
+                               for (h1, h2), c in comul[h].items()])
+
+    def tau(n):
         legs = slot(rho, dx ** (n + 1), 1)                 # x_0..x_n (x) h (x) m
         dims = [dx] * (n + 1) + [dh, dm]
         if chain:
             # S^-1(m(-1)) x_n (x) x_0..x_{n-1} (x) m(0)
             order = (n + 1, n) + tuple(range(n)) + (n + 2,)
-            taus[n] = slot(act, 1, dx ** n * dm) * permute(legs, dims, order)
-        else:
-            # x_1..x_n (x) m(-1) x_0 (x) m(0)
-            order = tuple(range(1, n + 2)) + (0, n + 2)
-            taus[n] = slot(act, dx ** n, dm) * permute(legs, dims, order)
-    t = ParaCyclicModule(f, orientation, spaces, {}, {}, taus, h_action=h_action,
+            return slot(act, 1, dx ** n * dm) * permute(legs, dims, order)
+        # x_1..x_n (x) m(-1) x_0 (x) m(0)
+        order = tuple(range(1, n + 2)) + (0, n + 2)
+        return slot(act, dx ** n, dm) * permute(legs, dims, order)
+
+    keys = [(n, h) for n in spaces for h in range(dh)]
+    built.update({k: partial(diagonal, *k) for k in keys})
+    t = ParaCyclicModule(f, orientation, spaces, {}, {},
+                         {n: partial(tau, n) for n in spaces},
+                         h_action={k: partial(built.__getitem__, k) for k in keys},
                          hopf=hopf, name="T(%s,%s)" % (x.name or what[0].upper(),
                                                        m.name or "M"))
     _fill_from_slots(t, *_slot_maps(base, spaces))
@@ -459,19 +477,28 @@ def compute_J(t, buffer=2):
       [L, tau^i] = [L, tau] tau^{i-1} + tau [L, tau^{i-1}];
       tau is injective and J finite-dimensional, so tau(J) = J;
       each other face or degeneracy is the tau-conjugate of index j - 1;
-      L_1 = id and L_g L_h = L_gh make h -> L_h an algebra map, the L_g
-        commute with d_0 and s_0 and each [L_h, tau] maps into J, so by
-        induction over words in d_0, s_0 and tau every L_h preserves J.
+      h -> L_h is an algebra map, so each L_h is a combination of
+        products of the L_g; the L_g commute with d_0 and s_0 and each
+        [L_h, tau] maps into J, so by induction over words in d_0, s_0
+        and tau every L_g, hence every L_h, preserves J.
 
-    _certify_symmetries checks these identities in each degree n with
-    J_n != 0, where it also certifies tau_n injective by its rank
-    (InvertibilityFailure if it is not), and DescentFailure names one that
-    fails; the closure fixpoints and [L_h, tau] mapping into J raise
-    CertificateFailure.  Once all pass, t._certified records each map they
-    prove to send J into J, with J at its two ends and their dimensions,
-    so that _descend need not check it on J again.  The seeds are formed
-    by _seeds, which accumulates each [L_h, tau] as one sum of two
-    product terms: L_1 = id, checked there degree by degree, makes
+    In each degree n with J_n != 0, _certify_symmetries checks on the
+    matrices: tau_n injective by its rank (InvertibilityFailure if not);
+    d_j tau = tau d_{j-1} and s_j tau = tau s_{j-1} (cochain: d^{j-1} tau
+    = tau d^j, likewise for s); L_1 = id; L_g L_k = L_gk for each pair of
+    generators g, k; and L_g d_0 = d_0 L_g, L_g s_0 = s_0 L_g.
+    DescentFailure names the first that fails.  That h -> L_h is an
+    algebra map in every degree, not just on generator pairs, is proved
+    in _cover: by induction over degrees from Delta multiplicative
+    (check_hopf) and X and M modules (check_structure).  The closure
+    fixpoints and [L_h, tau] mapping into J, for every basis h, raise
+    CertificateFailure.  Once all pass, t._certified records each map
+    whose J-preservation was checked on that very Matrix: tau, the faces,
+    the degeneracies and the generators' L_g, with J at its two ends and
+    their dimensions, so that _descend need not check it on J again; any
+    other L_h gets _descend's per-vector check if it is read.  The seeds
+    are formed by _seeds, which accumulates each [L_h, tau] as one sum of
+    two product terms: L_1 = id, checked there degree by degree, makes
     [L_1, tau] zero, so it is not summed.
 
     Degrees above t.N - buffer are truncation-affected; buffer must be at
@@ -514,7 +541,7 @@ def compute_J(t, buffer=2):
             if not all(full[n].contains(c) for c in cols):
                 raise CertificateFailure("seed [L_%d, tau] leaves J at degree %d"
                                          % (h, n))
-    t._certified = record   # it claims every L_h preserves J: seeds first
+    t._certified = record   # its L_g entries rest on the seeds: checked first
     if t.N >= 1:
         for n in range(max(t.N - buffer, 0) + 1):
             if full[n].dim != below[n]:
@@ -549,10 +576,14 @@ def _certify_symmetries(t, ideal, gens):
     """Check compute_J's identities at each degree n with ideal[n] != 0.
 
     tau_n has full rank at each such n (InvertibilityFailure if not), so
-    tau(J_n) = J_n; the other identities are checked on the matrices, and
-    DescentFailure names the first that fails.  Returns, for tau_n, every
-    L_h and every face and degeneracy out of each such n, keyed as _descend
-    keys it: (the map, ideal at its source and target, their dimensions).
+    tau(J_n) = J_n; L_1 = id, L_g L_k = L_gk for the generator pairs, the
+    tau-conjugations of the faces and degeneracies and the L_g commuting
+    with d_0 and s_0 are checked on the matrices, and DescentFailure names
+    the first that fails.  The rest of the algebra-map property is proved
+    by induction over degrees (see _cover), not checked.  Returns, for
+    tau_n, the generators' L_g and every face and degeneracy out of each
+    such n, keyed as _descend keys it: (the map, ideal at its source and
+    target, their dimensions).
     """
     f, hopf, chain = t.field, t.hopf, t.orientation == CHAIN
     record = {}
@@ -565,23 +596,23 @@ def _certify_symmetries(t, ideal, gens):
         if not ok:
             raise DescentFailure("%s fails at degree %d" % (identity, n))
 
-    mul = hopf.algebra.matrices()[0].columns()     # e_g e_h is column g d + h
+    mul = hopf.algebra.matrices()[0].columns()     # e_g e_k is column g d + k
     for n in [n for n in sorted(t.spaces) if ideal[n].dim]:
         tau = t.tau(n)
         if tau.rank() != t.spaces[n]:   # injective, so tau(J_n) = J_n
             raise InvertibilityFailure("tau_%d is not invertible" % n)
         keep(("tau", n, 0), tau, n)
-        lh = [t.act_h(n, h) for h in range(hopf.dim)]
         check(Matrix.lincomb([(-1, Matrix.identity(f, t.spaces[n]))] +
-                             [(c, lh[h]) for h, c in hopf.unit().items()]).is_zero(),
-              "L_1 = id", n)
+                             [(c, t.act_h(n, h)) for h, c in hopf.unit().items()]
+                             ).is_zero(), "L_1 = id", n)
+        lg = {g: t.act_h(n, g) for g in gens}
         for g in gens:
-            for h in range(hopf.dim):
-                check(Matrix.lincomb([(1, lh[g], lh[h])] + [
-                    (-c, lh[k]) for k, c in mul[g * hopf.dim + h].items()]).is_zero(),
-                      "L_g L_h = L_gh (g=%d, h=%d)" % (g, h), n)
-        for h, m in enumerate(lh):
-            keep(("L_h", n, h), m, n)
+            for k in gens:
+                check(Matrix.lincomb([(1, lg[g], lg[k])] + [
+                    (-c, t.act_h(n, h)) for h, c in mul[g * hopf.dim + k].items()]
+                    ).is_zero(), "L_g L_h = L_gh (g=%d, h=%d)" % (g, k), n)
+        for g, m in lg.items():
+            keep(("L_h", n, g), m, n)
         for kind, sym, maps, tgt, indices in (
                 ("face", "d", t.faces, n + t.step, t.face_indices(n)),
                 ("degeneracy", "s", t.degeneracies, n - t.step,
@@ -590,7 +621,7 @@ def _certify_symmetries(t, ideal, gens):
             if not ms:
                 continue
             for g in gens:
-                check(_equal_products(t.act_h(tgt, g), ms[0], ms[0], lh[g]),
+                check(_equal_products(t.act_h(tgt, g), ms[0], ms[0], lg[g]),
                       "L_g %s_0 = %s_0 L_g (g=%d)" % (sym, sym, g), n)
             m = sym + ("_" if chain else "^")
             for j in range(1, len(ms)):
@@ -667,22 +698,31 @@ def quotient_module(t, j):
 
 
 def coinvariants(q, name=None):
-    """C = k (x)_H Q: quotient by span{h.x - eps(h) x}.
+    """C = k (x)_H Q: the quotient by H+Q = span{h.x - eps(h) x}.
 
-    The subspace reads every L_h of q; each map of C is checked on it,
-    vector by vector, when it is first read."""
+    H+Q is spanned from the algebra generators g alone, as the sum of the
+    images of L_g - eps(g).  h -> L_h is an algebra map (proved by _cover's
+    induction over degrees, and inherited by each quotient), so
+
+        L_gk - eps(gk) = (L_g - eps(g)) L_k + eps(g) (L_k - eps(k))
+
+    puts the image of L_h - eps(h) for every product h of generators in
+    that sum: it is H+Q itself, with the same reduced basis.  Only the L_g
+    of q are read.  Each map of C is checked on that subspace, vector by
+    vector, when it is first read."""
     if not q.h_action:
         raise ValueError("coinvariants needs a module with an H-action")
     f = q.field
     hopf = q.hopf
+    gens = algebra_generators(hopf)
     sub = {}
     for n in sorted(q.spaces):
         s = Subspace(f, q.spaces[n])
-        for h in range(hopf.dim):
-            eps = hopf.coalgebra.counit.get(h, f.zero)
-            g = Matrix.lincomb([(1, q.act_h(n, h)),
+        for g in gens:
+            eps = hopf.coalgebra.counit.get(g, f.zero)
+            m = Matrix.lincomb([(1, q.act_h(n, g)),
                                 (-eps, Matrix.identity(f, q.spaces[n]))])
-            for col in g.columns(lifted=True):
+            for col in m.columns(lifted=True):
                 if col[0]:
                     s.add_vector(col)
         sub[n] = s
@@ -873,44 +913,50 @@ def cyclic_dual(x):
                             hopf=x.hopf, name="dual(%s)" % (x.name or "X"))
 
 
+def _kron_of(a, ka, b, kb, dual=False):
+    """a[ka] (x) b[kb], with b[kb] transposed when dual: a builder's body."""
+    m = b[kb]
+    return a[ka].kron(m.transpose() if dual else m)
+
+
 def diag_hom(x, y, N):
     """Degreewise Hom(X_n, Y_n), n = 0..N, with the conjugation structure.
 
     X and Y must have opposite orientations; the result follows Y.  Hom
     elements are matrices Y_n x X_n flattened row-major (Y index slowest).
+    Each map is the Kronecker product of y's and x's transposed, formed
+    on its first read.
     """
     if x.orientation == y.orientation:
         raise ShapeMismatch("diag_hom needs opposite orientations")
-    f = x.field
     spaces = {n: x.spaces[n] * y.spaces[n] for n in range(N + 1)}
     s = y.step
     # x runs the other way: its map pairing with y's lands where y's starts
-    faces = {(n, j): m.kron(x.faces[(n + s, j)].transpose())
-             for (n, j), m in y.faces.items() if n <= N and n + s <= N}
-    degs = {(n, i): m.kron(x.degeneracies[(n - s, i)].transpose())
-            for (n, i), m in y.degeneracies.items() if n <= N and n - s <= N}
-    taus = {n: y.tau(n).kron(x.tau(n).transpose()) for n in range(N + 1)}
-    return ParaCyclicModule(f, y.orientation, spaces, faces, degs, taus,
+    faces = {(n, j): partial(_kron_of, y.faces, (n, j), x.faces, (n + s, j), True)
+             for n, j in y.faces if n <= N and n + s <= N}
+    degs = {(n, i): partial(_kron_of, y.degeneracies, (n, i),
+                            x.degeneracies, (n - s, i), True)
+            for n, i in y.degeneracies if n <= N and n - s <= N}
+    taus = {n: partial(_kron_of, y.cyclic, n, x.cyclic, n, True)
+            for n in range(N + 1)}
+    return ParaCyclicModule(x.field, y.orientation, spaces, faces, degs, taus,
                             name="diagHom(%s,%s)" % (x.name or "X", y.name or "Y"),
                             meta={"x": x, "y": y})
 
 
 def diag_tensor(u, v):
-    """Degreewise tensor product with componentwise operators."""
+    """Degreewise tensor product with componentwise operators, each formed
+    on its first read."""
     if u.orientation != v.orientation:
         raise ShapeMismatch("diag_tensor needs matching orientations")
-    f = u.field
     N = min(u.N, v.N)
     spaces = {n: u.spaces[n] * v.spaces[n] for n in range(N + 1)}
-    faces = {}
-    degs = {}
-    taus = {n: u.tau(n).kron(v.tau(n)) for n in range(N + 1)}
-    for (n, j), m in u.faces.items():
-        if (n, j) in v.faces and n <= N and 0 <= n + u.step <= N:
-            faces[(n, j)] = m.kron(v.faces[(n, j)])
-    for (n, i), m in u.degeneracies.items():
-        if (n, i) in v.degeneracies and n <= N and 0 <= n - u.step <= N:
-            degs[(n, i)] = m.kron(v.degeneracies[(n, i)])
-    return ParaCyclicModule(f, u.orientation, spaces, faces, degs, taus,
+    taus = {n: partial(_kron_of, u.cyclic, n, v.cyclic, n) for n in range(N + 1)}
+    faces = {k: partial(_kron_of, u.faces, k, v.faces, k) for k in u.faces
+             if k in v.faces and k[0] <= N and 0 <= k[0] + u.step <= N}
+    degs = {k: partial(_kron_of, u.degeneracies, k, v.degeneracies, k)
+            for k in u.degeneracies
+            if k in v.degeneracies and k[0] <= N and 0 <= k[0] - u.step <= N}
+    return ParaCyclicModule(u.field, u.orientation, spaces, faces, degs, taus,
                             name="diag(%s (x) %s)" % (u.name or "U", v.name or "V"),
                             meta={"u": u, "v": v})

@@ -7,7 +7,9 @@ descends, on the map's first read.  `eager_descend` below is the form it
 had before: every face, degeneracy, tau and L_h is checked and induced
 at construction, in that order, against the subspaces as they are then.
 `eager_quotient_module` and `eager_coinvariants` are `quotient_module`
-and `coinvariants` over it.
+and `coinvariants` over it, except that `eager_coinvariants` spans H+Q
+from the image of L_h - eps(h) for every basis element h, where
+`coinvariants` reads the algebra generators' L_g only.
 """
 
 from hopfcyclic.cyclic import DescentFailure, ParaCyclicModule

@@ -15,6 +15,7 @@ from hopfcyclic import io as hio
 from hopfcyclic.cyclic import (coinvariants, compute_J, cover_coalgebra,
                                quotient_module, transpose_module, truncate)
 from hopfcyclic.homology import IdentityFailure
+from hopfcyclic.hopf import algebra_generators
 from hopfcyclic.linalg import LazyMatrices
 from hopfcyclic import fixtures as fx
 
@@ -91,8 +92,12 @@ def test_the_benchmark_tower_builds_no_quotient_map_above_its_table():
     t = cover_coalgebra(mc, m, 4)
     q = quotient_module(t, compute_J(t))
     c = coinvariants(q)
-    # coinvariants reads every L_h of Q, and nothing else
-    assert all(isinstance(lh, Matrix) for lh in q.h_action._entries.values())
+    # coinvariants reads the L_g of Q for the algebra generators g = g, x
+    # (basis indices 1 and 2) in every degree, and nothing else
+    assert algebra_generators(q.hopf) == [1, 2]
+    assert {k for k, lh in q.h_action._entries.items()
+            if isinstance(lh, Matrix)} == {(n, g) for n in q.spaces
+                                           for g in (1, 2)}
     assert _built(q) == _built(c) == set()
     top = truncate(c, 2)
     assert check_axioms(top) == [] and compare_models(top)["agree"]

@@ -11,7 +11,8 @@ on the matrices carry it over to the other faces and degeneracies and to
 every L_h.  The tests at the end check which operators the closure runs
 over, that its certified pass catches an operator that leaves the span,
 and that J on the Sweedler cover of degree 4 keeps its frozen digests, as
-does Q = T/J, which descends there with no per-vector check.
+does Q = T/J, whose faces, degeneracies, taus and generators' L_g descend
+there with no per-vector check.
 """
 
 import hashlib
@@ -295,17 +296,25 @@ def _q_digest(q):
      "19b299aa69a579c3c7f476cf7538d7e82dd2fc4a367fd4225e623afe04d22a0a"),
 ], ids=["Q", "GF10007"])
 def test_q_on_the_sweedler_cover_of_degree_4_is_frozen(field, digest, monkeypatch):
-    # Q from compute_J's own J, whose record skips every per-vector check,
-    # equals Q from copies of J, checked vector by vector; the digests were
-    # taken when every map was still checked on every basis vector of J
+    # Q from compute_J's own J, whose record skips the per-vector check of
+    # every face, degeneracy, tau and generator's L_g, equals Q from copies
+    # of J, checked vector by vector; the digests were taken when every map
+    # was still checked on every basis vector of J.  The other L_h are not
+    # in the record and are checked vector by vector on both sides.
     t = _sweedler_cover(field, 4)
     j = compute_J(t)
+    gens = algebra_generators(t.hopf)
     applied = []
     real = Matrix.apply
     monkeypatch.setattr(Matrix, "apply",
                         lambda m, v: applied.append(1) or real(m, v))
-    q = read_every_map(cyclic.quotient_module(t, j))
-    skipped, applied[:] = not applied, []
+    q = cyclic.quotient_module(t, j)
+    for maps in (q.faces, q.degeneracies, q.cyclic):
+        list(maps.values())
+    [q.act_h(n, g) for n in q.spaces for g in gens]
+    skipped = not applied
+    read_every_map(q)
+    applied[:] = []
     ref = read_every_map(cyclic.quotient_module(t, {n: j[n].copy() for n in j}))
     assert skipped and applied
     for attr in ("spaces", "faces", "degeneracies", "cyclic", "h_action"):
