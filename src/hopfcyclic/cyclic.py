@@ -30,7 +30,8 @@ transpose_module build nothing, so a table through degree nmax builds
 none of them of X_{nmax+2} or above.  cyclic_dual forms every map at
 construction.  A quotient map is checked to descend when it is first
 read, against the subspaces the quotient was formed from.  check_axioms
-reads every map; compute_J's seeds read every L_h of the cover, and
+reads every map; compute_J seeds J with [L_h, tau] for every basis h,
+as its definition does, so it reads every L_h of the cover, and
 coinvariants reads only the algebra generators' L_g of the module it
 descends, since h -> L_h is an algebra map (see _cover).
 
@@ -46,7 +47,7 @@ from functools import partial
 from weakref import proxy
 
 from .linalg import (Matrix, LazyMatrices, Subspace, ShapeMismatch, SingularMatrix,
-                     CertificateFailure, quotient_space, operator_closure)
+                     quotient_space, operator_closure)
 from .tensors import permute, slot, column_blocks
 from .hopf import (ModuleCoalgebra, CompatibilityFailure, check_sayd,
                    check_comodule_coalgebra, require_same_hopf,
@@ -471,16 +472,20 @@ def compute_J(t, buffer=2):
     By definition J is the closure of the columns of T - id and of every
     [L_h, tau^i] (h in a basis of H, i = 1..n+1) under the faces, the
     degeneracies, tau, tau^-1 and every L_h.  Here the closure starts from
-    T - id and [L_g, tau] for g in algebra_generators(H) and runs over
-    d_0, s_0 and tau.  That is the same J, hence the same reduced basis:
+    the columns of T - id and of every [L_h, tau] (see _seeds) and runs
+    over d_0, s_0 and tau.  That is the same J, hence the same reduced
+    basis, by the identities _certify_symmetries checks:
 
-      [L, tau^i] = [L, tau] tau^{i-1} + tau [L, tau^{i-1}];
+      each L_g maps each seed into J: L_g (T - id) = (T - id) L_g +
+        sum_i tau^i [L_g, tau] tau^{n-i}, and L_g [L_h, tau] = [L_gh, tau]
+        - [L_g, tau] L_h, where [L_gh, tau] is a combination of seeds, as
+        h -> L_h is an algebra map;
+      the L_g commute with d_0 and s_0, and L_g tau = tau L_g + [L_g, tau],
+        so by induction over words in d_0, s_0 and tau each L_g preserves
+        J, hence so does every L_h, a combination of products of the L_g;
+      [L_h, tau^i] = [L_h, tau] tau^{i-1} + tau [L_h, tau^{i-1}];
       tau is injective and J finite-dimensional, so tau(J) = J;
-      each other face or degeneracy is the tau-conjugate of index j - 1;
-      h -> L_h is an algebra map, so each L_h is a combination of
-        products of the L_g; the L_g commute with d_0 and s_0 and each
-        [L_h, tau] maps into J, so by induction over words in d_0, s_0
-        and tau every L_g, hence every L_h, preserves J.
+      each other face or degeneracy is the tau-conjugate of index j - 1.
 
     In each degree n with J_n != 0, _certify_symmetries checks on the
     matrices: tau_n injective by its rank (InvertibilityFailure if not);
@@ -491,15 +496,12 @@ def compute_J(t, buffer=2):
     algebra map in every degree, not just on generator pairs, is proved
     in _cover: by induction over degrees from Delta multiplicative
     (check_hopf) and X and M modules (check_structure).  The closure
-    fixpoints and [L_h, tau] mapping into J, for every basis h, raise
-    CertificateFailure.  Once all pass, t._certified records each map
-    whose J-preservation was checked on that very Matrix: tau, the faces,
-    the degeneracies and the generators' L_g, with J at its two ends and
-    their dimensions, so that _descend need not check it on J again; any
-    other L_h gets _descend's per-vector check if it is read.  The seeds
-    are formed by _seeds, which accumulates each [L_h, tau] as one sum of
-    two product terms: L_1 = id, checked there degree by degree, makes
-    [L_1, tau] zero, so it is not summed.
+    fixpoints raise CertificateFailure.  Once all pass, t._certified
+    records each map whose J-preservation was checked on that very Matrix:
+    tau, the faces, the degeneracies and the generators' L_g, with J at
+    its two ends and their dimensions, so that _descend need not check it
+    on J again; any other L_h gets _descend's per-vector check if it is
+    read.
 
     Degrees above t.N - buffer are truncation-affected; buffer must be at
     least 1.  The closure runs in two phases, each certified at its
@@ -516,32 +518,21 @@ def compute_J(t, buffer=2):
     if buffer < 1:
         raise ValueError("buffer must be at least 1")
     f = t.field
-    gens = algebra_generators(t.hopf)
-    twists, comms = {}, {}
-    for n in t.spaces:
-        twists[n], comms[n] = _seeds(t, n)
+    seeds = {n: _seeds(t, n) for n in t.spaces}
     ops = [(n, n + shift, maps[n, j])
            for maps, shift in ((t.faces, t.step), (t.degeneracies, -t.step))
            for n, j in maps if j == 0]
     ops += [(n, n, t.tau(n)) for n in t.spaces]
 
     def closure(degrees, ops, start=None):
-        seeds = {n: twists[n] + [c for g in gens for c in comms[n][g]]
-                 for n in degrees}
-        return operator_closure(f, seeds, ops, start)
+        return operator_closure(f, {n: seeds[n] for n in degrees}, ops, start)
 
     start = {}
     if t.N >= 1:   # phase 1
         start = closure(range(t.N), [op for op in ops if max(op[:2]) < t.N])
     below = {n: s.dim for n, s in start.items()}
     full = closure([n for n in t.spaces if n not in start], ops, start)
-    record = _certify_symmetries(t, full, gens)
-    for n in comms:
-        for h, cols in comms[n].items():
-            if not all(full[n].contains(c) for c in cols):
-                raise CertificateFailure("seed [L_%d, tau] leaves J at degree %d"
-                                         % (h, n))
-    t._certified = record   # its L_g entries rest on the seeds: checked first
+    t._certified = _certify_symmetries(t, full, algebra_generators(t.hopf))
     if t.N >= 1:
         for n in range(max(t.N - buffer, 0) + 1):
             if full[n].dim != below[n]:
@@ -553,11 +544,10 @@ def compute_J(t, buffer=2):
 
 def _seeds(t, n):
     """The nonzero columns of T_n - id and of [L_h, tau_n] for each basis h
-    of H, as lifts: (twist columns, {h: commutator columns}).  Each
-    commutator L_h tau - tau L_h is one lincomb of two product terms, so
-    neither product is formed alone, and none is accumulated for the unit
-    once L_1 = id is checked at degree n; T_n - id is not formed when
-    T_n = id."""
+    of H, as lifts, in one list.  Each commutator L_h tau - tau L_h is one
+    lincomb of two product terms, so neither product is formed alone, and
+    none is accumulated for the unit once L_1 = id is checked at degree n;
+    T_n - id is not formed when T_n = id."""
     f, dim, hopf = t.field, t.spaces[n], t.hopf
     ident, tau, twist = Matrix.identity(f, dim), t.tau(n), t.T(n)
 
@@ -566,10 +556,12 @@ def _seeds(t, n):
 
     unit = hopf.unit()
     skip = {h for h in unit if unit == {h: f.one} and t.act_h(n, h) == ident}
-    comms = {h: [] if h in skip else columns(Matrix.lincomb(
-        [(1, t.act_h(n, h), tau), (-1, tau, t.act_h(n, h))]))
-             for h in range(hopf.dim)}
-    return ([] if twist == ident else columns(twist - ident)), comms
+    seeds = [] if twist == ident else columns(twist - ident)
+    for h in range(hopf.dim):
+        if h not in skip:
+            seeds += columns(Matrix.lincomb([(1, t.act_h(n, h), tau),
+                                             (-1, tau, t.act_h(n, h))]))
+    return seeds
 
 
 def _certify_symmetries(t, ideal, gens):

@@ -283,7 +283,10 @@ def cyclic_bicomplex(x):
 
 def _ranks_to_dims(dims, diffs, nmax):
     """dim H^n = dim C^n - rank d_n - rank d_{n-1} for n = 0..nmax, from one
-    rank per differential."""
+    rank per differential; ValueError if nmax is past the top degree N."""
+    if nmax > max(dims):
+        raise ValueError("degree %d is past the top degree N = %d"
+                         % (nmax, max(dims)))
     rank = {n: d.rank() for n, d in diffs.items() if n <= nmax}
     return {n: dims.get(n, 0) - rank.get(n, 0) - rank.get(n - 1, 0)
             for n in range(nmax + 1)}

@@ -499,20 +499,27 @@ def test_invertibility_failure_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_a_failed_j_certificate_exits_1(tmp_path, capsys, monkeypatch):
-    # without algebra generators J is only the closure of T - id, and the
-    # seed certificate finds a [L_h, tau] column outside it
+    # an operator that drifts, mapping to 0 for the worklist and to the
+    # identity for the certified pass, joins compute_J's closure, whose
+    # fixpoint check then finds an image outside the span
     import os
     from hopfcyclic import cyclic
+    from test_lean_j import _Drifting
     inputs = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "bench", "inputs")
-    monkeypatch.setattr(cyclic, "algebra_generators", lambda hopf: [])
+    closure = cyclic.operator_closure
+
+    def drifting(field, seeds, ops, start=None):
+        return closure(field, {**seeds, "drift": [{0: field.one}]},
+                       ops + [("drift", "image", _Drifting())], start)
+    monkeypatch.setattr(cyclic, "operator_closure", drifting)
     report = tmp_path / "report.json"
     assert main(["build",
                  os.path.join(inputs, "module-coalgebra-sweedler-regular-gf10007.json"),
                  "--coefficients",
                  os.path.join(inputs, "modcomodule-trivial-sweedler-gf10007.json"),
                  "--degree", "1", "--output", str(report)]) == EXIT_FAIL
-    err = "CertificateFailure: seed [L_2, tau] leaves J at degree 1"
+    err = "CertificateFailure: closure fixpoint violated"
     assert capsys.readouterr().err == err + "\n"
     assert json.loads(report.read_text()) == {"ok": False, "error": err}
 

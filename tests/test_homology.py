@@ -52,6 +52,22 @@ def test_hochschild_of_ground_field_vanishes_positively():
     assert [t.degrees[n] for n in (0, 1, 2)] == [1, 0, 0]
 
 
+def test_tables_refuse_degrees_past_the_top_degree(kz2):
+    # X_4..X_7 of a module built to degree 3 do not exist: no table reports
+    # a dimension there, and compare_models gives no verdict over them
+    x = cyc_algebra(kz2.algebra, 3)
+    tables = (lambda n: cohomology_table(x, "mixed", n).degrees,
+              lambda n: cohomology_table(x, "bicomplex", n).degrees,
+              lambda n: hochschild_table(x, n).degrees,
+              lambda n: compare_models(x, n)["mixed"].degrees,
+              lambda n: Total(x).cohomology_dims(n))
+    for table in tables:
+        for nmax in (4, 7):
+            with pytest.raises(ValueError, match="past the top degree N = 3"):
+                table(nmax)
+        assert sorted(table(3)) == [0, 1, 2, 3]
+
+
 def test_models_agree_on_fixtures(kz2, kz2_hopf_complex):
     for x in (cyc_algebra(unit_algebra(), 4),
               cyc_algebra(fx.dual_numbers_algebra(), 4),

@@ -1,17 +1,19 @@
 """compute_J against the definition of the saturation ideal.
 
-compute_J seeds its closure with T - id and [L_g, tau] for algebra
-generators g of H only, and closes without tau^-1.  The reference below is
-the definition: every [L_h, tau^i] for h in a basis of H and i = 1..n+1,
-closed under the faces, degeneracies, tau, tau^-1 and every L_h.  Reduced
-echelon bases are unique, so the two must agree vector for vector.
+compute_J seeds its closure with the columns of T - id and of [L_h, tau]
+for every basis element h of H, and closes over d_0, s_0 and tau only,
+without tau^-1.  The reference below is the definition: every
+[L_h, tau^i] for h in a basis of H and i = 1..n+1, closed under the
+faces, degeneracies, tau, tau^-1 and every L_h.  Reduced echelon bases
+are unique, so the two must agree vector for vector.  Identities checked
+on the matrices carry compute_J's closure over to the other faces and
+degeneracies and to every L_h; the kZ/4 case has an L_h, of g^3, that
+no check on a pair of generators reads.
 
-compute_J's closure runs over d_0, s_0 and tau only; identities checked
-on the matrices carry it over to the other faces and degeneracies and to
-every L_h.  The tests at the end check which operators the closure runs
-over, that its certified pass catches an operator that leaves the span,
-and that J on the Sweedler cover of degree 4 keeps its frozen digests, as
-does Q = T/J, whose faces, degeneracies, taus and generators' L_g descend
+The tests at the end check which operators the closure runs over, that
+its certified pass catches an operator that leaves the span, and that J
+on the Sweedler cover of degree 4 keeps its frozen digests, as does
+Q = T/J, whose faces, degeneracies, taus and generators' L_g descend
 there with no per-vector check.
 """
 
@@ -89,6 +91,8 @@ CASES = {
     "dual numbers, regular coefficients":
         (_dual_numbers_cover(fx.regular_action_regular_coaction),
          (QQ, GF(7)), 3),
+    "kZ/4 regular module coalgebra with (g, ε)":
+        (_coalgebra_cover(4), (QQ, GF(7)), 3),
     "Sweedler regular module coalgebra": (_sweedler_cover, (GF(7),), 3),
 }
 
@@ -145,23 +149,21 @@ def _file_covers():
 def test_the_seeds_are_the_nonzero_columns_of_every_twist_and_commutator():
     # _seeds forms no difference of equal matrices and skips the unit's
     # commutator where L_1 = id: what it returns must still be every
-    # nonzero column of T_n - id and of L_h tau - tau L_h, for every h
-    def lowered(f, cols):
-        return [f.from_integral(*c) for c in cols]
+    # nonzero column of T_n - id, then of L_h tau - tau L_h for each h
+    def nonzero(m):
+        return [c for c in m.columns() if c]
     seen = set()
     for name, t in _file_covers():
         f = t.field
         for n, dim_n in t.spaces.items():
-            twist, comms = cyclic._seeds(t, n)
-            want = (t.T(n) - Matrix.identity(f, dim_n)).columns()
-            assert lowered(f, twist) == [c for c in want if c], (name, n)
-            assert sorted(comms) == list(range(t.hopf.dim))
-            for h, cols in comms.items():
-                lh, tau = t.act_h(n, h), t.tau(n)
-                want = (lh * tau - tau * lh).columns()
-                assert lowered(f, cols) == [c for c in want if c], (name, n, h)
+            tau = t.tau(n)
+            twist = nonzero(t.T(n) - Matrix.identity(f, dim_n))
+            comms = [c for h in range(t.hopf.dim)
+                     for c in nonzero(t.act_h(n, h) * tau - tau * t.act_h(n, h))]
+            seeds = [f.from_integral(*c) for c in cyclic._seeds(t, n)]
+            assert seeds == twist + comms, (name, n)
             seen |= {"twist"} if twist else set()
-            seen |= {"commutator"} if any(comms.values()) else set()
+            seen |= {"commutator"} if comms else set()
     assert seen == {"twist", "commutator"}
 
 
@@ -171,15 +173,6 @@ def test_algebra_generators():
     # Sweedler's basis is 1, g, x, gx: g and x generate, gx = g x
     assert algebra_generators(fx.sweedler_hopf(QQ)) == [1, 2]
     assert algebra_generators(fx.trivial_hopf(QQ)) == []
-
-
-def test_seed_certificate_catches_missing_generators(monkeypatch):
-    # without generators J is only the closure of T - id: the certificate
-    # must find a [L_h, tau] column outside it instead of returning it
-    t = _sweedler_cover(GF(7), 2)
-    monkeypatch.setattr(cyclic, "algebra_generators", lambda hopf: [])
-    with pytest.raises(AssertionError, match=r"\[L_\d+, tau\] leaves J"):
-        compute_J(t, buffer=1)
 
 
 # ---------------------------------------------------------------------------
